@@ -1,6 +1,6 @@
 GO ?= go
 
-# The benchmarks tracked in the committed BENCH_*.json baselines (see
+# The benchmarks tracked in the committed BENCH_kernel.json baseline (see
 # docs/PERFORMANCE.md): the kernel/scheduler hot-path trio, the end-to-
 # end Table 2 workload, and the substrate micro-benchmarks.
 BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord
@@ -46,56 +46,39 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
-# Parallel sweep engine smoke: the engine's own tests under the race
-# detector, then a short rdsweep run on 4 workers and on 1, asserting
-# byte-identical JSON aggregates (the worker-invariance contract).
+# The worker-invariance smokes share one shape: the named packages'
+# tests under the race detector, then rdsweep over one scenario family
+# on 4 workers and on 1, asserting byte-identical JSON aggregates.
+# $(call family-smoke,<family>,<seeds>,<test packages>)
+define family-smoke
+	$(GO) test -race -count=1 $(3)
+	$(GO) run -race ./cmd/rdsweep -scenarios $(1) -seeds $(2) -workers 4 -horizon-ms 500 -quiet -json $(1)-w4.json
+	$(GO) run -race ./cmd/rdsweep -scenarios $(1) -seeds $(2) -workers 1 -horizon-ms 500 -quiet -json $(1)-w1.json
+	cmp $(1)-w4.json $(1)-w1.json
+	rm -f $(1)-w4.json $(1)-w1.json
+endef
+
+# The whole matrix and the sweep engine's own tests.
 sweep-smoke:
-	$(GO) test -race -count=1 ./internal/sweep/...
-	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 4 -horizon-ms 500 -quiet -json sweep-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 1 -horizon-ms 500 -quiet -json sweep-w1.json
-	cmp sweep-w4.json sweep-w1.json
-	rm -f sweep-w4.json sweep-w1.json
+	$(call family-smoke,all,8,./internal/sweep/...)
 
-# Fault-injection smoke (see docs/FAULTS.md): the injector and
-# invariant-checker suites under the race detector, then the fault
-# scenario family through rdsweep on 4 workers and on 1, asserting
-# byte-identical JSON — armed injectors must not break the
-# worker-invariance contract.
+# Fault injection (see docs/FAULTS.md): armed injectors and the
+# invariant checker must not break the worker-invariance contract.
 fault-smoke:
-	$(GO) test -race -count=1 ./internal/fault/... ./internal/invariant/...
-	$(GO) run -race ./cmd/rdsweep -scenarios fault -seeds 8 -workers 4 -horizon-ms 500 -quiet -json fault-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios fault -seeds 8 -workers 1 -horizon-ms 500 -quiet -json fault-w1.json
-	cmp fault-w4.json fault-w1.json
-	rm -f fault-w4.json fault-w1.json
+	$(call family-smoke,fault,8,./internal/fault/... ./internal/invariant/...)
 
-# Comparator-family smoke (see EXPERIMENTS.md "baseline family"): the
-# baseline and streamer suites under the race detector, then the
-# baseline scenario family — lottery/stride/CFS comparators plus the
-# allocator-driven streamer — through rdsweep on 4 workers and on 1,
-# asserting byte-identical JSON. The lottery's seeded RNG substream
-# and the streamer's exact byte·27 accounting must both survive the
-# worker-invariance contract.
+# Comparators (see EXPERIMENTS.md "baseline family"): the lottery's
+# seeded RNG substream and the streamer's exact byte·27 accounting must
+# both survive it.
 baseline-smoke:
-	$(GO) test -race -count=1 ./internal/baseline/... ./internal/streamer/...
-	$(GO) run -race ./cmd/rdsweep -scenarios baseline -seeds 8 -workers 4 -horizon-ms 500 -quiet -json baseline-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios baseline -seeds 8 -workers 1 -horizon-ms 500 -quiet -json baseline-w1.json
-	cmp baseline-w4.json baseline-w1.json
-	rm -f baseline-w4.json baseline-w1.json
+	$(call family-smoke,baseline,8,./internal/baseline/... ./internal/streamer/...)
 
-# Fleet-family smoke (see docs/FAULTS.md "fleet failure semantics"):
-# the multi-node cluster suite under the race detector — including
-# the cluster's own worker-invariance and crash-conservation tests —
-# then the fleet scenario family (node crashes, correlated storms,
-# spillover/retry/migration) through rdsweep on 4 workers and on 1,
-# asserting byte-identical JSON. Both worker pools are in play here:
-# the sweep's run pool and each cluster's node pool must leave no
-# fingerprint on the aggregates.
+# Fleet (see docs/FAULTS.md "fleet failure semantics"): node crashes,
+# correlated storms, spillover/retry/migration. Two worker pools are in
+# play — the sweep's run pool and each cluster's node pool — and
+# neither may leave a fingerprint on the aggregates.
 fleet-smoke:
-	$(GO) test -race -count=1 ./internal/fleet/...
-	$(GO) run -race ./cmd/rdsweep -scenarios fleet -seeds 4 -workers 4 -horizon-ms 500 -quiet -json fleet-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios fleet -seeds 4 -workers 1 -horizon-ms 500 -quiet -json fleet-w1.json
-	cmp fleet-w4.json fleet-w1.json
-	rm -f fleet-w4.json fleet-w1.json
+	$(call family-smoke,fleet,4,./internal/fleet/...)
 
 # Telemetry smoke (see docs/OBSERVABILITY.md): the telemetry suite,
 # then a seeded scenario run twice — the rdtel/v2 manifests must be
@@ -141,17 +124,14 @@ telemetry-golden:
 		-o internal/telemetry/testdata/settop-smoke.perfetto.golden \
 		internal/telemetry/testdata/settop-smoke.manifest.golden
 
-# Refresh the "current" sections of the committed benchmark baselines:
-# hot-path benchmarks into BENCH_kernel.json, single-worker sweep
-# throughput into BENCH_sweep.json. The pr-start-baseline sections are
-# historical records and are never rewritten by this target.
+# Refresh the "current" section of the committed layer baseline
+# BENCH_kernel.json. The pr-start-baseline section is a historical
+# record and is never rewritten by this target. End-to-end sweep
+# throughput is benchmark/'s job (frozen matrices; see BENCHMARK.json).
 bench:
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchmem $(BENCH_PKGS) | tee bench-latest.txt
 	$(GO) run ./cmd/rdperf parse -label current -out BENCH_kernel.json < bench-latest.txt
-	$(GO) build -o rdsweep.bin ./cmd/rdsweep
-	./rdsweep.bin -scenarios all -seeds 64 -workers 1 -horizon-ms 2000 -quiet -timing-json sweep-timing.json
-	$(GO) run ./cmd/rdperf merge -label current -out BENCH_sweep.json sweep-timing.json
-	rm -f rdsweep.bin sweep-timing.json bench-latest.txt
+	rm -f bench-latest.txt
 
 # Perf regression gate for CI: the steady-state 0-allocs/op
 # assertions run as regular tests, then a -benchtime=100x pass is
@@ -163,7 +143,7 @@ bench:
 # build — single-iteration timings are far too noisy to gate on, so
 # ns/op drift is judged and printed report-only. After an intended
 # allocation change, refresh the baseline with `make bench` and
-# commit the new BENCH_*.json; to run the comparison without gating
+# commit the new BENCH_kernel.json; to run the comparison without gating
 # (e.g. while iterating locally), use BENCH_GATE= (empty).
 BENCH_GATE ?= -gate
 bench-smoke:

@@ -1,17 +1,15 @@
-// rdperf maintains the repository's committed benchmark baselines
-// (BENCH_kernel.json, BENCH_sweep.json) and compares fresh runs
-// against them, benchstat-style. It has three subcommands:
+// rdperf maintains the repository's committed layer-benchmark baseline
+// (BENCH_kernel.json) and compares fresh runs against it,
+// benchstat-style. It has two subcommands:
 //
 //	go test -run=NONE -bench . -benchmem ./... | rdperf parse -label current -out BENCH_kernel.json
-//	rdperf merge -label current -out BENCH_sweep.json sweep-timing.json
 //	go test -run=NONE -bench . -benchmem ./... | rdperf compare -against BENCH_kernel.json -section current
 //
 // parse reads `go test -bench` text on stdin and records each
 // benchmark's metrics (ns/op, B/op, allocs/op, and any custom
 // b.ReportMetric units) under the named section of the output file,
 // preserving the file's other sections — which is how a PR-start
-// baseline section survives refreshes of the current one. merge does
-// the same for an already-JSON metrics map (rdsweep -timing-json).
+// baseline section survives refreshes of the current one.
 // compare prints a delta table against a committed section and flags
 // changes beyond the threshold; it is report-only by default (exit 0
 // regardless) so CI can surface drift without turning benchmark noise
@@ -67,8 +65,6 @@ func main() {
 	switch os.Args[1] {
 	case "parse":
 		err = cmdParse(os.Args[2:])
-	case "merge":
-		err = cmdMerge(os.Args[2:])
 	case "compare":
 		err = cmdCompare(os.Args[2:])
 	default:
@@ -83,7 +79,6 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rdperf parse   -label NAME -out FILE          < go-test-bench-output
-  rdperf merge   -label NAME -out FILE METRICS.json
   rdperf compare -against FILE [-section NAME] [-threshold PCT] [-gate|-strict] [-gate-units U1,U2] < go-test-bench-output`)
 	os.Exit(2)
 }
@@ -108,28 +103,7 @@ func cmdParse(args []string) error {
 	return updateSection(out, label, sec)
 }
 
-// --- merge ---
-
-func cmdMerge(args []string) error {
-	label, out, rest, err := labelOut(args)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 1 {
-		return fmt.Errorf("merge: want exactly one METRICS.json argument, got %v", rest)
-	}
-	raw, err := os.ReadFile(rest[0])
-	if err != nil {
-		return err
-	}
-	var sec section
-	if err := json.Unmarshal(raw, &sec); err != nil {
-		return fmt.Errorf("merge %s: %v", rest[0], err)
-	}
-	return updateSection(out, label, sec)
-}
-
-// labelOut parses the flags shared by parse and merge.
+// labelOut parses parse's flags.
 func labelOut(args []string) (label, out string, rest []string, err error) {
 	for i := 0; i < len(args); i++ {
 		switch args[i] {

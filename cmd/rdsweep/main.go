@@ -13,6 +13,15 @@
 //	go run ./cmd/rdsweep -scenarios fleet -seeds 8    # the multi-node fleet family
 //	go run ./cmd/rdsweep -list
 //
+// A cell's "policy" is a value of the one axis its scenario varies;
+// -policies filters every scenario's own values and never adds any:
+//
+//	axis        values                                          varied by
+//	policy-box  invent, audio-first, video-first                settop, media, overload, quiescent, studio, stress, fault-*
+//	comparator  invent, baseline-{fairshare,lottery,stride,cfs} baseline-media, baseline-overload
+//	allocator   invent, streamer-{maxmin,maxthru}               baseline-streamer
+//	placement   first-fit, least-loaded, rr-hash                fleet-*
+//
 // Cluster-manifest mode runs a single fleet-family spec with full span
 // logging and writes its stitched rdtel/v2 cluster manifest (and,
 // optionally, the per-node manifests it was stitched from):
@@ -23,23 +32,30 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/sweep"
-	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body; it returns the exit status (1: some runs failed,
+// 2: the sweep could not run) so deferred profile writers still fire.
+func run() int {
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "rdsweep:", err)
+		return 2
+	}
 	var (
 		scenariosFlag = flag.String("scenarios", "all", "comma-separated scenario names, 'all', or a family name ('fault', 'baseline', 'fleet') for every member scenario (see -list)")
 		costsFlag     = flag.String("costs", strings.Join(sweep.DefaultCostModels(), ","), "comma-separated switch-cost models, or 'all'")
@@ -50,10 +66,9 @@ func main() {
 		horizonMS     = flag.Int64("horizon-ms", 0, "simulated duration per run in ms; 0 = default (2000)")
 		jsonPath      = flag.String("json", "", "write machine-readable aggregates to this file ('-' for stdout)")
 		quiet         = flag.Bool("quiet", false, "suppress the human-readable table")
-		list          = flag.Bool("list", false, "list scenarios, cost models and policies, then exit")
+		list          = flag.Bool("list", false, "list scenarios, cost models and policy axes, then exit")
 		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile    = flag.String("memprofile", "", "write an allocation profile (alloc_objects/alloc_space) to this file")
-		timingJSON    = flag.String("timing-json", "", "write wall-clock sweep throughput to this file as an rdperf metrics map (see cmd/rdperf)")
 
 		clusterManifest = flag.String("cluster-manifest", "", "run one fleet-family spec with full span logging and write its stitched rdtel/v2 cluster manifest to this file ('-' for stdout); requires exactly one scenario, cost model, policy and seed")
 		nodeManifests   = flag.String("node-manifests", "", "with -cluster-manifest: also write the coordinator and per-node manifests into this directory (coord.manifest.json, node000.manifest.json, ...)")
@@ -64,13 +79,11 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rdsweep:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "rdsweep:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -80,40 +93,44 @@ func main() {
 		runtime.MemProfileRate = 1
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "rdsweep:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		defer func() {
 			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "rdsweep:", err)
+				fail(err)
 			}
 			f.Close()
 		}()
 	}
 
 	if *list {
+		width := 0
+		for _, name := range sweep.ScenarioNames() {
+			width = max(width, len(name))
+		}
 		fmt.Println("scenarios:")
 		for _, sc := range sweep.Scenarios() {
-			fmt.Printf("  %-10s %s (policies: %s)\n", sc.Name, sc.Desc, strings.Join(sc.Policies, ", "))
+			fmt.Printf("  %-*s %s (%s: %s)\n", width, sc.Name, sc.Desc, sc.Axis, strings.Join(sc.Policies, ", "))
 		}
 		fmt.Printf("cost models: %s (default %s)\n",
 			strings.Join(sweep.CostModelNames(), ", "), strings.Join(sweep.DefaultCostModels(), ", "))
-		fmt.Printf("policies:    %s\n", strings.Join(sweep.AllPolicies(), ", "))
-		return
+		fmt.Println("policy axes (a scenario varies exactly one):")
+		for _, a := range sweep.Axes() {
+			fmt.Printf("  %-*s %s\n", width, a, strings.Join(a.Values(), ", "))
+		}
+		return 0
 	}
 
 	if *clusterManifest != "" {
 		if err := runClusterManifest(*scenariosFlag, *costsFlag, *policiesFlag,
 			*seedBase, *horizonMS, *clusterWorkers, *clusterManifest, *nodeManifests); err != nil {
-			fmt.Fprintln(os.Stderr, "rdsweep:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *nodeManifests != "" {
-		fmt.Fprintln(os.Stderr, "rdsweep: -node-manifests requires -cluster-manifest")
-		os.Exit(2)
+		return fail(errors.New("-node-manifests requires -cluster-manifest"))
 	}
 
 	m := sweep.Matrix{
@@ -123,31 +140,9 @@ func main() {
 		Seeds:      sweep.SeedRange(*seedBase, *seedsFlag),
 		Horizon:    ticks.FromMilliseconds(*horizonMS),
 	}
-	start := time.Now()
 	res, err := sweep.Run(m, sweep.Options{Workers: *workers})
-	elapsed := time.Since(start)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rdsweep:", err)
-		os.Exit(2)
-	}
-
-	if *timingJSON != "" {
-		// Wall-clock throughput is deliberately a separate artifact
-		// from the deterministic results JSON: -json output is
-		// byte-identical across machines and worker counts, timing
-		// never is. The key encodes the matrix so that comparisons
-		// (cmd/rdperf compare) only ever line up like against like.
-		key := fmt.Sprintf("rdsweep/scenarios=%s,seeds=%d,workers=%s,horizon=%dms",
-			*scenariosFlag, *seedsFlag, workersLabel(*workers), *horizonMS)
-		metrics := map[string]map[string]float64{key: {
-			"cells":     float64(res.TotalRuns),
-			"seconds":   elapsed.Seconds(),
-			"cells/sec": float64(res.TotalRuns) / elapsed.Seconds(),
-		}}
-		if err := writeTimingJSON(*timingJSON, metrics); err != nil {
-			fmt.Fprintln(os.Stderr, "rdsweep:", err)
-			os.Exit(2)
-		}
+		return fail(err)
 	}
 
 	if !*quiet {
@@ -155,25 +150,15 @@ func main() {
 		fmt.Print(res.Table())
 	}
 	if *jsonPath != "" {
-		out := os.Stdout
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "rdsweep:", err)
-				os.Exit(2)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := res.WriteJSON(out); err != nil {
-			fmt.Fprintln(os.Stderr, "rdsweep:", err)
-			os.Exit(2)
+		if err := writeFile(*jsonPath, res.WriteJSON); err != nil {
+			return fail(err)
 		}
 	}
 	if n := res.Errors(); n > 0 {
 		fmt.Fprintf(os.Stderr, "rdsweep: %d run(s) failed\n", n)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runClusterManifest is the -cluster-manifest mode: one fleet-family
@@ -192,7 +177,18 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 	if err != nil {
 		return err
 	}
-	policy, err := singleValue("policies", splitOrAll(policies), sweep.PolicyInvent)
+	// An unnamed policy falls back to the first value of the
+	// scenario's axis.
+	fallback := ""
+	for _, sc := range sweep.Scenarios() {
+		if sc.Name == scenario {
+			fallback = sc.Policies[0]
+		}
+	}
+	if fallback == "" {
+		return fmt.Errorf("unknown scenario %q (see -list)", scenario)
+	}
+	policy, err := singleValue("policies", splitOrAll(policies), fallback)
 	if err != nil {
 		return err
 	}
@@ -213,7 +209,7 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 	if err != nil {
 		return err
 	}
-	if err := writeManifestFile(path, cluster); err != nil {
+	if err := writeFile(path, cluster.WriteJSON); err != nil {
 		return err
 	}
 	if nodeDir == "" {
@@ -226,7 +222,7 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 	if err != nil {
 		return err
 	}
-	if err := writeManifestFile(filepath.Join(nodeDir, "coord.manifest.json"), coord); err != nil {
+	if err := writeFile(filepath.Join(nodeDir, "coord.manifest.json"), coord.WriteJSON); err != nil {
 		return err
 	}
 	for i := 0; i < c.NodeCount(); i++ {
@@ -235,7 +231,7 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 			return err
 		}
 		name := fmt.Sprintf("node%03d.manifest.json", i)
-		if err := writeManifestFile(filepath.Join(nodeDir, name), nm); err != nil {
+		if err := writeFile(filepath.Join(nodeDir, name), nm.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -258,15 +254,17 @@ func singleValue(name string, vals []string, fallback string) (string, error) {
 	}
 }
 
-func writeManifestFile(path string, m *telemetry.Manifest) error {
+// writeFile hands write the file at path ('-' is stdout) and reports
+// the Close error of a file it created.
+func writeFile(path string, write func(io.Writer) error) error {
 	if path == "-" {
-		return m.WriteJSON(os.Stdout)
+		return write(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := m.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -293,18 +291,4 @@ func workersLabel(n int) string {
 		return "auto"
 	}
 	return strconv.Itoa(n)
-}
-
-func writeTimingJSON(path string, metrics map[string]map[string]float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(metrics); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -127,16 +127,6 @@ func (p *Pass) ExportPackageFact(fact Fact) {
 	p.store.setPackage(p.Analyzer.Name, p.Pkg.Path(), fact)
 }
 
-// ImportPackageFact copies the fact previously exported for the
-// package with the given import path into fact.
-func (p *Pass) ImportPackageFact(path string, fact Fact) bool {
-	if p.store == nil {
-		return false
-	}
-	stored, ok := p.store.pkg[p.Analyzer.Name][path]
-	return ok && copyFact(stored, fact)
-}
-
 // --- Finish (fleet) pass ---
 
 // FleetPass is the view the Finish hook gets after every package has
@@ -167,32 +157,10 @@ func (f *FleetPass) PackageFacts() []PackageFact {
 	return out
 }
 
-// ObjectFacts returns this analyzer's object facts in deterministic
-// (key-sorted) order.
-func (f *FleetPass) ObjectFacts() []ObjectFact {
-	m := f.store.obj[f.Analyzer.Name]
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]ObjectFact, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, ObjectFact{Object: k, Fact: m[k]})
-	}
-	return out
-}
-
 // PackageFact pairs a package path with its exported fact.
 type PackageFact struct {
 	Path string
 	Fact Fact
-}
-
-// ObjectFact pairs a stable object key with its exported fact.
-type ObjectFact struct {
-	Object string
-	Fact   Fact
 }
 
 // Reportf reports a fleet-level finding at pos. Waiver filtering is

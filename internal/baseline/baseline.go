@@ -44,14 +44,6 @@ type Stats struct {
 	UsedTicks     ticks.Ticks
 }
 
-// MissRate reports the fraction of periods that missed.
-func (s Stats) MissRate() float64 {
-	if s.Periods == 0 {
-		return 0
-	}
-	return float64(s.MissedPeriods) / float64(s.Periods)
-}
-
 // strideScale is the fixed-point scale of pass/vruntime arithmetic:
 // pass advances in units of strideScale·ticks per weight. The scale
 // only has to be large enough that one tick of CPU moves every pass,

@@ -51,7 +51,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
-	"repro/internal/rm"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -292,19 +291,15 @@ func (q *actionQueue) topDue() ticks.Ticks { return q.a[0].due }
 // nodeProbe is the per-node sched.Observer: misses and period starts
 // survive across incarnations (the probe outlives crashes).
 type nodeProbe struct {
+	sched.NopObserver
 	misses  int64
 	periods int64
 }
 
-func (p *nodeProbe) OnDispatch(task.ID, string, ticks.Ticks, ticks.Ticks, sched.DispatchKind, int) {
-}
 func (p *nodeProbe) OnPeriodStart(task.ID, ticks.Ticks, ticks.Ticks, int, ticks.Ticks) {
 	p.periods++
 }
 func (p *nodeProbe) OnDeadlineMiss(task.ID, ticks.Ticks, ticks.Ticks) { p.misses++ }
-func (p *nodeProbe) OnSwitch(sim.SwitchKind, ticks.Ticks)             {}
-func (p *nodeProbe) OnGrantApplied(task.ID, rm.Grant)                 {}
-func (p *nodeProbe) OnBlock(task.ID, ticks.Ticks)                     {}
 
 // node is one RD in the fleet. Everything inside it is touched
 // either by its own advance (parallel phase, node-local) or by the

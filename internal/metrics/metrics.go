@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary accumulates float64 samples and reports order statistics.
@@ -178,47 +177,3 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // N reports total samples.
 func (h *Histogram) N() int64 { return h.n }
-
-// Render draws an ASCII histogram with bars scaled to width chars.
-func (h *Histogram) Render(width int) string {
-	var max int64 = 1
-	for _, c := range h.Counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	for i, c := range h.Counts {
-		lo := h.Lo + float64(i)*h.Width
-		bar := int(int64(width) * c / max)
-		fmt.Fprintf(&b, "%8.1f-%8.1f |%-*s| %d\n", lo, lo+h.Width, width, strings.Repeat("#", bar), c)
-	}
-	if h.under > 0 {
-		fmt.Fprintf(&b, "   under: %d\n", h.under)
-	}
-	if h.over > 0 {
-		fmt.Fprintf(&b, "    over: %d\n", h.over)
-	}
-	return b.String()
-}
-
-// Counter is a simple named tally used by experiment harnesses.
-type Counter struct {
-	name string
-	n    int64
-}
-
-// NewCounter returns a named counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.n += n }
-
-// Value reports the tally.
-func (c *Counter) Value() int64 { return c.n }
-
-// String renders "name=value".
-func (c *Counter) String() string { return fmt.Sprintf("%s=%d", c.name, c.n) }

@@ -25,7 +25,7 @@ import (
 
 // guaranteeObserver tracks dispatch slices per task per period.
 type guaranteeObserver struct {
-	nopObserver
+	NopObserver
 	preemptions map[task.ID]int // granted slices beyond the first, per period
 	curPeriod   map[task.ID]int
 	slices      map[task.ID]int
@@ -91,7 +91,7 @@ func TestGuarantee1GrantFromSuppliedList(t *testing.T) {
 }
 
 type grantObserver struct {
-	nopObserver
+	NopObserver
 	grants *[]rm.Grant
 }
 

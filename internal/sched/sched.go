@@ -89,15 +89,16 @@ type Observer interface {
 	OnBlock(id task.ID, at ticks.Ticks)
 }
 
-// nopObserver is the default Observer.
-type nopObserver struct{}
+// NopObserver ignores every event. It is the default Observer, and
+// the base to embed in an Observer that cares about a few events only.
+type NopObserver struct{}
 
-func (nopObserver) OnDispatch(task.ID, string, ticks.Ticks, ticks.Ticks, DispatchKind, int) {}
-func (nopObserver) OnPeriodStart(task.ID, ticks.Ticks, ticks.Ticks, int, ticks.Ticks)       {}
-func (nopObserver) OnDeadlineMiss(task.ID, ticks.Ticks, ticks.Ticks)                        {}
-func (nopObserver) OnSwitch(sim.SwitchKind, ticks.Ticks)                                    {}
-func (nopObserver) OnGrantApplied(task.ID, rm.Grant)                                        {}
-func (nopObserver) OnBlock(task.ID, ticks.Ticks)                                            {}
+func (NopObserver) OnDispatch(task.ID, string, ticks.Ticks, ticks.Ticks, DispatchKind, int) {}
+func (NopObserver) OnPeriodStart(task.ID, ticks.Ticks, ticks.Ticks, int, ticks.Ticks)       {}
+func (NopObserver) OnDeadlineMiss(task.ID, ticks.Ticks, ticks.Ticks)                        {}
+func (NopObserver) OnSwitch(sim.SwitchKind, ticks.Ticks)                                    {}
+func (NopObserver) OnGrantApplied(task.ID, rm.Grant)                                        {}
+func (NopObserver) OnBlock(task.ID, ticks.Ticks)                                            {}
 
 // queueID says which paper queue a tcb currently lives on.
 type queueID int
@@ -277,7 +278,7 @@ func New(cfg Config) *Scheduler {
 	}
 	obs := cfg.Observer
 	if obs == nil {
-		obs = nopObserver{}
+		obs = NopObserver{}
 	}
 	override := cfg.OverrideWindow
 	if override == 0 {

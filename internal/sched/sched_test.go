@@ -398,7 +398,7 @@ func TestSporadicDoesNotDisturbPeriodic(t *testing.T) {
 
 // periodStartObserver records every period start per task.
 type periodStartObserver struct {
-	nopObserverEmbed
+	NopObserver
 	starts map[task.ID][]ticks.Ticks
 }
 
@@ -498,13 +498,11 @@ func TestLatencyBound(t *testing.T) {
 // completionObserver records when the target task's granted CPU for
 // each period finishes.
 type completionObserver struct {
-	nopObserverEmbed
+	NopObserver
 	target      task.ID
 	last        ticks.Ticks
 	completions []ticks.Ticks
 }
-
-type nopObserverEmbed = nopObserver
 
 func (o *completionObserver) OnDispatch(id task.ID, _ string, _, to ticks.Ticks, kind DispatchKind, _ int) {
 	if id == o.target && kind == DispatchGranted {

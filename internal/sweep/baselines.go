@@ -26,55 +26,11 @@ import (
 	"repro/internal/workload"
 )
 
-// BaselineFamily is the matrix scenario name that expands to every
-// baseline-* scenario.
-const BaselineFamily = "baseline"
-
 // streamBaseline is the SplitSeed substream for baseline-family
 // workload parameter jitter (periods, demands, admission stagger) —
 // distinct from streamStress/streamGraphics and from
 // baseline.StreamLottery, per the fleet-wide rngstream namespace.
 const streamBaseline = 5
-
-// Comparator policy axis: which scheduler/allocator serves the
-// scenario's load instead of the RD.
-const (
-	PolicyBaselineFairShare = "baseline-fairshare"
-	PolicyBaselineLottery   = "baseline-lottery"
-	PolicyBaselineStride    = "baseline-stride"
-	PolicyBaselineCFS       = "baseline-cfs"
-	// Streamer allocation policies (baseline-streamer scenario).
-	PolicyStreamerMaxMin  = "streamer-maxmin"
-	PolicyStreamerMaxThru = "streamer-maxthru"
-)
-
-func comparatorPolicies() []string {
-	return []string{PolicyInvent,
-		PolicyBaselineFairShare, PolicyBaselineLottery, PolicyBaselineStride, PolicyBaselineCFS}
-}
-
-func init() {
-	scenarios = append(scenarios,
-		Scenario{
-			Name:     "baseline-media",
-			Desc:     "§3.5 MPEG + three 30% workers (120% load) under RD vs proportional-share comparators",
-			Policies: comparatorPolicies(),
-			run:      runBaselineMedia,
-		},
-		Scenario{
-			Name:     "baseline-overload",
-			Desc:     "seed-jittered overloaded periodic mix: RD sheds by menu, comparators thrash",
-			Policies: comparatorPolicies(),
-			run:      runBaselineOverload,
-		},
-		Scenario{
-			Name:     "baseline-streamer",
-			Desc:     "contended Data Streamer: three DMA producers over capacity, CPU grants × allocator policy",
-			Policies: []string{PolicyInvent, PolicyStreamerMaxMin, PolicyStreamerMaxThru},
-			run:      runBaselineStreamer,
-		},
-	)
-}
 
 // comparator is the interface the proportional-share schedulers share
 // (FairShare, Lottery, Stride, CFS all satisfy it).
@@ -85,32 +41,41 @@ type comparator interface {
 	Instrument(t *telemetry.Set)
 }
 
-// newComparator builds the scheduler a baseline-* policy names.
-func newComparator(pol string, k *sim.Kernel, seed uint64) (comparator, error) {
+// startComparator assembles a bare kernel under the scheduler the
+// spec's baseline-* policy names (newEnv admits no other value of the
+// comparator axis, and callers stage invent on a Distributor).
+func (e *env) startComparator() (*sim.Kernel, comparator) {
+	k := e.startKernel()
 	q := ticks.PerMillisecond
-	switch pol {
+	var c comparator
+	switch e.spec.Policy {
 	case PolicyBaselineFairShare:
-		return baseline.NewFairShare(k, q), nil
+		c = baseline.NewFairShare(k, q)
 	case PolicyBaselineLottery:
-		return baseline.NewLottery(k, q, seed), nil
+		c = baseline.NewLottery(k, q, e.spec.Seed)
 	case PolicyBaselineStride:
-		return baseline.NewStride(k, q), nil
+		c = baseline.NewStride(k, q)
 	case PolicyBaselineCFS:
-		return baseline.NewCFS(k, q), nil
+		c = baseline.NewCFS(k, q)
+	default:
+		panic(fmt.Sprintf("sweep: policy %q is not a baseline comparator", e.spec.Policy))
 	}
-	return nil, fmt.Errorf("sweep: policy %q is not a baseline comparator", pol)
+	c.Instrument(e.tel)
+	return k, c
 }
 
-// comparatorTally folds baseline Stats into the run metrics: the
-// comparators have no probe/observer chain, so Misses comes from the
-// schedulers' own period accounting.
-func comparatorTally(m *RunMetrics, c comparator, names []string) {
+// tally folds a comparator's own period accounting into the run
+// metrics — the comparators have no probe/observer chain, so Misses
+// comes from here — and returns the period starts it counted.
+func (e *env) tally(c comparator, names []string) (periods int64) {
 	for _, n := range names {
 		if st, ok := c.Stats(n); ok {
-			m.Misses += st.MissedPeriods
-			m.CompletedPeriods += st.Completed
+			e.m.Misses += st.MissedPeriods
+			e.m.CompletedPeriods += st.Completed
+			periods += st.Periods
 		}
 	}
+	return periods
 }
 
 // runBaselineMedia is the §3.5 experiment as a sweep cell: an MPEG
@@ -120,13 +85,14 @@ func comparatorTally(m *RunMetrics, c comparator, names []string) {
 // fair fraction and frames die by accident of timing.
 func runBaselineMedia(e *env) error {
 	const mpegPeriod = 900_000 // 30 fps
+	mpeg := workload.NewMPEG()
+	workers := []string{"w1", "w2", "w3"}
 	if e.spec.Policy == PolicyInvent {
 		d := e.start(core.Config{})
-		mpeg := workload.NewMPEG()
 		if _, err := e.admit(mpeg.Task()); err != nil {
 			return err
 		}
-		for _, n := range []string{"w1", "w2", "w3"} {
+		for _, n := range workers {
 			if _, err := e.admit(&task.Task{
 				Name: n,
 				List: task.UniformLevels(10*ms, "W", 30, 20),
@@ -135,37 +101,24 @@ func runBaselineMedia(e *env) error {
 				return err
 			}
 		}
-		d.Run(e.spec.Horizon)
-		mpeg.Flush()
-		e.quality = func(m *RunMetrics) {
-			vs := mpeg.Stats()
-			m.Loss = int64(vs.UnplannedLoss)
-			m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss)
+		if err := e.run(d.Run); err != nil {
+			return err
 		}
-		return nil
+	} else {
+		_, c := e.startComparator()
+		c.Add("mpeg", mpegPeriod, 1, mpeg)
+		for _, n := range workers {
+			c.Add(n, 10*ms, 1, task.PeriodicWork(3*ms))
+		}
+		if err := e.run(c.RunUntil); err != nil {
+			return err
+		}
+		e.tally(c, append([]string{"mpeg"}, workers...))
 	}
-
-	k := e.startKernel()
-	c, err := newComparator(e.spec.Policy, k, e.spec.Seed)
-	if err != nil {
-		return err
-	}
-	c.Instrument(e.tel)
-	mpeg := workload.NewMPEG()
-	c.Add("mpeg", mpegPeriod, 1, mpeg)
-	names := []string{"mpeg"}
-	for _, n := range []string{"w1", "w2", "w3"} {
-		c.Add(n, 10*ms, 1, task.PeriodicWork(3*ms))
-		names = append(names, n)
-	}
-	c.RunUntil(e.spec.Horizon)
 	mpeg.Flush()
-	e.quality = func(m *RunMetrics) {
-		vs := mpeg.Stats()
-		m.Loss = int64(vs.UnplannedLoss)
-		m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss)
-		comparatorTally(m, c, names)
-	}
+	vs := mpeg.Stats()
+	e.m.Loss = int64(vs.UnplannedLoss)
+	e.m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss)
 	return nil
 }
 
@@ -221,26 +174,14 @@ func runBaselineOverload(e *env) error {
 				})
 			})
 		}
-		d.Run(e.spec.Horizon)
-		e.quality = func(m *RunMetrics) {
-			var periods int64
-			for _, a := range e.admits {
-				if st, ok := d.Stats(a.id); ok {
-					periods += st.Periods
-				}
-			}
-			m.Loss = e.pr.misses
-			m.Opportunities = periods
+		if err := e.run(d.Run); err != nil {
+			return err
 		}
+		e.missesOverPeriods()
 		return nil
 	}
 
-	k := e.startKernel()
-	c, err := newComparator(e.spec.Policy, k, e.spec.Seed)
-	if err != nil {
-		return err
-	}
-	c.Instrument(e.tel)
+	k, c := e.startComparator()
 	names := make([]string, 0, len(specs))
 	for i := range specs {
 		g := specs[i]
@@ -249,18 +190,11 @@ func runBaselineOverload(e *env) error {
 			c.Add(g.name, g.period, g.weight, task.PeriodicWork(g.cpu))
 		})
 	}
-	c.RunUntil(e.spec.Horizon)
-	e.quality = func(m *RunMetrics) {
-		var periods int64
-		for _, n := range names {
-			if st, ok := c.Stats(n); ok {
-				periods += st.Periods
-			}
-		}
-		comparatorTally(m, c, names)
-		m.Loss = m.Misses
-		m.Opportunities = periods
+	if err := e.run(c.RunUntil); err != nil {
+		return err
 	}
+	e.m.Opportunities = e.tally(c, names)
+	e.m.Loss = e.m.Misses
 	return nil
 }
 
@@ -369,14 +303,13 @@ func runBaselineStreamer(e *env) error {
 		channels[2].Close()
 	})
 
-	c.RunUntil(e.spec.Horizon)
-	e.quality = func(m *RunMetrics) {
-		for i, p := range producers {
-			m.Loss += p.late + (p.submitted - p.delivered)
-			m.Opportunities += p.submitted
-			m.StreamerBytes += channels[i].Stats().Bytes
-		}
-		comparatorTally(m, c, names)
+	if err := e.run(c.RunUntil); err != nil {
+		return err
 	}
+	for _, p := range producers {
+		e.m.Loss += p.late + (p.submitted - p.delivered)
+		e.m.Opportunities += p.submitted
+	}
+	e.tally(c, names)
 	return nil
 }

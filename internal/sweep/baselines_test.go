@@ -7,15 +7,7 @@ import (
 	"repro/internal/ticks"
 )
 
-func baselineScenarioNames() []string {
-	var out []string
-	for _, sc := range scenarios {
-		if len(sc.Name) > len(BaselineFamily) && sc.Name[:len(BaselineFamily)+1] == BaselineFamily+"-" {
-			out = append(out, sc.Name)
-		}
-	}
-	return out
-}
+func baselineScenarioNames() []string { return expandFamilies([]string{BaselineFamily}) }
 
 // TestBaselineFamilyExpansion checks that the matrix scenario name
 // "baseline" expands to exactly the baseline-* scenarios, in registry
@@ -118,7 +110,7 @@ func TestBaselineStreamerPoliciesDiffer(t *testing.T) {
 		if m.Err != "" {
 			t.Fatalf("%s: %s", pol, m.Err)
 		}
-		if m.StreamerBytes == 0 {
+		if m.Telemetry.CounterValue("streamer.bytes") == 0 {
 			t.Errorf("%s: no DMA bytes moved", pol)
 		}
 		if m.Opportunities == 0 {
@@ -127,8 +119,8 @@ func TestBaselineStreamerPoliciesDiffer(t *testing.T) {
 		out[pol] = m
 	}
 	a, b := out[PolicyInvent], out[PolicyStreamerMaxMin]
-	if a.Loss == b.Loss && a.StreamerBytes == b.StreamerBytes {
-		t.Errorf("metered and max-min produced identical loss=%d bytes=%d; allocator axis is dead",
-			a.Loss, a.StreamerBytes)
+	ab, bb := a.Telemetry.CounterValue("streamer.bytes"), b.Telemetry.CounterValue("streamer.bytes")
+	if a.Loss == b.Loss && ab == bb {
+		t.Errorf("metered and max-min produced identical loss=%d bytes=%d; allocator axis is dead", a.Loss, ab)
 	}
 }

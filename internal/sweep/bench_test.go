@@ -10,7 +10,7 @@ import (
 // rdsweep matrix multiplies by (scenarios × cost models × policies ×
 // seeds). Construction allocations (kernel, manager, scheduler,
 // workloads) are inherent here; the figure to watch is ns/op, which
-// bounds achievable cells/sec.
+// bounds achievable runs/sec.
 func BenchmarkSweepCell(b *testing.B) {
 	spec := RunSpec{
 		Scenario:  "settop",

@@ -7,15 +7,7 @@ import (
 	"repro/internal/ticks"
 )
 
-func faultScenarioNames() []string {
-	var out []string
-	for _, sc := range scenarios {
-		if len(sc.Name) > len(FaultFamily) && sc.Name[:len(FaultFamily)+1] == FaultFamily+"-" {
-			out = append(out, sc.Name)
-		}
-	}
-	return out
-}
+func faultScenarioNames() []string { return expandFamilies([]string{FaultFamily}) }
 
 // TestFaultFamilyExpansion checks that the matrix scenario name
 // "fault" expands to exactly the fault-* scenarios, in registry
@@ -99,21 +91,12 @@ func TestFaultScenariosDeterministic(t *testing.T) {
 // passes, with every change recorded — and the run must still close
 // with zero guarantee violations.
 func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
-	costs, ok := costModelByName("zero")
-	if !ok {
-		t.Fatal("zero cost model missing")
+	e, err := newEnv(RunSpec{Scenario: "fault-storm", CostModel: "zero", Policy: PolicyInvent,
+		Seed: 5, Horizon: 300 * ticks.PerMillisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	e := &env{
-		spec: RunSpec{Scenario: "fault-storm", CostModel: "zero", Policy: PolicyInvent,
-			Seed: 5, Horizon: 300 * ticks.PerMillisecond},
-		costs: costs,
-		pr:    newProbe(),
-	}
-	sc, ok := scenarioByName("fault-storm")
-	if !ok {
-		t.Fatal("fault-storm not registered")
-	}
-	if err := sc.run(e); err != nil {
+	if err := e.sc.run(e); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,7 +125,6 @@ func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
 		t.Error("no storm bursts logged")
 	}
 
-	e.chk.Finish()
 	if vs := e.chk.Violations(); len(vs) != 0 {
 		t.Errorf("degraded run has %d guarantee violations; degradation must be a recorded decision, not a breach", len(vs))
 		for _, v := range vs {
@@ -155,16 +137,13 @@ func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
 // for the one event kind that marks a real bug: a rejected Load that
 // still changed the Box.
 func TestPolicyFaultNeverMutatesOnReject(t *testing.T) {
-	costs, _ := costModelByName("zero")
 	for seed := uint64(1); seed <= 8; seed++ {
-		e := &env{
-			spec: RunSpec{Scenario: "fault-policy", CostModel: "zero", Policy: PolicyInvent,
-				Seed: seed, Horizon: 300 * ticks.PerMillisecond},
-			costs: costs,
-			pr:    newProbe(),
+		e, err := newEnv(RunSpec{Scenario: "fault-policy", CostModel: "zero", Policy: PolicyInvent,
+			Seed: seed, Horizon: 300 * ticks.PerMillisecond})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sc, _ := scenarioByName("fault-policy")
-		if err := sc.run(e); err != nil {
+		if err := e.sc.run(e); err != nil {
 			t.Fatal(err)
 		}
 		if n := e.flog.CountKind("fault.policy-mutated"); n != 0 {

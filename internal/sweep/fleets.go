@@ -9,11 +9,9 @@ package sweep
 // a degradation — the cluster ledger (and its conservation audit)
 // forbids silent loss, and RunMetrics.Violations counts any breach.
 //
-// The policy axis doubles as the placement axis here: the fleet-*
-// scenarios accept the placement policies below (plus PolicyInvent,
-// which maps to the default first-fit scan), so one matrix compares
-// first-fit, least-loaded and hashed round-robin under identical
-// arrival streams and fault schedules.
+// The fleet-* scenarios vary the placement axis, so one matrix
+// compares first-fit, least-loaded and hashed round-robin under
+// identical arrival streams and fault schedules.
 //
 // Arrival randomness comes from streamFleet; node seeds, backoff
 // jitter and injector schedules derive from their own documented
@@ -30,61 +28,14 @@ import (
 	"repro/internal/ticks"
 )
 
-// FleetFamily is the matrix scenario name that expands to every
-// fleet-* scenario.
-const FleetFamily = "fleet"
-
 // streamFleet seeds the fleet scenarios' arrival-stream generator
 // (task periods, level menus, lifetimes, arrival times).
 const streamFleet = 9
 
-// Fleet placement policies, surfaced on the shared policy axis.
-const (
-	PolicyFleetFirstFit    = "first-fit"
-	PolicyFleetLeastLoaded = "least-loaded"
-	PolicyFleetRRHash      = "rr-hash"
-)
-
-// fleetPolicies is the variant list every fleet-* scenario supports:
-// the three placement orders plus PolicyInvent (the sweep-wide
-// lowest-common-denominator variant), which runs the default
-// first-fit scan.
-func fleetPolicies() []string {
-	return []string{PolicyInvent, PolicyFleetFirstFit, PolicyFleetLeastLoaded, PolicyFleetRRHash}
-}
-
-func placementFor(policy string) fleet.Placement {
-	switch policy {
-	case PolicyFleetLeastLoaded:
-		return fleet.LeastLoaded
-	case PolicyFleetRRHash:
-		return fleet.RoundRobinHash
-	default:
-		return fleet.FirstFit
-	}
-}
-
-func init() {
-	scenarios = append(scenarios,
-		Scenario{
-			Name:     "fleet-spill",
-			Desc:     "16 tight nodes under a heavy arrival stream: spillover, backoff, rejection",
-			Policies: fleetPolicies(),
-			run:      runFleetSpill,
-		},
-		Scenario{
-			Name:     "fleet-surge",
-			Desc:     "48 nodes, correlated interrupt storms over a third of the fleet: shedding and migration",
-			Policies: fleetPolicies(),
-			run:      runFleetSurge,
-		},
-		Scenario{
-			Name:     "fleet-crash",
-			Desc:     "120 nodes, roaming crash/restart cycles plus a correlated storm front: recovery",
-			Policies: fleetPolicies(),
-			run:      runFleetCrash,
-		},
-	)
+var placements = map[string]fleet.Placement{
+	PolicyFleetFirstFit:    fleet.FirstFit,
+	PolicyFleetLeastLoaded: fleet.LeastLoaded,
+	PolicyFleetRRHash:      fleet.RoundRobinHash,
 }
 
 // fleetBody builds bodies that consume their grant and exit after
@@ -108,18 +59,16 @@ func fleetBody(life int) func() task.Body {
 // runFleet is the family's shared harness: build the cluster with
 // the spec's seed, cost model and placement policy, arm the
 // node-level injectors, submit an open-loop arrival stream sized per
-// node, run to the horizon, and report fleet quality as recorded
-// losses (deadline misses plus crash losses the cluster could not
-// re-place) over total period starts.
+// node, run to the horizon, and fold the cluster report into the run
+// metrics, with fleet quality as recorded losses (deadline misses plus
+// crash losses the cluster could not re-place) over total period
+// starts. A stalled or init-failed node invalidates the run.
 func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.NodeInjector) error {
 	cfg.Seed = e.spec.Seed
 	cfg.SwitchCosts = &e.costs
-	cfg.Placement = placementFor(e.spec.Policy)
-	cfg.Workers = 1 // the sweep already parallelizes across runs
-	if e.fleetWorkers > 0 {
-		cfg.Workers = e.fleetWorkers
-	}
-	cfg.SpanLog = e.fleetSpanLog
+	cfg.Placement = placements[e.spec.Policy]
+	cfg.Workers = max(1, e.clusterWorkers) // 1: the sweep already parallelizes across runs
+	cfg.SpanLog = e.spanLog
 	cfg.Invariants = true
 	c, err := fleet.New(cfg)
 	if err != nil {
@@ -151,14 +100,27 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 	}
 
 	rep := c.Run(e.spec.Horizon)
-	e.fl = rep
-	if e.keepFleet {
-		e.flc = c
+	e.cluster, e.report = c, rep
+	if len(rep.Stalled) > 0 {
+		// The run is invalid, but RunFleetCluster's caller still gets
+		// the cluster and the report that says so.
+		e.m = RunMetrics{Err: rep.Stalled[0]}
+		return nil
 	}
-	e.quality = func(m *RunMetrics) {
-		m.Loss = rep.Misses + rep.LostRecorded
-		m.Opportunities = rep.Periods
-	}
+	e.m.Misses = rep.Misses
+	e.m.Denied = rep.Rejected
+	e.m.Utilization = rep.Utilization
+	e.m.SwitchOverhead = rep.SwitchOverhead
+	e.m.InterruptLoad = rep.InterruptLoad
+	e.m.Violations = rep.Violations
+	e.m.Degradations = rep.Degradations
+	// Arm-time events land in the run's own log, fire-time events in
+	// the cluster's merged log.
+	e.m.FaultsInjected = rep.FaultsInjected + int64(e.flog.KindPrefixCount("fault."))
+	e.m.RecoveryMS.Merge(&rep.RecoveryMS)
+	e.m.Telemetry = rep.Telemetry
+	e.m.Loss = rep.Misses + rep.LostRecorded
+	e.m.Opportunities = rep.Periods
 	return nil
 }
 
@@ -169,59 +131,18 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 // cluster's node-advance pool size; it never changes any result byte.
 // This is the engine behind rdsweep -cluster-manifest.
 func RunFleetCluster(spec RunSpec, workers int) (*fleet.Cluster, *fleet.Report, error) {
-	sc, ok := scenarioByName(spec.Scenario)
-	if !ok {
-		return nil, nil, fmt.Errorf("sweep: unknown scenario %q", spec.Scenario)
-	}
-	if !sc.supports(spec.Policy) {
-		return nil, nil, fmt.Errorf("sweep: scenario %q does not support policy %q", spec.Scenario, spec.Policy)
-	}
-	costs, ok := costModelByName(spec.CostModel)
-	if !ok {
-		return nil, nil, fmt.Errorf("sweep: unknown cost model %q", spec.CostModel)
-	}
-	e := &env{
-		spec: spec, costs: costs, pr: newProbe(),
-		fleetWorkers: workers, fleetSpanLog: true, keepFleet: true,
-	}
-	if err := sc.run(e); err != nil {
+	e, err := newEnv(spec)
+	if err != nil {
 		return nil, nil, err
 	}
-	if e.flc == nil {
+	if e.sc.Family != FleetFamily {
 		return nil, nil, fmt.Errorf("sweep: scenario %q is not a fleet scenario", spec.Scenario)
 	}
-	return e.flc, e.fl, nil
-}
-
-// fleetMetrics folds a cluster report into RunMetrics — the fleet
-// analogue of runOne's single-kernel tail. A stalled or init-failed
-// node invalidates the run.
-func (e *env) fleetMetrics() (out RunMetrics) {
-	rep := e.fl
-	if len(rep.Stalled) > 0 {
-		return RunMetrics{Err: rep.Stalled[0]}
+	e.clusterWorkers, e.spanLog = workers, true
+	if err := e.sc.run(e); err != nil {
+		return nil, nil, err
 	}
-	out.Misses = rep.Misses
-	out.Denied = rep.Rejected
-	out.Utilization = rep.Utilization
-	out.SwitchOverhead = rep.SwitchOverhead
-	out.InterruptLoad = rep.InterruptLoad
-	out.Violations = rep.Violations
-	out.Degradations = rep.Degradations
-	// Arm-time events land in the run's own log, fire-time events in
-	// the cluster's merged log.
-	out.FaultsInjected = rep.FaultsInjected + int64(e.flog.KindPrefixCount("fault."))
-	out.Spillovers = rep.Spillovers
-	out.Retries = rep.Retries
-	out.Migrations = rep.Migrations
-	out.NodeRestarts = rep.Restarts
-	out.RecoveryMS.Merge(&rep.RecoveryMS)
-	out.FlightDumps = int64(len(rep.FlightDumps))
-	out.Telemetry = rep.Telemetry
-	if e.quality != nil {
-		e.quality(&out)
-	}
-	return out
+	return e.cluster, e.report, nil
 }
 
 func runFleetSpill(e *env) error {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,6 +27,30 @@ type Key struct {
 	Policy    string
 }
 
+// quantity is one per-run measurement a cell summarises across its
+// seeds. The quantities table is the only place one is spelled: its
+// JSON key, its Table column, and how to read it off a run. Folding
+// runs, merging partial cells, Table and the JSON writer all walk the
+// table, so a new measurement is a RunMetrics field and a row here.
+type quantity struct {
+	key   string  // JSON key of the summary object
+	col   string  // Table column header; "" keeps it out of the table
+	scale float64 // Table prints mean × scale ...
+	prec  int     // ... to this many decimals
+	of    func(*RunMetrics) float64
+}
+
+var quantities = [...]quantity{
+	{"misses_per_run", "misses", 1, 2, func(r *RunMetrics) float64 { return float64(r.Misses) }},
+	{"completed_periods", "", 0, 0, func(r *RunMetrics) float64 { return float64(r.CompletedPeriods) }},
+	{"unplanned_loss_rate", "loss%", 100, 3, (*RunMetrics).LossRate},
+	{"utilization", "util%", 100, 2, func(r *RunMetrics) float64 { return r.Utilization }},
+	{"switch_overhead", "sw%", 100, 3, func(r *RunMetrics) float64 { return r.SwitchOverhead }},
+	{"interrupt_load", "irq%", 100, 3, func(r *RunMetrics) float64 { return r.InterruptLoad }},
+	{"invariant_violations", "viol", 1, 2, func(r *RunMetrics) float64 { return float64(r.Violations) }},
+	{"degradations", "degr", 1, 2, func(r *RunMetrics) float64 { return float64(r.Degradations) }},
+}
+
 // Cell aggregates every run of one (scenario, cost model, policy)
 // combination across seeds.
 type Cell struct {
@@ -37,31 +62,20 @@ type Cell struct {
 	Denied         int64
 	FaultsInjected int64 // fault events fired by armed injectors
 
-	StreamerBytes  int64 // DMA payload completed, summed over runs
+	// PerRun holds one across-seeds summary per row of the quantities
+	// table, in table order.
+	PerRun [len(quantities)]metrics.Summary
 
-	// Fleet-layer totals (fleet-* cells; zero elsewhere).
-	Spillovers   int64
-	Retries      int64
-	Migrations   int64
-	NodeRestarts int64
-	FlightDumps  int64 // black-box flight-recorder dumps
-
-	Misses         metrics.Summary // deadline misses per run
-	Completed      metrics.Summary // completed periods per run (comparator family)
-	LossRate       metrics.Summary // unplanned loss / opportunities per run
-	Utilization    metrics.Summary
-	SwitchOverhead metrics.Summary
-	InterruptLoad  metrics.Summary
-	Violations     metrics.Summary // invariant-checker breaches per run
-	Degradations   metrics.Summary // recorded degradation decisions per run
-	AdmissionMS    metrics.Summary // per admitted task, pooled over runs
-	AdmissionHist  *metrics.Histogram
-	RecoveryMS     metrics.Summary // crash→re-placement latency, pooled over runs
+	AdmissionMS   metrics.Summary // per admitted task, pooled over runs
+	AdmissionHist *metrics.Histogram
+	RecoveryMS    metrics.Summary // crash→re-placement latency, pooled over runs
 
 	// Telemetry is the cell's merged instrument snapshot: per-run
 	// registries folded in spec order (counters add, histogram buckets
 	// add, gauge high-water marks take the max), so the result is
-	// worker-count invariant like every other aggregate.
+	// worker-count invariant like every other aggregate. Everything a
+	// subsystem counts — fleet.spillovers, streamer.bytes, ... — is
+	// read from here rather than copied into a field of its own.
 	Telemetry telemetry.Snapshot
 
 	// firstSeed/firstHorizon identify the cell's earliest contributing
@@ -77,7 +91,7 @@ func newCell(k Key) *Cell {
 
 // add folds one run into the cell. Failed runs count toward Runs and
 // Errors but contribute no measurements.
-func (c *Cell) add(spec RunSpec, r RunMetrics) {
+func (c *Cell) add(spec RunSpec, r *RunMetrics) {
 	c.Runs++
 	if r.Err != "" {
 		c.Errors++
@@ -92,21 +106,10 @@ func (c *Cell) add(spec RunSpec, r RunMetrics) {
 	c.Telemetry.Merge(r.Telemetry)
 	c.Denied += r.Denied
 	c.FaultsInjected += r.FaultsInjected
-	c.StreamerBytes += r.StreamerBytes
-	c.Spillovers += r.Spillovers
-	c.Retries += r.Retries
-	c.Migrations += r.Migrations
-	c.NodeRestarts += r.NodeRestarts
-	c.FlightDumps += r.FlightDumps
+	for i := range quantities {
+		c.PerRun[i].Add(quantities[i].of(r))
+	}
 	c.RecoveryMS.Merge(&r.RecoveryMS)
-	c.Misses.Add(float64(r.Misses))
-	c.Completed.Add(float64(r.CompletedPeriods))
-	c.LossRate.Add(r.LossRate())
-	c.Utilization.Add(r.Utilization)
-	c.SwitchOverhead.Add(r.SwitchOverhead)
-	c.InterruptLoad.Add(r.InterruptLoad)
-	c.Violations.Add(float64(r.Violations))
-	c.Degradations.Add(float64(r.Degradations))
 	for _, v := range r.AdmissionMS {
 		c.AdmissionMS.Add(v)
 		c.AdmissionHist.Add(v)
@@ -121,27 +124,16 @@ func (c *Cell) merge(o *Cell) {
 	if c.FirstError == "" {
 		c.FirstError = o.FirstError
 	}
-	c.Denied += o.Denied
-	c.FaultsInjected += o.FaultsInjected
 	if !c.seeded && o.seeded {
 		c.firstSeed, c.firstHorizon, c.seeded = o.firstSeed, o.firstHorizon, true
 	}
 	c.Telemetry.Merge(o.Telemetry)
-	c.StreamerBytes += o.StreamerBytes
-	c.Spillovers += o.Spillovers
-	c.Retries += o.Retries
-	c.Migrations += o.Migrations
-	c.NodeRestarts += o.NodeRestarts
-	c.FlightDumps += o.FlightDumps
+	c.Denied += o.Denied
+	c.FaultsInjected += o.FaultsInjected
+	for i := range c.PerRun {
+		c.PerRun[i].Merge(&o.PerRun[i])
+	}
 	c.RecoveryMS.Merge(&o.RecoveryMS)
-	c.Misses.Merge(&o.Misses)
-	c.Completed.Merge(&o.Completed)
-	c.LossRate.Merge(&o.LossRate)
-	c.Utilization.Merge(&o.Utilization)
-	c.SwitchOverhead.Merge(&o.SwitchOverhead)
-	c.InterruptLoad.Merge(&o.InterruptLoad)
-	c.Violations.Merge(&o.Violations)
-	c.Degradations.Merge(&o.Degradations)
 	c.AdmissionMS.Merge(&o.AdmissionMS)
 	c.AdmissionHist.Merge(o.AdmissionHist)
 }
@@ -183,7 +175,7 @@ func (r *Result) cell(k Key) *Cell {
 	return c
 }
 
-func (r *Result) add(spec RunSpec, m RunMetrics) {
+func (r *Result) add(spec RunSpec, m *RunMetrics) {
 	r.cell(Key{spec.Scenario, spec.CostModel, spec.Policy}).add(spec, m)
 }
 
@@ -209,42 +201,68 @@ func (r *Result) Errors() int {
 	return n
 }
 
+// nameWidths reports the widths of Table's scenario, cost-model and
+// policy columns: the longest registered name of each, so no row
+// shears whatever the matrix holds.
+func nameWidths() (scenario, cost, policy int) {
+	longest := func(names []string) (n int) {
+		for _, s := range names {
+			n = max(n, len(s))
+		}
+		return n
+	}
+	return longest(ScenarioNames()), longest(CostModelNames()), longest(AllPolicies())
+}
+
 // Table renders the human-readable summary: one row per cell.
 func (r *Result) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-13s %-10s %-12s %5s %4s %8s %8s %7s %7s %7s %6s %6s %8s %8s\n",
-		"scenario", "costs", "policy", "runs", "err",
-		"loss%", "misses", "util%", "sw%", "irq%", "viol", "degr", "adm p50", "adm p99")
-	for _, c := range r.cells {
-		fmt.Fprintf(&b, "%-13s %-10s %-12s %5d %4d %8.3f %8.2f %7.2f %7.3f %7.3f %6.2f %6.2f %7.1fms %7.1fms\n",
-			c.Scenario, c.CostModel, c.Policy, c.Runs, c.Errors,
-			c.LossRate.Mean()*100, c.Misses.Mean(),
-			c.Utilization.Mean()*100, c.SwitchOverhead.Mean()*100, c.InterruptLoad.Mean()*100,
-			c.Violations.Mean(), c.Degradations.Mean(),
-			c.AdmissionMS.Percentile(50), c.AdmissionMS.Percentile(99))
+	ws, wc, wp := nameWidths()
+	key := func(scenario, costs, policy string) {
+		fmt.Fprintf(&b, "%-*s %-*s %-*s", ws, scenario, wc, costs, wp, policy)
 	}
-	// Fleet supplement: one row per cell that recorded fleet-layer
-	// activity (spillover, retries, migrations, node restarts, or
-	// crash recoveries).
-	fleetRows := false
-	for _, c := range r.cells {
-		if c.Spillovers+c.Retries+c.Migrations+c.NodeRestarts > 0 || c.RecoveryMS.N() > 0 {
-			fleetRows = true
-			break
+	key("scenario", "costs", "policy")
+	fmt.Fprintf(&b, " %5s %4s", "runs", "err")
+	for _, q := range quantities {
+		if q.col != "" {
+			fmt.Fprintf(&b, " %8s", q.col)
 		}
 	}
-	if fleetRows {
-		fmt.Fprintf(&b, "\n%-13s %-10s %-12s %8s %8s %8s %8s %9s %9s\n",
-			"fleet", "costs", "policy", "spill", "retries", "migrate", "restart", "rec p50", "rec p99")
-		for _, c := range r.cells {
-			if c.Spillovers+c.Retries+c.Migrations+c.NodeRestarts == 0 && c.RecoveryMS.N() == 0 {
-				continue
+	fmt.Fprintf(&b, " %9s %9s\n", "adm p50", "adm p99")
+	for _, c := range r.cells {
+		key(c.Scenario, c.CostModel, c.Policy)
+		fmt.Fprintf(&b, " %5d %4d", c.Runs, c.Errors)
+		for i, q := range quantities {
+			if q.col != "" {
+				fmt.Fprintf(&b, " %8.*f", q.prec, c.PerRun[i].Mean()*q.scale)
 			}
-			fmt.Fprintf(&b, "%-13s %-10s %-12s %8d %8d %8d %8d %8.1fms %8.1fms\n",
-				c.Scenario, c.CostModel, c.Policy,
-				c.Spillovers, c.Retries, c.Migrations, c.NodeRestarts,
-				c.RecoveryMS.Percentile(50), c.RecoveryMS.Percentile(99))
 		}
+		fmt.Fprintf(&b, " %7.1fms %7.1fms\n", c.AdmissionMS.Percentile(50), c.AdmissionMS.Percentile(99))
+	}
+	// Fleet supplement: one row per cell whose merged telemetry
+	// recorded fleet-layer activity (spillover, retries, migrations,
+	// node restarts) or that pooled crash recoveries.
+	fleetHeader := false
+	for _, c := range r.cells {
+		var n [4]int64
+		active := c.RecoveryMS.N() > 0
+		for i, name := range [...]string{"fleet.spillovers", "fleet.retries", "fleet.migrations", "fleet.node_restarts"} {
+			n[i] = c.Telemetry.CounterValue(name)
+			active = active || n[i] > 0
+		}
+		if !active {
+			continue
+		}
+		if !fleetHeader {
+			fleetHeader = true
+			b.WriteByte('\n')
+			key("fleet", "costs", "policy")
+			fmt.Fprintf(&b, " %8s %8s %8s %8s %9s %9s\n",
+				"spill", "retries", "migrate", "restart", "rec p50", "rec p99")
+		}
+		key(c.Scenario, c.CostModel, c.Policy)
+		fmt.Fprintf(&b, " %8d %8d %8d %8d %7.1fms %7.1fms\n", n[0], n[1], n[2], n[3],
+			c.RecoveryMS.Percentile(50), c.RecoveryMS.Percentile(99))
 	}
 	for _, c := range r.cells {
 		if c.FirstError != "" {
@@ -257,17 +275,10 @@ func (r *Result) Table() string {
 
 // --- machine-readable output ---
 
-// JSON schema version tag; bump on incompatible changes.
-// v2 added invariant_violations, degradations and faults_injected.
-// v3 added the per-cell rdtel/v1 telemetry manifest.
-// v4 added completed_periods and streamer_bytes for the baseline-*
-// comparator family.
-// v5 added the fleet-* counters (fleet_spillovers, fleet_retries,
-// fleet_migrations, fleet_node_restarts) and the pooled
-// fleet_recovery_latency_ms summary.
-// v6 added fleet_flight_dumps, the black-box flight-recorder dump
-// count, and the per-cell manifests moved to the rdtel/v2 schema.
-const SchemaVersion = "rdsweep/v6"
+// SchemaVersion tags the JSON; bump on incompatible changes. v7 drops
+// the cells that re-ran another cell under a second name and the six
+// scalars that copied counters of the cell's own manifest.
+const SchemaVersion = "rdsweep/v7"
 
 type summaryJSON struct {
 	N      int     `json:"n"`
@@ -300,43 +311,51 @@ type histJSON struct {
 	Counts []int64 `json:"counts"`
 }
 
-type cellJSON struct {
-	Scenario       string `json:"scenario"`
-	CostModel      string `json:"cost_model"`
-	Policy         string `json:"policy"`
-	Runs           int    `json:"runs"`
-	Errors         int    `json:"errors"`
-	FirstError     string `json:"first_error,omitempty"`
-	Denied         int64  `json:"denied_admissions"`
-	FaultsInjected int64  `json:"faults_injected"`
-	StreamerBytes  int64  `json:"streamer_bytes"`
-	Spillovers     int64  `json:"fleet_spillovers"`
-	Retries        int64  `json:"fleet_retries"`
-	Migrations     int64  `json:"fleet_migrations"`
-	NodeRestarts   int64  `json:"fleet_node_restarts"`
-	FlightDumps    int64  `json:"fleet_flight_dumps"`
-
-	Misses         summaryJSON `json:"misses_per_run"`
-	Completed      summaryJSON `json:"completed_periods"`
-	LossRate       summaryJSON `json:"unplanned_loss_rate"`
-	Utilization    summaryJSON `json:"utilization"`
-	SwitchOverhead summaryJSON `json:"switch_overhead"`
-	InterruptLoad  summaryJSON `json:"interrupt_load"`
-	Violations     summaryJSON `json:"invariant_violations"`
-	Degradations   summaryJSON `json:"degradations"`
-	AdmissionMS    summaryJSON `json:"admission_latency_ms"`
-	AdmissionHist  histJSON    `json:"admission_latency_hist"`
-	RecoveryMS     summaryJSON `json:"fleet_recovery_latency_ms"`
-
-	// Manifest is the cell's rdtel/v2 run manifest: the merged
-	// instrument snapshot plus headline totals derived from it.
-	Manifest *telemetry.Manifest `json:"manifest,omitempty"`
-}
-
-type resultJSON struct {
-	Schema    string     `json:"schema"`
-	TotalRuns int        `json:"total_runs"`
-	Cells     []cellJSON `json:"cells"`
+// MarshalJSON writes the cell as one object, keys in a fixed order:
+// the key and counts, one summary per quantities row, the pooled
+// latencies, and the cell's rdtel/v2 manifest (the merged instrument
+// snapshot plus headline totals derived from it).
+func (c *Cell) MarshalJSON() ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	var err error
+	put := func(key string, v any) {
+		if err != nil {
+			return
+		}
+		sep := ","
+		if buf.Len() == 0 {
+			sep = "{"
+		}
+		fmt.Fprintf(&buf, "%s%q:", sep, key)
+		err = enc.Encode(v)
+	}
+	put("scenario", c.Scenario)
+	put("cost_model", c.CostModel)
+	put("policy", c.Policy)
+	put("runs", c.Runs)
+	put("errors", c.Errors)
+	if c.FirstError != "" {
+		put("first_error", c.FirstError)
+	}
+	put("denied_admissions", c.Denied)
+	put("faults_injected", c.FaultsInjected)
+	for i, q := range quantities {
+		put(q.key, summarize(&c.PerRun[i]))
+	}
+	put("admission_latency_ms", summarize(&c.AdmissionMS))
+	put("admission_latency_hist", histJSON{
+		Lo:     c.AdmissionHist.Lo,
+		Width:  c.AdmissionHist.Width,
+		N:      c.AdmissionHist.N(),
+		Counts: c.AdmissionHist.Counts,
+	})
+	put("fleet_recovery_latency_ms", summarize(&c.RecoveryMS))
+	if m := c.manifest(); m != nil {
+		put("manifest", m)
+	}
+	buf.WriteByte('}')
+	return buf.Bytes(), err
 }
 
 // WriteJSON serializes the result. The output carries no timestamps
@@ -344,43 +363,11 @@ type resultJSON struct {
 // so two equivalent sweeps produce byte-identical files — the
 // worker-invariance contract is checked with plain cmp/bytes.Equal.
 func (r *Result) WriteJSON(w io.Writer) error {
-	out := resultJSON{Schema: SchemaVersion, TotalRuns: r.TotalRuns}
-	for _, c := range r.cells {
-		out.Cells = append(out.Cells, cellJSON{
-			Scenario:       c.Scenario,
-			CostModel:      c.CostModel,
-			Policy:         c.Policy,
-			Runs:           c.Runs,
-			Errors:         c.Errors,
-			FirstError:     c.FirstError,
-			Denied:         c.Denied,
-			FaultsInjected: c.FaultsInjected,
-			StreamerBytes:  c.StreamerBytes,
-			Spillovers:     c.Spillovers,
-			Retries:        c.Retries,
-			Migrations:     c.Migrations,
-			NodeRestarts:   c.NodeRestarts,
-			FlightDumps:    c.FlightDumps,
-			Misses:         summarize(&c.Misses),
-			Completed:      summarize(&c.Completed),
-			LossRate:       summarize(&c.LossRate),
-			Utilization:    summarize(&c.Utilization),
-			SwitchOverhead: summarize(&c.SwitchOverhead),
-			InterruptLoad:  summarize(&c.InterruptLoad),
-			Violations:     summarize(&c.Violations),
-			Degradations:   summarize(&c.Degradations),
-			AdmissionMS:    summarize(&c.AdmissionMS),
-			RecoveryMS:     summarize(&c.RecoveryMS),
-			AdmissionHist: histJSON{
-				Lo:     c.AdmissionHist.Lo,
-				Width:  c.AdmissionHist.Width,
-				N:      c.AdmissionHist.N(),
-				Counts: c.AdmissionHist.Counts,
-			},
-			Manifest: c.manifest(),
-		})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(struct {
+		Schema    string  `json:"schema"`
+		TotalRuns int     `json:"total_runs"`
+		Cells     []*Cell `json:"cells"`
+	}{SchemaVersion, r.TotalRuns, r.cells})
 }

@@ -4,16 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fleet"
-	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/resource"
-	"repro/internal/rm"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
-	"repro/internal/telemetry"
 	"repro/internal/ticks"
 	"repro/internal/workload"
 )
@@ -30,40 +24,6 @@ const (
 	streamStress   = 2 // stress-generator workload parameters
 	streamGraphics = 3 // 3D renderer scene costs
 )
-
-// Policy variants. A scenario lists which variants it can stage;
-// matrix expansion silently skips unsupported combinations.
-const (
-	// PolicyInvent installs no policies: conflicts get the Box's
-	// invented 1/N split (§6.3).
-	PolicyInvent = "invent"
-	// PolicyAudioFirst protects audio (and the modem) when shedding,
-	// per §4.3 "users are more sensitive to audio than video".
-	PolicyAudioFirst = "audio-first"
-	// PolicyVideoFirst spends the share budget on video and leaves
-	// audio its 1% mute caretaker level.
-	PolicyVideoFirst = "video-first"
-)
-
-// AllPolicies lists every policy variant, in matrix-expansion order:
-// the RD policy variants first, then the baseline-* comparator axis,
-// the streamer allocation policies (baselines.go), and the fleet
-// placement policies (fleets.go).
-func AllPolicies() []string {
-	return []string{PolicyInvent, PolicyAudioFirst, PolicyVideoFirst,
-		PolicyBaselineFairShare, PolicyBaselineLottery, PolicyBaselineStride, PolicyBaselineCFS,
-		PolicyStreamerMaxMin, PolicyStreamerMaxThru,
-		PolicyFleetFirstFit, PolicyFleetLeastLoaded, PolicyFleetRRHash}
-}
-
-func knownPolicy(name string) bool {
-	for _, p := range AllPolicies() {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
 
 // share is one (task name → percent) row used to declare policy
 // rankings as ordered literals, keeping registration order (and so
@@ -97,294 +57,6 @@ func rankedBox(rankings ...[]share) *policy.Box {
 	return box
 }
 
-// --- switch-cost models ---
-
-type costModel struct {
-	Name  string
-	Desc  string
-	costs func() sim.SwitchCosts
-}
-
-// costModels is the registry, in matrix-expansion order.
-var costModels = []costModel{
-	{"zero", "free deterministic switches (pure EDF arithmetic)", sim.ZeroSwitchCosts},
-	{"paper-det", "§6.1 mean costs, deterministic", func() sim.SwitchCosts {
-		c := sim.PaperSwitchCosts()
-		c.Deterministic = true
-		return c
-	}},
-	{"paper", "§6.1 Weibull-calibrated stochastic costs", sim.PaperSwitchCosts},
-	{"cache", "paper costs plus a 40µs §5.6 cache-refill penalty", func() sim.SwitchCosts {
-		c := sim.PaperSwitchCosts()
-		c.CacheRefillUS = 40
-		return c
-	}},
-}
-
-// CostModelNames lists every registered cost model.
-func CostModelNames() []string {
-	out := make([]string, len(costModels))
-	for i, cm := range costModels {
-		out[i] = cm.Name
-	}
-	return out
-}
-
-// DefaultCostModels is the subset a matrix uses when none are named:
-// the clean-arithmetic baseline and the paper's stochastic model.
-func DefaultCostModels() []string { return []string{"zero", "paper"} }
-
-func costModelByName(name string) (sim.SwitchCosts, bool) {
-	for _, cm := range costModels {
-		if cm.Name == name {
-			return cm.costs(), true
-		}
-	}
-	return sim.SwitchCosts{}, false
-}
-
-// --- per-run harness ---
-
-// probe is the lightweight sched.Observer every sweep run installs:
-// it counts guarantee violations and records each task's first period
-// start, from which admission latency is derived.
-type probe struct {
-	misses      int64
-	firstPeriod map[task.ID]ticks.Ticks
-}
-
-func newProbe() *probe { return &probe{firstPeriod: make(map[task.ID]ticks.Ticks)} }
-
-func (p *probe) OnDispatch(task.ID, string, ticks.Ticks, ticks.Ticks, sched.DispatchKind, int) {}
-func (p *probe) OnPeriodStart(id task.ID, start, _ ticks.Ticks, _ int, _ ticks.Ticks) {
-	if _, ok := p.firstPeriod[id]; !ok {
-		p.firstPeriod[id] = start
-	}
-}
-func (p *probe) OnDeadlineMiss(task.ID, ticks.Ticks, ticks.Ticks) { p.misses++ }
-func (p *probe) OnSwitch(sim.SwitchKind, ticks.Ticks)             {}
-func (p *probe) OnGrantApplied(task.ID, rm.Grant)                 {}
-func (p *probe) OnBlock(task.ID, ticks.Ticks)                     {}
-
-// env is the harness handed to a scenario's run function.
-type env struct {
-	spec   RunSpec
-	costs  sim.SwitchCosts
-	pr     *probe
-	d      *core.Distributor
-	admits []admitRec
-	denied int64
-
-	// k is set instead of d by comparator scenarios that run a bare
-	// kernel under a baseline scheduler, with no Distributor at all.
-	k *sim.Kernel
-
-	// fl is set instead of d or k by fleet scenarios, which run a
-	// whole internal/fleet cluster; runOne reads the cluster report
-	// rather than a single kernel's stats.
-	fl *fleet.Report
-
-	// Cluster-construction overrides, used only by RunFleetCluster
-	// (the rdsweep -cluster-manifest path): fleetWorkers replaces the
-	// sweep's Workers=1 default, fleetSpanLog turns on full per-node
-	// span logging, keepFleet retains the built cluster in flc so the
-	// caller can extract manifests after the run.
-	fleetWorkers int
-	fleetSpanLog bool
-	keepFleet    bool
-	flc          *fleet.Cluster
-
-	// chk, when armed via withInvariants, rides the observer chain and
-	// audits the paper's guarantees during the run; runOne finalizes it
-	// and folds its violation count into the metrics.
-	chk *invariant.Checker
-	// flog collects fault-injection and invariant events for the run.
-	flog metrics.EventLog
-	// tel is the run's telemetry (registry only — spans are per-run
-	// detail the cell aggregates cannot use); runOne snapshots it into
-	// RunMetrics.Telemetry for worker-invariant per-cell merging.
-	tel *telemetry.Set
-
-	// quality, set by the scenario before returning, folds its
-	// workload-specific loss accounting into the run metrics.
-	quality func(*RunMetrics)
-}
-
-type admitRec struct {
-	id task.ID
-	at ticks.Ticks
-}
-
-// start assembles the run's Distributor, applying the spec's seed and
-// cost model plus the sweep's probe observer to the scenario's config.
-// When withInvariants armed a checker, the checker becomes the
-// observer and chains to the probe, so standard metrics still flow.
-func (e *env) start(cfg core.Config) *core.Distributor {
-	cfg.Seed = e.spec.Seed
-	cfg.SwitchCosts = &e.costs
-	if e.chk != nil {
-		cfg.Observer = e.chk
-	} else {
-		cfg.Observer = e.pr
-	}
-	e.tel = &telemetry.Set{Registry: telemetry.NewRegistry()}
-	cfg.Telemetry = e.tel
-	e.d = core.New(cfg)
-	if e.chk != nil {
-		e.chk.Bind(e.d.Kernel(), e.d.Manager(), e.d.Scheduler())
-		e.chk.EnableTelemetry(e.tel)
-	}
-	return e.d
-}
-
-// startKernel assembles a bare kernel (plus the run's telemetry set)
-// for comparator scenarios that run a baseline scheduler directly,
-// without a Distributor. Mutually exclusive with start.
-func (e *env) startKernel() *sim.Kernel {
-	e.tel = &telemetry.Set{Registry: telemetry.NewRegistry()}
-	e.k = sim.NewKernel(sim.Config{Seed: e.spec.Seed, Costs: e.costs})
-	e.k.EnableTelemetry(e.tel.Reg())
-	return e.k
-}
-
-// withInvariants arms the runtime guarantee checker for this run.
-// Call it before start; violations are mirrored into the run's event
-// log and counted in RunMetrics.Violations.
-func (e *env) withInvariants() {
-	e.chk = invariant.New(e.pr)
-	e.chk.LogTo(&e.flog)
-}
-
-// admit requests admittance, recording the request time for admission
-// latency (quiescent tasks are recorded at Wake instead — see wake)
-// and counting denials.
-func (e *env) admit(t *task.Task) (task.ID, error) {
-	id, err := e.d.RequestAdmittance(t)
-	if err != nil {
-		e.denied++
-		return task.NoID, err
-	}
-	if !t.StartQuiescent {
-		e.admits = append(e.admits, admitRec{id: id, at: e.d.Now()})
-	}
-	return id, nil
-}
-
-// wake returns a quiescent task to service; its admission latency
-// clock starts here (a quiescent task consumes nothing on purpose, so
-// measuring from RequestAdmittance would time the phone not ringing).
-func (e *env) wake(id task.ID) error {
-	if err := e.d.Wake(id); err != nil {
-		return err
-	}
-	e.admits = append(e.admits, admitRec{id: id, at: e.d.Now()})
-	return nil
-}
-
-// server admits a Sporadic Server, recording it like admit.
-func (e *env) server(name string, list task.ResourceList, alwaysOvertime bool) (task.ID, error) {
-	id, err := e.d.AddSporadicServer(name, list, alwaysOvertime)
-	if err != nil {
-		e.denied++
-		return task.NoID, err
-	}
-	e.admits = append(e.admits, admitRec{id: id, at: e.d.Now()})
-	return id, nil
-}
-
-// admissionLatenciesMS derives request→first-period latencies, in
-// admission order. Tasks that never started (e.g. admitted just
-// before the horizon) contribute no sample.
-func (e *env) admissionLatenciesMS() []float64 {
-	var out []float64
-	for _, a := range e.admits {
-		if start, ok := e.pr.firstPeriod[a.id]; ok {
-			out = append(out, (start - a.at).MillisecondsF())
-		}
-	}
-	return out
-}
-
-// --- scenario registry ---
-
-// Scenario is one runnable experiment shape.
-type Scenario struct {
-	Name     string
-	Desc     string
-	Policies []string // supported policy variants
-	run      func(e *env) error
-}
-
-func (s Scenario) supports(pol string) bool {
-	for _, p := range s.Policies {
-		if p == pol {
-			return true
-		}
-	}
-	return false
-}
-
-// scenarios is the registry, in matrix-expansion order.
-var scenarios = []Scenario{
-	{
-		Name:     "settop",
-		Desc:     "Table 4 set-top box: modem + 3D renderer + stored MPEG",
-		Policies: []string{PolicyInvent, PolicyVideoFirst},
-		run:      runSettop,
-	},
-	{
-		Name:     "media",
-		Desc:     "set-top mix plus AC3 audio, exercising audio/video policy trades",
-		Policies: AllPolicies(),
-		run:      runMedia,
-	},
-	{
-		Name:     "overload",
-		Desc:     "Figure 5 staircase: Sporadic Server + five BusyLoop threads arriving 20ms apart",
-		Policies: []string{PolicyInvent},
-		run:      runOverload,
-	},
-	{
-		Name:     "quiescent",
-		Desc:     "§5.3 telephone answering: DVD + AC3, quiescent modem woken mid-run",
-		Policies: AllPolicies(),
-		run:      runQuiescent,
-	},
-	{
-		Name:     "studio",
-		Desc:     "live transport stream + AC3 + overlay + interrupts + Sporadic Server",
-		Policies: AllPolicies(),
-		run:      runStudio,
-	},
-	{
-		Name:     "stress",
-		Desc:     "seed-jittered generator: staggered admits, exits, grant assignment, removal",
-		Policies: []string{PolicyInvent},
-		run:      runStress,
-	},
-}
-
-// Scenarios lists the registered scenarios.
-func Scenarios() []Scenario { return append([]Scenario(nil), scenarios...) }
-
-// ScenarioNames lists registered scenario names in registry order.
-func ScenarioNames() []string {
-	out := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		out[i] = sc.Name
-	}
-	return out
-}
-
-func scenarioByName(name string) (Scenario, bool) {
-	for _, sc := range scenarios {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // busyBody returns a body that consumes its whole span and reports
 // completion — the DVD/overlay idiom from the examples.
 func busyBody() task.Body {
@@ -410,26 +82,19 @@ func runSettop(e *env) error {
 	}
 	d := e.start(core.Config{PolicyBox: box})
 
-	modem := workload.NewModem()
-	if _, err := e.admit(modem.Task(false)); err != nil {
-		return err
-	}
+	modem, mpeg := workload.NewModem(), workload.NewMPEG()
 	g3d := workload.NewGraphics3D(sim.SplitSeed(e.spec.Seed, streamGraphics))
-	if _, err := e.admit(g3d.Task()); err != nil {
-		return err
-	}
-	mpeg := workload.NewMPEG()
-	if _, err := e.admit(mpeg.Task()); err != nil {
+	if err := e.admitAll(modem.Task(false), g3d.Task(), mpeg.Task()); err != nil {
 		return err
 	}
 
-	d.Run(e.spec.Horizon)
-	mpeg.Flush()
-	e.quality = func(m *RunMetrics) {
-		vs, mo := mpeg.Stats(), modem.Stats()
-		m.Loss = int64(vs.UnplannedLoss + mo.Overruns)
-		m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss + mo.Serviced + mo.Overruns)
+	if err := e.run(d.Run); err != nil {
+		return err
 	}
+	mpeg.Flush()
+	vs, mo := mpeg.Stats(), modem.Stats()
+	e.m.Loss = int64(vs.UnplannedLoss + mo.Overruns)
+	e.m.Opportunities = int64(vs.Decoded + vs.PlannedDrops + vs.UnplannedLoss + mo.Serviced + mo.Overruns)
 	return nil
 }
 
@@ -443,32 +108,21 @@ func runMedia(e *env) error {
 	}
 	d := e.start(core.Config{PolicyBox: box})
 
-	modem := workload.NewModem()
-	if _, err := e.admit(modem.Task(false)); err != nil {
-		return err
-	}
-	ac3 := workload.NewAC3()
-	if _, err := e.admit(ac3.Task()); err != nil {
-		return err
-	}
+	modem, ac3, mpeg := workload.NewModem(), workload.NewAC3(), workload.NewMPEG()
 	g3d := workload.NewGraphics3D(sim.SplitSeed(e.spec.Seed, streamGraphics))
-	if _, err := e.admit(g3d.Task()); err != nil {
-		return err
-	}
-	mpeg := workload.NewMPEG()
-	if _, err := e.admit(mpeg.Task()); err != nil {
+	if err := e.admitAll(modem.Task(false), ac3.Task(), g3d.Task(), mpeg.Task()); err != nil {
 		return err
 	}
 
-	d.Run(e.spec.Horizon)
+	if err := e.run(d.Run); err != nil {
+		return err
+	}
 	mpeg.Flush()
 	ac3.Flush()
-	e.quality = func(m *RunMetrics) {
-		vs, as, mo := mpeg.Stats(), ac3.Stats(), modem.Stats()
-		m.Loss = int64(vs.UnplannedLoss + as.Dropouts + mo.Overruns)
-		m.Opportunities = int64(vs.Decoded+vs.PlannedDrops+vs.UnplannedLoss) +
-			int64(as.Frames+as.Dropouts+mo.Serviced+mo.Overruns)
-	}
+	vs, as, mo := mpeg.Stats(), ac3.Stats(), modem.Stats()
+	e.m.Loss = int64(vs.UnplannedLoss + as.Dropouts + mo.Overruns)
+	e.m.Opportunities = int64(vs.Decoded+vs.PlannedDrops+vs.UnplannedLoss) +
+		int64(as.Frames+as.Dropouts+mo.Serviced+mo.Overruns)
 	return nil
 }
 
@@ -491,19 +145,11 @@ func runOverload(e *env) error {
 		})
 	}
 
-	d.Run(e.spec.Horizon)
-	e.quality = func(m *RunMetrics) {
-		// Figure 5's claim is "no missed deadlines through every
-		// admission": loss here is guarantee violations per period.
-		var periods int64
-		for _, a := range e.admits {
-			if st, ok := d.Stats(a.id); ok {
-				periods += st.Periods
-			}
-		}
-		m.Loss = e.pr.misses
-		m.Opportunities = periods
+	if err := e.run(d.Run); err != nil {
+		return err
 	}
+	// Figure 5's claim is "no missed deadlines through every admission".
+	e.missesOverPeriods()
 	return nil
 }
 
@@ -521,37 +167,27 @@ func runQuiescent(e *env) error {
 	}
 	d := e.start(core.Config{PolicyBox: box})
 
-	if _, err := e.admit(&task.Task{
+	ac3, modem := workload.NewAC3(), workload.NewModem()
+	if err := e.admitAll(&task.Task{
 		Name: "dvd",
 		List: task.UniformLevels(10*ms, "DecodeDVD", 85, 70, 55, 40),
 		Body: busyBody(),
-	}); err != nil {
+	}, ac3.Task()); err != nil {
 		return err
 	}
-	ac3 := workload.NewAC3()
-	if _, err := e.admit(ac3.Task()); err != nil {
-		return err
-	}
-	modem := workload.NewModem()
 	modemID, err := e.admit(modem.Task(true))
 	if err != nil {
 		return err
 	}
-	// The telephone rings halfway through the run; the woken modem
-	// cannot be denied (§5.3).
-	d.At(e.spec.Horizon/2, func() {
-		if err := e.wake(modemID); err != nil {
-			panic(fmt.Sprintf("sweep: wake quiescent modem: %v", err))
-		}
-	})
+	e.wakeAt(e.spec.Horizon/2, modemID) // the telephone rings mid-run
 
-	d.Run(e.spec.Horizon)
-	ac3.Flush()
-	e.quality = func(m *RunMetrics) {
-		as, mo := ac3.Stats(), modem.Stats()
-		m.Loss = int64(as.Dropouts + mo.Overruns)
-		m.Opportunities = int64(as.Frames + as.Dropouts + mo.Serviced + mo.Overruns)
+	if err := e.run(d.Run); err != nil {
+		return err
 	}
+	ac3.Flush()
+	as, mo := ac3.Stats(), modem.Stats()
+	e.m.Loss = int64(as.Dropouts + mo.Overruns)
+	e.m.Opportunities = int64(as.Frames + as.Dropouts + mo.Serviced + mo.Overruns)
 	return nil
 }
 
@@ -581,11 +217,8 @@ func runStudio(e *env) error {
 	}
 	stream.Start(d, mpegID)
 
-	ac3 := workload.NewAC3()
-	if _, err := e.admit(ac3.Task()); err != nil {
-		return err
-	}
-	if _, err := e.admit(&task.Task{
+	ac3, modem := workload.NewAC3(), workload.NewModem()
+	if err := e.admitAll(ac3.Task(), &task.Task{
 		Name: "overlay",
 		List: task.ResourceList{
 			{Period: 10 * ms, CPU: 2 * ms, Fn: "OverlayFull", StreamerMBps: 80},
@@ -596,16 +229,11 @@ func runStudio(e *env) error {
 	}); err != nil {
 		return err
 	}
-	modem := workload.NewModem()
 	modemID, err := e.admit(modem.Task(true))
 	if err != nil {
 		return err
 	}
-	d.At(e.spec.Horizon/2, func() {
-		if err := e.wake(modemID); err != nil {
-			panic(fmt.Sprintf("sweep: wake quiescent modem: %v", err))
-		}
-	})
+	e.wakeAt(e.spec.Horizon/2, modemID)
 
 	if _, err := e.server("sporadic", task.SingleLevel(10*ms, ms/2, "SS"), true); err != nil {
 		return err
@@ -615,13 +243,13 @@ func runStudio(e *env) error {
 		return err
 	}
 
-	d.Run(e.spec.Horizon)
-	ac3.Flush()
-	e.quality = func(m *RunMetrics) {
-		ss, ds, as, mo := stream.Stats(), dec.Stats(), ac3.Stats(), modem.Stats()
-		m.Loss = int64(ss.Overruns + ds.Ruined + as.Dropouts + mo.Overruns)
-		m.Opportunities = int64(ss.Arrived + as.Frames + as.Dropouts + mo.Serviced + mo.Overruns)
+	if err := e.run(d.Run); err != nil {
+		return err
 	}
+	ac3.Flush()
+	ss, ds, as, mo := stream.Stats(), dec.Stats(), ac3.Stats(), modem.Stats()
+	e.m.Loss = int64(ss.Overruns + ds.Ruined + as.Dropouts + mo.Overruns)
+	e.m.Opportunities = int64(ss.Arrived + as.Frames + as.Dropouts + mo.Serviced + mo.Overruns)
 	return nil
 }
 
@@ -679,11 +307,10 @@ func runStress(e *env) error {
 		d.RemoveSporadic(sp)
 	})
 
-	d.Run(e.spec.Horizon)
-	e.quality = func(m *RunMetrics) {
-		m.Loss = e.pr.misses
-		m.Opportunities = periodsRun
+	if err := e.run(d.Run); err != nil {
+		return err
 	}
+	e.m.Loss, e.m.Opportunities = e.pr.misses, periodsRun
 	return nil
 }
 

@@ -8,6 +8,13 @@
 // utilization, switch-overhead fraction, interrupt load, denied
 // admissions and admission-latency percentiles.
 //
+// What a cell is is decided in one place, the scenario registry
+// (registry.go): each scenario declares its family and the one Axis it
+// varies, and a cell's "policy" is a value of that axis, so every cell
+// is a distinct experiment (rdsweep -list prints the table). Every
+// scenario runs on one harness (env.go); every per-run quantity a cell
+// reports is declared once, in the quantities table (report.go).
+//
 // The aggregates are worker-count invariant by construction. Float
 // addition is not associative, so the engine never lets the
 // nondeterministic job→worker assignment decide a summation order:
@@ -20,6 +27,7 @@ package sweep
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,7 +41,7 @@ type RunSpec struct {
 	Index     int    // position in the expanded matrix
 	Scenario  string // registered scenario name
 	CostModel string // registered switch-cost model name
-	Policy    string // policy variant (PolicyInvent, ...)
+	Policy    string // a value of the scenario's axis (PolicyInvent, ...)
 	Seed      uint64
 	Horizon   ticks.Ticks
 }
@@ -63,29 +71,16 @@ type RunMetrics struct {
 	// actually fired.
 	FaultsInjected int64
 
-	// Fleet-layer counters, set by the fleet-* scenarios and zero
-	// everywhere else: placements that survived at least one node
-	// denial, backoff retry rounds, pressure-driven task migrations,
-	// node restarts executed, and per-recovery crash→re-placement
-	// latency samples.
-	Spillovers   int64
-	Retries      int64
-	Migrations   int64
-	NodeRestarts int64
-	RecoveryMS   metrics.Summary
-
-	// FlightDumps counts black-box flight-recorder dumps the fleet
-	// produced (node crashes, stalls, invariant breaches, failed
-	// conservation audits). Zero on healthy runs.
-	FlightDumps int64
+	// RecoveryMS samples crash→re-placement latency, per recovery
+	// (fleet-* scenarios; empty elsewhere). The fleet layer's event
+	// counts — spillovers, retries, migrations, restarts, flight dumps —
+	// are fleet.* counters in Telemetry.
+	RecoveryMS metrics.Summary
 
 	// CompletedPeriods counts periods whose work finished on time —
 	// the comparator family's headline figure alongside Misses (RD
 	// scenarios leave it 0; their quality channel is Loss).
 	CompletedPeriods int64
-	// StreamerBytes is the total DMA payload the run's streamer
-	// channels completed, for the contended-streamer scenarios.
-	StreamerBytes int64
 
 	AdmissionMS []float64 // admittance→first period, per admitted task, ms
 
@@ -96,7 +91,7 @@ type RunMetrics struct {
 }
 
 // LossRate reports Loss/Opportunities, or 0 when nothing was at stake.
-func (r RunMetrics) LossRate() float64 {
+func (r *RunMetrics) LossRate() float64 {
 	if r.Opportunities == 0 {
 		return 0
 	}
@@ -107,7 +102,7 @@ func (r RunMetrics) LossRate() float64 {
 type Matrix struct {
 	Scenarios  []string // scenario names; nil means all registered
 	CostModels []string // cost-model names; nil means DefaultCostModels
-	Policies   []string // policy variants; nil means all
+	Policies   []string // policy values; nil means each scenario's own
 	Seeds      []uint64 // one run per seed per cell
 	Horizon    ticks.Ticks
 }
@@ -129,8 +124,11 @@ func SeedRange(base uint64, n int) []uint64 {
 
 // Specs validates the matrix and expands it into the run list, in
 // deterministic order: scenario, then cost model, then policy, then
-// seed. (scenario, policy) combinations the scenario does not support
-// are skipped, so "all policies" is a request, not a constraint.
+// seed. A scenario contributes the requested policies that lie on its
+// axis (all of its own when none are named), so "all policies" is a
+// request, not a constraint. A name given twice — directly, or as a
+// family plus one of its members — is an error: it would run the cell
+// twice and double its run count.
 func (m Matrix) Specs() ([]RunSpec, error) {
 	scs := expandFamilies(m.Scenarios)
 	if len(scs) == 0 {
@@ -140,9 +138,22 @@ func (m Matrix) Specs() ([]RunSpec, error) {
 	if len(cms) == 0 {
 		cms = DefaultCostModels()
 	}
-	pols := m.Policies
-	if len(pols) == 0 {
-		pols = AllPolicies()
+	for _, dim := range []struct {
+		what        string
+		names, have []string
+	}{
+		{"scenario", scs, ScenarioNames()},
+		{"cost model", cms, CostModelNames()},
+		{"policy", m.Policies, AllPolicies()},
+	} {
+		for i, n := range dim.names {
+			if !slices.Contains(dim.have, n) {
+				return nil, fmt.Errorf("sweep: unknown %s %q (have %v)", dim.what, n, dim.have)
+			}
+			if slices.Contains(dim.names[:i], n) {
+				return nil, fmt.Errorf("sweep: %s %q is named twice in the matrix", dim.what, n)
+			}
+		}
 	}
 	if len(m.Seeds) == 0 {
 		return nil, fmt.Errorf("sweep: matrix has no seeds")
@@ -154,19 +165,14 @@ func (m Matrix) Specs() ([]RunSpec, error) {
 
 	var specs []RunSpec
 	for _, scName := range scs {
-		sc, ok := scenarioByName(scName)
-		if !ok {
-			return nil, fmt.Errorf("sweep: unknown scenario %q (have %v)", scName, ScenarioNames())
+		sc, _ := scenarioByName(scName)
+		pols := m.Policies
+		if len(pols) == 0 {
+			pols = sc.Policies
 		}
 		for _, cm := range cms {
-			if _, ok := costModelByName(cm); !ok {
-				return nil, fmt.Errorf("sweep: unknown cost model %q (have %v)", cm, CostModelNames())
-			}
 			for _, pol := range pols {
-				if !knownPolicy(pol) {
-					return nil, fmt.Errorf("sweep: unknown policy %q (have %v)", pol, AllPolicies())
-				}
-				if !sc.supports(pol) {
+				if !slices.Contains(sc.Policies, pol) {
 					continue
 				}
 				for _, seed := range m.Seeds {
@@ -183,7 +189,7 @@ func (m Matrix) Specs() ([]RunSpec, error) {
 		}
 	}
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("sweep: matrix expands to zero runs (no scenario supports the requested policies)")
+		return nil, fmt.Errorf("sweep: matrix expands to zero runs (no scenario stages the requested policies)")
 	}
 	return specs, nil
 }
@@ -252,7 +258,7 @@ func Run(m Matrix, opt Options) (*Result, error) {
 		}
 		part := newResult()
 		for i := lo; i < hi; i++ {
-			part.add(specs[i], out[i])
+			part.add(specs[i], &out[i])
 		}
 		total.Merge(part)
 	}
@@ -269,55 +275,12 @@ func runOne(spec RunSpec) (out RunMetrics) {
 			out = RunMetrics{Err: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
-	sc, ok := scenarioByName(spec.Scenario)
-	if !ok {
-		return RunMetrics{Err: fmt.Sprintf("unknown scenario %q", spec.Scenario)}
+	e, err := newEnv(spec)
+	if err == nil {
+		err = e.sc.run(e)
 	}
-	costs, ok := costModelByName(spec.CostModel)
-	if !ok {
-		return RunMetrics{Err: fmt.Sprintf("unknown cost model %q", spec.CostModel)}
-	}
-	e := &env{spec: spec, costs: costs, pr: newProbe()}
-	if err := sc.run(e); err != nil {
+	if err != nil {
 		return RunMetrics{Err: err.Error()}
 	}
-	// A fleet scenario runs a whole cluster; its report replaces the
-	// single-kernel stats below.
-	if e.fl != nil {
-		return e.fleetMetrics()
-	}
-	// A scenario either builds a Distributor (e.d) or runs a baseline
-	// comparator on a bare kernel (e.k).
-	k := e.k
-	if e.d != nil {
-		k = e.d.Kernel()
-	}
-	if k == nil {
-		return RunMetrics{Err: "scenario never started a distributor"}
-	}
-	if info, ok := k.Stalled(); ok {
-		return RunMetrics{Err: fmt.Sprintf(
-			"kernel livelock guard tripped at t=%d after %d same-tick events", int64(info.At), info.Events)}
-	}
-
-	st := k.Stats()
-	out.Misses = e.pr.misses
-	out.Denied = e.denied
-	out.Utilization = st.Utilization()
-	out.SwitchOverhead = st.SwitchOverheadFraction()
-	out.InterruptLoad = st.InterruptLoadFraction()
-	out.AdmissionMS = e.admissionLatenciesMS()
-	if e.chk != nil {
-		e.chk.Finish()
-		out.Violations = int64(len(e.chk.Violations()))
-	}
-	if e.d != nil {
-		out.Degradations = int64(len(e.d.Manager().DegradationEvents()))
-	}
-	out.FaultsInjected = int64(e.flog.KindPrefixCount("fault."))
-	out.Telemetry = e.tel.Reg().Snapshot()
-	if e.quality != nil {
-		e.quality(&out)
-	}
-	return out
+	return e.m
 }

@@ -2,12 +2,19 @@ package sweep
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/ticks"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // smallMatrix covers every scenario with enough seeds to cross a
 // chunk-free aggregation but stay fast.
@@ -62,21 +69,17 @@ func TestWorkerCountInvariance(t *testing.T) {
 // mutable state between concurrently running kernels shows up as a
 // race or a divergent result.
 func TestConcurrentSameSeedIsolation(t *testing.T) {
-	for _, scenario := range ScenarioNames() {
-		scenario := scenario
-		t.Run(scenario, func(t *testing.T) {
+	for _, sc := range Scenarios() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
 			spec := RunSpec{
-				Scenario:  scenario,
+				Scenario:  sc.Name,
 				CostModel: "paper",
-				Policy:    scenarios[0].Policies[0],
+				Policy:    sc.Policies[0],
 				Seed:      42,
 				Horizon:   200 * ticks.PerMillisecond,
 			}
-			if sc, _ := scenarioByName(scenario); !sc.supports(PolicyInvent) {
-				t.Fatalf("every scenario must support %q", PolicyInvent)
-			}
-			spec.Policy = PolicyInvent
 
 			const n = 8
 			out := make([]RunMetrics, n)
@@ -172,6 +175,182 @@ func TestSpecsExpansion(t *testing.T) {
 	}).Specs(); err == nil {
 		t.Error("empty expansion accepted")
 	}
+
+	// A name given twice would run its cells twice and double their
+	// run counts; the error must name the repeat.
+	for _, m := range []struct {
+		repeat string
+		Matrix
+	}{
+		{"media", Matrix{Scenarios: []string{"media", "media"}}},
+		{"fault-overrun", Matrix{Scenarios: []string{FaultFamily, "fault-overrun"}}},
+		{"fleet-spill", Matrix{Scenarios: []string{"fleet-spill", "settop", FleetFamily}}},
+		{"paper", Matrix{CostModels: []string{"paper", "zero", "paper"}}},
+		{PolicyInvent, Matrix{Policies: []string{PolicyInvent, PolicyInvent}}},
+	} {
+		m.Seeds = []uint64{1}
+		_, err := m.Specs()
+		if err == nil {
+			t.Errorf("matrix naming %q twice accepted", m.repeat)
+		} else if !strings.Contains(err.Error(), strconv.Quote(m.repeat)) {
+			t.Errorf("repeat of %q reported as %q, which does not name it", m.repeat, err)
+		}
+	}
+}
+
+// TestDefaultExpansion pins what a sweep cell is: a matrix that names
+// nothing expands to exactly these 80 (scenario, cost model, policy)
+// triples in this order — each scenario crossed with the values of its
+// one axis that it stages, and nothing from any other axis.
+func TestDefaultExpansion(t *testing.T) {
+	box := []string{PolicyInvent, PolicyAudioFirst, PolicyVideoFirst}
+	comparators := []string{PolicyInvent, PolicyBaselineFairShare, PolicyBaselineLottery,
+		PolicyBaselineStride, PolicyBaselineCFS}
+	allocators := []string{PolicyInvent, PolicyStreamerMaxMin, PolicyStreamerMaxThru}
+	placements := []string{PolicyFleetFirstFit, PolicyFleetLeastLoaded, PolicyFleetRRHash}
+	invent := []string{PolicyInvent}
+	want := []struct {
+		scenario string
+		axis     Axis
+		policies []string
+	}{
+		{"settop", AxisPolicyBox, []string{PolicyInvent, PolicyVideoFirst}},
+		{"media", AxisPolicyBox, box},
+		{"overload", AxisPolicyBox, invent},
+		{"quiescent", AxisPolicyBox, box},
+		{"studio", AxisPolicyBox, box},
+		{"stress", AxisPolicyBox, invent},
+		{"baseline-media", AxisComparator, comparators},
+		{"baseline-overload", AxisComparator, comparators},
+		{"baseline-streamer", AxisAllocator, allocators},
+		{"fault-overrun", AxisPolicyBox, invent},
+		{"fault-crash", AxisPolicyBox, invent},
+		{"fault-storm", AxisPolicyBox, invent},
+		{"fault-jitter", AxisPolicyBox, invent},
+		{"fault-policy", AxisPolicyBox, invent},
+		{"fleet-spill", AxisPlacement, placements},
+		{"fleet-surge", AxisPlacement, placements},
+		{"fleet-crash", AxisPlacement, placements},
+	}
+	var wantKeys []Key
+	for _, w := range want {
+		sc, ok := scenarioByName(w.scenario)
+		if !ok {
+			t.Fatalf("scenario %q not registered", w.scenario)
+		}
+		if sc.Axis != w.axis {
+			t.Errorf("%s varies the %s axis, want %s", w.scenario, sc.Axis, w.axis)
+		}
+		for _, p := range sc.Policies {
+			if !slices.Contains(sc.Axis.Values(), p) {
+				t.Errorf("%s advertises %q, which is not on its %s axis %v", w.scenario, p, sc.Axis, sc.Axis.Values())
+			}
+		}
+		if sc.Family != "" && !strings.HasPrefix(sc.Name, sc.Family+"-") {
+			t.Errorf("%s declares family %q but does not carry its prefix", sc.Name, sc.Family)
+		}
+		for _, cm := range []string{"zero", "paper"} {
+			for _, p := range w.policies {
+				wantKeys = append(wantKeys, Key{w.scenario, cm, p})
+			}
+		}
+	}
+	if len(wantKeys) != 80 {
+		t.Fatalf("the table above lists %d cells, want 80", len(wantKeys))
+	}
+
+	specs, err := (Matrix{Seeds: []uint64{1}}).Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Key
+	for _, s := range specs {
+		got = append(got, Key{s.Scenario, s.CostModel, s.Policy})
+	}
+	if !reflect.DeepEqual(got, wantKeys) {
+		t.Fatalf("default expansion = %d cells\n%v\nwant %d cells\n%v", len(got), got, len(wantKeys), wantKeys)
+	}
+
+	// The axis is enforced on single runs too, not only by expansion.
+	if m := runOne(RunSpec{Scenario: "fleet-spill", CostModel: "zero", Policy: PolicyInvent,
+		Seed: 1, Horizon: 50 * ticks.PerMillisecond}); m.Err == "" {
+		t.Error("fleet-spill ran under invent, the first-fit alias the placement axis no longer has")
+	}
+	if m := runOne(RunSpec{Scenario: "media", CostModel: "zero", Policy: PolicyFleetRRHash,
+		Seed: 1, Horizon: 50 * ticks.PerMillisecond}); m.Err == "" {
+		t.Error("media ran under rr-hash, a placement it never reads")
+	}
+}
+
+// TestTableAlignment pins the column sizing: the three name columns
+// are as wide as the longest registered name, so every row — here the
+// 17- and 18-character baseline names next to 5-character ones — puts
+// its first number under the same header.
+func TestTableAlignment(t *testing.T) {
+	res, err := Run(Matrix{
+		Scenarios: []string{"stress", "baseline-overload", "fleet-spill"},
+		Policies:  []string{PolicyInvent, PolicyBaselineFairShare, PolicyFleetLeastLoaded},
+		Seeds:     []uint64{1},
+		Horizon:   100 * ticks.PerMillisecond,
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fourth column (runs; spill in the fleet supplement) is
+	// right-aligned in header and rows alike, so it ends at the same
+	// offset in both exactly when the three name columns line up.
+	fourthEnds := func(line string) int {
+		f := strings.Fields(line)
+		return strings.Index(line, " "+f[3]+" ") + 1 + len(f[3])
+	}
+	var header string
+	rows := 0
+	for _, line := range strings.Split(res.Table(), "\n") {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "scenario ") || strings.HasPrefix(line, "fleet "):
+			header = line
+		default:
+			rows++
+			if fourthEnds(line) != fourthEnds(header) {
+				t.Errorf("row sheared against its header:\n%s\n%s", header, line)
+			}
+		}
+	}
+	if rows != 2*4+2 {
+		t.Errorf("checked %d rows, want 8 cells plus 2 fleet rows:\n%s", rows, res.Table())
+	}
+}
+
+// TestWriteJSONGolden pins the rdsweep/v7 bytes of a tiny matrix that
+// crosses every family and every axis, so a refactor of the harness or
+// the report checks byte identity with go test. Regenerate after an
+// intended change with: go test ./internal/sweep -run Golden -update
+func TestWriteJSONGolden(t *testing.T) {
+	res, err := Run(Matrix{
+		Scenarios: []string{"settop", "baseline-overload", "baseline-streamer", "fault-storm", "fleet-spill"},
+		Policies: []string{PolicyInvent, PolicyVideoFirst, PolicyBaselineLottery,
+			PolicyStreamerMaxMin, PolicyFleetLeastLoaded},
+		Seeds:   []uint64{1},
+		Horizon: 120 * ticks.PerMillisecond,
+	}, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := resultJSONBytes(t, res)
+	const path = "testdata/sweep-v7.golden.json"
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("WriteJSON differs from %s (%d vs %d bytes); if intended, rerun with -update", path, len(got), len(want))
+	}
 }
 
 // TestRunMatchesSerialAggregation pins the fixed-chunk algebra: a
@@ -200,7 +379,8 @@ func TestRunMatchesSerialAggregation(t *testing.T) {
 		}
 		part := newResult()
 		for i := lo; i < hi; i++ {
-			part.add(specs[i], runOne(specs[i]))
+			m := runOne(specs[i])
+			part.add(specs[i], &m)
 		}
 		want.Merge(part)
 	}
@@ -223,11 +403,11 @@ func TestResultMergeCellOrder(t *testing.T) {
 		return RunSpec{Scenario: sc, CostModel: "zero", Policy: PolicyInvent, Seed: seed}
 	}
 	a := newResult()
-	a.add(spec("settop", 1), RunMetrics{Misses: 1, Opportunities: 10})
-	a.add(spec("media", 1), RunMetrics{})
+	a.add(spec("settop", 1), &RunMetrics{Misses: 1, Opportunities: 10})
+	a.add(spec("media", 1), &RunMetrics{})
 	b := newResult()
-	b.add(spec("overload", 1), RunMetrics{Err: "boom"})
-	b.add(spec("settop", 2), RunMetrics{Loss: 2, Opportunities: 10})
+	b.add(spec("overload", 1), &RunMetrics{Err: "boom"})
+	b.add(spec("settop", 2), &RunMetrics{Loss: 2, Opportunities: 10})
 	a.Merge(b)
 
 	cells := a.Cells()
@@ -240,8 +420,10 @@ func TestResultMergeCellOrder(t *testing.T) {
 			t.Errorf("cell %d = %s, want %s", i, cells[i].Scenario, want)
 		}
 	}
-	if cells[0].Runs != 2 || cells[0].LossRate.N() != 2 {
-		t.Errorf("settop cell: runs=%d lossN=%d, want 2/2", cells[0].Runs, cells[0].LossRate.N())
+	for i, q := range quantities {
+		if n := cells[0].PerRun[i].N(); cells[0].Runs != 2 || n != 2 {
+			t.Errorf("settop cell: runs=%d, %d samples of %s, want 2/2", cells[0].Runs, n, q.key)
+		}
 	}
 	if cells[2].Errors != 1 || cells[2].FirstError != "boom" {
 		t.Errorf("overload cell did not keep the error: %+v", cells[2])

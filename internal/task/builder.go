@@ -6,11 +6,6 @@ import (
 	"repro/internal/ticks"
 )
 
-// NewEntry builds an Entry with the given period and CPU requirement.
-func NewEntry(period, cpu ticks.Ticks, fn string) Entry {
-	return Entry{Period: period, CPU: cpu, Fn: fn}
-}
-
 // UniformLevels builds a resource list in which every entry shares
 // one period and the CPU requirements step down through the given
 // percentages of that period, all naming the same function. This is

@@ -103,17 +103,6 @@ func (f *Flight) Event(at ticks.Ticks, kind, detail string) {
 	f.eseq++
 }
 
-// SpanTotal reports the spans ever recorded (resident or evicted).
-func (f *Flight) SpanTotal() int64 { return f.Ring().Total() }
-
-// EventTotal reports the event lines ever recorded.
-func (f *Flight) EventTotal() int64 {
-	if f == nil {
-		return 0
-	}
-	return f.eseq
-}
-
 // FlightDump is one post-mortem black-box artifact: the flight
 // recorder's resident spans (a contiguous ID range ending at
 // SpansTotal) and event tail at the moment a breach fired. Cluster

@@ -16,7 +16,7 @@ func FuzzReadManifest(f *testing.F) {
 	}
 	f.Add(seed.String())
 	f.Add(`{"schema":"rdtel/v2","seed":1}`)
-	f.Add(`{"schema":"rdtel/v1","seed":1}`)
+	f.Add(`{"schema":"rdtel/v1","seed":1}`) // the retired schema: rejected, not panicked on
 	f.Add(`{"schema":"rdtel/v2","seed":1,"node_count":2,"spans":[` +
 		`{"id":1,"cat":"fleet","name":"a","task":-1,"begin":1,"end":1,"node":-1},` +
 		`{"id":2,"cat":"admission","name":"b","task":1,"begin":2,"end":2,"node":1,"link":1}]}`)

@@ -17,10 +17,6 @@ import (
 // links, per-node origin, NodeCount, and black-box FlightDumps.
 const SchemaVersion = "rdtel/v2"
 
-// SchemaV1 is the pre-fleet manifest layout, still accepted on read:
-// a v1 manifest is a v2 manifest whose cluster fields are all zero.
-const SchemaV1 = "rdtel/v1"
-
 // TaskInfo names one scheduled task in a manifest, so exporters can
 // label tracks without re-deriving names from span text. Node is the
 // task's placement tag in a cluster manifest (the last node it ran
@@ -145,8 +141,8 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 // schema gate behind ReadManifest and what black-box dumps are
 // validated against.
 func ValidateManifest(m *Manifest) error {
-	if m.Schema != SchemaVersion && m.Schema != SchemaV1 {
-		return fmt.Errorf("telemetry: manifest schema %q, want %q (or %q)", m.Schema, SchemaVersion, SchemaV1)
+	if m.Schema != SchemaVersion {
+		return fmt.Errorf("telemetry: manifest schema %q, want %q", m.Schema, SchemaVersion)
 	}
 	if m.NodeCount < 0 {
 		return fmt.Errorf("telemetry: manifest: negative node_count %d", m.NodeCount)

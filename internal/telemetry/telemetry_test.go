@@ -327,8 +327,10 @@ func TestManifestRoundTrip(t *testing.T) {
 }
 
 func TestReadManifestRejectsUnknownSchema(t *testing.T) {
-	if _, err := ReadManifest(strings.NewReader(`{"schema":"rdtel/v999"}`)); err == nil {
-		t.Error("unknown schema must be rejected")
+	for _, schema := range []string{"rdtel/v999", "rdtel/v1"} { // v1: retired, no artifact of it is committed
+		if _, err := ReadManifest(strings.NewReader(`{"schema":"` + schema + `"}`)); err == nil {
+			t.Errorf("schema %s must be rejected", schema)
+		}
 	}
 	if _, err := ReadManifest(strings.NewReader(`not json`)); err == nil {
 		t.Error("invalid JSON must be rejected")

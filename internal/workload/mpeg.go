@@ -53,9 +53,6 @@ type MPEGStats struct {
 	PeriodsStarted int
 }
 
-// Shown reports frames presented intact.
-func (s MPEGStats) Shown() int { return s.Decoded }
-
 // QualityString summarises the stats for experiment output.
 func (s MPEGStats) QualityString() string {
 	return fmt.Sprintf("decoded=%d plannedB-drops=%d unplanned-loss=%d lostI=%d ruined=%d",
