@@ -2,9 +2,11 @@ GO ?= go
 
 # The benchmarks tracked in the committed BENCH_kernel.json baseline (see
 # docs/PERFORMANCE.md): the kernel/scheduler hot-path trio, the end-to-
-# end Table 2 workload, and the substrate micro-benchmarks.
-BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord
-BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry
+# end Table 2 workload, the substrate micro-benchmarks, and the fleet
+# node's two recurring costs — admission (accept and deny) and the
+# invariant checker's per-period audit.
+BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept
+BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant
 
 .PHONY: all build test race lint vet fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
 
@@ -19,11 +21,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The blocking lint gate (see docs/LINTING.md): rdlint standalone —
-# all analyzers including the cross-package dataflow suite, the
-# fleet-wide Finish passes, and the stale-waiver audit, any finding
-# fails the build — plus the stock go vet checks.
+# The blocking lint gate (see docs/LINTING.md): gofmt over everything
+# but the analyzers' testdata fixtures (some are deliberately odd),
+# then rdlint standalone — all analyzers including the cross-package
+# dataflow suite, the fleet-wide Finish passes, and the stale-waiver
+# audit, any finding fails the build — plus the stock go vet checks.
 lint:
+	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/rdlint ./...
 	$(GO) vet ./...
 
@@ -40,7 +45,8 @@ vet:
 # invariant sweep in internal/core (a regular test, fuzz-like in
 # spirit).
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz=FuzzFracAdd -fuzztime=10s ./internal/ticks
+	$(GO) test -run=NONE -fuzz='^FuzzFracAdd$$' -fuzztime=10s ./internal/ticks
+	$(GO) test -run=NONE -fuzz='^FuzzFracAddMatchesRef$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz=FuzzTickConversions -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz=FuzzBoxLoad -fuzztime=10s ./internal/policy
 	$(GO) test -run=NONE -fuzz=FuzzReadManifest -fuzztime=10s ./internal/telemetry
@@ -147,7 +153,7 @@ bench:
 # (e.g. while iterating locally), use BENCH_GATE= (empty).
 BENCH_GATE ?= -gate
 bench-smoke:
-	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched
+	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchtime=100x -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json -section current \
 			-threshold 15 $(BENCH_GATE) -gate-units allocs/op,B/op

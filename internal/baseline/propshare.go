@@ -227,9 +227,9 @@ func (f *FairShare) Add(name string, period ticks.Ticks, weight int64, body task
 // RunUntil drives the schedule to limit.
 func (f *FairShare) RunUntil(limit ticks.Ticks) { f.runUntil(limit, f) }
 
-func (f *FairShare) pick() *btask               { return minPass(f.tasks) }
-func (f *FairShare) slice(*btask) ticks.Ticks   { return f.quantum }
-func (f *FairShare) dispatched(*btask)          {}
+func (f *FairShare) pick() *btask             { return minPass(f.tasks) }
+func (f *FairShare) slice(*btask) ticks.Ticks { return f.quantum }
+func (f *FairShare) dispatched(*btask)        {}
 func (f *FairShare) charge(b *btask, used ticks.Ticks) {
 	// Usage-metered: pass advances by actual CPU over weight.
 	b.sc.charge(int64(used)*strideScale, b.weight)
@@ -282,7 +282,7 @@ func (l *Lottery) Add(name string, period ticks.Ticks, tickets int64, body task.
 // RunUntil drives the schedule to limit.
 func (l *Lottery) RunUntil(limit ticks.Ticks) { l.runUntil(limit, l) }
 
-func (l *Lottery) slice(*btask) ticks.Ticks { return l.quantum }
+func (l *Lottery) slice(*btask) ticks.Ticks   { return l.quantum }
 func (l *Lottery) charge(*btask, ticks.Ticks) {}
 func (l *Lottery) dispatched(*btask)          {}
 

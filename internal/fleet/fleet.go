@@ -44,7 +44,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -173,11 +173,12 @@ type Admission struct {
 	// Name is the task name offered to node RMs (policy boxes rank
 	// by name, so recurring names inherit node-local policies).
 	Name string
-	// List is the resource list; each placement attempt offers a
-	// clone.
+	// List is the resource list; the node RM that accepts the task
+	// keeps its own copy.
 	List task.ResourceList
-	// Body builds a fresh task body per placement attempt — bodies
-	// carry progress state, and a re-placed task restarts.
+	// Body builds a fresh task body per placement scan — bodies carry
+	// progress state, and a re-placed task restarts. A scan offers the
+	// one body to node after node: a denied offer never dispatches it.
 	Body func() task.Body
 }
 
@@ -194,13 +195,13 @@ const (
 // admRec is the cluster ledger entry for one admission.
 type admRec struct {
 	Admission
-	seq        int
-	state      admState
-	node       int
-	id         task.ID
-	attempts   int
-	recovering bool
-	crashAt    ticks.Ticks
+	seq            int
+	state          admState
+	node           int
+	id             task.ID
+	attempts       int
+	recovering     bool
+	crashAt        ticks.Ticks
 	timesLost      int
 	timesRecovered int
 
@@ -457,6 +458,11 @@ type Cluster struct {
 	// flightDumps collects every black-box dump the run produced, in
 	// trigger order (barrier order, node order within a barrier).
 	flightDumps []telemetry.FlightDump
+
+	// order and loads are placementOrder's scratch: the coordinator
+	// runs one placement scan at a time.
+	order []int
+	loads []ticks.Frac
 
 	arrivals, placedN, spillovers, retries, rejected int64
 	deniedAttempts                                   int64
@@ -769,12 +775,13 @@ func (c *Cluster) flightScan(now ticks.Ticks) {
 // or records the admission's terminal outcome.
 func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 	denials := 0
+	offer := a.offer()
 	for _, ni := range c.placementOrder(a) {
 		n := c.nodes[ni]
 		if n.down || n.stallErr != "" {
 			continue
 		}
-		id, err := n.d.RequestAdmittance(&task.Task{Name: a.Name, List: a.List.Clone(), Body: a.Body()})
+		id, err := n.d.RequestAdmittance(offer)
 		if err != nil {
 			denials++
 			c.deniedAttempts++
@@ -822,6 +829,14 @@ func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 	c.push(now+delay, actRetry, a, -1)
 }
 
+// offer builds the descriptor one placement scan presents to node
+// after node. Denials leave it untouched — the RM copies the list only
+// when it admits, and a body that was never dispatched has no progress
+// to carry over — so one descriptor serves the whole scan.
+func (a *admRec) offer() *task.Task {
+	return &task.Task{Name: a.Name, List: a.List, Body: a.Body()}
+}
+
 // backoffDelay is the wait before attempt+1: min(Base<<(attempt-1),
 // Max) plus jitter in [0, delay/2] from the StreamBackoff substream.
 func (c *Cluster) backoffDelay(attempt int) ticks.Ticks {
@@ -856,18 +871,25 @@ func (c *Cluster) abandon(a *admRec, now ticks.Ticks, why string) {
 	c.flog.Record(now, "fleet.reject", fmt.Sprintf("%s rejected fleet-wide (%s)", a.Name, why))
 }
 
-// placementOrder lists node IDs in the policy's offer order.
+// placementOrder lists node IDs in the policy's offer order. The
+// slice is the cluster's scratch, valid until the next call.
 func (c *Cluster) placementOrder(a *admRec) []int {
 	n := len(c.nodes)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	order := c.order[:0]
+	for i := 0; i < n; i++ {
+		order = append(order, i)
 	}
+	c.order = order
 	switch c.cfg.Placement {
 	case LeastLoaded:
-		sort.SliceStable(order, func(i, j int) bool {
-			return c.nodes[order[i]].load().Cmp(c.nodes[order[j]].load()) < 0
-		})
+		// Each node's load is read once; the stable sort then compares
+		// the snapshot, so IDs break ties.
+		loads := c.loads[:0]
+		for _, nd := range c.nodes {
+			loads = append(loads, nd.load())
+		}
+		c.loads = loads
+		slices.SortStableFunc(order, func(i, j int) int { return loads[i].Cmp(loads[j]) })
 	case RoundRobinHash:
 		start := int(fnv64(a.Name) % uint64(n))
 		for i := range order {
@@ -996,6 +1018,7 @@ func (c *Cluster) migrationScan(now ticks.Ticks) {
 }
 
 func (c *Cluster) migrate(a *admRec, src *node, now ticks.Ticks) {
+	offer := a.offer()
 	for _, ni := range c.placementOrder(a) {
 		t := c.nodes[ni]
 		if ni == src.id || t.down || t.d == nil || t.stallErr != "" {
@@ -1004,7 +1027,7 @@ func (c *Cluster) migrate(a *admRec, src *node, now ticks.Ticks) {
 		if t.d.Manager().Pressure().Cmp(ticks.FracZero) > 0 {
 			continue
 		}
-		id, err := t.d.RequestAdmittance(&task.Task{Name: a.Name, List: a.List.Clone(), Body: a.Body()})
+		id, err := t.d.RequestAdmittance(offer)
 		if err != nil {
 			c.deniedAttempts++
 			continue

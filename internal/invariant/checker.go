@@ -18,11 +18,17 @@
 // records Violations with trace cursors and keeps going, exactly so
 // fault scenarios can run to completion and report everything found.
 // It chains to an inner Observer, so tracing keeps working underneath.
+//
+// The observer callbacks in this file run on every dispatch and period
+// start of a checked run, so the file is held to the hot-path rules: no
+// allocation while the guarantees hold. Recording a violation — the
+// Violation type, its formatting, the event-log mirror — lives in
+// violation.go.
+//
+//rd:hotpath
 package invariant
 
 import (
-	"fmt"
-
 	"repro/internal/metrics"
 	"repro/internal/rm"
 	"repro/internal/sched"
@@ -31,27 +37,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
-
-// Cursor locates a violation in the observer event stream: Seq is the
-// ordinal of the observer callback that exposed it (counting every
-// callback the Checker received), At the virtual time.
-type Cursor struct {
-	Seq int64
-	At  ticks.Ticks
-}
-
-// Violation is one detected guarantee breach.
-type Violation struct {
-	Kind   string  // "silent-miss", "overcommit", "structural", "stuck-period"
-	Task   task.ID // task.NoID for system-wide breaches
-	At     ticks.Ticks
-	Cursor Cursor
-	Detail string
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("[%d @%d] %s task=%d: %s", v.Cursor.Seq, int64(v.At), v.Kind, int64(v.Task), v.Detail)
-}
 
 // period tracks one open period of one task, from its OnPeriodStart to
 // the OnPeriodStart that closes it.
@@ -76,7 +61,11 @@ type Checker struct {
 
 	log *metrics.EventLog // optional mirror of violations
 
-	seq        int64
+	seq int64
+	// open holds each task's current period. A record is allocated at
+	// the task's first period start and overwritten in place at every
+	// later one, so a steady schedule opens and closes periods without
+	// allocating.
 	open       map[task.ID]*period
 	violations []Violation
 	seen       map[string]bool // dedupe for repeating structural findings
@@ -87,6 +76,7 @@ type Checker struct {
 	sumGen   uint64
 	sumValid bool
 	sum      ticks.Frac
+	ids      []task.ID // scratch: the committed set's IDs, sorted for the sum
 
 	periodsClosed int64
 
@@ -120,14 +110,6 @@ func (c *Checker) Bind(k *sim.Kernel, m *rm.Manager, s *sched.Scheduler) {
 // "invariant.<Kind>". Pass nil to stop mirroring.
 func (c *Checker) LogTo(l *metrics.EventLog) { c.log = l }
 
-// EnableTelemetry counts every recorded violation on
-// "invariant.violations" and mirrors each as an instant decision span.
-// A nil Set leaves the Checker silent.
-func (c *Checker) EnableTelemetry(t *telemetry.Set) {
-	c.telViolations = t.Reg().Counter("invariant.violations")
-	c.telSpans = t.SpanLog()
-}
-
 // Violations returns a copy of everything recorded so far, in
 // detection order.
 func (c *Checker) Violations() []Violation {
@@ -144,26 +126,6 @@ func (c *Checker) NViolations() int { return len(c.violations) }
 // PeriodsClosed reports how many periods the Checker has audited —
 // tests use it to prove the checker actually saw the workload.
 func (c *Checker) PeriodsClosed() int64 { return c.periodsClosed }
-
-func (c *Checker) report(kind string, id task.ID, at ticks.Ticks, detail string) {
-	v := Violation{
-		Kind:   kind,
-		Task:   id,
-		At:     at,
-		Cursor: Cursor{Seq: c.seq, At: at},
-		Detail: detail,
-	}
-	c.violations = append(c.violations, v)
-	c.telViolations.Inc()
-	tid := int64(id)
-	if id == task.NoID {
-		tid = telemetry.NoTask
-	}
-	c.telSpans.Instant(at, "invariant", kind, tid, 0, detail)
-	if c.log != nil {
-		c.log.Record(at, "invariant."+kind, v.String())
-	}
-}
 
 // --- sched.Observer ---
 
@@ -198,10 +160,14 @@ func (c *Checker) OnDispatch(id task.ID, name string, from, to ticks.Ticks, kind
 // the schedule.
 func (c *Checker) OnPeriodStart(id task.ID, start, deadline ticks.Ticks, level int, cpu ticks.Ticks) {
 	c.seq++
-	if p, ok := c.open[id]; ok {
+	p, ok := c.open[id]
+	if ok {
 		c.closePeriod(id, p, start)
+	} else {
+		p = new(period)
+		c.open[id] = p
 	}
-	c.open[id] = &period{start: start, deadline: deadline, cpu: cpu}
+	*p = period{start: start, deadline: deadline, cpu: cpu}
 	c.checkCommitted(start)
 	c.checkStructure(start)
 	if c.next != nil {
@@ -259,7 +225,6 @@ func (c *Checker) OnBlock(id task.ID, at ticks.Ticks) {
 // silent miss: CPU the task was guaranteed, did not get, and no record
 // of the failure anywhere.
 func (c *Checker) closePeriod(id task.ID, p *period, at ticks.Ticks) {
-	delete(c.open, id)
 	c.periodsClosed++
 	if p.voided || p.missRecorded || p.wentOvertime || p.delivered >= p.cpu {
 		return
@@ -269,9 +234,7 @@ func (c *Checker) closePeriod(id task.ID, p *period, at ticks.Ticks) {
 			return
 		}
 	}
-	c.report("silent-miss", id, at, fmt.Sprintf(
-		"period [%d,%d) delivered %d of granted %d with no recorded miss, block, or completion",
-		int64(p.start), int64(p.deadline), int64(p.delivered), int64(p.cpu)))
+	c.reportSilentMiss(id, p, at)
 }
 
 // checkCommitted asserts the committed grant fractions fit the
@@ -284,23 +247,19 @@ func (c *Checker) checkCommitted(at ticks.Ticks) {
 		return
 	}
 	if gen := c.m.GrantGeneration(); !c.sumValid || gen != c.sumGen {
-		gs := c.m.Grants()
+		// Sum in ascending ID order so intermediate overflow behaviour
+		// cannot vary across runs.
+		gs := c.m.Committed()
+		c.ids = gs.AppendIDs(c.ids[:0])
 		sum := ticks.FracZero
-		for _, id := range gs.IDs() {
+		for _, id := range c.ids {
 			sum = sum.Add(gs[id].Entry.Frac())
 		}
 		c.sum, c.sumGen, c.sumValid = sum, gen, true
 	}
-	if c.sum.LessOrEqual(c.m.Available()) {
-		return
+	if avail := c.m.Available(); !c.sum.LessOrEqual(avail) {
+		c.reportOvercommit(at, avail)
 	}
-	detail := fmt.Sprintf("committed fraction %.6f exceeds schedulable %.6f",
-		c.sum.Float(), c.m.Available().Float())
-	if c.seen[detail] {
-		return
-	}
-	c.seen[detail] = true
-	c.report("overcommit", task.NoID, at, detail)
 }
 
 // checkStructure runs the Scheduler's structural audit and records
@@ -344,9 +303,7 @@ func (c *Checker) Finish() {
 		if p.voided || now <= p.deadline+(p.deadline-p.start) {
 			continue
 		}
-		c.report("stuck-period", id, now, fmt.Sprintf(
-			"period [%d,%d) deadline passed %d ticks ago and was never rolled",
-			int64(p.start), int64(p.deadline), int64(now-p.deadline)))
+		c.reportStuckPeriod(id, p, now)
 	}
 }
 

@@ -85,10 +85,16 @@ func (gs GrantSet) IDs() []task.ID {
 	if len(gs) == 0 {
 		return nil
 	}
-	out := make([]task.ID, 0, len(gs))
+	return gs.AppendIDs(make([]task.ID, 0, len(gs)))
+}
+
+// AppendIDs is IDs into a caller-owned buffer, for recurring callers:
+// it appends the granted task IDs to buf, which must be empty (its
+// capacity is what gets reused), in ascending order.
+func (gs GrantSet) AppendIDs(buf []task.ID) []task.ID {
 	for id := range gs {
-		out = append(out, id)
+		buf = append(buf, id)
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(buf)
+	return buf
 }

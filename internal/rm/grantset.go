@@ -33,9 +33,8 @@ func (m *Manager) recomputeGrants() {
 	m.tel.recomputes.Inc()
 	old := m.grants
 
-	gs := make(GrantSet, len(active))
 	if len(active) == 0 {
-		m.commit(old, gs)
+		m.commit(old, GrantSet{})
 		return
 	}
 
@@ -49,6 +48,7 @@ func (m *Manager) recomputeGrants() {
 		m.ffuMaxCount <= 1 {
 		m.lastOp.FastPath = true
 		m.tel.fastPath.Inc()
+		gs := make(GrantSet, len(active))
 		for _, a := range active {
 			gs[a.id] = Grant{Task: a.id, Level: 0, Entry: a.list.Max()}
 		}
@@ -59,10 +59,11 @@ func (m *Manager) recomputeGrants() {
 	// Overload: consult the Policy Box for the set of admitted,
 	// non-quiescent threads (§4.3).
 	m.lastOp.PolicyConsulted = true
-	members := make([]policy.MemberID, len(active))
-	for i, a := range active {
-		members[i] = a.member
+	members := emptied(m.scratch.members, len(active))
+	for _, a := range active {
+		members = append(members, a.member)
 	}
+	m.scratch.members = members
 	pol := m.box.PolicyFor(members)
 	m.lastOp.PolicyInvented = pol.Invented
 	m.tel.consults.Inc()
@@ -73,8 +74,19 @@ func (m *Manager) recomputeGrants() {
 		m.tel.spans.Instant(m.telNow(), "policy", "consult", telemetry.NoTask, 0, "stored")
 	}
 
-	gs = m.correlate(active, pol)
-	m.commit(old, gs)
+	m.commit(old, m.correlate(active, pol))
+}
+
+// identityOrder returns the scratch index slice reset to 0..n-1, for
+// the correlation passes to sort. The passes run one after another, so
+// they share it.
+func (m *Manager) identityOrder(n int) []int {
+	order := emptied(m.scratch.order, n)
+	for i := 0; i < n; i++ {
+		order = append(order, i)
+	}
+	m.scratch.order = order
+	return order
 }
 
 // correlate implements the §6.3 three-pass algorithm that maps a
@@ -90,7 +102,8 @@ func (m *Manager) recomputeGrants() {
 func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	n := len(active)
 	avail := m.capacityForGrants()
-	cands := make([]cand, n)
+	m.scratch.cands = emptied(m.scratch.cands, n)
+	cands := m.scratch.cands[:n]
 
 	// Pass 1: locate above/below entries and sum the above set.
 	m.lastOp.Passes = 1
@@ -98,14 +111,12 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	for i, a := range active {
 		share := pol.Shares[a.member]
 		c := cand{a: a, target: ticks.FracPercent(int64(share))}
-		list := a.list
 		// Entries are ordered max rate (index 0) to min rate (last).
 		// "Above" is the lowest-rate entry with rate >= target;
 		// "below" is the highest-rate entry with rate <= target.
 		c.above, c.below = -1, -1
-		for j := range list {
+		for j, f := range a.fracs {
 			m.lastOp.EntriesExamined++
-			f := list[j].Frac()
 			if f.Cmp(c.target) >= 0 {
 				c.above = j // keep descending: last such j is lowest rate >= target
 			} else if c.below == -1 {
@@ -118,10 +129,10 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 		if c.below == -1 {
 			// No entry fits under the target; the minimum entry is
 			// the floor (admission guarantees the minimums fit).
-			c.below = len(list) - 1
+			c.below = len(a.fracs) - 1
 		}
 		c.chosen = c.above
-		sum = sum.Add(list[c.chosen].Frac())
+		sum = sum.Add(a.fracs[c.chosen])
 		cands[i] = c
 	}
 
@@ -131,10 +142,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 		// first), ties broken by task ID, so the outcome is
 		// deterministic and start-order independent.
 		m.lastOp.Passes = 2
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
+		order := m.identityOrder(n)
 		sortByShareAsc(order, cands, pol)
 		for _, i := range order {
 			if sum.LessOrEqual(avail) {
@@ -144,7 +152,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 			if c.chosen == c.below {
 				continue
 			}
-			sum = sum.Sub(c.a.list[c.chosen].Frac()).Add(c.a.list[c.below].Frac())
+			sum = sum.Sub(c.a.fracs[c.chosen]).Add(c.a.fracs[c.below])
 			c.chosen = c.below
 			m.lastOp.EntriesExamined += 2
 		}
@@ -160,7 +168,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 			if c.chosen == min {
 				continue
 			}
-			sum = sum.Sub(c.a.list[c.chosen].Frac()).Add(c.a.list[min].Frac())
+			sum = sum.Sub(c.a.fracs[c.chosen]).Add(c.a.fracs[min])
 			c.chosen = min
 			m.lastOp.EntriesExamined += 2
 		}
@@ -179,10 +187,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	// every dimension.
 	leftover := avail.Sub(sum)
 	if leftover.Num > 0 {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
+		order := m.identityOrder(n)
 		sortByShareDesc(order, cands, pol)
 		streamerSum := totalStreamer(cands)
 		ffuHolder := ffuHolderIndex(cands)
@@ -192,7 +197,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 			for c.chosen > 0 {
 				next := c.chosen - 1
 				ne := c.a.list[next]
-				delta := ne.Frac().Sub(c.a.list[c.chosen].Frac())
+				delta := c.a.fracs[next].Sub(c.a.fracs[c.chosen])
 				m.lastOp.EntriesExamined++
 				if !sum.Add(delta).LessOrEqual(avail) {
 					break
@@ -301,7 +306,7 @@ func (m *Manager) enforceFFU(cands []cand, pol policy.Policy, sum ticks.Frac) ti
 			continue
 		}
 		if k > c.chosen {
-			sum = sum.Sub(c.a.list[c.chosen].Frac()).Add(c.a.list[k].Frac())
+			sum = sum.Sub(c.a.fracs[c.chosen]).Add(c.a.fracs[k])
 			c.chosen = k
 			m.lastOp.EntriesExamined++
 		}
@@ -317,17 +322,14 @@ func (m *Manager) enforceStreamer(cands []cand, pol policy.Policy, sum ticks.Fra
 	if m.streamer.Fits(streamerSum) {
 		return sum
 	}
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
+	order := m.identityOrder(len(cands))
 	sortByShareAsc(order, cands, pol)
 	for _, i := range order {
 		c := &cands[i]
 		for !m.streamer.Fits(streamerSum) && c.chosen < len(c.a.list)-1 {
 			next := c.chosen + 1
 			streamerSum += c.a.list[next].StreamerMBps - c.a.list[c.chosen].StreamerMBps
-			sum = sum.Sub(c.a.list[c.chosen].Frac()).Add(c.a.list[next].Frac())
+			sum = sum.Sub(c.a.fracs[c.chosen]).Add(c.a.fracs[next])
 			c.chosen = next
 			m.lastOp.EntriesExamined++
 		}
@@ -393,13 +395,17 @@ func sortOrder(order []int, less func(i, j int) bool) {
 func (m *Manager) commit(old, gs GrantSet) {
 	// Sorted iteration: GrantDecreased reaches the Scheduler and the
 	// trace, so signal order must not depend on map iteration order.
-	for _, id := range old.IDs() {
+	m.scratch.ids = old.AppendIDs(emptied(m.scratch.ids, len(old)))
+	for _, id := range m.scratch.ids {
 		og := old[id]
 		ng, ok := gs[id]
 		if !ok {
 			// Removal was already signalled by the caller (Remove or
 			// SetQuiescent call GrantRemoved before recomputing).
 			continue
+		}
+		if ng.Entry.CPU == og.Entry.CPU && ng.Entry.Period == og.Entry.Period {
+			continue // same rate: most grants survive a recompute unchanged
 		}
 		if ng.Entry.Frac().Cmp(og.Entry.Frac()) < 0 {
 			m.hooks.GrantDecreased(id, ng)

@@ -55,13 +55,58 @@ var (
 	ErrUnknownTask = errors.New("rm: unknown task")
 )
 
+// CPUDenialError is the admission denial of a task whose minimum rate
+// does not fit the schedulable CPU. It carries the two fractions the
+// test compared and renders them only if someone reads the message:
+// under fleet spillover a node denies several times per accept, and
+// nobody reads those. errors.Is(err, ErrAdmissionDenied) holds.
+type CPUDenialError struct {
+	MinSum      ticks.Frac // the admission running sum, had the task been admitted
+	Schedulable ticks.Frac // Manager.Available()
+}
+
+func (e *CPUDenialError) Error() string {
+	return fmt.Sprintf("%v: min sum would be %.4f of %.4f schedulable",
+		ErrAdmissionDenied, e.MinSum.Float(), e.Schedulable.Float())
+}
+
+func (e *CPUDenialError) Unwrap() error { return ErrAdmissionDenied }
+
+// StreamerDenialError is the admission denial of a task whose minimum
+// Data Streamer demand does not fit the capacity.
+// errors.Is(err, ErrStreamerDenied) holds.
+type StreamerDenialError struct {
+	MinMBps, CapacityMBps int64
+}
+
+func (e *StreamerDenialError) Error() string {
+	return fmt.Sprintf("%v: min demands would be %d of %d MB/s",
+		ErrStreamerDenied, e.MinMBps, e.CapacityMBps)
+}
+
+func (e *StreamerDenialError) Unwrap() error { return ErrStreamerDenied }
+
 // admitted is the Manager's record of one admitted task.
 type admitted struct {
-	id     task.ID
-	t      *task.Task
-	list   task.ResourceList // admitted copy (descriptor may be reused)
+	id   task.ID
+	t    *task.Task
+	list task.ResourceList // admitted copy (descriptor may be reused)
+	// fracs[j] is list[j].Frac(), derived once when the list is
+	// admitted: grant computation walks every entry's rate on every
+	// correlation pass.
+	fracs  []ticks.Frac
 	member policy.MemberID
 	state  task.State
+}
+
+func (a *admitted) minFrac() ticks.Frac { return a.fracs[len(a.fracs)-1] }
+
+func fracsOf(list task.ResourceList) []ticks.Frac {
+	out := make([]ticks.Frac, len(list))
+	for j := range list {
+		out[j] = list[j].Frac()
+	}
+	return out
 }
 
 // Manager is the Resource Manager.
@@ -70,8 +115,11 @@ type Manager struct {
 	hooks Hooks
 
 	// reserve is the CPU fraction set aside for interrupt handling
-	// (§5.2). The Figure 5 run reserves 4%.
+	// (§5.2). The Figure 5 run reserves 4%. avail is 1 - reserve, the
+	// schedulable fraction every admission test compares against;
+	// both are fixed at construction.
 	reserve ticks.Frac
+	avail   ticks.Frac
 
 	// streamer is the Data Streamer bandwidth capacity; the zero
 	// value leaves the dimension unmodelled.
@@ -113,7 +161,30 @@ type Manager struct {
 
 	lastOp OpStats
 
+	// scratch is recomputeGrants' working storage. Every slice is
+	// reset where it is used and nothing in it outlives the call, so
+	// one set per Manager serves every recompute; only the committed
+	// GrantSet, immutable once installed, is built fresh.
+	scratch struct {
+		active  []*admitted
+		members []policy.MemberID
+		cands   []cand
+		order   []int
+		ids     []task.ID
+	}
+
 	tel rmTelemetry
+}
+
+// emptied returns buf emptied, with room for n elements. When it has
+// to reallocate it leaves headroom: a Manager admits tasks one at a
+// time, and scratch regrown at every admission would cost what it is
+// there to save.
+func emptied[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, max(2*n, 4))
+	}
+	return buf[:0]
 }
 
 // Config parameterises a Manager.
@@ -145,10 +216,12 @@ func New(cfg Config) *Manager {
 	if cfg.InterruptReservePercent < 0 || cfg.InterruptReservePercent >= 100 {
 		panic("rm: interrupt reserve must be in [0,100)")
 	}
+	reserve := ticks.FracPercent(cfg.InterruptReservePercent)
 	return &Manager{
 		box:      box,
 		hooks:    hooks,
-		reserve:  ticks.FracPercent(cfg.InterruptReservePercent),
+		reserve:  reserve,
+		avail:    ticks.FracOne.Sub(reserve),
 		streamer: cfg.Streamer,
 		nextID:   1,
 		tasks:    make(map[task.ID]*admitted),
@@ -176,7 +249,7 @@ func (m *Manager) SetHooks(h Hooks) {
 }
 
 // Available reports the schedulable CPU fraction (1 - reserve).
-func (m *Manager) Available() ticks.Frac { return ticks.FracOne.Sub(m.reserve) }
+func (m *Manager) Available() ticks.Frac { return m.avail }
 
 // MinSum reports the current admission running sum.
 func (m *Manager) MinSum() ticks.Frac { return m.minSum }
@@ -191,19 +264,19 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 	if err := t.Validate(); err != nil {
 		return task.NoID, err
 	}
-	list := t.List.Clone()
+	// The three tests read the caller's list; it is copied only once
+	// the task is in.
+	list := t.List
 	newSum := m.minSum.Add(list.MinFrac())
 	m.lastOp.AdmissionChecks = 1
-	if !newSum.LessOrEqual(m.Available()) {
+	if !newSum.LessOrEqual(m.avail) {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: cpu")
-		return task.NoID, fmt.Errorf("%w: min sum would be %.4f of %.4f schedulable",
-			ErrAdmissionDenied, newSum.Float(), m.Available().Float())
+		return task.NoID, &CPUDenialError{MinSum: newSum, Schedulable: m.avail}
 	}
 	newStreamer := m.minStreamerSum + list.Min().StreamerMBps
 	if !m.streamer.Fits(newStreamer) {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: streamer")
-		return task.NoID, fmt.Errorf("%w: min demands would be %d of %d MB/s",
-			ErrStreamerDenied, newStreamer, m.streamer.StreamerMBps)
+		return task.NoID, &StreamerDenialError{MinMBps: newStreamer, CapacityMBps: m.streamer.StreamerMBps}
 	}
 	if list.MinNeedsFFU() && m.ffuResidents > 0 {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: ffu")
@@ -211,10 +284,12 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 	}
 	id := m.nextID
 	m.nextID++
+	list = list.Clone()
 	a := &admitted{
 		id:     id,
 		t:      t,
 		list:   list,
+		fracs:  fracsOf(list),
 		member: m.box.Register(t.Name),
 		state:  task.Runnable,
 	}
@@ -228,7 +303,7 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 		m.ffuResidents++
 	}
 	if a.state != task.Quiescent {
-		m.addMaxSums(a.list)
+		m.addMaxSums(a)
 	}
 	m.recomputeGrants()
 	m.telAdmission(t.Name, id, true, "accepted")
@@ -237,18 +312,18 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 
 // addMaxSums and subMaxSums maintain the non-quiescent fast-path
 // feasibility sums across every resource dimension.
-func (m *Manager) addMaxSums(list task.ResourceList) {
-	m.maxSum = m.maxSum.Add(list.Max().Frac())
-	m.maxStreamerSum += list.Max().StreamerMBps
-	if list.Max().NeedsFFU {
+func (m *Manager) addMaxSums(a *admitted) {
+	m.maxSum = m.maxSum.Add(a.fracs[0])
+	m.maxStreamerSum += a.list.Max().StreamerMBps
+	if a.list.Max().NeedsFFU {
 		m.ffuMaxCount++
 	}
 }
 
-func (m *Manager) subMaxSums(list task.ResourceList) {
-	m.maxSum = m.maxSum.Sub(list.Max().Frac())
-	m.maxStreamerSum -= list.Max().StreamerMBps
-	if list.Max().NeedsFFU {
+func (m *Manager) subMaxSums(a *admitted) {
+	m.maxSum = m.maxSum.Sub(a.fracs[0])
+	m.maxStreamerSum -= a.list.Max().StreamerMBps
+	if a.list.Max().NeedsFFU {
 		m.ffuMaxCount--
 	}
 }
@@ -261,13 +336,13 @@ func (m *Manager) Remove(id task.ID) error {
 		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
 	}
 	m.lastOp = OpStats{Op: "remove"}
-	m.minSum = m.minSum.Sub(a.list.MinFrac())
+	m.minSum = m.minSum.Sub(a.minFrac())
 	m.minStreamerSum -= a.list.Min().StreamerMBps
 	if a.list.MinNeedsFFU() {
 		m.ffuResidents--
 	}
 	if a.state != task.Quiescent {
-		m.subMaxSums(a.list)
+		m.subMaxSums(a)
 	}
 	delete(m.tasks, id)
 	m.hooks.GrantRemoved(id)
@@ -288,7 +363,7 @@ func (m *Manager) SetQuiescent(id task.ID) error {
 	}
 	m.lastOp = OpStats{Op: "quiesce"}
 	a.state = task.Quiescent
-	m.subMaxSums(a.list)
+	m.subMaxSums(a)
 	m.hooks.GrantRemoved(id)
 	m.recomputeGrants()
 	return nil
@@ -307,7 +382,7 @@ func (m *Manager) Wake(id task.ID) error {
 	}
 	m.lastOp = OpStats{Op: "wake"}
 	a.state = task.Runnable
-	m.addMaxSums(a.list)
+	m.addMaxSums(a)
 	m.recomputeGrants()
 	return nil
 }
@@ -325,9 +400,9 @@ func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 		return err
 	}
 	m.lastOp = OpStats{Op: "change-list"}
-	newSum := m.minSum.Sub(a.list.MinFrac()).Add(list.MinFrac())
+	newSum := m.minSum.Sub(a.minFrac()).Add(list.MinFrac())
 	m.lastOp.AdmissionChecks = 1
-	if !newSum.LessOrEqual(m.Available()) {
+	if !newSum.LessOrEqual(m.avail) {
 		return fmt.Errorf("%w: new list's minimum does not fit", ErrAdmissionDenied)
 	}
 	newStreamer := m.minStreamerSum - a.list.Min().StreamerMBps + list.Min().StreamerMBps
@@ -345,13 +420,16 @@ func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 		residents++
 	}
 	if a.state != task.Quiescent {
-		m.subMaxSums(a.list)
-		m.addMaxSums(list)
+		m.subMaxSums(a)
+	}
+	a.list = list.Clone()
+	a.fracs = fracsOf(a.list)
+	if a.state != task.Quiescent {
+		m.addMaxSums(a)
 	}
 	m.minSum = newSum
 	m.minStreamerSum = newStreamer
 	m.ffuResidents = residents
-	a.list = list.Clone()
 	m.recomputeGrants()
 	return nil
 }
@@ -398,6 +476,13 @@ func (m *Manager) Reevaluate() {
 // Grants returns the committed grant set (a copy).
 func (m *Manager) Grants() GrantSet { return m.grants.Clone() }
 
+// Committed returns the committed grant set itself, for observers that
+// read it on a recurring path (the invariant Checker re-sums it after
+// every commit). The map is immutable by contract — recomputation
+// installs a freshly built one — and the caller must not modify it;
+// use Grants for a copy to keep or change.
+func (m *Manager) Committed() GrantSet { return m.grants }
+
 // GrantGeneration counts committed grant-set installs. Observers that
 // derive values from the committed set (e.g. the invariant Checker's
 // fraction sum) can skip recomputation while the generation is
@@ -439,17 +524,16 @@ func (m *Manager) TaskIDs() []task.ID {
 }
 
 // nonQuiescent returns admitted non-quiescent records in ID order,
-// for deterministic iteration.
+// for deterministic iteration. The slice is the Manager's scratch,
+// valid until the next call.
 func (m *Manager) nonQuiescent() []*admitted {
-	if len(m.tasks) == 0 {
-		return nil
-	}
-	out := make([]*admitted, 0, len(m.tasks))
+	out := emptied(m.scratch.active, len(m.tasks))
 	for _, a := range m.tasks {
 		if a.state != task.Quiescent {
 			out = append(out, a)
 		}
 	}
 	slices.SortFunc(out, func(a, b *admitted) int { return cmp.Compare(a.id, b.id) })
+	m.scratch.active = out
 	return out
 }

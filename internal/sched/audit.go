@@ -1,93 +1,95 @@
+//rd:hotpath
 package sched
 
-import (
-	"fmt"
+// The invariant checker audits the scheduler at every period start,
+// so the walk below is on the recurring path: one pass over the three
+// queues, one over the task table, no allocation while the bookkeeping
+// is consistent. Findings are formatted by the cold AuditReport.addf
+// (auditreport.go).
+
+// Queue-membership bits Audit writes into tcb.auditSeen while walking
+// the queues and reads back while walking the task table.
+const (
+	seenTimeRemaining uint8 = 1 << iota
+	seenTimeExpired
+	seenOvertime
 )
 
-// AuditReport lists structural-invariant breaches found by Audit. An
-// empty report (len(Findings) == 0) means the scheduler's bookkeeping
-// is internally consistent.
-type AuditReport struct {
-	Findings []string
+// seenOn marks t as found on a queue during audit pass epoch. The
+// stamp makes marks from earlier passes read as clear, so no pass has
+// to reset them.
+func (t *tcb) seenOn(epoch uint64, bit uint8) {
+	if t.auditEpoch != epoch {
+		t.auditEpoch, t.auditSeen = epoch, 0
+	}
+	t.auditSeen |= bit
 }
-
-// OK reports whether the audit found nothing.
-func (r AuditReport) OK() bool { return len(r.Findings) == 0 }
 
 // Audit checks the scheduler's structural invariants: every queue
 // entry belongs to a live task, removed tasks leave no dangling grant
 // assignments, per-period budgets are conserved (0 ≤ remaining ≤
 // granted CPU), and queue membership flags agree with the queues
-// themselves. It is a read-only probe: internal/invariant calls it
-// from the checker, and fault-injection tests call it after each
+// themselves. It changes nothing the scheduler acts on (it stamps
+// audit-only marks on the records it visits): internal/invariant calls
+// it from the checker, and fault-injection tests call it after each
 // scenario. Findings are reported in a deterministic order.
 func (s *Scheduler) Audit() AuditReport {
 	var r AuditReport
-	add := func(format string, args ...any) {
-		r.Findings = append(r.Findings, fmt.Sprintf(format, args...))
-	}
+	s.auditEpoch++
+	epoch := s.auditEpoch
 
 	// Paper queues hold only live, correctly-labelled tasks.
-	checkQueue := func(label string, q []*tcb, want queueID) {
-		for _, t := range q {
-			if t.dropped {
-				add("%s holds dropped task %d (%s)", label, t.id, t.name)
-			}
-			if s.tasks[t.id] != t {
-				add("%s holds task %d (%s) not in the task table", label, t.id, t.name)
-			}
-			if t.queue != want {
-				add("%s holds task %d (%s) whose queue tag is %d", label, t.id, t.name, t.queue)
-			}
-		}
-	}
-	checkQueue("TimeRemaining", s.timeRemaining, qTimeRemaining)
-	checkQueue("TimeExpired", s.timeExpired, qTimeExpired)
+	s.auditPaperQueue(&r, "TimeRemaining", s.timeRemaining, qTimeRemaining, seenTimeRemaining)
+	s.auditPaperQueue(&r, "TimeExpired", s.timeExpired, qTimeExpired, seenTimeExpired)
 	for _, t := range s.overtimeQ {
+		t.seenOn(epoch, seenOvertime)
 		if t.dropped {
-			add("OvertimeRequested holds dropped task %d (%s)", t.id, t.name)
+			r.addf("OvertimeRequested holds dropped task %d (%s)", t.id, t.name)
 		}
 		if s.tasks[t.id] != t {
-			add("OvertimeRequested holds task %d (%s) not in the task table", t.id, t.name)
+			r.addf("OvertimeRequested holds task %d (%s) not in the task table", t.id, t.name)
 		}
 		if !t.overtime {
-			add("OvertimeRequested holds task %d (%s) with overtime flag clear", t.id, t.name)
+			r.addf("OvertimeRequested holds task %d (%s) with overtime flag clear", t.id, t.name)
 		}
 	}
 
 	// The task table agrees with the queues, budgets are conserved,
 	// and grant assignments point at live sporadic tasks.
-	live := make(map[*sporadicTask]bool, len(s.sporadics))
 	for _, sp := range s.sporadics {
-		live[sp] = true
+		sp.auditEpoch = epoch
 	}
 	for _, t := range s.tasksByID() {
+		var seen uint8
+		if t.auditEpoch == epoch {
+			seen = t.auditSeen
+		}
 		if t.dropped {
-			add("task table holds dropped task %d (%s)", t.id, t.name)
+			r.addf("task table holds dropped task %d (%s)", t.id, t.name)
 		}
 		switch t.queue {
 		case qTimeRemaining:
-			if !contains(s.timeRemaining, t) {
-				add("task %d (%s) tagged TimeRemaining but absent from the queue", t.id, t.name)
+			if seen&seenTimeRemaining == 0 {
+				r.addf("task %d (%s) tagged TimeRemaining but absent from the queue", t.id, t.name)
 			}
 		case qTimeExpired:
-			if !contains(s.timeExpired, t) {
-				add("task %d (%s) tagged TimeExpired but absent from the queue", t.id, t.name)
+			if seen&seenTimeExpired == 0 {
+				r.addf("task %d (%s) tagged TimeExpired but absent from the queue", t.id, t.name)
 			}
 		}
-		if t.overtime != contains(s.overtimeQ, t) {
-			add("task %d (%s) overtime flag %v disagrees with queue membership", t.id, t.name, t.overtime)
+		if t.overtime != (seen&seenOvertime != 0) {
+			r.addf("task %d (%s) overtime flag %v disagrees with queue membership", t.id, t.name, t.overtime)
 		}
 		if t.remaining < 0 || t.remaining > t.grant.Entry.CPU {
-			add("task %d (%s) budget not conserved: remaining %v of granted %v",
+			r.addf("task %d (%s) budget not conserved: remaining %v of granted %v",
 				t.id, t.name, t.remaining, t.grant.Entry.CPU)
 		}
-		if t.ssCurrent != nil && !live[t.ssCurrent] {
-			add("task %d (%s) holds a grant assignment to removed sporadic task %d (%s)",
+		if t.ssCurrent != nil && t.ssCurrent.auditEpoch != epoch {
+			r.addf("task %d (%s) holds a grant assignment to removed sporadic task %d (%s)",
 				t.id, t.name, t.ssCurrent.id, t.ssCurrent.name)
 		}
 		if t.ssCurrent == nil && t.ssAssignLeft != 0 {
-			add("task %d (%s) has %v assignment budget but no assignee",
+			r.addf("task %d (%s) has %v assignment budget but no assignee",
 				t.id, t.name, t.ssAssignLeft)
 		}
 	}
@@ -95,19 +97,28 @@ func (s *Scheduler) Audit() AuditReport {
 	// The CPU owner, if any, is a live task.
 	if s.running != nil {
 		if s.running.dropped {
-			add("running task %d (%s) was dropped", s.running.id, s.running.name)
+			r.addf("running task %d (%s) was dropped", s.running.id, s.running.name)
 		} else if s.tasks[s.running.id] != s.running {
-			add("running task %d (%s) not in the task table", s.running.id, s.running.name)
+			r.addf("running task %d (%s) not in the task table", s.running.id, s.running.name)
 		}
 	}
 	return r
 }
 
-func contains(q []*tcb, t *tcb) bool {
-	for _, x := range q {
-		if x == t {
-			return true
+// auditPaperQueue marks every entry of one paper queue as seen there
+// and checks it is live, in the task table, and tagged for this queue.
+func (s *Scheduler) auditPaperQueue(r *AuditReport, label string, q []*tcb, want queueID, bit uint8) {
+	epoch := s.auditEpoch
+	for _, t := range q {
+		t.seenOn(epoch, bit)
+		if t.dropped {
+			r.addf("%s holds dropped task %d (%s)", label, t.id, t.name)
+		}
+		if s.tasks[t.id] != t {
+			r.addf("%s holds task %d (%s) not in the task table", label, t.id, t.name)
+		}
+		if t.queue != want {
+			r.addf("%s holds task %d (%s) whose queue tag is %d", label, t.id, t.name, t.queue)
 		}
 	}
-	return false
 }

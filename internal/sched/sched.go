@@ -101,7 +101,7 @@ func (NopObserver) OnGrantApplied(task.ID, rm.Grant)                            
 func (NopObserver) OnBlock(task.ID, ticks.Ticks)                                            {}
 
 // queueID says which paper queue a tcb currently lives on.
-type queueID int
+type queueID uint8
 
 const (
 	qNone queueID = iota
@@ -168,6 +168,11 @@ type tcb struct {
 	// the parent of this period's dispatch spans. Zero when spans are
 	// disabled.
 	periodSpan telemetry.SpanID
+
+	// Audit marks (audit.go): the queues the latest Audit pass found
+	// this tcb on, valid only while auditEpoch equals that pass's stamp.
+	auditEpoch uint64
+	auditSeen  uint8
 
 	// Accounting.
 	stats TaskStats
@@ -259,6 +264,7 @@ type Scheduler struct {
 
 	sporadics      []*sporadicTask
 	nextSporadicID SporadicID
+	auditEpoch     uint64           // stamp of the latest Audit pass
 	pendingSS      map[task.ID]bool // server marks awaiting first pickup
 
 	// idleStats accounts the implicit Idle thread.

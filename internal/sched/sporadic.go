@@ -25,11 +25,15 @@ type SporadicID int32
 // sporadicTask is the server's record of one sporadic thread.
 type sporadicTask struct {
 	id      SporadicID
+	blocked bool
 	name    string
 	body    task.Body
-	blocked bool
 	wake    sim.EventRef
 	stats   SporadicStats
+	// auditEpoch is the latest Audit pass that found this task on the
+	// server's queue: a grant assignment to a task without the current
+	// stamp points at a removed task.
+	auditEpoch uint64
 }
 
 // SporadicStats is per-sporadic-task accounting.

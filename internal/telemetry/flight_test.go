@@ -63,7 +63,7 @@ func TestSpansRingExportClearsDanglingRefs(t *testing.T) {
 	parent := s.Begin(1, "cat", "parent", NoTask, 0)
 	s.Instant(2, "cat", "x", NoTask, 0, "")
 	child := s.Instant(3, "cat", "child", NoTask, parent, "") // parent evicted here
-	s.SetLink(child, 0, parent)                          // same-log link to an evicted span: dropped at SetLink or Export
+	s.SetLink(child, 0, parent)                               // same-log link to an evicted span: dropped at SetLink or Export
 	out := s.Export()
 	for _, sp := range out {
 		if sp.Parent != 0 && (sp.Parent < out[0].ID) {

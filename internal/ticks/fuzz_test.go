@@ -1,6 +1,9 @@
 package ticks
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Native fuzz targets; their seed corpora also run under plain
 // `go test`. Fuzz with e.g.:
@@ -8,25 +11,35 @@ import "testing"
 //	go test -fuzz FuzzFracAdd -fuzztime 30s ./internal/ticks
 
 // FuzzFracAdd checks the exact-fraction arithmetic that admission
-// control leans on: commutativity, the identity, sign behaviour of
-// Sub, and agreement with float arithmetic to fixed-point tolerance.
+// control leans on. For any positive denominators: Add commutes and
+// returns lowest terms over a positive denominator. For admission
+// rates in [0,1] additionally: the identity, sign behaviour of Sub, and
+// agreement with float arithmetic to fixed-point tolerance.
 func FuzzFracAdd(f *testing.F) {
 	f.Add(int64(1), int64(3), int64(1), int64(2))
 	f.Add(int64(27_000), int64(270_000), int64(300_000), int64(900_000))
 	f.Add(int64(1), int64(4_293_000_000), int64(1), int64(3))
+	// The two cases a quotient-test mulOK and a signed Euclid got wrong:
+	// MinInt64·-1 wraps to MinInt64 (and divides back to the operand),
+	// and |MinInt64| is not an int64.
+	f.Add(int64(math.MinInt64), int64(1), int64(-1), int64(1))
+	f.Add(int64(math.MinInt64), int64(6), int64(math.MinInt64), int64(4))
 	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64) {
 		if ad <= 0 || bd <= 0 {
 			t.Skip()
-		}
-		if an < 0 || bn < 0 || an > ad || bn > bd {
-			t.Skip() // admission fractions are rates in [0,1]
 		}
 		a := Frac{an, ad}
 		b := Frac{bn, bd}
 		ab := a.Add(b)
 		ba := b.Add(a)
-		if ab.Cmp(ba) != 0 {
+		if ab != ba {
 			t.Fatalf("Add not commutative: %v vs %v", ab, ba)
+		}
+		if ab.Den <= 0 || gcd(ab.Num, ab.Den) != 1 {
+			t.Fatalf("%v + %v = %v, not in lowest terms over a positive denominator", a, b, ab)
+		}
+		if an < 0 || bn < 0 || an > ad || bn > bd {
+			return // the rest holds for admission fractions: rates in [0,1]
 		}
 		if z := a.Add(FracZero); z.Cmp(a.reduce()) != 0 {
 			t.Fatalf("a+0 = %v, want %v", z, a)
@@ -39,6 +52,60 @@ func FuzzFracAdd(f *testing.F) {
 		got := ab.Float()
 		if diff := got - want; diff < -1e-6 || diff > 1e-6 {
 			t.Fatalf("float mismatch: %v vs %v", got, want)
+		}
+	})
+}
+
+// addRef is Frac.Add as it stood before the unreduced fast path:
+// reduce both terms, cross-multiply, reduce, else the 1e12 grid. Add
+// must return exactly this for every input — the fast path is a
+// cheaper route to the same canonical fraction, never a different
+// answer.
+func addRef(f, g Frac) Frac {
+	f, g = f.reduce(), g.reduce()
+	if n1, ok1 := mulOK(f.Num, g.Den); ok1 {
+		if n2, ok2 := mulOK(g.Num, f.Den); ok2 {
+			if d, ok3 := mulOK(f.Den, g.Den); ok3 {
+				s, ok4 := addOK(n1, n2)
+				if ok4 {
+					return Frac{s, d}.reduce()
+				}
+			}
+		}
+	}
+	const grid = 1_000_000_000_000
+	fn := fixedPoint(f, grid)
+	gn := fixedPoint(g, grid)
+	return Frac{fn + gn, grid}.reduce()
+}
+
+// FuzzFracAddMatchesRef is the differential check for the fast paths
+// in Frac.Add: unreduced inputs, negative numerators, denominators
+// near the int64 limit, the zero value Frac{}.
+func FuzzFracAddMatchesRef(f *testing.F) {
+	f.Add(int64(1), int64(3), int64(1), int64(2))
+	f.Add(int64(27_000), int64(270_000), int64(300_000), int64(900_000)) // unreduced
+	f.Add(int64(-7), int64(12), int64(5), int64(18))                     // negative numerator
+	f.Add(int64(0), int64(0), int64(3), int64(4))                        // Frac{} accumulator
+	f.Add(int64(0), int64(0), int64(0), int64(0))
+	f.Add(int64(5), int64(1<<31-1), int64(9), int64(1<<31-1))               // equal denominators at the shortcut's edge
+	f.Add(int64(5), int64(1<<31), int64(9), int64(1<<31))                   // ... and just past it
+	f.Add(int64(1<<31), int64(3), int64(-(1 << 31)), int64(3))              // equal denominators, wide numerators
+	f.Add(int64(6), int64(3_037_000_500*2), int64(4), int64(3_037_000_500)) // unreduced product overflows, reduced fits
+	f.Add(int64(1), int64(1<<31-1), int64(1), int64(1<<61-1))               // coprime: both overflow, grid fallback
+	f.Add(int64(1), int64(math.MaxInt64), int64(1), int64(math.MaxInt64))
+	f.Add(int64(math.MaxInt64), int64(1), int64(math.MaxInt64), int64(1)) // numerator sum overflows
+	f.Add(int64(math.MinInt64), int64(1), int64(-1), int64(1))
+	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64) {
+		if ad < 0 || bd < 0 {
+			t.Skip() // a Frac's denominator is never negative
+		}
+		a, b := Frac{an, ad}, Frac{bn, bd}
+		if got, want := a.Add(b), addRef(a, b); got != want {
+			t.Fatalf("%v + %v = %v, reference %v", a, b, got, want)
+		}
+		if got, want := a.Sub(b), addRef(a, Frac{-bn, bd}); got != want {
+			t.Fatalf("%v - %v = %v, reference %v", a, b, got, want)
 		}
 	})
 }

@@ -14,6 +14,7 @@ package ticks
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -180,17 +181,38 @@ func FracOf(cpu, period Ticks) Frac {
 	return f.reduce()
 }
 
+// mag is |x| as a uint64; it is exact for math.MinInt64 (2^63), where
+// -x would wrap back to itself.
+func mag(x int64) uint64 {
+	if x < 0 {
+		return -uint64(x)
+	}
+	return uint64(x)
+}
+
+// gcd is the binary (Stein) gcd of |a| and |b|, and 1 when both are
+// zero. Shifts and subtractions only: the Euclidean form costs a
+// hardware division per step, three times per Add. The result fits an
+// int64 whenever either argument is a positive int64, which reduce's
+// positive denominator guarantees.
 func gcd(a, b int64) int64 {
-	if a < 0 {
-		a = -a
+	u, v := mag(a), mag(b)
+	if u == 0 || v == 0 {
+		if u|v == 0 {
+			return 1
+		}
+		return int64(u | v)
 	}
-	for b != 0 {
-		a, b = b, a%b
+	shift := bits.TrailingZeros64(u | v)
+	u >>= bits.TrailingZeros64(u)
+	for v != 0 {
+		v >>= bits.TrailingZeros64(v)
+		if u > v {
+			u, v = v, u
+		}
+		v -= u
 	}
-	if a == 0 {
-		return 1
-	}
-	return a
+	return int64(u << shift)
 }
 
 func (f Frac) reduce() Frac {
@@ -203,32 +225,48 @@ func (f Frac) reduce() Frac {
 	return Frac{f.Num / g, f.Den / g}
 }
 
-// Add returns f+g exactly, falling back to float-free big-step
-// reduction. Overflow is avoided by reducing before multiplying;
-// admission sums involve at most a few dozen terms with denominators
-// bounded by MaxPeriod, which fits comfortably in int64 after
-// reduction for realistic task sets. If the intermediate product
-// would overflow, Add falls back to a common-denominator of the
-// reduced terms scaled into a 1e12 fixed-point grid, which is more
-// than enough resolution for admission (1 part in 10^12).
+// Add returns f+g in lowest terms. The common case — positive
+// denominators whose cross-products fit an int64 — multiplies the
+// terms as given and reduces once. When those products overflow, Add
+// reduces both terms first to gain headroom and tries again; the sum
+// is the same rational either way, so both routes return the same
+// canonical fraction. Only if the reduced products still overflow does
+// it fall back to a common denominator of the reduced terms scaled
+// into a 1e12 fixed-point grid, which is more than enough resolution
+// for admission (1 part in 10^12). Admission sums involve at most a
+// few dozen terms with denominators bounded by MaxPeriod, so the grid
+// is out of reach of realistic task sets.
 func (f Frac) Add(g Frac) Frac {
-	f, g = f.reduce(), g.reduce()
-	// Try exact cross-multiplication.
-	if n1, ok1 := mulOK(f.Num, g.Den); ok1 {
-		if n2, ok2 := mulOK(g.Num, f.Den); ok2 {
-			if d, ok3 := mulOK(f.Den, g.Den); ok3 {
-				s, ok4 := addOK(n1, n2)
-				if ok4 {
-					return Frac{s, d}.reduce()
-				}
-			}
+	if f.Den > 0 && g.Den > 0 {
+		if f.Den == g.Den && mag(f.Num)|mag(g.Num)|uint64(f.Den) < 1<<31 {
+			// Same denominator, and small enough that the general
+			// cross-multiply below could not overflow: it would
+			// compute (f.Num+g.Num)·Den / Den², the same fraction.
+			return Frac{f.Num + g.Num, f.Den}.reduce()
 		}
+		if s, d, ok := crossSum(f, g); ok {
+			return Frac{s, d}.reduce()
+		}
+	}
+	f, g = f.reduce(), g.reduce()
+	if s, d, ok := crossSum(f, g); ok {
+		return Frac{s, d}.reduce()
 	}
 	// Fixed-point fallback.
 	const grid = 1_000_000_000_000
 	fn := fixedPoint(f, grid)
 	gn := fixedPoint(g, grid)
 	return Frac{fn + gn, grid}.reduce()
+}
+
+// crossSum is the unreduced f+g = (f.Num·g.Den + g.Num·f.Den) /
+// (f.Den·g.Den), or ok=false if any step overflows an int64.
+func crossSum(f, g Frac) (num, den int64, ok bool) {
+	n1, ok1 := mulOK(f.Num, g.Den)
+	n2, ok2 := mulOK(g.Num, f.Den)
+	d, ok3 := mulOK(f.Den, g.Den)
+	s, ok4 := addOK(n1, n2)
+	return s, d, ok1 && ok2 && ok3 && ok4
 }
 
 // Sub returns f-g exactly (with the same fallback as Add).
@@ -254,15 +292,17 @@ func fixedPoint(f Frac, grid int64) int64 {
 	return q*grid + int64(math.Round(float64(r)/float64(f.Den)*float64(grid)))
 }
 
+// mulOK returns a·b and whether it fits an int64. The product is
+// formed in 128 bits from the magnitudes, so the one case a quotient
+// test misses — MinInt64 · -1, where Go's wrapped product divides back
+// to the operand — is reported as the overflow it is.
 func mulOK(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
+	hi, lo := bits.Mul64(mag(a), mag(b))
+	if (a < 0) != (b < 0) {
+		// Negative product: magnitudes up to 2^63 are representable.
+		return -int64(lo), hi == 0 && lo <= 1<<63
 	}
-	p := a * b
-	if p/b != a {
-		return 0, false
-	}
-	return p, true
+	return int64(lo), hi == 0 && lo <= math.MaxInt64
 }
 
 func addOK(a, b int64) (int64, bool) {

@@ -1,6 +1,7 @@
 package ticks
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -189,6 +190,53 @@ func TestFracOverflowFallback(t *testing.T) {
 	// The fallback grid has absolute resolution 1e-12.
 	if diff := got - want; diff < -2e-12 || diff > 2e-12 {
 		t.Errorf("overflow fallback sum = %v, want %v±2e-12", got, want)
+	}
+}
+
+func TestMulOKAndGCDAtInt64Limits(t *testing.T) {
+	const min, max = math.MinInt64, math.MaxInt64
+	for _, c := range []struct {
+		a, b, want int64
+		ok         bool
+	}{
+		{min, -1, 0, false}, // 2^63 is not an int64; Go's min/-1 == min hid this from a quotient test
+		{-1, min, 0, false},
+		{min, 1, min, true},
+		{1 << 62, -2, min, true}, // -2^63 is
+		{1 << 62, 2, 0, false},
+		{min, min, 0, false},
+		{max, 1, max, true},
+		{max, -1, -max, true},
+		{max, 2, 0, false},
+		{3_037_000_499, 3_037_000_499, 3_037_000_499 * 3_037_000_499, true},
+		{3_037_000_500, 3_037_000_500, 0, false},
+		{0, min, 0, true},
+		{-6, 7, -42, true},
+		{-6, -7, 42, true},
+	} {
+		got, ok := mulOK(c.a, c.b)
+		if ok != c.ok || (ok && got != c.want) {
+			t.Errorf("mulOK(%d, %d) = %d, %v; want %d, %v", c.a, c.b, got, ok, c.want, c.ok)
+		}
+	}
+	for _, c := range []struct{ a, b, want int64 }{
+		{min, 6, 2}, // |MinInt64| = 2^63: a signed Euclid left it negative
+		{min, 1 << 40, 1 << 40},
+		{min, max, 1},
+		{-12, 18, 6},
+		{12, 18, 6},
+		{0, 5, 5},
+		{5, 0, 5},
+		{0, 0, 1},
+		{270_000, 27_000, 27_000},
+		{max, max, max},
+	} {
+		if got := gcd(c.a, c.b); got != c.want {
+			t.Errorf("gcd(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+	if got, want := (Frac{min, 6}).reduce(), (Frac{min / 2, 3}); got != want {
+		t.Errorf("Frac{MinInt64, 6}.reduce() = %v, want %v", got, want)
 	}
 }
 
