@@ -245,11 +245,12 @@ func cmdCompare(args []string) error {
 }
 
 // lowerIsBetter says which direction is a regression for a unit.
-// Throughput-style units grow when things improve; everything the Go
-// benchmark framework emits natively (ns/op, B/op, allocs/op) and the
-// repo's custom per-run counters shrink.
+// Throughput-style units — the framework's MB/s (b.SetBytes) and the
+// repo's custom */sec — grow when things improve; everything else the
+// Go benchmark framework emits natively (ns/op, B/op, allocs/op) and
+// the repo's custom per-run counters shrink.
 func lowerIsBetter(unit string) bool {
-	return !strings.Contains(unit, "/sec")
+	return unit != "MB/s" && !strings.Contains(unit, "/sec")
 }
 
 // report prints the delta table and returns the number of regressions

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 
@@ -115,25 +116,23 @@ func export(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := telemetry.WritePerfetto(&buf, man); err != nil {
-		fatal(err)
-	}
+	write := func(w io.Writer) error { return telemetry.WritePerfetto(w, man) }
 	if *validate {
+		// Validation needs the whole export; only then is it held in
+		// memory, and nothing is created if it fails.
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			fatal(err)
+		}
 		if err := telemetry.ValidatePerfetto(bytes.NewReader(buf.Bytes())); err != nil {
 			fatal(err)
 		}
-	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+		write = func(w io.Writer) error {
+			_, err := w.Write(buf.Bytes())
+			return err
 		}
-		defer f.Close()
-		w = f
 	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if err := writeFile(*out, write); err != nil {
 		fatal(err)
 	}
 }
@@ -187,16 +186,7 @@ func stitch(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := cluster.WriteJSON(w); err != nil {
+	if err := writeFile(*out, cluster.WriteJSON); err != nil {
 		fatal(err)
 	}
 }
@@ -310,6 +300,24 @@ func readManifestFile(path string) *telemetry.Manifest {
 		fatal(fmt.Errorf("%s: %v", path, err))
 	}
 	return m
+}
+
+// writeFile hands write the file at path ('-' is stdout) and reports
+// the Close error of a file it created, so a truncated artifact never
+// exits 0.
+func writeFile(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {

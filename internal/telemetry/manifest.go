@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -114,23 +115,47 @@ func (m *Manifest) SetEvents(l *metrics.EventLog) {
 // WriteJSON writes the manifest as deterministic, indented JSON with a
 // trailing newline. Field order is fixed by the struct; slices are in
 // record or name-sorted order; nothing consults maps at encode time.
+// The manifest is walked once and streamed to w through the emitter's
+// buffer (emit.go) — byte-for-byte what json.Encoder with
+// SetIndent("", "  ") writes, without the reflection.
 func (m *Manifest) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
+	e := newEmitter(w, "  ")
+	e.manifest(m)
+	return e.finish()
 }
 
-// ReadManifest decodes and structurally validates a manifest.
+// ReadManifest decodes and structurally validates a manifest. Documents
+// shaped the way WriteJSON shapes them take the single-pass reader in
+// read.go; anything else is decoded by encoding/json from the same
+// bytes, so what is accepted, and as what value, does not depend on
+// which path ran.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	var m Manifest
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&m); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("telemetry: manifest: %v", err)
 	}
-	if err := ValidateManifest(&m); err != nil {
+	m := new(Manifest)
+	if !readCanonical(data, m) {
+		m = new(Manifest)
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(m); err != nil {
+			return nil, fmt.Errorf("telemetry: manifest: %v", err)
+		}
+	}
+	if err := ValidateManifest(m); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
+}
+
+// readAll is io.ReadAll with the buffer sized up front when the reader
+// can say how much is left (bytes.Reader, bytes.Buffer, strings.Reader).
+func readAll(r io.Reader) ([]byte, error) {
+	var b bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		b.Grow(sized.Len() + bytes.MinRead)
+	}
+	_, err := b.ReadFrom(r)
+	return b.Bytes(), err
 }
 
 // ValidateManifest checks a manifest's structural invariants: a known

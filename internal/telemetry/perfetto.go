@@ -1,3 +1,4 @@
+//rd:hotpath
 package telemetry
 
 import (
@@ -5,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"repro/internal/ticks"
 )
@@ -25,8 +27,10 @@ import (
 //
 // Times convert from 27 MHz ticks to the microseconds Chrome expects.
 
-// traceEvent is one Chrome trace-event record. Args is a map, which
-// encoding/json marshals with sorted keys — deterministic.
+// traceEvent is one Chrome trace-event record as ValidatePerfetto
+// decodes it (and as the reference writer in the tests encodes it).
+// WritePerfetto emits the same members in the same order without
+// building one.
 type traceEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -75,41 +79,101 @@ func pidOf(tag int32) int {
 	return perfettoPid
 }
 
+// event holds a trace event's scalar members; args, when an event has
+// any, are written by the caller between beginEvent and close.
+type event struct {
+	name, cat, ph string
+	ts, dur       float64
+	pid           int
+	tid, id       int64
+	s, bp         string
+}
+
+// beginEvent opens the next traceEvents element and writes ev's
+// members in traceEvent's order, omitting what its tags omit.
+func (e *emitter) beginEvent(ev event) {
+	e.elem()
+	e.open('{')
+	e.strField("name", ev.name)
+	e.optStr("cat", ev.cat)
+	e.strField("ph", ev.ph)
+	e.key("ts")
+	e.float(ev.ts)
+	if ev.dur != 0 {
+		e.key("dur")
+		e.float(ev.dur)
+	}
+	e.intField("pid", int64(ev.pid))
+	e.intField("tid", ev.tid)
+	e.optInt("id", ev.id)
+	e.optStr("s", ev.s)
+	e.optStr("bp", ev.bp)
+}
+
+// beginMeta opens a process_name / thread_name metadata event up to
+// the opening quote of args.name; the caller appends the name's text
+// (raw, escaped, int) and calls endMeta.
+func (e *emitter) beginMeta(what string, pid int, tid int64) {
+	e.beginEvent(event{name: what, ph: "M", pid: pid, tid: tid})
+	e.key("args")
+	e.open('{')
+	e.key("name")
+	e.raw(`"`)
+}
+
+func (e *emitter) endMeta() {
+	e.raw(`"`)
+	e.close('}')
+	e.close('}')
+}
+
+// meta writes a metadata event with a fixed plain-ASCII name.
+func (e *emitter) meta(what string, pid int, tid int64, name string) {
+	e.beginMeta(what, pid, tid)
+	e.raw(name)
+	e.endMeta()
+}
+
+// spanArgs writes a span event's args — detail, link, parent, the key
+// order encoding/json gives a map — or nothing when all are unset.
+func (e *emitter) spanArgs(sp *Span) {
+	if sp.Detail == "" && sp.Parent == 0 && sp.Link == 0 {
+		return
+	}
+	e.key("args")
+	e.open('{')
+	e.optStr("detail", sp.Detail)
+	e.optInt("link", int64(sp.Link))
+	e.optInt("parent", int64(sp.Parent))
+	e.close('}')
+}
+
 // WritePerfetto renders a manifest as Chrome trace-event JSON. Event
 // order is deterministic: metadata (processes, then threads by pid and
 // tid), spans in record order, flow pairs in successor-span order,
-// counters by name.
+// counters by name. Each event is written as it is derived, through
+// the streaming emitter WriteJSON uses (emit.go); the bytes are what
+// json.Encoder with SetIndent("", " ") writes for the same events as a
+// []traceEvent (writePerfettoRef in the tests).
 func WritePerfetto(w io.Writer, m *Manifest) error {
-	events := make([]traceEvent, 0, 2*len(m.Spans)+len(m.Tasks)+len(m.Metrics.Counters)+2)
+	e := newEmitter(w, " ")
+	e.open('{')
+	e.key("traceEvents")
+	e.open('[')
 
 	if m.NodeCount > 0 {
-		events = append(events, traceEvent{
-			Name: "process_name", Ph: "M", Pid: pidOf(CoordTag), Tid: 0,
-			Args: map[string]any{"name": "cluster coordinator"},
-		})
-		events = append(events, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: pidOf(CoordTag), Tid: controlTid,
-			Args: map[string]any{"name": "coordinator"},
-		})
+		e.meta("process_name", pidOf(CoordTag), 0, "cluster coordinator")
+		e.meta("thread_name", pidOf(CoordTag), controlTid, "coordinator")
 		for i := 0; i < m.NodeCount; i++ {
-			events = append(events, traceEvent{
-				Name: "process_name", Ph: "M", Pid: pidOf(NodeTag(i)), Tid: 0,
-				Args: map[string]any{"name": fmt.Sprintf("node %d", i)},
-			})
-			events = append(events, traceEvent{
-				Name: "thread_name", Ph: "M", Pid: pidOf(NodeTag(i)), Tid: controlTid,
-				Args: map[string]any{"name": "distributor"},
-			})
+			e.beginMeta("process_name", pidOf(NodeTag(i)), 0)
+			e.raw("node ")
+			e.int(int64(i))
+			e.endMeta()
+			e.meta("thread_name", pidOf(NodeTag(i)), controlTid, "distributor")
 		}
 	} else {
-		events = append(events, traceEvent{
-			Name: "process_name", Ph: "M", Pid: perfettoPid, Tid: 0,
-			Args: map[string]any{"name": "resource distributor"},
-		})
-		events = append(events, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: perfettoPid, Tid: controlTid,
-			Args: map[string]any{"name": "distributor"},
-		})
+		e.meta("process_name", perfettoPid, 0, "resource distributor")
+		e.meta("thread_name", perfettoPid, controlTid, "distributor")
 	}
 	tasks := append([]TaskInfo(nil), m.Tasks...)
 	sort.Slice(tasks, func(i, j int) bool {
@@ -119,51 +183,43 @@ func WritePerfetto(w io.Writer, m *Manifest) error {
 		}
 		return tasks[i].ID < tasks[j].ID
 	})
-	for _, t := range tasks {
-		events = append(events, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: pidOf(t.Node), Tid: tidOf(t.ID),
-			Args: map[string]any{"name": fmt.Sprintf("%s (task %d)", t.Name, t.ID)},
-		})
+	for i := range tasks {
+		t := &tasks[i]
+		e.beginMeta("thread_name", pidOf(t.Node), tidOf(t.ID))
+		e.escaped(t.Name)
+		e.raw(" (task ")
+		e.int(t.ID)
+		e.raw(")")
+		e.endMeta()
 	}
 
-	for _, sp := range m.Spans {
-		pid := pidOf(sp.Node)
-		tid := tidOf(sp.Task)
-		args := map[string]any{}
-		if sp.Detail != "" {
-			args["detail"] = sp.Detail
+	// sorted: span IDs strictly increase, as ValidateManifest demands of
+	// anything ReadManifest returns; flow targets are then found by
+	// binary search.
+	sorted := true
+	for i := range m.Spans {
+		sp := &m.Spans[i]
+		if i > 0 && sp.ID <= m.Spans[i-1].ID {
+			sorted = false
 		}
-		if sp.Parent != 0 {
-			args["parent"] = int64(sp.Parent)
-		}
-		if sp.Link != 0 {
-			args["link"] = int64(sp.Link)
-		}
-		if len(args) == 0 {
-			args = nil
-		}
+		ev := event{name: sp.Name, cat: sp.Cat, ts: usec(sp.Begin), pid: pidOf(sp.Node), tid: tidOf(sp.Task)}
 		switch {
 		case sp.Begin == sp.End:
-			events = append(events, traceEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "i", Ts: usec(sp.Begin),
-				Pid: pid, Tid: tid, S: instantScope, Args: args,
-			})
+			ev.ph, ev.s = "i", instantScope
 		case sp.Cat == "period":
 			// Grant/period windows overlap their own dispatch slices, so
 			// they render as async slices rather than stacked X events.
-			events = append(events, traceEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "b", Ts: usec(sp.Begin),
-				Pid: pid, Tid: tid, ID: int64(sp.ID), Args: args,
-			})
-			events = append(events, traceEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "e", Ts: usec(sp.End),
-				Pid: pid, Tid: tid, ID: int64(sp.ID),
-			})
+			ev.ph, ev.id = "b", int64(sp.ID)
 		default:
-			events = append(events, traceEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "X", Ts: usec(sp.Begin),
-				Dur: usec(sp.End - sp.Begin), Pid: pid, Tid: tid, Args: args,
-			})
+			ev.ph, ev.dur = "X", usec(sp.End-sp.Begin)
+		}
+		e.beginEvent(ev)
+		e.spanArgs(sp)
+		e.close('}')
+		if ev.ph == "b" {
+			ev.ph, ev.ts = "e", usec(sp.End)
+			e.beginEvent(ev)
+			e.close('}')
 		}
 	}
 
@@ -172,47 +228,62 @@ func WritePerfetto(w io.Writer, m *Manifest) error {
 	// span carries at most one inbound link, so it is unique. Pre-stitch
 	// cross-log links (LinkNode != 0) cannot be drawn within one file
 	// and are skipped.
-	if len(m.Spans) > 0 {
+	find := func(id SpanID) *Span {
+		i := sort.Search(len(m.Spans), func(i int) bool { return m.Spans[i].ID >= id })
+		if i < len(m.Spans) && m.Spans[i].ID == id {
+			return &m.Spans[i]
+		}
+		return nil
+	}
+	if !sorted {
+		// A hand-built manifest: the last span recorded under an ID wins.
 		byID := make(map[SpanID]*Span, len(m.Spans))
 		for i := range m.Spans {
 			byID[m.Spans[i].ID] = &m.Spans[i]
 		}
-		for i := range m.Spans {
-			sp := &m.Spans[i]
-			if sp.Link == 0 || sp.LinkNode != 0 {
-				continue
-			}
-			target, ok := byID[sp.Link]
-			if !ok {
-				continue
-			}
-			fTs := usec(sp.Begin)
-			sTs := usec(target.Begin)
-			if sTs > fTs {
-				sTs = fTs // flows may not run backwards in time
-			}
-			events = append(events, traceEvent{
-				Name: flowName, Cat: flowCat, Ph: "s", Ts: sTs,
-				Pid: pidOf(target.Node), Tid: tidOf(target.Task), ID: int64(sp.ID),
-			})
-			events = append(events, traceEvent{
-				Name: flowName, Cat: flowCat, Ph: "f", Bp: "e", Ts: fTs,
-				Pid: pidOf(sp.Node), Tid: tidOf(sp.Task), ID: int64(sp.ID),
-			})
+		find = func(id SpanID) *Span { return byID[id] }
+	}
+	for i := range m.Spans {
+		sp := &m.Spans[i]
+		if sp.Link == 0 || sp.LinkNode != 0 {
+			continue
 		}
+		target := find(sp.Link)
+		if target == nil {
+			continue
+		}
+		fTs := usec(sp.Begin)
+		sTs := usec(target.Begin)
+		if sTs > fTs {
+			sTs = fTs // flows may not run backwards in time
+		}
+		e.beginEvent(event{
+			name: flowName, cat: flowCat, ph: "s", ts: sTs,
+			pid: pidOf(target.Node), tid: tidOf(target.Task), id: int64(sp.ID),
+		})
+		e.close('}')
+		e.beginEvent(event{
+			name: flowName, cat: flowCat, ph: "f", bp: "e", ts: fTs,
+			pid: pidOf(sp.Node), tid: tidOf(sp.Task), id: int64(sp.ID),
+		})
+		e.close('}')
 	}
 
 	horizon := usec(m.HorizonTicks)
-	for _, c := range m.Metrics.Counters {
-		events = append(events, traceEvent{
-			Name: c.Name, Ph: "C", Ts: horizon, Pid: perfettoPid, Tid: 0,
-			Args: map[string]any{"value": c.Value},
-		})
+	for i := range m.Metrics.Counters {
+		c := &m.Metrics.Counters[i]
+		e.beginEvent(event{name: c.Name, ph: "C", ts: horizon, pid: perfettoPid, tid: 0})
+		e.key("args")
+		e.open('{')
+		e.intField("value", c.Value)
+		e.close('}')
+		e.close('}')
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(perfettoFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+	e.close(']')
+	e.strField("displayTimeUnit", "ms")
+	e.close('}')
+	return e.finish()
 }
 
 // ValidatePerfetto decodes Chrome trace-event JSON and checks the
@@ -230,30 +301,28 @@ func ValidatePerfetto(r io.Reader) error {
 	if len(f.TraceEvents) == 0 {
 		return fmt.Errorf("telemetry: perfetto: no traceEvents")
 	}
-	open := map[string]int{}
-	flows := map[string]int{}
+	open := map[pairKey]int{}
+	flows := map[pairKey]int{}
 	for i, e := range f.TraceEvents {
+		key := pairKey{e.Cat, e.ID}
 		switch e.Ph {
 		case "M", "X", "i", "C":
 		case "b":
-			open[fmt.Sprintf("%s/%d", e.Cat, e.ID)]++
+			open[key]++
 		case "e":
-			key := fmt.Sprintf("%s/%d", e.Cat, e.ID)
 			if open[key] == 0 {
-				return fmt.Errorf("telemetry: perfetto: event %d ends async %s with no begin", i, key)
+				return fmt.Errorf("telemetry: perfetto: event %d ends async %v with no begin", i, key)
 			}
 			open[key]--
 		case "s":
-			flows[fmt.Sprintf("%s/%d", e.Cat, e.ID)]++
+			flows[key]++
 		case "t":
-			key := fmt.Sprintf("%s/%d", e.Cat, e.ID)
 			if flows[key] == 0 {
-				return fmt.Errorf("telemetry: perfetto: event %d steps flow %s with no start", i, key)
+				return fmt.Errorf("telemetry: perfetto: event %d steps flow %v with no start", i, key)
 			}
 		case "f":
-			key := fmt.Sprintf("%s/%d", e.Cat, e.ID)
 			if flows[key] == 0 {
-				return fmt.Errorf("telemetry: perfetto: event %d finishes flow %s with no start", i, key)
+				return fmt.Errorf("telemetry: perfetto: event %d finishes flow %v with no start", i, key)
 			}
 			flows[key]--
 		default:
@@ -269,18 +338,31 @@ func ValidatePerfetto(r io.Reader) error {
 	return checkClosed(flows, "flow")
 }
 
+// pairKey identifies an async slice or a flow: begin/end and
+// start/step/finish events pair up per (cat, id). It prints as
+// "cat/id", the form error messages name a pairing by.
+type pairKey struct {
+	cat string
+	id  int64
+}
+
+func (k pairKey) String() string { return k.cat + "/" + strconv.FormatInt(k.id, 10) }
+
 // checkClosed reports the name-sorted first entry of a pairing map
 // that was begun but never finished.
-func checkClosed(m map[string]int, kind string) error {
-	keys := make([]string, 0, len(m))
-	for key := range m {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		if m[key] != 0 {
-			return fmt.Errorf("telemetry: perfetto: %s %s left open", kind, key)
+func checkClosed(m map[pairKey]int, kind string) error {
+	var first string
+	//rdlint:ordered-ok a minimum over the open keys is the same in any order
+	for key, n := range m {
+		if n == 0 {
+			continue
+		}
+		if s := key.String(); first == "" || s < first {
+			first = s
 		}
 	}
-	return nil
+	if first == "" {
+		return nil
+	}
+	return fmt.Errorf("telemetry: perfetto: %s %s left open", kind, first)
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -388,25 +389,44 @@ func TestWritePerfettoDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// TestValidatePerfettoRejectsMalformed pins each failure's message:
+// pairings are named "cat/id", and of several left open the
+// name-sorted first is the one reported.
 func TestValidatePerfettoRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"empty":        `{"traceEvents":[]}`,
-		"unknownPhase": `{"traceEvents":[{"name":"x","ph":"Z","ts":0,"pid":1,"tid":1}]}`,
-		"negativeTime": `{"traceEvents":[{"name":"x","ph":"i","ts":-1,"pid":1,"tid":1}]}`,
-		"endNoBegin":   `{"traceEvents":[{"name":"x","cat":"period","ph":"e","ts":0,"pid":1,"tid":1,"id":1}]}`,
-		"beginNoEnd":   `{"traceEvents":[{"name":"x","cat":"period","ph":"b","ts":0,"pid":1,"tid":1,"id":1}]}`,
-		"noTraceKey":   `{"displayTimeUnit":"ms"}`,
-		"notJSON":      `]`,
-		"finishNoStart": `{"traceEvents":[` +
-			`{"name":"causal","cat":"fleet-link","ph":"f","bp":"e","ts":0,"pid":1,"tid":1,"id":9}]}`,
-		"stepNoStart": `{"traceEvents":[` +
-			`{"name":"causal","cat":"fleet-link","ph":"t","ts":0,"pid":1,"tid":1,"id":9}]}`,
-		"startNoFinish": `{"traceEvents":[` +
-			`{"name":"causal","cat":"fleet-link","ph":"s","ts":0,"pid":1,"tid":1,"id":9}]}`,
+	ev := func(ph, cat string, id int) string {
+		return fmt.Sprintf(`{"name":"x","cat":%q,"ph":%q,"ts":0,"pid":1,"tid":1,"id":%d}`, cat, ph, id)
 	}
-	for name, doc := range cases {
-		if err := ValidatePerfetto(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: expected validation error", name)
+	doc := func(events ...string) string { return `{"traceEvents":[` + strings.Join(events, ",") + `]}` }
+	cases := map[string]struct{ doc, want string }{
+		"empty":        {doc(), "no traceEvents"},
+		"noTraceKey":   {`{"displayTimeUnit":"ms"}`, "no traceEvents"},
+		"notJSON":      {`]`, "invalid character ']' looking for beginning of value"},
+		"unknownPhase": {doc(`{"name":"x","ph":"Z","ts":0,"pid":1,"tid":1}`), `event 0 has unknown phase "Z"`},
+		"negativeTime": {doc(`{"name":"x","ph":"i","ts":-1,"pid":1,"tid":1}`), "event 0 has negative time"},
+		"negativeDur":  {doc(ev("b", "period", 1), `{"name":"x","ph":"X","ts":0,"dur":-2,"pid":1,"tid":1}`), "event 1 has negative time"},
+		"endNoBegin":   {doc(ev("e", "period", 1)), "event 0 ends async period/1 with no begin"},
+		"endTwice":     {doc(ev("b", "period", 1), ev("e", "period", 1), ev("e", "period", 1)), "event 2 ends async period/1 with no begin"},
+		"endOtherCat":  {doc(ev("b", "period", 1), ev("e", "grant", 1)), "event 1 ends async grant/1 with no begin"},
+		"beginNoEnd":   {doc(ev("b", "period", 1)), "async period/1 left open"},
+		"noCatKey":     {doc(ev("b", "", -5)), "async /-5 left open"},
+		"firstOpenIsNameSorted": {doc(ev("b", "period", 9), ev("b", "period", 10), ev("b", "period", 2), ev("e", "period", 2), ev("b", "z", 1)),
+			"async period/10 left open"},
+		"asyncBeforeFlow": {doc(ev("s", "a", 1), ev("b", "z", 1)), "async z/1 left open"},
+		"finishNoStart":   {doc(ev("f", "fleet-link", 9)), "event 0 finishes flow fleet-link/9 with no start"},
+		"stepNoStart":     {doc(ev("t", "fleet-link", 9)), "event 0 steps flow fleet-link/9 with no start"},
+		"stepAfterFinish": {doc(ev("s", "fleet-link", 9), ev("t", "fleet-link", 9), ev("f", "fleet-link", 9), ev("t", "fleet-link", 9)),
+			"event 3 steps flow fleet-link/9 with no start"},
+		"startNoFinish": {doc(ev("s", "fleet-link", 9)), "flow fleet-link/9 left open"},
+		"firstOpenFlow": {doc(ev("s", "fleet-link", 9), ev("s", "causal", 30), ev("s", "causal", 4)), "flow causal/30 left open"},
+	}
+	for name, c := range cases {
+		err := ValidatePerfetto(strings.NewReader(c.doc))
+		if want := "telemetry: perfetto: " + c.want; err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %s", name, err, want)
 		}
+	}
+	ok := doc(ev("b", "period", 1), ev("s", "fleet-link", 1), ev("t", "fleet-link", 1), ev("e", "period", 1), ev("f", "fleet-link", 1))
+	if err := ValidatePerfetto(strings.NewReader(ok)); err != nil {
+		t.Errorf("well-paired document rejected: %v", err)
 	}
 }
