@@ -1,13 +1,14 @@
 GO ?= go
 
 # The benchmarks tracked in the committed BENCH_kernel.json baseline (see
-# docs/PERFORMANCE.md): the kernel/scheduler hot-path trio, the end-to-
-# end Table 2 workload, the substrate micro-benchmarks, and the fleet
+# docs/PERFORMANCE.md): the kernel/scheduler hot-path trio, the switch-
+# cost sample and the Sporadic Server dispatch, the end-to-end Table 2
+# workload, the substrate micro-benchmarks, and the fleet
 # node's two recurring costs — admission (accept and deny) and the
 # invariant checker's per-period audit — and the artifact path's four
 # layers over a 50 000-span cluster: stitch, manifest write, manifest
 # read, Perfetto export.
-BENCH_REGEX = KernelStep|PeriodRollover|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
+BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
 BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant
 
 .PHONY: all build test race lint vet fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
@@ -43,17 +44,18 @@ vet:
 	$(GO) vet -vettool=$(CURDIR)/rdlint.bin ./...
 	rm -f $(CURDIR)/rdlint.bin
 
-# Short fuzz runs of the exact-arithmetic kernels and the rdtel/v2
-# codec (reader and both writers against their encoding/json
-# references), plus the scenario invariant sweep in internal/core (a
-# regular test, fuzz-like in spirit). -fuzz takes a regexp and refuses
-# to run when it matches two targets, so packages with several anchor
-# theirs.
+# Short fuzz runs of the exact-arithmetic kernels, the switch-cost tick
+# table (against the formula it is built from) and the rdtel/v2 codec
+# (reader and both writers against their encoding/json references),
+# plus the scenario invariant sweep in internal/core (a regular test,
+# fuzz-like in spirit). -fuzz takes a regexp and refuses to run when it
+# matches two targets, so packages with several anchor theirs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzFracAdd$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz='^FuzzFracAddMatchesRef$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz=FuzzTickConversions -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz=FuzzBoxLoad -fuzztime=10s ./internal/policy
+	$(GO) test -run=NONE -fuzz='^FuzzSwitchSample$$' -fuzztime=10s ./internal/sim
 	$(GO) test -run=NONE -fuzz='^FuzzReadManifest$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzWriteJSONMatchesRef$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzWritePerfettoMatchesRef$$' -fuzztime=10s ./internal/telemetry

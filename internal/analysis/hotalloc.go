@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -25,8 +26,10 @@ var hotAllocSprint = map[string]bool{
 // HotAlloc flags per-call allocations in files marked //rd:hotpath:
 // closures passed to the kernel's timer API (Kernel.At / Kernel.After
 // — every arming allocates the closure; recurring timers must use the
-// typed AtCall/AfterCall payload instead) and fmt.Sprintf/Sprint/
-// Sprintln (which allocate the formatted string). Genuinely cold
+// typed AtCall/AfterCall payload instead), fmt.Sprintf/Sprint/
+// Sprintln (which allocate the formatted string) and string
+// concatenation with a non-constant operand (which allocates the
+// joined string, unless it is the message of a panic). Genuinely cold
 // sites inside a marked file — panic messages on paths where the run
 // is already dead — carry an //rdlint:allow hotalloc waiver with a
 // written reason.
@@ -40,7 +43,9 @@ var HotAlloc = &Analyzer{
 		"paths may waive it with //rdlint:allow hotalloc <reason>. telemetry.Registry\n" +
 		"methods look instruments up by name — hot paths use the pre-registered\n" +
 		"handles (Counter.Inc, Gauge.Set, Histogram.Observe), which are allocation-\n" +
-		"free and nil-safe.",
+		"free and nil-safe. A string + with a non-constant operand allocates the joined\n" +
+		"string per evaluation — build it once where the operands become known; the\n" +
+		"message of a panic(...) is exempt.",
 	Run: runHotAlloc,
 }
 
@@ -52,9 +57,36 @@ func runHotAlloc(pass *Pass) error {
 		if !hasHotPathMarker(f) {
 			continue
 		}
+		// quiet holds the concatenations not to report: the operands of
+		// one already reported (a + b + c is one finding) and anything
+		// inside a panic's argument. Inspect visits parents first.
+		quiet := make(map[*ast.BinaryExpr]bool)
 		ast.Inspect(f, func(n ast.Node) bool {
+			if cat, ok := n.(*ast.BinaryExpr); ok && isStringConcat(pass, cat) {
+				for _, operand := range []ast.Expr{cat.X, cat.Y} {
+					if inner, ok := unparen(operand).(*ast.BinaryExpr); ok {
+						quiet[inner] = true
+					}
+				}
+				if !quiet[cat] {
+					pass.Reportf(cat.Pos(),
+						"string concatenation with a non-constant operand allocates the joined string on a //rd:hotpath file; build it once where the operands become known, or waive a cold site with a reason")
+				}
+				return true
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
+				return true
+			}
+			if isBuiltinCall(pass, call, "panic") {
+				for _, arg := range call.Args {
+					ast.Inspect(arg, func(m ast.Node) bool {
+						if cat, ok := m.(*ast.BinaryExpr); ok {
+							quiet[cat] = true
+						}
+						return true
+					})
+				}
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -94,6 +126,21 @@ func runHotAlloc(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// isStringConcat reports whether e is a + that yields a string at run
+// time: a constant expression is folded by the compiler and costs
+// nothing.
+func isStringConcat(pass *Pass, e *ast.BinaryExpr) bool {
+	if e.Op != token.ADD {
+		return false
+	}
+	tv, ok := pass.TypesInfo.Types[e]
+	if !ok || tv.Value != nil {
+		return false
+	}
+	b, ok := tv.Type.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
 }
 
 // isMethodValue reports whether arg is a method-value expression

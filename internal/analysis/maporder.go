@@ -482,15 +482,17 @@ func (c *loopChecker) callFree(e ast.Expr) bool {
 
 func isAppendCall(pass *Pass, e ast.Expr) bool {
 	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
+	return ok && isBuiltinCall(pass, call, "append")
+}
+
+// isBuiltinCall reports whether call is a call of the named builtin.
+func isBuiltinCall(pass *Pass, call *ast.CallExpr, name string) bool {
+	id, ok := unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
 	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "append"
+	return ok && b.Name() == name
 }
 
 func isConstExpr(e ast.Expr) bool {

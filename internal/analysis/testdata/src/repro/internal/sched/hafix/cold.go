@@ -13,6 +13,8 @@ func coldLabel(id int32) string {
 	return fmt.Sprintf("cold%d", id)
 }
 
+func coldName(name string) string { return "cold:" + name }
+
 func (t *ticker) coldArm(at ticks.Ticks) {
 	t.k.At(at, func() { t.id++ })
 }

@@ -1,8 +1,9 @@
 // Package hafix exercises hotalloc inside a marked file: closures
-// handed to Kernel.At/After and fmt.Sprintf are flagged, the typed
-// AtCall/AfterCall payload is not, and a waived cold site (with a
-// written reason) is suppressed. cold.go in the same package carries
-// no marker and shows the same constructs pass unflagged there.
+// handed to Kernel.At/After, fmt.Sprintf and run-time string
+// concatenation are flagged, the typed AtCall/AfterCall payload is
+// not, and a waived cold site (with a written reason) is suppressed.
+// cold.go in the same package carries no marker and shows the same
+// constructs pass unflagged there.
 package hafix
 
 //rd:hotpath
@@ -18,6 +19,7 @@ import (
 type ticker struct {
 	k          *sim.Kernel
 	id         int32
+	name       string
 	reg        *telemetry.Registry
 	dispatches *telemetry.Counter
 	depth      *telemetry.Gauge
@@ -43,7 +45,35 @@ func (t *ticker) label() string {
 	return fmt.Sprintf("ticker%d", t.id) // want "fmt.Sprintf allocates"
 }
 
+// Joining strings at run time allocates the result every call: flagged,
+// once per chain however many operands it has.
+func (t *ticker) observerName() string {
+	return "ticker:" + t.name // want "string concatenation with a non-constant operand"
+}
+
+func (t *ticker) longName(suffix string) string {
+	return "ticker:" + (t.name + "/") + suffix // want "string concatenation with a non-constant operand"
+}
+
+// Constants fold at compile time, numbers are not strings, and the
+// message of a panic is built on a path where the run is already dead:
+// all permitted.
+const prefix = "ticker" + ":"
+
+func (t *ticker) constantName() string { return prefix + "idle" }
+
+func (t *ticker) next() int32 { return t.id + 1 }
+
+func (t *ticker) refuse() {
+	panic("hafix: ticker " + t.name + " refused")
+}
+
 // A cold site inside a hot file is waived with a written reason.
+func (t *ticker) register(name string) {
+	//rdlint:allow hotalloc cold path: once per ticker, at registration
+	t.name = "ticker:" + name
+}
+
 func (t *ticker) wedge() {
 	//rdlint:allow hotalloc panic path: the run is already dead, allocation cost is irrelevant
 	panic(fmt.Sprintf("ticker %d wedged", t.id))

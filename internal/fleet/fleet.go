@@ -46,6 +46,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -653,37 +654,36 @@ func (c *Cluster) Run(horizon ticks.Ticks) *Report {
 // pool only partitions node indexes; each node's trajectory is fixed
 // by its own kernel, so the partition cannot affect results.
 func (c *Cluster) advanceAll(limit ticks.Ticks) {
-	live := make([]int, 0, len(c.nodes))
-	for i, n := range c.nodes {
+	live := 0
+	for _, n := range c.nodes {
 		if !n.down {
-			live = append(live, i)
+			live++
 		}
-	}
-	if len(live) == 0 {
-		return
 	}
 	workers := c.cfg.Workers
-	if workers > len(live) {
-		workers = len(live)
+	if workers > live {
+		workers = live
 	}
 	if workers <= 1 {
-		for _, i := range live {
-			c.nodes[i].advance(limit)
+		for _, n := range c.nodes {
+			if !n.down {
+				n.advance(limit)
+			}
 		}
 		return
 	}
-	jobs := make(chan int, len(live))
-	for _, i := range live {
-		jobs <- i
-	}
-	close(jobs)
+	// Each worker claims the next unclaimed node index until none are
+	// left.
+	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				c.nodes[i].advance(limit)
+			for i := next.Add(1) - 1; i < int64(len(c.nodes)); i = next.Add(1) - 1 {
+				if n := c.nodes[i]; !n.down {
+					n.advance(limit)
+				}
 			}
 		}()
 	}
@@ -987,7 +987,7 @@ func (c *Cluster) completionScan(now ticks.Ticks) {
 		}
 		kept := n.placed[:0]
 		for _, a := range n.placed {
-			if _, err := n.d.Manager().State(a.id); err == nil {
+			if n.d.Manager().Has(a.id) {
 				kept = append(kept, a)
 				continue
 			}

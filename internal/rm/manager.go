@@ -434,6 +434,14 @@ func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 	return nil
 }
 
+// Has reports whether id is admitted: known to the Manager from
+// RequestAdmittance until Remove. Unlike State it builds no error for
+// an unknown id, so it is the probe for callers that expect misses.
+func (m *Manager) Has(id task.ID) bool {
+	_, ok := m.tasks[id]
+	return ok
+}
+
 // State reports the admission-visible state of id.
 func (m *Manager) State(id task.ID) (task.State, error) {
 	a, ok := m.tasks[id]

@@ -258,8 +258,14 @@ func TestRemoveRestoresCapacity(t *testing.T) {
 	if m.Grants()[b].Level == 0 {
 		t.Fatal("precondition: b should be shed in overload")
 	}
+	if !m.Has(a) || !m.Has(b) {
+		t.Error("Has does not know an admitted task")
+	}
 	if err := m.Remove(a); err != nil {
 		t.Fatal(err)
+	}
+	if m.Has(a) || !m.Has(b) {
+		t.Errorf("after Remove(a): Has(a) = %v, Has(b) = %v, want false, true", m.Has(a), m.Has(b))
 	}
 	gs := m.Grants()
 	if _, ok := gs[a]; ok {
@@ -545,8 +551,11 @@ func TestUnknownTaskOperations(t *testing.T) {
 	if err := m.ChangeResourceList(99, task.SingleLevel(270_000, 27_000, "X")); !errors.Is(err, ErrUnknownTask) {
 		t.Error("ChangeResourceList on unknown id")
 	}
-	if _, err := m.State(99); !errors.Is(err, ErrUnknownTask) {
-		t.Error("State on unknown id")
+	if _, err := m.State(99); !errors.Is(err, ErrUnknownTask) || err.Error() != "rm: unknown task: 99" {
+		t.Errorf("State on unknown id: %v", err)
+	}
+	if m.Has(99) {
+		t.Error("Has on unknown id")
 	}
 	if _, err := m.TaskByID(99); !errors.Is(err, ErrUnknownTask) {
 		t.Error("TaskByID on unknown id")

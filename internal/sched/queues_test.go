@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +85,58 @@ func TestQueueInvariantsUnderChurn(t *testing.T) {
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDeadlineQueueMatchesSortedReference drives insertByDeadline and
+// removeFrom with random inserts and removals — few distinct deadlines,
+// so ties on deadline are the common case — and holds the queue to a
+// reference kept by appending and stable-sorting on (deadline, id).
+func TestDeadlineQueueMatchesSortedReference(t *testing.T) {
+	f := func(seed uint16) bool {
+		rng := sim.NewRNG(uint64(seed) + 1)
+		var q, ref, out []*tcb
+		for i := 0; i < 24; i++ {
+			out = append(out, &tcb{id: task.ID(i + 1)})
+		}
+		for step := 0; step < 200; step++ {
+			if insert := len(out) > 0 && (len(ref) == 0 || rng.Intn(3) > 0); insert {
+				i := rng.Intn(len(out))
+				x := out[i]
+				out = append(out[:i], out[i+1:]...)
+				x.deadline = ticks.Ticks(rng.Intn(5))
+				q = insertByDeadline(q, x)
+				ref = append(ref, x)
+				sort.SliceStable(ref, func(a, b int) bool {
+					if ref[a].deadline != ref[b].deadline {
+						return ref[a].deadline < ref[b].deadline
+					}
+					return ref[a].id < ref[b].id
+				})
+			} else {
+				i := rng.Intn(len(ref))
+				x := ref[i]
+				ref = append(ref[:i], ref[i+1:]...)
+				q = removeFrom(q, x)
+				q = removeFrom(q, x) // absent: a no-op
+				out = append(out, x)
+			}
+			if len(q) != len(ref) {
+				t.Errorf("seed %d step %d: queue holds %d tasks, reference %d", seed, step, len(q), len(ref))
+				return false
+			}
+			for i := range q {
+				if q[i] != ref[i] {
+					t.Errorf("seed %d step %d: position %d holds task %d (deadline %d), reference task %d (deadline %d)",
+						seed, step, i, q[i].id, q[i].deadline, ref[i].id, ref[i].deadline)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -24,7 +24,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rm"
 	"repro/internal/sim"
@@ -315,15 +314,16 @@ func New(cfg Config) *Scheduler {
 
 // --- deadline-ordered queue helpers ---
 
+// insertByDeadline places t by strict (deadline, id) order, shifting
+// later entries up from the tail: the queues hold a handful of tasks
+// and a new deadline usually belongs at or near the back.
 func insertByDeadline(q []*tcb, t *tcb) []*tcb {
-	i := sort.Search(len(q), func(i int) bool {
-		if q[i].deadline != t.deadline {
-			return q[i].deadline > t.deadline
-		}
-		return q[i].id > t.id
-	})
 	q = append(q, nil)
-	copy(q[i+1:], q[i:])
+	i := len(q) - 1
+	for i > 0 && (q[i-1].deadline > t.deadline || q[i-1].deadline == t.deadline && q[i-1].id > t.id) {
+		q[i] = q[i-1]
+		i--
+	}
 	q[i] = t
 	return q
 }

@@ -30,6 +30,11 @@ type sporadicTask struct {
 	body    task.Body
 	wake    sim.EventRef
 	stats   SporadicStats
+	// serverName and assignedName are what an Observer sees a dispatch
+	// of this task as — under the Sporadic Server and under a §5.1
+	// AssignGrant assignment — built once, in AddSporadic, so that a
+	// dispatch allocates nothing.
+	serverName, assignedName string
 	// auditEpoch is the latest Audit pass that found this task on the
 	// server's queue: a grant assignment to a task without the current
 	// stamp points at a removed task.
@@ -70,7 +75,11 @@ func (s *Scheduler) AttachSporadicServer(id task.ID, alwaysOvertime bool) error 
 // queue. It may be called before or after AttachSporadicServer.
 func (s *Scheduler) AddSporadic(name string, body task.Body) SporadicID {
 	s.nextSporadicID++
-	sp := &sporadicTask{id: s.nextSporadicID, name: name, body: body}
+	sp := &sporadicTask{
+		id: s.nextSporadicID, name: name, body: body,
+		//rdlint:allow hotalloc cold path: once per sporadic task, at registration
+		serverName: "sporadic:" + name, assignedName: "assigned:" + name,
+	}
 	s.sporadics = append(s.sporadics, sp)
 	return sp.id
 }
@@ -151,7 +160,7 @@ func (s *Scheduler) runAssigned(cur *tcb, ctx task.RunContext) task.RunResult {
 	sp.stats.UsedTicks += res.Used
 	sp.stats.Dispatches++
 	if res.Used > 0 {
-		s.obs.OnDispatch(cur.id, "assigned:"+sp.name, ctx.Now, ctx.Now+res.Used, DispatchSporadic, cur.grant.Level)
+		s.obs.OnDispatch(cur.id, sp.assignedName, ctx.Now, ctx.Now+res.Used, DispatchSporadic, cur.grant.Level)
 		s.tel.dispatchSporadic.Inc()
 		s.tel.spans.Complete(ctx.Now, ctx.Now+res.Used, "dispatch", sp.name, int64(cur.id), cur.periodSpan, "assigned")
 	}
@@ -307,7 +316,7 @@ func (s *Scheduler) runSporadicServer(cur *tcb, ctx task.RunContext) task.RunRes
 			zeroStreak = 0
 		}
 		if res.Used > 0 {
-			s.obs.OnDispatch(cur.id, "sporadic:"+sp.name, ctx.Now+used-res.Used, ctx.Now+used, DispatchSporadic, cur.grant.Level)
+			s.obs.OnDispatch(cur.id, sp.serverName, ctx.Now+used-res.Used, ctx.Now+used, DispatchSporadic, cur.grant.Level)
 			s.tel.dispatchSporadic.Inc()
 			s.tel.spans.Complete(ctx.Now+used-res.Used, ctx.Now+used, "dispatch", sp.name, int64(cur.id), cur.periodSpan, "sporadic")
 		}

@@ -71,3 +71,21 @@ func TestKernelStepSteadyStateIsAllocFree(t *testing.T) {
 		t.Fatalf("Kernel.Step steady state = %v allocs/op, want 0", allocs)
 	}
 }
+
+// BenchmarkSwitchSample measures one stochastic switch-cost sample
+// under the paper model, alternating the two kinds as a schedule does:
+// one RNG draw and a tickTable lookup. The tables are built, once per
+// process, by the first sample of each kind — before the clock starts.
+func BenchmarkSwitchSample(b *testing.B) {
+	costs := PaperSwitchCosts()
+	rng := NewRNG(1)
+	sink := costs.Sample(Voluntary, rng) + costs.Sample(Involuntary, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += costs.Sample(SwitchKind(i&1), rng)
+	}
+	switchSampleSink = sink
+}
+
+var switchSampleSink ticks.Ticks

@@ -41,6 +41,12 @@ type CostDist struct {
 	Min, Median, Mean float64 // microseconds
 
 	shape, scale float64 // derived Weibull parameters for the excess
+
+	// table maps a draw straight to its tick count (costtable.go).
+	// calibrate creates it from (Min, shape, scale) as they are then;
+	// copies of the distribution share it. A distribution that was
+	// never calibrated has none and evaluates costTicks per draw.
+	table *tickTable
 }
 
 // calibrate solves for the Weibull shape k such that
@@ -49,28 +55,27 @@ type CostDist struct {
 // The ratio for Weibull is (ln 2)^(1/k) / Gamma(1+1/k), monotonic in
 // k over the region of interest, so bisection converges quickly.
 func (c *CostDist) calibrate() {
+	c.shape, c.scale = 1, 0 // degenerate: constant cost
 	em := c.Median - c.Min
 	eu := c.Mean - c.Min
-	if em <= 0 || eu <= 0 {
-		// Degenerate: constant cost.
-		c.shape, c.scale = 1, 0
-		return
-	}
-	target := em / eu
-	ratio := func(k float64) float64 {
-		return math.Pow(math.Ln2, 1/k) / math.Gamma(1+1/k)
-	}
-	lo, hi := 0.2, 8.0
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if ratio(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
+	if em > 0 && eu > 0 {
+		target := em / eu
+		ratio := func(k float64) float64 {
+			return math.Pow(math.Ln2, 1/k) / math.Gamma(1+1/k)
 		}
+		lo, hi := 0.2, 8.0
+		for i := 0; i < 80; i++ {
+			mid := (lo + hi) / 2
+			if ratio(mid) < target {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		c.shape = (lo + hi) / 2
+		c.scale = eu / math.Gamma(1+1/c.shape)
 	}
-	c.shape = (lo + hi) / 2
-	c.scale = eu / math.Gamma(1+1/c.shape)
+	c.table = &tickTable{min: c.Min, scale: c.scale, shape: c.shape}
 }
 
 // SwitchCosts is the context-switch cost model for a simulation run.
@@ -117,7 +122,8 @@ func ZeroSwitchCosts() SwitchCosts {
 	return SwitchCosts{Deterministic: true}
 }
 
-// Sample draws the cost of one switch of the given kind, in ticks.
+// Sample draws the cost of one switch of the given kind, in ticks. A
+// stochastic sample consumes exactly one Uint64 from rng.
 func (s *SwitchCosts) Sample(kind SwitchKind, rng *RNG) ticks.Ticks {
 	d := &s.Vol
 	if kind == Involuntary {
@@ -126,8 +132,21 @@ func (s *SwitchCosts) Sample(kind SwitchKind, rng *RNG) ticks.Ticks {
 	if s.Deterministic {
 		return usToTicks(d.Mean)
 	}
-	us := d.Min + rng.Weibull(d.shape, d.scale)
-	return usToTicks(us)
+	u := rng.draw()
+	if d.table == nil {
+		return costTicks(d.Min, d.scale, d.shape, u)
+	}
+	return d.table.at(u)
+}
+
+// costTicks is the switch-cost model: the cost in ticks of the
+// drawBits-bit uniform draw u under a distribution of minimum min µs
+// plus a Weibull(shape, scale) excess. It is the only place a draw
+// becomes a cost — tickTable is built from it, falls back to it, and
+// is tested against it. The conversion keeps the product and the sum
+// separately rounded on every platform (no fused multiply-add).
+func costTicks(min, scale, shape float64, u uint64) ticks.Ticks {
+	return usToTicks(min + float64(weibullQuantile(unitFloat(u), shape, scale)))
 }
 
 // CacheRefill reports the cold-cache penalty in ticks.

@@ -56,9 +56,24 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
+// drawBits is the width of the uniform integer draw behind Float64:
+// the top drawBits bits of one Uint64, every one of which a float64
+// mantissa holds exactly.
+const drawBits = 53
+
+// draw returns a uniform drawBits-bit integer: one Uint64's top bits.
+func (r *RNG) draw() uint64 {
+	return r.Uint64() >> (64 - drawBits)
+}
+
+// unitFloat maps a drawBits-bit draw onto [0, 1).
+func unitFloat(u uint64) float64 {
+	return float64(u) / (1 << drawBits)
+}
+
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unitFloat(r.draw())
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -74,8 +89,12 @@ func (r *RNG) Intn(n int) int {
 // ratio is tunable through k, letting us calibrate simultaneously to
 // the paper's reported median and mean (§6.1).
 func (r *RNG) Weibull(k, lambda float64) float64 {
-	u := r.Float64()
-	// Inverse CDF: lambda * (-ln(1-u))^(1/k).
+	return weibullQuantile(r.Float64(), k, lambda)
+}
+
+// weibullQuantile is the Weibull inverse CDF at u in [0, 1):
+// lambda * (-ln(1-u))^(1/k).
+func weibullQuantile(u, k, lambda float64) float64 {
 	return lambda * math.Pow(-math.Log1p(-u), 1/k)
 }
 

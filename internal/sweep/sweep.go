@@ -227,15 +227,17 @@ func Run(m Matrix, opt Options) (*Result, error) {
 		workers = len(specs)
 	}
 
+	// Each worker claims the next unclaimed spec index until none are
+	// left; out[i] is written by whichever worker claimed i, so the
+	// result does not depend on who ran what.
 	out := make([]RunMetrics, len(specs))
-	jobs := make(chan int)
 	var done sync.WaitGroup
-	var completed atomic.Int64
+	var next, completed atomic.Int64
 	done.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer done.Done()
-			for i := range jobs {
+			for i := next.Add(1) - 1; i < int64(len(specs)); i = next.Add(1) - 1 {
 				out[i] = runOne(specs[i])
 				if opt.Progress != nil {
 					opt.Progress(int(completed.Add(1)), len(specs))
@@ -243,10 +245,6 @@ func Run(m Matrix, opt Options) (*Result, error) {
 			}
 		}()
 	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
 	done.Wait()
 
 	// Deterministic aggregation: fixed chunks, merged in spec order.

@@ -346,6 +346,7 @@ type pairKey struct {
 	id  int64
 }
 
+//rdlint:allow hotalloc cold path: only validation error messages print a key
 func (k pairKey) String() string { return k.cat + "/" + strconv.FormatInt(k.id, 10) }
 
 // checkClosed reports the name-sorted first entry of a pairing map

@@ -28,7 +28,10 @@
 // "sched.dispatch.granted", "rm.admit.rejected", "sim.switch.cost".
 package telemetry
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Counter is a monotonically increasing int64 instrument. The nil
 // Counter is a valid no-op, so hot paths increment unconditionally.
@@ -115,9 +118,13 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	i := int(v / h.width)
-	if v < 0 {
-		i = 0
+	i := 0 // negative samples land in the first bucket
+	if uint64(v|h.width) <= math.MaxUint32 {
+		// Both non-negative and 32-bit — every tick slice and switch
+		// cost is: the 32-bit divide is several times cheaper.
+		i = int(uint32(v) / uint32(h.width))
+	} else if v > 0 {
+		i = int(v / h.width)
 	}
 	if i >= len(h.counts) {
 		i = len(h.counts) - 1

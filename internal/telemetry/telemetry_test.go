@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -112,6 +113,41 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 	if snap.Count != 7 || snap.Sum != 0+9+10+25+30+1000-5 {
 		t.Errorf("count=%d sum=%d", snap.Count, snap.Sum)
+	}
+}
+
+// TestHistogramBucketIndex holds Observe's choice of bucket — a 32-bit
+// divide when sample and width both fit, a 64-bit one otherwise — to
+// the single expression it replaced, on either side of that boundary.
+func TestHistogramBucketIndex(t *testing.T) {
+	const two32 = int64(1) << 32
+	widths := []int64{1, 7, 135, two32 - 1, two32, two32 + 1, math.MaxInt64}
+	values := []int64{
+		math.MinInt64, -two32, -1, 0, 1, 6, 7, 134, 135, 4 * 135, 5*135 - 1, 5 * 135,
+		two32 - 2, two32 - 1, two32, two32 + 1, 5 * two32, 7*two32 - 1, 7 * two32, math.MaxInt64,
+	}
+	const bins = 5
+	for _, w := range widths {
+		for _, v := range values {
+			want := int(v / w)
+			if v < 0 {
+				want = 0
+			}
+			if want > bins {
+				want = bins // the overflow bucket
+			}
+			h := NewRegistry().Histogram("h", w, bins)
+			h.Observe(v)
+			for i, c := range h.counts {
+				if (c != 0) != (i == want) {
+					t.Errorf("width %d: sample %d counted in bucket %d, want %d (counts %v)", w, v, i, want, h.counts)
+					break
+				}
+			}
+			if h.Count() != 1 || h.Sum() != v {
+				t.Errorf("width %d sample %d: count=%d sum=%d", w, v, h.Count(), h.Sum())
+			}
+		}
 	}
 }
 
