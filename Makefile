@@ -3,13 +3,15 @@ GO ?= go
 # The benchmarks tracked in the committed BENCH_kernel.json baseline (see
 # docs/PERFORMANCE.md): the kernel/scheduler hot-path trio, the switch-
 # cost sample and the Sporadic Server dispatch, the end-to-end Table 2
-# workload, the substrate micro-benchmarks, and the fleet
-# node's two recurring costs — admission (accept and deny) and the
-# invariant checker's per-period audit — and the artifact path's four
+# workload, the substrate micro-benchmarks, the fleet node's two
+# recurring costs — admission (accept and deny) and the invariant
+# checker's per-period audit — the fleet coordinator's three — the
+# least-loaded offer order, cluster construction and one epoch (advance
+# plus barrier) at 16 and 120 nodes — and the artifact path's four
 # layers over a 50 000-span cluster: stitch, manifest write, manifest
 # read, Perfetto export.
-BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
-BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant
+BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
+BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
 
 .PHONY: all build test race lint vet fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
 
@@ -45,11 +47,13 @@ vet:
 	rm -f $(CURDIR)/rdlint.bin
 
 # Short fuzz runs of the exact-arithmetic kernels, the switch-cost tick
-# table (against the formula it is built from) and the rdtel/v2 codec
-# (reader and both writers against their encoding/json references),
-# plus the scenario invariant sweep in internal/core (a regular test,
-# fuzz-like in spirit). -fuzz takes a regexp and refuses to run when it
-# matches two targets, so packages with several anchor theirs.
+# table (against the formula it is built from), the rdtel/v2 codec
+# (reader and both writers against their encoding/json references) and
+# the Resource Manager (operation tapes against a reference model that
+# recomputes from scratch), plus the scenario invariant sweep in
+# internal/core (a regular test, fuzz-like in spirit). -fuzz takes a
+# regexp and refuses to run when it matches two targets, so packages
+# with several anchor theirs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzFracAdd$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz='^FuzzFracAddMatchesRef$$' -fuzztime=10s ./internal/ticks
@@ -59,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadManifest$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzWriteJSONMatchesRef$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzWritePerfettoMatchesRef$$' -fuzztime=10s ./internal/telemetry
+	$(GO) test -run=NONE -fuzz='^FuzzManagerModel$$' -fuzztime=10s ./internal/rm
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
 # The worker-invariance smokes share one shape: the named packages'
@@ -139,10 +144,9 @@ telemetry-golden:
 		-o internal/telemetry/testdata/settop-smoke.perfetto.golden \
 		internal/telemetry/testdata/settop-smoke.manifest.golden
 
-# Refresh the "current" section of the committed layer baseline
-# BENCH_kernel.json. The pr-start-baseline section is a historical
-# record and is never rewritten by this target. End-to-end sweep
-# throughput is benchmark/'s job (frozen matrices; see BENCHMARK.json).
+# Refresh the committed layer baseline, BENCH_kernel.json's "current"
+# section. End-to-end sweep throughput is benchmark/'s job (frozen
+# matrices; see BENCHMARK.json).
 bench:
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchmem $(BENCH_PKGS) | tee bench-latest.txt
 	$(GO) run ./cmd/rdperf parse -label current -out BENCH_kernel.json < bench-latest.txt
@@ -162,7 +166,7 @@ bench:
 # (e.g. while iterating locally), use BENCH_GATE= (empty).
 BENCH_GATE ?= -gate
 bench-smoke:
-	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant
+	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant ./internal/fleet
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchtime=100x -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json -section current \
 			-threshold 15 $(BENCH_GATE) -gate-units allocs/op,B/op

@@ -74,7 +74,7 @@ func BenchmarkTable4GrantSet(b *testing.B) {
 		if _, err := m.RequestAdmittance(workload.NewMPEG().Task()); err != nil {
 			b.Fatal(err)
 		}
-		if gs := m.Grants(); len(gs) != 3 {
+		if gs := m.Grants(); gs.Len() != 3 {
 			b.Fatal("bad grant set")
 		}
 	}

@@ -194,7 +194,7 @@ func expStreamer() {
 		float64(after)/float64(na)/float64(ms), 50)
 	st, _ := d.Stats(id)
 	fmt.Printf("  pipeline level now %s; deadline misses: %d\n",
-		d.Grants()[id].Entry.Fn, st.Misses)
+		d.Grants().Of(id).Entry.Fn, st.Misses)
 }
 
 // expLatency measures worst-case completion latency for the Table 4
@@ -211,7 +211,7 @@ func expLatency() {
 	d.Run(10 * ticks.PerSecond)
 	rep := trace.Analyze(rec.Export())
 	grantByName := map[string]rm.Grant{}
-	for _, g := range d.Grants() {
+	for _, g := range d.Grants().All() {
 		grantByName[rec.NameOf(g.Task)] = g
 	}
 	fmt.Printf("  %-8s %12s %12s %8s\n", "task", "worst (ms)", "bound (ms)", "within")

@@ -52,7 +52,7 @@ func expTable4() {
 		name string
 		id   task.ID
 	}{{"modem", modem}, {"3d", g3d}, {"mpeg", mpeg}} {
-		g := gs[row.id]
+		g := gs.Of(row.id)
 		fmt.Printf("  %-6s %10d %10d %7s  %s\n",
 			row.name, g.Entry.Period, g.Entry.CPU, g.Entry.Rate(), g.Entry.Fn)
 	}

@@ -181,7 +181,7 @@ func expVerify() {
 		d.Run(5 * ticks.PerSecond)
 		rep := trace.Analyze(rec.Export())
 		ok := true
-		for _, g := range d.Grants() {
+		for _, g := range d.Grants().All() {
 			for _, tr := range rep.Tasks {
 				if tr.ID == g.Task && tr.WorstLatency > 2*g.Entry.Period-2*g.Entry.CPU {
 					ok = false

@@ -7,9 +7,7 @@
 //
 // parse reads `go test -bench` text on stdin and records each
 // benchmark's metrics (ns/op, B/op, allocs/op, and any custom
-// b.ReportMetric units) under the named section of the output file,
-// preserving the file's other sections — which is how a PR-start
-// baseline section survives refreshes of the current one.
+// b.ReportMetric units) under the named section of the output file.
 // compare prints a delta table against a committed section and flags
 // changes beyond the threshold; it is report-only by default (exit 0
 // regardless) so CI can surface drift without turning benchmark noise
@@ -24,8 +22,7 @@
 //	{
 //	  "schema": "rdperf/v1",
 //	  "sections": {
-//	    "pr-start-baseline": { "<benchmark>": { "<unit>": value } },
-//	    "current":           { "<benchmark>": { "<unit>": value } }
+//	    "current": { "<benchmark>": { "<unit>": value } }
 //	  }
 //	}
 //

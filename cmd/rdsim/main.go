@@ -91,8 +91,8 @@ func main() {
 	fmt.Printf("scenario %q after %v simulated:\n\n", sc.name, *horizon)
 	fmt.Println("grant set:")
 	gs := d.Grants()
-	for _, id := range gs.IDs() {
-		fmt.Printf("  %v\n", gs[id])
+	for _, g := range gs.All() {
+		fmt.Printf("  %v\n", g)
 	}
 	fmt.Printf("  total %.1f%% of CPU\n\n", 100*gs.TotalFrac().Float())
 

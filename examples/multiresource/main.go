@@ -87,8 +87,7 @@ func main() {
 	gs := d.Grants()
 	var totalMBps int64
 	ffuHolders := 0
-	for _, id := range gs.IDs() {
-		g := gs[id]
+	for _, g := range gs.All() {
 		ffu := ""
 		if g.Entry.NeedsFFU {
 			ffu = "yes"
@@ -96,7 +95,7 @@ func main() {
 		}
 		totalMBps += g.Entry.StreamerMBps
 		fmt.Printf("  %-12s %8d %10s %6s %7dMBps\n",
-			names[id], g.Entry.CPU, g.Entry.Rate(), ffu, g.Entry.StreamerMBps)
+			names[g.Task], g.Entry.CPU, g.Entry.Rate(), ffu, g.Entry.StreamerMBps)
 	}
 	fmt.Printf("  totals: %.1f%% CPU, %d MB/s of 400, %d FFU holder(s)\n\n",
 		100*gs.TotalFrac().Float(), totalMBps, ffuHolders)

@@ -43,8 +43,8 @@ func main() {
 	}
 
 	fmt.Println("grant set after admission:")
-	for _, id := range d.Grants().IDs() {
-		fmt.Printf("  %v\n", d.Grants()[id])
+	for _, g := range d.Grants().All() {
+		fmt.Printf("  %v\n", g)
 	}
 
 	d.Run(ticks.FromSeconds(1))

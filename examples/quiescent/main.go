@@ -98,8 +98,7 @@ func main() {
 
 func printGrants(d *core.Distributor) {
 	gs := d.Grants()
-	for _, id := range gs.IDs() {
-		g := gs[id]
+	for _, g := range gs.All() {
 		fmt.Printf("  %v\n", g)
 	}
 	fmt.Printf("  total %.1f%% of CPU\n", 100*gs.TotalFrac().Float())

@@ -48,7 +48,7 @@ func main() {
 		name string
 		id   task.ID
 	}{{"modem", modemID}, {"3d", g3dID}, {"mpeg", mpegID}} {
-		g := gs[row.id]
+		g := gs.Of(row.id)
 		fmt.Printf("  %-6s %10d %10d %7s  %s\n",
 			row.name, g.Entry.Period, g.Entry.CPU, g.Entry.Rate(), g.Entry.Fn)
 	}

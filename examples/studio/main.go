@@ -204,13 +204,12 @@ func main() {
 
 func printGrants(d *core.Distributor, names map[task.ID]string) {
 	gs := d.Grants()
-	for _, id := range gs.IDs() {
-		g := gs[id]
+	for _, g := range gs.All() {
 		ffu := ""
 		if g.Entry.NeedsFFU {
 			ffu = " +FFU"
 		}
-		fmt.Printf("  %-10s %7s  %s%s\n", names[id], g.Entry.Rate(), g.Entry.Fn, ffu)
+		fmt.Printf("  %-10s %7s  %s%s\n", names[g.Task], g.Entry.Rate(), g.Entry.Fn, ffu)
 	}
 	fmt.Printf("  total %.1f%%\n", 100*gs.TotalFrac().Float())
 }

@@ -69,7 +69,7 @@ func runMapOrder(pass *Pass) error {
 				return true
 			}
 			pass.Reportf(rs.For,
-				"range over map %s in deterministic package %s is order-sensitive; iterate a sorted snapshot (e.g. tasksByID / GrantSet.IDs) or waive with //rdlint:ordered-ok <reason>",
+				"range over map %s in deterministic package %s is order-sensitive; iterate a sorted snapshot or a collection kept in order (e.g. tasksByID / GrantSet.IDs, both already ID-ordered) or waive with //rdlint:ordered-ok <reason>",
 				pass.ExprString(rs.X), pass.Pkg.Path())
 			return true
 		})

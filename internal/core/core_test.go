@@ -244,8 +244,8 @@ func TestTable4SettopScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := d.Grants()
-	if len(gs) != 3 {
-		t.Fatalf("grant set size %d, want 3", len(gs))
+	if gs.Len() != 3 {
+		t.Fatalf("grant set size %d, want 3", gs.Len())
 	}
 	if !gs.TotalFrac().LessOrEqual(d.Manager().Available()) {
 		t.Error("grant set exceeds the machine")
@@ -333,8 +333,8 @@ func TestTerminateReleasesResources(t *testing.T) {
 		t.Error("terminated task still scheduled")
 	}
 	gs := d.Grants()
-	if gs[b].Entry.Rate().Percent() != 90 {
-		t.Errorf("survivor rate = %v, want back to 90%%", gs[b].Entry.Rate())
+	if gs.Of(b).Entry.Rate().Percent() != 90 {
+		t.Errorf("survivor rate = %v, want back to 90%%", gs.Of(b).Entry.Rate())
 	}
 }
 

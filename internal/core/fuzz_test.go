@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/rm"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/ticks"
@@ -156,7 +155,8 @@ func runFuzzScenario(t *testing.T, seed uint64) fuzzOutcome {
 		t.Errorf("seed %d: final grants %.4f exceed available %.4f",
 			seed, gs.TotalFrac().Float(), d.Manager().Available().Float())
 	}
-	for id, g := range gs {
+	for _, g := range gs.All() {
+		id := g.Task
 		list, err := d.Manager().ListOf(id)
 		if err != nil {
 			t.Errorf("seed %d: grant for unadmitted task %d", seed, id)
@@ -178,6 +178,5 @@ func runFuzzScenario(t *testing.T, seed uint64) fuzzOutcome {
 	ks := d.KernelStats()
 	out.Switches = ks.VolSwitches + ks.InvolSwitches
 	out.Busy = ks.BusyTicks
-	_ = rm.GrantSet{}
 	return out
 }

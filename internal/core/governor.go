@@ -40,10 +40,13 @@ func (d *Distributor) EnableOverloadGovernor(interval ticks.Ticks) {
 		d.governorSamples.Inc()
 		if window > 0 {
 			load := ticks.Frac{Num: int64(irq), Den: int64(window)}
-			excess := load.Sub(reserve)
-			if excess.Num > 0 {
+			// Almost every sample finds the load within the reserve: the
+			// comparison cross-multiplies, and only an overload pays for
+			// the reduced difference.
+			if load.Cmp(reserve) > 0 {
 				// Round the excess up to a whole percent: never shed
 				// less than the measured overload.
+				excess := load.Sub(reserve)
 				pct := (excess.Num*100 + excess.Den - 1) / excess.Den
 				d.governorSpans.Instant(st.Now, "governor", "apply-pressure", telemetry.NoTask, 0, "")
 				d.rm.SetPressure(st.Now, ticks.FracPercent(pct), fmt.Sprintf(

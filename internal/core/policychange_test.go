@@ -41,7 +41,7 @@ func TestPolicyChangeMidRun(t *testing.T) {
 	aid := mk("audio")
 	vid := mk("video")
 
-	if got := d.Grants()[aid].Entry.Rate().Percent(); got != 60 {
+	if got := d.Grants().Of(aid).Entry.Rate().Percent(); got != 60 {
 		t.Fatalf("audio initial rate = %v, want 60%%", got)
 	}
 
@@ -59,10 +59,10 @@ func TestPolicyChangeMidRun(t *testing.T) {
 	d.Run(400 * ms)
 
 	gs := d.Grants()
-	if got := gs[vid].Entry.Rate().Percent(); got != 60 {
+	if got := gs.Of(vid).Entry.Rate().Percent(); got != 60 {
 		t.Errorf("video rate after override = %v%%, want 60", got)
 	}
-	if got := gs[aid].Entry.Rate().Percent(); got >= 60 {
+	if got := gs.Of(aid).Entry.Rate().Percent(); got >= 60 {
 		t.Errorf("audio rate after override = %v%%, want reduced", got)
 	}
 	if rec.MissCount() != 0 {

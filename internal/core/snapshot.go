@@ -48,7 +48,7 @@ type TaskSnapshot struct {
 func (d *Distributor) Snapshot() Snapshot {
 	var s Snapshot
 	s.Now = d.kernel.Now()
-	grants := d.rm.Grants()
+	grants := d.rm.Committed()
 	s.TotalRate = grants.TotalFrac().Float()
 	s.Reserve = 1 - d.rm.Available().Float()
 
@@ -63,7 +63,7 @@ func (d *Distributor) Snapshot() Snapshot {
 		if st, err := d.rm.State(id); err == nil {
 			ts.State = st
 		}
-		if g, ok := grants[id]; ok {
+		if g, ok := grants.Get(id); ok {
 			ts.Grant, ts.HasGrant = g, true
 		}
 		if st, ok := d.sched.Stats(id); ok {
@@ -90,7 +90,7 @@ func (d *Distributor) Snapshot() Snapshot {
 		if st, err := d.rm.State(id); err == nil {
 			ts.State = st
 		}
-		if g, ok := grants[id]; ok {
+		if g, ok := grants.Get(id); ok {
 			ts.Grant, ts.HasGrant = g, true
 		}
 		s.Tasks = append(s.Tasks, ts)

@@ -44,7 +44,6 @@ package fleet
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -335,7 +334,10 @@ type node struct {
 	down     bool
 	restarts int
 	placed   []*admRec
-	stallErr string
+	// scannedGen is the incarnation's Manager.GrantGeneration at the
+	// last completion scan: nothing leaves the RM without a recompute.
+	scannedGen uint64
+	stallErr   string
 	// violDumped / stallDumped dedupe flight dumps: each new breach
 	// dumps once, at the barrier that notices it.
 	violDumped  int64
@@ -361,6 +363,7 @@ func (n *node) build(at ticks.Ticks) {
 		Telemetry:               n.tel,
 	}
 	n.chk = nil
+	n.scannedGen = 0
 	if n.cfg.Invariants {
 		n.chk = invariant.New(n.pr)
 		cfg.Observer = n.chk
@@ -460,8 +463,9 @@ type Cluster struct {
 	// trigger order (barrier order, node order within a barrier).
 	flightDumps []telemetry.FlightDump
 
-	// order and loads are placementOrder's scratch: the coordinator
-	// runs one placement scan at a time.
+	// order and loads belong to placementOrder: the coordinator runs
+	// one placement scan at a time. order persists between scans — the
+	// least-loaded permutation is repaired, not rebuilt.
 	order []int
 	loads []ticks.Frac
 
@@ -872,24 +876,43 @@ func (c *Cluster) abandon(a *admRec, now ticks.Ticks, why string) {
 }
 
 // placementOrder lists node IDs in the policy's offer order. The
-// slice is the cluster's scratch, valid until the next call.
+// slice is the cluster's own, valid until the next call.
 func (c *Cluster) placementOrder(a *admRec) []int {
 	n := len(c.nodes)
-	order := c.order[:0]
-	for i := 0; i < n; i++ {
-		order = append(order, i)
+	if len(c.order) != n {
+		// Identity, once: first-fit's order as it stands, least-loaded's
+		// starting point.
+		c.order = c.order[:0]
+		for i := 0; i < n; i++ {
+			c.order = append(c.order, i)
+		}
 	}
-	c.order = order
+	order := c.order
 	switch c.cfg.Placement {
 	case LeastLoaded:
-		// Each node's load is read once; the stable sort then compares
-		// the snapshot, so IDs break ties.
+		// Each node's load is read once into a snapshot, and the order
+		// the last scan left is repaired by insertion on (load, ID).
+		// That is a strict total order, so the sorted permutation is
+		// unique — the one a stable sort by load from identity yields —
+		// whatever order the repair starts from; and since one placement
+		// moves one node's load, the repair is close to one comparison
+		// per node.
 		loads := c.loads[:0]
 		for _, nd := range c.nodes {
 			loads = append(loads, nd.load())
 		}
 		c.loads = loads
-		slices.SortStableFunc(order, func(i, j int) int { return loads[i].Cmp(loads[j]) })
+		for i := 1; i < n; i++ {
+			x, j := order[i], i
+			for ; j > 0; j-- {
+				y := order[j-1]
+				if ord := loads[x].Cmp(loads[y]); ord > 0 || ord == 0 && x > y {
+					break
+				}
+				order[j] = y
+			}
+			order[j] = x
+		}
 	case RoundRobinHash:
 		start := int(fnv64(a.Name) % uint64(n))
 		for i := range order {
@@ -985,6 +1008,14 @@ func (c *Cluster) completionScan(now ticks.Ticks) {
 		if n.down || n.d == nil || len(n.placed) == 0 {
 			continue
 		}
+		// A task leaves the RM only through a grant recompute, and a
+		// placement enters through one: at an unchanged generation the
+		// last scan's answers still stand.
+		gen := n.d.Manager().GrantGeneration()
+		if gen == n.scannedGen {
+			continue
+		}
+		n.scannedGen = gen
 		kept := n.placed[:0]
 		for _, a := range n.placed {
 			if n.d.Manager().Has(a.id) {

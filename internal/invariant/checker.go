@@ -76,7 +76,6 @@ type Checker struct {
 	sumGen   uint64
 	sumValid bool
 	sum      ticks.Frac
-	ids      []task.ID // scratch: the committed set's IDs, sorted for the sum
 
 	periodsClosed int64
 
@@ -247,13 +246,11 @@ func (c *Checker) checkCommitted(at ticks.Ticks) {
 		return
 	}
 	if gen := c.m.GrantGeneration(); !c.sumValid || gen != c.sumGen {
-		// Sum in ascending ID order so intermediate overflow behaviour
-		// cannot vary across runs.
-		gs := c.m.Committed()
-		c.ids = gs.AppendIDs(c.ids[:0])
+		// The set is in ascending ID order, so intermediate overflow
+		// behaviour cannot vary across runs.
 		sum := ticks.FracZero
-		for _, id := range c.ids {
-			sum = sum.Add(gs[id].Entry.Frac())
+		for _, g := range c.m.Committed().All() {
+			sum = sum.Add(g.Entry.Frac())
 		}
 		c.sum, c.sumGen, c.sumValid = sum, gen, true
 	}

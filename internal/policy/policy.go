@@ -16,7 +16,7 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -50,7 +50,7 @@ func (p Policy) Members() []MemberID {
 	for m := range p.Shares {
 		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -149,18 +149,25 @@ func (b *Box) NameOf(m MemberID) string {
 // MemberOf reports the member ID for a task name, or NoMember.
 func (b *Box) MemberOf(name string) MemberID { return b.byName[name] }
 
+// keyOf names a member set: its IDs in ascending order, comma-joined
+// (a member listed twice appears twice). The Resource Manager hands in
+// its members in task-ID order, which for members registered as their
+// tasks arrive is already ascending, so the copy and sort are for the
+// input that is not.
 func keyOf(members []MemberID) string {
-	ms := make([]MemberID, len(members))
-	copy(ms, members)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	var b strings.Builder
-	for i, m := range ms {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(int(m)))
+	if !slices.IsSorted(members) {
+		members = slices.Clone(members)
+		slices.Sort(members)
 	}
-	return b.String()
+	var digits [64]byte
+	key := digits[:0]
+	for i, m := range members {
+		if i > 0 {
+			key = append(key, ',')
+		}
+		key = strconv.AppendInt(key, int64(m), 10)
+	}
+	return string(key)
 }
 
 // SetDefault installs a designer-supplied policy for the member set
@@ -220,12 +227,17 @@ func (b *Box) PolicyFor(active []MemberID) Policy {
 	if len(active) == 0 {
 		return Policy{Shares: Ranking{}, Invented: true}
 	}
-	k := keyOf(active)
-	if p, ok := b.user[k]; ok {
-		return p
-	}
-	if p, ok := b.builtin[k]; ok {
-		return p
+	// A layer that stores nothing cannot match, so a Box nobody has
+	// written a policy into — every fleet node's — invents without
+	// building the key.
+	if len(b.user) > 0 || len(b.builtin) > 0 {
+		k := keyOf(active)
+		if p, ok := b.user[k]; ok {
+			return p
+		}
+		if p, ok := b.builtin[k]; ok {
+			return p
+		}
 	}
 	return b.Invent(active)
 }
@@ -243,10 +255,7 @@ func (b *Box) Invent(active []MemberID) Policy {
 	for _, m := range active {
 		shares[m] = each
 	}
-	ms := make([]MemberID, len(active))
-	copy(ms, active)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	return Policy{Shares: shares, Exclusive: ms[0], Invented: true}
+	return Policy{Shares: shares, Exclusive: slices.Min(active), Invented: true}
 }
 
 // Table5 installs the paper's example Policy Box (Table 5) over four

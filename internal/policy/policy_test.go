@@ -1,6 +1,10 @@
 package policy
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -208,5 +212,72 @@ func TestLenCountsOverriddenSetOnce(t *testing.T) {
 	}
 	if b.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (same set in both layers)", b.Len())
+	}
+}
+
+// keyOfRef is keyOf as it was before it stopped copying sorted input:
+// copy, reflective sort, one Itoa per member into a Builder.
+func keyOfRef(members []MemberID) string {
+	ms := make([]MemberID, len(members))
+	copy(ms, members)
+	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
+	var b strings.Builder
+	for i, m := range ms {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(int(m)))
+	}
+	return b.String()
+}
+
+func TestKeyOfMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3000; i++ {
+		// Up to 40 members: past the 64 bytes of digits keyOf keeps on
+		// its stack. A narrow ID range repeats members; a wide one
+		// yields multi-digit, duplicate-free lists.
+		ms := make([]MemberID, rng.Intn(41))
+		span := []int{3, 12, 100_000}[i%3]
+		for j := range ms {
+			ms[j] = MemberID(1 + rng.Intn(span))
+		}
+		if i%2 == 0 {
+			slices.Sort(ms) // the Resource Manager's usual input
+		}
+		in := slices.Clone(ms)
+		if got, want := keyOf(ms), keyOfRef(ms); got != want {
+			t.Fatalf("keyOf(%v) = %q, reference %q", in, got, want)
+		}
+		if !slices.Equal(ms, in) {
+			t.Fatalf("keyOf reordered its argument: %v -> %v", in, ms)
+		}
+	}
+}
+
+func TestPolicyForIgnoresEmptyLayers(t *testing.T) {
+	b := NewBox()
+	x, y, z := b.Register("x"), b.Register("y"), b.Register("z")
+	if err := b.SetOverride(Policy{Shares: Ranking{x: 30, y: 60}}); err != nil {
+		t.Fatal(err)
+	}
+	if p := b.PolicyFor([]MemberID{y, x}); p.Invented || p.Shares[y] != 60 {
+		t.Errorf("stored row not found from unsorted input: %v", p)
+	}
+	// Clearing the only override leaves an allocated, empty layer: the
+	// Box must invent again, for that set and any other.
+	b.ClearOverride([]MemberID{y, x})
+	for _, set := range [][]MemberID{{x, y}, {z, y, x}} {
+		p := b.PolicyFor(set)
+		if !p.Invented || p.Exclusive != x || p.Shares[y] != 100/len(set) {
+			t.Errorf("PolicyFor(%v) on a cleared Box = %v, want the invented even split led by %d", set, p, x)
+		}
+	}
+	// A default under an empty override layer is still found.
+	if err := b.SetDefault(Policy{Shares: Ranking{x: 10, z: 20}}); err != nil {
+		t.Fatal(err)
+	}
+	if p := b.PolicyFor([]MemberID{z, x}); p.Invented || p.Shares[z] != 20 {
+		t.Errorf("default row not found from unsorted input: %v", p)
 	}
 }

@@ -135,7 +135,7 @@ func TestCorrelationMatrix(t *testing.T) {
 			}
 			gs := m.Grants()
 			for _, w := range c.want {
-				got := gs[ids[w.name]].Entry.Rate().Percent()
+				got := gs.Of(ids[w.name]).Entry.Rate().Percent()
 				if int(got+0.5) != w.pct {
 					t.Errorf("%s granted %.1f%%, want %d%%", w.name, got, w.pct)
 				}

@@ -21,17 +21,17 @@ func TestPressureShedsGrantsAndRestores(t *testing.T) {
 	}
 
 	before := m.Grants()
-	if before[a].Level != 0 && before[b].Level != 0 {
+	if before.Of(a).Level != 0 && before.Of(b).Level != 0 {
 		// One of the two must be shed already (max sum > 100%): fine,
 		// the test cares about the delta under pressure.
-		t.Logf("baseline already on the policy path: levels %d/%d", before[a].Level, before[b].Level)
+		t.Logf("baseline already on the policy path: levels %d/%d", before.Of(a).Level, before.Of(b).Level)
 	}
-	baseSum := before[a].Entry.Frac().Add(before[b].Entry.Frac())
+	baseSum := before.Of(a).Entry.Frac().Add(before.Of(b).Entry.Frac())
 
 	// Withhold 40% of the CPU.
 	m.SetPressure(1000, ticks.FracPercent(40), "test: interrupt storm")
 	during := m.Grants()
-	sum := during[a].Entry.Frac().Add(during[b].Entry.Frac())
+	sum := during.Of(a).Entry.Frac().Add(during.Of(b).Entry.Frac())
 	if !sum.LessOrEqual(m.capacityForGrants()) {
 		t.Errorf("degraded grants sum %.4f exceeds degraded capacity %.4f",
 			sum.Float(), m.capacityForGrants().Float())
@@ -40,10 +40,10 @@ func TestPressureShedsGrantsAndRestores(t *testing.T) {
 		t.Errorf("pressure did not shed anything: %.4f -> %.4f", baseSum.Float(), sum.Float())
 	}
 	// Minimums survive: §4.1's guarantee is not negotiable.
-	if during[a].Entry.Frac().Cmp(mpegTask().List.MinFrac()) < 0 {
+	if during.Of(a).Entry.Frac().Cmp(mpegTask().List.MinFrac()) < 0 {
 		t.Error("task a granted below its admitted minimum")
 	}
-	if during[b].Entry.Frac().Cmp(graphics3DTask().List.MinFrac()) < 0 {
+	if during.Of(b).Entry.Frac().Cmp(graphics3DTask().List.MinFrac()) < 0 {
 		t.Error("task b granted below its admitted minimum")
 	}
 
@@ -72,7 +72,7 @@ func TestPressureShedsGrantsAndRestores(t *testing.T) {
 	// Lifting the pressure restores the original grant set.
 	m.SetPressure(3000, ticks.FracZero, "test: storm over")
 	after := m.Grants()
-	if after[a] != before[a] || after[b] != before[b] {
+	if after.Of(a) != before.Of(a) || after.Of(b) != before.Of(b) {
 		t.Errorf("grants not restored after pressure lifted: %+v vs %+v", after, before)
 	}
 	if got := m.Generation(); got != 2 {
@@ -97,12 +97,12 @@ func TestPressureFlooredAtAdmittedMinimums(t *testing.T) {
 			got.Float(), want.Float())
 	}
 	gs := m.Grants()
-	if len(gs) != 4 {
-		t.Fatalf("grant set has %d entries, want 4", len(gs))
+	if gs.Len() != 4 {
+		t.Fatalf("grant set has %d entries, want 4", gs.Len())
 	}
 	sum := ticks.FracZero
 	for _, id := range gs.IDs() {
-		g := gs[id]
+		g := gs.Of(id)
 		if g.Entry.Frac().Cmp(mpegTask().List.MinFrac()) < 0 {
 			t.Errorf("task %d granted %.4f, below its minimum", id, g.Entry.Frac().Float())
 		}

@@ -15,6 +15,7 @@
 package rm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -43,58 +44,64 @@ func (g Grant) String() string {
 }
 
 // GrantSet is the complete allocation decision for the admitted,
-// non-quiescent tasks. Table 4 is a GrantSet over three tasks.
-type GrantSet map[task.ID]Grant
+// non-quiescent tasks, held in ascending task-ID order. Table 4 is a
+// GrantSet over three tasks. The zero value is the empty set.
+//
+// The set is opaque rather than a bare []Grant because task.ID is an
+// integer: on a slice, gs[id] would compile and read a position. Get
+// and Of are the lookups by ID; All is the ordered walk.
+type GrantSet struct{ g []Grant }
 
-// TotalFrac sums the exact rates of all grants in the set.
+// Len reports the number of grants in the set.
+func (gs GrantSet) Len() int { return len(gs.g) }
+
+// All returns the grants in ascending task-ID order. The slice is the
+// set's own storage: read it, do not modify it.
+func (gs GrantSet) All() []Grant { return gs.g }
+
+// Get returns id's grant and whether the set holds one.
+func (gs GrantSet) Get(id task.ID) (Grant, bool) {
+	i, ok := slices.BinarySearchFunc(gs.g, id, func(g Grant, id task.ID) int { return cmp.Compare(g.Task, id) })
+	if !ok {
+		return Grant{}, false
+	}
+	return gs.g[i], true
+}
+
+// Of returns id's grant, or the zero Grant if the set holds none.
+func (gs GrantSet) Of(id task.ID) Grant {
+	g, _ := gs.Get(id)
+	return g
+}
+
+// TotalFrac sums the exact rates of all grants in the set, in ID
+// order: Frac addition normalises through gcd reduction, so a fixed
+// order keeps intermediate overflow behaviour the same on every run.
 func (gs GrantSet) TotalFrac() ticks.Frac {
 	sum := ticks.FracZero
-	// Frac addition normalises through gcd reduction; sum in sorted
-	// order so intermediate overflow behaviour cannot vary across runs.
-	for _, id := range gs.IDs() {
-		sum = sum.Add(gs[id].Frac())
+	for i := range gs.g {
+		sum = sum.Add(gs.g[i].Frac())
 	}
 	return sum
 }
 
 // Clone returns a copy of the set.
-func (gs GrantSet) Clone() GrantSet {
-	out := make(GrantSet, len(gs))
-	for id, g := range gs {
-		out[id] = g
-	}
-	return out
-}
+func (gs GrantSet) Clone() GrantSet { return GrantSet{slices.Clone(gs.g)} }
 
 // Equal reports whether two grant sets allocate identically.
 func (gs GrantSet) Equal(other GrantSet) bool {
-	if len(gs) != len(other) {
-		return false
-	}
-	for id, g := range gs {
-		o, ok := other[id]
-		if !ok || o.Level != g.Level || o.Entry != g.Entry {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(gs.g, other.g)
 }
 
-// IDs returns the granted task IDs in ascending order.
+// IDs returns the granted task IDs in ascending order — the set's own
+// order, copied out for callers that keep or index the IDs.
 func (gs GrantSet) IDs() []task.ID {
-	if len(gs) == 0 {
+	if len(gs.g) == 0 {
 		return nil
 	}
-	return gs.AppendIDs(make([]task.ID, 0, len(gs)))
-}
-
-// AppendIDs is IDs into a caller-owned buffer, for recurring callers:
-// it appends the granted task IDs to buf, which must be empty (its
-// capacity is what gets reused), in ascending order.
-func (gs GrantSet) AppendIDs(buf []task.ID) []task.ID {
-	for id := range gs {
-		buf = append(buf, id)
+	ids := make([]task.ID, len(gs.g))
+	for i := range gs.g {
+		ids[i] = gs.g[i].Task
 	}
-	slices.Sort(buf)
-	return buf
+	return ids
 }

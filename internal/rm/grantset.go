@@ -31,10 +31,9 @@ func (m *Manager) recomputeGrants() {
 	active := m.nonQuiescent()
 	m.lastOp.Threads = len(active)
 	m.tel.recomputes.Inc()
-	old := m.grants
 
 	if len(active) == 0 {
-		m.commit(old, GrantSet{})
+		m.commit(GrantSet{})
 		return
 	}
 
@@ -48,11 +47,11 @@ func (m *Manager) recomputeGrants() {
 		m.ffuMaxCount <= 1 {
 		m.lastOp.FastPath = true
 		m.tel.fastPath.Inc()
-		gs := make(GrantSet, len(active))
-		for _, a := range active {
-			gs[a.id] = Grant{Task: a.id, Level: 0, Entry: a.list.Max()}
+		g := make([]Grant, len(active))
+		for i, a := range active {
+			g[i] = Grant{Task: a.id, Level: 0, Entry: a.list.Max()}
 		}
-		m.commit(old, gs)
+		m.commit(GrantSet{g})
 		return
 	}
 
@@ -74,7 +73,7 @@ func (m *Manager) recomputeGrants() {
 		m.tel.spans.Instant(m.telNow(), "policy", "consult", telemetry.NoTask, 0, "stored")
 	}
 
-	m.commit(old, m.correlate(active, pol))
+	m.commit(m.correlate(active, pol))
 }
 
 // identityOrder returns the scratch index slice reset to 0..n-1, for
@@ -109,8 +108,15 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	m.lastOp.Passes = 1
 	sum := ticks.FracZero
 	for i, a := range active {
-		share := pol.Shares[a.member]
-		c := cand{a: a, target: ticks.FracPercent(int64(share))}
+		// The share is read out of the policy once, here; an invented
+		// policy gives every member the same one, so its fraction is
+		// reduced once per run of equal shares, not once per thread.
+		c := cand{a: a, share: pol.Shares[a.member]}
+		if i > 0 && cands[i-1].share == c.share {
+			c.target = cands[i-1].target
+		} else {
+			c.target = ticks.FracPercent(int64(c.share))
+		}
 		// Entries are ordered max rate (index 0) to min rate (last).
 		// "Above" is the lowest-rate entry with rate >= target;
 		// "below" is the highest-rate entry with rate <= target.
@@ -143,7 +149,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 		// deterministic and start-order independent.
 		m.lastOp.Passes = 2
 		order := m.identityOrder(n)
-		sortByShareAsc(order, cands, pol)
+		sortByShareAsc(order, cands)
 		for _, i := range order {
 			if sum.LessOrEqual(avail) {
 				break
@@ -179,7 +185,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	// Streamer capacity (Table 1's omitted fields). Demotions here
 	// only lower entries, so the CPU sum can only shrink.
 	sum = m.enforceFFU(cands, pol, sum)
-	sum = m.enforceStreamer(cands, pol, sum)
+	sum = m.enforceStreamer(cands, sum)
 
 	// Pass 3: if substantial resources remain, look for threads that
 	// can use them. Walk in descending share (most-important first),
@@ -188,7 +194,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	leftover := avail.Sub(sum)
 	if leftover.Num > 0 {
 		order := m.identityOrder(n)
-		sortByShareDesc(order, cands, pol)
+		sortByShareDesc(order, cands)
 		streamerSum := totalStreamer(cands)
 		ffuHolder := ffuHolderIndex(cands)
 		promoted := false
@@ -223,12 +229,13 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 		}
 	}
 
-	gs := make(GrantSet, n)
+	// cands follow active, which is in ID order: so is the set.
+	g := make([]Grant, n)
 	for i := range cands {
 		c := &cands[i]
-		gs[c.a.id] = Grant{Task: c.a.id, Level: c.chosen, Entry: c.a.list[c.chosen]}
+		g[i] = Grant{Task: c.a.id, Level: c.chosen, Entry: c.a.list[c.chosen]}
 	}
-	return gs
+	return GrantSet{g}
 }
 
 func totalStreamer(cands []cand) int64 {
@@ -272,7 +279,7 @@ func (m *Manager) enforceFFU(cands []cand, pol policy.Policy, sum ticks.Frac) ti
 		c := &cands[i]
 		return c.a.list.MinNeedsFFU(),
 			pol.Exclusive != policy.NoMember && c.a.member == pol.Exclusive,
-			pol.Shares[c.a.member]
+			c.share
 	}
 	for _, h := range holders[1:] {
 		wr, we, ws := score(winner)
@@ -317,13 +324,13 @@ func (m *Manager) enforceFFU(cands []cand, pol policy.Policy, sum ticks.Frac) ti
 // enforceStreamer demotes entries (ascending share, newest first)
 // until the chosen set's Data Streamer demand fits capacity.
 // Admission over minimum entries guarantees convergence.
-func (m *Manager) enforceStreamer(cands []cand, pol policy.Policy, sum ticks.Frac) ticks.Frac {
+func (m *Manager) enforceStreamer(cands []cand, sum ticks.Frac) ticks.Frac {
 	streamerSum := totalStreamer(cands)
 	if m.streamer.Fits(streamerSum) {
 		return sum
 	}
 	order := m.identityOrder(len(cands))
-	sortByShareAsc(order, cands, pol)
+	sortByShareAsc(order, cands)
 	for _, i := range order {
 		c := &cands[i]
 		for !m.streamer.Fits(streamerSum) && c.chosen < len(c.a.list)-1 {
@@ -343,7 +350,8 @@ func (m *Manager) enforceStreamer(cands []cand, pol policy.Policy, sum ticks.Fra
 // cand is one thread's state during policy correlation.
 type cand struct {
 	a      *admitted
-	target ticks.Frac // policy share as a CPU fraction
+	share  int        // the policy's share for a.member, in percent
+	target ticks.Frac // share as a CPU fraction
 	above  int        // entry index just above target (lower index = higher rate)
 	below  int        // entry index just below target
 	chosen int
@@ -359,20 +367,18 @@ type cand struct {
 // order-independent; the tie-break only chooses among interchangeable
 // threads.
 
-func sortByShareAsc(order []int, cands []cand, pol policy.Policy) {
+func sortByShareAsc(order []int, cands []cand) {
 	sortOrder(order, func(i, j int) bool {
-		si, sj := pol.Shares[cands[i].a.member], pol.Shares[cands[j].a.member]
-		if si != sj {
+		if si, sj := cands[i].share, cands[j].share; si != sj {
 			return si < sj
 		}
 		return cands[i].a.id > cands[j].a.id
 	})
 }
 
-func sortByShareDesc(order []int, cands []cand, pol policy.Policy) {
+func sortByShareDesc(order []int, cands []cand) {
 	sortOrder(order, func(i, j int) bool {
-		si, sj := pol.Shares[cands[i].a.member], pol.Shares[cands[j].a.member]
-		if si != sj {
+		if si, sj := cands[i].share, cands[j].share; si != sj {
 			return si > sj
 		}
 		return cands[i].a.id > cands[j].a.id
@@ -392,23 +398,31 @@ func sortOrder(order []int, less func(i, j int) bool) {
 // commit installs the new grant set and signals the Scheduler:
 // decreases and removals immediately, increases via the pending flag
 // picked up at unallocated time (§4.2).
-func (m *Manager) commit(old, gs GrantSet) {
-	// Sorted iteration: GrantDecreased reaches the Scheduler and the
-	// trace, so signal order must not depend on map iteration order.
-	m.scratch.ids = old.AppendIDs(emptied(m.scratch.ids, len(old)))
-	for _, id := range m.scratch.ids {
-		og := old[id]
-		ng, ok := gs[id]
-		if !ok {
-			// Removal was already signalled by the caller (Remove or
-			// SetQuiescent call GrantRemoved before recomputing).
+func (m *Manager) commit(gs GrantSet) {
+	// Both sets are in ID order, so one merge walk pairs each old grant
+	// with its successor, and GrantDecreased — which reaches the
+	// Scheduler and the trace — is signalled in ascending ID order.
+	j := 0
+	for i := range m.grants.g {
+		og := &m.grants.g[i]
+		for j < len(gs.g) && gs.g[j].Task < og.Task {
+			j++
+		}
+		if j == len(gs.g) {
+			break
+		}
+		ng := &gs.g[j]
+		if ng.Task != og.Task {
+			// Gone from the set: the caller signalled the removal
+			// (Remove and SetQuiescent call GrantRemoved before
+			// recomputing).
 			continue
 		}
 		if ng.Entry.CPU == og.Entry.CPU && ng.Entry.Period == og.Entry.Period {
 			continue // same rate: most grants survive a recompute unchanged
 		}
 		if ng.Entry.Frac().Cmp(og.Entry.Frac()) < 0 {
-			m.hooks.GrantDecreased(id, ng)
+			m.hooks.GrantDecreased(og.Task, *ng)
 		}
 	}
 	m.grants = gs

@@ -126,7 +126,10 @@ type Manager struct {
 	streamer resource.Capacity
 
 	nextID task.ID
-	tasks  map[task.ID]*admitted
+	// tasks is the task table in ascending ID order. IDs are handed out
+	// in order, so admission appends; lookups (find) are a binary search
+	// over the handful of tasks one CPU admits.
+	tasks []*admitted
 
 	// minSum is the running sum of minimum rates over ALL admitted
 	// tasks (runnable, blocked, and quiescent) that makes admission
@@ -170,7 +173,6 @@ type Manager struct {
 		members []policy.MemberID
 		cands   []cand
 		order   []int
-		ids     []task.ID
 	}
 
 	tel rmTelemetry
@@ -224,12 +226,11 @@ func New(cfg Config) *Manager {
 		avail:    ticks.FracOne.Sub(reserve),
 		streamer: cfg.Streamer,
 		nextID:   1,
-		tasks:    make(map[task.ID]*admitted),
 		minSum:   ticks.FracZero,
 		maxSum:   ticks.FracZero,
 		pressure: ticks.FracZero,
-		// grants stays nil until the first commit installs a set; a
-		// nil GrantSet reads as empty everywhere.
+		// grants is the zero GrantSet, the empty set, until the first
+		// commit installs one.
 	}
 }
 
@@ -296,7 +297,7 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 	if t.StartQuiescent {
 		a.state = task.Quiescent
 	}
-	m.tasks[id] = a
+	m.tasks = append(m.tasks, a)
 	m.minSum = newSum
 	m.minStreamerSum = newStreamer
 	if list.MinNeedsFFU() {
@@ -331,10 +332,11 @@ func (m *Manager) subMaxSums(a *admitted) {
 // Remove takes id out of the system (the task exited or was
 // terminated by the user) and recomputes grants for the remainder.
 func (m *Manager) Remove(id task.ID) error {
-	a, ok := m.tasks[id]
+	i, ok := m.index(id)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
 	}
+	a := m.tasks[i]
 	m.lastOp = OpStats{Op: "remove"}
 	m.minSum = m.minSum.Sub(a.minFrac())
 	m.minStreamerSum -= a.list.Min().StreamerMBps
@@ -344,7 +346,7 @@ func (m *Manager) Remove(id task.ID) error {
 	if a.state != task.Quiescent {
 		m.subMaxSums(a)
 	}
-	delete(m.tasks, id)
+	m.tasks = slices.Delete(m.tasks, i, i+1)
 	m.hooks.GrantRemoved(id)
 	m.recomputeGrants()
 	return nil
@@ -354,9 +356,9 @@ func (m *Manager) Remove(id task.ID) error {
 // the admission sum — so it can never be denied when it wakes — but
 // is dropped from the grant set, freeing its resources for others.
 func (m *Manager) SetQuiescent(id task.ID) error {
-	a, ok := m.tasks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
+	a, err := m.find(id)
+	if err != nil {
+		return err
 	}
 	if a.state == task.Quiescent {
 		return nil
@@ -373,9 +375,9 @@ func (m *Manager) SetQuiescent(id task.ID) error {
 // fail: admission control already counted the task's minimum, so "at
 // worst, all tasks receive their minimum resource list entry" (§5.3).
 func (m *Manager) Wake(id task.ID) error {
-	a, ok := m.tasks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
+	a, err := m.find(id)
+	if err != nil {
+		return err
 	}
 	if a.state != task.Quiescent {
 		return nil
@@ -392,9 +394,9 @@ func (m *Manager) Wake(id task.ID) error {
 // admitted only if the new minimum keeps the admission sum within the
 // schedulable CPU.
 func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
-	a, ok := m.tasks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownTask, id)
+	a, err := m.find(id)
+	if err != nil {
+		return err
 	}
 	if err := list.Validate(); err != nil {
 		return err
@@ -434,37 +436,50 @@ func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 	return nil
 }
 
+// index is id's position in the task table, and whether it is there.
+func (m *Manager) index(id task.ID) (int, bool) {
+	return slices.BinarySearchFunc(m.tasks, id, func(a *admitted, id task.ID) int { return cmp.Compare(a.id, id) })
+}
+
+// find returns id's record, or ErrUnknownTask naming the ID.
+func (m *Manager) find(id task.ID) (*admitted, error) {
+	if i, ok := m.index(id); ok {
+		return m.tasks[i], nil
+	}
+	return nil, fmt.Errorf("%w: %d", ErrUnknownTask, id)
+}
+
 // Has reports whether id is admitted: known to the Manager from
 // RequestAdmittance until Remove. Unlike State it builds no error for
 // an unknown id, so it is the probe for callers that expect misses.
 func (m *Manager) Has(id task.ID) bool {
-	_, ok := m.tasks[id]
+	_, ok := m.index(id)
 	return ok
 }
 
 // State reports the admission-visible state of id.
 func (m *Manager) State(id task.ID) (task.State, error) {
-	a, ok := m.tasks[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownTask, id)
+	a, err := m.find(id)
+	if err != nil {
+		return 0, err
 	}
 	return a.state, nil
 }
 
 // TaskByID returns the descriptor admitted under id.
 func (m *Manager) TaskByID(id task.ID) (*task.Task, error) {
-	a, ok := m.tasks[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownTask, id)
+	a, err := m.find(id)
+	if err != nil {
+		return nil, err
 	}
 	return a.t, nil
 }
 
 // ListOf returns the admitted resource list of id.
 func (m *Manager) ListOf(id task.ID) (task.ResourceList, error) {
-	a, ok := m.tasks[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownTask, id)
+	a, err := m.find(id)
+	if err != nil {
+		return nil, err
 	}
 	return a.list.Clone(), nil
 }
@@ -486,9 +501,9 @@ func (m *Manager) Grants() GrantSet { return m.grants.Clone() }
 
 // Committed returns the committed grant set itself, for observers that
 // read it on a recurring path (the invariant Checker re-sums it after
-// every commit). The map is immutable by contract — recomputation
+// every commit). The set is immutable by contract — recomputation
 // installs a freshly built one — and the caller must not modify it;
-// use Grants for a copy to keep or change.
+// use Grants for a copy to keep.
 func (m *Manager) Committed() GrantSet { return m.grants }
 
 // GrantGeneration counts committed grant-set installs. Observers that
@@ -505,9 +520,9 @@ func (m *Manager) HasPending() bool { return m.pending }
 // information" when it has unallocated time. It returns the current
 // grant set and clears the pending flag.
 //
-// The returned set is the committed map itself, not a copy: committed
+// The returned set is the committed set itself, not a copy: committed
 // sets are immutable (recomputation always installs a freshly built
-// map, see commit), and the Scheduler only reads the set, so the
+// one, see commit), and the Scheduler only reads the set, so the
 // unallocated-time pickup path avoids a per-call clone. External
 // callers get the defensive copy via Grants.
 func (m *Manager) CollectGrants() GrantSet {
@@ -523,17 +538,16 @@ func (m *Manager) TaskIDs() []task.ID {
 	if len(m.tasks) == 0 {
 		return nil
 	}
-	out := make([]task.ID, 0, len(m.tasks))
-	for id := range m.tasks {
-		out = append(out, id)
+	out := make([]task.ID, len(m.tasks))
+	for i, a := range m.tasks {
+		out[i] = a.id
 	}
-	slices.Sort(out)
 	return out
 }
 
-// nonQuiescent returns admitted non-quiescent records in ID order,
-// for deterministic iteration. The slice is the Manager's scratch,
-// valid until the next call.
+// nonQuiescent returns admitted non-quiescent records in ID order —
+// the task table's own order, filtered. The slice is the Manager's
+// scratch, valid until the next call.
 func (m *Manager) nonQuiescent() []*admitted {
 	out := emptied(m.scratch.active, len(m.tasks))
 	for _, a := range m.tasks {
@@ -541,7 +555,6 @@ func (m *Manager) nonQuiescent() []*admitted {
 			out = append(out, a)
 		}
 	}
-	slices.SortFunc(out, func(a, b *admitted) int { return cmp.Compare(a.id, b.id) })
 	m.scratch.active = out
 	return out
 }

@@ -146,24 +146,24 @@ func TestTable4GrantSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := m.Grants()
-	if len(gs) != 3 {
-		t.Fatalf("grant set has %d entries, want 3", len(gs))
+	if gs.Len() != 3 {
+		t.Fatalf("grant set has %d entries, want 3", gs.Len())
 	}
 	// Modem (10%) and MPEG (33.3%) can have their maxima; 3D must
 	// shed to 40% or below (80+10+33.3 > 100).
-	if gs[mid].Level != 0 {
-		t.Errorf("modem level = %d, want 0 (max)", gs[mid].Level)
+	if gs.Of(mid).Level != 0 {
+		t.Errorf("modem level = %d, want 0 (max)", gs.Of(mid).Level)
 	}
-	if gs[pid].Entry.Fn == "" {
+	if gs.Of(pid).Entry.Fn == "" {
 		t.Error("mpeg grant missing entry")
 	}
 	if !gs.TotalFrac().LessOrEqual(m.Available()) {
 		t.Errorf("grant set total %.3f exceeds available", gs.TotalFrac().Float())
 	}
-	if gs[gid].Entry.Rate().Percent() > 56 {
-		t.Errorf("3d rate %.1f%% cannot fit alongside modem+mpeg", gs[gid].Entry.Rate().Percent())
+	if gs.Of(gid).Entry.Rate().Percent() > 56 {
+		t.Errorf("3d rate %.1f%% cannot fit alongside modem+mpeg", gs.Of(gid).Entry.Rate().Percent())
 	}
-	t.Logf("grant set:\n  modem %v\n  3d    %v\n  mpeg  %v", gs[mid], gs[gid], gs[pid])
+	t.Logf("grant set:\n  modem %v\n  3d    %v\n  mpeg  %v", gs.Of(mid), gs.Of(gid), gs.Of(pid))
 }
 
 func TestUnderloadFastPathGivesMaxima(t *testing.T) {
@@ -171,8 +171,8 @@ func TestUnderloadFastPathGivesMaxima(t *testing.T) {
 	a, _ := m.RequestAdmittance(newTask("a", task.UniformLevels(270_000, "A", 30, 10)))
 	b, _ := m.RequestAdmittance(newTask("b", task.UniformLevels(270_000, "B", 40, 10)))
 	gs := m.Grants()
-	if gs[a].Level != 0 || gs[b].Level != 0 {
-		t.Errorf("underload levels = %d/%d, want 0/0", gs[a].Level, gs[b].Level)
+	if gs.Of(a).Level != 0 || gs.Of(b).Level != 0 {
+		t.Errorf("underload levels = %d/%d, want 0/0", gs.Of(a).Level, gs.Of(b).Level)
 	}
 	if !m.LastOp().FastPath {
 		t.Error("underload did not take the O(1) fast path")
@@ -212,8 +212,8 @@ func TestStoredPolicyShapesGrants(t *testing.T) {
 	aid, _ := m.RequestAdmittance(newTask("audio", task.UniformLevels(270_000, "A", levels...)))
 	vid, _ := m.RequestAdmittance(newTask("video", task.UniformLevels(270_000, "V", levels...)))
 	gs := m.Grants()
-	ar := gs[aid].Entry.Rate().Percent()
-	vr := gs[vid].Entry.Rate().Percent()
+	ar := gs.Of(aid).Entry.Rate().Percent()
+	vr := gs.Of(vid).Entry.Rate().Percent()
 	if ar <= vr {
 		t.Errorf("audio %v%% should out-rank video %v%% under the 60/35 policy", ar, vr)
 	}
@@ -236,8 +236,8 @@ func TestGrantSetOrderIndependence(t *testing.T) {
 			}
 		}
 		out := make(map[string]Grant)
-		for id, g := range m.Grants() {
-			tk, _ := m.TaskByID(id)
+		for _, g := range m.Grants().All() {
+			tk, _ := m.TaskByID(g.Task)
 			out[tk.Name] = g
 		}
 		return out
@@ -255,7 +255,7 @@ func TestRemoveRestoresCapacity(t *testing.T) {
 	m := New(Config{})
 	a, _ := m.RequestAdmittance(newTask("a", task.UniformLevels(270_000, "A", 90, 10)))
 	b, _ := m.RequestAdmittance(newTask("b", task.UniformLevels(270_000, "B", 90, 10)))
-	if m.Grants()[b].Level == 0 {
+	if m.Grants().Of(b).Level == 0 {
 		t.Fatal("precondition: b should be shed in overload")
 	}
 	if !m.Has(a) || !m.Has(b) {
@@ -268,11 +268,11 @@ func TestRemoveRestoresCapacity(t *testing.T) {
 		t.Errorf("after Remove(a): Has(a) = %v, Has(b) = %v, want false, true", m.Has(a), m.Has(b))
 	}
 	gs := m.Grants()
-	if _, ok := gs[a]; ok {
+	if _, ok := gs.Get(a); ok {
 		t.Error("removed task still granted")
 	}
-	if gs[b].Level != 0 {
-		t.Errorf("b level = %d after removal, want 0 (back to max)", gs[b].Level)
+	if gs.Of(b).Level != 0 {
+		t.Errorf("b level = %d after removal, want 0 (back to max)", gs.Of(b).Level)
 	}
 	if err := m.Remove(a); !errors.Is(err, ErrUnknownTask) {
 		t.Errorf("double remove: %v, want ErrUnknownTask", err)
@@ -291,7 +291,7 @@ func TestQuiescentCountedForAdmissionNotGrants(t *testing.T) {
 	if st, _ := m.State(qid); st != task.Quiescent {
 		t.Errorf("state = %v, want quiescent", st)
 	}
-	if _, ok := m.Grants()[qid]; ok {
+	if _, ok := m.Grants().Get(qid); ok {
 		t.Error("quiescent task received a grant")
 	}
 	// A 95%-minimum task no longer fits: the quiescent 10% is counted.
@@ -304,22 +304,22 @@ func TestQuiescentCountedForAdmissionNotGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Grants()[big].Entry.Rate().Percent() != 95 {
-		t.Errorf("dvd rate = %v, want 95%% while modem quiescent", m.Grants()[big].Entry.Rate())
+	if m.Grants().Of(big).Entry.Rate().Percent() != 95 {
+		t.Errorf("dvd rate = %v, want 95%% while modem quiescent", m.Grants().Of(big).Entry.Rate())
 	}
 	// Wake the modem: guaranteed to succeed; dvd sheds load.
 	if err := m.Wake(qid); err != nil {
 		t.Fatal(err)
 	}
 	gs := m.Grants()
-	if _, ok := gs[qid]; !ok {
+	if _, ok := gs.Get(qid); !ok {
 		t.Fatal("woken task has no grant")
 	}
-	if gs[qid].Entry.Rate().Percent() != 10 {
-		t.Errorf("woken modem rate = %v, want 10%%", gs[qid].Entry.Rate())
+	if gs.Of(qid).Entry.Rate().Percent() != 10 {
+		t.Errorf("woken modem rate = %v, want 10%%", gs.Of(qid).Entry.Rate())
 	}
-	if gs[big].Entry.Rate().Percent() != 40 {
-		t.Errorf("dvd rate = %v after wake, want 40%%", gs[big].Entry.Rate())
+	if gs.Of(big).Entry.Rate().Percent() != 40 {
+		t.Errorf("dvd rate = %v after wake, want 40%%", gs.Of(big).Entry.Rate())
 	}
 	if !gs.TotalFrac().LessOrEqual(m.Available()) {
 		t.Error("grants exceed available after wake")
@@ -353,7 +353,7 @@ func TestWakeAlwaysSucceedsProperty(t *testing.T) {
 			}
 		}
 		gs := m.Grants()
-		if len(gs) != len(ids) {
+		if gs.Len() != len(ids) {
 			return false
 		}
 		return gs.TotalFrac().LessOrEqual(m.Available())
@@ -369,7 +369,7 @@ func TestChangeResourceList(t *testing.T) {
 	if err := m.ChangeResourceList(id, task.UniformLevels(270_000, "A", 50, 20)); err != nil {
 		t.Fatalf("legal change rejected: %v", err)
 	}
-	if got := m.Grants()[id].Entry.Rate().Percent(); got != 50 {
+	if got := m.Grants().Of(id).Entry.Rate().Percent(); got != 50 {
 		t.Errorf("rate after change = %v%%, want 50", got)
 	}
 	// A change whose minimum cannot fit is rejected and leaves the
@@ -379,7 +379,7 @@ func TestChangeResourceList(t *testing.T) {
 	if !errors.Is(err, ErrAdmissionDenied) {
 		t.Errorf("infeasible change: %v, want denial", err)
 	}
-	if got := m.Grants()[id].Entry.Rate().Percent(); got != 20 {
+	if got := m.Grants().Of(id).Entry.Rate().Percent(); got != 20 {
 		t.Errorf("rate after failed change = %v%%, want 20 (sheds for b)", got)
 	}
 }
@@ -401,8 +401,8 @@ func TestGrantNeverBetweenLevels(t *testing.T) {
 			}
 			lists[id] = rl
 		}
-		for id, g := range m.Grants() {
-			rl := lists[id]
+		for _, g := range m.Grants().All() {
+			rl := lists[g.Task]
 			if g.Level < 0 || g.Level >= len(rl) {
 				return false
 			}
@@ -430,7 +430,7 @@ func TestPendingAndCollect(t *testing.T) {
 	if m.HasPending() {
 		t.Error("CollectGrants did not clear pending")
 	}
-	if _, ok := gs[id]; !ok {
+	if _, ok := gs.Get(id); !ok {
 		t.Error("collected set missing admitted task")
 	}
 }
@@ -485,14 +485,14 @@ func TestFigure5StaircaseGrants(t *testing.T) {
 		ids = append(ids, id)
 		// After each admission, the first thread's allocation matches
 		// the Figure 5 staircase.
-		g := m.Grants()[ids[0]]
+		g := m.Grants().Of(ids[0])
 		if got := g.Entry.CPU.Milliseconds(); got != wantMs[i] {
 			t.Errorf("with %d threads: thread-2 allocation = %dms, want %dms (grant %v)",
 				i+1, got, wantMs[i], g)
 		}
 	}
 	gs := m.Grants()
-	if _, ok := gs[ss]; !ok {
+	if _, ok := gs.Get(ss); !ok {
 		t.Error("sporadic server lost its grant")
 	}
 	if !gs.TotalFrac().LessOrEqual(m.Available()) {
@@ -514,12 +514,22 @@ func TestGrantSetHelpers(t *testing.T) {
 	if !cl.Equal(gs) {
 		t.Error("clone not equal")
 	}
-	delete(cl, a)
-	if cl.Equal(gs) {
-		t.Error("Equal ignored missing entry")
+	if g, ok := gs.Get(b); !ok || g != gs.All()[1] || gs.Of(b) != g {
+		t.Errorf("Get(%d) = %v, %v; want the second grant %v", b, g, ok, gs.All()[1])
 	}
-	if gs.Equal(nil) {
-		t.Error("non-empty set equal to nil")
+	if g, ok := gs.Get(b + 1); ok || g != (Grant{}) || gs.Of(b+1) != (Grant{}) {
+		t.Errorf("Get of an ungranted ID = %v, %v; want the zero Grant, false", g, ok)
+	}
+	// A clone owns its storage: the Manager dropping a task from its
+	// set leaves the copy whole.
+	if err := m.Remove(a); err != nil {
+		t.Fatal(err)
+	}
+	if cl.Len() != 2 || m.Grants().Len() != 1 || cl.Equal(m.Grants()) {
+		t.Errorf("after Remove: clone %v, committed %v", cl.IDs(), m.Grants().IDs())
+	}
+	if gs.Equal(GrantSet{}) || !(GrantSet{}).Equal(GrantSet{}) {
+		t.Error("Equal confuses a non-empty set with the empty one")
 	}
 }
 

@@ -51,7 +51,7 @@ func TestStreamerShedsLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := m.Grants()
-	total := gs[a].Entry.StreamerMBps + gs[b].Entry.StreamerMBps
+	total := gs.Of(a).Entry.StreamerMBps + gs.Of(b).Entry.StreamerMBps
 	if total > 100 {
 		t.Errorf("granted Streamer demand %d exceeds 100 MB/s capacity", total)
 	}
@@ -59,7 +59,7 @@ func TestStreamerShedsLevels(t *testing.T) {
 		t.Error("bandwidth conflict must not take the fast path")
 	}
 	// One of them keeps the high level (80+20 fits exactly).
-	if gs[a].Level == 1 && gs[b].Level == 1 {
+	if gs.Of(a).Level == 1 && gs.Of(b).Level == 1 {
 		t.Error("both shed; one high level fits and should be kept")
 	}
 }
@@ -95,7 +95,7 @@ func TestFFUExclusivityInGrants(t *testing.T) {
 	gs := m.Grants()
 	holders := 0
 	for _, id := range []task.ID{a, b} {
-		if gs[id].Entry.NeedsFFU {
+		if gs.Of(id).Entry.NeedsFFU {
 			holders++
 		}
 	}
@@ -107,14 +107,14 @@ func TestFFUExclusivityInGrants(t *testing.T) {
 	}
 	// Removing the holder lets the other claim the unit.
 	holderID := a
-	if gs[b].Entry.NeedsFFU {
+	if gs.Of(b).Entry.NeedsFFU {
 		holderID = b
 	}
 	other := a + b - holderID
 	if err := m.Remove(holderID); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Grants()[other].Entry.NeedsFFU {
+	if !m.Grants().Of(other).Entry.NeedsFFU {
 		t.Error("survivor did not claim the freed FFU")
 	}
 }
@@ -137,7 +137,7 @@ func TestFFUResidentAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shed-capable FFU claimant denied: %v", err)
 	}
-	if m.Grants()[flex].Entry.NeedsFFU {
+	if m.Grants().Of(flex).Entry.NeedsFFU {
 		t.Error("flexible claimant granted the FFU over the resident")
 	}
 }
@@ -159,10 +159,10 @@ func TestFFUPolicyExclusiveWins(t *testing.T) {
 	aid, _ := m.RequestAdmittance(newTask("a", ffuList(30, 20)))
 	bid, _ := m.RequestAdmittance(newTask("b", ffuList(30, 20)))
 	gs := m.Grants()
-	if !gs[bid].Entry.NeedsFFU {
+	if !gs.Of(bid).Entry.NeedsFFU {
 		t.Error("policy-designated exclusive member did not get the FFU")
 	}
-	if gs[aid].Entry.NeedsFFU {
+	if gs.Of(aid).Entry.NeedsFFU {
 		t.Error("non-designated member granted the FFU too")
 	}
 }
@@ -213,7 +213,7 @@ func TestGrantsRespectAllDimensionsProperty(t *testing.T) {
 		}
 		var mbps int64
 		ffu := 0
-		for _, g := range gs {
+		for _, g := range gs.All() {
 			mbps += g.Entry.StreamerMBps
 			if g.Entry.NeedsFFU {
 				ffu++

@@ -77,13 +77,12 @@ func (s *Scheduler) collectGrants() {
 	gs := s.rmg.CollectGrants()
 	now := s.k.Now()
 	s.tel.grantsCollected.Inc()
-	// Sorted iteration: startTask emits trace events, whose order must
-	// not depend on map iteration order.
-	for _, id := range gs.IDs() {
-		g := gs[id]
-		t, ok := s.tasks[id]
+	// The set is in ascending ID order, which is the order startTask's
+	// trace events must appear in.
+	for _, g := range gs.All() {
+		t, ok := s.tasks[g.Task]
 		if !ok {
-			s.startTask(id, g, now)
+			s.startTask(g.Task, g, now)
 			continue
 		}
 		if g != t.grant {

@@ -212,7 +212,7 @@ func TestStreamerFollowsGrants(t *testing.T) {
 	})
 	d.Run(ticks.PerSecond)
 
-	if got := d.Grants()[id].Entry.Fn; got != "StreamLQ" {
+	if got := d.Grants().Of(id).Entry.Fn; got != "StreamLQ" {
 		t.Fatalf("pipeline level = %s, want StreamLQ after the hog", got)
 	}
 	if ch.Rate() != 50 {

@@ -60,7 +60,7 @@ func (f *Flight) Ring() *Spans {
 // putSpan mirrors a span recorded by a teed unbounded log, preserving
 // its ID (IDs arrive sequentially, so ring placement is identical to
 // native recording).
-func (f *Flight) putSpan(sp Span) {
+func (f *Flight) putSpan(sp *Span) {
 	if f != nil {
 		f.spans.put(sp)
 	}

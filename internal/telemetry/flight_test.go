@@ -30,6 +30,58 @@ func TestSpansRingEvictsOldest(t *testing.T) {
 	}
 }
 
+// The ring places a span by a wrapping head index, and finds it again
+// by (ID-1) mod capacity: three times round a five-slot ring — directly
+// and as the tee of an unbounded log — the two must agree after every
+// record, for slot, FindLast and the flight dump alike.
+func TestSpansRingWrapMatchesModuloPlacement(t *testing.T) {
+	const ringCap = 5
+	cats := []string{"period", "dispatch", "admission"}
+	direct := NewSpansRing(ringCap)
+	log, teed := NewSpans(), NewFlight(ringCap, 1)
+	log.TeeFlight(teed)
+	for i := 0; i < 3*ringCap+2; i++ {
+		cat := cats[i*i%len(cats)]
+		id := direct.Instant(ticksOf(i), cat, "sp", int64(i), 0, "")
+		if got := log.Instant(ticksOf(i), cat, "sp", int64(i), 0, ""); got != id {
+			t.Fatalf("record %d: ring handed out ID %d, log %d", i, id, got)
+		}
+		for r, ring := range []*Spans{direct, teed.Ring()} {
+			name := []string{"direct", "teed"}[r]
+			lastOf := map[string]SpanID{}
+			for k := SpanID(1); k <= id; k++ {
+				sp := ring.slot(k)
+				if int(id-k) >= ringCap {
+					if sp != nil {
+						t.Fatalf("%s after %d: evicted ID %d still resolves to %+v", name, id, k, *sp)
+					}
+					continue
+				}
+				at := &ring.spans[(int(k)-1)%ringCap]
+				if sp != at || sp.ID != k || sp.Task != int64(k-1) {
+					t.Fatalf("%s after %d: slot(%d) = %+v, want the span at index %d: %+v", name, id, k, sp, (int(k)-1)%ringCap, *at)
+				}
+				lastOf[sp.Cat] = k
+			}
+			for _, c := range cats {
+				if got := ring.FindLast(c); got != lastOf[c] {
+					t.Fatalf("%s after %d: FindLast(%q) = %d, want %d", name, id, c, got, lastOf[c])
+				}
+			}
+		}
+		dump := teed.Dump(NodeTag(0), "test", ticksOf(i))
+		lo := max(1, int(id)-ringCap+1)
+		if len(dump.Spans) != int(id)-lo+1 || dump.SpansDropped != int64(lo-1) {
+			t.Fatalf("after %d: dump holds %v (dropped %d), want IDs %d..%d", id, ids(dump.Spans), dump.SpansDropped, lo, id)
+		}
+		for k, sp := range dump.Spans {
+			if sp.ID != SpanID(lo+k) || sp.Task != int64(lo+k-1) {
+				t.Fatalf("after %d: dump[%d] = %+v, want ID %d", id, k, sp, lo+k)
+			}
+		}
+	}
+}
+
 func TestSpansRingGenerationCheck(t *testing.T) {
 	s := NewSpansRing(2)
 	old := s.Begin(1, "cat", "old", NoTask, 0)

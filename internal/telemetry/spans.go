@@ -93,6 +93,7 @@ type Spans struct {
 	spans []Span
 	total int64   // spans ever recorded; the next ID is total+1
 	max   int     // >0: ring capacity; 0: unbounded
+	head  int     // full ring: the slot the next span overwrites, total mod max
 	tee   *Flight // optional black-box mirror of every record
 }
 
@@ -132,15 +133,22 @@ func (s *Spans) Reserve(n int) {
 	s.spans = grown
 }
 
-// put stores sp (whose ID the caller has already assigned as the next
+// put stores *sp (whose ID the caller has already assigned as the next
 // sequential ID) and advances the total. In ring mode the slot for ID
 // k is (k-1) mod max, which coincides with plain append order until
-// the ring is full, so the steady state allocates nothing.
-func (s *Spans) put(sp Span) {
+// the ring is full, so the steady state allocates nothing. A full
+// ring does not divide to find that slot: IDs are sequential, so head
+// — zero when the ring fills, wrapping at max — is the same number
+// slot computes. The span travels by pointer and is copied once, into
+// its slot (and once more into a tee's).
+func (s *Spans) put(sp *Span) {
 	if s.max > 0 && len(s.spans) == s.max {
-		s.spans[int((int64(sp.ID)-1)%int64(s.max))] = sp
+		s.spans[s.head] = *sp
+		if s.head++; s.head == s.max {
+			s.head = 0
+		}
 	} else {
-		s.spans = append(s.spans, sp)
+		s.spans = append(s.spans, *sp)
 	}
 	s.total++
 	if s.tee != nil {
@@ -177,7 +185,7 @@ func (s *Spans) Begin(at ticks.Ticks, cat, name string, tsk int64, parent SpanID
 		return 0
 	}
 	id := SpanID(s.total + 1)
-	s.put(Span{ID: id, Parent: parent, Cat: cat, Name: name, Task: tsk, Begin: at, End: at})
+	s.put(&Span{ID: id, Parent: parent, Cat: cat, Name: name, Task: tsk, Begin: at, End: at})
 	return id
 }
 
@@ -200,7 +208,7 @@ func (s *Spans) Complete(begin, end ticks.Ticks, cat, name string, tsk int64, pa
 		return 0
 	}
 	id := SpanID(s.total + 1)
-	s.put(Span{
+	s.put(&Span{
 		ID: id, Parent: parent, Cat: cat, Name: name, Task: tsk,
 		Begin: begin, End: end, Detail: detail,
 	})
