@@ -6,11 +6,11 @@ GO ?= go
 # workload, the substrate micro-benchmarks, the fleet node's two
 # recurring costs — admission (accept and deny) and the invariant
 # checker's per-period audit — the fleet coordinator's three — the
-# least-loaded offer order, cluster construction and one epoch (advance
-# plus barrier) at 16 and 120 nodes — and the artifact path's four
-# layers over a 50 000-span cluster: stitch, manifest write, manifest
-# read, Perfetto export.
-BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
+# least-loaded offer order, cluster construction (cold, and rebuilt in a
+# warm arena) and one epoch (advance plus barrier) at 16 and 120 nodes
+# — and the artifact path's four layers over a 50 000-span cluster:
+# stitch, manifest write, manifest read, Perfetto export.
+BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
 BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
 
 .PHONY: all build test race lint vet fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
@@ -96,8 +96,10 @@ baseline-smoke:
 # Fleet (see docs/FAULTS.md "fleet failure semantics"): node crashes,
 # correlated storms, spillover/retry/migration. Two worker pools are in
 # play — the sweep's run pool and each cluster's node pool — and
-# neither may leave a fingerprint on the aggregates.
+# neither may leave a fingerprint on the aggregates; nor may the arena
+# a sweep worker rebuilds its fleets in (docs/DETERMINISM.md).
 fleet-smoke:
+	$(GO) test -race -count=1 -run 'TestArenaReuseMatchesFresh|TestSweepFleetWorkerInvariance' ./internal/sweep
 	$(call family-smoke,fleet,4,./internal/fleet/...)
 
 # Telemetry smoke (see docs/OBSERVABILITY.md): the telemetry suite,

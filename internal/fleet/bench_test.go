@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/telemetry"
 )
 
 // residentConfig is a fleet of n nodes under the paper's switch costs
@@ -84,6 +87,53 @@ func BenchmarkClusterBuild(b *testing.B) {
 		if _, err := New(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkClusterRebuild measures fleet.NewIn in an arena that has
+// built the same fleet before: what a sweep worker's second and later
+// fleet cells pay, at the node counts of fleet-spill and fleet-crash.
+func BenchmarkClusterRebuild(b *testing.B) {
+	for _, n := range []int{16, 120} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			cfg := residentConfig(n, FirstFit)
+			a := new(Arena)
+			if _, err := NewIn(a, cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewIn(a, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestClusterRebuildAllocs: the second fleet built in an arena
+// allocates none of the ring storage the first one did — 121 span
+// rings and event rings, three quarters of what a fleet-crash cluster
+// allocates to exist.
+func TestClusterRebuildAllocs(t *testing.T) {
+	cfg := residentConfig(120, FirstFit)
+	a := new(Arena)
+	build := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := NewIn(a, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cold, warm := build(), build()
+	rings := uint64(cfg.Nodes+1) * uint64(telemetry.DefaultFlightSpans*unsafe.Sizeof(telemetry.Span{})+
+		telemetry.DefaultFlightEvents*unsafe.Sizeof(telemetry.LogEvent{}))
+	const slack = 64 << 10 // other goroutines of the test binary
+	if warm+rings > cold+slack {
+		t.Fatalf("cold build allocated %d B, warm rebuild %d B: less than the %d B of rings was reused", cold, warm, rings)
 	}
 }
 

@@ -443,31 +443,28 @@ func (n *node) load() ticks.Frac {
 
 // --- the cluster ---
 
-// Cluster is the assembled fleet. Build with New, feed with Submit
-// (and optionally fault.ArmFleet), then Run once.
+// Cluster is the assembled fleet. Build with New (or NewIn, in an
+// Arena the caller reuses), feed with Submit (and optionally
+// fault.ArmFleet), then Run once.
 type Cluster struct {
-	cfg     Config
+	cfg Config
+	// mem is the arena the cluster was built in: it owns the node
+	// shells behind nodes, the coordinator's span log and flight
+	// recorder, the action queue and the placement scratch.
+	mem     *Arena
 	nodes   []*node
 	adms    []*admRec
-	q       actionQueue
 	seqCtr  int64
 	backoff *sim.RNG
 	now     ticks.Ticks
 	horizon ticks.Ticks
 	flog    metrics.EventLog
 	tel     *telemetry.Set
-	flight  *telemetry.Flight
 	ran     bool
 
 	// flightDumps collects every black-box dump the run produced, in
 	// trigger order (barrier order, node order within a barrier).
 	flightDumps []telemetry.FlightDump
-
-	// order and loads belong to placementOrder: the coordinator runs
-	// one placement scan at a time. order persists between scans — the
-	// least-loaded permutation is repaired, not rebuilt.
-	order []int
-	loads []ticks.Frac
 
 	arrivals, placedN, spillovers, retries, rejected int64
 	deniedAttempts                                   int64
@@ -482,9 +479,84 @@ type Cluster struct {
 	cFlightDump                                *telemetry.Counter
 }
 
-// New validates the config and assembles the fleet at virtual time
-// zero, node by node in ID order.
-func New(cfg Config) (*Cluster, error) {
+// Arena is the storage clusters are built in, one after another: the
+// node shells — each node's flight recorder (span ring and event
+// ring), event log and probe — the coordinator's span log and flight
+// recorder, the action queue and the placement scratch. The rings
+// alone are three quarters of what a 120-node cluster allocates to
+// exist, so a caller that runs many clusters keeps one Arena and pays
+// for them once. The zero value is ready to use.
+//
+// An Arena belongs to one goroutine and holds one live cluster:
+// building the next cluster in it recycles the previous one's storage,
+// so that cluster must not be used again — its Report stays valid, a
+// Report holds copies. Which arena a cluster is built in, and what ran
+// there before, never affects its results (docs/DETERMINISM.md).
+type Arena struct {
+	// nodes holds every shell built here; a cluster takes the first
+	// Config.Nodes of them.
+	nodes []*node
+	// spans is the coordinator's decision-span log: it records every
+	// fleet decision (bounded by the admission pipeline, so always-full
+	// retention is cheap). flight, its black box, mirrors the tail of
+	// both the spans and the event log for conservation-breach dumps.
+	spans  *telemetry.Spans
+	flight *telemetry.Flight
+	// spanCap and eventCap are the Config ring sizes the recorders
+	// above were built with.
+	spanCap, eventCap int
+
+	q actionQueue
+	// order and loads belong to placementOrder: the coordinator runs
+	// one placement scan at a time. order persists between scans — the
+	// least-loaded permutation is repaired, not rebuilt.
+	order []int
+	loads []ticks.Frac
+}
+
+// reset readies the arena for a cluster with the given ring sizes:
+// recorders of another size are let go, and nothing of the previous
+// cluster is left in the shells or the scratch.
+func (a *Arena) reset(spanCap, eventCap int) {
+	if a.spanCap != spanCap || a.eventCap != eventCap {
+		a.nodes, a.flight = nil, nil
+		a.spanCap, a.eventCap = spanCap, eventCap
+	}
+	if a.flight == nil {
+		a.flight = telemetry.NewFlight(spanCap, eventCap)
+		a.spans = telemetry.NewSpans()
+		a.spans.TeeFlight(a.flight)
+	}
+	a.flight.Reset()
+	a.spans.Reset()
+	for _, n := range a.nodes {
+		n.flight.Reset()
+		n.flog.Reset()
+		*n.pr = nodeProbe{}
+		*n = node{pr: n.pr, flight: n.flight, flog: n.flog, placed: n.placed[:0]}
+	}
+	a.q.a = a.q.a[:0]
+	a.order = a.order[:0]
+}
+
+// shell returns node i's storage, building it on first use.
+func (a *Arena) shell(i int) *node {
+	if i == len(a.nodes) {
+		n := &node{pr: &nodeProbe{}, flight: telemetry.NewFlight(a.spanCap, a.eventCap)}
+		n.flog.Tee(n.flight.Event)
+		a.nodes = append(a.nodes, n)
+	}
+	return a.nodes[i]
+}
+
+// New assembles a fleet in an arena of its own: the cluster may be
+// kept for as long as the caller likes.
+func New(cfg Config) (*Cluster, error) { return NewIn(new(Arena), cfg) }
+
+// NewIn validates the config and assembles the fleet at virtual time
+// zero, node by node in ID order, in a's storage. The cluster a held
+// before is dead from here on.
+func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("fleet: node count %d must be at least 1", cfg.Nodes)
 	}
@@ -513,18 +585,14 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Workers = cfg.Nodes
 	}
 
+	a.reset(cfg.FlightSpans, cfg.FlightEvents)
 	c := &Cluster{
 		cfg:     cfg,
+		mem:     a,
 		backoff: sim.NewRNG(sim.SplitSeed(cfg.Seed, StreamBackoff)),
-		tel:     telemetry.NewSet(),
-		flight:  telemetry.NewFlight(cfg.FlightSpans, cfg.FlightEvents),
+		tel:     &telemetry.Set{Registry: telemetry.NewRegistry(), Spans: a.spans},
 	}
-	// The coordinator's span log records every fleet decision (bounded
-	// by the admission pipeline, so always-full retention is cheap);
-	// its black box mirrors the tail of both the spans and the event
-	// log for conservation-breach dumps.
-	c.tel.Spans.TeeFlight(c.flight)
-	c.flog.Tee(c.flight.Event)
+	c.flog.Tee(a.flight.Event)
 	reg := c.tel.Reg()
 	c.cPlaced = reg.Counter("fleet.placed")
 	c.cSpill = reg.Counter("fleet.spillovers")
@@ -543,20 +611,18 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.SwitchCosts != nil {
 		costs = *cfg.SwitchCosts
 	}
-	c.nodes = make([]*node, cfg.Nodes)
-	for i := range c.nodes {
-		n := &node{id: i, seed: seeds.Uint64(), cfg: &c.cfg, costs: costs, pr: &nodeProbe{}}
-		n.flight = telemetry.NewFlight(cfg.FlightSpans, cfg.FlightEvents)
+	for i := 0; i < cfg.Nodes; i++ {
+		n := a.shell(i)
+		n.id, n.seed, n.cfg, n.costs = i, seeds.Uint64(), &c.cfg, costs
 		spans := n.flight.Ring()
 		if cfg.SpanLog {
 			spans = telemetry.NewSpans()
 			spans.TeeFlight(n.flight)
 		}
 		n.tel = &telemetry.Set{Registry: telemetry.NewRegistry(), Spans: spans}
-		n.flog.Tee(n.flight.Event)
 		n.build(0)
-		c.nodes[i] = n
 	}
+	c.nodes = a.nodes[:cfg.Nodes]
 	return c, nil
 }
 
@@ -595,7 +661,7 @@ func (c *Cluster) Submit(a Admission) error {
 
 func (c *Cluster) push(due ticks.Ticks, kind actionKind, adm *admRec, node int) {
 	c.seqCtr++
-	c.q.push(action{due: due, seq: c.seqCtr, kind: kind, adm: adm, node: node})
+	c.mem.q.push(action{due: due, seq: c.seqCtr, kind: kind, adm: adm, node: node})
 }
 
 // --- fault.NodeFleet ---
@@ -696,8 +762,8 @@ func (c *Cluster) advanceAll(limit ticks.Ticks) {
 
 // barrier is the sequential coordinator phase at cluster time now.
 func (c *Cluster) barrier(now ticks.Ticks) {
-	for c.q.len() > 0 && c.q.topDue() <= now {
-		a := c.q.pop()
+	for c.mem.q.len() > 0 && c.mem.q.topDue() <= now {
+		a := c.mem.q.pop()
 		switch a.kind {
 		case actArrive:
 			c.arrivals++
@@ -879,15 +945,15 @@ func (c *Cluster) abandon(a *admRec, now ticks.Ticks, why string) {
 // slice is the cluster's own, valid until the next call.
 func (c *Cluster) placementOrder(a *admRec) []int {
 	n := len(c.nodes)
-	if len(c.order) != n {
+	if len(c.mem.order) != n {
 		// Identity, once: first-fit's order as it stands, least-loaded's
 		// starting point.
-		c.order = c.order[:0]
+		c.mem.order = c.mem.order[:0]
 		for i := 0; i < n; i++ {
-			c.order = append(c.order, i)
+			c.mem.order = append(c.mem.order, i)
 		}
 	}
-	order := c.order
+	order := c.mem.order
 	switch c.cfg.Placement {
 	case LeastLoaded:
 		// Each node's load is read once into a snapshot, and the order
@@ -897,11 +963,11 @@ func (c *Cluster) placementOrder(a *admRec) []int {
 		// whatever order the repair starts from; and since one placement
 		// moves one node's load, the repair is close to one comparison
 		// per node.
-		loads := c.loads[:0]
+		loads := c.mem.loads[:0]
 		for _, nd := range c.nodes {
 			loads = append(loads, nd.load())
 		}
-		c.loads = loads
+		c.mem.loads = loads
 		for i := 1; i < n; i++ {
 			x, j := order[i], i
 			for ; j > 0; j-- {
@@ -1092,8 +1158,8 @@ func (c *Cluster) migrate(a *admRec, src *node, now ticks.Ticks) {
 // as never-arrived, live incarnations retire with finalized
 // checkers.
 func (c *Cluster) finish(horizon ticks.Ticks) {
-	for c.q.len() > 0 {
-		a := c.q.pop()
+	for c.mem.q.len() > 0 {
+		a := c.mem.q.pop()
 		switch a.kind {
 		case actArrive:
 			c.unarrived++
@@ -1247,7 +1313,7 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 	if len(probs) > 0 {
 		// A broken ledger is exactly what the coordinator's black box
 		// exists for: dump it with the breach freshly logged.
-		c.dump(c.flight, telemetry.CoordTag, "fleet-conservation", horizon)
+		c.dump(c.mem.flight, telemetry.CoordTag, "fleet-conservation", horizon)
 	}
 	r := &Report{
 		Nodes:          len(c.nodes),

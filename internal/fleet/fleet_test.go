@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -61,7 +62,14 @@ func mustNew(t *testing.T, cfg fleet.Config) *fleet.Cluster {
 // worker-invariance and determinism tests.
 func run(t *testing.T, seed uint64, workers int) *fleet.Report {
 	t.Helper()
-	c := mustNew(t, fleet.Config{
+	return runIn(t, new(fleet.Arena), seed, workers, 0)
+}
+
+// runIn is run with the fleet built in arena a and its black boxes
+// keeping flightSpans spans (0: the default).
+func runIn(t *testing.T, a *fleet.Arena, seed uint64, workers, flightSpans int) *fleet.Report {
+	t.Helper()
+	c, err := fleet.NewIn(a, fleet.Config{
 		Nodes:                   12,
 		Seed:                    seed,
 		Workers:                 workers,
@@ -69,9 +77,13 @@ func run(t *testing.T, seed uint64, workers int) *fleet.Report {
 		InterruptReservePercent: 2,
 		GovernorInterval:        10 * ms,
 		Invariants:              true,
+		FlightSpans:             flightSpans,
 	})
+	if err != nil {
+		t.Fatalf("new cluster: %v", err)
+	}
 	var alog metrics.EventLog
-	err := fault.ArmFleet(c, seed, &alog,
+	err = fault.ArmFleet(c, seed, &alog,
 		fault.NodeCrash{Node: -1, At: 40 * ms, Cycles: 3, MeanUp: 60 * ms, MeanDown: 25 * ms},
 		fault.NodeStorm{
 			Storm:     fault.Storm{At: 60 * ms, Bursts: 4, Every: 15 * ms, Count: 10, Service: 400 * ticks.PerMicrosecond},
@@ -112,6 +124,30 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if log != refLog {
 			t.Errorf("workers=%d event log diverged", workers)
 		}
+	}
+}
+
+// An arena hands a cluster recorders of the ring size its Config asks
+// for, whatever size the cluster before it used: ring size is the one
+// thing about a black box a dump shows.
+func TestArenaFollowsRingSize(t *testing.T) {
+	a := new(fleet.Arena)
+	wide := runIn(t, a, 42, 1, 0)
+	narrow := runIn(t, a, 42, 1, 8)
+	fresh := runIn(t, new(fleet.Arena), 42, 1, 8)
+	if len(narrow.FlightDumps) == 0 {
+		t.Fatal("the faulted fleet dumped no black box")
+	}
+	for i, d := range narrow.FlightDumps {
+		if len(d.Spans) != 8 {
+			t.Fatalf("dump %d carries %d spans from an 8-span ring", i, len(d.Spans))
+		}
+	}
+	if !reflect.DeepEqual(narrow.FlightDumps, fresh.FlightDumps) || narrow.Summary() != fresh.Summary() {
+		t.Fatal("an 8-span fleet built after a default one differs from a fresh 8-span fleet")
+	}
+	if again := runIn(t, a, 42, 1, 0); !reflect.DeepEqual(again.FlightDumps, wide.FlightDumps) {
+		t.Fatal("a default fleet built after an 8-span one differs from the first default fleet")
 	}
 }
 

@@ -53,6 +53,11 @@ func (c *Cluster) manifestShell(tag int32) *telemetry.Manifest {
 	return m
 }
 
+// spanReader takes a span log's resident spans for a manifest:
+// Spans.Export for a manifest handed to a caller, Spans.Resident for
+// one that only feeds the stitch.
+type spanReader func(*telemetry.Spans) []telemetry.Span
+
 // CoordManifest freezes the coordinator's own view: fleet.* counters,
 // the fleet decision-span log, the coordinator event log, and every
 // black-box dump the run produced. Valid after Run.
@@ -60,13 +65,17 @@ func (c *Cluster) CoordManifest() (*telemetry.Manifest, error) {
 	if !c.ran {
 		return nil, fmt.Errorf("fleet: CoordManifest before Run")
 	}
+	return c.coordManifest((*telemetry.Spans).Export), nil
+}
+
+func (c *Cluster) coordManifest(spans spanReader) *telemetry.Manifest {
 	m := c.manifestShell(telemetry.CoordTag)
 	m.Metrics = c.tel.Reg().Snapshot()
-	m.Spans = c.tel.SpanLog().Export()
+	m.Spans = spans(c.tel.SpanLog())
 	m.SetEvents(&c.flog)
 	m.FlightDumps = c.flightDumps
 	m.DeriveTotals()
-	return m, nil
+	return m
 }
 
 // NodeManifest freezes node i's own view: its registry, its span log
@@ -80,10 +89,14 @@ func (c *Cluster) NodeManifest(i int) (*telemetry.Manifest, error) {
 	if i < 0 || i >= len(c.nodes) {
 		return nil, fmt.Errorf("fleet: NodeManifest(%d) outside fleet of %d", i, len(c.nodes))
 	}
+	return c.nodeManifest(i, (*telemetry.Spans).Export), nil
+}
+
+func (c *Cluster) nodeManifest(i int, spans spanReader) *telemetry.Manifest {
 	n := c.nodes[i]
 	m := c.manifestShell(telemetry.NodeTag(i))
 	m.Metrics = n.tel.Reg().Snapshot()
-	m.Spans = n.tel.SpanLog().Export()
+	m.Spans = spans(n.tel.SpanLog())
 	m.SetEvents(&n.flog)
 	for _, a := range c.adms {
 		if a.state == admPlaced && a.node == i && a.id != task.NoID {
@@ -93,7 +106,7 @@ func (c *Cluster) NodeManifest(i int) (*telemetry.Manifest, error) {
 		}
 	}
 	m.DeriveTotals()
-	return m, nil
+	return m
 }
 
 // Manifest stitches the coordinator and every node into one rdtel/v2
@@ -102,20 +115,15 @@ func (c *Cluster) NodeManifest(i int) (*telemetry.Manifest, error) {
 // resolved, metrics and events merged in node order, flight dumps
 // attached. Stitching the files written from CoordManifest and
 // NodeManifest through telemetry.StitchCluster (rdtrace stitch)
-// produces the identical result. Valid after Run.
+// produces the identical result. The stitch copies every span into the
+// result, so it reads the logs where they lie. Valid after Run.
 func (c *Cluster) Manifest() (*telemetry.Manifest, error) {
 	if !c.ran {
 		return nil, fmt.Errorf("fleet: Manifest before Run")
 	}
-	coord, err := c.CoordManifest()
-	if err != nil {
-		return nil, err
-	}
 	nodes := make([]*telemetry.Manifest, len(c.nodes))
 	for i := range c.nodes {
-		if nodes[i], err = c.NodeManifest(i); err != nil {
-			return nil, err
-		}
+		nodes[i] = c.nodeManifest(i, (*telemetry.Spans).Resident)
 	}
-	return telemetry.StitchCluster(coord, nodes)
+	return telemetry.StitchCluster(c.coordManifest((*telemetry.Spans).Resident), nodes)
 }

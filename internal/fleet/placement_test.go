@@ -67,7 +67,7 @@ func TestPlacementOrderMatchesStableSort(t *testing.T) {
 		case step%211 == 0:
 			// The result may not depend on the order the repair starts
 			// from.
-			rng.Shuffle(len(c.order), func(i, j int) { c.order[i], c.order[j] = c.order[j], c.order[i] })
+			rng.Shuffle(len(c.mem.order), func(i, j int) { c.mem.order[i], c.mem.order[j] = c.mem.order[j], c.mem.order[i] })
 		}
 		want := stableOrder(c)
 		if got := c.placementOrder(nil); !slices.Equal(got, want) {

@@ -41,6 +41,10 @@ func (l *EventLog) Tee(fn func(at ticks.Ticks, kind, detail string)) {
 	l.tee = fn
 }
 
+// Reset empties the log for the next run and keeps its storage and
+// its tee.
+func (l *EventLog) Reset() { l.events = l.events[:0] }
+
 // Merge appends all of o's events to l, leaving o unchanged. Events
 // keep their relative order; callers merge parts in a fixed order.
 func (l *EventLog) Merge(o *EventLog) {

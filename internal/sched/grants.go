@@ -149,6 +149,9 @@ func (s *Scheduler) beginPeriod(t *tcb, start ticks.Ticks) {
 	t.ffuChanged = t.grant.Entry.NeedsFFU != prevFFU
 	t.periodStart = start
 	t.deadline = start + t.grant.Entry.Period
+	if t.deadline < s.nextRoll {
+		s.nextRoll = t.deadline
+	}
 	t.remaining = t.grant.Entry.CPU
 	t.prevUsed = t.usedThisPeriod
 	t.prevCompleted = t.completed
@@ -173,8 +176,13 @@ func (s *Scheduler) beginPeriod(t *tcb, start ticks.Ticks) {
 // bookkeeping, and new-period setup. Boundaries are processed lazily
 // — the Scheduler only takes "exactly those context switch interrupts
 // required" (§6.1), so a boundary that did not force a switch is
-// handled at the next natural wakeup.
+// handled at the next natural wakeup. A pass before the earliest
+// deadline has nothing to process and does not walk the tasks.
 func (s *Scheduler) rollPeriods(now ticks.Ticks) {
+	if now < s.nextRoll {
+		return
+	}
+	s.nextRoll = maxTicks
 	for _, t := range s.tasksByID() {
 		for t.deadline <= now {
 			if t.blocked {
@@ -207,6 +215,9 @@ func (s *Scheduler) rollPeriods(now ticks.Ticks) {
 			}
 			start := t.deadline + t.takeInsertedIdle()
 			s.beginPeriod(t, start)
+		}
+		if t.deadline < s.nextRoll {
+			s.nextRoll = t.deadline
 		}
 	}
 }

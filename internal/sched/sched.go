@@ -246,6 +246,12 @@ type Scheduler struct {
 	// incrementally by startTask/dropTask so the per-iteration
 	// rollPeriods walk never rebuilds or sorts a snapshot.
 	byID []*tcb
+	// nextRoll is the earliest deadline the last full rollPeriods walk
+	// left behind, lowered when a task starts a period that ends sooner:
+	// no boundary is due before it, so a loop pass at an earlier time
+	// skips the walk. A dropped task can leave it too low, which costs
+	// one walk and nothing else.
+	nextRoll ticks.Ticks
 
 	interrupts []interruptSource // §5.2 sources, indexed by opInterrupt id
 

@@ -51,7 +51,7 @@ func TestBaselineScenariosDeterministic(t *testing.T) {
 		for _, pol := range scen.Policies {
 			spec := RunSpec{Scenario: sc, CostModel: "paper", Policy: pol,
 				Seed: 11, Horizon: 400 * ticks.PerMillisecond}
-			a, b := runOne(spec), runOne(spec)
+			a, b := runFresh(spec), runFresh(spec)
 			if a.Err != "" {
 				t.Fatalf("%s/%s: %s", sc, pol, a.Err)
 			}
@@ -71,7 +71,7 @@ func TestBaselineScenariosDeterministic(t *testing.T) {
 func TestBaselineComparatorsDiscriminate(t *testing.T) {
 	const horizon = 900 * ticks.PerMillisecond
 	for _, sc := range []string{"baseline-media", "baseline-overload"} {
-		ref := runOne(RunSpec{Scenario: sc, CostModel: "paper", Policy: PolicyInvent,
+		ref := runFresh(RunSpec{Scenario: sc, CostModel: "paper", Policy: PolicyInvent,
 			Seed: 3, Horizon: horizon})
 		if ref.Err != "" {
 			t.Fatalf("%s/invent: %s", sc, ref.Err)
@@ -81,7 +81,7 @@ func TestBaselineComparatorsDiscriminate(t *testing.T) {
 		}
 		for _, pol := range []string{PolicyBaselineFairShare, PolicyBaselineLottery,
 			PolicyBaselineStride, PolicyBaselineCFS} {
-			m := runOne(RunSpec{Scenario: sc, CostModel: "paper", Policy: pol,
+			m := runFresh(RunSpec{Scenario: sc, CostModel: "paper", Policy: pol,
 				Seed: 3, Horizon: horizon})
 			if m.Err != "" {
 				t.Fatalf("%s/%s: %s", sc, pol, m.Err)
@@ -105,7 +105,7 @@ func TestBaselineStreamerPoliciesDiffer(t *testing.T) {
 	const horizon = 900 * ticks.PerMillisecond
 	out := make(map[string]RunMetrics)
 	for _, pol := range []string{PolicyInvent, PolicyStreamerMaxMin, PolicyStreamerMaxThru} {
-		m := runOne(RunSpec{Scenario: "baseline-streamer", CostModel: "paper", Policy: pol,
+		m := runFresh(RunSpec{Scenario: "baseline-streamer", CostModel: "paper", Policy: pol,
 			Seed: 3, Horizon: horizon})
 		if m.Err != "" {
 			t.Fatalf("%s: %s", pol, m.Err)

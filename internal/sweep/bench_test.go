@@ -3,6 +3,7 @@ package sweep
 import (
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/ticks"
 )
 
@@ -19,10 +20,11 @@ func BenchmarkSweepCell(b *testing.B) {
 		Seed:      1,
 		Horizon:   2 * ticks.PerSecond,
 	}
+	arena := new(fleet.Arena) // a worker's, unused by a single-node cell
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := runOne(spec)
+		out := runOne(spec, arena)
 		if out.Err != "" {
 			b.Fatalf("run failed: %s", out.Err)
 		}

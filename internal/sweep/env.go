@@ -59,9 +59,13 @@ type env struct {
 	// flog collects fault-injection and invariant events for the run.
 	flog metrics.EventLog
 
-	// cluster and report are what runFleet built and measured, kept for
-	// RunFleetCluster; clusterWorkers and spanLog are its overrides of
-	// the sweep's one-worker, counters-only cluster.
+	// arena is where runFleet builds its cluster: the sweep worker's
+	// own, recycled by its next fleet run, or a private one when the
+	// cluster is handed to a caller. cluster and report are what
+	// runFleet built and measured, kept for RunFleetCluster;
+	// clusterWorkers and spanLog are its overrides of the sweep's
+	// one-worker, counters-only cluster.
+	arena          *fleet.Arena
 	clusterWorkers int
 	spanLog        bool
 	cluster        *fleet.Cluster
@@ -76,7 +80,7 @@ type admitRec struct {
 // newEnv resolves a spec against the registries. A policy the scenario
 // does not stage is an error, so no run can name a cell outside the
 // scenario's axis.
-func newEnv(spec RunSpec) (*env, error) {
+func newEnv(spec RunSpec, arena *fleet.Arena) (*env, error) {
 	sc, ok := scenarioByName(spec.Scenario)
 	if !ok {
 		return nil, fmt.Errorf("sweep: unknown scenario %q", spec.Scenario)
@@ -90,7 +94,7 @@ func newEnv(spec RunSpec) (*env, error) {
 		return nil, fmt.Errorf("sweep: unknown cost model %q", spec.CostModel)
 	}
 	return &env{
-		spec: spec, sc: sc, costs: costs,
+		spec: spec, sc: sc, costs: costs, arena: arena,
 		pr:  &probe{firstPeriod: make(map[task.ID]ticks.Ticks)},
 		tel: &telemetry.Set{Registry: telemetry.NewRegistry()},
 	}, nil

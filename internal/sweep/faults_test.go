@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/ticks"
 )
 
@@ -48,7 +49,7 @@ func TestFaultScenariosAreViolationFree(t *testing.T) {
 	for _, sc := range faultScenarioNames() {
 		for _, cm := range []string{"zero", "paper"} {
 			for seed := uint64(1); seed <= 4; seed++ {
-				m := runOne(RunSpec{Scenario: sc, CostModel: cm, Policy: PolicyInvent,
+				m := runFresh(RunSpec{Scenario: sc, CostModel: cm, Policy: PolicyInvent,
 					Seed: seed, Horizon: 300 * ticks.PerMillisecond})
 				if m.Err != "" {
 					t.Fatalf("%s/%s seed %d failed: %s", sc, cm, seed, m.Err)
@@ -74,7 +75,7 @@ func TestFaultScenariosDeterministic(t *testing.T) {
 	for _, sc := range faultScenarioNames() {
 		spec := RunSpec{Scenario: sc, CostModel: "paper", Policy: PolicyInvent,
 			Seed: 9, Horizon: 300 * ticks.PerMillisecond}
-		a, b := runOne(spec), runOne(spec)
+		a, b := runFresh(spec), runFresh(spec)
 		if a.Err != "" || b.Err != "" {
 			t.Fatalf("%s failed: %q / %q", sc, a.Err, b.Err)
 		}
@@ -92,7 +93,7 @@ func TestFaultScenariosDeterministic(t *testing.T) {
 // with zero guarantee violations.
 func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
 	e, err := newEnv(RunSpec{Scenario: "fault-storm", CostModel: "zero", Policy: PolicyInvent,
-		Seed: 5, Horizon: 300 * ticks.PerMillisecond})
+		Seed: 5, Horizon: 300 * ticks.PerMillisecond}, new(fleet.Arena))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
 func TestPolicyFaultNeverMutatesOnReject(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		e, err := newEnv(RunSpec{Scenario: "fault-policy", CostModel: "zero", Policy: PolicyInvent,
-			Seed: seed, Horizon: 300 * ticks.PerMillisecond})
+			Seed: seed, Horizon: 300 * ticks.PerMillisecond}, new(fleet.Arena))
 		if err != nil {
 			t.Fatal(err)
 		}

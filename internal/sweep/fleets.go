@@ -70,7 +70,7 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 	cfg.Workers = max(1, e.clusterWorkers) // 1: the sweep already parallelizes across runs
 	cfg.SpanLog = e.spanLog
 	cfg.Invariants = true
-	c, err := fleet.New(cfg)
+	c, err := fleet.NewIn(e.arena, cfg)
 	if err != nil {
 		return err
 	}
@@ -131,7 +131,9 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 // cluster's node-advance pool size; it never changes any result byte.
 // This is the engine behind rdsweep -cluster-manifest.
 func RunFleetCluster(spec RunSpec, workers int) (*fleet.Cluster, *fleet.Report, error) {
-	e, err := newEnv(spec)
+	// The cluster outlives this call, so nothing else may build in its
+	// arena.
+	e, err := newEnv(spec, new(fleet.Arena))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/ticks"
 )
 
@@ -28,6 +29,9 @@ func smallMatrix() Matrix {
 	}
 }
 
+// runFresh is runOne in an arena nothing else has built in.
+func runFresh(spec RunSpec) RunMetrics { return runOne(spec, new(fleet.Arena)) }
+
 func resultJSONBytes(t *testing.T, res *Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -42,9 +46,15 @@ func resultJSONBytes(t *testing.T, res *Result) []byte {
 // workers only fill an index-addressed slice and aggregation runs
 // afterwards in fixed-size chunks merged in spec order.
 func TestWorkerCountInvariance(t *testing.T) {
-	m := smallMatrix()
+	assertWorkerInvariant(t, smallMatrix(), 1, 3, 8)
+}
+
+// assertWorkerInvariant runs m at each worker count and fails unless
+// every run succeeds and all the aggregated JSON is byte-identical.
+func assertWorkerInvariant(t *testing.T, m Matrix, workerCounts ...int) {
+	t.Helper()
 	var ref []byte
-	for _, workers := range []int{1, 3, 8} {
+	for _, workers := range workerCounts {
 		res, err := Run(m, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -58,7 +68,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(ref, got) {
-			t.Fatalf("workers=%d JSON differs from workers=1 (%d vs %d bytes)", workers, len(got), len(ref))
+			t.Fatalf("workers=%d JSON differs from workers=%d (%d vs %d bytes)", workers, workerCounts[0], len(got), len(ref))
 		}
 	}
 }
@@ -88,7 +98,7 @@ func TestConcurrentSameSeedIsolation(t *testing.T) {
 			for i := 0; i < n; i++ {
 				go func(i int) {
 					defer wg.Done()
-					out[i] = runOne(spec)
+					out[i] = runFresh(spec)
 				}(i)
 			}
 			wg.Wait()
@@ -110,7 +120,7 @@ func TestConcurrentSameSeedIsolation(t *testing.T) {
 func TestStressScenarioDeterministic(t *testing.T) {
 	spec := RunSpec{Scenario: "stress", CostModel: "paper", Policy: PolicyInvent,
 		Seed: 7, Horizon: 400 * ticks.PerMillisecond}
-	a, b := runOne(spec), runOne(spec)
+	a, b := runFresh(spec), runFresh(spec)
 	if a.Err != "" || b.Err != "" {
 		t.Fatalf("stress run failed: %q / %q", a.Err, b.Err)
 	}
@@ -118,7 +128,7 @@ func TestStressScenarioDeterministic(t *testing.T) {
 		t.Fatalf("same stress spec diverged:\n%+v\n%+v", a, b)
 	}
 	spec.Seed = 8
-	c := runOne(spec)
+	c := runFresh(spec)
 	if c.Err != "" {
 		t.Fatalf("stress run failed: %q", c.Err)
 	}
@@ -272,11 +282,11 @@ func TestDefaultExpansion(t *testing.T) {
 	}
 
 	// The axis is enforced on single runs too, not only by expansion.
-	if m := runOne(RunSpec{Scenario: "fleet-spill", CostModel: "zero", Policy: PolicyInvent,
+	if m := runFresh(RunSpec{Scenario: "fleet-spill", CostModel: "zero", Policy: PolicyInvent,
 		Seed: 1, Horizon: 50 * ticks.PerMillisecond}); m.Err == "" {
 		t.Error("fleet-spill ran under invent, the first-fit alias the placement axis no longer has")
 	}
-	if m := runOne(RunSpec{Scenario: "media", CostModel: "zero", Policy: PolicyFleetRRHash,
+	if m := runFresh(RunSpec{Scenario: "media", CostModel: "zero", Policy: PolicyFleetRRHash,
 		Seed: 1, Horizon: 50 * ticks.PerMillisecond}); m.Err == "" {
 		t.Error("media ran under rr-hash, a placement it never reads")
 	}
@@ -379,7 +389,7 @@ func TestRunMatchesSerialAggregation(t *testing.T) {
 		}
 		part := newResult()
 		for i := lo; i < hi; i++ {
-			m := runOne(specs[i])
+			m := runFresh(specs[i])
 			part.add(specs[i], &m)
 		}
 		want.Merge(part)

@@ -48,6 +48,15 @@ func NewFlight(spanCap, eventCap int) *Flight {
 	}
 }
 
+// Reset empties both rings for the next run and keeps their storage,
+// so a recorder that is reused records without allocating from its
+// first span on, like a new one.
+func (f *Flight) Reset() {
+	f.spans.Reset()
+	f.events = f.events[:0]
+	f.eseq = 0
+}
+
 // Ring exposes the flight recorder's span ring so it can serve as a
 // node's Spans log directly (flight-only retention). Nil-safe.
 func (f *Flight) Ring() *Spans {

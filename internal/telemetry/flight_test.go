@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/ticks"
@@ -231,6 +232,75 @@ func ids(spans []Span) []SpanID {
 		out[i] = sp.ID
 	}
 	return out
+}
+
+// TestFlightResetForgetsPreviousRun: a reset recorder is a new one as
+// far as anything observable goes — zero totals, every ID the previous
+// run handed out inert, the second run's dump equal to a fresh
+// recorder's — and it records into the storage it already has.
+func TestFlightResetForgetsPreviousRun(t *testing.T) {
+	record := func(f *Flight, n int) {
+		for i := 0; i < n; i++ {
+			id := f.Ring().Begin(ticksOf(i), "admission", "sp", int64(i), 0)
+			f.Ring().End(id, ticksOf(i)+5)
+			f.Event(ticksOf(i), "kind", "detail")
+		}
+	}
+	f := NewFlight(4, 3)
+	record(f, 7) // both rings wrapped: head and the event cursor are mid-ring
+	stale := SpanID(f.Ring().Total())
+	f.Reset()
+
+	f.Ring().End(stale, 999)
+	f.Ring().SetLink(stale, CoordTag, 1)
+	if got := f.Ring().FindLast("admission"); got != 0 {
+		t.Fatalf("FindLast after Reset = %d, want 0", got)
+	}
+	d := f.Dump(NodeTag(0), "test", 1)
+	if d.SpansTotal != 0 || d.SpansDropped != 0 || d.EventsTotal != 0 || d.EventsDropped != 0 ||
+		len(d.Spans) != 0 || len(d.Events) != 0 {
+		t.Fatalf("dump right after Reset is not empty: %+v", d)
+	}
+
+	fresh := NewFlight(4, 3)
+	record(f, 6)
+	record(fresh, 6)
+	if got, want := f.Dump(NodeTag(0), "test", 9), fresh.Dump(NodeTag(0), "test", 9); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second run's dump differs from a fresh recorder's:\n got: %+v\nwant: %+v", got, want)
+	}
+
+	f.Reset()
+	if allocs := testing.AllocsPerRun(1, func() { record(f, 6) }); allocs != 0 {
+		t.Fatalf("recording after Reset allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestResidentReadsInPlaceUntilEviction: Resident is Export without
+// the copy exactly while there is nothing for Export to fix up.
+func TestResidentReadsInPlaceUntilEviction(t *testing.T) {
+	for _, s := range []*Spans{NewSpans(), NewSpansRing(8)} {
+		if s.Resident() != nil {
+			t.Fatal("Resident of an empty log is not nil")
+		}
+		for i := 0; i < 5; i++ {
+			s.Instant(ticksOf(i), "cat", "sp", NoTask, SpanID(i), "")
+		}
+		got := s.Resident()
+		if !reflect.DeepEqual(got, s.Export()) {
+			t.Fatalf("Resident = %+v, Export = %+v", got, s.Export())
+		}
+		if &got[0] != &s.spans[0] {
+			t.Fatal("Resident copied a log nothing was evicted from")
+		}
+	}
+	ring := NewSpansRing(3)
+	for i := 0; i < 5; i++ {
+		ring.Instant(ticksOf(i), "cat", "sp", NoTask, SpanID(i), "")
+	}
+	got := ring.Resident()
+	if !reflect.DeepEqual(got, ring.Export()) || &got[0] == &ring.spans[0] {
+		t.Fatalf("Resident of a wrapped ring must be Export's copy: %+v", got)
+	}
 }
 
 // BenchmarkFlightRecord measures the always-on black-box hot path: a

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"strconv"
 	"unicode/utf16"
@@ -398,10 +399,12 @@ func (r *reader) spans() ([]Span, bool) {
 		if !more {
 			return spans, true
 		}
-		if len(spans) == cap(spans) {
-			// Double rather than append's 1.25x: a cluster log is tens of
-			// thousands of 96-byte spans, and each regrowth copies them all.
-			spans = append(make([]Span, 0, max(2*len(spans), 64)), spans...)
+		if first {
+			// Sized once: every span opens with a '{', so the braces left
+			// in the input bound the count, and in a cluster log nearly all
+			// of them are spans. Growing instead copies tens of thousands
+			// of 96-byte spans per step.
+			spans = make([]Span, 0, bytes.Count(r.data[r.pos:], []byte{'{'}))
 		}
 		spans = append(spans, Span{})
 		if !r.span(&spans[len(spans)-1]) {

@@ -112,6 +112,15 @@ func NewSpansRing(max int) *Spans {
 	return &Spans{spans: make([]Span, 0, max), max: max}
 }
 
+// Reset empties the log for the next run and keeps its storage, mode
+// and tee. IDs start again at 1; until they are reassigned, every ID
+// the previous run handed out is above Total and fails slot's checks,
+// so End, SetLink and FindLast on it are inert.
+func (s *Spans) Reset() {
+	s.spans = s.spans[:0]
+	s.total, s.head = 0, 0
+}
+
 // TeeFlight mirrors every span this log records (and every End /
 // SetLink mutation) into a Flight recorder, preserving IDs. Used when
 // a node keeps a full span log and a black box at once.
@@ -298,6 +307,20 @@ func (s *Spans) All(yield func(Span) bool) {
 			}
 		}
 	}
+}
+
+// Resident returns the resident spans in ID order for a caller that
+// reads them and lets go before the log records again — the cluster
+// stitch, which copies every span into the stitched manifest anyway.
+// While nothing has been evicted that is the log's own storage: there
+// is no reference below the window for Export to clear. A ring that
+// has wrapped is neither in ID order nor free of such references, so
+// it gets Export's copy.
+func (s *Spans) Resident() []Span {
+	if s == nil || s.total == 0 || s.firstID() != 1 {
+		return s.Export()
+	}
+	return s.spans
 }
 
 // Export returns a copy of the resident spans in ID order for
