@@ -11,7 +11,7 @@ GO ?= go
 # — and the artifact path's four layers over a 50 000-span cluster:
 # stitch, manifest write, manifest read, Perfetto export.
 BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
-BENCH_PKGS  = . ./internal/sim ./internal/sched ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
+BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
 
 .PHONY: all build test race lint vet fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
 

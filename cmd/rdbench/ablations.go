@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/task"
@@ -10,18 +11,6 @@ import (
 	"repro/internal/workload"
 )
 
-func init() {
-	experiments = append(experiments,
-		experiment{"periods", "§6.1: arbitrary vs harmonic periods (the Rialto contrast)", expPeriods},
-		experiment{"ablate-override", "ablation: small-overlap override window (§4.2)", expAblateOverride},
-		experiment{"ablate-grace", "ablation: grace period length (§5.6's open question)", expAblateGrace},
-		experiment{"ablate-reserve", "ablation: interrupt reserve size (§5.2)", expAblateReserve},
-		experiment{"ablate-slice", "ablation: Sporadic Server assignment slice (§5.1)", expAblateSlice},
-		experiment{"interrupts", "§5.2: interrupt load vs the reserve", expInterrupts},
-		experiment{"sporadic-latency", "§5.1: sporadic response vs server allocation", expSporadicLatency},
-	)
-}
-
 // expSporadicLatency validates §5.1's closing sentence: "The
 // performance of a sporadic task is a function of the amount of CPU
 // time allocated to the Sporadic Server (which can be modified
@@ -29,9 +18,9 @@ func init() {
 // burst of sporadic work is injected every 100ms; its completion
 // latency falls as the server's grant grows and rises with queue
 // length.
-func expSporadicLatency() {
-	fmt.Println("5ms sporadic bursts every 100ms; periodic load fills the rest")
-	fmt.Printf("  %12s %10s %14s %14s\n", "server grant", "sporadics", "mean lat (ms)", "max lat (ms)")
+func expSporadicLatency(w io.Writer) {
+	fmt.Fprintln(w, "5ms sporadic bursts every 100ms; periodic load fills the rest")
+	fmt.Fprintf(w, "  %12s %10s %14s %14s\n", "server grant", "sporadics", "mean lat (ms)", "max lat (ms)")
 	for _, cfg := range []struct {
 		grantPct  int
 		nSporadic int
@@ -42,7 +31,7 @@ func expSporadicLatency() {
 		_, err := d.AddSporadicServer("ss",
 			task.SingleLevel(10*ms, 10*ms*ticks.Ticks(cfg.grantPct)/100, "SS"), false)
 		if err != nil {
-			fmt.Println("  ", err)
+			fmt.Fprintln(w, "  ", err)
 			return
 		}
 		// Two short-period overtime hogs outrank the server on the
@@ -63,7 +52,6 @@ func expSporadicLatency() {
 		}
 		queues := make([][]burst, cfg.nSporadic)
 		for i := 0; i < cfg.nSporadic; i++ {
-			i := i
 			d.AddSporadic(fmt.Sprintf("burst%d", i), task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 				q := queues[i]
 				if len(q) == 0 {
@@ -83,7 +71,6 @@ func expSporadicLatency() {
 			}))
 		}
 		for at := 100 * ms; at < 2*ticks.PerSecond; at += 100 * ms {
-			at := at
 			d.At(at, func() {
 				for i := range queues {
 					queues[i] = append(queues[i], burst{arrived: at, left: 5 * ms})
@@ -103,21 +90,21 @@ func expSporadicLatency() {
 		if len(latencies) > 0 {
 			mean = float64(sum) / float64(len(latencies)) / float64(ticks.PerMillisecond)
 		}
-		fmt.Printf("  %11d%% %10d %14.1f %14.1f\n",
+		fmt.Fprintf(w, "  %11d%% %10d %14.1f %14.1f\n",
 			cfg.grantPct, cfg.nSporadic, mean, max.MillisecondsF())
 	}
-	fmt.Println("latency falls with the server's grant and rises with queue length —")
-	fmt.Println("§5.1's stated performance model, measured")
+	fmt.Fprintln(w, "latency falls with the server's grant and rises with queue length —")
+	fmt.Fprintln(w, "§5.1's stated performance model, measured")
 }
 
 // expInterrupts measures the §5.2 trade-off directly: a 96%-granted
 // task set under a 4% reserve, swept across interrupt loads. Inside
 // the reserve: zero misses. Beyond it: the conflict the paper warns
 // about.
-func expInterrupts() {
-	fmt.Println("four 24% tasks (96% granted) under a 4% interrupt reserve, 2s;")
-	fmt.Println("interrupts every 1ms with growing service times")
-	fmt.Printf("  %14s %12s %8s\n", "load (%)", "interrupts", "misses")
+func expInterrupts(w io.Writer) {
+	fmt.Fprintln(w, "four 24% tasks (96% granted) under a 4% interrupt reserve, 2s;")
+	fmt.Fprintln(w, "interrupts every 1ms with growing service times")
+	fmt.Fprintf(w, "  %14s %12s %8s\n", "load (%)", "interrupts", "misses")
 	for _, serviceUs := range []int64{10, 20, 30, 40, 50, 60, 80} {
 		rec := trace.New()
 		// Zero switch costs isolate the interrupt dimension; with the
@@ -137,26 +124,26 @@ func expInterrupts() {
 			})
 		}
 		if err := d.AddInterruptLoad(ms, ticks.FromMicroseconds(serviceUs)); err != nil {
-			fmt.Println("  ", err)
+			fmt.Fprintln(w, "  ", err)
 			return
 		}
 		d.Run(2 * ticks.PerSecond)
 		st := d.KernelStats()
-		fmt.Printf("  %13.1f%% %12d %8d\n",
+		fmt.Fprintf(w, "  %13.1f%% %12d %8d\n",
 			100*st.InterruptLoadFraction(), st.Interrupts, rec.MissCount())
 	}
-	fmt.Println("misses appear once the load crosses the 4% reserve — the paper's")
-	fmt.Println("'large enough that interrupts do not conflict with deadlines'")
+	fmt.Fprintln(w, "misses appear once the load crosses the 4% reserve — the paper's")
+	fmt.Fprintln(w, "'large enough that interrupts do not conflict with deadlines'")
 }
 
 // expPeriods contrasts harmonic period sets (Rialto's restriction,
 // which minimises context switches) with arbitrary ones (which the RD
 // supports: "we support any period length in range"). Co-prime
 // periods cost proportionally more switches but zero misses.
-func expPeriods() {
-	fmt.Println("paper: Rialto forces periods to be even multiples of each other to")
-	fmt.Println("reduce switches; the RD takes 'exactly those context switch")
-	fmt.Println("interrupts required' for ANY period set")
+func expPeriods(w io.Writer) {
+	fmt.Fprintln(w, "paper: Rialto forces periods to be even multiples of each other to")
+	fmt.Fprintln(w, "reduce switches; the RD takes 'exactly those context switch")
+	fmt.Fprintln(w, "interrupts required' for ANY period set")
 	run := func(name string, periodsMs []int64) {
 		rec := trace.New()
 		d := newDist(core.Config{Seed: 11, Observer: rec})
@@ -169,13 +156,13 @@ func expPeriods() {
 				Body: task.PeriodicWork(cpu),
 			})
 			if err != nil {
-				fmt.Printf("  admit failed: %v\n", err)
+				fmt.Fprintf(w, "  admit failed: %v\n", err)
 				return
 			}
 		}
 		d.Run(10 * ticks.PerSecond)
 		st := d.KernelStats()
-		fmt.Printf("  %-22s periods=%v switches=%4d overhead=%.2f%% misses=%d\n",
+		fmt.Fprintf(w, "  %-22s periods=%v switches=%4d overhead=%.2f%% misses=%d\n",
 			name, periodsMs, st.VolSwitches+st.InvolSwitches,
 			100*st.SwitchOverheadFraction(), rec.MissCount())
 	}
@@ -188,10 +175,10 @@ func expPeriods() {
 // The paper sets it as "a function of the context-switch time"; the
 // sweep shows why: too small buys nothing, too large distorts EDF by
 // letting long grants run past preemption points.
-func expAblateOverride() {
-	fmt.Println("workload: 10ms/5ms short task + 45ms/15.05ms long task, 10s;")
-	fmt.Println("the long grant overlaps a preemption point by ~185us each cycle")
-	fmt.Printf("  %12s %10s %10s %12s %8s\n", "window (us)", "vol", "invol", "switch CPU%", "misses")
+func expAblateOverride(w io.Writer) {
+	fmt.Fprintln(w, "workload: 10ms/5ms short task + 45ms/15.05ms long task, 10s;")
+	fmt.Fprintln(w, "the long grant overlaps a preemption point by ~185us each cycle")
+	fmt.Fprintf(w, "  %12s %10s %10s %12s %8s\n", "window (us)", "vol", "invol", "switch CPU%", "misses")
 	for _, us := range []int64{0, 50, 100, 200, 500, 1000, 5000} {
 		rec := trace.New()
 		d := newDist(core.Config{
@@ -208,11 +195,11 @@ func expAblateOverride() {
 		})
 		d.Run(10 * ticks.PerSecond)
 		st := d.KernelStats()
-		fmt.Printf("  %12d %10d %10d %11.2f%% %8d\n",
+		fmt.Fprintf(w, "  %12d %10d %10d %11.2f%% %8d\n",
 			us, st.VolSwitches, st.InvolSwitches,
 			100*st.SwitchOverheadFraction(), rec.MissCount())
 	}
-	fmt.Println("(0 disables the sweep value and selects the 70us default)")
+	fmt.Fprintln(w, "(0 disables the sweep value and selects the 70us default)")
 }
 
 // expAblateGrace performs the study the paper defers: sweeping the
@@ -220,10 +207,10 @@ func expAblateOverride() {
 // into voluntary yields, but every grace tick is stolen from the
 // preempting task ("the other task is still postponed"), so latency
 // for the short-period task grows.
-func expAblateGrace() {
-	fmt.Println("workload: cooperative 45ms/15ms task (checks every 150us) preempted")
-	fmt.Println("by a 10ms/3ms task, 10s per point")
-	fmt.Printf("  %12s %10s %10s %12s %8s\n", "grace (us)", "invol", "overruns", "switch CPU%", "misses")
+func expAblateGrace(w io.Writer) {
+	fmt.Fprintln(w, "workload: cooperative 45ms/15ms task (checks every 150us) preempted")
+	fmt.Fprintln(w, "by a 10ms/3ms task, 10s per point")
+	fmt.Fprintf(w, "  %12s %10s %10s %12s %8s\n", "grace (us)", "invol", "overruns", "switch CPU%", "misses")
 	for _, us := range []int64{25, 50, 100, 200, 400, 800} {
 		rec := trace.New()
 		d := newDist(core.Config{
@@ -243,21 +230,21 @@ func expAblateGrace() {
 		d.Run(10 * ticks.PerSecond)
 		st := d.KernelStats()
 		ts, _ := d.Stats(coop)
-		fmt.Printf("  %12d %10d %10d %11.2f%% %8d\n",
+		fmt.Fprintf(w, "  %12d %10d %10d %11.2f%% %8d\n",
 			us, st.InvolSwitches, ts.Exceptions,
 			100*st.SwitchOverheadFraction(), rec.MissCount())
 	}
-	fmt.Println("the knee sits just above the task's check interval: once the grace")
-	fmt.Println("period covers one safe-point poll, overruns vanish — the paper's")
-	fmt.Println("'couple hundred uSec' matches a ~150us polling loop")
+	fmt.Fprintln(w, "the knee sits just above the task's check interval: once the grace")
+	fmt.Fprintln(w, "period covers one safe-point poll, overruns vanish — the paper's")
+	fmt.Fprintln(w, "'couple hundred uSec' matches a ~150us polling loop")
 }
 
 // expAblateReserve sweeps the §5.2 interrupt reserve: a bigger
 // reserve wastes resources, a smaller one leaves less headroom — the
 // trade-off the paper states.
-func expAblateReserve() {
-	fmt.Println("Figure 5 workload (5 Table-6 threads + Sporadic Server), 200ms")
-	fmt.Printf("  %12s %14s %14s %8s\n", "reserve (%)", "thread2 (ms)", "granted (%)", "misses")
+func expAblateReserve(w io.Writer) {
+	fmt.Fprintln(w, "Figure 5 workload (5 Table-6 threads + Sporadic Server), 200ms")
+	fmt.Fprintf(w, "  %12s %14s %14s %8s\n", "reserve (%)", "thread2 (ms)", "granted (%)", "misses")
 	for _, pct := range []int64{0, 2, 4, 8, 16} {
 		rec := trace.New()
 		d := newDist(core.Config{
@@ -268,7 +255,6 @@ func expAblateReserve() {
 		_, _ = d.AddSporadicServer("ss", task.SingleLevel(2_700_000, 27_000, "SS"), true)
 		ids := make([]task.ID, 5)
 		for i := 0; i < 5; i++ {
-			i := i
 			d.At(ticks.Ticks(i)*20*ms, func() {
 				ids[i], _ = d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("t%d", i+2)))
 			})
@@ -280,7 +266,7 @@ func expAblateReserve() {
 			final = series[len(series)-1].CPU
 		}
 		gs := d.Grants()
-		fmt.Printf("  %12d %14.1f %13.1f%% %8d\n",
+		fmt.Fprintf(w, "  %12d %14.1f %13.1f%% %8d\n",
 			pct, final.MillisecondsF(), 100*gs.TotalFrac().Float(), rec.MissCount())
 	}
 }
@@ -288,16 +274,15 @@ func expAblateReserve() {
 // expAblateSlice sweeps the Sporadic Server's assignment quantum
 // ("currently 10 ms", §5.1): bigger slices give sporadic tasks longer
 // uninterrupted runs but coarser round-robin sharing.
-func expAblateSlice() {
-	fmt.Println("two sporadic hogs behind a 10ms/2ms Sporadic Server, 1s per point")
-	fmt.Printf("  %12s %12s %12s %14s\n", "slice (ms)", "hog-a (ms)", "hog-b (ms)", "alternations")
+func expAblateSlice(w io.Writer) {
+	fmt.Fprintln(w, "two sporadic hogs behind a 10ms/2ms Sporadic Server, 1s per point")
+	fmt.Fprintf(w, "  %12s %12s %12s %14s\n", "slice (ms)", "hog-a (ms)", "hog-b (ms)", "alternations")
 	for _, sliceMs := range []int64{1, 5, 10, 20, 50} {
 		d := newDist(core.Config{
 			Seed:          3,
 			SporadicSlice: ticks.FromMilliseconds(sliceMs),
 		})
-		ss, _ := d.AddSporadicServer("ss", task.SingleLevel(10*ms, 2*ms, "SS"), true)
-		_ = ss
+		_, _ = d.AddSporadicServer("ss", task.SingleLevel(10*ms, 2*ms, "SS"), true)
 		var order []byte
 		mk := func(tag byte) task.Body {
 			return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
@@ -312,8 +297,8 @@ func expAblateSlice() {
 		d.Run(ticks.PerSecond)
 		sa, _ := d.Scheduler().SporadicStatsOf(a)
 		sb, _ := d.Scheduler().SporadicStatsOf(b)
-		fmt.Printf("  %12d %12.1f %12.1f %14d\n",
+		fmt.Fprintf(w, "  %12d %12.1f %12.1f %14d\n",
 			sliceMs, sa.UsedTicks.MillisecondsF(), sb.UsedTicks.MillisecondsF(), len(order))
 	}
-	fmt.Println("throughput is slice-independent; alternation frequency is the knob")
+	fmt.Fprintln(w, "throughput is slice-independent; alternation frequency is the knob")
 }

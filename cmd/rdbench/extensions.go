@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -19,12 +20,12 @@ import (
 // decoder and background load under fair-share scheduling (SMART-like
 // overload behaviour), capacity reserves (CPR-like worst-case
 // reservation), and the Resource Distributor.
-func expBaselines() {
+func expBaselines(w io.Writer) {
 	horizon := 2 * ticks.PerSecond
 
-	fmt.Println("paper claims: fair share misses real-time deadlines in overload;")
-	fmt.Println("reserves strand worst-case reservations; the RD sheds by policy")
-	fmt.Println()
+	fmt.Fprintln(w, "paper claims: fair share misses real-time deadlines in overload;")
+	fmt.Fprintln(w, "reserves strand worst-case reservations; the RD sheds by policy")
+	fmt.Fprintln(w)
 
 	// --- MPEG quality in 120% overload ---
 	fsMPEG := workload.NewMPEG()
@@ -44,18 +45,16 @@ func expBaselines() {
 		_, _ = d.RequestAdmittance(&task.Task{
 			Name: n,
 			List: task.UniformLevels(10*ms, "W", 30, 20),
-			Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-				return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-			}),
+			Body: yieldAll(),
 		})
 	}
 	d.Run(horizon)
 	rdMPEG.Flush()
 
-	fmt.Println("MPEG quality over 2s at 120% offered load:")
-	fmt.Printf("  fair share:  %s\n", fsMPEG.Stats().QualityString())
-	fmt.Printf("  distributor: %s\n", rdMPEG.Stats().QualityString())
-	fmt.Println()
+	fmt.Fprintln(w, "MPEG quality over 2s at 120% offered load:")
+	fmt.Fprintf(w, "  fair share:  %s\n", fsMPEG.Stats().QualityString())
+	fmt.Fprintf(w, "  distributor: %s\n", rdMPEG.Stats().QualityString())
+	fmt.Fprintln(w)
 
 	// --- utilization with a variable-demand task ---
 	k2 := sim.NewKernel(sim.Config{Costs: sim.ZeroSwitchCosts()})
@@ -73,12 +72,12 @@ func expBaselines() {
 	})
 	d2.Run(ticks.PerSecond)
 
-	fmt.Println("CPU utilization with a worst-case-8ms task that uses 2ms,")
-	fmt.Println("plus a background task that wants everything:")
-	fmt.Printf("  reserves:    %4.1f%% (unused reservation stranded)\n", 100*r.Utilization())
-	fmt.Printf("  distributor: %4.1f%% (unused grant flows to overtime)\n",
+	fmt.Fprintln(w, "CPU utilization with a worst-case-8ms task that uses 2ms,")
+	fmt.Fprintln(w, "plus a background task that wants everything:")
+	fmt.Fprintf(w, "  reserves:    %4.1f%% (unused reservation stranded)\n", 100*r.Utilization())
+	fmt.Fprintf(w, "  distributor: %4.1f%% (unused grant flows to overtime)\n",
 		100*d2.KernelStats().Utilization())
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// --- Rialto-style constraints: refusals by accident of timing ---
 	k3 := sim.NewKernel(sim.Config{Costs: sim.ZeroSwitchCosts()})
@@ -112,18 +111,10 @@ func expBaselines() {
 	}
 	k3.At(0, schedule)
 	ri.RunUntil(horizon)
-	fmt.Println("Rialto-style per-frame constraints under a varying rival load:")
-	fmt.Printf("  mpeg frames: %d accepted, %d refused — %d refusals hit I frames\n",
+	fmt.Fprintln(w, "Rialto-style per-frame constraints under a varying rival load:")
+	fmt.Fprintf(w, "  mpeg frames: %d accepted, %d refused — %d refusals hit I frames\n",
 		accepted, refused, refusedI)
-	fmt.Println("  (the RD's level-based shedding drops only B frames, by policy)")
-}
-
-func init() {
-	experiments = append(experiments,
-		experiment{"notify", "§3.5: notification-based shedding vs the Policy Box", expNotify},
-		experiment{"latency", "§4.2: the 2·period − 2·CPU latency bound", expLatency},
-		experiment{"streamer", "Data Streamer: bandwidth grants metering real DMA", expStreamer},
-	)
+	fmt.Fprintln(w, "  (the RD's level-based shedding drops only B frames, by policy)")
 }
 
 // expStreamer demonstrates the full CPU+bandwidth grant pipeline: a
@@ -131,9 +122,9 @@ func init() {
 // rate; when overload sheds its level, the channel re-rates and
 // transfer latency stretches accordingly — §7's "manage bandwidth as
 // a resource", measured.
-func expStreamer() {
-	fmt.Println("a 100KB transfer every 10ms through a channel rated at the task's")
-	fmt.Println("granted StreamerMBps; a CPU hog arrives at t=500ms and sheds it")
+func expStreamer(w io.Writer) {
+	fmt.Fprintln(w, "a 100KB transfer every 10ms through a channel rated at the task's")
+	fmt.Fprintln(w, "granted StreamerMBps; a CPU hog arrives at t=500ms and sheds it")
 	d := newDist(core.Config{SwitchCosts: zeroCosts()})
 	e := streamer.New(d.Kernel(), 400)
 	list := task.ResourceList{
@@ -188,21 +179,21 @@ func expStreamer() {
 			na++
 		}
 	}
-	fmt.Printf("  transfer latency before shed: %.2fms (at %d MB/s)\n",
+	fmt.Fprintf(w, "  transfer latency before shed: %.2fms (at %d MB/s)\n",
 		float64(before)/float64(nb)/float64(ms), 200)
-	fmt.Printf("  transfer latency after shed:  %.2fms (at %d MB/s)\n",
+	fmt.Fprintf(w, "  transfer latency after shed:  %.2fms (at %d MB/s)\n",
 		float64(after)/float64(na)/float64(ms), 50)
 	st, _ := d.Stats(id)
-	fmt.Printf("  pipeline level now %s; deadline misses: %d\n",
+	fmt.Fprintf(w, "  pipeline level now %s; deadline misses: %d\n",
 		d.Grants().Of(id).Entry.Fn, st.Misses)
 }
 
 // expLatency measures worst-case completion latency for the Table 4
 // workload against the §4.2 bound: "the maximum guaranteed latency
 // for a task is twice its period minus twice its CPU requirement."
-func expLatency() {
-	fmt.Println("paper: max latency = 2*period - 2*CPU (grant at the start of one")
-	fmt.Println("period, then at the end of the next); Table 4 workload, 10s")
+func expLatency(w io.Writer) {
+	fmt.Fprintln(w, "paper: max latency = 2*period - 2*CPU (grant at the start of one")
+	fmt.Fprintln(w, "period, then at the end of the next); Table 4 workload, 10s")
 	rec := recFor(10 * ticks.PerSecond)
 	d := newDist(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
 	_, _ = d.RequestAdmittance(workload.NewModem().Task(false))
@@ -214,7 +205,7 @@ func expLatency() {
 	for _, g := range d.Grants().All() {
 		grantByName[rec.NameOf(g.Task)] = g
 	}
-	fmt.Printf("  %-8s %12s %12s %8s\n", "task", "worst (ms)", "bound (ms)", "within")
+	fmt.Fprintf(w, "  %-8s %12s %12s %8s\n", "task", "worst (ms)", "bound (ms)", "within")
 	for _, tr := range rep.Tasks {
 		g, ok := grantByName[tr.Name]
 		if !ok {
@@ -225,7 +216,7 @@ func expLatency() {
 		if tr.WorstLatency > bound {
 			within = "NO"
 		}
-		fmt.Printf("  %-8s %12.2f %12.2f %8s\n",
+		fmt.Fprintf(w, "  %-8s %12.2f %12.2f %8s\n",
 			tr.Name, tr.WorstLatency.MillisecondsF(), bound.MillisecondsF(), within)
 	}
 }
@@ -233,9 +224,9 @@ func expLatency() {
 // expNotify regenerates §3.5's critique of failure-notification
 // systems: the third-party round trip arrives after deadlines are
 // already missed, and the shed target is whoever asked last.
-func expNotify() {
-	fmt.Println("scenario: two resident 40% tasks; a third 40% task arrives at")
-	fmt.Println("t=100ms. Notification system: 30ms third-party round trip.")
+func expNotify(w io.Writer) {
+	fmt.Fprintln(w, "scenario: two resident 40% tasks; a third 40% task arrives at")
+	fmt.Fprintln(w, "t=100ms. Notification system: 30ms third-party round trip.")
 	k := sim.NewKernel(sim.Config{Costs: sim.ZeroSwitchCosts()})
 	nf := baseline.NewNotifier(k, 30*ms)
 	menu := []ticks.Ticks{4 * ms, 1 * ms}
@@ -247,52 +238,46 @@ func expNotify() {
 	for _, n := range []string{"a", "b", "c"} {
 		st, _ := nf.Stats(n)
 		missed += st.MissedPeriods
-		fmt.Printf("  notify %-2s: %3d periods, %2d missed, used %v\n",
+		fmt.Fprintf(w, "  notify %-2s: %3d periods, %2d missed, used %v\n",
 			n, st.Periods, st.MissedPeriods, st.UsedTicks)
 	}
 
-	zero := sim.ZeroSwitchCosts()
-	d := newDist(core.Config{SwitchCosts: &zero})
+	d := newDist(core.Config{SwitchCosts: zeroCosts()})
 	list := task.ResourceList{
 		{Period: 10 * ms, CPU: 4 * ms, Fn: "Hi"},
 		{Period: 10 * ms, CPU: 1 * ms, Fn: "Lo"},
 	}
-	body := func() task.Body {
-		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		})
-	}
 	ids := map[string]task.ID{}
 	for _, n := range []string{"a", "b"} {
-		ids[n], _ = d.RequestAdmittance(&task.Task{Name: n, List: list, Body: body()})
+		ids[n], _ = d.RequestAdmittance(&task.Task{Name: n, List: list, Body: yieldAll()})
 	}
 	d.At(100*ms, func() {
-		ids["c"], _ = d.RequestAdmittance(&task.Task{Name: "c", List: list, Body: body()})
+		ids["c"], _ = d.RequestAdmittance(&task.Task{Name: "c", List: list, Body: yieldAll()})
 	})
 	d.Run(ticks.PerSecond)
 	var rdMissed int64
 	for _, n := range []string{"a", "b", "c"} {
 		st, _ := d.Stats(ids[n])
 		rdMissed += st.Misses
-		fmt.Printf("  RD     %-2s: %3d periods, %2d missed, used %v\n",
+		fmt.Fprintf(w, "  RD     %-2s: %3d periods, %2d missed, used %v\n",
 			n, st.Periods, st.Misses, st.UsedTicks)
 	}
-	fmt.Printf("deadline misses: notification system %d, Resource Distributor %d\n",
+	fmt.Fprintf(w, "deadline misses: notification system %d, Resource Distributor %d\n",
 		missed, rdMissed)
 }
 
 // expClock regenerates the §5.4 experiment: a display task whose
 // period is defined by an external crystal drifting against the
 // scheduling clock, with and without InsertIdleCycles compensation.
-func expClock() {
+func expClock(w io.Writer) {
 	const drift = 120.0 // ppm
 	horizon := 10 * ticks.PerSecond
 	extPeriod := ticks.Ticks(270_000)
 	nominal := ticks.Ticks(269_500)
 
-	fmt.Printf("external clock drifts +%.0f ppm; task tracks 100Hz boundaries\n", drift)
-	fmt.Println("paper: uncompensated clocks slip a full frame over time; the")
-	fmt.Println("InsertIdleCycles interface postpones periods to stay in phase")
+	fmt.Fprintf(w, "external clock drifts +%.0f ppm; task tracks 100Hz boundaries\n", drift)
+	fmt.Fprintln(w, "paper: uncompensated clocks slip a full frame over time; the")
+	fmt.Fprintln(w, "InsertIdleCycles interface postpones periods to stay in phase")
 
 	run := func(compensate bool) (maxErr ticks.Ticks, periods int) {
 		ext := extclock.New(drift, 0)
@@ -333,8 +318,8 @@ func expClock() {
 
 	rawErr, rawPeriods := run(false)
 	lockErr, lockPeriods := run(true)
-	fmt.Printf("  uncompensated: max phase error %6.1f us over %d periods\n",
+	fmt.Fprintf(w, "  uncompensated: max phase error %6.1f us over %d periods\n",
 		rawErr.MicrosecondsF(), rawPeriods)
-	fmt.Printf("  compensated:   max phase error %6.1f us over %d periods\n",
+	fmt.Fprintf(w, "  compensated:   max phase error %6.1f us over %d periods\n",
 		lockErr.MicrosecondsF(), lockPeriods)
 }

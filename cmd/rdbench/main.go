@@ -1,20 +1,23 @@
 // Command rdbench regenerates every table and figure from the
 // paper's evaluation (§6), printing paper-reported values next to the
-// values measured on this reproduction's simulator.
+// values measured on this reproduction's simulator. Its output is a
+// pure function of the source: golden_test.go pins every byte of it
+// against testdata/rdbench.golden (go test ./cmd/rdbench; -update
+// regenerates), and EXPERIMENTS.md quotes that file.
 //
 // Usage:
 //
 //	rdbench             # run every experiment
-//	rdbench -exp fig5   # run one (table2 table3 table4 table5 fig3
-//	                    #   switch admission grantset preempt fig4
-//	                    #   table6 fig5 baselines clock)
+//	rdbench -exp fig5   # run one
 //	rdbench -list       # list experiments
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -25,9 +28,11 @@ import (
 type experiment struct {
 	name  string
 	title string
-	run   func()
+	run   func(w io.Writer)
 }
 
+// experiments is every table, figure and ablation rdbench stages, in
+// the order a full run prints them.
 var experiments = []experiment{
 	{"table2", "Table 2: MPEG resource list", expTable2},
 	{"table3", "Table 3: 3D graphics resource list", expTable3},
@@ -43,6 +48,30 @@ var experiments = []experiment{
 	{"fig5", "Figure 5 / §6.5: overload staircase", expFig5},
 	{"baselines", "§3.4/3.5: RD vs fair-share vs capacity reserves", expBaselines},
 	{"clock", "§5.4: external-clock skew compensation", expClock},
+	{"periods", "§6.1: arbitrary vs harmonic periods (the Rialto contrast)", expPeriods},
+	{"ablate-override", "ablation: small-overlap override window (§4.2)", expAblateOverride},
+	{"ablate-grace", "ablation: grace period length (§5.6's open question)", expAblateGrace},
+	{"ablate-reserve", "ablation: interrupt reserve size (§5.2)", expAblateReserve},
+	{"ablate-slice", "ablation: Sporadic Server assignment slice (§5.1)", expAblateSlice},
+	{"interrupts", "§5.2: interrupt load vs the reserve", expInterrupts},
+	{"sporadic-latency", "§5.1: sporadic response vs server allocation", expSporadicLatency},
+	{"notify", "§3.5: notification-based shedding vs the Policy Box", expNotify},
+	{"latency", "§4.2: the 2·period − 2·CPU latency bound", expLatency},
+	{"streamer", "Data Streamer: bandwidth grants metering real DMA", expStreamer},
+	{"fig4fix", "§6.5: the Figure 4 application bug, fixed with events", expFig4Fix},
+}
+
+// run writes each experiment under its banner with a blank line after
+// it — a section of the golden — and returns the names it ran.
+func run(w io.Writer, exps []experiment) []string {
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		banner(w, e.title)
+		e.run(w)
+		fmt.Fprintln(w)
+		names[i] = e.name
+	}
+	return names
 }
 
 // benchTelemetry is non-nil when -manifest was given. Every experiment
@@ -75,30 +104,16 @@ func main() {
 		// interleaved span timelines would mislead more than inform.
 		benchTelemetry = &telemetry.Set{Registry: telemetry.NewRegistry()}
 	}
-	ran := make([]string, 0, len(experiments))
+	exps := experiments
 	if *exp != "" {
-		found := false
-		for _, e := range experiments {
-			if e.name == *exp {
-				banner(e.title)
-				e.run()
-				ran = append(ran, e.name)
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == *exp })
+		if i < 0 {
 			fmt.Fprintf(os.Stderr, "rdbench: unknown experiment %q (try -list)\n", *exp)
 			os.Exit(2)
 		}
-	} else {
-		for _, e := range experiments {
-			banner(e.title)
-			e.run()
-			fmt.Println()
-			ran = append(ran, e.name)
-		}
+		exps = experiments[i : i+1]
 	}
+	ran := run(os.Stdout, exps)
 	if *manifestOut != "" {
 		writeManifest(*manifestOut, ran)
 	}
@@ -126,7 +141,7 @@ func writeManifest(path string, ran []string) {
 	}
 }
 
-func banner(title string) {
+func banner(w io.Writer, title string) {
 	line := strings.Repeat("=", len(title)+4)
-	fmt.Printf("%s\n| %s |\n%s\n", line, title, line)
+	fmt.Fprintf(w, "%s\n| %s |\n%s\n", line, title, line)
 }

@@ -2,10 +2,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/rm"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/ticks"
@@ -20,29 +20,37 @@ func zeroCosts() *sim.SwitchCosts {
 	return &c
 }
 
-func printList(rl task.ResourceList) {
-	fmt.Printf("  %10s %10s %7s  %s\n", "period", "cpu req", "rate", "function")
+// yieldAll is a body that burns every tick it is offered and then
+// yields: a task that always uses exactly its grant.
+func yieldAll() task.Body {
+	return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
+		return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
+	})
+}
+
+func printList(w io.Writer, rl task.ResourceList) {
+	fmt.Fprintf(w, "  %10s %10s %7s  %s\n", "period", "cpu req", "rate", "function")
 	for _, e := range rl {
-		fmt.Printf("  %10d %10d %7s  %s\n", e.Period, e.CPU, e.Rate(), e.Fn)
+		fmt.Fprintf(w, "  %10d %10d %7s  %s\n", e.Period, e.CPU, e.Rate(), e.Fn)
 	}
 }
 
-func expTable2() {
-	fmt.Println("paper: 33.3%, 25.0%, 22.2%, 16.7% (FullDecompress .. Drop_2B_in_4)")
-	fmt.Println("measured from workload.MPEGList():")
-	printList(workload.MPEGList())
+func expTable2(w io.Writer) {
+	fmt.Fprintln(w, "paper: 33.3%, 25.0%, 22.2%, 16.7% (FullDecompress .. Drop_2B_in_4)")
+	fmt.Fprintln(w, "measured from workload.MPEGList():")
+	printList(w, workload.MPEGList())
 }
 
-func expTable3() {
-	fmt.Println("paper: 80%, 40%, 20%, 10%, all Render3DFrame, period 2,700,000")
-	fmt.Println("measured from workload.Graphics3DList():")
-	printList(workload.Graphics3DList())
+func expTable3(w io.Writer) {
+	fmt.Fprintln(w, "paper: 80%, 40%, 20%, 10%, all Render3DFrame, period 2,700,000")
+	fmt.Fprintln(w, "measured from workload.Graphics3DList():")
+	printList(w, workload.Graphics3DList())
 }
 
-func expTable4() {
-	fmt.Println("paper: modem 10%, 3D 52%, MPEG 33% — three simultaneous grants")
-	fmt.Println("measured grant set (invented 1/3 policy; 3D lands on its nearest")
-	fmt.Println("Table 3 entry, 40%, since grants must map to real levels):")
+func expTable4(w io.Writer) {
+	fmt.Fprintln(w, "paper: modem 10%, 3D 52%, MPEG 33% — three simultaneous grants")
+	fmt.Fprintln(w, "measured grant set (invented 1/3 policy; 3D lands on its nearest")
+	fmt.Fprintln(w, "Table 3 entry, 40%, since grants must map to real levels):")
 	d := newDist(core.Config{SwitchCosts: zeroCosts()})
 	modem, _ := d.RequestAdmittance(workload.NewModem().Task(false))
 	g3d, _ := d.RequestAdmittance(workload.NewGraphics3D(1).Task())
@@ -53,15 +61,15 @@ func expTable4() {
 		id   task.ID
 	}{{"modem", modem}, {"3d", g3d}, {"mpeg", mpeg}} {
 		g := gs.Of(row.id)
-		fmt.Printf("  %-6s %10d %10d %7s  %s\n",
+		fmt.Fprintf(w, "  %-6s %10d %10d %7s  %s\n",
 			row.name, g.Entry.Period, g.Entry.CPU, g.Entry.Rate(), g.Entry.Fn)
 	}
-	fmt.Printf("  total: %.1f%% of CPU (paper total: 95%%)\n", 100*gs.TotalFrac().Float())
+	fmt.Fprintf(w, "  total: %.1f%% of CPU (paper total: 95%%)\n", 100*gs.TotalFrac().Float())
 }
 
-func expTable5() {
-	fmt.Println("paper: 7 policies over task sets {1,2} .. {1,2,3,4}")
-	fmt.Println("measured from policy.Table5 lookups:")
+func expTable5(w io.Writer) {
+	fmt.Fprintln(w, "paper: 7 policies over task sets {1,2} .. {1,2,3,4}")
+	fmt.Fprintln(w, "measured from policy.Table5 lookups:")
 	box := policy.NewBox()
 	m := policy.Table5(box, [4]string{"task1", "task2", "task3", "task4"})
 	sets := [][]policy.MemberID{
@@ -70,15 +78,15 @@ func expTable5() {
 		{m[0], m[1], m[2], m[3]},
 	}
 	for _, s := range sets {
-		fmt.Printf("  %v\n", box.PolicyFor(s))
+		fmt.Fprintf(w, "  %v\n", box.PolicyFor(s))
 	}
-	fmt.Printf("  unmatched set -> %v\n", box.PolicyFor([]policy.MemberID{m[1], m[3]}))
+	fmt.Fprintf(w, "  unmatched set -> %v\n", box.PolicyFor([]policy.MemberID{m[1], m[3]}))
 }
 
-func expTable6() {
-	fmt.Println("paper: nine entries, 90%..10% of a 270,000-tick period, all BusyLoop")
-	fmt.Println("measured from workload.BusyLoopTask:")
-	printList(workload.BusyLoopTask("thread2").List)
+func expTable6(w io.Writer) {
+	fmt.Fprintln(w, "paper: nine entries, 90%..10% of a 270,000-tick period, all BusyLoop")
+	fmt.Fprintln(w, "measured from workload.BusyLoopTask:")
+	printList(w, workload.BusyLoopTask("thread2").List)
 }
 
 // recFor returns a Recorder pre-sized for a run of the given horizon,
@@ -90,17 +98,15 @@ func recFor(horizon ticks.Ticks) *trace.Recorder {
 	return rec
 }
 
-func expFig3() {
-	fmt.Println("paper: EDF schedule preempting the MPEG and 3D tasks; modem never preempted")
+func expFig3(w io.Writer) {
+	fmt.Fprintln(w, "paper: EDF schedule preempting the MPEG and 3D tasks; modem never preempted")
 	rec := recFor(200 * ms)
 	d := newDist(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
 	_, _ = d.RequestAdmittance(workload.NewModem().Task(false))
 	_, _ = d.RequestAdmittance(workload.NewGraphics3D(42).Task())
 	_, _ = d.RequestAdmittance(workload.NewMPEG().Task())
 	d.Run(200 * ms)
-	fmt.Println("measured schedule, first 200 ms:")
-	fmt.Println(rec.Gantt(0, 200*ms, 110))
-	fmt.Printf("deadline misses: %d (paper guarantee: 0)\n", rec.MissCount())
+	fmt.Fprintln(w, "measured schedule, first 200 ms:")
+	fmt.Fprintln(w, rec.Gantt(0, 200*ms, 110))
+	fmt.Fprintf(w, "deadline misses: %d (paper guarantee: 0)\n", rec.MissCount())
 }
-
-var _ = rm.Grant{} // keep the import for helpers shared across files

@@ -338,7 +338,7 @@ func judge(old, now float64, unit string, threshold float64) (verdict, delta str
 // benchmark results keyed by normalized name. Lines look like:
 //
 //	BenchmarkKernelStep-8   54321   21.35 ns/op   0 B/op   0 allocs/op
-//	BenchmarkAblationOverrideWindow/window-1us-8  10  ...  123 switches/simsec
+//	BenchmarkFleetEpoch/nodes=120-8   8808   136954 ns/op   0 B/op   0 allocs/op
 func parseBenchText(r io.Reader) (section, error) {
 	sec := section{}
 	sc := bufio.NewScanner(r)

@@ -14,7 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/resource"
+	"repro/internal/rm"
 	"repro/internal/task"
 	"repro/internal/ticks"
 )
@@ -63,7 +63,7 @@ func main() {
 
 	d := core.New(core.Config{
 		PolicyBox: box,
-		Streamer:  resource.Capacity{StreamerMBps: 400},
+		Streamer:  rm.Capacity{StreamerMBps: 400},
 	})
 
 	names := map[task.ID]string{}

@@ -23,7 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/extclock"
 	"repro/internal/policy"
-	"repro/internal/resource"
+	"repro/internal/rm"
 	"repro/internal/task"
 	"repro/internal/ticks"
 	"repro/internal/trace"
@@ -66,7 +66,7 @@ func main() {
 		Seed:                    2026,
 		InterruptReservePercent: 4,
 		PolicyBox:               box,
-		Streamer:                resource.Capacity{StreamerMBps: 400},
+		Streamer:                rm.Capacity{StreamerMBps: 400},
 		Observer:                rec,
 	})
 

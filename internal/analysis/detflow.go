@@ -63,7 +63,7 @@ var DetFlow = &Analyzer{
 	Doc: "trace nondeterministic host values into deterministic records\n\n" +
 		"Interprocedural taint from host sources (time.Now, math/rand, os.Getenv,\n" +
 		"runtime.NumCPU, ...) to deterministic sinks (trace.Recorder observers,\n" +
-		"telemetry spans/counters/gauges/histograms, metrics.EventLog). Function\n" +
+		"telemetry spans/counters/gauges/histograms and EventLog). Function\n" +
 		"summaries travel as facts, so the flow is caught even when source and sink\n" +
 		"live in different packages.",
 	FactTypes: []Fact{(*NondetFact)(nil), (*SinkParamsFact)(nil)},
@@ -113,7 +113,7 @@ var detflowSinkMethods = map[[2]string]map[string]bool{
 	{"repro/internal/telemetry", "Counter"}:   {"Add": true},
 	{"repro/internal/telemetry", "Gauge"}:     {"Set": true},
 	{"repro/internal/telemetry", "Histogram"}: {"Observe": true},
-	{"repro/internal/metrics", "EventLog"}:    {"Record": true},
+	{"repro/internal/telemetry", "EventLog"}:  {"Record": true},
 }
 
 func runDetFlow(pass *Pass) error {

@@ -1,7 +1,8 @@
 // dffix holds detflow true positives inside a deterministic package:
 // host-derived values (imported through hostinfo's exported facts,
 // through a local second hop, and through a func value) flowing into
-// telemetry and trace sinks, plus a direct host-state read.
+// telemetry (instruments, spans, the event log) and trace sinks, plus a
+// direct host-state read.
 package dffix
 
 import (
@@ -39,6 +40,10 @@ func viaFuncValue(h *telemetry.Histogram) {
 
 func misses(r *trace.Recorder) {
 	r.OnDeadlineMiss(1, uptime2(), 0) // want "flows into"
+}
+
+func logged(l *telemetry.EventLog) {
+	l.Record(uptime2(), "fault.storm", "burst at host time") // want "flows into"
 }
 
 type clock struct{}

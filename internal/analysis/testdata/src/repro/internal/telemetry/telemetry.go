@@ -76,3 +76,10 @@ func (s *Spans) SetLink(id SpanID, linkNode int32, target SpanID) {}
 
 // FindLast returns the newest resident span with the given category.
 func (s *Spans) FindLast(cat string) SpanID { return SpanID(s.n) }
+
+// EventLog mirrors the live append-only event log: detflow treats
+// Record as a sink.
+type EventLog struct{ n int }
+
+// Record appends one event.
+func (l *EventLog) Record(at int64, kind, detail string) { l.n++ }

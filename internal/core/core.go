@@ -25,7 +25,6 @@ package core
 
 import (
 	"repro/internal/policy"
-	"repro/internal/resource"
 	"repro/internal/rm"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -52,7 +51,7 @@ type Config struct {
 
 	// Streamer is the Data Streamer bandwidth capacity; the zero
 	// value leaves that dimension unmodelled.
-	Streamer resource.Capacity
+	Streamer rm.Capacity
 
 	// PolicyBox supplies overload policies; nil creates an empty box
 	// (conflicts get invented 1/N policies).

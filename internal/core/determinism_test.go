@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/extclock"
 	"repro/internal/policy"
-	"repro/internal/resource"
+	"repro/internal/rm"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
@@ -41,7 +41,7 @@ func runStudioTrace(t *testing.T, seed uint64, tel *telemetry.Set) []byte {
 		Seed:                    seed,
 		InterruptReservePercent: 4,
 		PolicyBox:               box,
-		Streamer:                resource.Capacity{StreamerMBps: 400},
+		Streamer:                rm.Capacity{StreamerMBps: 400},
 		Observer:                rec,
 		Telemetry:               tel,
 	})

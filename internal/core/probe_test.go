@@ -50,6 +50,12 @@ func runMediaTrace(t *testing.T, probed bool) []byte {
 		}
 	}
 
+	// The Table 4 set is the paper's Figure 3 guarantee: under the
+	// stochastic switch costs too, nothing misses.
+	if n := rec.MissCount(); n != 0 {
+		t.Errorf("%d deadline misses on the Table 4 set under paper switch costs", n)
+	}
+
 	var buf bytes.Buffer
 	if err := rec.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

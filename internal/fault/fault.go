@@ -13,7 +13,7 @@
 // public interfaces, exactly as a misbehaving application or device
 // would. See docs/FAULTS.md and docs/DETERMINISM.md.
 //
-// Every injection is recorded in a metrics.EventLog with a "fault."
+// Every injection is recorded in a telemetry.EventLog with a "fault."
 // kind, so scenario reports can correlate what was injected with what
 // the invariant checker (internal/invariant) subsequently observed.
 package fault
@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/telemetry"
@@ -58,7 +57,7 @@ type Injector interface {
 	// Arm schedules the fault's effects on d. rng is the injector's
 	// private substream; log receives one "fault.*" event per
 	// injection at the virtual time it takes effect.
-	Arm(d *core.Distributor, rng *sim.RNG, log *metrics.EventLog)
+	Arm(d *core.Distributor, rng *sim.RNG, log *telemetry.EventLog)
 }
 
 // ArmAll arms each injector with its own substream of seed: injector i
@@ -67,7 +66,7 @@ type Injector interface {
 // is part of its deterministic identity. Every spec is validated
 // before anything is armed: a bad spec arms nothing and returns an
 // error instead of burying a degenerate injector in the run.
-func ArmAll(d *core.Distributor, seed uint64, log *metrics.EventLog, injs ...Injector) error {
+func ArmAll(d *core.Distributor, seed uint64, log *telemetry.EventLog, injs ...Injector) error {
 	for i, inj := range injs {
 		if err := inj.Validate(); err != nil {
 			return fmt.Errorf("fault: injector %d (%s): %w", i, inj.Name(), err)
@@ -108,7 +107,7 @@ func taskSpecErr(name string, period, cpu, at ticks.Ticks) error {
 // run's telemetry (when the Distributor was assembled with one): the
 // "fault.fired" counter and an instant "fault" decision span. Fault
 // firing is cold path, so the by-name handle lookup is fine here.
-func record(d *core.Distributor, log *metrics.EventLog, at ticks.Ticks, kind, detail string) {
+func record(d *core.Distributor, log *telemetry.EventLog, at ticks.Ticks, kind, detail string) {
 	log.Record(at, kind, detail)
 	if t := d.Telemetry(); t != nil {
 		t.Reg().Counter("fault.fired").Inc()
@@ -135,7 +134,7 @@ func (o Overrun) Validate() error {
 	return taskSpecErr(o.TaskName, o.Period, o.CPU, o.At)
 }
 
-func (o Overrun) Arm(d *core.Distributor, rng *sim.RNG, log *metrics.EventLog) {
+func (o Overrun) Arm(d *core.Distributor, rng *sim.RNG, log *telemetry.EventLog) {
 	d.At(o.At, func() {
 		id, err := d.RequestAdmittance(&task.Task{
 			Name: o.TaskName,
@@ -191,7 +190,7 @@ func (n NeverQuiesce) Validate() error {
 	return taskSpecErr(n.TaskName, n.Period, n.CPU, n.At)
 }
 
-func (n NeverQuiesce) Arm(d *core.Distributor, rng *sim.RNG, log *metrics.EventLog) {
+func (n NeverQuiesce) Arm(d *core.Distributor, rng *sim.RNG, log *telemetry.EventLog) {
 	d.At(n.At, func() {
 		id, err := d.RequestAdmittance(&task.Task{
 			Name:                 n.TaskName,
@@ -240,7 +239,7 @@ func (c CrashRestart) Validate() error {
 	return nil
 }
 
-func (c CrashRestart) Arm(d *core.Distributor, rng *sim.RNG, log *metrics.EventLog) {
+func (c CrashRestart) Arm(d *core.Distributor, rng *sim.RNG, log *telemetry.EventLog) {
 	// Up/down durations come from the named StreamCrashRestart
 	// substream, forked off the positional injector substream: the
 	// schedule stays decorrelated per injector position but has its
@@ -337,7 +336,7 @@ func (s Storm) Validate() error {
 	return nil
 }
 
-func (s Storm) Arm(d *core.Distributor, rng *sim.RNG, log *metrics.EventLog) {
+func (s Storm) Arm(d *core.Distributor, rng *sim.RNG, log *telemetry.EventLog) {
 	counts := make([]int, s.Bursts)
 	for i := range counts {
 		counts[i] = s.Count
@@ -389,7 +388,7 @@ func (j Jitter) Validate() error {
 	return nil
 }
 
-func (j Jitter) Arm(d *core.Distributor, rng *sim.RNG, log *metrics.EventLog) {
+func (j Jitter) Arm(d *core.Distributor, rng *sim.RNG, log *telemetry.EventLog) {
 	f := sim.NewTimerFault(rng.Uint64(), j.MaxLate, j.Coalesce)
 	d.At(j.At, func() {
 		d.Kernel().SetTimerFault(f)
@@ -419,7 +418,7 @@ func (p PolicyCorrupt) Validate() error {
 	return nil
 }
 
-func (p PolicyCorrupt) Arm(d *core.Distributor, rng *sim.RNG, log *metrics.EventLog) {
+func (p PolicyCorrupt) Arm(d *core.Distributor, rng *sim.RNG, log *telemetry.EventLog) {
 	d.At(p.At, func() {
 		box := d.Box()
 		var before bytes.Buffer

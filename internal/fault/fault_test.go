@@ -8,8 +8,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/task"
+	"repro/internal/telemetry"
 	"repro/internal/ticks"
 	"repro/internal/trace"
 )
@@ -69,7 +69,7 @@ func TestDormantFaultsPreserveTrace(t *testing.T) {
 		rec := trace.New()
 		d, _, _ := system(t, 42, 4, rec)
 		if armed {
-			var log metrics.EventLog
+			var log telemetry.EventLog
 			mustArm(t, d, 42, &log, suite(ticks.FromSeconds(10))...)
 		}
 		d.Run(ticks.FromMilliseconds(400))
@@ -91,7 +91,7 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 	run := func() ([]byte, string, int) {
 		rec := trace.New()
 		d, chk, _ := system(t, 7, 4, rec)
-		var log metrics.EventLog
+		var log telemetry.EventLog
 		chk.LogTo(&log)
 		mustArm(t, d, 7, &log, suite(50*ms)...)
 		d.Run(ticks.FromMilliseconds(600))
@@ -119,7 +119,7 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 // keep every guarantee and the checker stays clean.
 func TestOverrunIsContained(t *testing.T) {
 	d, chk, ids := system(t, 3, 0, nil)
-	var log metrics.EventLog
+	var log telemetry.EventLog
 	chk.LogTo(&log)
 	mustArm(t, d, 3, &log, fault.Overrun{TaskName: "hog", Period: 15 * ms, CPU: 2 * ms, At: 30 * ms})
 	d.Run(ticks.FromMilliseconds(500))
@@ -147,7 +147,7 @@ func TestOverrunIsContained(t *testing.T) {
 // is untouched.
 func TestNeverQuiesceChargesExceptions(t *testing.T) {
 	d, chk, ids := system(t, 5, 0, nil)
-	var log metrics.EventLog
+	var log telemetry.EventLog
 	mustArm(t, d, 5, &log, fault.NeverQuiesce{TaskName: "zombie", Period: 20 * ms, CPU: 2 * ms, At: 20 * ms})
 	d.Run(ticks.FromMilliseconds(500))
 	chk.Finish()
@@ -180,7 +180,7 @@ func TestNeverQuiesceChargesExceptions(t *testing.T) {
 // is logged, the final audit is clean, and survivors never miss.
 func TestCrashRestartLeavesNoDanglingState(t *testing.T) {
 	d, chk, ids := system(t, 9, 0, nil)
-	var log metrics.EventLog
+	var log telemetry.EventLog
 	chk.LogTo(&log)
 	mustArm(t, d, 9, &log, fault.CrashRestart{
 		TaskName: "flaky", Period: 10 * ms, CPU: 1 * ms, At: 25 * ms,
@@ -215,7 +215,7 @@ func TestCrashRestartLeavesNoDanglingState(t *testing.T) {
 // the checker finds nothing silent.
 func TestStormAccountingAndRecordedMisses(t *testing.T) {
 	d, chk, _ := system(t, 13, 4, nil)
-	var log metrics.EventLog
+	var log telemetry.EventLog
 	chk.LogTo(&log)
 	injected := new(ticks.Ticks)
 	// A violent storm: bursts of multi-millisecond handler slabs, far
@@ -259,7 +259,7 @@ func TestStormAccountingAndRecordedMisses(t *testing.T) {
 // structure, and the run with jitter armed still audits clean.
 func TestJitterKeepsStructureIntact(t *testing.T) {
 	d, chk, _ := system(t, 17, 0, nil)
-	var log metrics.EventLog
+	var log telemetry.EventLog
 	mustArm(t, d, 17, &log, fault.Jitter{At: 10 * ms, MaxLate: 100 * ticks.PerMicrosecond, Coalesce: 20 * ticks.PerMicrosecond})
 	d.Run(ticks.FromMilliseconds(400))
 	chk.Finish()
@@ -278,7 +278,7 @@ func TestJitterKeepsStructureIntact(t *testing.T) {
 func TestPolicyCorruptionRejectedAtomically(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		d, _, _ := system(t, seed, 0, nil)
-		var log metrics.EventLog
+		var log telemetry.EventLog
 		mustArm(t, d, seed, &log,
 			fault.PolicyCorrupt{At: 10 * ms},
 			fault.PolicyCorrupt{At: 20 * ms},
@@ -315,7 +315,7 @@ func renderAll(vs []invariant.Violation) string {
 
 // mustArm arms injectors, failing the test on a spec error: the
 // injector suites in this file are all well-formed by construction.
-func mustArm(t *testing.T, d *core.Distributor, seed uint64, log *metrics.EventLog, injs ...fault.Injector) {
+func mustArm(t *testing.T, d *core.Distributor, seed uint64, log *telemetry.EventLog, injs ...fault.Injector) {
 	t.Helper()
 	if err := fault.ArmAll(d, seed, log, injs...); err != nil {
 		t.Fatalf("arm: %v", err)
@@ -358,7 +358,7 @@ func TestInjectorValidationRejectsBadSpecs(t *testing.T) {
 				t.Fatalf("Validate accepted a degenerate spec: %+v", tc.inj)
 			}
 			d, _, _ := system(t, 1, 0, nil)
-			var log metrics.EventLog
+			var log telemetry.EventLog
 			if err := fault.ArmAll(d, 1, &log, tc.inj); err == nil {
 				t.Fatalf("ArmAll armed a degenerate spec: %+v", tc.inj)
 			}
@@ -374,7 +374,7 @@ func TestInjectorValidationRejectsBadSpecs(t *testing.T) {
 // half-armed fault plan.
 func TestArmAllIsAllOrNothing(t *testing.T) {
 	d, _, _ := system(t, 1, 0, nil)
-	var log metrics.EventLog
+	var log telemetry.EventLog
 	err := fault.ArmAll(d, 1, &log,
 		fault.Overrun{TaskName: "ok", Period: 10 * ms, CPU: ms, At: 10 * ms},
 		fault.Storm{Bursts: 0, Count: 4, Service: ms})

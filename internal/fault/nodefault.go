@@ -16,8 +16,8 @@ package fault
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
 
@@ -51,14 +51,14 @@ type NodeInjector interface {
 	// ArmFleet schedules the fault's effects on f. rng is the
 	// injector's private substream; log receives arm-time "fault.*"
 	// events (fire-time events are recorded by the cluster itself).
-	ArmFleet(f NodeFleet, rng *sim.RNG, log *metrics.EventLog)
+	ArmFleet(f NodeFleet, rng *sim.RNG, log *telemetry.EventLog)
 }
 
 // ArmFleet arms each node-level injector with its own substream of
 // seed — injector i draws from sim.SplitSeed(seed, StreamBase+i),
 // exactly the positional discipline ArmAll applies to per-task
 // injectors. Specs are validated up front; a bad spec arms nothing.
-func ArmFleet(f NodeFleet, seed uint64, log *metrics.EventLog, injs ...NodeInjector) error {
+func ArmFleet(f NodeFleet, seed uint64, log *telemetry.EventLog, injs ...NodeInjector) error {
 	for i, inj := range injs {
 		if err := inj.Validate(); err != nil {
 			return fmt.Errorf("fault: node injector %d (%s): %w", i, inj.Name(), err)
@@ -130,7 +130,7 @@ func (n NodeCrash) Validate() error {
 	return nil
 }
 
-func (n NodeCrash) ArmFleet(f NodeFleet, rng *sim.RNG, log *metrics.EventLog) {
+func (n NodeCrash) ArmFleet(f NodeFleet, rng *sim.RNG, log *telemetry.EventLog) {
 	jitter := func(mean ticks.Ticks) ticks.Ticks {
 		return mean/2 + ticks.Ticks(rng.Uint64()%uint64(mean))
 	}
@@ -188,7 +188,7 @@ func (s NodeStorm) Validate() error {
 	return nil
 }
 
-func (s NodeStorm) ArmFleet(f NodeFleet, rng *sim.RNG, log *metrics.EventLog) {
+func (s NodeStorm) ArmFleet(f NodeFleet, rng *sim.RNG, log *telemetry.EventLog) {
 	for i := 0; i < s.Nodes; i++ {
 		st := s.Storm
 		st.At += ticks.Ticks(i) * s.Stagger

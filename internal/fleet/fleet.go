@@ -51,7 +51,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/metrics"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/telemetry"
@@ -289,19 +288,6 @@ func (q *actionQueue) topDue() ticks.Ticks { return q.a[0].due }
 
 // --- nodes ---
 
-// nodeProbe is the per-node sched.Observer: misses and period starts
-// survive across incarnations (the probe outlives crashes).
-type nodeProbe struct {
-	sched.NopObserver
-	misses  int64
-	periods int64
-}
-
-func (p *nodeProbe) OnPeriodStart(task.ID, ticks.Ticks, ticks.Ticks, int, ticks.Ticks) {
-	p.periods++
-}
-func (p *nodeProbe) OnDeadlineMiss(task.ID, ticks.Ticks, ticks.Ticks) { p.misses++ }
-
 // node is one RD in the fleet. Everything inside it is touched
 // either by its own advance (parallel phase, node-local) or by the
 // coordinator (sequential phase), never both at once.
@@ -312,19 +298,19 @@ type node struct {
 	costs sim.SwitchCosts
 
 	d   *core.Distributor
-	pr  *nodeProbe
 	chk *invariant.Checker
 	// flog is the node's own event log: injectors armed on this node
 	// record here from the parallel phase, so fire-time writes stay
 	// node-local. Merged into the cluster report in node-ID order,
-	// and teed into the node's flight recorder.
-	flog metrics.EventLog
+	// and mirrored into the node's flight recorder.
+	flog telemetry.EventLog
 
 	// tel is the node's telemetry set. It outlives incarnations: a
 	// restarted kernel re-registers the same instrument names
 	// (get-or-create) and keeps appending to the same span log, so a
-	// node's history reads continuously across crashes. The span log
-	// is either unbounded (Config.SpanLog) or the flight ring itself.
+	// node's history, the miss and period counts the report reads
+	// included, runs continuously across crashes. The span log is
+	// either unbounded (Config.SpanLog) or the flight ring itself.
 	tel *telemetry.Set
 	// flight is the node's always-on black box: the last-N spans and
 	// event lines, dumped when the node crashes, stalls, or trips its
@@ -365,10 +351,8 @@ func (n *node) build(at ticks.Ticks) {
 	n.chk = nil
 	n.scannedGen = 0
 	if n.cfg.Invariants {
-		n.chk = invariant.New(n.pr)
+		n.chk = invariant.New(nil)
 		cfg.Observer = n.chk
-	} else {
-		cfg.Observer = n.pr
 	}
 	n.d = core.New(cfg)
 	if n.chk != nil {
@@ -458,7 +442,7 @@ type Cluster struct {
 	backoff *sim.RNG
 	now     ticks.Ticks
 	horizon ticks.Ticks
-	flog    metrics.EventLog
+	flog    telemetry.EventLog
 	tel     *telemetry.Set
 	ran     bool
 
@@ -466,14 +450,12 @@ type Cluster struct {
 	// trigger order (barrier order, node order within a barrier).
 	flightDumps []telemetry.FlightDump
 
-	arrivals, placedN, spillovers, retries, rejected int64
-	deniedAttempts                                   int64
-	migrations, migrateFailed                        int64
-	crashes, restarts                                int64
-	lostToCrash, recovered, lostRecorded             int64
-	unarrived                                        int64
-	recoveryMS                                       metrics.Summary
+	// The four tallies no fleet.* counter carries.
+	arrivals, unarrived, deniedAttempts, migrateFailed int64
+	recoveryMS                                         metrics.Summary
 
+	// Every other tally of the run lives in its registered counter and
+	// nowhere else; the report and the conservation audit read them.
 	cPlaced, cSpill, cRetry, cReject, cMigrate *telemetry.Counter
 	cCrash, cRestart, cLost, cRecovered, cDrop *telemetry.Counter
 	cFlightDump                                *telemetry.Counter
@@ -481,7 +463,7 @@ type Cluster struct {
 
 // Arena is the storage clusters are built in, one after another: the
 // node shells — each node's flight recorder (span ring and event
-// ring), event log and probe — the coordinator's span log and flight
+// ring) and event log — the coordinator's span log and flight
 // recorder, the action queue and the placement scratch. The rings
 // alone are three quarters of what a 120-node cluster allocates to
 // exist, so a caller that runs many clusters keeps one Arena and pays
@@ -532,8 +514,7 @@ func (a *Arena) reset(spanCap, eventCap int) {
 	for _, n := range a.nodes {
 		n.flight.Reset()
 		n.flog.Reset()
-		*n.pr = nodeProbe{}
-		*n = node{pr: n.pr, flight: n.flight, flog: n.flog, placed: n.placed[:0]}
+		*n = node{flight: n.flight, flog: n.flog, placed: n.placed[:0]}
 	}
 	a.q.a = a.q.a[:0]
 	a.order = a.order[:0]
@@ -542,8 +523,8 @@ func (a *Arena) reset(spanCap, eventCap int) {
 // shell returns node i's storage, building it on first use.
 func (a *Arena) shell(i int) *node {
 	if i == len(a.nodes) {
-		n := &node{pr: &nodeProbe{}, flight: telemetry.NewFlight(a.spanCap, a.eventCap)}
-		n.flog.Tee(n.flight.Event)
+		n := &node{flight: telemetry.NewFlight(a.spanCap, a.eventCap)}
+		n.flog.MirrorTo(n.flight)
 		a.nodes = append(a.nodes, n)
 	}
 	return a.nodes[i]
@@ -592,7 +573,7 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 		backoff: sim.NewRNG(sim.SplitSeed(cfg.Seed, StreamBackoff)),
 		tel:     &telemetry.Set{Registry: telemetry.NewRegistry(), Spans: a.spans},
 	}
-	c.flog.Tee(a.flight.Event)
+	c.flog.MirrorTo(a.flight)
 	reg := c.tel.Reg()
 	c.cPlaced = reg.Counter("fleet.placed")
 	c.cSpill = reg.Counter("fleet.spillovers")
@@ -861,11 +842,9 @@ func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 		a.node, a.id = ni, id
 		a.attempts = 0
 		n.placed = append(n.placed, a)
-		c.placedN++
 		c.cPlaced.Inc()
 		spanName := "place"
 		if denials > 0 {
-			c.spillovers++
 			c.cSpill.Inc()
 			spanName = "spill"
 			c.flog.Record(now, "fleet.spill",
@@ -874,7 +853,6 @@ func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 		if a.recovering {
 			a.recovering = false
 			a.timesRecovered++
-			c.recovered++
 			c.cRecovered.Inc()
 			spanName = "recover"
 			c.recoveryMS.Add((now - a.crashAt).MillisecondsF())
@@ -891,7 +869,6 @@ func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 		return
 	}
 	delay := c.backoffDelay(a.attempts)
-	c.retries++
 	c.cRetry.Inc()
 	c.fleetSpan(now, "backoff", a, fmt.Sprintf("%s attempt %d", a.Name, a.attempts))
 	c.flog.Record(now, "fleet.backoff",
@@ -927,7 +904,6 @@ func (c *Cluster) abandon(a *admRec, now ticks.Ticks, why string) {
 	if a.recovering {
 		a.recovering = false
 		a.state = admLost
-		c.lostRecorded++
 		c.cDrop.Inc()
 		c.fleetSpan(now, "lost", a, fmt.Sprintf("%s: %s", a.Name, why))
 		c.flog.Record(now, "fleet.lost",
@@ -935,7 +911,6 @@ func (c *Cluster) abandon(a *admRec, now ticks.Ticks, why string) {
 		return
 	}
 	a.state = admRejected
-	c.rejected++
 	c.cReject.Inc()
 	c.fleetSpan(now, "reject", a, fmt.Sprintf("%s: %s", a.Name, why))
 	c.flog.Record(now, "fleet.reject", fmt.Sprintf("%s rejected fleet-wide (%s)", a.Name, why))
@@ -1017,7 +992,6 @@ func (c *Cluster) doCrash(ni int, now ticks.Ticks) {
 	n.placed = nil
 	n.down = true
 	n.d, n.chk = nil, nil
-	c.crashes++
 	c.cCrash.Inc()
 	c.tel.SpanLog().Instant(now, "fleet", "crash", telemetry.NoTask, 0,
 		fmt.Sprintf("node %d; %d guarantee(s) lost", ni, len(lost)))
@@ -1034,7 +1008,6 @@ func (c *Cluster) doCrash(ni int, now ticks.Ticks) {
 		a.crashAt = now
 		a.attempts = 0
 		a.timesLost++
-		c.lostToCrash++
 		c.cLost.Inc()
 		c.fleetSpan(now, "crash-readmit", a, fmt.Sprintf("%s lost with node %d", a.Name, ni))
 		c.push(now, actRetry, a, -1)
@@ -1053,7 +1026,6 @@ func (c *Cluster) doRestart(ni int, now ticks.Ticks) {
 	n.seed = sim.SplitSeed(n.seed, StreamNodeSeeds)
 	n.down = false
 	n.restarts++
-	c.restarts++
 	c.cRestart.Inc()
 	c.tel.SpanLog().Instant(now, "fleet", "restart", telemetry.NoTask, 0,
 		fmt.Sprintf("node %d incarnation %d", ni, n.restarts+1))
@@ -1139,7 +1111,6 @@ func (c *Cluster) migrate(a *admRec, src *node, now ticks.Ticks) {
 		src.placed = src.placed[:len(src.placed)-1]
 		a.node, a.id = ni, id
 		t.placed = append(t.placed, a)
-		c.migrations++
 		c.cMigrate.Inc()
 		m := c.fleetSpan(now, "migrate", a, fmt.Sprintf("%s node %d -> %d", a.Name, src.id, ni))
 		c.tipToAdmission(t, a, m)
@@ -1188,12 +1159,13 @@ func (c *Cluster) finish(horizon ticks.Ticks) {
 }
 
 // auditConservation re-derives the guarantee ledger from the
-// admission records and reports every imbalance. The counters being
-// re-computed from scratch is the point: a bookkeeping bug in the
-// pipeline cannot silently agree with itself.
+// admission records and holds the fleet.* counters to it. The ledger
+// being re-computed from scratch is the point: a bookkeeping bug in
+// the pipeline cannot silently agree with itself.
 func (c *Cluster) auditConservation() []string {
 	var probs []string
 	var lost, recovered, lostRec int64
+	cLost, cRecovered, cDrop := c.cLost.Value(), c.cRecovered.Value(), c.cDrop.Value()
 	for _, a := range c.adms {
 		lost += int64(a.timesLost)
 		recovered += int64(a.timesRecovered)
@@ -1214,15 +1186,15 @@ func (c *Cluster) auditConservation() []string {
 				a.Name, a.seq, a.timesLost, a.timesRecovered, a.state))
 		}
 	}
-	if lost != c.lostToCrash || recovered != c.recovered || lostRec != c.lostRecorded {
+	if lost != cLost || recovered != cRecovered || lostRec != cDrop {
 		probs = append(probs, fmt.Sprintf(
 			"ledger counters diverge from records: lost %d/%d, recovered %d/%d, recorded %d/%d",
-			lost, c.lostToCrash, recovered, c.recovered, lostRec, c.lostRecorded))
+			lost, cLost, recovered, cRecovered, lostRec, cDrop))
 	}
-	if c.lostToCrash != c.recovered+c.lostRecorded {
+	if cLost != cRecovered+cDrop {
 		probs = append(probs, fmt.Sprintf(
 			"conservation: %d guarantees lost to crashes != %d re-placed + %d recorded degradations",
-			c.lostToCrash, c.recovered, c.lostRecorded))
+			cLost, cRecovered, cDrop))
 	}
 	return probs
 }
@@ -1295,7 +1267,7 @@ type Report struct {
 
 	// Log is the merged event log: coordinator events first, then
 	// each node's own log in node-ID order.
-	Log metrics.EventLog
+	Log telemetry.EventLog
 }
 
 // NodeTelemetry is one node's slice of the report.
@@ -1319,19 +1291,19 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 		Nodes:          len(c.nodes),
 		Horizon:        horizon,
 		Arrivals:       c.arrivals,
-		Placed:         c.placedN,
-		Spillovers:     c.spillovers,
-		Retries:        c.retries,
-		Rejected:       c.rejected,
+		Placed:         c.cPlaced.Value(),
+		Spillovers:     c.cSpill.Value(),
+		Retries:        c.cRetry.Value(),
+		Rejected:       c.cReject.Value(),
 		Unarrived:      c.unarrived,
 		DeniedAttempts: c.deniedAttempts,
-		Migrations:     c.migrations,
+		Migrations:     c.cMigrate.Value(),
 		MigrateFailed:  c.migrateFailed,
-		Crashes:        c.crashes,
-		Restarts:       c.restarts,
-		LostToCrash:    c.lostToCrash,
-		Recovered:      c.recovered,
-		LostRecorded:   c.lostRecorded,
+		Crashes:        c.cCrash.Value(),
+		Restarts:       c.cRestart.Value(),
+		LostToCrash:    c.cLost.Value(),
+		Recovered:      c.cRecovered.Value(),
+		LostRecorded:   c.cDrop.Value(),
 		Violations:     int64(len(probs)),
 	}
 	r.RecoveryMS.Merge(&c.recoveryMS)
@@ -1341,8 +1313,6 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 	r.FlightDumps = c.flightDumps
 	var elapsed, busy, sw, irq ticks.Ticks
 	for i, n := range c.nodes {
-		r.Misses += n.pr.misses
-		r.Periods += n.pr.periods
 		r.Degradations += n.accDegradations
 		r.Violations += n.accViolations
 		elapsed += n.accElapsed
@@ -1357,6 +1327,8 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 		}
 		r.Log.Merge(&n.flog)
 		snap := n.tel.Reg().Snapshot()
+		r.Misses += snap.CounterValue("sched.deadline.misses")
+		r.Periods += snap.CounterValue("sched.period.rollovers")
 		r.PerNode[i] = NodeTelemetry{Node: i, Restarts: n.restarts, Telemetry: snap}
 		r.Telemetry.Merge(snap)
 	}

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/task"
+	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
 
@@ -82,7 +82,7 @@ func runIn(t *testing.T, a *fleet.Arena, seed uint64, workers, flightSpans int) 
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
 	}
-	var alog metrics.EventLog
+	var alog telemetry.EventLog
 	err = fault.ArmFleet(c, seed, &alog,
 		fault.NodeCrash{Node: -1, At: 40 * ms, Cycles: 3, MeanUp: 60 * ms, MeanDown: 25 * ms},
 		fault.NodeStorm{
@@ -113,6 +113,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if len(rep.Stalled) != 0 {
 			t.Fatalf("workers=%d: stalled nodes: %v", workers, rep.Stalled)
 		}
+		checkTallies(t, rep)
 		sum, log := rep.Summary(), rep.Log.String()
 		if refSummary == "" {
 			refSummary, refLog = sum, log
@@ -123,6 +124,38 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 		if log != refLog {
 			t.Errorf("workers=%d event log diverged", workers)
+		}
+	}
+}
+
+// checkTallies holds every Report field that is read from a counter to
+// the merged snapshot's value for that counter's name: a fact is
+// tallied once, and the report and the manifest cannot disagree on it.
+// The run must have exercised the crash pipeline end to end.
+func checkTallies(t *testing.T, rep *fleet.Report) {
+	t.Helper()
+	if rep.Crashes == 0 || rep.Restarts == 0 || rep.Recovered == 0 || rep.Periods == 0 {
+		t.Fatalf("run too quiet to check the tallies on: %s", rep.Summary())
+	}
+	for _, f := range []struct {
+		counter string
+		field   int64
+	}{
+		{"sched.deadline.misses", rep.Misses},
+		{"sched.period.rollovers", rep.Periods},
+		{"fleet.placed", rep.Placed},
+		{"fleet.spillovers", rep.Spillovers},
+		{"fleet.retries", rep.Retries},
+		{"fleet.rejected", rep.Rejected},
+		{"fleet.migrations", rep.Migrations},
+		{"fleet.node_crashes", rep.Crashes},
+		{"fleet.node_restarts", rep.Restarts},
+		{"fleet.lost_to_crash", rep.LostToCrash},
+		{"fleet.recovered", rep.Recovered},
+		{"fleet.lost_recorded", rep.LostRecorded},
+	} {
+		if got := rep.Telemetry.CounterValue(f.counter); got != f.field {
+			t.Errorf("report says %d where counter %s says %d", f.field, f.counter, got)
 		}
 	}
 }
@@ -190,7 +223,7 @@ func TestFaultedFleetConservation(t *testing.T) {
 // the siblings have room, and the recovery latency is measured.
 func TestCrashRecoveryReplacesGuarantees(t *testing.T) {
 	c := mustNew(t, fleet.Config{Nodes: 4, Seed: 1, Workers: 2, Invariants: true})
-	var alog metrics.EventLog
+	var alog telemetry.EventLog
 	if err := fault.ArmFleet(c, 1, &alog,
 		fault.NodeCrash{Node: 0, At: 50 * ms, Cycles: 1, MeanUp: 200 * ms, MeanDown: 30 * ms}); err != nil {
 		t.Fatalf("arm: %v", err)
@@ -307,7 +340,7 @@ func TestPlacementPoliciesDiffer(t *testing.T) {
 			t.Fatalf("%v: placed %d of %d", p, rep.Placed, len(names))
 		}
 		var b strings.Builder
-		rep.Log.All(func(ev metrics.Event) bool {
+		rep.Log.All(func(ev telemetry.LogEvent) bool {
 			b.WriteString(ev.Kind)
 			b.WriteByte(';')
 			return true
@@ -359,7 +392,7 @@ func TestMigrationUnderGovernorPressure(t *testing.T) {
 		MigrationCost:           200 * ticks.PerMicrosecond,
 		Invariants:              true,
 	})
-	var alog metrics.EventLog
+	var alog telemetry.EventLog
 	if err := fault.ArmFleet(c, 11, &alog,
 		fault.NodeStorm{
 			Storm:     fault.Storm{At: 30 * ms, Bursts: 10, Every: 5 * ms, Count: 8, Service: 250 * ticks.PerMicrosecond},
@@ -412,11 +445,11 @@ func TestConfigAndSubmitValidation(t *testing.T) {
 			t.Errorf("Submit accepted bad admission %d: %+v", i, a)
 		}
 	}
-	if err := fault.ArmFleet(c, 1, &metrics.EventLog{},
+	if err := fault.ArmFleet(c, 1, &telemetry.EventLog{},
 		fault.NodeCrash{Node: 5, At: 0, Cycles: 1, MeanUp: ms, MeanDown: ms}); err == nil {
 		t.Error("ArmFleet accepted a crash target beyond the fleet")
 	}
-	if err := fault.ArmFleet(c, 1, &metrics.EventLog{},
+	if err := fault.ArmFleet(c, 1, &telemetry.EventLog{},
 		fault.NodeStorm{Storm: fault.Storm{Bursts: 1, Count: 1, Service: ms}, FirstNode: 0, Nodes: 2}); err == nil {
 		t.Error("ArmFleet accepted a storm fan beyond the fleet")
 	}

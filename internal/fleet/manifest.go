@@ -72,7 +72,7 @@ func (c *Cluster) coordManifest(spans spanReader) *telemetry.Manifest {
 	m := c.manifestShell(telemetry.CoordTag)
 	m.Metrics = c.tel.Reg().Snapshot()
 	m.Spans = spans(c.tel.SpanLog())
-	m.SetEvents(&c.flog)
+	m.Events = c.flog.Events()
 	m.FlightDumps = c.flightDumps
 	m.DeriveTotals()
 	return m
@@ -97,7 +97,7 @@ func (c *Cluster) nodeManifest(i int, spans spanReader) *telemetry.Manifest {
 	m := c.manifestShell(telemetry.NodeTag(i))
 	m.Metrics = n.tel.Reg().Snapshot()
 	m.Spans = spans(n.tel.SpanLog())
-	m.SetEvents(&n.flog)
+	m.Events = n.flog.Events()
 	for _, a := range c.adms {
 		if a.state == admPlaced && a.node == i && a.id != task.NoID {
 			m.Tasks = append(m.Tasks, telemetry.TaskInfo{

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
@@ -23,7 +22,7 @@ func crashFleet(t *testing.T, workers int) (*fleet.Cluster, *fleet.Report) {
 	c := mustNew(t, fleet.Config{
 		Nodes: 4, Seed: 1, Workers: workers, Invariants: true, SpanLog: true,
 	})
-	var alog metrics.EventLog
+	var alog telemetry.EventLog
 	if err := fault.ArmFleet(c, 1, &alog,
 		fault.NodeCrash{Node: 0, At: 50 * ms, Cycles: 1, MeanUp: 200 * ms, MeanDown: 30 * ms}); err != nil {
 		t.Fatalf("arm: %v", err)
@@ -153,7 +152,7 @@ func TestClusterManifestCausalChainAcrossMigration(t *testing.T) {
 		Invariants:              true,
 		SpanLog:                 true,
 	})
-	var alog metrics.EventLog
+	var alog telemetry.EventLog
 	if err := fault.ArmFleet(c, 11, &alog,
 		fault.NodeStorm{
 			Storm:     fault.Storm{At: 30 * ms, Bursts: 10, Every: 5 * ms, Count: 8, Service: 250 * ticks.PerMicrosecond},

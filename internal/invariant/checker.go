@@ -29,7 +29,6 @@
 package invariant
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/rm"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -59,7 +58,7 @@ type Checker struct {
 	m *rm.Manager
 	s *sched.Scheduler
 
-	log *metrics.EventLog // optional mirror of violations
+	log *telemetry.EventLog // optional mirror of violations
 
 	seq int64
 	// open holds each task's current period. A record is allocated at
@@ -107,7 +106,7 @@ func (c *Checker) Bind(k *sim.Kernel, m *rm.Manager, s *sched.Scheduler) {
 
 // LogTo mirrors every violation into l as an event with kind
 // "invariant.<Kind>". Pass nil to stop mirroring.
-func (c *Checker) LogTo(l *metrics.EventLog) { c.log = l }
+func (c *Checker) LogTo(l *telemetry.EventLog) { c.log = l }
 
 // Violations returns a copy of everything recorded so far, in
 // detection order.

@@ -6,11 +6,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/rm"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
+	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
 
@@ -81,7 +81,7 @@ func TestRecordedMissIsNotAViolation(t *testing.T) {
 // exact failure the paper's guarantee machinery must never allow.
 func TestSilentMissIsDetected(t *testing.T) {
 	chk := invariant.New(nil)
-	var log metrics.EventLog
+	var log telemetry.EventLog
 	chk.LogTo(&log)
 
 	chk.OnPeriodStart(7, 0, 10*ms, 0, 3*ms)

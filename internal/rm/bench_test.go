@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/resource"
 	"repro/internal/task"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
@@ -95,7 +94,7 @@ func TestDenialErrorContract(t *testing.T) {
 	}
 	_, cpuErr := cpu.RequestAdmittance(newTask("f", task.UniformLevels(270_000, "F", 30, 7)))
 
-	str := New(Config{Streamer: resource.Capacity{StreamerMBps: 100}})
+	str := New(Config{Streamer: Capacity{StreamerMBps: 100}})
 	if _, err := str.RequestAdmittance(newTask("a", streamList(30, 20, 80, 60))); err != nil {
 		t.Fatal(err)
 	}

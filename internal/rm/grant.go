@@ -12,6 +12,28 @@
 // through the Hooks interface: new and increased grants are picked up
 // by the Scheduler at its next unallocated time, while removals and
 // decreases are signalled immediately (§4.2).
+//
+// Table 1 "omits several fields that manage resources other than CPU
+// cycles on the MAP1000"; the Manager supplies two of them — the
+// exclusive-use Fixed Function Unit (FFU) and Data Streamer DMA
+// bandwidth (Capacity), §7's future-work note on managing bandwidth as
+// a resource implemented as a second admission dimension — under these
+// conventions:
+//
+//   - The FFU is exclusive: at most one task may hold a grant whose
+//     entry needs it. When a stored policy designates an Exclusive
+//     member (§4.3), that member wins the FFU; otherwise the grant
+//     correlation resolves contention deterministically.
+//
+//   - Data Streamer bandwidth is a scalar capacity in MB/s. Admission
+//     sums the minimum entries' demands; grant control keeps the
+//     granted set's total within capacity, shedding levels exactly as
+//     it does for CPU.
+//
+//   - Resource menus are monotone: a lower QOS level never demands
+//     more of any resource than a higher one. task.ResourceList
+//     validation enforces this, which is what lets minimum-entry sums
+//     serve as the admission test across all dimensions.
 package rm
 
 import (

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"repro/internal/policy"
-	"repro/internal/resource"
 	"repro/internal/task"
 	"repro/internal/ticks"
 )
@@ -123,7 +122,7 @@ type Manager struct {
 
 	// streamer is the Data Streamer bandwidth capacity; the zero
 	// value leaves the dimension unmodelled.
-	streamer resource.Capacity
+	streamer Capacity
 
 	nextID task.ID
 	// tasks is the task table in ascending ID order. IDs are handed out
@@ -189,6 +188,30 @@ func emptied[T any](buf []T, n int) []T {
 	return buf[:0]
 }
 
+// Capacity describes the machine's non-CPU resources.
+type Capacity struct {
+	// StreamerMBps is total Data Streamer bandwidth. Zero means the
+	// Streamer is not modelled (unlimited) — the default, so
+	// CPU-only configurations behave exactly as before.
+	StreamerMBps int64
+}
+
+// Unlimited reports whether the Streamer dimension is unmodelled.
+func (c Capacity) Unlimited() bool { return c.StreamerMBps <= 0 }
+
+// Fits reports whether a total demand of mbps fits the capacity.
+func (c Capacity) Fits(mbps int64) bool {
+	return c.Unlimited() || mbps <= c.StreamerMBps
+}
+
+// String renders the capacity for diagnostics.
+func (c Capacity) String() string {
+	if c.Unlimited() {
+		return "streamer=unlimited"
+	}
+	return fmt.Sprintf("streamer=%dMBps", c.StreamerMBps)
+}
+
 // Config parameterises a Manager.
 type Config struct {
 	// Box is the Policy Box to consult in overload. If nil a fresh
@@ -202,7 +225,7 @@ type Config struct {
 
 	// Streamer is the Data Streamer bandwidth capacity. The zero
 	// value (no capacity set) leaves bandwidth unmodelled.
-	Streamer resource.Capacity
+	Streamer Capacity
 }
 
 // New returns an empty Manager.

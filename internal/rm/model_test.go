@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/policy"
-	"repro/internal/resource"
 	"repro/internal/task"
 	"repro/internal/ticks"
 )
@@ -101,7 +100,7 @@ func newHarness(cfg byte) *harness {
 		Box:                     box,
 		Hooks:                   h,
 		InterruptReservePercent: reserve,
-		Streamer:                resource.Capacity{StreamerMBps: h.streamer},
+		Streamer:                Capacity{StreamerMBps: h.streamer},
 	})
 	return h
 }

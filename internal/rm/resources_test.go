@@ -2,11 +2,11 @@ package rm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/policy"
-	"repro/internal/resource"
 	"repro/internal/task"
 	tk "repro/internal/ticks"
 )
@@ -21,7 +21,7 @@ func streamList(hiPct, loPct int, hiMBps, loMBps int64) task.ResourceList {
 }
 
 func TestStreamerAdmissionDenied(t *testing.T) {
-	m := New(Config{Streamer: resource.Capacity{StreamerMBps: 100}})
+	m := New(Config{Streamer: Capacity{StreamerMBps: 100}})
 	// Minimum demands 60 MB/s each: the second does not fit.
 	l := streamList(30, 20, 80, 60)
 	if _, err := m.RequestAdmittance(newTask("a", l)); err != nil {
@@ -41,7 +41,7 @@ func TestStreamerShedsLevels(t *testing.T) {
 	// Two tasks whose maxima want 80+80=160 MB/s of a 100 MB/s
 	// Streamer but whose CPU fits: grant control must shed on the
 	// bandwidth dimension alone.
-	m := New(Config{Streamer: resource.Capacity{StreamerMBps: 100}})
+	m := New(Config{Streamer: Capacity{StreamerMBps: 100}})
 	a, err := m.RequestAdmittance(newTask("a", streamList(30, 20, 80, 20)))
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestGrantsRespectAllDimensionsProperty(t *testing.T) {
 	// the granted set always fits every dimension.
 	f := func(seed uint8, cap8 uint8) bool {
 		capMBps := int64(cap8%100) + 50
-		m := New(Config{Streamer: resource.Capacity{StreamerMBps: capMBps}})
+		m := New(Config{Streamer: Capacity{StreamerMBps: capMBps}})
 		for i := 0; i < 6; i++ {
 			hi := int(seed)%60 + 20
 			lo := hi / 3
@@ -223,5 +223,34 @@ func TestGrantsRespectAllDimensionsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestCapacityFits(t *testing.T) {
+	unlimited := Capacity{}
+	if !unlimited.Unlimited() {
+		t.Error("zero capacity should be unlimited")
+	}
+	if !unlimited.Fits(1 << 40) {
+		t.Error("unlimited capacity rejected a demand")
+	}
+	capped := Capacity{StreamerMBps: 100}
+	if capped.Unlimited() {
+		t.Error("capped capacity reported unlimited")
+	}
+	if !capped.Fits(100) {
+		t.Error("exact fit rejected")
+	}
+	if capped.Fits(101) {
+		t.Error("over-capacity demand accepted")
+	}
+}
+
+func TestCapacityString(t *testing.T) {
+	if s := (Capacity{}).String(); !strings.Contains(s, "unlimited") {
+		t.Errorf("String() = %q", s)
+	}
+	if s := (Capacity{StreamerMBps: 80}).String(); !strings.Contains(s, "80") {
+		t.Errorf("String() = %q", s)
 	}
 }

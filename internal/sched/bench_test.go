@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rm"
@@ -159,5 +160,27 @@ func TestSporadicDispatchAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("assigned=%v: sporadic dispatch steady state = %v allocs/op, want 0", assigned, allocs)
 		}
+	}
+}
+
+// BenchmarkSchedulerSteadyState measures scheduling one simulated
+// second with ten periodic tasks, built from nothing each iteration —
+// the simulator's core loop throughput.
+func BenchmarkSchedulerSteadyState(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel(sim.Config{Costs: sim.ZeroSwitchCosts()})
+		m := rm.New(rm.Config{})
+		s := New(Config{Kernel: k, RM: m})
+		m.SetHooks(s)
+		for j := 0; j < 10; j++ {
+			if _, err := m.RequestAdmittance(&task.Task{
+				Name: fmt.Sprintf("t%d", j),
+				List: task.SingleLevel(10*ms, ms/2, "T"),
+				Body: task.PeriodicWork(ms / 2),
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.RunUntil(ticks.PerSecond)
 	}
 }

@@ -89,3 +89,19 @@ func BenchmarkSwitchSample(b *testing.B) {
 }
 
 var switchSampleSink ticks.Ticks
+
+// BenchmarkEventQueue measures the bare queue: two pushes, a cancel
+// and a pop per iteration.
+func BenchmarkEventQueue(b *testing.B) {
+	var q EventQueue
+	fn := func() {}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e1 := q.Push(ticks.Ticks(i), fn)
+		q.Push(ticks.Ticks(i+7), fn)
+		q.Cancel(e1)
+		if e := q.Pop(); e == nil {
+			b.Fatal("empty queue")
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/invariant"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -57,7 +56,7 @@ type env struct {
 	// audits the paper's guarantees during the run.
 	chk *invariant.Checker
 	// flog collects fault-injection and invariant events for the run.
-	flog metrics.EventLog
+	flog telemetry.EventLog
 
 	// arena is where runFleet builds its cluster: the sweep worker's
 	// own, recycled by its next fleet run, or a private one when the

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/resource"
+	"repro/internal/rm"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/ticks"
@@ -206,7 +206,7 @@ func runStudio(e *env) error {
 	d := e.start(core.Config{
 		InterruptReservePercent: 4,
 		PolicyBox:               box,
-		Streamer:                resource.Capacity{StreamerMBps: 400},
+		Streamer:                rm.Capacity{StreamerMBps: 400},
 	})
 
 	stream := workload.NewTransportStream(d, 900_000, 6)

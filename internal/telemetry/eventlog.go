@@ -1,4 +1,4 @@
-package metrics
+package telemetry
 
 import (
 	"fmt"
@@ -7,42 +7,37 @@ import (
 	"repro/internal/ticks"
 )
 
-// Event is one timestamped occurrence in a simulation run: a fault
+// LogEvent is one timestamped occurrence in a simulation run: a fault
 // injection, an invariant violation, a degradation decision. Events
 // are plain data so fault scenarios and checkers can log without
-// pulling in their packages' types.
-type Event struct {
-	At     ticks.Ticks // virtual time of the occurrence
-	Kind   string      // stable machine-readable kind, e.g. "fault.overrun"
-	Detail string      // human-readable specifics
+// pulling in their packages' types; the JSON tags are the manifest's.
+type LogEvent struct {
+	At     ticks.Ticks `json:"at"`               // virtual time of the occurrence
+	Kind   string      `json:"kind"`             // stable machine-readable kind, e.g. "fault.overrun"
+	Detail string      `json:"detail,omitempty"` // human-readable specifics
 }
 
-// EventLog is an append-only, deterministic record of Events. The
-// zero value is ready to use. Like Summary, it merges in caller-fixed
-// order so sweep aggregation is worker-count invariant.
+// EventLog is an append-only, deterministic record of LogEvents. The
+// zero value is ready to use. Like a Snapshot, it merges in
+// caller-fixed order so sweep aggregation is worker-count invariant.
 type EventLog struct {
-	events []Event
-	tee    func(at ticks.Ticks, kind, detail string)
+	events []LogEvent
+	flight *Flight
 }
 
 // Record appends one event.
 func (l *EventLog) Record(at ticks.Ticks, kind, detail string) {
-	l.events = append(l.events, Event{At: at, Kind: kind, Detail: detail})
-	if l.tee != nil {
-		l.tee(at, kind, detail)
-	}
+	l.events = append(l.events, LogEvent{At: at, Kind: kind, Detail: detail})
+	l.flight.Event(at, kind, detail)
 }
 
-// Tee mirrors every subsequent Record into fn as well — how a node's
-// event log feeds its telemetry flight recorder without this package
-// importing telemetry. Merge does not tee: merged events were already
-// recorded (and teed) on their source log.
-func (l *EventLog) Tee(fn func(at ticks.Ticks, kind, detail string)) {
-	l.tee = fn
-}
+// MirrorTo makes every subsequent Record land in f's event ring as
+// well — how a node's event log feeds its black box. Merge does not
+// mirror: merged events were already recorded on their source log.
+func (l *EventLog) MirrorTo(f *Flight) { l.flight = f }
 
 // Reset empties the log for the next run and keeps its storage and
-// its tee.
+// its flight recorder.
 func (l *EventLog) Reset() { l.events = l.events[:0] }
 
 // Merge appends all of o's events to l, leaving o unchanged. Events
@@ -60,8 +55,8 @@ func (l *EventLog) N() int { return len(l.events) }
 // Events returns a copy of the recorded events, in order. Callers
 // that only scan — checkers polling for a kind, exporters walking the
 // log — should use All instead: this copies the whole slice per call.
-func (l *EventLog) Events() []Event {
-	out := make([]Event, len(l.events))
+func (l *EventLog) Events() []LogEvent {
+	out := make([]LogEvent, len(l.events))
 	copy(out, l.events)
 	return out
 }
@@ -70,7 +65,7 @@ func (l *EventLog) Events() []Event {
 // false. It allocates nothing, so it is the right shape for callers
 // that poll the log in a loop. The log must not be appended to from
 // inside yield.
-func (l *EventLog) All(yield func(Event) bool) {
+func (l *EventLog) All(yield func(LogEvent) bool) {
 	for i := range l.events {
 		if !yield(l.events[i]) {
 			return
@@ -81,7 +76,7 @@ func (l *EventLog) All(yield func(Event) bool) {
 // CountKind reports how many events have exactly the given kind.
 func (l *EventLog) CountKind(kind string) int {
 	n := 0
-	l.All(func(e Event) bool {
+	l.All(func(e LogEvent) bool {
 		if e.Kind == kind {
 			n++
 		}
@@ -94,7 +89,7 @@ func (l *EventLog) CountKind(kind string) int {
 // the given prefix (e.g. "fault." counts all injections).
 func (l *EventLog) KindPrefixCount(prefix string) int {
 	n := 0
-	l.All(func(e Event) bool {
+	l.All(func(e LogEvent) bool {
 		if strings.HasPrefix(e.Kind, prefix) {
 			n++
 		}

@@ -96,9 +96,8 @@ func (f *Flight) linkSpan(id SpanID, linkNode int32, target SpanID) {
 	}
 }
 
-// Event records one event-log line into the event ring. The signature
-// matches metrics.EventLog's Tee hook so a node's log mirrors into its
-// black box without the metrics package importing this one.
+// Event records one event-log line into the event ring; an EventLog
+// handed this recorder (MirrorTo) calls it on every Record. Nil-safe.
 func (f *Flight) Event(at ticks.Ticks, kind, detail string) {
 	if f == nil {
 		return

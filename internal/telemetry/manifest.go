@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/metrics"
 	"repro/internal/ticks"
 )
 
@@ -26,13 +25,6 @@ type TaskInfo struct {
 	ID   int64  `json:"id"`
 	Name string `json:"name"`
 	Node int32  `json:"node,omitempty"`
-}
-
-// LogEvent is one metrics.EventLog entry, flattened for JSON.
-type LogEvent struct {
-	At     ticks.Ticks `json:"at"`
-	Kind   string      `json:"kind"`
-	Detail string      `json:"detail,omitempty"`
 }
 
 // Totals are the headline health numbers of a run, duplicated out of
@@ -98,18 +90,6 @@ func (m *Manifest) DeriveTotals() {
 		FaultsInjected: m.Metrics.CounterValue("fault.fired"),
 		FlightDumps:    int64(len(m.FlightDumps)),
 	}
-}
-
-// SetEvents copies an event log into the manifest.
-func (m *Manifest) SetEvents(l *metrics.EventLog) {
-	if l == nil || l.N() == 0 {
-		return
-	}
-	m.Events = make([]LogEvent, 0, l.N())
-	l.All(func(e metrics.Event) bool {
-		m.Events = append(m.Events, LogEvent{At: e.At, Kind: e.Kind, Detail: e.Detail})
-		return true
-	})
 }
 
 // WriteJSON writes the manifest as deterministic, indented JSON with a
