@@ -13,7 +13,7 @@ GO ?= go
 BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
 BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
 
-.PHONY: all build test race lint vet fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden ci
+.PHONY: all build test race lint fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
 
 all: build test lint
 
@@ -28,23 +28,14 @@ race:
 
 # The blocking lint gate (see docs/LINTING.md): gofmt over everything
 # but the analyzers' testdata fixtures (some are deliberately odd),
-# then rdlint standalone — all analyzers including the cross-package
-# dataflow suite, the fleet-wide Finish passes, and the stale-waiver
-# audit, any finding fails the build — plus the stock go vet checks.
+# then rdlint — all analyzers including the cross-package dataflow
+# suite, the fleet-wide Finish passes, and the stale-waiver audit, any
+# finding fails the build — plus the stock go vet checks.
 lint:
 	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/rdlint ./...
 	$(GO) vet ./...
-
-# The rdlint analyzers through the go vet vettool protocol. Facts
-# travel between packages via the .vetx files cmd/go manages; the
-# fleet-wide Finish passes and the waiver audit are whole-program and
-# only run in the standalone form above.
-vet:
-	$(GO) build -o $(CURDIR)/rdlint.bin ./cmd/rdlint
-	$(GO) vet -vettool=$(CURDIR)/rdlint.bin ./...
-	rm -f $(CURDIR)/rdlint.bin
 
 # Short fuzz runs of the exact-arithmetic kernels, the switch-cost tick
 # table (against the formula it is built from), the rdtel/v2 codec
@@ -173,4 +164,11 @@ bench-smoke:
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json -section current \
 			-threshold 15 $(BENCH_GATE) -gate-units allocs/op,B/op
 
-ci: build vet test race lint fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke telemetry-smoke bench-smoke
+# Byte identity against a parent revision (scripts/identity.sh has the
+# artifact set): make identity PARENT=<rev>. A refactor that must not
+# change a byte of output runs this instead of retyping the recipe.
+identity:
+	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
+	bash scripts/identity.sh $(PARENT)
+
+ci: build test race lint fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke telemetry-smoke bench-smoke

@@ -1,36 +1,19 @@
 // Command rdlint runs the determinism, unit-safety, dataflow and
 // concurrency analyzers in internal/analysis over this module
-// (catalogued in docs/LINTING.md). It supports two modes:
-//
-// Standalone, for day-to-day use and CI:
+// (catalogued in docs/LINTING.md):
 //
 //	go run ./cmd/rdlint ./...
 //	go run ./cmd/rdlint ./internal/sched
 //
-// As a go vet backend, speaking cmd/go's vettool protocol (-V=full
-// fingerprinting, -flags discovery, and per-package .cfg files with
-// gc export data):
-//
-//	go build -o rdlint ./cmd/rdlint
-//	go vet -vettool=$(pwd)/rdlint ./...
-//
-// In both modes findings print as file:line:col: analyzer: message and
-// a non-zero exit (2, matching go vet) reports that findings exist.
-// Sites are waived inline with //rdlint:ordered-ok <reason> or
-// //rdlint:allow <analyzer> <reason>; the standalone mode also audits
-// every directive and fails on stale ones. See docs/LINTING.md.
+// Findings print as file:line:col: analyzer: message and a non-zero
+// exit (2, matching go vet) reports that findings exist. Sites are
+// waived inline with //rdlint:ordered-ok <reason> or
+// //rdlint:allow <analyzer> <reason>; every directive is audited and a
+// stale one fails the run. See docs/LINTING.md.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"strings"
 
@@ -39,63 +22,24 @@ import (
 )
 
 func main() {
-	var rest []string
-	mode := ""
+	var patterns []string
 	for _, arg := range os.Args[1:] {
-		switch {
-		case arg == "-V=full" || arg == "--V=full":
-			mode = "version"
-		case arg == "-flags" || arg == "--flags":
-			mode = "flags"
-		case arg == "help" || arg == "-h" || arg == "-help" || arg == "--help":
+		switch arg {
+		case "help", "-h", "-help", "--help":
 			usage()
 			return
-		case strings.HasPrefix(arg, "-"):
-			// Tolerate unknown flags (cmd/go may pass vet flags that we
-			// have no use for, e.g. -json).
-		default:
-			rest = append(rest, arg)
 		}
+		patterns = append(patterns, arg)
 	}
-	switch mode {
-	case "version":
-		printVersion()
-		return
-	case "flags":
-		// cmd/go interrogates the tool's flag set as JSON; rdlint has
-		// no configurable flags.
-		fmt.Println("[]")
-		return
-	}
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(unitcheck(rest[0]))
-	}
-	os.Exit(standalone(rest))
+	os.Exit(standalone(patterns))
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: rdlint [packages]   (standalone: go run ./cmd/rdlint ./...)\n")
-	fmt.Fprintf(os.Stderr, "       rdlint file.cfg     (as go vet -vettool backend)\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: rdlint [packages]   (go run ./cmd/rdlint ./...)\n\nanalyzers:\n")
 	for _, a := range analysis.Analyzers {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
 	}
 }
-
-// printVersion implements the -V=full handshake: cmd/go fingerprints
-// the vettool by this line's buildID token so vet results are
-// invalidated when the tool changes.
-func printVersion() {
-	exe, err := os.Executable()
-	var sum [sha256.Size]byte
-	if err == nil {
-		if data, rerr := os.ReadFile(exe); rerr == nil {
-			sum = sha256.Sum256(data)
-		}
-	}
-	fmt.Printf("rdlint version devel comments-go-here buildID=%02x\n", string(sum[:]))
-}
-
-// --- standalone mode ---
 
 func standalone(patterns []string) int {
 	root, err := loader.FindModuleRoot(".")
@@ -149,152 +93,3 @@ func standalone(patterns []string) int {
 	}
 	return 0
 }
-
-// --- go vet -vettool mode ---
-
-// vetConfig is the JSON cmd/go writes for each package it vets; the
-// field set mirrors golang.org/x/tools/go/analysis/unitchecker.Config.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitcheck(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rdlint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "rdlint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	// Facts flow between vet invocations through cmd/go's .vetx
-	// files: dependencies' facts are decoded into the store before
-	// the pass, and the store (which then transitively includes them)
-	// is re-encoded as this package's vetx afterwards. Even a
-	// VetxOnly invocation must therefore run the analyzers — the
-	// facts are the output.
-	store := analysis.NewFactStore()
-	for _, vetx := range cfg.PackageVetx {
-		blob, err := os.ReadFile(vetx)
-		if err != nil {
-			continue // a dependency outside the fact flow (stdlib)
-		}
-		if err := store.DecodeFacts(blob, analysis.Analyzers); err != nil {
-			fmt.Fprintf(os.Stderr, "rdlint: facts from %s: %v\n", vetx, err)
-			return 1
-		}
-	}
-
-	// cmd/go requires the .vetx output to exist before it trusts the
-	// run, even on tolerated-failure paths that produce no facts.
-	emptyVetx := func() {
-		if cfg.VetxOutput != "" {
-			os.WriteFile(cfg.VetxOutput, nil, 0o666)
-		}
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				emptyVetx()
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "rdlint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-
-	// Imports resolve through the export data the compiler already
-	// produced for this build: cmd/go hands us the canonical path map
-	// and the .a/.x file per canonical path.
-	compilerImp := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		if canonical, ok := cfg.ImportMap[importPath]; ok {
-			importPath = canonical
-		}
-		if importPath == "unsafe" {
-			return types.Unsafe, nil
-		}
-		return compilerImp.Import(importPath)
-	})
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	tconf := types.Config{Importer: imp, FakeImportC: true, GoVersion: cfg.GoVersion}
-	pkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			emptyVetx()
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "rdlint:", err)
-		return 1
-	}
-
-	unit := &analysis.Unit{Files: files, Pkg: pkg, TypesInfo: info, Report: !cfg.VetxOnly}
-	// Per-package vet invocations skip the fleet Finish hooks and the
-	// stale-waiver audit: both need the whole-module view only the
-	// standalone form (`make lint`) has. See docs/LINTING.md.
-	diags, err := analysis.RunUnits(fset, []*analysis.Unit{unit}, analysis.Analyzers,
-		analysis.RunOptions{Store: store, NoFinish: true})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rdlint:", err)
-		return 1
-	}
-	if cfg.VetxOutput != "" {
-		blob, err := store.EncodeFacts()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rdlint:", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, blob, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "rdlint:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -7,9 +7,8 @@
 // every recorded trace. The analyzers in this package — maporder,
 // wallclock, rawrand, tickunits, hotalloc — mechanically enforce the
 // invariants documented in docs/DETERMINISM.md and the hot-path
-// allocation budget documented in docs/PERFORMANCE.md. They are driven by cmd/rdlint,
-// which runs both standalone (`go run ./cmd/rdlint ./...`) and as a
-// `go vet -vettool` backend.
+// allocation budget documented in docs/PERFORMANCE.md. They are driven
+// by cmd/rdlint (`go run ./cmd/rdlint ./...`).
 //
 // The API mirrors go/analysis (Analyzer, Pass, Diagnostic) so that a
 // future PR can swap in the real module unchanged once the build
@@ -39,16 +38,10 @@ type Analyzer struct {
 	// Run applies the analyzer to a package.
 	Run func(*Pass) error
 
-	// FactTypes lists prototype pointers of every Fact type the
-	// analyzer exports, so the vetx codec can decode them when facts
-	// cross process boundaries (go vet -vettool mode).
-	FactTypes []Fact
-
 	// Finish, when non-nil, runs once after every package of a fleet
 	// run has been analyzed, with the full fact store — the hook for
 	// whole-program aggregation such as rngstream's stream-ID
-	// collision check. It is invoked by RunUnits (standalone rdlint,
-	// atest), not by the per-package vettool mode.
+	// collision check.
 	Finish func(*FleetPass) error
 }
 
@@ -69,8 +62,7 @@ type Pass struct {
 	// direct single-analyzer Run calls.
 	waivers *waiverSet
 
-	// store receives exported facts and serves imports; nil means
-	// facts are silently dropped (single-package compatibility mode).
+	// store receives exported facts and serves imports.
 	store *FactStore
 }
 
@@ -156,8 +148,10 @@ func (p *Pass) ExprString(e ast.Expr) string {
 // DeterministicPackages lists the import paths whose code runs inside
 // the virtual-time simulation and therefore must be exactly
 // reproducible (see docs/DETERMINISM.md). Sub-packages are included.
-// cmd/rdbench is deliberately absent: it measures host time.
+// cmd/rdbench is in: its output is a pure function of the source,
+// pinned byte for byte by cmd/rdbench/testdata/rdbench.golden.
 var DeterministicPackages = []string{
+	"repro/cmd/rdbench",
 	"repro/internal/sim",
 	"repro/internal/sched",
 	"repro/internal/rm",
@@ -318,18 +312,10 @@ type Unit struct {
 
 // RunOptions configures a fleet run.
 type RunOptions struct {
-	// Store carries facts across packages (and, in vettool mode, in
-	// from .vetx files). Nil means a fresh private store.
-	Store *FactStore
-
 	// Audit enables the stale-waiver audit over the reported units.
 	// Only meaningful when the full analyzer suite runs: a directive
 	// is judged stale because no analyzer fired against it.
 	Audit bool
-
-	// NoFinish suppresses the fleet-wide Finish hooks. The vettool
-	// mode sets it: a single-package view has no fleet to aggregate.
-	NoFinish bool
 }
 
 // RunUnits applies the analyzers to the units in order (callers
@@ -337,10 +323,7 @@ type RunOptions struct {
 // need them), runs the fleet-wide Finish hooks, optionally audits
 // waivers, and returns the surviving diagnostics sorted by position.
 func RunUnits(fset *token.FileSet, units []*Unit, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, error) {
-	store := opts.Store
-	if store == nil {
-		store = NewFactStore()
-	}
+	store := NewFactStore()
 	var diags []Diagnostic
 	waivers := make([]*waiverSet, len(units))
 	for i, u := range units {
@@ -367,39 +350,37 @@ func RunUnits(fset *token.FileSet, units []*Unit, analyzers []*Analyzer, opts Ru
 		}
 	}
 
-	if !opts.NoFinish {
-		for _, a := range analyzers {
-			if a.Finish == nil {
-				continue
-			}
-			fp := &FleetPass{
-				Analyzer: a,
-				Fset:     fset,
-				store:    store,
-				report: func(d Diagnostic) {
-					// Fleet findings honor the same inline waivers as
-					// per-package ones; the directive lives in whichever
-					// package owns the reported position.
-					position := fset.Position(d.Pos)
-					for _, ws := range waivers {
-						switch ws.status(a.Name, position) {
-						case waived:
-							return
-						case waivedNoReason:
-							diags = append(diags, Diagnostic{
-								Pos:      d.Pos,
-								Analyzer: a.Name,
-								Message:  "rdlint waiver is missing a reason; write //rdlint:" + directiveVerb(a.Name) + " <why this site is safe>",
-							})
-							return
-						}
+	for _, a := range analyzers {
+		if a.Finish == nil {
+			continue
+		}
+		fp := &FleetPass{
+			Analyzer: a,
+			Fset:     fset,
+			store:    store,
+			report: func(d Diagnostic) {
+				// Fleet findings honor the same inline waivers as
+				// per-package ones; the directive lives in whichever
+				// package owns the reported position.
+				position := fset.Position(d.Pos)
+				for _, ws := range waivers {
+					switch ws.status(a.Name, position) {
+					case waived:
+						return
+					case waivedNoReason:
+						diags = append(diags, Diagnostic{
+							Pos:      d.Pos,
+							Analyzer: a.Name,
+							Message:  "rdlint waiver is missing a reason; write //rdlint:" + directiveVerb(a.Name) + " <why this site is safe>",
+						})
+						return
 					}
-					diags = append(diags, d)
-				},
-			}
-			if err := a.Finish(fp); err != nil {
-				return nil, fmt.Errorf("%s (finish): %w", a.Name, err)
-			}
+				}
+				diags = append(diags, d)
+			},
+		}
+		if err := a.Finish(fp); err != nil {
+			return nil, fmt.Errorf("%s (finish): %w", a.Name, err)
 		}
 	}
 
@@ -436,14 +417,6 @@ func RunUnits(fset *token.FileSet, units []*Unit, analyzers []*Analyzer, opts Ru
 
 	sortDiagnostics(fset, diags)
 	return diags, nil
-}
-
-// Run applies the analyzers to one typechecked package with a private
-// fact store and no fleet hooks — the single-package compatibility
-// form used by the vettool protocol's per-package invocations.
-func Run(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*Analyzer) ([]Diagnostic, error) {
-	unit := &Unit{Files: files, Pkg: pkg, TypesInfo: info, Report: true}
-	return RunUnits(fset, []*Unit{unit}, analyzers, RunOptions{NoFinish: true})
 }
 
 func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {

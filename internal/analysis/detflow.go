@@ -40,7 +40,7 @@ import (
 // NondetFact marks a function whose results derive from a
 // nondeterministic host source. Via names the root source.
 type NondetFact struct {
-	Via string `json:"via"`
+	Via string
 }
 
 // AFact marks NondetFact as a fact type.
@@ -49,8 +49,8 @@ func (*NondetFact) AFact() {}
 // SinkParamsFact marks a function that forwards the listed parameter
 // indices into a deterministic record sink.
 type SinkParamsFact struct {
-	Params []int  `json:"params"`
-	Sink   string `json:"sink"`
+	Params []int
+	Sink   string
 }
 
 // AFact marks SinkParamsFact as a fact type.
@@ -66,8 +66,7 @@ var DetFlow = &Analyzer{
 		"telemetry spans/counters/gauges/histograms and EventLog). Function\n" +
 		"summaries travel as facts, so the flow is caught even when source and sink\n" +
 		"live in different packages.",
-	FactTypes: []Fact{(*NondetFact)(nil), (*SinkParamsFact)(nil)},
-	Run:       runDetFlow,
+	Run: runDetFlow,
 }
 
 // source tiers: hostState sources are themselves diagnostics when
@@ -117,9 +116,8 @@ var detflowSinkMethods = map[[2]string]map[string]bool{
 }
 
 func runDetFlow(pass *Pass) error {
-	// Summaries are computed for module packages only. In vettool
-	// mode cmd/go also hands the analyzer every stdlib dependency;
-	// summarizing those would let coarse taint cascade through the
+	// Summaries are computed for module packages only: summarizing
+	// a stdlib package would let coarse taint cascade through the
 	// standard library (runtime.GOMAXPROCS is a source, and the
 	// flow-insensitive walk would taint half of fmt with it).
 	// Stdlib nondeterminism enters the module only through the

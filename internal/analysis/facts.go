@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"go/types"
@@ -16,10 +15,8 @@ import (
 // host-clock-derived data" and rngstream's "this package derives these
 // SplitSeed substreams" both travel as facts.
 //
-// Fact types must be pointers to JSON-serializable structs (the vettool
-// mode ships facts between processes through go vet's .vetx files) and
-// must be listed in their analyzer's FactTypes so the codec knows how
-// to decode them.
+// Fact types are pointers to structs; they live in the one in-process
+// FactStore of a run.
 type Fact interface {
 	// AFact marks the type as a fact. It is never called.
 	AFact()
@@ -45,8 +42,8 @@ func NewFactStore() *FactStore {
 	}
 }
 
-// ObjectKey renders a stable cross-process key for a package-level
-// object: "pkgpath.Name" for functions, vars and consts,
+// ObjectKey renders a stable key for a package-level object:
+// "pkgpath.Name" for functions, vars and consts,
 // "pkgpath.(Recv).Name" for methods. Objects without a package
 // (builtins, locals the caller should not export facts on) key to "".
 func ObjectKey(obj types.Object) string {
@@ -103,7 +100,7 @@ func copyFact(stored, into Fact) bool {
 // method, var or const) for later packages and the Finish pass.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	key := ObjectKey(obj)
-	if key == "" || p.store == nil {
+	if key == "" {
 		return
 	}
 	p.store.setObject(p.Analyzer.Name, key, fact)
@@ -112,18 +109,12 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 // ImportObjectFact copies the fact previously exported for obj into
 // fact and reports whether one existed.
 func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if p.store == nil {
-		return false
-	}
 	stored, ok := p.store.obj[p.Analyzer.Name][ObjectKey(obj)]
 	return ok && copyFact(stored, fact)
 }
 
 // ExportPackageFact associates fact with the package under analysis.
 func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.store == nil {
-		return
-	}
 	p.store.setPackage(p.Analyzer.Name, p.Pkg.Path(), fact)
 }
 
@@ -172,111 +163,4 @@ func (f *FleetPass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: f.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// --- vetx (cross-process) fact serialization ---
-
-// wireFact is one serialized fact: a concrete-type tag plus its JSON.
-type wireFact struct {
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// wireStore is the .vetx payload: facts keyed exactly like FactStore.
-type wireStore struct {
-	Objects  map[string]map[string]wireFact `json:"objects,omitempty"`
-	Packages map[string]map[string]wireFact `json:"packages,omitempty"`
-}
-
-// factTypes builds the decode registry from the analyzers' declared
-// FactTypes: concrete type name → prototype type.
-func factTypes(analyzers []*Analyzer) map[string]reflect.Type {
-	reg := make(map[string]reflect.Type)
-	for _, a := range analyzers {
-		for _, ft := range a.FactTypes {
-			t := reflect.TypeOf(ft)
-			if t.Kind() == reflect.Pointer {
-				reg[t.Elem().Name()] = t.Elem()
-			}
-		}
-	}
-	return reg
-}
-
-// EncodeFacts serializes the store for a .vetx file. Everything in the
-// store is included, so facts propagate transitively: a package's vetx
-// carries its dependencies' facts along with its own.
-func (s *FactStore) EncodeFacts() ([]byte, error) {
-	ws := wireStore{
-		Objects:  make(map[string]map[string]wireFact),
-		Packages: make(map[string]map[string]wireFact),
-	}
-	put := func(dst map[string]map[string]wireFact, analyzer, key string, f Fact) error {
-		data, err := json.Marshal(f)
-		if err != nil {
-			return err
-		}
-		if dst[analyzer] == nil {
-			dst[analyzer] = make(map[string]wireFact)
-		}
-		dst[analyzer][key] = wireFact{Type: reflect.TypeOf(f).Elem().Name(), Data: data}
-		return nil
-	}
-	for analyzer, m := range s.obj {
-		for key, f := range m {
-			if err := put(ws.Objects, analyzer, key, f); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for analyzer, m := range s.pkg {
-		for path, f := range m {
-			if err := put(ws.Packages, analyzer, path, f); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return json.Marshal(ws)
-}
-
-// DecodeFacts merges a .vetx payload produced by EncodeFacts into the
-// store. Unknown fact types are skipped (an older tool's facts do not
-// poison a newer run). Empty payloads — including the zero-byte files
-// rdlint v1 wrote — decode to nothing.
-func (s *FactStore) DecodeFacts(data []byte, analyzers []*Analyzer) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var ws wireStore
-	if err := json.Unmarshal(data, &ws); err != nil {
-		return err
-	}
-	reg := factTypes(analyzers)
-	decode := func(w wireFact) (Fact, bool) {
-		t, ok := reg[w.Type]
-		if !ok {
-			return nil, false
-		}
-		v := reflect.New(t)
-		if err := json.Unmarshal(w.Data, v.Interface()); err != nil {
-			return nil, false
-		}
-		f, ok := v.Interface().(Fact)
-		return f, ok
-	}
-	for analyzer, m := range ws.Objects {
-		for key, w := range m {
-			if f, ok := decode(w); ok {
-				s.setObject(analyzer, key, f)
-			}
-		}
-	}
-	for analyzer, m := range ws.Packages {
-		for path, w := range m {
-			if f, ok := decode(w); ok {
-				s.setPackage(analyzer, path, f)
-			}
-		}
-	}
-	return nil
 }

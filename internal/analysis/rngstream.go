@@ -24,24 +24,20 @@ const simPackage = "repro/internal/sim"
 // purpose, and where. It travels as part of StreamsFact.
 type StreamUse struct {
 	// Value is the stream number.
-	Value uint64 `json:"value"`
+	Value uint64
 	// Const is the qualified name of the stream constant
 	// ("repro/internal/sweep.streamStress"). Two uses of the same
 	// constant share a purpose; two constants sharing a value is the
 	// collision the fleet pass reports.
-	Const string `json:"const"`
-	// File and Line locate the call for cross-process diagnostics.
-	File string `json:"file"`
-	Line int    `json:"line"`
-	// Pos is the in-process position (meaningful only within the run
-	// that exported the fact, which is where Finish runs).
-	Pos token.Pos `json:"pos"`
+	Const string
+	// Pos is where the derivation is spelled; Finish reports there.
+	Pos token.Pos
 }
 
 // StreamsFact is rngstream's per-package summary: every constant
 // SplitSeed stream the package derives.
 type StreamsFact struct {
-	Streams []StreamUse `json:"streams"`
+	Streams []StreamUse
 }
 
 // AFact marks StreamsFact as a fact.
@@ -49,10 +45,10 @@ func (*StreamsFact) AFact() {}
 
 // RngStream enforces the substream discipline around sim.SplitSeed,
 // the mechanism that lets one run seed drive several decorrelated
-// generators (kernel cost stream, peek-probe stream, workload jitter,
-// fault injectors). The PR-2 probe bug — PeekSwitchCost silently
-// consuming the run RNG because no one had reserved it a substream —
-// is the class this kills:
+// generators (kernel cost stream, workload jitter, fault injectors).
+// The PR-2 probe bug — a read-only switch-cost probe on the kernel
+// silently consuming the run RNG because no one had reserved it a
+// substream — is the class this kills:
 //
 //  1. Every SplitSeed stream argument must be a compile-time constant
 //     spelled through a named constant, so each substream purpose has
@@ -74,9 +70,8 @@ var RngStream = &Analyzer{
 		"Every SplitSeed derivation must use a named stream constant below\n" +
 		"fault.StreamBase (16); the injector band uses StreamBase+i. Distinct constants\n" +
 		"sharing a value are reported at every site, across packages.",
-	FactTypes: []Fact{(*StreamsFact)(nil)},
-	Run:       runRngStream,
-	Finish:    finishRngStream,
+	Run:    runRngStream,
+	Finish: finishRngStream,
 }
 
 func runRngStream(pass *Pass) error {
@@ -124,14 +119,7 @@ func runRngStream(pass *Pass) error {
 					name, v, FaultStreamBase, FaultStreamBase)
 				return true
 			}
-			position := pass.Fset.Position(arg.Pos())
-			fact.Streams = append(fact.Streams, StreamUse{
-				Value: v,
-				Const: name,
-				File:  position.Filename,
-				Line:  position.Line,
-				Pos:   arg.Pos(),
-			})
+			fact.Streams = append(fact.Streams, StreamUse{Value: v, Const: name, Pos: arg.Pos()})
 			return true
 		})
 	}

@@ -3,8 +3,8 @@
 // analyzers gate on.
 package sim
 
-// StreamPeek mirrors the live kernel's probe substream constant.
-const StreamPeek = 1
+// StreamReserved is a stream constant the sim package itself declares.
+const StreamReserved = 1
 
 // SplitSeed mirrors the live substream derivation.
 func SplitSeed(seed, stream uint64) uint64 { return seed ^ stream }

@@ -9,7 +9,7 @@ import (
 
 // StreamLottery is the sim.SplitSeed substream the Lottery scheduler
 // draws its tickets from. Stream numbers are a fleet-wide namespace
-// policed by the rngstream analyzer (see sim.StreamPeek); the lottery
+// policed by the rngstream analyzer (see sim.SplitSeed); the lottery
 // owns 4, below fault.StreamBase. Giving the draws their own
 // substream means a lottery run replays byte-identically from the run
 // seed and never perturbs the kernel's cost stream.

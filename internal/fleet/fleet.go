@@ -155,12 +155,11 @@ type Config struct {
 	// recorder's ring, so telemetry memory stays bounded at fleet
 	// scale while the black box and causal links still work.
 	SpanLog bool
-	// FlightSpans and FlightEvents size each node's (and the
-	// coordinator's) black-box rings; zero selects the telemetry
-	// package defaults. Ring capacity never affects a run's
-	// trajectory, only how much history a dump can carry.
-	FlightSpans  int
-	FlightEvents int
+	// FlightSpans sizes each node's (and the coordinator's) black-box
+	// span ring; zero selects the telemetry package default. Ring
+	// capacity never affects a run's trajectory, only how much history
+	// a dump can carry.
+	FlightSpans int
 }
 
 // Admission is one guaranteed-task arrival presented to the cluster
@@ -480,13 +479,13 @@ type Arena struct {
 	nodes []*node
 	// spans is the coordinator's decision-span log: it records every
 	// fleet decision (bounded by the admission pipeline, so always-full
-	// retention is cheap). flight, its black box, mirrors the tail of
-	// both the spans and the event log for conservation-breach dumps.
+	// retention is cheap). flight, its black box, fronts the spans and
+	// mirrors the tail of the event log for conservation-breach dumps.
 	spans  *telemetry.Spans
 	flight *telemetry.Flight
-	// spanCap and eventCap are the Config ring sizes the recorders
-	// above were built with.
-	spanCap, eventCap int
+	// spanCap is the Config ring size the recorders above were built
+	// with.
+	spanCap int
 
 	q actionQueue
 	// order and loads belong to placementOrder: the coordinator runs
@@ -496,21 +495,21 @@ type Arena struct {
 	loads []ticks.Frac
 }
 
-// reset readies the arena for a cluster with the given ring sizes:
+// reset readies the arena for a cluster with the given span-ring size:
 // recorders of another size are let go, and nothing of the previous
 // cluster is left in the shells or the scratch.
-func (a *Arena) reset(spanCap, eventCap int) {
-	if a.spanCap != spanCap || a.eventCap != eventCap {
+func (a *Arena) reset(spanCap int) {
+	if a.spanCap != spanCap {
 		a.nodes, a.flight = nil, nil
-		a.spanCap, a.eventCap = spanCap, eventCap
+		a.spanCap = spanCap
 	}
 	if a.flight == nil {
-		a.flight = telemetry.NewFlight(spanCap, eventCap)
+		a.flight = telemetry.NewFlight(spanCap, 0)
 		a.spans = telemetry.NewSpans()
-		a.spans.TeeFlight(a.flight)
 	}
 	a.flight.Reset()
 	a.spans.Reset()
+	a.flight.Front(a.spans)
 	for _, n := range a.nodes {
 		n.flight.Reset()
 		n.flog.Reset()
@@ -523,7 +522,7 @@ func (a *Arena) reset(spanCap, eventCap int) {
 // shell returns node i's storage, building it on first use.
 func (a *Arena) shell(i int) *node {
 	if i == len(a.nodes) {
-		n := &node{flight: telemetry.NewFlight(a.spanCap, a.eventCap)}
+		n := &node{flight: telemetry.NewFlight(a.spanCap, 0)}
 		n.flog.MirrorTo(n.flight)
 		a.nodes = append(a.nodes, n)
 	}
@@ -566,7 +565,7 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 		cfg.Workers = cfg.Nodes
 	}
 
-	a.reset(cfg.FlightSpans, cfg.FlightEvents)
+	a.reset(cfg.FlightSpans)
 	c := &Cluster{
 		cfg:     cfg,
 		mem:     a,
@@ -598,7 +597,7 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 		spans := n.flight.Ring()
 		if cfg.SpanLog {
 			spans = telemetry.NewSpans()
-			spans.TeeFlight(n.flight)
+			n.flight.Front(spans)
 		}
 		n.tel = &telemetry.Set{Registry: telemetry.NewRegistry(), Spans: spans}
 		n.build(0)

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -19,9 +20,18 @@ import (
 // cross-node causal chain.
 func crashFleet(t *testing.T, workers int) (*fleet.Cluster, *fleet.Report) {
 	t.Helper()
-	c := mustNew(t, fleet.Config{
+	return crashFleetIn(t, new(fleet.Arena), fleet.Config{
 		Nodes: 4, Seed: 1, Workers: workers, Invariants: true, SpanLog: true,
 	})
+}
+
+// crashFleetIn is crashFleet built in arena a from cfg.
+func crashFleetIn(t *testing.T, a *fleet.Arena, cfg fleet.Config) (*fleet.Cluster, *fleet.Report) {
+	t.Helper()
+	c, err := fleet.NewIn(a, cfg)
+	if err != nil {
+		t.Fatalf("new cluster: %v", err)
+	}
 	var alog telemetry.EventLog
 	if err := fault.ArmFleet(c, 1, &alog,
 		fault.NodeCrash{Node: 0, At: 50 * ms, Cycles: 1, MeanUp: 200 * ms, MeanDown: 30 * ms}); err != nil {
@@ -232,6 +242,26 @@ func TestManifestAndPerNodeWorkerInvariance(t *testing.T) {
 		if !bytes.Equal(perNode, refPerNode) {
 			t.Errorf("workers=%d: per-node telemetry snapshots diverged from workers=1", workers)
 		}
+	}
+}
+
+// A black box dumps the same history whether it is the node's span log
+// (the default) or fronts the full log SpanLog keeps.
+func TestFlightDumpsIgnoreSpanLog(t *testing.T) {
+	a := new(fleet.Arena)
+	cfg := fleet.Config{Nodes: 4, Seed: 1, Workers: 1, Invariants: true, FlightSpans: 16}
+	_, off := crashFleetIn(t, a, cfg)
+	cfg.SpanLog = true
+	_, on := crashFleetIn(t, a, cfg)
+	evicted := false
+	for _, d := range on.FlightDumps {
+		evicted = evicted || d.SpansDropped > 0
+	}
+	if !evicted {
+		t.Fatalf("no dump of the %d had wrapped its ring; the comparison needs one that has", len(on.FlightDumps))
+	}
+	if !reflect.DeepEqual(on.FlightDumps, off.FlightDumps) {
+		t.Error("flight dumps differ between SpanLog on and off")
 	}
 }
 

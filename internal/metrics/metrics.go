@@ -1,7 +1,6 @@
-// Package metrics provides the small statistical summaries the
-// paper's evaluation reports: minimum / median / mean (§6.1 presents
-// context-switch costs exactly this way), histograms, and windowed
-// counters used by the experiment harness.
+// Package metrics provides the small statistical summary the paper's
+// evaluation reports: minimum / median / mean (§6.1 presents
+// context-switch costs exactly this way) and percentiles.
 package metrics
 
 import (
@@ -122,58 +121,3 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("min %.1f, median %.1f, mean %.1f (n=%d)",
 		s.Min(), s.Median(), s.Mean(), s.N())
 }
-
-// Histogram buckets samples into fixed-width bins for quick
-// distribution sketches in experiment output.
-type Histogram struct {
-	Lo, Width float64
-	Counts    []int64
-	under     int64
-	over      int64
-	n         int64
-}
-
-// NewHistogram builds a histogram over [lo, lo+width*bins).
-func NewHistogram(lo, width float64, bins int) *Histogram {
-	if width <= 0 || bins <= 0 {
-		panic("metrics: histogram needs positive width and bins")
-	}
-	return &Histogram{Lo: lo, Width: width, Counts: make([]int64, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	h.n++
-	idx := int(math.Floor((v - h.Lo) / h.Width))
-	switch {
-	case idx < 0:
-		h.under++
-	case idx >= len(h.Counts):
-		h.over++
-	default:
-		h.Counts[idx]++
-	}
-}
-
-// Merge adds o's counts into h, leaving o unchanged. The two
-// histograms must share bucket geometry (lo, width, bin count) —
-// merging histograms over different grids would silently misbucket,
-// so a mismatch panics.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil {
-		return
-	}
-	if h.Lo != o.Lo || h.Width != o.Width || len(h.Counts) != len(o.Counts) {
-		panic(fmt.Sprintf("metrics: merging histograms with different geometry: [%v w%v x%d] vs [%v w%v x%d]",
-			h.Lo, h.Width, len(h.Counts), o.Lo, o.Width, len(o.Counts)))
-	}
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.under += o.under
-	h.over += o.over
-	h.n += o.n
-}
-
-// N reports total samples.
-func (h *Histogram) N() int64 { return h.n }

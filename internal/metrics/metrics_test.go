@@ -92,31 +92,6 @@ func TestMedianLEMeanForRightSkew(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // [0,50)
-	for _, v := range []float64{-1, 0, 5, 15, 49, 50, 100} {
-		h.Add(v)
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d, want 7", h.N())
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[4] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.under != 1 || h.over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.under, h.over)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram(0,0,0) did not panic")
-		}
-	}()
-	NewHistogram(0, 0, 0)
-}
-
 func TestSummaryMerge(t *testing.T) {
 	// Merging parts in order must equal adding the whole sequence in
 	// order — the invariant the sweep engine's deterministic
@@ -153,42 +128,4 @@ func TestSummaryMerge(t *testing.T) {
 	if a.N() != 4 || b.N() != 4 {
 		t.Errorf("Merge consumed its source: a.N=%d b.N=%d", a.N(), b.N())
 	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a := NewHistogram(0, 10, 4)
-	b := NewHistogram(0, 10, 4)
-	for _, v := range []float64{-5, 1, 11, 35} {
-		a.Add(v)
-	}
-	for _, v := range []float64{2, 45, 45, 21} {
-		b.Add(v)
-	}
-	a.Merge(b)
-	a.Merge(nil)
-	if a.N() != 8 {
-		t.Errorf("merged N = %d, want 8", a.N())
-	}
-	wantCounts := []int64{2, 1, 1, 1} // 1,2 / 11 / 21 / 35
-	for i, w := range wantCounts {
-		if a.Counts[i] != w {
-			t.Errorf("bucket %d = %d, want %d (counts %v)", i, a.Counts[i], w, a.Counts)
-		}
-	}
-	if a.under != 1 || a.over != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", a.under, a.over)
-	}
-	// b unchanged.
-	if b.N() != 4 || b.over != 2 {
-		t.Errorf("Merge mutated its source: %+v", b)
-	}
-}
-
-func TestHistogramMergeGeometryMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("merging histograms with different geometry did not panic")
-		}
-	}()
-	NewHistogram(0, 10, 4).Merge(NewHistogram(0, 5, 4))
 }

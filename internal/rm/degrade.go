@@ -49,7 +49,6 @@ func (m *Manager) SetPressure(now ticks.Ticks, p ticks.Frac, reason string) {
 		return
 	}
 	m.pressure = p
-	m.generation++
 	m.lastOp = OpStats{Op: "degrade"}
 	m.recomputeGrants()
 	m.tel.sheds.Inc()
@@ -59,7 +58,7 @@ func (m *Manager) SetPressure(now ticks.Ticks, p ticks.Frac, reason string) {
 		Reason:          reason,
 		Requested:       p,
 		Applied:         m.Available().Sub(m.capacityForGrants()),
-		Generation:      m.generation,
+		Generation:      int64(len(m.degradations)) + 1,
 		PolicyConsulted: m.lastOp.PolicyConsulted,
 		PolicyInvented:  m.lastOp.PolicyInvented,
 	})
@@ -67,10 +66,6 @@ func (m *Manager) SetPressure(now ticks.Ticks, p ticks.Frac, reason string) {
 
 // Pressure reports the pressure currently in force.
 func (m *Manager) Pressure() ticks.Frac { return m.pressure }
-
-// Generation reports how many degradation-driven grant recomputes
-// have happened.
-func (m *Manager) Generation() int64 { return m.generation }
 
 // DegradationEvents returns the recorded degradation decisions, in
 // order.

@@ -428,5 +428,4 @@ func (m *Manager) commit(gs GrantSet) {
 	m.grants = gs
 	m.gen++
 	m.pending = true
-	m.hooks.GrantsPending()
 }

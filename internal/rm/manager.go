@@ -14,14 +14,11 @@ import (
 // Hooks is how the Resource Manager signals the Scheduler. §4.2:
 // increases are deferred ("the next time there is unallocated CPU
 // time, the Scheduler makes a callback to the Resource Manager to get
-// the new grant information"), while removals and decreases take
+// the new grant information" — HasPending and CollectGrants are that
+// callback; nothing is pushed), while removals and decreases take
 // effect at the affected task's next period and are signalled
 // immediately.
 type Hooks interface {
-	// GrantsPending tells the Scheduler that a new grant set is
-	// waiting; it will call Manager.CollectGrants at its next
-	// unallocated time.
-	GrantsPending()
 	// GrantDecreased tells the Scheduler that id's grant shrank; the
 	// decrease applies from id's next period.
 	GrantDecreased(id task.ID, g Grant)
@@ -34,7 +31,6 @@ type Hooks interface {
 // Manager in isolation.
 type NopHooks struct{}
 
-func (NopHooks) GrantsPending()                {}
 func (NopHooks) GrantDecreased(task.ID, Grant) {}
 func (NopHooks) GrantRemoved(task.ID)          {}
 
@@ -158,7 +154,6 @@ type Manager struct {
 	// pressure is the degradation fraction withheld from grant
 	// computation (never from admission); see degrade.go.
 	pressure     ticks.Frac
-	generation   int64
 	degradations []DegradationEvent
 
 	lastOp OpStats

@@ -439,8 +439,8 @@ func TestHooksSignals(t *testing.T) {
 	h := &recordingHooks{}
 	m := New(Config{Hooks: h})
 	a, _ := m.RequestAdmittance(newTask("a", task.UniformLevels(270_000, "A", 90, 30)))
-	if h.pending == 0 {
-		t.Error("admission did not signal GrantsPending")
+	if !m.HasPending() {
+		t.Error("admission left no grant set pending for the Scheduler's callback")
 	}
 	// Admitting b (a fixed 60% task that cannot shed) forces a to
 	// shed from 90% to 30%: an immediate decrease signal for a.
@@ -456,10 +456,9 @@ func TestHooksSignals(t *testing.T) {
 }
 
 type recordingHooks struct {
-	pending, decreased, removed int
+	decreased, removed int
 }
 
-func (r *recordingHooks) GrantsPending()                { r.pending++ }
 func (r *recordingHooks) GrantDecreased(task.ID, Grant) { r.decreased++ }
 func (r *recordingHooks) GrantRemoved(task.ID)          { r.removed++ }
 

@@ -70,7 +70,6 @@ type harness struct {
 	decreased []task.ID
 }
 
-func (h *harness) GrantsPending() {}
 func (h *harness) GrantDecreased(id task.ID, g Grant) {
 	h.signals = append(h.signals, fmt.Sprintf("D%d:%d", id, g.Level))
 	h.decreased = append(h.decreased, id)

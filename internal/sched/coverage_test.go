@@ -153,11 +153,6 @@ func TestAttachSporadicServerUnknown(t *testing.T) {
 	}
 }
 
-func TestGrantsPendingHookIsNoOp(t *testing.T) {
-	_, _, s := newSystem(0, sim.ZeroSwitchCosts())
-	s.GrantsPending() // must be callable; the pending flag is polled
-}
-
 func TestGraceBlockAndExitPaths(t *testing.T) {
 	// Grace-period bodies that block or exit inside the grace window.
 	for _, mode := range []task.Op{task.OpBlock, task.OpExit} {

@@ -11,15 +11,11 @@ import (
 )
 
 // The Scheduler implements rm.Hooks so the Resource Manager can
-// signal grant changes (§4.2): increases wait for unallocated time;
-// decreases and removals are signalled immediately and take effect at
-// the affected task's next period.
+// signal grant changes (§4.2): decreases and removals are signalled
+// immediately and take effect at the affected task's next period.
+// Increases are not signalled: the Scheduler asks the Manager
+// (HasPending, CollectGrants) whenever TimeRemaining drains.
 var _ rm.Hooks = (*Scheduler)(nil)
-
-// GrantsPending implements rm.Hooks. The Manager's pending flag is
-// the actual signal; the Scheduler polls it whenever TimeRemaining
-// drains, so nothing to do here.
-func (s *Scheduler) GrantsPending() {}
 
 // GrantDecreased implements rm.Hooks: the decrease occurs in the next
 // period for the affected task.

@@ -14,10 +14,10 @@ import (
 // internal/sweep) run one Kernel per goroutine; a Kernel shares no
 // state with other Kernel instances.
 //
-// Observability probes — Now, NextEventTime, Stats, CacheRefill, and
-// PeekSwitchCost — are read-only: calling them any number of times,
-// at any point, must not change what the simulation subsequently
-// does. The probe-side-effect audit in probe_test.go enforces this.
+// Observability probes — Now, NextEventTime, Stats and CacheRefill —
+// are read-only: calling them any number of times, at any point, must
+// not change what the simulation subsequently does. The
+// probe-side-effect audit in probe_test.go enforces this.
 // RNG deliberately is not a probe: it hands out the kernel's one
 // mutable cost/jitter stream, and drawing from it is a simulation
 // action.
@@ -25,7 +25,6 @@ type Kernel struct {
 	now    ticks.Ticks
 	events EventQueue
 	rng    RNG
-	peek   RNG // substream for read-only cost probes; never feeds the run
 	costs  SwitchCosts
 
 	// timerFault, when non-nil, perturbs event delivery times (late
@@ -82,7 +81,6 @@ func NewKernel(cfg Config) *Kernel {
 	}
 	return &Kernel{
 		rng:        *NewRNG(cfg.Seed),
-		peek:       *NewRNG(SplitSeed(cfg.Seed, StreamPeek)),
 		costs:      cfg.Costs,
 		tickBudget: budget,
 	}
@@ -261,17 +259,6 @@ func (k *Kernel) ChargeSwitch(kind SwitchKind) ticks.Ticks {
 	k.tel.switchCost.Observe(int64(c))
 	k.AdvanceThrough(c)
 	return c
-}
-
-// PeekSwitchCost samples a switch cost without advancing time or
-// counters; the §6.1 microbenchmark uses it to build distributions.
-// It draws from a dedicated substream forked off the seed, not from
-// the kernel's main RNG: peeking is an observability probe, and a
-// probe that consumed the run's cost stream would silently change
-// every subsequently sampled switch cost (the probe sequence is still
-// deterministic per seed).
-func (k *Kernel) PeekSwitchCost(kind SwitchKind) ticks.Ticks {
-	return k.costs.Sample(kind, &k.peek)
 }
 
 // CacheRefill reports the configured cold-cache resume penalty.

@@ -6,87 +6,11 @@ import (
 	"repro/internal/ticks"
 )
 
-// chargeSequence runs n ChargeSwitch calls of alternating kind on k,
-// optionally interleaving read-only probes before each, and returns
-// the sampled costs.
-func chargeSequence(k *Kernel, n int, probed bool) []ticks.Ticks {
-	costs := make([]ticks.Ticks, 0, n)
-	for i := 0; i < n; i++ {
-		if probed {
-			// Every documented read-only probe, several times over.
-			for j := 0; j < 3; j++ {
-				k.PeekSwitchCost(Voluntary)
-				k.PeekSwitchCost(Involuntary)
-			}
-			_ = k.Now()
-			_, _ = k.NextEventTime()
-			_ = k.Stats()
-			_ = k.CacheRefill()
-		}
-		kind := Voluntary
-		if i%2 == 1 {
-			kind = Involuntary
-		}
-		costs = append(costs, k.ChargeSwitch(kind))
-	}
-	return costs
-}
-
-// TestPeekSwitchCostDoesNotPerturbCostStream is the regression test
-// for the probe bug: PeekSwitchCost used to sample from the kernel's
-// main RNG, so merely probing switch costs changed every subsequently
-// charged cost. Probing must leave the charged sequence untouched.
-func TestPeekSwitchCostDoesNotPerturbCostStream(t *testing.T) {
-	clean := NewKernel(Config{Seed: 42, Costs: PaperSwitchCosts()})
-	probed := NewKernel(Config{Seed: 42, Costs: PaperSwitchCosts()})
-	a := chargeSequence(clean, 32, false)
-	b := chargeSequence(probed, 32, true)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("charged cost %d diverged under probing: %v (clean) vs %v (probed)", i, a[i], b[i])
-		}
-	}
-	if as, bs := clean.Stats(), probed.Stats(); as != bs {
-		t.Errorf("kernel counters diverged under probing: %+v vs %+v", as, bs)
-	}
-}
-
-// TestPeekSwitchCostSubstreamDeterministic pins the probe substream
-// itself: per seed the peeked sequence is reproducible, and distinct
-// seeds give distinct sequences (the substream really derives from
-// the seed, it is not a fixed constant).
-func TestPeekSwitchCostSubstreamDeterministic(t *testing.T) {
-	peek := func(seed uint64) []ticks.Ticks {
-		k := NewKernel(Config{Seed: seed, Costs: PaperSwitchCosts()})
-		out := make([]ticks.Ticks, 16)
-		for i := range out {
-			out[i] = k.PeekSwitchCost(Involuntary)
-		}
-		return out
-	}
-	a, b, c := peek(7), peek(7), peek(8)
-	same, diff := true, true
-	for i := range a {
-		if a[i] != b[i] {
-			same = false
-		}
-		if a[i] != c[i] {
-			diff = false
-		}
-	}
-	if !same {
-		t.Error("same seed produced different peek sequences")
-	}
-	if diff {
-		t.Error("different seeds produced identical peek sequences; the substream ignores the seed")
-	}
-}
-
-// TestReadOnlyProbeAudit is the §-wide audit the probe fix calls for:
+// TestReadOnlyProbeAudit is the §-wide audit of the kernel's probes:
 // every kernel entry point documented as read-only (Now,
-// NextEventTime, Stats, CacheRefill, PeekSwitchCost) is hammered
-// between events, switches, interrupts and accounting on one kernel
-// but not its twin; the two runs must end in identical state.
+// NextEventTime, Stats, CacheRefill) is hammered between events,
+// switches, interrupts and accounting on one kernel but not its twin;
+// the two runs must end in identical state.
 func TestReadOnlyProbeAudit(t *testing.T) {
 	costs := PaperSwitchCosts()
 	costs.CacheRefillUS = 40
@@ -100,8 +24,6 @@ func TestReadOnlyProbeAudit(t *testing.T) {
 			_, _ = k.NextEventTime()
 			_ = k.Stats()
 			_ = k.CacheRefill()
-			k.PeekSwitchCost(Voluntary)
-			k.PeekSwitchCost(Involuntary)
 		}
 		var sampled []ticks.Ticks
 		for i := 0; i < 10; i++ {

@@ -21,21 +21,20 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// StreamPeek is the SplitSeed substream reserved for the kernel's
-// read-only PeekSwitchCost probe generator. Stream numbers are a
-// fleet-wide namespace policed by the rngstream analyzer: every
-// substream purpose owns a distinct named constant below
-// fault.StreamBase (16) — the kernel's cost stream is the raw seed,
-// internal/sweep claims 2 and 3 for workload parameter jitter, and
-// the band at 16 and above belongs to fault.ArmAll's injectors.
-const StreamPeek = 1
-
 // SplitSeed derives a decorrelated child seed from seed for substream
 // number stream, via one splitmix64 step (Steele, Lea & Flood 2014).
 // Substreams let one run seed drive several independent generators —
-// the kernel's main cost stream, the read-only PeekSwitchCost probe
-// stream, workload parameter jitter — without the streams consuming
-// from (and so perturbing) each other.
+// the kernel's main cost stream, workload parameter jitter, fault
+// injectors — without the streams consuming from (and so perturbing)
+// each other.
+//
+// Stream numbers are a fleet-wide namespace policed by the rngstream
+// analyzer: every substream purpose owns a distinct named constant
+// below fault.StreamBase (16) — the kernel's cost stream is the raw
+// seed, stream 1 is reserved (it was the kernel's retired cost-probe
+// generator; leaving it unclaimed keeps every other stream's number),
+// internal/sweep claims 2 and 3 for workload parameter jitter, and the
+// band at 16 and above belongs to fault.ArmAll's injectors.
 func SplitSeed(seed, stream uint64) uint64 {
 	z := seed + 0x9E3779B97F4A7C15*(stream+1)
 	z ^= z >> 30

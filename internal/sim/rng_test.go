@@ -111,21 +111,6 @@ func TestAdvanceThroughFiresEvents(t *testing.T) {
 	k.AdvanceThrough(-1)
 }
 
-func TestPeekSwitchCost(t *testing.T) {
-	k := NewKernel(Config{Costs: PaperSwitchCosts()})
-	c := k.PeekSwitchCost(Voluntary)
-	if c <= 0 {
-		t.Error("peeked cost should be positive")
-	}
-	if k.Now() != 0 {
-		t.Error("PeekSwitchCost advanced the clock")
-	}
-	st := k.Stats()
-	if st.VolSwitches != 0 {
-		t.Error("PeekSwitchCost counted a switch")
-	}
-}
-
 func TestKernelAdvanceNegativePanics(t *testing.T) {
 	k := NewKernel(Config{})
 	defer func() {

@@ -15,11 +15,10 @@ import (
 )
 
 // probe is the lightweight sched.Observer every single-node run
-// installs: it counts guarantee violations and records each task's
-// first period start, from which admission latency is derived.
+// installs: it records each task's first period start, from which
+// admission latency is derived.
 type probe struct {
 	sched.NopObserver
-	misses      int64
 	firstPeriod map[task.ID]ticks.Ticks
 }
 
@@ -28,7 +27,6 @@ func (p *probe) OnPeriodStart(id task.ID, start, _ ticks.Ticks, _ int, _ ticks.T
 		p.firstPeriod[id] = start
 	}
 }
-func (p *probe) OnDeadlineMiss(task.ID, ticks.Ticks, ticks.Ticks) { p.misses++ }
 
 // env is the harness a scenario's run function stages its experiment
 // on. A scenario builds its substrate with start (a Distributor),
@@ -138,7 +136,8 @@ func (e *env) withInvariants() {
 
 // run drives the single-node substrate to the horizon — to is the
 // Distributor's Run or a comparator's RunUntil — and folds what the
-// kernel, probe, checker and event log measured into the run metrics.
+// kernel, probe, checker, event log and telemetry registry measured
+// into the run metrics.
 func (e *env) run(to func(ticks.Ticks)) error {
 	to(e.spec.Horizon)
 	if info, ok := e.k.Stalled(); ok {
@@ -146,7 +145,6 @@ func (e *env) run(to func(ticks.Ticks)) error {
 			int64(info.At), info.Events)
 	}
 	st := e.k.Stats()
-	e.m.Misses = e.pr.misses
 	e.m.Utilization = st.Utilization()
 	e.m.SwitchOverhead = st.SwitchOverheadFraction()
 	e.m.InterruptLoad = st.InterruptLoadFraction()
@@ -166,6 +164,7 @@ func (e *env) run(to func(ticks.Ticks)) error {
 	}
 	e.m.FaultsInjected = int64(e.flog.KindPrefixCount("fault."))
 	e.m.Telemetry = e.tel.Reg().Snapshot()
+	e.m.Misses = e.m.Telemetry.CounterValue("sched.deadline.misses")
 	return nil
 }
 
@@ -179,7 +178,7 @@ func (e *env) missesOverPeriods() {
 			periods += st.Periods
 		}
 	}
-	e.m.Loss, e.m.Opportunities = e.pr.misses, periods
+	e.m.Loss, e.m.Opportunities = e.m.Misses, periods
 }
 
 // admit requests admittance, recording the request time for admission

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/metrics"
@@ -12,8 +13,9 @@ import (
 	"repro/internal/ticks"
 )
 
-// admission-latency histogram geometry, shared by every cell so
-// Histogram.Merge always sees matching grids: 0-120 ms in 5 ms bins.
+// admission-latency histogram geometry, shared by every cell:
+// 0-120 ms in 5 ms bins. A sample outside the grid is counted in no
+// bin (the histogram's n, AdmissionMS.N, still counts it).
 const (
 	admHistLo    = 0
 	admHistWidth = 5
@@ -67,7 +69,7 @@ type Cell struct {
 	PerRun [len(quantities)]metrics.Summary
 
 	AdmissionMS   metrics.Summary // per admitted task, pooled over runs
-	AdmissionHist *metrics.Histogram
+	AdmissionHist [admHistBins]int64
 	RecoveryMS    metrics.Summary // crash→re-placement latency, pooled over runs
 
 	// Telemetry is the cell's merged instrument snapshot: per-run
@@ -83,10 +85,6 @@ type Cell struct {
 	firstSeed    uint64
 	firstHorizon ticks.Ticks
 	seeded       bool
-}
-
-func newCell(k Key) *Cell {
-	return &Cell{Key: k, AdmissionHist: metrics.NewHistogram(admHistLo, admHistWidth, admHistBins)}
 }
 
 // add folds one run into the cell. Failed runs count toward Runs and
@@ -112,7 +110,9 @@ func (c *Cell) add(spec RunSpec, r *RunMetrics) {
 	c.RecoveryMS.Merge(&r.RecoveryMS)
 	for _, v := range r.AdmissionMS {
 		c.AdmissionMS.Add(v)
-		c.AdmissionHist.Add(v)
+		if i := int(math.Floor((v - admHistLo) / admHistWidth)); i >= 0 && i < admHistBins {
+			c.AdmissionHist[i]++
+		}
 	}
 }
 
@@ -135,7 +135,9 @@ func (c *Cell) merge(o *Cell) {
 	}
 	c.RecoveryMS.Merge(&o.RecoveryMS)
 	c.AdmissionMS.Merge(&o.AdmissionMS)
-	c.AdmissionHist.Merge(o.AdmissionHist)
+	for i, n := range o.AdmissionHist {
+		c.AdmissionHist[i] += n
+	}
 }
 
 // manifest builds the cell's embedded rdtel/v2 manifest. Seed and
@@ -169,7 +171,7 @@ func (r *Result) cell(k Key) *Cell {
 	if c, ok := r.index[k]; ok {
 		return c
 	}
-	c := newCell(k)
+	c := &Cell{Key: k}
 	r.cells = append(r.cells, c)
 	r.index[k] = c
 	return c
@@ -345,10 +347,10 @@ func (c *Cell) MarshalJSON() ([]byte, error) {
 	}
 	put("admission_latency_ms", summarize(&c.AdmissionMS))
 	put("admission_latency_hist", histJSON{
-		Lo:     c.AdmissionHist.Lo,
-		Width:  c.AdmissionHist.Width,
-		N:      c.AdmissionHist.N(),
-		Counts: c.AdmissionHist.Counts,
+		Lo:     admHistLo,
+		Width:  admHistWidth,
+		N:      int64(c.AdmissionMS.N()),
+		Counts: c.AdmissionHist[:],
 	})
 	put("fleet_recovery_latency_ms", summarize(&c.RecoveryMS))
 	if m := c.manifest(); m != nil {

@@ -14,12 +14,12 @@ import (
 
 const ms = ticks.PerMillisecond
 
-// Seed substreams. Stream 1 is sim.StreamPeek (the kernel's probe
-// substream); the sweep forks its own decorrelated streams off the
-// run seed so scenario-level randomness never touches the kernel's
-// cost stream. The rngstream analyzer checks fleet-wide that no other
-// package claims these values and that everything stays below the
-// fault-injector band at fault.StreamBase.
+// Seed substreams. Stream 1 is reserved (see sim.SplitSeed); the sweep
+// forks its own decorrelated streams off the run seed so scenario-level
+// randomness never touches the kernel's cost stream. The rngstream
+// analyzer checks fleet-wide that no other package claims these values
+// and that everything stays below the fault-injector band at
+// fault.StreamBase.
 const (
 	streamStress   = 2 // stress-generator workload parameters
 	streamGraphics = 3 // 3D renderer scene costs
@@ -310,7 +310,7 @@ func runStress(e *env) error {
 	if err := e.run(d.Run); err != nil {
 		return err
 	}
-	e.m.Loss, e.m.Opportunities = e.pr.misses, periodsRun
+	e.m.Loss, e.m.Opportunities = e.m.Misses, periodsRun
 	return nil
 }
 

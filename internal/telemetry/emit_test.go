@@ -465,7 +465,7 @@ func syntheticLogs(spans, nodes int) (*Manifest, []*Manifest) {
 		nm.Events = []LogEvent{{At: ticks.Ticks(n), Kind: "fault", Detail: "interrupt burst"}}
 		if n == 0 {
 			f := NewFlight(16, 4)
-			set.Spans.All(func(sp Span) bool { f.putSpan(&sp); return true })
+			f.Front(set.Spans)
 			f.Event(3, "fault", "node 0 crashed")
 			nm.FlightDumps = []FlightDump{f.Dump(NodeTag(0), "node-crash", 99)}
 		}

@@ -14,10 +14,13 @@ import "repro/internal/ticks"
 // cap), so End/SetLink on spans the ring has recycled fail the slot's
 // ID-equality check and are inert — the same generation idiom as the
 // PR 4 event pool. A Flight either IS a node's span log (flight-only
-// retention, the fleet default) or mirrors an unbounded log via
-// Spans.TeeFlight (full retention for cluster-manifest runs).
+// retention, the fleet default: the node records into Ring) or fronts
+// the unbounded log its owner keeps (Front; full retention for
+// cluster-manifest runs) and dumps that log's tail. Either way a span
+// is stored once.
 type Flight struct {
-	spans  *Spans
+	ring   *Spans
+	log    *Spans // non-nil: the owner's full log, dumped in place of ring
 	events []LogEvent
 	eseq   int64 // events ever recorded; next slot is eseq % cap(events)
 	ecap   int
@@ -42,17 +45,19 @@ func NewFlight(spanCap, eventCap int) *Flight {
 		eventCap = DefaultFlightEvents
 	}
 	return &Flight{
-		spans:  NewSpansRing(spanCap),
+		ring:   NewSpansRing(spanCap),
 		events: make([]LogEvent, 0, eventCap),
 		ecap:   eventCap,
 	}
 }
 
-// Reset empties both rings for the next run and keeps their storage,
-// so a recorder that is reused records without allocating from its
-// first span on, like a new one.
+// Reset returns the recorder to its as-built state for the next run —
+// both rings empty, no log fronted — and keeps their storage, so a
+// recorder that is reused records without allocating from its first
+// span on, like a new one.
 func (f *Flight) Reset() {
-	f.spans.Reset()
+	f.ring.Reset()
+	f.log = nil
 	f.events = f.events[:0]
 	f.eseq = 0
 }
@@ -63,38 +68,14 @@ func (f *Flight) Ring() *Spans {
 	if f == nil {
 		return nil
 	}
-	return f.spans
+	return f.ring
 }
 
-// putSpan mirrors a span recorded by a teed unbounded log, preserving
-// its ID (IDs arrive sequentially, so ring placement is identical to
-// native recording).
-func (f *Flight) putSpan(sp *Span) {
-	if f != nil {
-		f.spans.put(sp)
-	}
-}
-
-// endSpan mirrors an End from a teed log; evicted IDs are inert.
-func (f *Flight) endSpan(id SpanID, at ticks.Ticks) {
-	if f == nil {
-		return
-	}
-	if sp := f.spans.slot(id); sp != nil {
-		sp.End = at
-	}
-}
-
-// linkSpan mirrors a SetLink from a teed log; evicted IDs are inert.
-func (f *Flight) linkSpan(id SpanID, linkNode int32, target SpanID) {
-	if f == nil {
-		return
-	}
-	if sp := f.spans.slot(id); sp != nil {
-		sp.Link = target
-		sp.LinkNode = linkNode
-	}
-}
+// Front makes the recorder the black box of log, a span log its owner
+// keeps in full and records into directly: Dump exports log's newest
+// spans, as many as the ring holds, under the ring's own Export rule,
+// so the dump is what it would be had the ring been fed every record.
+func (f *Flight) Front(log *Spans) { f.log = log }
 
 // Event records one event-log line into the event ring; an EventLog
 // handed this recorder (MirrorTo) calls it on every Record. Nil-safe.
@@ -134,13 +115,17 @@ func (f *Flight) Dump(node int32, reason string, at ticks.Ticks) FlightDump {
 	if f == nil {
 		return d
 	}
-	d.Spans = f.spans.Export()
+	spans := f.ring
+	if f.log != nil {
+		spans = f.log
+	}
+	d.Spans = spans.exportLast(f.ring.max)
 	for i := range d.Spans {
 		// Stamp the origin tag so a dump validates stand-alone and
 		// inside a node-tagged cluster manifest alike.
 		d.Spans[i].Node = node
 	}
-	d.SpansTotal = f.spans.Total()
+	d.SpansTotal = spans.Total()
 	d.SpansDropped = d.SpansTotal - int64(len(d.Spans))
 	d.EventsTotal = f.eseq
 	d.EventsDropped = f.eseq - int64(len(f.events))

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -32,52 +33,54 @@ func TestSpansRingEvictsOldest(t *testing.T) {
 }
 
 // The ring places a span by a wrapping head index, and finds it again
-// by (ID-1) mod capacity: three times round a five-slot ring — directly
-// and as the tee of an unbounded log — the two must agree after every
-// record, for slot, FindLast and the flight dump alike.
+// by (ID-1) mod capacity: three times round a five-slot ring the two
+// must agree after every record, for slot, FindLast and the flight
+// dump — the ring's own and that of a Flight fronting an unbounded log
+// fed the same records.
 func TestSpansRingWrapMatchesModuloPlacement(t *testing.T) {
 	const ringCap = 5
 	cats := []string{"period", "dispatch", "admission"}
-	direct := NewSpansRing(ringCap)
-	log, teed := NewSpans(), NewFlight(ringCap, 1)
-	log.TeeFlight(teed)
+	own := NewFlight(ringCap, 1)
+	ring := own.Ring()
+	log, fronting := NewSpans(), NewFlight(ringCap, 1)
+	fronting.Front(log)
 	for i := 0; i < 3*ringCap+2; i++ {
 		cat := cats[i*i%len(cats)]
-		id := direct.Instant(ticksOf(i), cat, "sp", int64(i), 0, "")
+		id := ring.Instant(ticksOf(i), cat, "sp", int64(i), 0, "")
 		if got := log.Instant(ticksOf(i), cat, "sp", int64(i), 0, ""); got != id {
 			t.Fatalf("record %d: ring handed out ID %d, log %d", i, id, got)
 		}
-		for r, ring := range []*Spans{direct, teed.Ring()} {
-			name := []string{"direct", "teed"}[r]
-			lastOf := map[string]SpanID{}
-			for k := SpanID(1); k <= id; k++ {
-				sp := ring.slot(k)
-				if int(id-k) >= ringCap {
-					if sp != nil {
-						t.Fatalf("%s after %d: evicted ID %d still resolves to %+v", name, id, k, *sp)
-					}
-					continue
+		lastOf := map[string]SpanID{}
+		for k := SpanID(1); k <= id; k++ {
+			sp := ring.slot(k)
+			if int(id-k) >= ringCap {
+				if sp != nil {
+					t.Fatalf("after %d: evicted ID %d still resolves to %+v", id, k, *sp)
 				}
-				at := &ring.spans[(int(k)-1)%ringCap]
-				if sp != at || sp.ID != k || sp.Task != int64(k-1) {
-					t.Fatalf("%s after %d: slot(%d) = %+v, want the span at index %d: %+v", name, id, k, sp, (int(k)-1)%ringCap, *at)
-				}
-				lastOf[sp.Cat] = k
+				continue
 			}
-			for _, c := range cats {
-				if got := ring.FindLast(c); got != lastOf[c] {
-					t.Fatalf("%s after %d: FindLast(%q) = %d, want %d", name, id, c, got, lastOf[c])
-				}
+			at := &ring.spans[(int(k)-1)%ringCap]
+			if sp != at || sp.ID != k || sp.Task != int64(k-1) {
+				t.Fatalf("after %d: slot(%d) = %+v, want the span at index %d: %+v", id, k, sp, (int(k)-1)%ringCap, *at)
+			}
+			lastOf[sp.Cat] = k
+		}
+		for _, c := range cats {
+			if got := ring.FindLast(c); got != lastOf[c] {
+				t.Fatalf("after %d: FindLast(%q) = %d, want %d", id, c, got, lastOf[c])
 			}
 		}
-		dump := teed.Dump(NodeTag(0), "test", ticksOf(i))
 		lo := max(1, int(id)-ringCap+1)
-		if len(dump.Spans) != int(id)-lo+1 || dump.SpansDropped != int64(lo-1) {
-			t.Fatalf("after %d: dump holds %v (dropped %d), want IDs %d..%d", id, ids(dump.Spans), dump.SpansDropped, lo, id)
-		}
-		for k, sp := range dump.Spans {
-			if sp.ID != SpanID(lo+k) || sp.Task != int64(lo+k-1) {
-				t.Fatalf("after %d: dump[%d] = %+v, want ID %d", id, k, sp, lo+k)
+		for r, f := range []*Flight{own, fronting} {
+			name := []string{"own ring", "fronted log"}[r]
+			dump := f.Dump(NodeTag(0), "test", ticksOf(i))
+			if len(dump.Spans) != int(id)-lo+1 || dump.SpansDropped != int64(lo-1) {
+				t.Fatalf("%s after %d: dump holds %v (dropped %d), want IDs %d..%d", name, id, ids(dump.Spans), dump.SpansDropped, lo, id)
+			}
+			for k, sp := range dump.Spans {
+				if sp.ID != SpanID(lo+k) || sp.Task != int64(lo+k-1) {
+					t.Fatalf("%s after %d: dump[%d] = %+v, want ID %d", name, id, k, sp, lo+k)
+				}
 			}
 		}
 	}
@@ -143,28 +146,55 @@ func TestFindLast(t *testing.T) {
 
 // --- flight recorder ---
 
-func TestFlightTeeFromUnboundedLog(t *testing.T) {
-	f := NewFlight(4, 4)
-	s := NewSpans()
-	s.TeeFlight(f)
-	var last SpanID
-	for i := 0; i < 6; i++ {
-		last = s.Instant(ticksOf(i), "cat", "sp", NoTask, 0, "")
+// A Flight that owns its ring and one that fronts an unbounded log
+// dump the same bytes when fed the same records: End and SetLink reach
+// resident spans on both and are inert (ring) or below the dumped
+// window (log) on evicted ones, and a Parent or same-log Link that
+// points below the window is cleared either way.
+func TestFlightFrontedLogDumpsLikeOwnRing(t *testing.T) {
+	own, fronting := NewFlight(4, 4), NewFlight(4, 4)
+	log := NewSpans()
+	fronting.Front(log)
+	same := func(step string) {
+		t.Helper()
+		a, b := own.Dump(NodeTag(2), "test", 100), fronting.Dump(NodeTag(2), "test", 100)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: dumps differ\n own ring:    %+v\n fronted log: %+v", step, a, b)
+		}
 	}
-	s.SetLink(last, CoordTag, 1)
-	if s.N() != 6 {
-		t.Fatalf("full log N = %d, want 6", s.N())
+	same("empty")
+	for i := 0; i < 11; i++ {
+		// IDs are sequential from 1 on both sides, so 1..i name the
+		// spans before this one: some resident, some long evicted.
+		parent := SpanID(i * 7 % (i + 1))
+		for _, s := range []*Spans{own.Ring(), log} {
+			id := s.Begin(ticksOf(i), "cat", "sp", int64(i), parent)
+			s.End(SpanID(i/2+1), ticksOf(50+i))
+			s.SetLink(id, 0, SpanID(i/3+1))                       // same-log link, below the window as i grows
+			s.SetLink(SpanID(i*5%(i+1)+1), CoordTag, SpanID(i+1)) // cross-log link
+		}
+		same(fmt.Sprintf("after record %d", i+1))
 	}
-	d := f.Dump(NodeTag(0), "test", 100)
-	if d.SpansTotal != 6 || d.SpansDropped != 2 || len(d.Spans) != 4 {
-		t.Fatalf("dump accounting: total=%d dropped=%d len=%d", d.SpansTotal, d.SpansDropped, len(d.Spans))
+	d := fronting.Dump(NodeTag(2), "test", 100)
+	if log.N() != 11 || d.SpansTotal != 11 || d.SpansDropped != 7 || len(d.Spans) != 4 {
+		t.Fatalf("accounting: log N=%d, dump total=%d dropped=%d len=%d", log.N(), d.SpansTotal, d.SpansDropped, len(d.Spans))
 	}
-	// IDs in the tee mirror the source log's, so the link set after the
-	// tee still lands on the right resident span.
-	got := d.Spans[len(d.Spans)-1]
-	if got.ID != last || got.Link != 1 || got.LinkNode != CoordTag {
-		t.Fatalf("teed link lost: %+v", got)
+	for _, sp := range d.Spans {
+		if (sp.Parent != 0 && sp.Parent < d.Spans[0].ID) || (sp.Link != 0 && sp.LinkNode == 0 && sp.Link < d.Spans[0].ID) {
+			t.Fatalf("dumped span points below the window: %+v", sp)
+		}
 	}
+	// The unbounded log itself keeps what the dump dropped.
+	if sp := log.slot(1); sp == nil || sp.End == sp.Begin {
+		t.Fatalf("span 1 of the full log lost its End: %+v", sp)
+	}
+	// Reset lets go of the log: a reused recorder owns its ring again.
+	own.Reset()
+	fronting.Reset()
+	same("after Reset")
+	own.Ring().Instant(1, "cat", "sp", NoTask, 0, "")
+	fronting.Ring().Instant(1, "cat", "sp", NoTask, 0, "")
+	same("after Reset and one record")
 }
 
 func TestFlightDumpStampsNodeAndOrdersEvents(t *testing.T) {

@@ -91,10 +91,9 @@ type Span struct {
 // the same idiom as the PR 4 event pool.
 type Spans struct {
 	spans []Span
-	total int64   // spans ever recorded; the next ID is total+1
-	max   int     // >0: ring capacity; 0: unbounded
-	head  int     // full ring: the slot the next span overwrites, total mod max
-	tee   *Flight // optional black-box mirror of every record
+	total int64 // spans ever recorded; the next ID is total+1
+	max   int   // >0: ring capacity; 0: unbounded
+	head  int   // full ring: the slot the next span overwrites, total mod max
 }
 
 // NewSpans returns an empty unbounded span log.
@@ -112,22 +111,13 @@ func NewSpansRing(max int) *Spans {
 	return &Spans{spans: make([]Span, 0, max), max: max}
 }
 
-// Reset empties the log for the next run and keeps its storage, mode
-// and tee. IDs start again at 1; until they are reassigned, every ID
+// Reset empties the log for the next run and keeps its storage and
+// mode. IDs start again at 1; until they are reassigned, every ID
 // the previous run handed out is above Total and fails slot's checks,
 // so End, SetLink and FindLast on it are inert.
 func (s *Spans) Reset() {
 	s.spans = s.spans[:0]
 	s.total, s.head = 0, 0
-}
-
-// TeeFlight mirrors every span this log records (and every End /
-// SetLink mutation) into a Flight recorder, preserving IDs. Used when
-// a node keeps a full span log and a black box at once.
-func (s *Spans) TeeFlight(f *Flight) {
-	if s != nil {
-		s.tee = f
-	}
 }
 
 // Reserve grows the log's capacity ahead of an append-heavy run, the
@@ -149,7 +139,7 @@ func (s *Spans) Reserve(n int) {
 // ring does not divide to find that slot: IDs are sequential, so head
 // — zero when the ring fills, wrapping at max — is the same number
 // slot computes. The span travels by pointer and is copied once, into
-// its slot (and once more into a tee's).
+// its slot.
 func (s *Spans) put(sp *Span) {
 	if s.max > 0 && len(s.spans) == s.max {
 		s.spans[s.head] = *sp
@@ -160,9 +150,6 @@ func (s *Spans) put(sp *Span) {
 		s.spans = append(s.spans, *sp)
 	}
 	s.total++
-	if s.tee != nil {
-		s.tee.putSpan(sp)
-	}
 }
 
 // slot returns the live storage for id, or nil if id is zero, not yet
@@ -203,9 +190,6 @@ func (s *Spans) Begin(at ticks.Ticks, cat, name string, tsk int64, parent SpanID
 func (s *Spans) End(id SpanID, at ticks.Ticks) {
 	if sp := s.slot(id); sp != nil {
 		sp.End = at
-		if s.tee != nil {
-			s.tee.endSpan(id, at)
-		}
 	}
 }
 
@@ -241,9 +225,6 @@ func (s *Spans) SetLink(id SpanID, linkNode int32, target SpanID) {
 	if sp := s.slot(id); sp != nil {
 		sp.Link = target
 		sp.LinkNode = linkNode
-		if s.tee != nil {
-			s.tee.linkSpan(id, linkNode, target)
-		}
 	}
 }
 
@@ -328,11 +309,19 @@ func (s *Spans) Resident() []Span {
 // window — a Parent or same-log Link whose target was evicted — are
 // cleared, so an exported log never dangles into spans it does not
 // contain.
-func (s *Spans) Export() []Span {
+func (s *Spans) Export() []Span { return s.exportLast(s.N()) }
+
+// exportLast is Export over the newest n resident spans only, with
+// the window's lower edge where a ring of capacity n would have it: a
+// Flight fronting an unbounded log dumps what its own ring would hold.
+func (s *Spans) exportLast(n int) []Span {
 	if s == nil || s.total == 0 {
 		return nil
 	}
 	lo := s.firstID()
+	if w := SpanID(s.total - int64(n) + 1); w > lo {
+		lo = w
+	}
 	out := make([]Span, 0, int(s.total-int64(lo))+1)
 	for id := lo; int64(id) <= s.total; id++ {
 		sp := s.slot(id)
