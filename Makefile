@@ -13,7 +13,7 @@ GO ?= go
 BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
 BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
 
-.PHONY: all build test race lint fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
+.PHONY: all build test race lint fuzz-smoke sweep-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
 
 all: build test lint
 
@@ -57,41 +57,21 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzManagerModel$$' -fuzztime=10s ./internal/rm
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
-# The worker-invariance smokes share one shape: the named packages'
-# tests under the race detector, then rdsweep over one scenario family
-# on 4 workers and on 1, asserting byte-identical JSON aggregates.
-# $(call family-smoke,<family>,<seeds>,<test packages>)
-define family-smoke
-	$(GO) test -race -count=1 $(3)
-	$(GO) run -race ./cmd/rdsweep -scenarios $(1) -seeds $(2) -workers 4 -horizon-ms 500 -quiet -json $(1)-w4.json
-	$(GO) run -race ./cmd/rdsweep -scenarios $(1) -seeds $(2) -workers 1 -horizon-ms 500 -quiet -json $(1)-w1.json
-	cmp $(1)-w4.json $(1)-w1.json
-	rm -f $(1)-w4.json $(1)-w1.json
-endef
-
-# The whole matrix and the sweep engine's own tests.
+# Worker invariance over the whole matrix: the sweep engine's tests
+# under the race detector, then rdsweep over every scenario — "all"
+# expands to each member of the fault, baseline and fleet families too,
+# so armed injectors and the invariant checker (docs/FAULTS.md), the
+# lottery's seeded RNG substream and the streamer's exact byte·27
+# accounting, and the fleet's two worker pools and rebuilt arenas
+# (docs/DETERMINISM.md) are all in it — on 4 workers and on 1,
+# asserting byte-identical JSON aggregates. The families' own packages
+# run under -race in `make race`.
 sweep-smoke:
-	$(call family-smoke,all,8,./internal/sweep/...)
-
-# Fault injection (see docs/FAULTS.md): armed injectors and the
-# invariant checker must not break the worker-invariance contract.
-fault-smoke:
-	$(call family-smoke,fault,8,./internal/fault/... ./internal/invariant/...)
-
-# Comparators (see EXPERIMENTS.md "baseline family"): the lottery's
-# seeded RNG substream and the streamer's exact byte·27 accounting must
-# both survive it.
-baseline-smoke:
-	$(call family-smoke,baseline,8,./internal/baseline/... ./internal/streamer/...)
-
-# Fleet (see docs/FAULTS.md "fleet failure semantics"): node crashes,
-# correlated storms, spillover/retry/migration. Two worker pools are in
-# play — the sweep's run pool and each cluster's node pool — and
-# neither may leave a fingerprint on the aggregates; nor may the arena
-# a sweep worker rebuilds its fleets in (docs/DETERMINISM.md).
-fleet-smoke:
-	$(GO) test -race -count=1 -run 'TestArenaReuseMatchesFresh|TestSweepFleetWorkerInvariance' ./internal/sweep
-	$(call family-smoke,fleet,4,./internal/fleet/...)
+	$(GO) test -race -count=1 ./internal/sweep/...
+	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 4 -horizon-ms 500 -quiet -json all-w4.json
+	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 1 -horizon-ms 500 -quiet -json all-w1.json
+	cmp all-w4.json all-w1.json
+	rm -f all-w4.json all-w1.json
 
 # Telemetry smoke (see docs/OBSERVABILITY.md): the telemetry suite,
 # then a seeded scenario run twice — the rdtel/v2 manifests must be
@@ -171,4 +151,4 @@ identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	bash scripts/identity.sh $(PARENT)
 
-ci: build test race lint fuzz-smoke sweep-smoke fault-smoke baseline-smoke fleet-smoke flight-smoke telemetry-smoke bench-smoke
+ci: build test race lint fuzz-smoke sweep-smoke flight-smoke telemetry-smoke bench-smoke

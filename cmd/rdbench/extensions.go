@@ -45,7 +45,7 @@ func expBaselines(w io.Writer) {
 		_, _ = d.RequestAdmittance(&task.Task{
 			Name: n,
 			List: task.UniformLevels(10*ms, "W", 30, 20),
-			Body: yieldAll(),
+			Body: task.YieldAll(),
 		})
 	}
 	d.Run(horizon)
@@ -132,6 +132,7 @@ func expStreamer(w io.Writer) {
 		{Period: 270_000, CPU: 27_000, Fn: "StreamLQ", StreamerMBps: 50},
 	}
 	var ch *streamer.Channel
+	wholeGrant := task.YieldAll()
 	id, _ := d.RequestAdmittance(&task.Task{
 		Name: "pipeline",
 		List: list,
@@ -141,7 +142,7 @@ func expStreamer(w io.Writer) {
 					_ = ch.SetRate(want)
 				}
 			}
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
+			return wholeGrant.Run(ctx)
 		}),
 	})
 	ch, _ = e.Open("pipeline", 200)
@@ -249,10 +250,10 @@ func expNotify(w io.Writer) {
 	}
 	ids := map[string]task.ID{}
 	for _, n := range []string{"a", "b"} {
-		ids[n], _ = d.RequestAdmittance(&task.Task{Name: n, List: list, Body: yieldAll()})
+		ids[n], _ = d.RequestAdmittance(&task.Task{Name: n, List: list, Body: task.YieldAll()})
 	}
 	d.At(100*ms, func() {
-		ids["c"], _ = d.RequestAdmittance(&task.Task{Name: "c", List: list, Body: yieldAll()})
+		ids["c"], _ = d.RequestAdmittance(&task.Task{Name: "c", List: list, Body: task.YieldAll()})
 	})
 	d.Run(ticks.PerSecond)
 	var rdMissed int64

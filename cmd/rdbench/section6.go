@@ -199,9 +199,9 @@ func expFig4(w io.Writer) {
 	period := ticks.PerSecond / 30
 	_, _ = d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true)
 	_, _ = d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*ms, "P7"), Body: task.Busy()})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*ms, "D8"), Body: yieldAll()})
+	_, _ = d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*ms, "D8"), Body: task.YieldAll()})
 	_, _ = d.RequestAdmittance(&task.Task{Name: "producer9", List: task.SingleLevel(period, 3*ms, "P9"), Body: task.PeriodicWork(3 * ms)})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*ms, "D10"), Body: yieldAll()})
+	_, _ = d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*ms, "D10"), Body: task.YieldAll()})
 	d.Run(ticks.PerSecond / 3)
 	fmt.Fprintln(w, "measured schedule (final 100ms of the 333ms run):")
 	fmt.Fprintln(w, rec.Gantt(ticks.PerSecond/3-100*ms, ticks.PerSecond/3, 100))
@@ -263,7 +263,7 @@ func expFig4Fix(w io.Writer) {
 			})
 		} else {
 			// The buggy original: busy-wait the whole grant.
-			dataBody = yieldAll()
+			dataBody = task.YieldAll()
 		}
 
 		_, _ = d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*ms, "P"), Body: task.Busy()})

@@ -20,14 +20,6 @@ func zeroCosts() *sim.SwitchCosts {
 	return &c
 }
 
-// yieldAll is a body that burns every tick it is offered and then
-// yields: a task that always uses exactly its grant.
-func yieldAll() task.Body {
-	return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-	})
-}
-
 func printList(w io.Writer, rl task.ResourceList) {
 	fmt.Fprintf(w, "  %10s %10s %7s  %s\n", "period", "cpu req", "rate", "function")
 	for _, e := range rl {

@@ -193,14 +193,11 @@ func setupSettop(d *core.Distributor) func() {
 
 func setupFig4(d *core.Distributor) func() {
 	period := ticks.PerSecond / 30
-	yieldAll := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-	})
 	mustSS(d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true))
 	must(d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*ms, "P"), Body: task.Busy()}))
-	must(d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*ms, "D"), Body: yieldAll}))
+	must(d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*ms, "D"), Body: task.YieldAll()}))
 	must(d.RequestAdmittance(&task.Task{Name: "producer9", List: task.SingleLevel(period, 3*ms, "P"), Body: task.PeriodicWork(3 * ms)}))
-	must(d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*ms, "D"), Body: yieldAll}))
+	must(d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*ms, "D"), Body: task.YieldAll()}))
 	return nil
 }
 
@@ -221,9 +218,7 @@ func setupQuiescent(d *core.Distributor) func() {
 	must(d.RequestAdmittance(&task.Task{
 		Name: "dvd",
 		List: task.UniformLevels(10*ms, "DecodeDVD", 85, 70, 55, 40),
-		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		}),
+		Body: task.YieldAll(),
 	}))
 	must(d.RequestAdmittance(ac3.Task()))
 	modemID, err := d.RequestAdmittance(modem.Task(true))

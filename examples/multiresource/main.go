@@ -37,12 +37,6 @@ func streamList(hi, lo int64) task.ResourceList {
 	}
 }
 
-func yieldAll() task.Body {
-	return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-	})
-}
-
 func main() {
 	// The user prefers the main view; the Policy Box names it the
 	// exclusive-resource holder.
@@ -68,7 +62,7 @@ func main() {
 
 	names := map[task.ID]string{}
 	admit := func(name string, list task.ResourceList) task.ID {
-		id, err := d.RequestAdmittance(&task.Task{Name: name, List: list, Body: yieldAll()})
+		id, err := d.RequestAdmittance(&task.Task{Name: name, List: list, Body: task.YieldAll()})
 		if err != nil {
 			log.Fatalf("admit %s: %v", name, err)
 		}

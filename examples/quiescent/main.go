@@ -47,9 +47,7 @@ func main() {
 	dvd, err := d.RequestAdmittance(&task.Task{
 		Name: "dvd",
 		List: task.UniformLevels(10*ms, "DecodeDVD", 85, 70, 55, 40),
-		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		}),
+		Body: task.YieldAll(),
 	})
 	if err != nil {
 		log.Fatalf("admit dvd: %v", err)

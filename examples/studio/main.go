@@ -96,9 +96,7 @@ func main() {
 			{Period: 10 * ms, CPU: 2 * ms, Fn: "OverlayFull", StreamerMBps: 80},
 			{Period: 10 * ms, CPU: 1 * ms, Fn: "OverlayHalf", StreamerMBps: 40},
 		},
-		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		}),
+		Body:      task.YieldAll(),
 		Semantics: task.ReturnSemantics,
 	})
 	if err != nil {

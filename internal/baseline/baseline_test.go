@@ -243,3 +243,70 @@ func TestUtilizationAcrossSchedulers(t *testing.T) {
 		t.Errorf("RD utilization %.2f, want ~1.0 (overtime redistribution)", rdUtil)
 	}
 }
+
+// TestComparatorsConserveTime drives Reserves, Notifier and Rialto
+// directly — none of them is a sweep cell — and checks that every tick
+// of the clock was accounted busy or idle (a bare kernel charges no
+// switches and raises no interrupts), and that the clock stops at the
+// horizon: every clock advance goes through sim.Kernel.Busy or Idle.
+func TestComparatorsConserveTime(t *testing.T) {
+	// 777ms is on no period boundary, so the last slice has to be cut.
+	const horizon = 777 * ms
+	check := func(name string, k *sim.Kernel) {
+		t.Helper()
+		st := k.Stats()
+		if st.Now != horizon {
+			t.Errorf("%s: clock at %v after RunUntil(%v)", name, st.Now, ticks.Ticks(horizon))
+		}
+		if st.BusyTicks == 0 || st.IdleTicks == 0 {
+			t.Errorf("%s: busy %v, idle %v — the workload should produce both", name, st.BusyTicks, st.IdleTicks)
+		}
+		if sum := st.BusyTicks + st.IdleTicks; sum != st.Now || st.SwitchTicks+st.InterruptTicks != 0 {
+			t.Errorf("%s: busy+idle = %d, clock = %d (switch %d, interrupt %d)",
+				name, int64(sum), int64(st.Now), int64(st.SwitchTicks), int64(st.InterruptTicks))
+		}
+	}
+
+	k := kernel()
+	r := NewReserves(k)
+	for _, res := range []struct {
+		name           string
+		period, budget ticks.Ticks
+		body           task.Body
+	}{
+		{"long", 30 * ms, 12 * ms, task.Busy()},
+		{"short", 7 * ms, 2 * ms, task.PeriodicWork(ms)},
+		{"blocker", 11 * ms, 3 * ms, task.WorkThenBlock(ms, 0)},
+	} {
+		if err := r.Reserve(res.name, res.period, res.budget, res.body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.At(333*ms+1, func() {}) // an event inside a slice
+	r.RunUntil(horizon)
+	check("reserves", k)
+
+	k = kernel()
+	nf := NewNotifier(k, 30*ms)
+	menu := []ticks.Ticks{4 * ms, 1 * ms}
+	nf.Add("a", 10*ms, menu)
+	nf.Add("b", 13*ms, menu)
+	k.At(100*ms, func() { nf.Add("c", 10*ms, menu) })
+	nf.RunUntil(horizon)
+	check("notifier", k)
+
+	k = kernel()
+	ri := NewRialto(k)
+	_ = ri.AddTask("hog", 10*ms, 4*ms)
+	_ = ri.AddTask("app", 33*ms, 0)
+	var arrive func()
+	arrive = func() {
+		ri.BeginConstraint("app", k.Now()+33*ms, 9*ms, frameBody())
+		if next := k.Now() + 33*ms; next < horizon {
+			k.At(next, arrive)
+		}
+	}
+	k.At(0, arrive)
+	ri.RunUntil(horizon)
+	check("rialto", k)
+}

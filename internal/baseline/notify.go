@@ -23,36 +23,17 @@ import (
 //     the period after the notification lands.
 //
 // Scheduling between boundaries is EDF without grant enforcement;
-// tasks demand the CPU of their current level each period.
+// tasks demand the CPU of their current level each period. On the
+// shared loop that is a picker whose tasks always use what they are
+// offered: the slice is the demand still outstanding, nothing is
+// charged, and a period is served when the demand was met.
 type Notifier struct {
-	k     *sim.Kernel
+	loop
 	delay ticks.Ticks
-	tasks []*ntask
-}
-
-// ntask is one task under the Notifier: a shed menu of per-period CPU
-// demands, from maximum (index 0) to minimum.
-type ntask struct {
-	name   string
-	period ticks.Ticks
-	levels []ticks.Ticks
-	level  int
-
-	deadline ticks.Ticks
-	donePd   ticks.Ticks // work done this period
-	stats    Stats
-
-	pendingShed sim.EventRef
 }
 
 // demand is the current per-period CPU requirement.
-func (n *ntask) demand() ticks.Ticks { return n.levels[n.level] }
-
-func (n *ntask) beginPeriod(start ticks.Ticks) {
-	n.deadline = start + n.period
-	n.donePd = 0
-	n.stats.Periods++
-}
+func (b *btask) demand() ticks.Ticks { return b.levels[b.level] }
 
 // NewNotifier builds the notification-based system. delay is the
 // third-party round-trip before a shed notification takes effect.
@@ -60,7 +41,7 @@ func NewNotifier(k *sim.Kernel, delay ticks.Ticks) *Notifier {
 	if delay <= 0 {
 		delay = 20 * ticks.PerMillisecond
 	}
-	return &Notifier{k: k, delay: delay}
+	return &Notifier{loop: loop{k: k}, delay: delay}
 }
 
 // Add admits a task unconditionally (there is no admission control in
@@ -69,113 +50,35 @@ func NewNotifier(k *sim.Kernel, delay ticks.Ticks) *Notifier {
 // shed; the notification lands after the configured delay and takes
 // effect at the task's next period boundary after that.
 func (nf *Notifier) Add(name string, period ticks.Ticks, levels []ticks.Ticks) {
-	n := &ntask{name: name, period: period, levels: levels}
-	n.beginPeriod(nf.k.Now())
-	nf.tasks = append(nf.tasks, n)
+	target := &btask{name: name, period: period, levels: levels, body: task.BusySilent()}
+	nf.add(target)
 	if nf.totalDemand() > 1.0 {
-		target := n // whoever asked last sheds
-		target.pendingShed = nf.k.After(nf.delay, func() {
-			target.pendingShed = sim.EventRef{}
-			// Shed to the minimum; applies from the next period
-			// (problem 3: "not degrade its service until later").
-			target.level = len(target.levels) - 1
-		})
+		// Whoever asked last sheds, to the minimum; applies from the
+		// next period (problem 3: "not degrade its service until later").
+		nf.k.After(nf.delay, func() { target.level = len(target.levels) - 1 })
 	}
 }
 
 // totalDemand sums current-level demand as a CPU fraction.
 func (nf *Notifier) totalDemand() float64 {
 	var sum float64
-	for _, n := range nf.tasks {
-		sum += float64(n.demand()) / float64(n.period)
+	for _, b := range nf.tasks {
+		sum += float64(b.demand()) / float64(b.period)
 	}
 	return sum
 }
 
-// Stats reports accounting for a task by name.
-func (nf *Notifier) Stats(name string) (Stats, bool) {
-	for _, n := range nf.tasks {
-		if n.name == name {
-			return n.stats, true
-		}
-	}
-	return Stats{}, false
-}
-
 // RunUntil drives the schedule to limit.
-func (nf *Notifier) RunUntil(limit ticks.Ticks) {
-	for nf.k.Now() < limit {
-		now := nf.k.Now()
-		nf.k.RunUntil(now)
-		nf.roll(now)
-		cur := nf.pick()
-		next := nf.nextBoundary(limit)
-		if cur == nil {
-			d := next - now
-			if d <= 0 {
-				return
-			}
-			nf.k.Advance(d)
-			nf.k.AccountIdle(d)
-			continue
-		}
-		span := cur.demand() - cur.donePd
-		if now+span > next {
-			span = next - now
-		}
-		if at, ok := nf.k.NextEventTime(); ok && at-now < span {
-			span = at - now
-		}
-		if span <= 0 {
-			panic("baseline: zero notifier slice")
-		}
-		nf.k.Advance(span)
-		nf.k.AccountBusy(span)
-		cur.donePd += span
-		cur.stats.UsedTicks += span
-	}
-}
+func (nf *Notifier) RunUntil(limit ticks.Ticks) { nf.runUntil(limit, nf) }
 
 // pick returns the earliest-deadline task with work outstanding.
-func (nf *Notifier) pick() *ntask {
-	var best *ntask
-	for _, n := range nf.tasks {
-		if n.donePd >= n.demand() {
-			continue
-		}
-		if best == nil || n.deadline < best.deadline ||
-			(n.deadline == best.deadline && n.name < best.name) {
-			best = n
-		}
-	}
-	return best
+func (nf *Notifier) pick() *btask {
+	return earliest(nf.tasks, func(b *btask) bool { return b.usedPd < b.demand() })
 }
 
-func (nf *Notifier) roll(now ticks.Ticks) {
-	for _, n := range nf.tasks {
-		for n.deadline <= now {
-			if n.donePd < n.demand() {
-				n.stats.MissedPeriods++
-			} else {
-				n.stats.Completed++
-			}
-			n.beginPeriod(n.deadline)
-		}
-	}
-}
+func (nf *Notifier) slice(cur *btask) ticks.Ticks { return cur.demand() - cur.usedPd }
 
-func (nf *Notifier) nextBoundary(limit ticks.Ticks) ticks.Ticks {
-	next := limit
-	for _, n := range nf.tasks {
-		if n.deadline < next {
-			next = n.deadline
-		}
-	}
-	if at, ok := nf.k.NextEventTime(); ok && at < next {
-		next = at
-	}
-	return next
-}
+func (nf *Notifier) closePeriod(b *btask) { nf.score(b, b.usedPd >= b.demand()) }
 
 // levelsOf converts a task.ResourceList with a single shared period
 // into the Notifier's demand menu, for experiments that run the same

@@ -1,7 +1,7 @@
 package baseline
 
 import (
-	"sort"
+	"fmt"
 
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -26,26 +26,15 @@ import (
 // experiment the refusals land on whatever frame was unlucky,
 // including I frames.
 type Rialto struct {
-	k     *sim.Kernel
-	tasks []*rtask
-	// resUtil is the reserved utilization fraction (scaled 1e9).
-	resUtilNum int64
-	resDen     int64
-	cons       []*constraint
-}
-
-type rtask struct {
-	name   string
-	period ticks.Ticks
-	budget ticks.Ticks // reservation per period; may be 0
-
-	deadline ticks.Ticks
-	remain   ticks.Ticks
-	stats    Stats
+	loop
+	// sum is the reserved CPU fraction the feasibility analysis
+	// subtracts from every window, held exactly.
+	sum  ticks.Frac
+	cons []*constraint
 }
 
 type constraint struct {
-	owner    *rtask
+	owner    *btask
 	deadline ticks.Ticks
 	remain   ticks.Ticks
 	body     task.Body
@@ -55,29 +44,18 @@ type constraint struct {
 
 // NewRialto builds the constraint scheduler.
 func NewRialto(k *sim.Kernel) *Rialto {
-	return &Rialto{k: k, resDen: 1}
+	return &Rialto{loop: loop{k: k}, sum: ticks.FracZero}
 }
 
 // AddTask registers a task, optionally with a CPU reservation
 // (budget per period). Pass budget 0 for constraint-only tasks.
-func (r *Rialto) AddTask(name string, period, budget ticks.Ticks) {
-	t := &rtask{name: name, period: period, budget: budget}
-	t.deadline = r.k.Now() + period
-	t.remain = budget
-	t.stats.Periods = 0
-	r.tasks = append(r.tasks, t)
-	if budget > 0 {
-		// Accumulate reserved utilization exactly enough for the
-		// feasibility analysis (float is fine here; this is a
-		// baseline, not the RD).
-		r.resUtilNum = r.resUtilNum*int64(period) + int64(budget)*r.resDen
-		r.resDen *= int64(period)
+func (r *Rialto) AddTask(name string, period, budget ticks.Ticks) error {
+	if period <= 0 || budget < 0 || budget > period {
+		return fmt.Errorf("baseline: bad reservation %v/%v", budget, period)
 	}
-}
-
-// reservedUtil reports the reserved CPU fraction.
-func (r *Rialto) reservedUtil() float64 {
-	return float64(r.resUtilNum) / float64(r.resDen)
+	r.sum = r.sum.Add(ticks.FracOf(budget, period))
+	r.add(&btask{name: name, period: period, budget: budget})
+	return nil
 }
 
 // BeginConstraint asks for estimate ticks of CPU before deadline,
@@ -86,12 +64,7 @@ func (r *Rialto) reservedUtil() float64 {
 // between now and the deadline, minus CPU promised to already
 // accepted constraints in that window.
 func (r *Rialto) BeginConstraint(name string, deadline, estimate ticks.Ticks, body task.Body) bool {
-	var owner *rtask
-	for _, t := range r.tasks {
-		if t.name == name {
-			owner = t
-		}
-	}
+	owner := r.byName(name)
 	if owner == nil || estimate <= 0 {
 		return false
 	}
@@ -100,7 +73,7 @@ func (r *Rialto) BeginConstraint(name string, deadline, estimate ticks.Ticks, bo
 		return false
 	}
 	window := deadline - now
-	free := float64(window) * (1 - r.reservedUtil())
+	free := float64(window) * (1 - r.sum.Float())
 	var promised ticks.Ticks
 	for _, c := range r.cons {
 		if !c.done && c.deadline <= deadline {
@@ -116,49 +89,31 @@ func (r *Rialto) BeginConstraint(name string, deadline, estimate ticks.Ticks, bo
 	return true
 }
 
-// Stats reports accounting for a task by name.
-func (r *Rialto) Stats(name string) (Stats, bool) {
-	for _, t := range r.tasks {
-		if t.name == name {
-			return t.stats, true
-		}
-	}
-	return Stats{}, false
-}
-
 // RunUntil drives the schedule to limit: accepted constraints run
 // earliest-deadline first; reservation time fills the gaps.
 func (r *Rialto) RunUntil(limit ticks.Ticks) {
 	for r.k.Now() < limit {
 		now := r.k.Now()
 		r.k.RunUntil(now)
-		r.roll(now)
+		r.roll(now, r)
 		r.expireConstraints(now)
+		// A live constraint's deadline is a boundary too.
+		next := r.nextBoundary(limit)
+		for _, c := range r.cons {
+			if !c.done && !c.missed && c.deadline < next {
+				next = c.deadline
+			}
+		}
 
 		if c := r.nextConstraint(); c != nil {
-			span := c.remain
-			if now+span > c.deadline {
-				span = c.deadline - now
-			}
-			next := r.nextBoundary(limit)
-			if now+span > next {
-				span = next - now
-			}
-			if at, ok := r.k.NextEventTime(); ok && at-now < span {
-				span = at - now
-			}
-			if span <= 0 {
-				span = 1
-			}
+			span := sliceWithin(c.remain, next-now)
 			res := c.body.Run(task.RunContext{Now: now, Span: span})
 			used := clampUsed(res.Used, span)
 			if used == 0 {
 				used = span // constraints model dedicated work
 			}
-			r.k.Advance(used)
-			r.k.AccountBusy(used)
+			r.spend(c.owner, used)
 			c.remain -= used
-			c.owner.stats.UsedTicks += used
 			if c.remain <= 0 {
 				c.done = true
 				c.owner.stats.Completed++
@@ -166,35 +121,24 @@ func (r *Rialto) RunUntil(limit ticks.Ticks) {
 			continue
 		}
 
-		// Reservation time: EDF over tasks with budget remaining.
-		cur := r.pickReservation()
-		next := r.nextBoundary(limit)
+		// Reservation time: EDF over tasks with budget remaining,
+		// which use whatever they are offered.
+		cur := earliest(r.tasks, func(b *btask) bool { return b.remain > 0 })
 		if cur == nil {
-			d := next - now
-			if d <= 0 {
+			if !r.idle(next - now) {
 				return
 			}
-			r.k.Advance(d)
-			r.k.AccountIdle(d)
 			continue
 		}
-		span := cur.remain
-		if now+span > next {
-			span = next - now
-		}
-		if at, ok := r.k.NextEventTime(); ok && at-now < span {
-			span = at - now
-		}
-		if span <= 0 {
-			r.k.Advance(1)
-			continue
-		}
-		r.k.Advance(span)
-		r.k.AccountBusy(span)
+		span := sliceWithin(cur.remain, next-now)
+		r.spend(cur, span)
 		cur.remain -= span
-		cur.stats.UsedTicks += span
 	}
 }
+
+// closePeriod: a reservation period closes unscored — Completed and
+// MissedPeriods count constraints, not periods.
+func (r *Rialto) closePeriod(*btask) {}
 
 func (r *Rialto) nextConstraint() *constraint {
 	var best *constraint
@@ -226,51 +170,4 @@ func (r *Rialto) expireConstraints(now ticks.Ticks) {
 		}
 		r.cons = live
 	}
-}
-
-func (r *Rialto) pickReservation() *rtask {
-	ready := make([]*rtask, 0, len(r.tasks))
-	for _, t := range r.tasks {
-		if t.remain > 0 {
-			ready = append(ready, t)
-		}
-	}
-	if len(ready) == 0 {
-		return nil
-	}
-	sort.Slice(ready, func(i, j int) bool {
-		if ready[i].deadline != ready[j].deadline {
-			return ready[i].deadline < ready[j].deadline
-		}
-		return ready[i].name < ready[j].name
-	})
-	return ready[0]
-}
-
-func (r *Rialto) roll(now ticks.Ticks) {
-	for _, t := range r.tasks {
-		for t.deadline <= now {
-			t.stats.Periods++
-			t.remain = t.budget
-			t.deadline += t.period
-		}
-	}
-}
-
-func (r *Rialto) nextBoundary(limit ticks.Ticks) ticks.Ticks {
-	next := limit
-	for _, t := range r.tasks {
-		if t.deadline < next {
-			next = t.deadline
-		}
-	}
-	for _, c := range r.cons {
-		if !c.done && !c.missed && c.deadline < next {
-			next = c.deadline
-		}
-	}
-	if at, ok := r.k.NextEventTime(); ok && at < next {
-		next = at
-	}
-	return next
 }

@@ -74,7 +74,7 @@ func TestRialtoUnknownAndDegenerate(t *testing.T) {
 	if r.BeginConstraint("app", 10*ms, 0, frameBody()) {
 		t.Error("zero-estimate constraint accepted")
 	}
-	k.Advance(20 * ms)
+	k.Idle(20 * ms)
 	if r.BeginConstraint("app", 10*ms, ms, frameBody()) {
 		t.Error("constraint with past deadline accepted")
 	}
@@ -136,4 +136,59 @@ func TestRialtoMPEGRefusalsHitArbitraryFrames(t *testing.T) {
 		t.Error("no frames decoded at all")
 	}
 	t.Logf("rialto: %d accepted, %d refused (%d were I frames)", accepted, refusedTotal, refusedI)
+}
+
+// TestRialtoReservedUtilizationStaysExact is the regression for the
+// running product of periods AddTask used to keep: four 10% reserves
+// with periods 270 000, 900 000, 810 001 and 540 007 ticks overflowed
+// int64 (reserved utilization read 9.32 and every constraint was
+// refused), and a fifth wrapped it negative (every constraint
+// accepted). Held as a ticks.Frac the sum is 40%, then 50%.
+func TestRialtoReservedUtilizationStaysExact(t *testing.T) {
+	k := kernel()
+	r := NewRialto(k)
+	for i, period := range []ticks.Ticks{270_000, 900_000, 810_001, 540_007} {
+		if err := r.AddTask(string(rune('a'+i)), period, period/10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.AddTask("app", 10*ms, 0); err != nil {
+		t.Fatal(err)
+	}
+	if u := r.sum.Float(); u < 0.3999 || u > 0.4001 {
+		t.Errorf("reserved utilization = %v after four 10%% reserves", u)
+	}
+	// 60% of a 10ms window is free: 5ms fits, a further 2ms does not.
+	if !r.BeginConstraint("app", 10*ms, 5*ms, frameBody()) {
+		t.Error("5ms constraint refused with 6ms of slack")
+	}
+	if r.BeginConstraint("app", 10*ms, 2*ms, frameBody()) {
+		t.Error("2ms constraint accepted with 1ms of slack")
+	}
+	if err := r.AddTask("e", 1_080_011, 108_001); err != nil {
+		t.Fatal(err)
+	}
+	if u := r.sum.Float(); u < 0.4999 || u > 0.5001 {
+		t.Errorf("reserved utilization = %v after five 10%% reserves", u)
+	}
+	if r.BeginConstraint("app", 10*ms, 2*ms, frameBody()) {
+		t.Error("2ms constraint accepted with no slack left")
+	}
+}
+
+func TestRialtoAddTaskValidation(t *testing.T) {
+	r := NewRialto(kernel())
+	for _, bad := range []struct{ period, budget ticks.Ticks }{
+		{0, 0}, {-10 * ms, 0}, {10 * ms, -1}, {10 * ms, 11 * ms},
+	} {
+		if err := r.AddTask("bad", bad.period, bad.budget); err == nil {
+			t.Errorf("AddTask(period %v, budget %v) accepted", bad.period, bad.budget)
+		}
+	}
+	if _, ok := r.Stats("bad"); ok {
+		t.Error("a rejected task was registered")
+	}
+	if err := r.AddTask("full", 10*ms, 10*ms); err != nil {
+		t.Errorf("budget == period rejected: %v", err)
+	}
 }

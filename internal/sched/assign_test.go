@@ -1,8 +1,12 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/rm"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/ticks"
@@ -173,5 +177,130 @@ func TestAssignGrantDefersPeriodCallback(t *testing.T) {
 	// receiving callbacks once the assignment drains.
 	if newPeriods < 2 {
 		t.Errorf("donor saw %d period callbacks; deferral must not lose them", newPeriods)
+	}
+}
+
+// sporadicDispatches records the stretches a sporadic body ran for,
+// whatever name they were reported under.
+type sporadicDispatches struct {
+	NopObserver
+	log *[]string
+}
+
+func (o sporadicDispatches) OnDispatch(_ task.ID, _ string, from, to ticks.Ticks, kind DispatchKind, _ int) {
+	if kind == DispatchSporadic {
+		*o.log = append(*o.log, fmt.Sprintf("ran %v..%v", from, to))
+	}
+}
+
+// TestSporadicOutcomesMatchUnderServerAndAssignGrant holds §5.1 to its
+// word: the Sporadic Server is a client of the general grant-assignment
+// interface, so one assignment of the same size, on a host with the
+// same grant, must treat the sporadic task identically whichever of the
+// two made it — the same spans offered at the same instants, the same
+// stretches reported, the same accounting, and the same end: a yield, a
+// timed block, an exit or an exhausted slice. (An assignment that is
+// cut off by the end of the host's grant is where the two part by
+// design: the server asks for overtime to carry on, a donor waits for
+// its next period. Every case here ends inside one 5ms grant.)
+func TestSporadicOutcomesMatchUnderServerAndAssignGrant(t *testing.T) {
+	cases := []struct {
+		name   string
+		amount ticks.Ticks // the assignment, and the server's slice
+		// outcome is what the body answers while the assignment under
+		// test is open.
+		outcome func(ctx task.RunContext) task.RunResult
+		// check inspects the sporadic task at 15ms, after a timed block
+		// has expired and before the host's next period.
+		check func(t *testing.T, s *Scheduler, sp SporadicID)
+	}{
+		{"yield", 7 * ms, func(ctx task.RunContext) task.RunResult {
+			return task.RunResult{Used: ms, Op: task.OpYield}
+		}, nil},
+		{"timed block", 7 * ms, func(ctx task.RunContext) task.RunResult {
+			return task.RunResult{Used: ms, Op: task.OpBlock, BlockFor: 3 * ms}
+		}, func(t *testing.T, s *Scheduler, sp SporadicID) {
+			if s.sporadics[0].blocked {
+				t.Error("sporadic task still blocked after its 3ms block expired")
+			}
+		}},
+		{"exit", 7 * ms, func(ctx task.RunContext) task.RunResult {
+			return task.RunResult{Used: ms, Op: task.OpExit}
+		}, func(t *testing.T, s *Scheduler, sp SporadicID) {
+			if _, ok := s.SporadicStatsOf(sp); ok {
+				t.Error("exited sporadic task still queued")
+			}
+		}},
+		{"slice exhausted", 3 * ms, func(ctx task.RunContext) task.RunResult {
+			return task.RunResult{Used: ctx.Span, Op: task.OpRanOut}
+		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(server bool) []string {
+				var log []string
+				k := sim.NewKernel(sim.Config{Seed: 1, Costs: sim.ZeroSwitchCosts()})
+				m := rm.New(rm.Config{})
+				s := New(Config{Kernel: k, RM: m, SporadicSlice: tc.amount, Observer: sporadicDispatches{log: &log}})
+				m.SetHooks(s)
+				// The host does no work of its own, so its accounting is
+				// the assignment's.
+				host := mustAdmit(t, m, &task.Task{
+					Name: "host",
+					List: task.SingleLevel(10*ms, 5*ms, "Host"),
+					Body: task.BodyFunc(func(task.RunContext) task.RunResult {
+						return task.RunResult{Op: task.OpYield, Completed: true}
+					}),
+				})
+				if server {
+					if err := s.AttachSporadicServer(host, false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.RunUntil(1) // the host's first period starts and is yielded empty
+				var used ticks.Ticks
+				over := false
+				sp := s.AddSporadic("x", task.BodyFunc(func(ctx task.RunContext) task.RunResult {
+					if over {
+						// The assignment under test has ended; stay out
+						// of the way of whatever the server does next.
+						return task.RunResult{Op: task.OpBlock}
+					}
+					res := tc.outcome(ctx)
+					used += res.Used
+					over = res.Op != task.OpRanOut || used == tc.amount
+					log = append(log, fmt.Sprintf("offered %v at %v: used %v, %v", ctx.Span, ctx.Now, res.Used, res.Op))
+					return res
+				}))
+				if !server {
+					if err := s.AssignGrant(host, sp, tc.amount); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s.RunUntil(15 * ms)
+				if tc.check != nil {
+					tc.check(t, s, sp)
+				}
+				s.RunUntil(60 * ms)
+				if !over {
+					t.Errorf("server=%v: the assignment never ended", server)
+				}
+				if st, ok := s.SporadicStatsOf(sp); ok {
+					log = append(log, fmt.Sprintf("sporadic used %v", st.UsedTicks))
+				}
+				hst, _ := s.Stats(host)
+				log = append(log, fmt.Sprintf("host used %v, missed %d", hst.UsedTicks, hst.Misses))
+				for _, f := range s.Audit().Findings {
+					t.Errorf("server=%v: audit: %s", server, f)
+				}
+				return log
+			}
+			assigned, served := run(false), run(true)
+			if !slices.Equal(assigned, served) {
+				t.Errorf("transcripts differ\nAssignGrant:\n  %s\nSporadic Server:\n  %s",
+					strings.Join(assigned, "\n  "), strings.Join(served, "\n  "))
+			}
+			t.Logf("\n  %s", strings.Join(assigned, "\n  "))
+		})
 	}
 }

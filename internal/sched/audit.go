@@ -7,12 +7,15 @@ package sched
 // is consistent. Findings are formatted by the cold AuditReport.addf
 // (auditreport.go).
 
-// Queue-membership bits Audit writes into tcb.auditSeen while walking
-// the queues and reads back while walking the task table.
+// Membership bits Audit writes into tcb.auditSeen: seenTable while
+// stamping the task table, so that the queue walks can tell a live
+// entry from a stray one without a lookup, and one bit per queue while
+// walking the queues, read back while walking the task table.
 const (
 	seenTimeRemaining uint8 = 1 << iota
 	seenTimeExpired
 	seenOvertime
+	seenTable
 )
 
 // seenOn marks t as found on a queue during audit pass epoch. The
@@ -37,6 +40,9 @@ func (s *Scheduler) Audit() AuditReport {
 	var r AuditReport
 	s.auditEpoch++
 	epoch := s.auditEpoch
+	for _, t := range s.tasksByID() {
+		t.seenOn(epoch, seenTable)
+	}
 
 	// Paper queues hold only live, correctly-labelled tasks.
 	s.auditPaperQueue(&r, "TimeRemaining", s.timeRemaining, qTimeRemaining, seenTimeRemaining)
@@ -46,7 +52,7 @@ func (s *Scheduler) Audit() AuditReport {
 		if t.dropped {
 			r.addf("OvertimeRequested holds dropped task %d (%s)", t.id, t.name)
 		}
-		if s.tasks[t.id] != t {
+		if t.auditSeen&seenTable == 0 {
 			r.addf("OvertimeRequested holds task %d (%s) not in the task table", t.id, t.name)
 		}
 		if !t.overtime {
@@ -98,7 +104,7 @@ func (s *Scheduler) Audit() AuditReport {
 	if s.running != nil {
 		if s.running.dropped {
 			r.addf("running task %d (%s) was dropped", s.running.id, s.running.name)
-		} else if s.tasks[s.running.id] != s.running {
+		} else if s.running.auditEpoch != epoch || s.running.auditSeen&seenTable == 0 {
 			r.addf("running task %d (%s) not in the task table", s.running.id, s.running.name)
 		}
 	}
@@ -114,7 +120,7 @@ func (s *Scheduler) auditPaperQueue(r *AuditReport, label string, q []*tcb, want
 		if t.dropped {
 			r.addf("%s holds dropped task %d (%s)", label, t.id, t.name)
 		}
-		if s.tasks[t.id] != t {
+		if t.auditSeen&seenTable == 0 {
 			r.addf("%s holds task %d (%s) not in the task table", label, t.id, t.name)
 		}
 		if t.queue != want {

@@ -35,7 +35,7 @@ func auditNaive(s *Scheduler) AuditReport {
 			if t.dropped {
 				add("%s holds dropped task %d (%s)", label, t.id, t.name)
 			}
-			if s.tasks[t.id] != t {
+			if !contains(s.byID, t) {
 				add("%s holds task %d (%s) not in the task table", label, t.id, t.name)
 			}
 			if t.queue != want {
@@ -49,7 +49,7 @@ func auditNaive(s *Scheduler) AuditReport {
 		if t.dropped {
 			add("OvertimeRequested holds dropped task %d (%s)", t.id, t.name)
 		}
-		if s.tasks[t.id] != t {
+		if !contains(s.byID, t) {
 			add("OvertimeRequested holds task %d (%s) not in the task table", t.id, t.name)
 		}
 		if !t.overtime {
@@ -95,7 +95,7 @@ func auditNaive(s *Scheduler) AuditReport {
 	if s.running != nil {
 		if s.running.dropped {
 			add("running task %d (%s) was dropped", s.running.id, s.running.name)
-		} else if s.tasks[s.running.id] != s.running {
+		} else if !contains(s.byID, s.running) {
 			add("running task %d (%s) not in the task table", s.running.id, s.running.name)
 		}
 	}
@@ -279,7 +279,6 @@ func TestAuditMatchesNaiveOnCorruptedState(t *testing.T) {
 		{"dropped task left on a queue", func(s *Scheduler, ts []*tcb) {
 			v := s.timeExpired[0]
 			v.dropped = true
-			delete(s.tasks, v.id)
 			s.byID = slices.DeleteFunc(slices.Clone(s.byID), func(x *tcb) bool { return x == v })
 		}},
 		{"dropped task still in the table and on the overtime queue", func(s *Scheduler, ts []*tcb) {
@@ -336,7 +335,8 @@ func TestAuditMatchesNaiveOnCorruptedState(t *testing.T) {
 		}},
 		{"table entry replaced by a twin", func(s *Scheduler, ts []*tcb) {
 			twin := *ts[0]
-			s.tasks[twin.id] = &twin
+			s.byID = slices.Clone(s.byID)
+			s.byID[0] = &twin
 		}},
 		{"everything at once", func(s *Scheduler, ts []*tcb) {
 			s.timeRemaining[0].queue = qTimeExpired

@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rm"
 	"repro/internal/sim"
@@ -20,8 +21,8 @@ var _ rm.Hooks = (*Scheduler)(nil)
 // GrantDecreased implements rm.Hooks: the decrease occurs in the next
 // period for the affected task.
 func (s *Scheduler) GrantDecreased(id task.ID, g rm.Grant) {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.find(id)
+	if t == nil {
 		return // not yet picked up; the eventual pickup has the new grant
 	}
 	ng := g
@@ -31,11 +32,9 @@ func (s *Scheduler) GrantDecreased(id task.ID, g rm.Grant) {
 // GrantRemoved implements rm.Hooks: the task exited, was terminated,
 // or went quiescent. It stops being scheduled immediately.
 func (s *Scheduler) GrantRemoved(id task.ID) {
-	t, ok := s.tasks[id]
-	if !ok {
-		return
+	if t := s.find(id); t != nil {
+		s.dropTask(t)
 	}
-	s.dropTask(t)
 }
 
 func (s *Scheduler) dropTask(t *tcb) {
@@ -53,15 +52,22 @@ func (s *Scheduler) dropTask(t *tcb) {
 	if s.running == t {
 		s.running = nil
 	}
-	delete(s.tasks, t.id)
-	for i, x := range s.byID {
-		if x == t {
-			copy(s.byID[i:], s.byID[i+1:])
-			s.byID[len(s.byID)-1] = nil
-			s.byID = s.byID[:len(s.byID)-1]
-			break
-		}
+	if i, ok := s.index(t.id); ok {
+		s.byID = slices.Delete(s.byID, i, i+1)
 	}
+}
+
+// index is id's position in the task table, and whether it is there.
+func (s *Scheduler) index(id task.ID) (int, bool) {
+	return slices.BinarySearchFunc(s.byID, id, func(t *tcb, id task.ID) int { return cmp.Compare(t.id, id) })
+}
+
+// find returns id's tcb, or nil when the Scheduler does not hold id.
+func (s *Scheduler) find(id task.ID) *tcb {
+	if i, ok := s.index(id); ok {
+		return s.byID[i]
+	}
+	return nil
 }
 
 // collectGrants is the §4.2 unallocated-time callback: fetch the
@@ -76,8 +82,8 @@ func (s *Scheduler) collectGrants() {
 	// The set is in ascending ID order, which is the order startTask's
 	// trace events must appear in.
 	for _, g := range gs.All() {
-		t, ok := s.tasks[g.Task]
-		if !ok {
+		t := s.find(g.Task)
+		if t == nil {
 			s.startTask(g.Task, g, now)
 			continue
 		}
@@ -121,11 +127,8 @@ func (s *Scheduler) startTask(id task.ID, g rm.Grant, now ticks.Ticks) {
 		t.ssAlwaysOvertime = always
 		delete(s.pendingSS, id)
 	}
-	s.tasks[id] = t
-	i := sort.Search(len(s.byID), func(i int) bool { return s.byID[i].id >= t.id })
-	s.byID = append(s.byID, nil)
-	copy(s.byID[i+1:], s.byID[i:])
-	s.byID[i] = t
+	i, _ := s.index(id)
+	s.byID = slices.Insert(s.byID, i, t)
 	s.beginPeriod(t, now)
 	s.obs.OnGrantApplied(id, g)
 }
@@ -253,8 +256,8 @@ func (s *Scheduler) InsertIdleCycles(id task.ID, n ticks.Ticks) error {
 	if n < 0 {
 		return fmt.Errorf("sched: InsertIdleCycles(%d): cannot pull in a period start", n)
 	}
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.find(id)
+	if t == nil {
 		return fmt.Errorf("sched: InsertIdleCycles: unknown task %d", id)
 	}
 	t.insertIdle += n
@@ -264,8 +267,8 @@ func (s *Scheduler) InsertIdleCycles(id task.ID, n ticks.Ticks) error {
 // Unblock wakes a task that blocked with no wake time (OpBlock with
 // BlockFor == 0). Guarantees resume in the first full period.
 func (s *Scheduler) Unblock(id task.ID) error {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.find(id)
+	if t == nil {
 		return fmt.Errorf("sched: Unblock: unknown task %d", id)
 	}
 	if !t.blocked {
@@ -286,8 +289,8 @@ func (s *Scheduler) wake(t *tcb) {
 // Deadline reports id's current period deadline, for tests and the
 // latency experiments.
 func (s *Scheduler) Deadline(id task.ID) (ticks.Ticks, bool) {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.find(id)
+	if t == nil {
 		return 0, false
 	}
 	return t.deadline, true

@@ -41,7 +41,7 @@ type interruptSource struct {
 func (s *Scheduler) HandleEvent(op, id int32, arg ticks.Ticks) {
 	switch op {
 	case opWakeTask:
-		if t, ok := s.tasks[task.ID(id)]; ok {
+		if t := s.find(task.ID(id)); t != nil {
 			t.wakeEvent = sim.EventRef{}
 			s.wake(t)
 		}

@@ -131,8 +131,7 @@ func (s *Scheduler) idleUntilNextInterest(limit ticks.Ticks) {
 		return
 	}
 	d := next - now
-	s.k.Advance(d)
-	s.k.AccountIdle(d)
+	s.k.Idle(d)
 	s.idleTicks += d
 	s.obs.OnDispatch(task.NoID, "idle", now, next, DispatchIdle, 0)
 	s.tel.dispatchIdle.Inc()
@@ -250,11 +249,7 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 			if warm > span {
 				warm = span
 			}
-			s.k.Advance(warm)
-			s.k.AccountBusy(warm)
-			s.account(cur, kind, warm)
-			s.obs.OnDispatch(cur.id, cur.name, now, now+warm, kind, cur.grant.Level)
-			s.telDispatch(cur, kind, now, now+warm)
+			s.charge(cur, kind, now, warm)
 			now += warm
 			span -= warm
 			if span == 0 {
@@ -265,13 +260,7 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 	}
 
 	ctx := s.buildContext(cur, now, span)
-	res := s.runBody(cur, ctx, kind)
-	if res.Used < 0 {
-		res.Used = 0
-	}
-	if res.Used > span {
-		res.Used = span
-	}
+	res := clamped(s.runBody(cur, ctx), span)
 	// Defend against misbehaving bodies: an unknown op is treated as
 	// running out (the conservative reading), and a body that stopped
 	// early did so voluntarily, whatever it says.
@@ -284,13 +273,7 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 		res.Op = task.OpYield
 	}
 
-	s.k.Advance(res.Used)
-	s.k.AccountBusy(res.Used)
-	s.account(cur, kind, res.Used)
-	if res.Used > 0 {
-		s.obs.OnDispatch(cur.id, cur.name, now, now+res.Used, kind, cur.grant.Level)
-		s.telDispatch(cur, kind, now, now+res.Used)
-	}
+	s.charge(cur, kind, now, res.Used)
 	if res.Used == span {
 		s.telSliceEnd(reason)
 	}
@@ -349,30 +332,60 @@ func (s *Scheduler) deliverAsCallback(cur *tcb) bool {
 // runBody dispatches to the task body, to the Sporadic Server
 // machinery for the server's tcb, or to an active §5.1 grant
 // assignment.
-func (s *Scheduler) runBody(cur *tcb, ctx task.RunContext, kind DispatchKind) task.RunResult {
+func (s *Scheduler) runBody(cur *tcb, ctx task.RunContext) task.RunResult {
 	if cur.isSS {
 		return s.runSporadicServer(cur, ctx)
 	}
 	if cur.ssCurrent != nil {
 		return s.runAssigned(cur, ctx)
 	}
-	_ = kind
 	return cur.body.Run(ctx)
 }
 
-// account charges a slice of CPU to the right buckets.
-func (s *Scheduler) account(cur *tcb, kind DispatchKind, used ticks.Ticks) {
+// clamped holds what a body answered to the span it was offered: a
+// misbehaving body can neither run backwards nor use time it was not
+// given. Every body's result passes through here.
+func clamped(res task.RunResult, span ticks.Ticks) task.RunResult {
+	if res.Used < 0 {
+		res.Used = 0
+	}
+	if res.Used > span {
+		res.Used = span
+	}
+	return res
+}
+
+// charge is the one step that spends CPU on a task: cur occupies the
+// CPU for used ticks starting at at, the kernel accounts them busy, the
+// task's buckets are charged, and observers and telemetry see the
+// stretch — the per-kind counter, the slice histogram, and a decision
+// span whose parent is the period rollover that made the task runnable.
+// Grace-period time is charged against the grant like granted time
+// (§5.6).
+func (s *Scheduler) charge(cur *tcb, kind DispatchKind, at, used ticks.Ticks) {
+	s.k.Busy(used)
 	cur.usedThisPeriod += used
+	if kind == DispatchOvertime {
+		cur.stats.OvertimeTicks += used
+	} else {
+		granted := min(used, cur.remaining) // a grace overrun clamps at zero
+		cur.remaining -= granted
+		cur.stats.UsedTicks += granted
+	}
+	if used == 0 {
+		return
+	}
+	s.obs.OnDispatch(cur.id, cur.name, at, at+used, kind, cur.grant.Level)
 	switch kind {
 	case DispatchGranted:
-		if used > cur.remaining {
-			used = cur.remaining // grace overrun clamps at zero
-		}
-		cur.remaining -= used
-		cur.stats.UsedTicks += used
+		s.tel.dispatchGranted.Inc()
 	case DispatchOvertime:
-		cur.stats.OvertimeTicks += used
+		s.tel.dispatchOvertime.Inc()
+	case DispatchGrace:
+		s.tel.dispatchGrace.Inc()
 	}
+	s.tel.sliceTicks.Observe(int64(used))
+	s.tel.spans.Complete(at, at+used, "dispatch", cur.name, int64(cur.id), cur.periodSpan, kind.String())
 }
 
 // resolve applies the outcome of a dispatch slice: queue movement,
@@ -388,6 +401,9 @@ func (s *Scheduler) resolve(cur *tcb, kind DispatchKind, reason switchReason, ti
 		return
 	}
 	switch res.Op {
+	case task.OpBlock, task.OpExit:
+		s.leave(cur, res)
+
 	case task.OpYield:
 		cur.completed = cur.completed || res.Completed
 		cur.lastExitVoluntary = true
@@ -395,15 +411,6 @@ func (s *Scheduler) resolve(cur *tcb, kind DispatchKind, reason switchReason, ti
 			s.enqueue(cur, qTimeExpired)
 		}
 		s.setOvertime(cur, false)
-
-	case task.OpBlock:
-		cur.lastExitVoluntary = true
-		s.block(cur, res.BlockFor)
-
-	case task.OpExit:
-		cur.lastExitVoluntary = true
-		s.dropTask(cur)
-		s.taskExited(cur.id)
 
 	case task.OpOvertime:
 		cur.completed = cur.completed || res.Completed
@@ -451,28 +458,29 @@ func (s *Scheduler) resolve(cur *tcb, kind DispatchKind, reason switchReason, ti
 	cur.coldCache = !cur.lastExitVoluntary
 }
 
-// taskExited runs the post-exit plumbing after dropTask: release the
-// admission reservation (Config.RemoveOnExit), then the caller's hook.
-func (s *Scheduler) taskExited(id task.ID) {
+// leave takes cur off the CPU because its body blocked or exited — in a
+// regular slice or inside a grace period alike, a voluntary exit.
+func (s *Scheduler) leave(cur *tcb, res task.RunResult) {
+	cur.lastExitVoluntary = true
+	if res.Op == task.OpBlock {
+		cur.blocked = true
+		s.dequeue(cur)
+		s.setOvertime(cur, false)
+		s.obs.OnBlock(cur.id, s.k.Now())
+		if res.BlockFor > 0 {
+			cur.wakeEvent = s.k.AfterCall(res.BlockFor, s, opWakeTask, int32(cur.id), 0)
+		}
+		return
+	}
+	s.dropTask(cur)
 	if s.removeOnExit {
 		// A task that terminates naturally leaves the Resource Manager
 		// too. The GrantRemoved signal this triggers finds the tcb
 		// already dropped and is a no-op.
-		_ = s.rmg.Remove(id)
+		_ = s.rmg.Remove(cur.id)
 	}
 	if s.onExit != nil {
-		s.onExit(id)
-	}
-}
-
-// block takes cur off the CPU and queues until woken.
-func (s *Scheduler) block(cur *tcb, blockFor ticks.Ticks) {
-	cur.blocked = true
-	s.dequeue(cur)
-	s.setOvertime(cur, false)
-	s.obs.OnBlock(cur.id, s.k.Now())
-	if blockFor > 0 {
-		cur.wakeEvent = s.k.AfterCall(blockFor, s, opWakeTask, int32(cur.id), 0)
+		s.onExit(cur.id)
 	}
 }
 
@@ -489,42 +497,30 @@ func (s *Scheduler) maybeGrace(cur *tcb, reason switchReason) {
 	if at, ok := s.k.NextEventTime(); ok && at-now < graceSpan {
 		graceSpan = at - now
 	}
-	if graceSpan <= 0 {
-		cur.exception = true
-		cur.stats.Exceptions++
-		s.tel.exceptions.Inc()
-		return
-	}
-	ctx := task.RunContext{
-		Now:            now,
-		Span:           graceSpan,
-		PeriodStart:    cur.periodStart,
-		Level:          cur.grant.Level,
-		UsedThisPeriod: cur.usedThisPeriod,
-		InGracePeriod:  true,
-	}
-	res := cur.body.Run(ctx)
-	if cur.dropped {
-		// The grace callback revoked the task's own grant: the tcb is
-		// off every queue; charging or re-enqueueing would resurrect it.
-		return
-	}
-	if res.Used < 0 {
-		res.Used = 0
-	}
-	if res.Used > graceSpan {
-		res.Used = graceSpan
-	}
-	if res.Used > 0 {
+	// With no room for a grace period the task has failed to yield
+	// before it was offered anything.
+	res := task.RunResult{Op: task.OpRanOut}
+	if graceSpan > 0 {
+		res = clamped(cur.body.Run(task.RunContext{
+			Now:            now,
+			Span:           graceSpan,
+			PeriodStart:    cur.periodStart,
+			Level:          cur.grant.Level,
+			UsedThisPeriod: cur.usedThisPeriod,
+			InGracePeriod:  true,
+		}), graceSpan)
+		if cur.dropped {
+			// The grace callback revoked the task's own grant: the tcb is
+			// off every queue; charging or re-enqueueing would resurrect it.
+			return
+		}
 		// "The task will be charged for the resources it uses in the
 		// grace period" — against its grant, clamped at zero.
-		s.k.Advance(res.Used)
-		s.k.AccountBusy(res.Used)
-		s.account(cur, DispatchGranted, res.Used)
-		s.obs.OnDispatch(cur.id, cur.name, now, now+res.Used, DispatchGrace, cur.grant.Level)
-		s.telDispatch(cur, DispatchGrace, now, now+res.Used)
+		s.charge(cur, DispatchGrace, now, res.Used)
 	}
 	switch res.Op {
+	case task.OpBlock, task.OpExit:
+		s.leave(cur, res)
 	case task.OpYield:
 		cur.completed = cur.completed || res.Completed
 		cur.lastExitVoluntary = true
@@ -534,13 +530,6 @@ func (s *Scheduler) maybeGrace(cur *tcb, reason switchReason) {
 		if (reason == reasonGrantEnd || cur.remaining == 0) && cur.queue != qTimeExpired {
 			s.enqueue(cur, qTimeExpired)
 		}
-	case task.OpBlock:
-		cur.lastExitVoluntary = true
-		s.block(cur, res.BlockFor)
-	case task.OpExit:
-		cur.lastExitVoluntary = true
-		s.dropTask(cur)
-		s.taskExited(cur.id)
 	default:
 		// Failed to yield inside the grace period: involuntary
 		// preemption plus an exception callback on next dispatch.

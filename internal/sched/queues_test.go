@@ -52,9 +52,9 @@ func (s *Scheduler) checkQueueInvariants(t *testing.T) {
 			t.Errorf("task %d on overtime queue without the flag", tcb.id)
 		}
 	}
-	for id, tcb := range s.tasks {
-		if tcb.overtime && !onQ[id] {
-			t.Errorf("task %d flagged overtime but absent from the queue", id)
+	for _, tcb := range s.byID {
+		if tcb.overtime && !onQ[tcb.id] {
+			t.Errorf("task %d flagged overtime but absent from the queue", tcb.id)
 		}
 	}
 }

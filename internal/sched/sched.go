@@ -241,10 +241,9 @@ type Scheduler struct {
 	removeOnExit bool
 	onExit       func(task.ID)
 
-	tasks map[task.ID]*tcb
-	// byID mirrors tasks in ascending ID order, maintained
-	// incrementally by startTask/dropTask so the per-iteration
-	// rollPeriods walk never rebuilds or sorts a snapshot.
+	// byID is the task table, in ascending ID order: startTask and
+	// dropTask keep it sorted, so the per-iteration rollPeriods walk
+	// never rebuilds or sorts a snapshot and find is a binary search.
 	byID []*tcb
 	// nextRoll is the earliest deadline the last full rollPeriods walk
 	// left behind, lowered when a task starts a period that ends sooner:
@@ -312,7 +311,6 @@ func New(cfg Config) *Scheduler {
 		ssSlice:      slice,
 		removeOnExit: cfg.RemoveOnExit,
 		onExit:       cfg.OnExit,
-		tasks:        make(map[task.ID]*tcb),
 	}
 	s.wireTelemetry(cfg.Telemetry)
 	return s
@@ -382,8 +380,8 @@ func (s *Scheduler) setOvertime(t *tcb, want bool) {
 
 // Stats returns a copy of id's accounting, and whether id is known.
 func (s *Scheduler) Stats(id task.ID) (TaskStats, bool) {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.find(id)
+	if t == nil {
 		return TaskStats{}, false
 	}
 	return t.stats, true
@@ -395,8 +393,8 @@ func (s *Scheduler) Stats(id task.ID) (TaskStats, bool) {
 // latches these just before emitting OnPeriodStart, so an Observer that
 // receives a period start can query the period it closed.
 func (s *Scheduler) PrevPeriod(id task.ID) (used ticks.Ticks, completed bool, ok bool) {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.find(id)
+	if t == nil {
 		return 0, false, false
 	}
 	return t.prevUsed, t.prevCompleted, true
@@ -406,7 +404,7 @@ func (s *Scheduler) PrevPeriod(id task.ID) (used ticks.Ticks, completed bool, ok
 func (s *Scheduler) IdleTicks() ticks.Ticks { return s.idleTicks }
 
 // NTasks reports the number of tasks the Scheduler currently holds.
-func (s *Scheduler) NTasks() int { return len(s.tasks) }
+func (s *Scheduler) NTasks() int { return len(s.byID) }
 
 // TaskIDs returns the scheduled task IDs in ascending order.
 func (s *Scheduler) TaskIDs() []task.ID {

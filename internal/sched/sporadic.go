@@ -56,7 +56,7 @@ type SporadicStats struct {
 // The call may precede the Scheduler's first grant pickup; the mark
 // is applied when the task starts.
 func (s *Scheduler) AttachSporadicServer(id task.ID, alwaysOvertime bool) error {
-	if t, ok := s.tasks[id]; ok {
+	if t := s.find(id); t != nil {
 		t.isSS = true
 		t.ssAlwaysOvertime = alwaysOvertime
 		return nil
@@ -118,8 +118,8 @@ func (s *Scheduler) SporadicWake(id SporadicID) {
 // consumed or the sporadic task blocks or exits, the periodic task
 // resumes (receiving any pending period callback at that point).
 func (s *Scheduler) AssignGrant(id task.ID, sp SporadicID, amount ticks.Ticks) error {
-	t, ok := s.tasks[id]
-	if !ok {
+	t := s.find(id)
+	if t == nil {
 		return fmt.Errorf("sched: AssignGrant: unknown task %d", id)
 	}
 	if t.isSS {
@@ -138,85 +138,76 @@ func (s *Scheduler) AssignGrant(id task.ID, sp SporadicID, amount ticks.Ticks) e
 	return fmt.Errorf("sched: AssignGrant: unknown sporadic task %d", sp)
 }
 
+// runAssignment is the one step that runs a sporadic body: cur's
+// assigned task gets min(span, what is left of the assignment) at at,
+// with resource bookkeeping staying in cur's context. The assignment
+// ends when the task yields, blocks ("when the sporadic thread blocks,
+// the Scheduler returns to the periodic task"), exits, or has used all
+// of it; otherwise it carries over to cur's next dispatch, possibly in
+// a later period. turnOver reports an assignment that ended with the
+// task still ready to run — what the Sporadic Server rotates its queue
+// on.
+func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ticks, turnOver bool) {
+	sp := cur.ssCurrent
+	give := min(span, cur.ssAssignLeft)
+	res := clamped(sp.body.Run(task.RunContext{Now: at, Span: give}), give)
+	cur.ssAssignLeft -= res.Used
+	sp.stats.UsedTicks += res.Used
+	sp.stats.Dispatches++
+	if res.Used > 0 {
+		name, detail := sp.assignedName, "assigned"
+		if cur.isSS {
+			name, detail = sp.serverName, "sporadic"
+		}
+		s.obs.OnDispatch(cur.id, name, at, at+res.Used, DispatchSporadic, cur.grant.Level)
+		s.tel.dispatchSporadic.Inc()
+		s.tel.spans.Complete(at, at+res.Used, "dispatch", sp.name, int64(cur.id), cur.periodSpan, detail)
+	}
+	switch res.Op {
+	case task.OpBlock:
+		sp.blocked = true
+		if res.BlockFor > 0 {
+			sp.wake = s.k.AfterCall(res.BlockFor, s, opWakeSporadic, int32(sp.id), 0)
+		}
+	case task.OpExit:
+		s.RemoveSporadic(sp.id)
+	case task.OpYield:
+		turnOver = true
+	default: // ran out of the offered slice
+		if cur.ssAssignLeft > 0 {
+			return res.Used, false // the assignment carries over
+		}
+		turnOver = true
+	}
+	cur.ssCurrent = nil
+	cur.ssAssignLeft = 0
+	return res.Used, turnOver
+}
+
 // runAssigned executes a general grant assignment (§5.1) inside the
 // periodic task cur's dispatch. It consumes up to the assignment
 // remainder, then — if span is left — falls through to cur's own
 // body, delivering any period callback that was deferred while the
 // assignment was active.
 func (s *Scheduler) runAssigned(cur *tcb, ctx task.RunContext) task.RunResult {
-	sp := cur.ssCurrent
-	give := ctx.Span
-	if cur.ssAssignLeft < give {
-		give = cur.ssAssignLeft
-	}
-	res := sp.body.Run(task.RunContext{Now: ctx.Now, Span: give})
-	if res.Used < 0 {
-		res.Used = 0
-	}
-	if res.Used > give {
-		res.Used = give
-	}
-	cur.ssAssignLeft -= res.Used
-	sp.stats.UsedTicks += res.Used
-	sp.stats.Dispatches++
-	if res.Used > 0 {
-		s.obs.OnDispatch(cur.id, sp.assignedName, ctx.Now, ctx.Now+res.Used, DispatchSporadic, cur.grant.Level)
-		s.tel.dispatchSporadic.Inc()
-		s.tel.spans.Complete(ctx.Now, ctx.Now+res.Used, "dispatch", sp.name, int64(cur.id), cur.periodSpan, "assigned")
-	}
-
-	switch res.Op {
-	case task.OpBlock:
-		// "when the sporadic thread blocks, the Scheduler returns to
-		// the periodic task" — the assignment ends.
-		sp.blocked = true
-		cur.ssCurrent = nil
-		cur.ssAssignLeft = 0
-		if res.BlockFor > 0 {
-			sp.wake = s.k.AfterCall(res.BlockFor, s, opWakeSporadic, int32(sp.id), 0)
-		}
-	case task.OpExit:
-		s.RemoveSporadic(sp.id)
-		cur.ssCurrent = nil
-		cur.ssAssignLeft = 0
-	case task.OpYield:
-		cur.ssCurrent = nil
-		cur.ssAssignLeft = 0
-	default:
-		if cur.ssAssignLeft == 0 {
-			cur.ssCurrent = nil
-		}
-	}
-
-	spanLeft := ctx.Span - res.Used
-	if cur.ssCurrent != nil || spanLeft == 0 {
+	used, _ := s.runAssignment(cur, ctx.Now, ctx.Span)
+	if cur.ssCurrent != nil || used == ctx.Span {
 		// Assignment still active (or span exhausted): the periodic
 		// task's own work waits.
-		return task.RunResult{Used: res.Used, Op: task.OpRanOut}
+		return task.RunResult{Used: used, Op: task.OpRanOut}
 	}
 	// Assignment over with time left: resume the periodic task's own
 	// body, delivering the deferred period callback if one is due.
-	ctx2 := ctx
-	ctx2.Now += res.Used
-	ctx2.Span = spanLeft
-	ctx2.UsedThisPeriod += res.Used
+	ctx.Now += used
+	ctx.Span -= used
+	ctx.UsedThisPeriod += used
 	if cur.newPeriod {
 		cur.newPeriod = false
-		ctx2.NewPeriod = s.deliverAsCallback(cur)
+		ctx.NewPeriod = s.deliverAsCallback(cur)
 	}
-	res2 := cur.body.Run(ctx2)
-	if res2.Used < 0 {
-		res2.Used = 0
-	}
-	if res2.Used > spanLeft {
-		res2.Used = spanLeft
-	}
-	return task.RunResult{
-		Used:      res.Used + res2.Used,
-		Op:        res2.Op,
-		BlockFor:  res2.BlockFor,
-		Completed: res2.Completed,
-	}
+	res := clamped(cur.body.Run(ctx), ctx.Span)
+	res.Used += used
+	return res
 }
 
 // SporadicStatsOf reports accounting for a sporadic task.
@@ -291,57 +282,18 @@ func (s *Scheduler) runSporadicServer(cur *tcb, ctx task.RunContext) task.RunRes
 			s.tel.sporadicSlices.Inc()
 		}
 		sp := cur.ssCurrent
-		give := spanLeft
-		if cur.ssAssignLeft < give {
-			give = cur.ssAssignLeft
-		}
-		res := sp.body.Run(task.RunContext{
-			Now:  ctx.Now + used,
-			Span: give,
-		})
-		if res.Used < 0 {
-			res.Used = 0
-		}
-		if res.Used > give {
-			res.Used = give
-		}
-		used += res.Used
-		spanLeft -= res.Used
-		cur.ssAssignLeft -= res.Used
-		sp.stats.UsedTicks += res.Used
-		sp.stats.Dispatches++
-		if res.Used == 0 {
+		n, turnOver := s.runAssignment(cur, ctx.Now+used, spanLeft)
+		used += n
+		spanLeft -= n
+		if n == 0 {
 			zeroStreak++
 		} else {
 			zeroStreak = 0
 		}
-		if res.Used > 0 {
-			s.obs.OnDispatch(cur.id, sp.serverName, ctx.Now+used-res.Used, ctx.Now+used, DispatchSporadic, cur.grant.Level)
-			s.tel.dispatchSporadic.Inc()
-			s.tel.spans.Complete(ctx.Now+used-res.Used, ctx.Now+used, "dispatch", sp.name, int64(cur.id), cur.periodSpan, "sporadic")
-		}
-
-		switch res.Op {
-		case task.OpYield:
+		if turnOver {
+			// A fresh slice will be assigned next time the server runs
+			// (possibly next period — assignments span periods).
 			s.rotateSporadic(sp)
-			cur.ssCurrent = nil
-		case task.OpBlock:
-			sp.blocked = true
-			cur.ssCurrent = nil
-			if res.BlockFor > 0 {
-				sp.wake = s.k.AfterCall(res.BlockFor, s, opWakeSporadic, int32(sp.id), 0)
-			}
-		case task.OpExit:
-			s.RemoveSporadic(sp.id)
-			cur.ssCurrent = nil
-		default: // ran out of the offered slice
-			if cur.ssAssignLeft == 0 {
-				// Assignment consumed: rotate; a fresh slice will be
-				// assigned next time the server runs (possibly next
-				// period — assignments span periods).
-				s.rotateSporadic(sp)
-				cur.ssCurrent = nil
-			}
 		}
 	}
 

@@ -73,24 +73,6 @@ func (s *Scheduler) wireTelemetry(t *telemetry.Set) {
 	}
 }
 
-// telDispatch records one executed dispatch stretch: the per-kind
-// counter, the slice histogram, and a decision span whose parent is
-// the period rollover that made the task runnable.
-func (s *Scheduler) telDispatch(cur *tcb, kind DispatchKind, from, to ticks.Ticks) {
-	switch kind {
-	case DispatchGranted:
-		s.tel.dispatchGranted.Inc()
-	case DispatchOvertime:
-		s.tel.dispatchOvertime.Inc()
-	case DispatchGrace:
-		s.tel.dispatchGrace.Inc()
-	case DispatchSporadic:
-		s.tel.dispatchSporadic.Inc()
-	}
-	s.tel.sliceTicks.Observe(int64(to - from))
-	s.tel.spans.Complete(from, to, "dispatch", cur.name, int64(cur.id), cur.periodSpan, kind.String())
-}
-
 // telSliceEnd classifies a slice whose body consumed the entire
 // offered span — the timer decided where it ended.
 func (s *Scheduler) telSliceEnd(reason switchReason) {

@@ -175,12 +175,12 @@ func TestAdvanceToBoundaryMatchesRunUntil(t *testing.T) {
 		// Walk the gap with Advance (legal: nothing pending inside),
 		// then let the event fire via a minimal RunUntil.
 		if at > k.Now() {
-			k.Advance(at - k.Now())
+			k.advance(at - k.Now())
 		}
 		k.RunUntil(at)
 	}
 	if k.Now() < limit {
-		k.Advance(limit - k.Now())
+		k.advance(limit - k.Now())
 	}
 	compareStorms(t, "Advance", ref, s, refK, k)
 }

@@ -215,20 +215,35 @@ func (k *Kernel) RunUntil(limit ticks.Ticks) {
 	}
 }
 
-// Advance moves the clock forward by d without processing events.
-// The scheduler uses it to model a task occupying the CPU for a span
-// it has already decided is free of scheduling events. Advancing past
-// a pending event panics — that would reorder causality.
-func (k *Kernel) Advance(d ticks.Ticks) {
+// advance moves the clock forward by d without processing events: the
+// caller has already decided the span is free of scheduling events.
+// Advancing past a pending event panics — that would reorder
+// causality. Busy and Idle are the only ways in, so every tick the
+// clock moves outside an event, a switch or an interrupt lands in one
+// of the two buckets (docs/SIMULATOR.md "Where a tick goes").
+func (k *Kernel) advance(d ticks.Ticks) {
 	if d < 0 {
-		panic("sim: Advance with negative duration")
+		panic("sim: advance with negative duration")
 	}
 	target := k.now + d
 	if at, ok := k.events.PeekTime(); ok && at < target {
 		//rdlint:allow hotalloc panic path: the run is already dead, allocation cost is irrelevant
-		panic(fmt.Sprintf("sim: Advance(%v) would skip event at %v (now %v)", d, at, k.now))
+		panic(fmt.Sprintf("sim: advance(%v) would skip event at %v (now %v)", d, at, k.now))
 	}
 	k.now = target
+}
+
+// Busy models a task occupying the CPU for d ticks of useful
+// execution: the clock advances and the span is accounted busy.
+func (k *Kernel) Busy(d ticks.Ticks) {
+	k.advance(d)
+	k.busyTicks += d
+}
+
+// Idle models the CPU sitting idle for d ticks.
+func (k *Kernel) Idle(d ticks.Ticks) {
+	k.advance(d)
+	k.idleTicks += d
 }
 
 // AdvanceThrough moves the clock forward by d, firing any events whose
@@ -263,12 +278,6 @@ func (k *Kernel) ChargeSwitch(kind SwitchKind) ticks.Ticks {
 
 // CacheRefill reports the configured cold-cache resume penalty.
 func (k *Kernel) CacheRefill() ticks.Ticks { return k.costs.CacheRefill() }
-
-// AccountBusy records d ticks of useful task execution.
-func (k *Kernel) AccountBusy(d ticks.Ticks) { k.busyTicks += d }
-
-// AccountIdle records d ticks of idle CPU.
-func (k *Kernel) AccountIdle(d ticks.Ticks) { k.idleTicks += d }
 
 // RunInterrupt models an interrupt handler occupying the CPU for
 // service ticks (§5.2): the clock advances (firing any events that

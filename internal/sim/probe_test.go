@@ -32,10 +32,9 @@ func TestReadOnlyProbeAudit(t *testing.T) {
 			sampled = append(sampled, k.ChargeSwitch(Involuntary))
 			probe()
 			k.RunInterrupt(25)
-			k.AccountBusy(100)
-			k.Advance(100)
+			k.Busy(100)
 			probe()
-			k.AccountIdle(10)
+			k.Idle(10)
 			sampled = append(sampled, k.ChargeSwitch(Voluntary))
 		}
 		return k.Stats(), sampled

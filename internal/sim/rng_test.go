@@ -118,7 +118,7 @@ func TestKernelAdvanceNegativePanics(t *testing.T) {
 			t.Error("negative Advance did not panic")
 		}
 	}()
-	k.Advance(-5)
+	k.advance(-5)
 }
 
 func TestCalibrateDegenerateDist(t *testing.T) {

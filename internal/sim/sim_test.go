@@ -94,7 +94,7 @@ func TestKernelClockAdvance(t *testing.T) {
 	if k.Now() != 0 {
 		t.Error("kernel should start at time 0")
 	}
-	k.Advance(100)
+	k.advance(100)
 	if k.Now() != 100 {
 		t.Errorf("Now = %v after Advance(100)", k.Now())
 	}
@@ -108,12 +108,12 @@ func TestKernelAdvancePastEventPanics(t *testing.T) {
 			t.Error("Advance past a pending event did not panic")
 		}
 	}()
-	k.Advance(100)
+	k.advance(100)
 }
 
 func TestKernelPastEventPanics(t *testing.T) {
 	k := NewKernel(Config{})
-	k.Advance(100)
+	k.advance(100)
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling an event in the past did not panic")

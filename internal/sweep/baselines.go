@@ -96,7 +96,7 @@ func runBaselineMedia(e *env) error {
 			if _, err := e.admit(&task.Task{
 				Name: n,
 				List: task.UniformLevels(10*ms, "W", 30, 20),
-				Body: busyBody(),
+				Body: task.YieldAll(),
 			}); err != nil {
 				return err
 			}
@@ -169,7 +169,7 @@ func runBaselineOverload(e *env) error {
 						{Period: g.period, CPU: g.cpu, Fn: "Gen"},
 						{Period: g.period, CPU: g.shed, Fn: "GenShed"},
 					},
-					Body:      busyBody(),
+					Body:      task.YieldAll(),
 					Semantics: task.ReturnSemantics,
 				})
 			})

@@ -30,11 +30,11 @@ func (e *env) faultBaseline() error {
 	return e.admitAll(&task.Task{
 		Name: "video",
 		List: task.UniformLevels(10*ms, "Video", 30, 20, 10),
-		Body: busyBody(),
+		Body: task.YieldAll(),
 	}, &task.Task{
 		Name: "audio",
 		List: task.UniformLevels(20*ms, "Audio", 10, 5),
-		Body: busyBody(),
+		Body: task.YieldAll(),
 	})
 }
 

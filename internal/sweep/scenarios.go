@@ -57,22 +57,6 @@ func rankedBox(rankings ...[]share) *policy.Box {
 	return box
 }
 
-// busyBody returns a body that consumes its whole span and reports
-// completion — the DVD/overlay idiom from the examples.
-func busyBody() task.Body {
-	return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-	})
-}
-
-// soakBody returns a sporadic body that always wants more time, like
-// the studio indexer.
-func soakBody() task.Body {
-	return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		return task.RunResult{Used: ctx.Span, Op: task.OpRanOut}
-	})
-}
-
 // --- scenarios ---
 
 func runSettop(e *env) error {
@@ -132,7 +116,7 @@ func runOverload(e *env) error {
 	if _, err := e.server("sporadic", task.SingleLevel(2_700_000, 27_000, "SporadicServer"), true); err != nil {
 		return err
 	}
-	d.AddSporadic("soaker", soakBody())
+	d.AddSporadic("soaker", task.BusySilent())
 
 	// Figure 5's 20 ms stagger, jittered per seed so the admission
 	// points (and hence the staircase boundaries) vary across runs.
@@ -171,7 +155,7 @@ func runQuiescent(e *env) error {
 	if err := e.admitAll(&task.Task{
 		Name: "dvd",
 		List: task.UniformLevels(10*ms, "DecodeDVD", 85, 70, 55, 40),
-		Body: busyBody(),
+		Body: task.YieldAll(),
 	}, ac3.Task()); err != nil {
 		return err
 	}
@@ -224,7 +208,7 @@ func runStudio(e *env) error {
 			{Period: 10 * ms, CPU: 2 * ms, Fn: "OverlayFull", StreamerMBps: 80},
 			{Period: 10 * ms, CPU: 1 * ms, Fn: "OverlayHalf", StreamerMBps: 40},
 		},
-		Body:      busyBody(),
+		Body:      task.YieldAll(),
 		Semantics: task.ReturnSemantics,
 	}); err != nil {
 		return err
@@ -238,7 +222,7 @@ func runStudio(e *env) error {
 	if _, err := e.server("sporadic", task.SingleLevel(10*ms, ms/2, "SS"), true); err != nil {
 		return err
 	}
-	d.AddSporadic("indexer", soakBody())
+	d.AddSporadic("indexer", task.BusySilent())
 	if err := d.AddInterruptLoad(ms, 25*ticks.PerMicrosecond); err != nil {
 		return err
 	}
@@ -297,7 +281,7 @@ func runStress(e *env) error {
 	// Mid-run sporadic machinery: a general §5.1 grant assignment to a
 	// sporadic task, then removal of that task while the assignment
 	// may still be active — the RemoveSporadic regression surface.
-	sp := d.AddSporadic("burst", soakBody())
+	sp := d.AddSporadic("burst", task.BusySilent())
 	d.At(100*ms, func() {
 		if donor != task.NoID {
 			_ = d.AssignGrant(donor, sp, 40*ms)

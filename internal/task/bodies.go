@@ -25,6 +25,16 @@ func BusySilent() Body {
 	})
 }
 
+// YieldAll consumes everything it is offered and then yields,
+// reporting the period's work done: a task that always uses exactly
+// its grant and never asks for more — the data-management threads of
+// Figure 4, the DVD and overlay tasks of the examples.
+func YieldAll() Body {
+	return BodyFunc(func(ctx RunContext) RunResult {
+		return RunResult{Used: ctx.Span, Op: OpYield, Completed: true}
+	})
+}
+
 // PeriodicWork returns a body that performs exactly work ticks of CPU
 // each period and then yields, reporting completion. Progress is
 // tracked through ctx.UsedThisPeriod, so the body itself is
