@@ -8,9 +8,11 @@ GO ?= go
 # checker's per-period audit — the fleet coordinator's three — the
 # least-loaded offer order, cluster construction (cold, and rebuilt in a
 # warm arena) and one epoch (advance plus barrier) at 16 and 120 nodes
-# — and the artifact path's four layers over a 50 000-span cluster:
-# stitch, manifest write, manifest read, Perfetto export.
-BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport
+# — the artifact path's four layers over a 50 000-span cluster:
+# stitch, manifest write, manifest read, Perfetto export — and the two
+# things every run does with its instrument registry: snapshot it, and
+# merge the snapshot into a cell that already carries its names.
+BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|RegistrySnapshot|SnapshotMerge
 BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
 
 .PHONY: all build test race lint fuzz-smoke sweep-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
@@ -39,12 +41,13 @@ lint:
 
 # Short fuzz runs of the exact-arithmetic kernels, the switch-cost tick
 # table (against the formula it is built from), the rdtel/v2 codec
-# (reader and both writers against their encoding/json references) and
-# the Resource Manager (operation tapes against a reference model that
-# recomputes from scratch), plus the scenario invariant sweep in
-# internal/core (a regular test, fuzz-like in spirit). -fuzz takes a
-# regexp and refuses to run when it matches two targets, so packages
-# with several anchor theirs.
+# (reader and both writers against their encoding/json references),
+# the instrument registry (a reused one against one built new per
+# generation) and the Resource Manager (operation tapes against a
+# reference model that recomputes from scratch), plus the scenario
+# invariant sweep in internal/core (a regular test, fuzz-like in
+# spirit). -fuzz takes a regexp and refuses to run when it matches two
+# targets, so packages with several anchor theirs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzFracAdd$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz='^FuzzFracAddMatchesRef$$' -fuzztime=10s ./internal/ticks
@@ -54,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadManifest$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzWriteJSONMatchesRef$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzWritePerfettoMatchesRef$$' -fuzztime=10s ./internal/telemetry
+	$(GO) test -run=NONE -fuzz='^FuzzRegistryReuse$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzManagerModel$$' -fuzztime=10s ./internal/rm
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
@@ -139,7 +143,7 @@ bench:
 # (e.g. while iterating locally), use BENCH_GATE= (empty).
 BENCH_GATE ?= -gate
 bench-smoke:
-	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant ./internal/fleet
+	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant ./internal/fleet ./internal/telemetry ./internal/workload
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchtime=100x -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json -section current \
 			-threshold 15 $(BENCH_GATE) -gate-units allocs/op,B/op

@@ -309,7 +309,8 @@ type node struct {
 	// (get-or-create) and keeps appending to the same span log, so a
 	// node's history, the miss and period counts the report reads
 	// included, runs continuously across crashes. The span log is
-	// either unbounded (Config.SpanLog) or the flight ring itself.
+	// either unbounded (Config.SpanLog) or the flight ring itself. The
+	// set is the shell's: its registry starts the next cluster reset.
 	tel *telemetry.Set
 	// flight is the node's always-on black box: the last-N spans and
 	// event lines, dumped when the node crashes, stalls, or trips its
@@ -462,17 +463,21 @@ type Cluster struct {
 
 // Arena is the storage clusters are built in, one after another: the
 // node shells — each node's flight recorder (span ring and event
-// ring) and event log — the coordinator's span log and flight
-// recorder, the action queue and the placement scratch. The rings
-// alone are three quarters of what a 120-node cluster allocates to
-// exist, so a caller that runs many clusters keeps one Arena and pays
-// for them once. The zero value is ready to use.
+// ring), event log and instrument registry — the coordinator's span
+// log, flight recorder and registry, the action queue and the
+// placement scratch. The rings alone are three quarters of what a
+// 120-node cluster allocates to exist, so a caller that runs many
+// clusters keeps one Arena and pays for them once. The zero value is
+// ready to use.
 //
 // An Arena belongs to one goroutine and holds one live cluster:
 // building the next cluster in it recycles the previous one's storage,
 // so that cluster must not be used again — its Report stays valid, a
-// Report holds copies. Which arena a cluster is built in, and what ran
-// there before, never affects its results (docs/DETERMINISM.md).
+// Report holds copies. Inside a run the coordinator's registry is
+// touched in the sequential phase only and a node's, like the rest of
+// its shell, by the one pool worker advancing that node. Which arena a
+// cluster is built in, and what ran there before, never affects its
+// results (docs/DETERMINISM.md).
 type Arena struct {
 	// nodes holds every shell built here; a cluster takes the first
 	// Config.Nodes of them.
@@ -483,6 +488,7 @@ type Arena struct {
 	// mirrors the tail of the event log for conservation-breach dumps.
 	spans  *telemetry.Spans
 	flight *telemetry.Flight
+	reg    telemetry.Registry
 	// spanCap is the Config ring size the recorders above were built
 	// with.
 	spanCap int
@@ -509,11 +515,13 @@ func (a *Arena) reset(spanCap int) {
 	}
 	a.flight.Reset()
 	a.spans.Reset()
+	a.reg.Reset()
 	a.flight.Front(a.spans)
 	for _, n := range a.nodes {
 		n.flight.Reset()
 		n.flog.Reset()
-		*n = node{flight: n.flight, flog: n.flog, placed: n.placed[:0]}
+		n.tel.Registry.Reset()
+		*n = node{flight: n.flight, flog: n.flog, tel: n.tel, placed: n.placed[:0]}
 	}
 	a.q.a = a.q.a[:0]
 	a.order = a.order[:0]
@@ -522,7 +530,10 @@ func (a *Arena) reset(spanCap int) {
 // shell returns node i's storage, building it on first use.
 func (a *Arena) shell(i int) *node {
 	if i == len(a.nodes) {
-		n := &node{flight: telemetry.NewFlight(a.spanCap, 0)}
+		n := &node{
+			flight: telemetry.NewFlight(a.spanCap, 0),
+			tel:    &telemetry.Set{Registry: telemetry.NewRegistry()},
+		}
 		n.flog.MirrorTo(n.flight)
 		a.nodes = append(a.nodes, n)
 	}
@@ -570,7 +581,7 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 		cfg:     cfg,
 		mem:     a,
 		backoff: sim.NewRNG(sim.SplitSeed(cfg.Seed, StreamBackoff)),
-		tel:     &telemetry.Set{Registry: telemetry.NewRegistry(), Spans: a.spans},
+		tel:     &telemetry.Set{Registry: &a.reg, Spans: a.spans},
 	}
 	c.flog.MirrorTo(a.flight)
 	reg := c.tel.Reg()
@@ -594,12 +605,11 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		n := a.shell(i)
 		n.id, n.seed, n.cfg, n.costs = i, seeds.Uint64(), &c.cfg, costs
-		spans := n.flight.Ring()
+		n.tel.Spans = n.flight.Ring()
 		if cfg.SpanLog {
-			spans = telemetry.NewSpans()
-			n.flight.Front(spans)
+			n.tel.Spans = telemetry.NewSpans()
+			n.flight.Front(n.tel.Spans)
 		}
-		n.tel = &telemetry.Set{Registry: telemetry.NewRegistry(), Spans: spans}
 		n.build(0)
 	}
 	c.nodes = a.nodes[:cfg.Nodes]

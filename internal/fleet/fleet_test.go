@@ -1,6 +1,8 @@
 package fleet_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -452,5 +454,107 @@ func TestConfigAndSubmitValidation(t *testing.T) {
 	if err := fault.ArmFleet(c, 1, &telemetry.EventLog{},
 		fault.NodeStorm{Storm: fault.Storm{Bursts: 1, Count: 1, Service: ms}, FirstNode: 0, Nodes: 2}); err == nil {
 		t.Error("ArmFleet accepted a storm fan beyond the fleet")
+	}
+}
+
+// A node's registry belongs to its arena shell: a restart inside a run
+// re-registers into it and keeps counting where the crashed incarnation
+// stopped, while the next cluster built in the arena starts every
+// instrument from zero — and the finished run's report, holding copies,
+// does not notice.
+func TestNodeRegistrySpansIncarnationsNotClusters(t *testing.T) {
+	accepted := func(rep *fleet.Report) (sum int64) {
+		for _, n := range rep.PerNode {
+			sum += n.Telemetry.CounterValue("rm.admit.accepted")
+		}
+		return sum
+	}
+	// Five 20% tasks fill node 0; it crashes under them and they are
+	// re-placed; three latecomers arrive after its restart.
+	build := func(a *fleet.Arena, crash bool) *fleet.Report {
+		c, err := fleet.NewIn(a, fleet.Config{Nodes: 3, Seed: 1, Workers: 1, Invariants: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crash {
+			var alog telemetry.EventLog
+			if err := fault.ArmFleet(c, 1, &alog,
+				fault.NodeCrash{Node: 0, At: 50 * ms, Cycles: 1, MeanUp: 400 * ms, MeanDown: 30 * ms}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			at := ticks.Ticks(0)
+			if i >= 5 {
+				at = 200 * ms
+			}
+			mustSubmit(t, c, fleet.Admission{
+				At: at, Name: "g" + string(rune('0'+i)),
+				List: task.SingleLevel(10*ms, 2*ms, "Fleet"), Body: steadyBody(),
+			})
+		}
+		return c.Run(300 * ms)
+	}
+
+	arena := new(fleet.Arena)
+	crashed := build(arena, true)
+	if crashed.Restarts != 1 || crashed.LostToCrash != 5 || crashed.Recovered != 5 || crashed.PerNode[0].Restarts != 1 {
+		t.Fatalf("the crash cycle did not run as staged: %s", crashed.Summary())
+	}
+	// Every placement, a crash re-placement included, is one accepted
+	// admission on some node; node 0's first five are only still
+	// counted if its counter survived the restart.
+	if got, want := accepted(crashed), crashed.Placed; got != want || want != 13 {
+		t.Errorf("nodes count %d accepted admissions over the run, the coordinator %d placements; want 13 of each", got, want)
+	}
+	if got := crashed.PerNode[0].Telemetry.CounterValue("rm.admit.accepted"); got < 5 {
+		t.Errorf("node 0 counts %d accepted admissions, want its first incarnation's 5 and any since", got)
+	}
+	before, err := json.Marshal(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	quiet, fresh := build(arena, false), build(new(fleet.Arena), false)
+	if !reflect.DeepEqual(quiet.PerNode, fresh.PerNode) || !reflect.DeepEqual(quiet.Telemetry, fresh.Telemetry) {
+		t.Errorf("a cluster built after a crashed one snapshots differently from one in a fresh arena:\n reused: %+v\n  fresh: %+v",
+			quiet.Telemetry, fresh.Telemetry)
+	}
+	if got := accepted(quiet); got != 8 {
+		t.Errorf("the second cluster counts %d accepted admissions, want its own 8", got)
+	}
+	if after, err := json.Marshal(crashed); err != nil || !bytes.Equal(before, after) {
+		t.Errorf("the first cluster's report changed when the arena was reused (%v)", err)
+	}
+}
+
+// The report's cluster-wide snapshot is merged from the per-node ones
+// and must share no bucket with them: the merge adds in place.
+func TestReportSnapshotsShareNoBuckets(t *testing.T) {
+	rep := run(t, 42, 1)
+	var hists int
+	for _, n := range rep.PerNode {
+		for _, h := range n.Telemetry.Histograms {
+			var sum int64
+			for _, c := range h.Counts {
+				sum += c
+			}
+			if sum != h.Count {
+				t.Fatalf("node %d histogram %s: buckets sum to %d, count is %d — another snapshot was added into it",
+					n.Node, h.Name, sum, h.Count)
+			}
+			hists++
+		}
+	}
+	if hists == 0 || len(rep.Telemetry.Histograms) == 0 {
+		t.Fatal("the faulted fleet observed no histogram")
+	}
+	for i := range rep.Telemetry.Histograms {
+		rep.Telemetry.Histograms[i].Counts[0] += 1000
+	}
+	for _, h := range rep.PerNode[0].Telemetry.Histograms {
+		if h.Counts[0] >= 1000 {
+			t.Fatalf("writing the cluster snapshot's %s buckets wrote node 0's", h.Name)
+		}
 	}
 }

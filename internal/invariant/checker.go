@@ -43,6 +43,7 @@ type period struct {
 	start, deadline ticks.Ticks
 	cpu             ticks.Ticks // granted CPU this period
 	delivered       ticks.Ticks // granted+grace CPU observed via OnDispatch
+	present         bool        // the slot is in use: the task has had a period start
 	missRecorded    bool        // the scheduler charged a recorded miss
 	voided          bool        // the task blocked: guarantees void (§4.2)
 	wentOvertime    bool        // the task ran overtime: it declared its grant done
@@ -61,11 +62,11 @@ type Checker struct {
 	log *telemetry.EventLog // optional mirror of violations
 
 	seq int64
-	// open holds each task's current period. A record is allocated at
-	// the task's first period start and overwritten in place at every
-	// later one, so a steady schedule opens and closes periods without
-	// allocating.
-	open       map[task.ID]*period
+	// open holds each task's current period, indexed by task ID — a
+	// Manager hands IDs out densely from 1 and never reuses one. A
+	// record is overwritten in place at every period start, so a steady
+	// schedule opens and closes periods without allocating.
+	open       []period
 	violations []Violation
 	seen       map[string]bool // dedupe for repeating structural findings
 
@@ -91,7 +92,6 @@ var _ sched.Observer = (*Checker)(nil)
 func New(next sched.Observer) *Checker {
 	return &Checker{
 		next: next,
-		open: make(map[task.ID]*period),
 		seen: make(map[string]bool),
 	}
 }
@@ -121,6 +121,14 @@ func (c *Checker) Violations() []Violation {
 // node's black box needs dumping.
 func (c *Checker) NViolations() int { return len(c.violations) }
 
+// openPeriod returns id's open period, nil when it has none.
+func (c *Checker) openPeriod(id task.ID) *period {
+	if uint(id) < uint(len(c.open)) && c.open[id].present {
+		return &c.open[id]
+	}
+	return nil
+}
+
 // PeriodsClosed reports how many periods the Checker has audited —
 // tests use it to prove the checker actually saw the workload.
 func (c *Checker) PeriodsClosed() int64 { return c.periodsClosed }
@@ -135,7 +143,7 @@ func (c *Checker) OnDispatch(id task.ID, name string, from, to ticks.Ticks, kind
 	c.seq++
 	switch kind {
 	case sched.DispatchGranted, sched.DispatchGrace:
-		if p, ok := c.open[id]; ok {
+		if p := c.openPeriod(id); p != nil {
 			p.delivered += to - from
 		}
 	case sched.DispatchOvertime:
@@ -143,7 +151,7 @@ func (c *Checker) OnDispatch(id task.ID, name string, from, to ticks.Ticks, kind
 		// OvertimeRequested queue holds tasks "that ran out of grant");
 		// a task observed running overtime relinquished whatever grant
 		// it had left, so a shortfall this period is voluntary.
-		if p, ok := c.open[id]; ok {
+		if p := c.openPeriod(id); p != nil {
 			p.wentOvertime = true
 		}
 	}
@@ -158,14 +166,15 @@ func (c *Checker) OnDispatch(id task.ID, name string, from, to ticks.Ticks, kind
 // the schedule.
 func (c *Checker) OnPeriodStart(id task.ID, start, deadline ticks.Ticks, level int, cpu ticks.Ticks) {
 	c.seq++
-	p, ok := c.open[id]
-	if ok {
+	if p := c.openPeriod(id); p != nil {
 		c.closePeriod(id, p, start)
-	} else {
-		p = new(period)
-		c.open[id] = p
 	}
-	*p = period{start: start, deadline: deadline, cpu: cpu}
+	if id >= 0 {
+		for int(id) >= len(c.open) {
+			c.open = append(c.open, period{})
+		}
+		c.open[id] = period{present: true, start: start, deadline: deadline, cpu: cpu}
+	}
 	c.checkCommitted(start)
 	c.checkStructure(start)
 	if c.next != nil {
@@ -178,7 +187,7 @@ func (c *Checker) OnPeriodStart(id task.ID, start, deadline ticks.Ticks, level i
 // requires of an overloaded or misbehaving configuration.
 func (c *Checker) OnDeadlineMiss(id task.ID, deadline, undelivered ticks.Ticks) {
 	c.seq++
-	if p, ok := c.open[id]; ok {
+	if p := c.openPeriod(id); p != nil {
 		p.missRecorded = true
 	}
 	if c.next != nil {
@@ -206,7 +215,7 @@ func (c *Checker) OnGrantApplied(id task.ID, g rm.Grant) {
 // resumes OnPeriodStart emission only then.
 func (c *Checker) OnBlock(id task.ID, at ticks.Ticks) {
 	c.seq++
-	if p, ok := c.open[id]; ok {
+	if p := c.openPeriod(id); p != nil {
 		p.voided = true
 	}
 	if c.next != nil {
@@ -288,8 +297,8 @@ func (c *Checker) Finish() {
 		return
 	}
 	for _, id := range c.s.TaskIDs() {
-		p, ok := c.open[id]
-		if !ok {
+		p := c.openPeriod(id)
+		if p == nil {
 			continue
 		}
 		// Lazy boundary processing (§6.1) legitimately leaves a deadline

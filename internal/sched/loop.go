@@ -259,8 +259,9 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 		}
 	}
 
-	ctx := s.buildContext(cur, now, span)
-	res := clamped(s.runBody(cur, ctx), span)
+	var ctx task.RunContext
+	s.buildContext(cur, &ctx, now, span)
+	res := clamped(s.runBody(cur, &ctx), span)
 	// Defend against misbehaving bodies: an unknown op is treated as
 	// running out (the conservative reading), and a body that stopped
 	// early did so voluntarily, whatever it says.
@@ -282,9 +283,10 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 	s.resolve(cur, kind, reason, timerForced, res)
 }
 
-// buildContext assembles the §5.5 calling arguments for a dispatch.
-func (s *Scheduler) buildContext(cur *tcb, now, span ticks.Ticks) task.RunContext {
-	ctx := task.RunContext{
+// buildContext fills in the §5.5 calling arguments for a dispatch, in
+// the caller's frame: the struct is copied once, into the body's call.
+func (s *Scheduler) buildContext(cur *tcb, ctx *task.RunContext, now, span ticks.Ticks) {
+	*ctx = task.RunContext{
 		Now:            now,
 		Span:           span,
 		PeriodStart:    cur.periodStart,
@@ -303,7 +305,6 @@ func (s *Scheduler) buildContext(cur *tcb, now, span ticks.Ticks) task.RunContex
 		cur.newPeriod = false
 		ctx.NewPeriod = s.deliverAsCallback(cur)
 	}
-	return ctx
 }
 
 // deliverAsCallback decides the §5.5 semantics for the first dispatch
@@ -332,14 +333,14 @@ func (s *Scheduler) deliverAsCallback(cur *tcb) bool {
 // runBody dispatches to the task body, to the Sporadic Server
 // machinery for the server's tcb, or to an active §5.1 grant
 // assignment.
-func (s *Scheduler) runBody(cur *tcb, ctx task.RunContext) task.RunResult {
+func (s *Scheduler) runBody(cur *tcb, ctx *task.RunContext) task.RunResult {
 	if cur.isSS {
-		return s.runSporadicServer(cur, ctx)
+		return s.runSporadicServer(cur, ctx.Now, ctx.Span)
 	}
 	if cur.ssCurrent != nil {
 		return s.runAssigned(cur, ctx)
 	}
-	return cur.body.Run(ctx)
+	return cur.body.Run(*ctx)
 }
 
 // clamped holds what a body answered to the span it was offered: a

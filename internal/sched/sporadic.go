@@ -189,7 +189,7 @@ func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ti
 // remainder, then — if span is left — falls through to cur's own
 // body, delivering any period callback that was deferred while the
 // assignment was active.
-func (s *Scheduler) runAssigned(cur *tcb, ctx task.RunContext) task.RunResult {
+func (s *Scheduler) runAssigned(cur *tcb, ctx *task.RunContext) task.RunResult {
 	used, _ := s.runAssignment(cur, ctx.Now, ctx.Span)
 	if cur.ssCurrent != nil || used == ctx.Span {
 		// Assignment still active (or span exhausted): the periodic
@@ -205,7 +205,7 @@ func (s *Scheduler) runAssigned(cur *tcb, ctx task.RunContext) task.RunResult {
 		cur.newPeriod = false
 		ctx.NewPeriod = s.deliverAsCallback(cur)
 	}
-	res := clamped(cur.body.Run(ctx), ctx.Span)
+	res := clamped(cur.body.Run(*ctx), ctx.Span)
 	res.Used += used
 	return res
 }
@@ -260,8 +260,8 @@ func (s *Scheduler) rotateSporadic(sp *sporadicTask) {
 // slice to queued sporadic tasks and run them inside the offered
 // span. The result is shaped like a body result so the main loop's
 // resolve logic applies unchanged.
-func (s *Scheduler) runSporadicServer(cur *tcb, ctx task.RunContext) task.RunResult {
-	spanLeft := ctx.Span
+func (s *Scheduler) runSporadicServer(cur *tcb, at, span ticks.Ticks) task.RunResult {
+	spanLeft := span
 	var used ticks.Ticks
 	// zeroStreak guards against a live-lock: ready sporadic tasks
 	// that consume nothing (e.g. polling an empty queue) must not
@@ -282,7 +282,7 @@ func (s *Scheduler) runSporadicServer(cur *tcb, ctx task.RunContext) task.RunRes
 			s.tel.sporadicSlices.Inc()
 		}
 		sp := cur.ssCurrent
-		n, turnOver := s.runAssignment(cur, ctx.Now+used, spanLeft)
+		n, turnOver := s.runAssignment(cur, at+used, spanLeft)
 		used += n
 		spanLeft -= n
 		if n == 0 {

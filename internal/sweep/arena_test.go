@@ -23,8 +23,8 @@ func TestArenaReuseMatchesFresh(t *testing.T) {
 		m      RunMetrics
 		report *fleet.Report
 	}
-	run := func(spec RunSpec, a *fleet.Arena) outcome {
-		e, err := newEnv(spec, a)
+	run := func(spec RunSpec, w *worker) outcome {
+		e, err := newEnv(spec, w)
 		if err == nil {
 			err = e.sc.run(e)
 		}
@@ -46,11 +46,11 @@ func TestArenaReuseMatchesFresh(t *testing.T) {
 		}
 	}
 
-	arena := new(fleet.Arena)
+	w := newWorker()
 	reused, fresh := make([]outcome, len(specs)), make([]outcome, len(specs))
 	for i, spec := range specs {
-		reused[i] = run(spec, arena)
-		fresh[i] = run(spec, new(fleet.Arena))
+		reused[i] = run(spec, w)
+		fresh[i] = run(spec, newWorker())
 	}
 
 	resR, resF := newResult(), newResult()
@@ -97,4 +97,47 @@ func TestSweepFleetWorkerInvariance(t *testing.T) {
 		Seeds:      SeedRange(1, 3),
 		Horizon:    300 * ticks.PerMillisecond,
 	}, 1, 3)
+}
+
+// TestWorkerReuseMatchesFresh interleaves the four families, so one
+// worker's registry is handed from a paper-core run to a fault run (the
+// checker's and the injectors' instruments appear), to a comparator
+// (a bare kernel: most names retire), to a fleet run (which leaves it
+// alone) and back, and a name one scenario registers must not leak
+// into the next one's snapshot. Every run must equal the same spec run
+// in storage of its own, and the aggregated JSON must not depend on how
+// many workers shared the runs out.
+func TestWorkerReuseMatchesFresh(t *testing.T) {
+	m := Matrix{
+		Scenarios: []string{
+			"settop", "fault-crash", "baseline-media", "fleet-spill",
+			"studio", "fault-storm", "baseline-streamer", "fleet-surge",
+			"quiescent", "fault-policy", "baseline-overload", "media",
+		},
+		CostModels: []string{"paper"},
+		Seeds:      SeedRange(1, 2),
+		Horizon:    300 * ticks.PerMillisecond,
+	}
+	specs, err := m.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seed-major, so consecutive runs are of different scenarios.
+	w := newWorker()
+	for _, seed := range m.Seeds {
+		for _, spec := range specs {
+			if spec.Seed != seed {
+				continue
+			}
+			reused, fresh := runOne(spec, w), runFresh(spec)
+			if reused.Err != "" {
+				t.Fatalf("%+v: %s", spec, reused.Err)
+			}
+			if !reflect.DeepEqual(reused, fresh) {
+				t.Errorf("%s/%s seed %d: metrics on a reused worker differ from a fresh one's\n reused: %+v\n  fresh: %+v",
+					spec.Scenario, spec.Policy, spec.Seed, reused, fresh)
+			}
+		}
+	}
+	assertWorkerInvariant(t, m, 1, 2, 3)
 }

@@ -3,7 +3,6 @@ package sweep
 import (
 	"testing"
 
-	"repro/internal/fleet"
 	"repro/internal/ticks"
 )
 
@@ -20,11 +19,11 @@ func BenchmarkSweepCell(b *testing.B) {
 		Seed:      1,
 		Horizon:   2 * ticks.PerSecond,
 	}
-	arena := new(fleet.Arena) // a worker's, unused by a single-node cell
+	w := newWorker()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := runOne(spec, arena)
+		out := runOne(spec, w)
 		if out.Err != "" {
 			b.Fatalf("run failed: %s", out.Err)
 		}

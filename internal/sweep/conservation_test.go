@@ -41,8 +41,9 @@ func TestKernelTimeConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := newWorker()
 	for _, spec := range specs {
-		e, err := newEnv(spec, nil)
+		e, err := newEnv(spec, w)
 		if err == nil {
 			err = e.sc.run(e)
 		}

@@ -46,7 +46,7 @@ type env struct {
 	k *sim.Kernel
 	d *core.Distributor
 	// tel is the run's telemetry (registry only — spans are per-run
-	// detail the cell aggregates cannot use).
+	// detail the cell aggregates cannot use): the worker's, reset.
 	tel    *telemetry.Set
 	admits []admitRec
 
@@ -74,10 +74,25 @@ type admitRec struct {
 	at ticks.Ticks
 }
 
-// newEnv resolves a spec against the registries. A policy the scenario
-// does not stage is an error, so no run can name a cell outside the
-// scenario's axis.
-func newEnv(spec RunSpec, arena *fleet.Arena) (*env, error) {
+// worker is the storage one sweep worker builds its runs in, one after
+// another: the arena of its fleet runs and the registry of its
+// single-node runs. It belongs to one goroutine and holds one live
+// run; a finished run's RunMetrics holds copies, so the next run is
+// free to recycle both. Which worker a run lands on, and what ran
+// there before, never affects its results (docs/DETERMINISM.md).
+type worker struct {
+	arena fleet.Arena
+	tel   telemetry.Set
+}
+
+func newWorker() *worker {
+	return &worker{tel: telemetry.Set{Registry: telemetry.NewRegistry()}}
+}
+
+// newEnv resolves a spec against the registries and readies w for the
+// run. A policy the scenario does not stage is an error, so no run can
+// name a cell outside the scenario's axis.
+func newEnv(spec RunSpec, w *worker) (*env, error) {
 	sc, ok := scenarioByName(spec.Scenario)
 	if !ok {
 		return nil, fmt.Errorf("sweep: unknown scenario %q", spec.Scenario)
@@ -90,10 +105,10 @@ func newEnv(spec RunSpec, arena *fleet.Arena) (*env, error) {
 	if !ok {
 		return nil, fmt.Errorf("sweep: unknown cost model %q", spec.CostModel)
 	}
+	w.tel.Registry.Reset()
 	return &env{
-		spec: spec, sc: sc, costs: costs, arena: arena,
-		pr:  &probe{firstPeriod: make(map[task.ID]ticks.Ticks)},
-		tel: &telemetry.Set{Registry: telemetry.NewRegistry()},
+		spec: spec, sc: sc, costs: costs, arena: &w.arena, tel: &w.tel,
+		pr: &probe{firstPeriod: make(map[task.ID]ticks.Ticks)},
 	}, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/fleet"
 	"repro/internal/ticks"
 )
 
@@ -93,7 +92,7 @@ func TestFaultScenariosDeterministic(t *testing.T) {
 // with zero guarantee violations.
 func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
 	e, err := newEnv(RunSpec{Scenario: "fault-storm", CostModel: "zero", Policy: PolicyInvent,
-		Seed: 5, Horizon: 300 * ticks.PerMillisecond}, new(fleet.Arena))
+		Seed: 5, Horizon: 300 * ticks.PerMillisecond}, newWorker())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
 func TestPolicyFaultNeverMutatesOnReject(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		e, err := newEnv(RunSpec{Scenario: "fault-policy", CostModel: "zero", Policy: PolicyInvent,
-			Seed: seed, Horizon: 300 * ticks.PerMillisecond}, new(fleet.Arena))
+			Seed: seed, Horizon: 300 * ticks.PerMillisecond}, newWorker())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,8 +132,8 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 // This is the engine behind rdsweep -cluster-manifest.
 func RunFleetCluster(spec RunSpec, workers int) (*fleet.Cluster, *fleet.Report, error) {
 	// The cluster outlives this call, so nothing else may build in its
-	// arena.
-	e, err := newEnv(spec, new(fleet.Arena))
+	// storage.
+	e, err := newEnv(spec, newWorker())
 	if err != nil {
 		return nil, nil, err
 	}

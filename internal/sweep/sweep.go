@@ -4,10 +4,11 @@
 // runs, executes them on a bounded worker pool — one single-goroutine
 // sim.Kernel per run, sharing no state (see the isolation audit in
 // sweep_test.go; the one thing a worker's runs hand on is the emptied
-// storage of its fleet.Arena, docs/DETERMINISM.md) — and folds the
-// per-run measurements into mergeable per-cell aggregates: deadline
-// misses, unplanned-loss rate, utilization, switch-overhead fraction,
-// interrupt load, denied admissions and admission-latency percentiles.
+// storage of its fleet.Arena and registry, docs/DETERMINISM.md) — and
+// folds the per-run measurements into mergeable per-cell aggregates:
+// deadline misses, unplanned-loss rate, utilization, switch-overhead
+// fraction, interrupt load, denied admissions and admission-latency
+// percentiles.
 //
 // What a cell is is decided in one place, the scenario registry
 // (registry.go): each scenario declares its family and the one Axis it
@@ -32,7 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
@@ -231,19 +231,19 @@ func Run(m Matrix, opt Options) (*Result, error) {
 
 	// Each worker claims the next unclaimed spec index until none are
 	// left; out[i] is written by whichever worker claimed i, so the
-	// result does not depend on who ran what. A worker builds every
-	// fleet it runs in one arena of its own: a run folds its cluster's
-	// report before it returns, so the next run is free to recycle it.
+	// result does not depend on who ran what. A worker builds every run
+	// in storage of its own: a run folds its registry, or its cluster's
+	// report, before it returns, so the next run is free to recycle it.
 	out := make([]RunMetrics, len(specs))
 	var done sync.WaitGroup
 	var next, completed atomic.Int64
 	done.Add(workers)
-	for w := 0; w < workers; w++ {
+	for n := 0; n < workers; n++ {
 		go func() {
 			defer done.Done()
-			arena := new(fleet.Arena)
+			w := newWorker()
 			for i := next.Add(1) - 1; i < int64(len(specs)); i = next.Add(1) - 1 {
-				out[i] = runOne(specs[i], arena)
+				out[i] = runOne(specs[i], w)
 				if opt.Progress != nil {
 					opt.Progress(int(completed.Add(1)), len(specs))
 				}
@@ -269,16 +269,16 @@ func Run(m Matrix, opt Options) (*Result, error) {
 	return total, nil
 }
 
-// runOne executes a single run in isolation; a fleet run builds its
-// cluster in arena. A panic inside the simulation is captured as the
-// run's Err rather than killing the sweep.
-func runOne(spec RunSpec, arena *fleet.Arena) (out RunMetrics) {
+// runOne executes a single run in isolation, built in w's storage. A
+// panic inside the simulation is captured as the run's Err rather than
+// killing the sweep.
+func runOne(spec RunSpec, w *worker) (out RunMetrics) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = RunMetrics{Err: fmt.Sprintf("panic: %v", r)}
 		}
 	}()
-	e, err := newEnv(spec, arena)
+	e, err := newEnv(spec, w)
 	if err == nil {
 		err = e.sc.run(e)
 	}

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/fleet"
 	"repro/internal/ticks"
 )
 
@@ -29,8 +28,8 @@ func smallMatrix() Matrix {
 	}
 }
 
-// runFresh is runOne in an arena nothing else has built in.
-func runFresh(spec RunSpec) RunMetrics { return runOne(spec, new(fleet.Arena)) }
+// runFresh is runOne in storage nothing else has built in.
+func runFresh(spec RunSpec) RunMetrics { return runOne(spec, newWorker()) }
 
 func resultJSONBytes(t *testing.T, res *Result) []byte {
 	t.Helper()

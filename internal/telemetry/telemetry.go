@@ -30,7 +30,8 @@ package telemetry
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Counter is a monotonically increasing int64 instrument. The nil
@@ -38,6 +39,7 @@ import (
 type Counter struct {
 	name string
 	v    int64
+	gen  uint64 // the Registry generation it last registered in
 }
 
 // Inc adds one.
@@ -71,6 +73,7 @@ type Gauge struct {
 	name string
 	v    int64
 	max  int64
+	gen  uint64
 }
 
 // Set records the current value and updates the high-water mark.
@@ -111,6 +114,7 @@ type Histogram struct {
 	counts []int64 // len = bins+1; the last bucket is overflow
 	sum    int64
 	n      int64
+	gen    uint64
 }
 
 // Observe records one sample.
@@ -150,27 +154,43 @@ func (h *Histogram) Sum() int64 {
 	return h.sum
 }
 
-// Registry holds a run's instruments, keyed by name. The zero value
-// is not usable; call NewRegistry. A nil Registry is a valid source of
-// nil instruments, so wiring code registers unconditionally and the
-// nil handles make disabled telemetry free.
+// Registry holds a run's instruments, name-sorted. The zero value is
+// an empty registry. A nil Registry is a valid source of nil
+// instruments, so wiring code registers unconditionally and the nil
+// handles make disabled telemetry free.
+//
+// A registry outlives its run: Reset starts the next one, retiring
+// every instrument but keeping its storage. Only instruments
+// registered since the last Reset are live; a run that asks for a
+// retired name gets the old instrument back, zeroed. A registry
+// belongs to one goroutine, and the handles of a run that is over must
+// not be used again.
 //
 // All Registry methods are cold-path: they look instruments up by
 // string. The hotalloc analyzer rejects them in //rd:hotpath files —
 // pre-register at setup and keep the returned handles.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	gen      uint64
+	counters []*Counter
+	gauges   []*Gauge
+	hists    []*Histogram
+	// Live instruments of each kind, and the live histograms' buckets:
+	// what a Snapshot will hold.
+	nc, ng, nh, nb int
 }
 
+func byCounterName(c *Counter, name string) int     { return strings.Compare(c.name, name) }
+func byGaugeName(g *Gauge, name string) int         { return strings.Compare(g.name, name) }
+func byHistogramName(h *Histogram, name string) int { return strings.Compare(h.name, name) }
+
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
+func NewRegistry() *Registry { return new(Registry) }
+
+// Reset retires every instrument: the next run registers, and
+// snapshots, only its own.
+func (r *Registry) Reset() {
+	r.gen++
+	r.nc, r.ng, r.nh, r.nb = 0, 0, 0, 0
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -179,10 +199,14 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c, ok := r.counters[name]
+	i, ok := slices.BinarySearchFunc(r.counters, name, byCounterName)
 	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
+		r.counters = slices.Insert(r.counters, i, new(Counter))
+	}
+	c := r.counters[i]
+	if !ok || c.gen != r.gen {
+		*c = Counter{name: name, gen: r.gen}
+		r.nc++
 	}
 	return c
 }
@@ -193,10 +217,14 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g, ok := r.gauges[name]
+	i, ok := slices.BinarySearchFunc(r.gauges, name, byGaugeName)
 	if !ok {
-		g = &Gauge{name: name}
-		r.gauges[name] = g
+		r.gauges = slices.Insert(r.gauges, i, new(Gauge))
+	}
+	g := r.gauges[i]
+	if !ok || g.gen != r.gen {
+		*g = Gauge{name: name, gen: r.gen}
+		r.ng++
 	}
 	return g
 }
@@ -204,8 +232,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given
 // geometry on first use. Width must be positive and bins at least one;
 // re-registration with a different geometry panics — the name is the
-// contract that makes cross-run merges well-defined. Returns nil (a
-// valid no-op handle) on a nil Registry.
+// contract that makes cross-run merges well-defined — unless the
+// histogram is a retired one, which takes the new run's geometry.
+// Returns nil (a valid no-op handle) on a nil Registry.
 func (r *Registry) Histogram(name string, width int64, bins int) *Histogram {
 	if r == nil {
 		return nil
@@ -213,15 +242,23 @@ func (r *Registry) Histogram(name string, width int64, bins int) *Histogram {
 	if width <= 0 || bins < 1 {
 		panic("telemetry: Histogram needs width > 0 and bins >= 1")
 	}
-	h, ok := r.hists[name]
-	if ok {
-		if h.width != width || len(h.counts) != bins+1 {
-			panic("telemetry: histogram " + name + " re-registered with different geometry")
-		}
-		return h
+	i, ok := slices.BinarySearchFunc(r.hists, name, byHistogramName)
+	if !ok {
+		r.hists = slices.Insert(r.hists, i, new(Histogram))
 	}
-	h = &Histogram{name: name, width: width, counts: make([]int64, bins+1)}
-	r.hists[name] = h
+	h := r.hists[i]
+	switch {
+	case !ok || h.gen != r.gen:
+		counts := h.counts
+		if len(counts) != bins+1 {
+			counts = make([]int64, bins+1)
+		}
+		clear(counts)
+		*h = Histogram{name: name, width: width, counts: counts, gen: r.gen}
+		r.nh, r.nb = r.nh+1, r.nb+bins+1
+	case h.width != width || len(h.counts) != bins+1:
+		panic("telemetry: histogram " + name + " re-registered with different geometry")
+	}
 	return h
 }
 
@@ -232,8 +269,11 @@ func (r *Registry) Lookup(name string) (*Counter, bool) {
 	if r == nil {
 		return nil, false
 	}
-	c, ok := r.counters[name]
-	return c, ok
+	i, ok := slices.BinarySearchFunc(r.counters, name, byCounterName)
+	if !ok || r.counters[i].gen != r.gen {
+		return nil, false
+	}
+	return r.counters[i], true
 }
 
 // --- snapshots ---
@@ -268,43 +308,45 @@ type Snapshot struct {
 	Histograms []HistSnap    `json:"histograms"`
 }
 
-// Snapshot freezes the registry. Instruments appear sorted by name,
-// so same-seed runs produce byte-identical marshalled snapshots. A nil
+// Snapshot freezes the registry's live instruments. They appear sorted
+// by name, so same-seed runs produce byte-identical marshalled
+// snapshots. The snapshot shares nothing with the registry. A nil
 // Registry snapshots empty.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
 		return s
 	}
-	cnames := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		cnames = append(cnames, name)
+	// Each list is allocated once, at its size; a kind with no live
+	// instrument stays nil and marshals as null.
+	if r.nc > 0 {
+		s.Counters = make([]CounterSnap, 0, r.nc)
 	}
-	sort.Strings(cnames)
-	for _, name := range cnames {
-		s.Counters = append(s.Counters, CounterSnap{Name: name, Value: r.counters[name].v})
+	if r.ng > 0 {
+		s.Gauges = make([]GaugeSnap, 0, r.ng)
 	}
-	gnames := make([]string, 0, len(r.gauges))
-	for name := range r.gauges {
-		gnames = append(gnames, name)
+	if r.nh > 0 {
+		s.Histograms = make([]HistSnap, 0, r.nh)
 	}
-	sort.Strings(gnames)
-	for _, name := range gnames {
-		g := r.gauges[name]
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: name, Value: g.v, Max: g.max})
+	for _, c := range r.counters {
+		if c.gen == r.gen {
+			s.Counters = append(s.Counters, CounterSnap{Name: c.name, Value: c.v})
+		}
 	}
-	hnames := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		hnames = append(hnames, name)
+	for _, g := range r.gauges {
+		if g.gen == r.gen {
+			s.Gauges = append(s.Gauges, GaugeSnap{Name: g.name, Value: g.v, Max: g.max})
+		}
 	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
-		h := r.hists[name]
-		counts := make([]int64, len(h.counts))
-		copy(counts, h.counts)
-		s.Histograms = append(s.Histograms, HistSnap{
-			Name: name, Width: h.width, Counts: counts, Sum: h.sum, Count: h.n,
-		})
+	block := make([]int64, r.nb)
+	for _, h := range r.hists {
+		if h.gen == r.gen {
+			n := copy(block, h.counts)
+			s.Histograms = append(s.Histograms, HistSnap{
+				Name: h.name, Width: h.width, Counts: block[:n:n], Sum: h.sum, Count: h.n,
+			})
+			block = block[n:]
+		}
 	}
 	return s
 }
@@ -315,94 +357,89 @@ func (r *Registry) Snapshot() Snapshot {
 // engine merges per-run snapshots in spec order, which makes the
 // result worker-count invariant). Instruments missing on either side
 // are unioned in; same-named histograms must share geometry.
+//
+// s must own its lists and buckets — a Snapshot fresh from a Registry
+// or built by Merge does — because Merge adds into them where it can.
+// o is only read, and s shares nothing with it afterwards.
 func (s *Snapshot) Merge(o Snapshot) {
-	s.Counters = mergeCounters(s.Counters, o.Counters)
-	s.Gauges = mergeGauges(s.Gauges, o.Gauges)
-	s.Histograms = mergeHists(s.Histograms, o.Histograms)
+	s.Counters = merge(s.Counters, o.Counters)
+	s.Gauges = merge(s.Gauges, o.Gauges)
+	s.Histograms = merge(s.Histograms, o.Histograms)
 }
 
-// mergeCounters unions two name-sorted counter lists, adding values on
-// common names. Both inputs are sorted (Snapshot emits sorted; Merge
-// preserves it), so this is a linear merge.
-func mergeCounters(a, b []CounterSnap) []CounterSnap {
-	out := make([]CounterSnap, 0, len(a)+len(b))
+// entry is what merge needs of the three snapshot entry types.
+type entry[T any] interface {
+	*T
+	key() string
+	fold(o *T) // add a same-named entry's values
+	own()      // stop sharing storage with the entry this one was copied from
+}
+
+func (c *CounterSnap) key() string         { return c.Name }
+func (c *CounterSnap) fold(o *CounterSnap) { c.Value += o.Value }
+func (c *CounterSnap) own()                {}
+
+func (g *GaugeSnap) key() string { return g.Name }
+func (g *GaugeSnap) fold(o *GaugeSnap) {
+	g.Value, g.Max = o.Value, max(g.Max, o.Max)
+}
+func (g *GaugeSnap) own() {}
+
+func (h *HistSnap) key() string { return h.Name }
+func (h *HistSnap) fold(o *HistSnap) {
+	if h.Width != o.Width || len(h.Counts) != len(o.Counts) {
+		panic("telemetry: merging histogram " + h.Name + " with different geometry")
+	}
+	for k, n := range o.Counts {
+		h.Counts[k] += n
+	}
+	h.Sum += o.Sum
+	h.Count += o.Count
+}
+func (h *HistSnap) own() { h.Counts = slices.Clone(h.Counts) }
+
+// merge folds the name-sorted list b into the name-sorted list a. For
+// as long as a carries b's names — all the way, on every per-run and
+// per-node merge after a cell's or a report's first — it adds in place
+// and allocates nothing; from the first name a lacks it builds the
+// union in a new list.
+func merge[T any, P entry[T]](a, b []T) []T {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Name == b[j].Name:
-			out = append(out, CounterSnap{Name: a[i].Name, Value: a[i].Value + b[j].Value})
-			i++
+		// Equality first: the common case, and cheap — same-named
+		// entries mostly share one name string.
+		if an, bn := P(&a[i]).key(), P(&b[j]).key(); an == bn {
+			P(&a[i]).fold(&b[j])
 			j++
-		case a[i].Name < b[j].Name:
+		} else if an > bn {
+			break
+		}
+		i++
+	}
+	if j == len(b) {
+		if a == nil {
+			a = []T{} // a merged list marshals as [], never null
+		}
+		return a
+	}
+	out := make([]T, i, len(a)+len(b)-j)
+	copy(out, a)
+	for j < len(b) {
+		switch {
+		case i < len(a) && P(&a[i]).key() == P(&b[j]).key():
+			out = append(out, a[i])
+			P(&out[len(out)-1]).fold(&b[j])
+			i, j = i+1, j+1
+		case i < len(a) && P(&a[i]).key() < P(&b[j]).key():
 			out = append(out, a[i])
 			i++
 		default:
 			out = append(out, b[j])
+			P(&out[len(out)-1]).own()
 			j++
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-func mergeGauges(a, b []GaugeSnap) []GaugeSnap {
-	out := make([]GaugeSnap, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Name == b[j].Name:
-			m := a[i].Max
-			if b[j].Max > m {
-				m = b[j].Max
-			}
-			out = append(out, GaugeSnap{Name: a[i].Name, Value: b[j].Value, Max: m})
-			i++
-			j++
-		case a[i].Name < b[j].Name:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-func mergeHists(a, b []HistSnap) []HistSnap {
-	out := make([]HistSnap, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Name == b[j].Name:
-			x, y := a[i], b[j]
-			if x.Width != y.Width || len(x.Counts) != len(y.Counts) {
-				panic("telemetry: merging histogram " + x.Name + " with different geometry")
-			}
-			counts := make([]int64, len(x.Counts))
-			for k := range counts {
-				counts[k] = x.Counts[k] + y.Counts[k]
-			}
-			out = append(out, HistSnap{
-				Name: x.Name, Width: x.Width, Counts: counts,
-				Sum: x.Sum + y.Sum, Count: x.Count + y.Count,
-			})
-			i++
-			j++
-		case a[i].Name < b[j].Name:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return append(out, a[i:]...)
 }
 
 // CounterValue reports the value of the named counter in a snapshot,

@@ -39,6 +39,9 @@ type TransportStream struct {
 	consumer task.ID
 
 	interval ticks.Ticks
+	// tick is deliver, bound once: the method value written out at
+	// each At would allocate a closure per frame.
+	tick     func()
 	buf      []FrameType
 	capacity int
 	gop      []FrameType
@@ -77,7 +80,8 @@ func NewTransportStream(tl Timeline, interval ticks.Ticks, capacity int) *Transp
 func (ts *TransportStream) Start(w Waker, consumer task.ID) {
 	ts.waker = w
 	ts.consumer = consumer
-	ts.tl.At(ts.tl.Now()+ts.interval, ts.deliver)
+	ts.tick = ts.deliver
+	ts.tl.At(ts.tl.Now()+ts.interval, ts.tick)
 }
 
 func (ts *TransportStream) deliver() {
@@ -91,7 +95,7 @@ func (ts *TransportStream) deliver() {
 			_ = ts.waker.Unblock(ts.consumer)
 		}
 	}
-	ts.tl.At(ts.tl.Now()+ts.interval, ts.deliver)
+	ts.tl.At(ts.tl.Now()+ts.interval, ts.tick)
 }
 
 // Stats reports the arrival accounting.
@@ -100,13 +104,14 @@ func (ts *TransportStream) Stats() StreamStats { return ts.stats }
 // Buffered reports the current queue depth.
 func (ts *TransportStream) Buffered() int { return len(ts.buf) }
 
-// pop removes the oldest buffered frame.
+// pop removes the oldest buffered frame, copying the few behind it
+// down so the buffer stays on its array.
 func (ts *TransportStream) pop() (FrameType, bool) {
 	if len(ts.buf) == 0 {
 		return 0, false
 	}
 	f := ts.buf[0]
-	ts.buf = ts.buf[1:]
+	ts.buf = ts.buf[:copy(ts.buf, ts.buf[1:])]
 	return f, true
 }
 

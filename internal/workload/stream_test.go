@@ -108,3 +108,49 @@ func TestStreamOverrunsWhenDecoderShed(t *testing.T) {
 		t.Errorf("decoder missed %d deadlines; input overrun must not break scheduling", st.Misses)
 	}
 }
+
+// pump is a Timeline that holds the one pending callback for the test
+// to fire by hand.
+type pump struct {
+	now  ticks.Ticks
+	next func()
+}
+
+func (p *pump) Now() ticks.Ticks             { return p.now }
+func (p *pump) At(at ticks.Ticks, fn func()) { p.now, p.next = at, fn }
+
+// TestTransportStreamSteadyStateAllocFree: once the buffer has been
+// full, delivering a frame and popping it allocate nothing — the
+// callback is bound once in Start, and pop keeps the buffer on its
+// array however deep the queue runs.
+func TestTransportStreamSteadyStateAllocFree(t *testing.T) {
+	tl := new(pump)
+	ts := NewTransportStream(tl, 900_000, 4)
+	ts.Start(nil, task.NoID)
+	for i := 0; i < 4; i++ {
+		tl.next()
+	}
+	for ts.Buffered() > 0 {
+		ts.pop()
+	}
+	var got FrameType
+	allocs := testing.AllocsPerRun(200, func() {
+		tl.next()
+		tl.next()
+		got, _ = ts.pop()
+		tl.next()
+		ts.pop()
+		ts.pop()
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations per three delivered frames, want 0", allocs)
+	}
+	if ts.Stats().Overruns != 0 || ts.Buffered() != 0 {
+		t.Errorf("overruns=%d buffered=%d, want an empty, never-full buffer", ts.Stats().Overruns, ts.Buffered())
+	}
+	// 4 + 201×3 frames in, in GOP order: the last run popped frames
+	// 604..606, got being the first of them.
+	if want := FrameType(DefaultGOP[604%len(DefaultGOP)]); got != want {
+		t.Errorf("frame 604 popped as %v, want %v: pop lost the GOP order", got, want)
+	}
+}
