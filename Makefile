@@ -15,7 +15,7 @@ GO ?= go
 BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|RegistrySnapshot|SnapshotMerge
 BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
 
-.PHONY: all build test race lint fuzz-smoke sweep-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
+.PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
 
 all: build test lint
 
@@ -31,15 +31,22 @@ race:
 # The blocking lint gate (see docs/LINTING.md): gofmt over everything
 # but the analyzers' testdata fixtures (some are deliberately odd),
 # then rdlint — all analyzers including the cross-package dataflow
-# suite, the fleet-wide Finish passes, and the stale-waiver audit, any
-# finding fails the build — plus the stock go vet checks.
+# suite and the stale-waiver audit, any finding fails the build — plus
+# the stock go vet checks. (`go test ./internal/analysis` runs the same
+# rdlint pass over the tree, so tier-1 fails on a finding too.)
 lint:
 	@unformatted=$$(gofmt -l . | grep -v '/testdata/'); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/rdlint ./...
 	$(GO) vet ./...
 
-# Short fuzz runs of the exact-arithmetic kernels, the switch-cost tick
+# Go line counts per package, non-test and test, with the totals and
+# the rdlint subtotal ROADMAP and CHANGES.md quote.
+loc:
+	@bash scripts/loc.sh
+
+# Short fuzz runs of the exact-arithmetic kernels (Frac.Cmp against
+# math/big, Frac.Add against its predecessor), the switch-cost tick
 # table (against the formula it is built from), the rdtel/v2 codec
 # (reader and both writers against their encoding/json references),
 # the instrument registry (a reused one against one built new per
@@ -51,6 +58,7 @@ lint:
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzFracAdd$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz='^FuzzFracAddMatchesRef$$' -fuzztime=10s ./internal/ticks
+	$(GO) test -run=NONE -fuzz='^FuzzFracCmpMatchesBig$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz=FuzzTickConversions -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz=FuzzBoxLoad -fuzztime=10s ./internal/policy
 	$(GO) test -run=NONE -fuzz='^FuzzSwitchSample$$' -fuzztime=10s ./internal/sim

@@ -15,7 +15,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/loader"
@@ -37,50 +36,19 @@ func main() {
 func usage() {
 	fmt.Fprintf(os.Stderr, "usage: rdlint [packages]   (go run ./cmd/rdlint ./...)\n\nanalyzers:\n")
 	for _, a := range analysis.Analyzers {
-		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
+		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 	}
 }
 
+// standalone lints the packages the patterns name — with the stale-
+// waiver audit: this invocation is the `make lint` gate — and returns
+// the exit code.
 func standalone(patterns []string) int {
-	root, err := loader.FindModuleRoot(".")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rdlint:", err)
-		return 1
+	l, paths, err := load(patterns)
+	var diags []analysis.Diagnostic
+	if err == nil {
+		diags, err = analysis.RunUnits(l, paths, analysis.Analyzers, true)
 	}
-	l, err := loader.New(root)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rdlint:", err)
-		return 1
-	}
-	paths, err := l.Patterns(patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rdlint:", err)
-		return 1
-	}
-	requested := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		requested[p] = true
-	}
-	// The fleet run covers the dependency closure so cross-package
-	// facts (detflow summaries, rngstream stream tables) exist before
-	// their importers are analyzed; only the requested packages
-	// report. The stale-waiver audit and the fleet-wide Finish hooks
-	// run here — this invocation is the `make lint` gate.
-	pkgs, err := l.DependencyOrder(paths)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rdlint:", err)
-		return 1
-	}
-	units := make([]*analysis.Unit, 0, len(pkgs))
-	for _, pkg := range pkgs {
-		units = append(units, &analysis.Unit{
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Report:    requested[pkg.Path],
-		})
-	}
-	diags, err := analysis.RunUnits(l.Fset, units, analysis.Analyzers, analysis.RunOptions{Audit: true})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rdlint:", err)
 		return 1
@@ -92,4 +60,19 @@ func standalone(patterns []string) int {
 		return 2
 	}
 	return 0
+}
+
+// load resolves the patterns against the module around the working
+// directory.
+func load(patterns []string) (*loader.Loader, []string, error) {
+	root, err := loader.FindModuleRoot(".")
+	if err != nil {
+		return nil, nil, err
+	}
+	l, err := loader.New(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	paths, err := l.Patterns(patterns)
+	return l, paths, err
 }

@@ -1,19 +1,20 @@
-// Package analysis is a dependency-free reimplementation of the
-// golang.org/x/tools/go/analysis vocabulary, sized for this
-// repository. It exists because the reproduction's whole claim rests
-// on the simulator being exactly deterministic (DESIGN.md §1), and
-// determinism is the kind of invariant that conventions cannot hold:
-// one `range` over a map in the dispatch path silently invalidates
-// every recorded trace. The analyzers in this package — maporder,
-// wallclock, rawrand, tickunits, hotalloc — mechanically enforce the
-// invariants documented in docs/DETERMINISM.md and the hot-path
-// allocation budget documented in docs/PERFORMANCE.md. They are driven
-// by cmd/rdlint (`go run ./cmd/rdlint ./...`).
+// Package analysis holds rdlint's analyzers: the static checks that
+// keep this module exactly deterministic. The reproduction's whole
+// claim rests on the simulator replaying byte for byte (DESIGN.md §1),
+// and determinism is the kind of invariant that conventions cannot
+// hold: one `range` over a map in the dispatch path silently
+// invalidates every recorded trace. The analyzers listed in Analyzers
+// mechanically enforce the rules of docs/DETERMINISM.md and the
+// hot-path allocation budget of docs/PERFORMANCE.md; docs/LINTING.md
+// catalogues them. They are driven by cmd/rdlint
+// (`go run ./cmd/rdlint ./...`) and, over the live tree, by this
+// package's own tests.
 //
-// The API mirrors go/analysis (Analyzer, Pass, Diagnostic) so that a
-// future PR can swap in the real module unchanged once the build
-// environment vendors golang.org/x/tools; analyzers only use the
-// subset reimplemented here.
+// One run typechecks every package once through one loader, so a
+// function is the same *types.Func in its own package and in every
+// importer: what one package's pass learns about it (detflow's
+// summaries, rngstream's stream table) is kept in plain maps on the
+// run and read directly by later passes.
 package analysis
 
 import (
@@ -22,8 +23,10 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
-	"path/filepath"
+	"sort"
 	"strings"
+
+	"repro/internal/analysis/loader"
 )
 
 // Analyzer describes one static check.
@@ -32,38 +35,28 @@ type Analyzer struct {
 	// //rdlint:allow waiver directives.
 	Name string
 
-	// Doc is the analyzer's help text; the first line is a summary.
+	// Doc is the one-line summary `rdlint help` prints; docs/LINTING.md
+	// has the full description.
 	Doc string
 
 	// Run applies the analyzer to a package.
-	Run func(*Pass) error
-
-	// Finish, when non-nil, runs once after every package of a fleet
-	// run has been analyzed, with the full fact store — the hook for
-	// whole-program aggregation such as rngstream's stream-ID
-	// collision check.
-	Finish func(*FleetPass) error
+	Run func(*Pass)
 }
 
 // Pass provides one analyzer's view of one package.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
-	Files     []*ast.File
+	Files     []*ast.File // the package's hand-written files; see isGenerated
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// report receives diagnostics after waiver filtering.
-	report func(Diagnostic)
+	// run is the whole-run state every pass of every package shares.
+	run *run
 
-	// waivers holds the parsed //rdlint: directives of this package.
-	// The driver shares one set across the analyzers of a package so
-	// suppression hits can be audited; the lazy fallback covers
-	// direct single-analyzer Run calls.
-	waivers *waiverSet
-
-	// store receives exported facts and serves imports.
-	store *FactStore
+	// reporting is false for a dependency analyzed only so its
+	// summaries exist: its findings belong to a run that names it.
+	reporting bool
 }
 
 // Diagnostic is one finding.
@@ -73,54 +66,54 @@ type Diagnostic struct {
 	Analyzer string
 }
 
+// run is the state of one RunUnits call.
+type run struct {
+	fset    *token.FileSet
+	waivers waiverSet
+	diags   []Diagnostic
+
+	// detflow's function summaries, filled package by package in
+	// dependency order: the root source behind a function's tainted
+	// result, and the sink each parameter index is forwarded into.
+	nondet map[*types.Func]string
+	sinks  map[*types.Func]map[int]string
+
+	// streams is rngstream's table of constant SplitSeed derivations,
+	// in the order they were visited.
+	streams []streamUse
+}
+
 // Reportf reports a finding at pos unless a waiver directive covers
-// it. A waiver without a written reason does not suppress — it is
-// converted into its own finding, so every waiver in the tree carries
-// a justification.
+// it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.waivers == nil {
-		p.waivers = parseWaivers(p.Fset, p.Files)
+	if p.reporting {
+		p.run.reportf(p.Analyzer.Name, pos, format, args...)
 	}
-	position := p.Fset.Position(pos)
-	switch p.waivers.status(p.Analyzer.Name, position) {
+}
+
+// reportf records a finding unless a waiver directive covers it. A
+// waiver without a written reason does not suppress — it is converted
+// into its own finding, so every waiver in the tree carries a
+// justification.
+func (r *run) reportf(analyzer string, pos token.Pos, format string, args ...any) {
+	msg := fmt.Sprintf(format, args...)
+	switch r.waivers.status(analyzer, r.fset.Position(pos)) {
 	case waived:
 		return
 	case waivedNoReason:
-		p.report(Diagnostic{
-			Pos:      pos,
-			Analyzer: p.Analyzer.Name,
-			Message:  "rdlint waiver is missing a reason; write //rdlint:" + directiveVerb(p.Analyzer.Name) + " <why this site is safe>",
-		})
-		return
+		msg = "rdlint waiver is missing a reason; write //rdlint:" + directiveVerb(analyzer) + " <why this site is safe>"
 	}
-	p.report(Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	r.diags = append(r.diags, Diagnostic{Pos: pos, Analyzer: analyzer, Message: msg})
 }
 
-// IsTestFile reports whether the file containing pos is a _test.go
-// file. The analyzers check simulation code, not tests: test files may
-// range maps and read the host clock without perturbing recorded
-// simulation trajectories.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// SkipFile reports whether the analyzers should skip f entirely:
-// _test.go files (order/clock freedoms there cannot perturb recorded
-// trajectories) and generated files (their upstream generator, not the
-// checked-in artifact, is where a finding would have to be fixed; the
-// generator's inputs are linted instead).
-func (p *Pass) SkipFile(f *ast.File) bool {
-	return p.IsTestFile(f.Pos()) || IsGenerated(f)
-}
-
-// IsGenerated reports whether f carries the standard Go generated-code
+// isGenerated reports whether f carries the standard Go generated-code
 // marker: a "// Code generated ... DO NOT EDIT." comment line before
-// the package clause.
-func IsGenerated(f *ast.File) bool {
+// the package clause. The driver keeps such files from the analyzers:
+// their upstream generator, not the checked-in artifact, is where a
+// finding would have to be fixed. (_test.go files never get this far:
+// the loader does not read them, since order and clock freedoms in a
+// test cannot perturb a recorded trajectory.)
+func isGenerated(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		if cg.Pos() >= f.Package {
 			break
@@ -142,6 +135,51 @@ func (p *Pass) ExprString(e ast.Expr) string {
 	printer.Fprint(&b, p.Fset, e)
 	return b.String()
 }
+
+// callee resolves the statically known function or method a call
+// invokes, or nil for dynamic calls, conversions and builtins.
+func (p *Pass) callee(call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.TypesInfo.Uses[id].(*types.Func)
+	return fn
+}
+
+// recvTypeName returns the named type fn is a method of (through a
+// pointer receiver too), or nil for a plain function and for a method
+// on an unnamed receiver.
+func recvTypeName(fn *types.Func) *types.TypeName {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj()
+	}
+	return nil
+}
+
+// isMethodOf reports whether fn is a method of the named type
+// pkgPath.typeName — the one way the analyzers recognise the
+// simulator's own API (sim.Kernel, telemetry.Spans, ...).
+func isMethodOf(fn *types.Func, pkgPath, typeName string) bool {
+	tn := recvTypeName(fn)
+	return tn != nil && tn.Name() == typeName && tn.Pkg() != nil && tn.Pkg().Path() == pkgPath
+}
+
+// Analyzers is the full rdlint suite in reporting order.
+var Analyzers = []*Analyzer{MapOrder, WallClock, RawRand, TickUnits, HotAlloc, RngStream, DetFlow, SpanPair, SharedCapture}
 
 // --- deterministic package gate ---
 
@@ -212,22 +250,22 @@ const (
 	waivedNoReason
 )
 
+// waiverKey is a directive's site. The file name is part of it, so one
+// set serves every package of a run.
 type waiverKey struct {
 	analyzer string
 	file     string
 	line     int
 }
 
-type waiverSet struct {
-	// reasons maps a directive site to its reason text ("" = missing).
-	reasons map[waiverKey]string
-	// pos maps a directive site to the directive comment's position,
-	// for the staleness audit's diagnostics.
-	pos map[waiverKey]token.Pos
-	// hits records directives that suppressed at least one diagnostic
-	// this run; the rest are stale and reported by the waiver audit.
-	hits map[waiverKey]bool
+type waiver struct {
+	reason string    // "" = missing
+	pos    token.Pos // the directive comment, for the audit's diagnostics
+	hit    bool      // suppressed at least one diagnostic this run
+	audit  bool      // lies in a package this run reports on
 }
+
+type waiverSet map[waiverKey]*waiver
 
 // directiveVerb returns the waiver verb suggested for an analyzer in
 // diagnostics: maporder has the dedicated historical verb.
@@ -238,12 +276,8 @@ func directiveVerb(analyzer string) string {
 	return "allow " + analyzer
 }
 
-func parseWaivers(fset *token.FileSet, files []*ast.File) *waiverSet {
-	ws := &waiverSet{
-		reasons: make(map[waiverKey]string),
-		pos:     make(map[waiverKey]token.Pos),
-		hits:    make(map[waiverKey]bool),
-	}
+// parse adds the //rdlint: directives of one package's files.
+func (ws waiverSet) parse(fset *token.FileSet, files []*ast.File, audit bool) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -251,7 +285,6 @@ func parseWaivers(fset *token.FileSet, files []*ast.File) *waiverSet {
 				if !ok {
 					continue
 				}
-				pos := fset.Position(c.Pos())
 				var analyzer, reason string
 				switch {
 				case strings.HasPrefix(text, "ordered-ok"):
@@ -260,27 +293,24 @@ func parseWaivers(fset *token.FileSet, files []*ast.File) *waiverSet {
 				case strings.HasPrefix(text, "allow"):
 					rest := strings.TrimSpace(strings.TrimPrefix(text, "allow"))
 					analyzer, reason, _ = strings.Cut(rest, " ")
-				default:
-					continue
 				}
 				if analyzer == "" {
 					continue
 				}
-				k := waiverKey{analyzer: analyzer, file: pos.Filename, line: pos.Line}
-				ws.reasons[k] = strings.TrimSpace(reason)
-				ws.pos[k] = c.Pos()
+				pos := fset.Position(c.Pos())
+				ws[waiverKey{analyzer, pos.Filename, pos.Line}] = &waiver{
+					reason: strings.TrimSpace(reason), pos: c.Pos(), audit: audit,
+				}
 			}
 		}
 	}
-	return ws
 }
 
-func (ws *waiverSet) status(analyzer string, pos token.Position) waiverStatus {
+func (ws waiverSet) status(analyzer string, pos token.Position) waiverStatus {
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		k := waiverKey{analyzer: analyzer, file: pos.Filename, line: line}
-		if reason, ok := ws.reasons[k]; ok {
-			ws.hits[k] = true
-			if reason == "" {
+		if w, ok := ws[waiverKey{analyzer, pos.Filename, line}]; ok {
+			w.hit = true
+			if w.reason == "" {
 				return waivedNoReason
 			}
 			return waived
@@ -298,131 +328,72 @@ func (ws *waiverSet) status(analyzer string, pos token.Position) waiverStatus {
 // performs it after the last pass.
 const WaiverAuditName = "waiveraudit"
 
-// Unit is one typechecked package queued for a fleet run.
-type Unit struct {
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	// Report controls whether this unit's diagnostics are returned.
-	// Dependency packages loaded only so their facts exist run with
-	// Report false: their findings belong to a run that names them.
-	Report bool
-}
-
-// RunOptions configures a fleet run.
-type RunOptions struct {
-	// Audit enables the stale-waiver audit over the reported units.
-	// Only meaningful when the full analyzer suite runs: a directive
-	// is judged stale because no analyzer fired against it.
-	Audit bool
-}
-
-// RunUnits applies the analyzers to the units in order (callers
-// provide dependency order so facts exist before their importers
-// need them), runs the fleet-wide Finish hooks, optionally audits
-// waivers, and returns the surviving diagnostics sorted by position.
-func RunUnits(fset *token.FileSet, units []*Unit, analyzers []*Analyzer, opts RunOptions) ([]Diagnostic, error) {
-	store := NewFactStore()
-	var diags []Diagnostic
-	waivers := make([]*waiverSet, len(units))
-	for i, u := range units {
-		ws := parseWaivers(fset, u.Files)
-		waivers[i] = ws
+// RunUnits loads the packages at paths and everything in the module
+// (or the loader's fixture root) they import, applies the analyzers
+// to each — dependencies first, so a function's summary exists before
+// its importers ask for it — then runs rngstream's whole-run collision
+// check and, with audit set, the stale-waiver audit. Only the packages
+// named by paths report and are audited; a collision is reported at
+// every site it involves. audit is only meaningful with the full
+// suite: a directive is judged stale because no analyzer fired
+// against it. The diagnostics come back sorted by position.
+func RunUnits(l *loader.Loader, paths []string, analyzers []*Analyzer, audit bool) ([]Diagnostic, error) {
+	pkgs, err := l.DependencyOrder(paths)
+	if err != nil {
+		return nil, err
+	}
+	named := make(map[string]bool, len(paths))
+	for _, p := range paths {
+		named[p] = true
+	}
+	r := &run{
+		fset:    l.Fset,
+		waivers: waiverSet{},
+		nondet:  map[*types.Func]string{},
+		sinks:   map[*types.Func]map[int]string{},
+	}
+	for _, pkg := range pkgs {
+		r.waivers.parse(l.Fset, pkg.Files, named[pkg.Path])
+		var files []*ast.File
+		for _, f := range pkg.Files {
+			if !isGenerated(f) {
+				files = append(files, f)
+			}
+		}
 		for _, a := range analyzers {
-			pass := &Pass{
+			a.Run(&Pass{
 				Analyzer:  a,
-				Fset:      fset,
-				Files:     u.Files,
-				Pkg:       u.Pkg,
-				TypesInfo: u.TypesInfo,
-				waivers:   ws,
-				store:     store,
-			}
-			if u.Report {
-				pass.report = func(d Diagnostic) { diags = append(diags, d) }
-			} else {
-				pass.report = func(Diagnostic) {}
-			}
-			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.Name, err)
-			}
+				Fset:      l.Fset,
+				Files:     files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				run:       r,
+				reporting: named[pkg.Path],
+			})
 		}
 	}
+	r.reportStreamCollisions()
 
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
-		}
-		fp := &FleetPass{
-			Analyzer: a,
-			Fset:     fset,
-			store:    store,
-			report: func(d Diagnostic) {
-				// Fleet findings honor the same inline waivers as
-				// per-package ones; the directive lives in whichever
-				// package owns the reported position.
-				position := fset.Position(d.Pos)
-				for _, ws := range waivers {
-					switch ws.status(a.Name, position) {
-					case waived:
-						return
-					case waivedNoReason:
-						diags = append(diags, Diagnostic{
-							Pos:      d.Pos,
-							Analyzer: a.Name,
-							Message:  "rdlint waiver is missing a reason; write //rdlint:" + directiveVerb(a.Name) + " <why this site is safe>",
-						})
-						return
-					}
-				}
-				diags = append(diags, d)
-			},
-		}
-		if err := a.Finish(fp); err != nil {
-			return nil, fmt.Errorf("%s (finish): %w", a.Name, err)
-		}
-	}
-
-	if opts.Audit {
+	if audit {
 		known := make(map[string]bool, len(analyzers))
 		for _, a := range analyzers {
 			known[a.Name] = true
 		}
-		for i, u := range units {
-			if !u.Report {
+		for k, w := range r.waivers {
+			if w.hit || !w.audit {
 				continue
 			}
-			for k := range waivers[i].reasons {
-				if waivers[i].hits[k] {
-					continue
-				}
-				pos := waivers[i].pos[k]
-				if !known[k.analyzer] {
-					diags = append(diags, Diagnostic{
-						Pos:      pos,
-						Analyzer: WaiverAuditName,
-						Message:  fmt.Sprintf("waiver names unknown analyzer %q; rdlint analyzers are listed in docs/LINTING.md", k.analyzer),
-					})
-					continue
-				}
-				diags = append(diags, Diagnostic{
-					Pos:      pos,
-					Analyzer: WaiverAuditName,
-					Message:  fmt.Sprintf("stale waiver: %s no longer fires at this site; delete the //rdlint:%s directive", k.analyzer, directiveVerb(k.analyzer)),
-				})
+			msg := fmt.Sprintf("stale waiver: %s no longer fires at this site; delete the //rdlint:%s directive", k.analyzer, directiveVerb(k.analyzer))
+			if !known[k.analyzer] {
+				msg = fmt.Sprintf("waiver names unknown analyzer %q; rdlint analyzers are listed in docs/LINTING.md", k.analyzer)
 			}
+			r.diags = append(r.diags, Diagnostic{Pos: w.pos, Analyzer: WaiverAuditName, Message: msg})
 		}
 	}
 
-	sortDiagnostics(fset, diags)
-	return diags, nil
-}
-
-func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
-	// Insertion sort by (file, offset, analyzer); n is small.
-	less := func(a, b Diagnostic) bool {
-		pa, pb := fset.Position(a.Pos), fset.Position(b.Pos)
+	sort.SliceStable(r.diags, func(i, j int) bool {
+		a, b := r.diags[i], r.diags[j]
+		pa, pb := l.Fset.Position(a.Pos), l.Fset.Position(b.Pos)
 		if pa.Filename != pb.Filename {
 			return pa.Filename < pb.Filename
 		}
@@ -430,15 +401,6 @@ func sortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 			return pa.Offset < pb.Offset
 		}
 		return a.Analyzer < b.Analyzer
-	}
-	for i := 1; i < len(diags); i++ {
-		for j := i; j > 0 && less(diags[j], diags[j-1]); j-- {
-			diags[j], diags[j-1] = diags[j-1], diags[j]
-		}
-	}
-}
-
-// FileBase returns the base name of the file containing pos.
-func FileBase(fset *token.FileSet, pos token.Pos) string {
-	return filepath.Base(fset.Position(pos).Filename)
+	})
+	return r.diags, nil
 }

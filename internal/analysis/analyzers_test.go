@@ -5,58 +5,66 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atest"
+	"repro/internal/analysis/loader"
 	"repro/internal/fault"
 )
 
-// The fixture packages live under testdata/src with real-looking
-// import paths (GOPATH layout), so the analyzers' package gates apply
-// to them exactly as to the live tree: repro/internal/... paths are
-// inside the deterministic set, repro/example/... and repro/cmd/...
-// are outside it.
-
-func TestMapOrder(t *testing.T) {
-	atest.Run(t, "testdata", analysis.MapOrder,
-		"repro/internal/sched/mofix",
-		"repro/example/mofree",
-	)
-}
-
-func TestWallClock(t *testing.T) {
-	atest.Run(t, "testdata", analysis.WallClock,
-		"repro/internal/sim/wcfix",
-		"repro/cmd/bfix",
-	)
-}
-
-func TestRawRand(t *testing.T) {
+// fixtures names, per analyzer, the fixture packages that drive it
+// alone. They live under testdata/src with real-looking import paths
+// (GOPATH layout), so the analyzers' package gates apply to them
+// exactly as to the live tree: repro/internal/... paths are inside the
+// deterministic set, repro/example/... and repro/cmd/... are outside
+// it.
+var fixtures = map[*analysis.Analyzer][]string{
+	analysis.MapOrder:  {"repro/internal/sched/mofix", "repro/example/mofree"},
+	analysis.WallClock: {"repro/internal/sim/wcfix", "repro/cmd/bfix"},
 	// repro/internal/sim here is the fixture shadow of the real
 	// package: rng.go is exempt, source.go is flagged.
-	atest.Run(t, "testdata", analysis.RawRand,
-		"repro/internal/sim",
-		"repro/example/rrfree",
-	)
-}
-
-func TestHotAlloc(t *testing.T) {
+	analysis.RawRand: {"repro/internal/sim", "repro/example/rrfree"},
 	// hafix.go carries the //rd:hotpath marker (flagged, with one
 	// waived cold site); cold.go in the same package does not, so its
 	// identical constructs pass — the check is a per-file opt-in.
-	atest.Run(t, "testdata", analysis.HotAlloc,
-		"repro/internal/sched/hafix",
-	)
-}
-
-func TestRngStream(t *testing.T) {
+	analysis.HotAlloc: {"repro/internal/sched/hafix"},
 	// rsfix: bare literals, dynamic IDs, band violations, and an
 	// intra-package collision. rscross: a collision with a constant in
 	// a package it imports — the cross-package case. rsfree: named
 	// constants, constant reuse, and the injector-band shape, all
 	// clean.
-	atest.Run(t, "testdata", analysis.RngStream,
-		"repro/internal/sweep/rsfix",
-		"repro/internal/sweep/rscross",
-		"repro/internal/sweep/rsfree",
-	)
+	analysis.RngStream: {"repro/internal/sweep/rsfix", "repro/internal/sweep/rscross", "repro/internal/sweep/rsfree"},
+	// dffix: taint imported through hostinfo's function and method
+	// summaries, a local second hop, a func value, and a direct
+	// host-state read — all reported. dffree: GOMAXPROCS worker counts
+	// and parameter-fed sinks, clean. hostinfo itself (outside the
+	// deterministic set) is summarized but reports nothing.
+	analysis.DetFlow:       {"repro/internal/sched/dffix", "repro/internal/sched/dffree", "repro/internal/hostinfo"},
+	analysis.SpanPair:      {"repro/internal/telemetry/spfix", "repro/internal/telemetry/spfree"},
+	analysis.SharedCapture: {"repro/internal/sweep/scfix", "repro/internal/sweep/scfree"},
+	analysis.TickUnits:     {"repro/internal/sched/tufix", "repro/internal/rm/tufix", "repro/example/tufree"},
+}
+
+func runFixtures(t *testing.T, a *analysis.Analyzer) int {
+	t.Helper()
+	return atest.Run(t, "testdata", a, fixtures[a]...)
+}
+
+func TestMapOrder(t *testing.T)      { runFixtures(t, analysis.MapOrder) }
+func TestWallClock(t *testing.T)     { runFixtures(t, analysis.WallClock) }
+func TestRawRand(t *testing.T)       { runFixtures(t, analysis.RawRand) }
+func TestHotAlloc(t *testing.T)      { runFixtures(t, analysis.HotAlloc) }
+func TestRngStream(t *testing.T)     { runFixtures(t, analysis.RngStream) }
+func TestDetFlow(t *testing.T)       { runFixtures(t, analysis.DetFlow) }
+func TestSpanPair(t *testing.T)      { runFixtures(t, analysis.SpanPair) }
+func TestSharedCapture(t *testing.T) { runFixtures(t, analysis.SharedCapture) }
+func TestTickUnits(t *testing.T)     { runFixtures(t, analysis.TickUnits) }
+
+// TestEveryAnalyzerHasFixtures: an analyzer added to the suite without
+// a fixture that expects a finding from it would be checked by nothing.
+func TestEveryAnalyzerHasFixtures(t *testing.T) {
+	for _, a := range analysis.Analyzers {
+		if runFixtures(t, a) == 0 {
+			t.Errorf("%s: no fixture has a `want` this analyzer satisfies", a.Name)
+		}
+	}
 }
 
 // TestFaultStreamBaseMirror pins the analyzer's mirrored band base to
@@ -67,33 +75,6 @@ func TestFaultStreamBaseMirror(t *testing.T) {
 		t.Fatalf("analysis.FaultStreamBase = %d, fault.StreamBase = %d; keep the mirror in sync",
 			analysis.FaultStreamBase, fault.StreamBase)
 	}
-}
-
-func TestDetFlow(t *testing.T) {
-	// dffix: taint imported through hostinfo's facts, a local second
-	// hop, a func value, and a direct host-state read — all reported.
-	// dffree: GOMAXPROCS worker counts and parameter-fed sinks, clean.
-	// hostinfo itself (outside the deterministic set) exports facts
-	// but reports nothing.
-	atest.Run(t, "testdata", analysis.DetFlow,
-		"repro/internal/sched/dffix",
-		"repro/internal/sched/dffree",
-		"repro/internal/hostinfo",
-	)
-}
-
-func TestSpanPair(t *testing.T) {
-	atest.Run(t, "testdata", analysis.SpanPair,
-		"repro/internal/telemetry/spfix",
-		"repro/internal/telemetry/spfree",
-	)
-}
-
-func TestSharedCapture(t *testing.T) {
-	atest.Run(t, "testdata", analysis.SharedCapture,
-		"repro/internal/sweep/scfix",
-		"repro/internal/sweep/scfree",
-	)
 }
 
 func TestWaiverAudit(t *testing.T) {
@@ -121,10 +102,27 @@ func TestLoaderEdgeCases(t *testing.T) {
 	)
 }
 
-func TestTickUnits(t *testing.T) {
-	atest.Run(t, "testdata", analysis.TickUnits,
-		"repro/internal/sched/tufix",
-		"repro/internal/rm/tufix",
-		"repro/example/tufree",
-	)
+// TestTreeIsClean is `make lint`'s rdlint step inside tier-1: the full
+// suite plus the waiver audit over the live module, through the loader
+// and driver cmd/rdlint uses.
+func TestTreeIsClean(t *testing.T) {
+	root, err := loader.FindModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := loader.New(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := l.Patterns([]string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := analysis.RunUnits(l, paths, analysis.Analyzers, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s: %s: %s", l.Fset.Position(d.Pos), d.Analyzer, d.Message)
+	}
 }

@@ -62,17 +62,18 @@ func sharedLoader(t *testing.T, root, extraSrc string) *loader.Loader {
 // Run loads each fixture import path from testdata/src, applies the
 // analyzer, and checks the diagnostics against the fixtures' want
 // comments in both directions (missing and unexpected findings fail).
+// It returns how many wants the analyzer satisfied.
 //
-// Each path is analyzed as a fleet run over its dependency closure —
-// fixture helper packages under testdata/src are analyzed first and
-// report alongside the named package, so cross-package fact flow
-// (detflow summaries, rngstream stream tables) and the fleet-wide
-// Finish hooks behave exactly as in `make lint`.
-func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPaths ...string) {
+// Each path is analyzed with its dependency closure — fixture helper
+// packages under testdata/src are analyzed first — so cross-package
+// summaries (detflow) and the whole-run stream collision check
+// (rngstream) behave exactly as in `make lint`.
+func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPaths ...string) (matched int) {
 	t.Helper()
 	for _, path := range importPaths {
-		runFleet(t, testdata, []*analysis.Analyzer{a}, false, path)
+		matched += runOne(t, testdata, []*analysis.Analyzer{a}, false, path)
 	}
+	return matched
 }
 
 // RunSuite applies the full rdlint analyzer suite plus the
@@ -81,11 +82,11 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, importPaths ...str
 func RunSuite(t *testing.T, testdata string, importPaths ...string) {
 	t.Helper()
 	for _, path := range importPaths {
-		runFleet(t, testdata, analysis.Analyzers, true, path)
+		runOne(t, testdata, analysis.Analyzers, true, path)
 	}
 }
 
-func runFleet(t *testing.T, testdata string, analyzers []*analysis.Analyzer, audit bool, path string) {
+func runOne(t *testing.T, testdata string, analyzers []*analysis.Analyzer, audit bool, path string) (matched int) {
 	t.Helper()
 	root, err := loader.FindModuleRoot(".")
 	if err != nil {
@@ -96,34 +97,18 @@ func runFleet(t *testing.T, testdata string, analyzers []*analysis.Analyzer, aud
 		t.Fatal(err)
 	}
 	l := sharedLoader(t, root, extraSrc)
-	pkgs, err := l.DependencyOrder([]string{path})
-	if err != nil {
-		t.Fatalf("load %s: %v", path, err)
-	}
-	var units []*analysis.Unit
-	var named *loader.Package
-	for _, pkg := range pkgs {
-		units = append(units, &analysis.Unit{
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Report:    pkg.Path == path,
-		})
-		if pkg.Path == path {
-			named = pkg
-		}
-	}
-	if named == nil {
-		t.Fatalf("load %s: package absent from its own closure", path)
-	}
-	diags, err := analysis.RunUnits(l.Fset, units, analyzers, analysis.RunOptions{Audit: audit})
+	diags, err := analysis.RunUnits(l, []string{path}, analyzers, audit)
 	if err != nil {
 		t.Fatalf("analyzers on %s: %v", path, err)
 	}
-	// Fleet (Finish) diagnostics may land in dependency packages — a
-	// fixture stream constant colliding with another package's reports
-	// both sites. The named package's findings are what the fixture
-	// asserts; the rest belong to runs naming those packages.
+	named, err := l.Load(path)
+	if err != nil {
+		t.Fatalf("load %s: %v", path, err)
+	}
+	// A stream collision is reported at every site, which may lie in a
+	// dependency — a fixture stream constant colliding with another
+	// package's reports both. The named package's findings are what the
+	// fixture asserts; the rest belong to runs naming those packages.
 	var scoped []analysis.Diagnostic
 	for _, d := range diags {
 		if strings.HasPrefix(l.Fset.Position(d.Pos).Filename, named.Dir+string(filepath.Separator)) {
@@ -134,10 +119,10 @@ func runFleet(t *testing.T, testdata string, analyzers []*analysis.Analyzer, aud
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
-	checkDiagnostics(t, l.Fset, path, scoped, wants)
+	return checkDiagnostics(t, l.Fset, path, scoped, wants)
 }
 
-func checkDiagnostics(t *testing.T, fset *token.FileSet, path string, diags []analysis.Diagnostic, wants []*expectation) {
+func checkDiagnostics(t *testing.T, fset *token.FileSet, path string, diags []analysis.Diagnostic, wants []*expectation) (matched int) {
 	t.Helper()
 	for _, d := range diags {
 		pos := fset.Position(d.Pos)
@@ -146,6 +131,7 @@ func checkDiagnostics(t *testing.T, fset *token.FileSet, path string, diags []an
 			if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
 				w.matched = true
 				ok = true
+				matched++
 				break
 			}
 		}
@@ -158,6 +144,7 @@ func checkDiagnostics(t *testing.T, fset *token.FileSet, path string, diags []an
 			t.Errorf("%s: missing diagnostic at %s:%d matching %q", path, filepath.Base(w.file), w.line, w.re)
 		}
 	}
+	return matched
 }
 
 // parseWants extracts `// want "re" ["re" ...]` clauses from the

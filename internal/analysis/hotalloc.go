@@ -27,7 +27,9 @@ var hotAllocSprint = map[string]bool{
 // closures passed to the kernel's timer API (Kernel.At / Kernel.After
 // — every arming allocates the closure; recurring timers must use the
 // typed AtCall/AfterCall payload instead), fmt.Sprintf/Sprint/
-// Sprintln (which allocate the formatted string) and string
+// Sprintln (which allocate the formatted string), by-name
+// telemetry.Registry lookups (hot paths keep the pre-registered
+// handles: Counter.Inc, Gauge.Set, Histogram.Observe) and string
 // concatenation with a non-constant operand (which allocates the
 // joined string, unless it is the message of a panic). Genuinely cold
 // sites inside a marked file — panic messages on paths where the run
@@ -35,25 +37,12 @@ var hotAllocSprint = map[string]bool{
 // written reason.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "forbid per-call allocations in //rd:hotpath files\n\n" +
-		"Files marked //rd:hotpath are on the simulator's recurring dispatch path,\n" +
-		"which must be allocation-free in steady state (docs/PERFORMANCE.md). Closures\n" +
-		"handed to Kernel.At/After allocate per arming — recurring timers use the\n" +
-		"typed AtCall/AfterCall payload. fmt.Sprintf allocates per call — cold panic\n" +
-		"paths may waive it with //rdlint:allow hotalloc <reason>. telemetry.Registry\n" +
-		"methods look instruments up by name — hot paths use the pre-registered\n" +
-		"handles (Counter.Inc, Gauge.Set, Histogram.Observe), which are allocation-\n" +
-		"free and nil-safe. A string + with a non-constant operand allocates the joined\n" +
-		"string per evaluation — build it once where the operands become known; the\n" +
-		"message of a panic(...) is exempt.",
-	Run: runHotAlloc,
+	Doc:  "forbid per-call allocations in //rd:hotpath files",
+	Run:  runHotAlloc,
 }
 
-func runHotAlloc(pass *Pass) error {
+func runHotAlloc(pass *Pass) {
 	for _, f := range pass.Files {
-		if pass.SkipFile(f) {
-			continue
-		}
 		if !hasHotPathMarker(f) {
 			continue
 		}
@@ -64,7 +53,7 @@ func runHotAlloc(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if cat, ok := n.(*ast.BinaryExpr); ok && isStringConcat(pass, cat) {
 				for _, operand := range []ast.Expr{cat.X, cat.Y} {
-					if inner, ok := unparen(operand).(*ast.BinaryExpr); ok {
+					if inner, ok := ast.Unparen(operand).(*ast.BinaryExpr); ok {
 						quiet[inner] = true
 					}
 				}
@@ -89,12 +78,8 @@ func runHotAlloc(pass *Pass) error {
 				}
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok {
+			fn := pass.callee(call)
+			if fn == nil {
 				return true
 			}
 			if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && hotAllocSprint[fn.Name()] {
@@ -103,7 +88,7 @@ func runHotAlloc(pass *Pass) error {
 					fn.Name())
 				return true
 			}
-			if isKernelTimerMethod(fn) {
+			if (fn.Name() == "At" || fn.Name() == "After") && isMethodOf(fn, simPackage, "Kernel") {
 				for _, arg := range call.Args {
 					if _, isLit := arg.(*ast.FuncLit); isLit {
 						pass.Reportf(arg.Pos(),
@@ -117,7 +102,7 @@ func runHotAlloc(pass *Pass) error {
 					}
 				}
 			}
-			if isTelemetryRegistryMethod(fn) {
+			if isMethodOf(fn, telemetryPackage, "Registry") {
 				pass.Reportf(call.Pos(),
 					"telemetry.Registry.%s looks instruments up by name on a //rd:hotpath file; pre-register at wiring time and keep the handle (Counter.Inc / Histogram.Observe are the hot API)",
 					fn.Name())
@@ -125,7 +110,6 @@ func runHotAlloc(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // isStringConcat reports whether e is a + that yields a string at run
@@ -147,7 +131,7 @@ func isStringConcat(pass *Pass, e *ast.BinaryExpr) bool {
 // (obj.Method used as a value, not called): each evaluation allocates
 // a closure binding the receiver, exactly like a func literal.
 func isMethodValue(pass *Pass, arg ast.Expr) bool {
-	sel, ok := unparen(arg).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(arg).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -166,48 +150,4 @@ func hasHotPathMarker(f *ast.File) bool {
 		}
 	}
 	return false
-}
-
-// isTelemetryRegistryMethod reports whether fn is any method on
-// telemetry.Registry — the by-name (map lookup, possibly allocating)
-// half of the telemetry API. Handles returned at wiring time
-// (Counter.Inc, Gauge.Set, Histogram.Observe) are the hot-path API and
-// stay permitted.
-func isTelemetryRegistryMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Registry" && obj.Pkg() != nil && obj.Pkg().Path() == "repro/internal/telemetry"
-}
-
-// isKernelTimerMethod reports whether fn is sim.Kernel.At or
-// sim.Kernel.After — the closure-form timer API.
-func isKernelTimerMethod(fn *types.Func) bool {
-	if fn.Name() != "At" && fn.Name() != "After" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Kernel" && obj.Pkg() != nil && obj.Pkg().Path() == "repro/internal/sim"
 }

@@ -281,65 +281,50 @@ func goFilesIn(dir string) ([]string, error) {
 }
 
 // Patterns resolves command-line package patterns ("./...", "./x",
-// import paths) to import paths in deterministic order. The trailing
-// "/..." form walks the module tree, skipping testdata, hidden and
-// underscore directories.
+// "x/...", import paths) to import paths in deterministic order. The
+// trailing "..." form walks the tree below its root, skipping
+// testdata, hidden and underscore directories.
 func (l *Loader) Patterns(patterns []string) ([]string, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	seen := make(map[string]bool)
 	var out []string
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
 	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			paths, err := l.walkModule(l.ModuleDir)
-			if err != nil {
+		root, walk := strings.CutSuffix(pat, "...")
+		dir := l.dirForPattern(strings.TrimSuffix(root, "/"))
+		if dir == "" {
+			return nil, fmt.Errorf("cannot resolve pattern %q", pat)
+		}
+		paths := []string{l.importPath(dir)}
+		if walk {
+			var err error
+			if paths, err = l.walkModule(dir); err != nil {
 				return nil, err
 			}
-			for _, p := range paths {
-				add(p)
-			}
-		case strings.HasSuffix(pat, "/..."):
-			root := strings.TrimSuffix(pat, "/...")
-			dir := l.dirForPattern(root)
-			if dir == "" {
-				return nil, fmt.Errorf("cannot resolve pattern %q", pat)
-			}
-			paths, err := l.walkModule(dir)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range paths {
-				add(p)
-			}
-		default:
-			dir := l.dirForPattern(pat)
-			if dir == "" {
-				return nil, fmt.Errorf("cannot resolve package %q", pat)
-			}
-			rel, err := filepath.Rel(l.ModuleDir, dir)
-			if err != nil {
-				return nil, err
-			}
-			if rel == "." {
-				add(l.ModulePath)
-			} else {
-				add(l.ModulePath + "/" + filepath.ToSlash(rel))
+		}
+		for _, p := range paths {
+			if !seen[p] {
+				seen[p] = true
+				out = append(out, p)
 			}
 		}
 	}
 	return out, nil
 }
 
-// dirForPattern resolves "./x", "x" (relative to the module dir) or a
-// full import path to a directory.
+// importPath is the import path of a directory inside the module (dir
+// was built from ModuleDir, so Rel cannot fail).
+func (l *Loader) importPath(dir string) string {
+	rel, err := filepath.Rel(l.ModuleDir, dir)
+	if err != nil || rel == "." {
+		return l.ModulePath
+	}
+	return l.ModulePath + "/" + filepath.ToSlash(rel)
+}
+
+// dirForPattern resolves ".", "./x", "x" (relative to the module dir)
+// or a full import path to a directory.
 func (l *Loader) dirForPattern(pat string) string {
 	if d := l.dirFor(pat); d != "" {
 		return d
@@ -373,15 +358,7 @@ func (l *Loader) walkModule(root string) ([]string, error) {
 		if len(files) == 0 {
 			return nil
 		}
-		rel, err := filepath.Rel(l.ModuleDir, path)
-		if err != nil {
-			return err
-		}
-		if rel == "." {
-			out = append(out, l.ModulePath)
-		} else {
-			out = append(out, l.ModulePath+"/"+filepath.ToSlash(rel))
-		}
+		out = append(out, l.importPath(path))
 		return nil
 	})
 	sort.Strings(out)

@@ -36,21 +36,15 @@ import (
 //	//rdlint:ordered-ok <reason>
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc: "flag map iteration with order-visible effects in deterministic packages\n\n" +
-		"Map ranges in internal/{sim,sched,rm,core,policy,baseline,sweep} must be provably\n" +
-		"order-insensitive, rewritten over a sorted snapshot, or carry an explicit\n" +
-		"//rdlint:ordered-ok <reason> waiver.",
-	Run: runMapOrder,
+	Doc:  "flag map iteration with order-visible effects in deterministic packages",
+	Run:  runMapOrder,
 }
 
-func runMapOrder(pass *Pass) error {
+func runMapOrder(pass *Pass) {
 	if !InDeterministicPackage(pass.Pkg.Path()) {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
-		if pass.SkipFile(f) {
-			continue
-		}
 		next := nextStmtMap(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
@@ -74,7 +68,6 @@ func runMapOrder(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // nextStmtMap maps each statement to its next sibling inside the same
@@ -248,14 +241,7 @@ func (c *loopChecker) allowedStmt(s ast.Stmt, conds []ast.Expr) bool {
 		// delete(m, k) on the visited key: each key deleted at most
 		// once, independent of order.
 		call, ok := s.X.(*ast.CallExpr)
-		if !ok || len(call.Args) != 2 {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		if !ok || id.Name != "delete" {
-			return false
-		}
-		if b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); !ok || b.Name() != "delete" {
+		if !ok || len(call.Args) != 2 || !isBuiltinCall(c.pass, call, "delete") {
 			return false
 		}
 		return c.callFree(call.Args[0]) && c.callFree(call.Args[1]) && c.mentionsRangeVar(call.Args[1])
@@ -294,7 +280,7 @@ func (c *loopChecker) allowedAssign(s *ast.AssignStmt, conds []ast.Expr) bool {
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
 		// Commutative, associative accumulation (+, -, |, &, ^ over
 		// integers): any order yields the same aggregate.
-		return len(s.Lhs) == 1 && c.callFree(s.Lhs[0]) && !isFloatExpr(c.pass, s.Lhs[0])
+		return len(s.Lhs) == 1 && c.callFree(s.Lhs[0]) && !isFloatType(c.pass.TypesInfo.TypeOf(s.Lhs[0]))
 
 	case token.ASSIGN:
 		if len(s.Lhs) != len(s.Rhs) {
@@ -487,7 +473,7 @@ func isAppendCall(pass *Pass, e ast.Expr) bool {
 
 // isBuiltinCall reports whether call is a call of the named builtin.
 func isBuiltinCall(pass *Pass, call *ast.CallExpr, name string) bool {
-	id, ok := unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -505,13 +491,4 @@ func isConstExpr(e ast.Expr) bool {
 		return isConstExpr(e.X)
 	}
 	return false
-}
-
-func isFloatExpr(pass *Pass, e ast.Expr) bool {
-	t := pass.TypesInfo.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }

@@ -5,7 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -19,29 +19,17 @@ const FaultStreamBase = 16
 // simPackage is where SplitSeed lives.
 const simPackage = "repro/internal/sim"
 
-// StreamUse records one SplitSeed derivation with a constant stream
-// ID: the value, the named constant that identifies the substream's
-// purpose, and where. It travels as part of StreamsFact.
-type StreamUse struct {
-	// Value is the stream number.
-	Value uint64
-	// Const is the qualified name of the stream constant
+// streamUse records one SplitSeed derivation with a constant stream
+// ID.
+type streamUse struct {
+	value uint64
+	// name is the qualified name of the stream constant
 	// ("repro/internal/sweep.streamStress"). Two uses of the same
 	// constant share a purpose; two constants sharing a value is the
-	// collision the fleet pass reports.
-	Const string
-	// Pos is where the derivation is spelled; Finish reports there.
-	Pos token.Pos
+	// collision reportStreamCollisions reports.
+	name string
+	pos  token.Pos
 }
-
-// StreamsFact is rngstream's per-package summary: every constant
-// SplitSeed stream the package derives.
-type StreamsFact struct {
-	Streams []StreamUse
-}
-
-// AFact marks StreamsFact as a fact.
-func (*StreamsFact) AFact() {}
 
 // RngStream enforces the substream discipline around sim.SplitSeed,
 // the mechanism that lets one run seed drive several decorrelated
@@ -60,32 +48,25 @@ func (*StreamsFact) AFact() {}
 //     injector-band shape `fault.StreamBase + <index>`; anything else
 //     (a stream computed from data, a reused loop variable) is
 //     reported — a dynamic stream ID cannot be collision-checked.
-//  4. Fleet-wide (the Finish pass over every package's StreamsFact):
-//     two distinct named constants resolving to the same stream value
-//     collide, and both sites are reported. Same-seed decorrelation
-//     only holds while every purpose owns a distinct stream.
+//  4. Over the whole run (reportStreamCollisions, after the last
+//     package): two distinct named constants resolving to the same
+//     stream value collide, and both sites are reported. Same-seed
+//     decorrelation only holds while every purpose owns a distinct
+//     stream.
 var RngStream = &Analyzer{
 	Name: "rngstream",
-	Doc: "enforce distinct, named, compile-time sim.SplitSeed substream IDs fleet-wide\n\n" +
-		"Every SplitSeed derivation must use a named stream constant below\n" +
-		"fault.StreamBase (16); the injector band uses StreamBase+i. Distinct constants\n" +
-		"sharing a value are reported at every site, across packages.",
-	Run:    runRngStream,
-	Finish: finishRngStream,
+	Doc:  "enforce distinct, named, compile-time sim.SplitSeed substream IDs fleet-wide",
+	Run:  runRngStream,
 }
 
-func runRngStream(pass *Pass) error {
-	var fact StreamsFact
+func runRngStream(pass *Pass) {
 	for _, f := range pass.Files {
-		if pass.SkipFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) != 2 {
 				return true
 			}
-			if !isSplitSeedCall(pass, call) {
+			if fn := pass.callee(call); fn == nil || fn.Name() != "SplitSeed" || fn.Pkg() == nil || fn.Pkg().Path() != simPackage {
 				return true
 			}
 			arg := call.Args[1]
@@ -119,80 +100,35 @@ func runRngStream(pass *Pass) error {
 					name, v, FaultStreamBase, FaultStreamBase)
 				return true
 			}
-			fact.Streams = append(fact.Streams, StreamUse{Value: v, Const: name, Pos: arg.Pos()})
+			pass.run.streams = append(pass.run.streams, streamUse{value: v, name: name, pos: arg.Pos()})
 			return true
 		})
 	}
-	if len(fact.Streams) > 0 {
-		pass.ExportPackageFact(&fact)
-	}
-	return nil
 }
 
-// finishRngStream is the fleet pass: with every package's stream table
-// in hand, report value collisions between distinct named constants.
-func finishRngStream(fp *FleetPass) error {
-	type identity struct {
-		name  string
-		first StreamUse
+// reportStreamCollisions runs once, with every package's streams in
+// the table: each value claimed by two or more distinct named
+// constants is reported at the first site of every claimant, in
+// whichever package that lies.
+func (r *run) reportStreamCollisions() {
+	claimants := make(map[uint64][]string) // value -> the distinct constants spelling it
+	var firsts []streamUse                 // each constant's first use, in visiting order
+	for _, use := range r.streams {
+		if !slices.Contains(claimants[use.value], use.name) {
+			claimants[use.value] = append(claimants[use.value], use.name)
+			firsts = append(firsts, use)
+		}
 	}
-	byValue := make(map[uint64][]identity)
-	for _, pf := range fp.PackageFacts() {
-		sf, ok := pf.Fact.(*StreamsFact)
-		if !ok {
+	for _, use := range firsts {
+		names := claimants[use.value]
+		if len(names) < 2 {
 			continue
 		}
-		for _, use := range sf.Streams {
-			ids := byValue[use.Value]
-			found := false
-			for _, id := range ids {
-				if id.name == use.Const {
-					found = true
-					break
-				}
-			}
-			if !found {
-				byValue[use.Value] = append(ids, identity{name: use.Const, first: use})
-			}
-		}
+		slices.Sort(names)
+		r.reportf(RngStream.Name, use.pos,
+			"SplitSeed stream %d is claimed by %d distinct constants (%s); same-seed substreams decorrelate only when every purpose owns a distinct stream ID — renumber one",
+			use.value, len(names), strings.Join(names, ", "))
 	}
-	values := make([]uint64, 0, len(byValue))
-	for v := range byValue {
-		values = append(values, v)
-	}
-	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
-	for _, v := range values {
-		ids := byValue[v]
-		if len(ids) < 2 {
-			continue
-		}
-		names := make([]string, len(ids))
-		for i, id := range ids {
-			names[i] = id.name
-		}
-		sort.Strings(names)
-		for _, id := range ids {
-			fp.Reportf(id.first.Pos,
-				"SplitSeed stream %d is claimed by %d distinct constants (%s); same-seed substreams decorrelate only when every purpose owns a distinct stream ID — renumber one",
-				v, len(ids), strings.Join(names, ", "))
-		}
-	}
-	return nil
-}
-
-// isSplitSeedCall reports whether call invokes sim.SplitSeed.
-func isSplitSeedCall(pass *Pass, call *ast.CallExpr) bool {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-	return ok && fn.Name() == "SplitSeed" && fn.Pkg() != nil && fn.Pkg().Path() == simPackage
 }
 
 // streamConstName returns the qualified name of the named constant the

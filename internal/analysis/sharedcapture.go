@@ -16,13 +16,8 @@ import (
 // on goroutine scheduling.
 var SharedCapture = &Analyzer{
 	Name: "sharedcapture",
-	Doc: "forbid goroutine closures writing captured shared state in the sweep engine\n\n" +
-		"A `go func() { ... }` body in repro/internal/sweep may not assign to\n" +
-		"variables captured from the enclosing function. Per-index slice/map slots\n" +
-		"(out[i] = ...) are the sanctioned result path; counters belong in\n" +
-		"sync/atomic types or channels; aggregation belongs in Merge-capable\n" +
-		"accumulators applied after the workers join.",
-	Run: runSharedCapture,
+	Doc:  "forbid goroutine closures writing captured shared state in the sweep engine",
+	Run:  runSharedCapture,
 }
 
 // sharedCapturePackages lists the package subtrees where the rule
@@ -31,28 +26,22 @@ var SharedCapture = &Analyzer{
 // aggregated results.
 var sharedCapturePackages = []string{"repro/internal/sweep", "repro/internal/fleet"}
 
-func runSharedCapture(pass *Pass) error {
+func runSharedCapture(pass *Pass) {
 	if !underAny(pass.Pkg.Path(), sharedCapturePackages) {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
-		if pass.SkipFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			g, ok := n.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			lit, ok := unparen(g.Call.Fun).(*ast.FuncLit)
-			if !ok {
-				return true
+			if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
+				checkGoroutineWrites(pass, lit)
 			}
-			checkGoroutineWrites(pass, lit)
 			return true
 		})
 	}
-	return nil
 }
 
 // checkGoroutineWrites flags assignments inside lit whose target is a

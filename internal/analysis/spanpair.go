@@ -6,182 +6,26 @@ import (
 	"go/types"
 )
 
-// SpanPair enforces telemetry span begin/end pairing: the SpanID
-// returned by (*telemetry.Spans).Begin must be kept and reach an End
-// call (or escape to a caller who can end it); a deferred End may not
-// close a span begun inside a loop. Complete and Instant record
-// already-closed spans and need no pairing.
+// telemetryPackage is where Spans and the instrument Registry live.
+const telemetryPackage = "repro/internal/telemetry"
+
+// SpanPair audits the targets of causal span links. Spans are recorded
+// closed (Complete, Instant), so a link is the only way two of them
+// pair up; the analyzer keeps the name waivers spell.
 var SpanPair = &Analyzer{
 	Name: "spanpair",
-	Doc: "enforce telemetry Span begin/end pairing, defer discipline, and link hygiene\n\n" +
-		"A span begun with Spans.Begin and never ended renders as an unterminated\n" +
-		"bar in the Perfetto export and skews duration rollups. The Begin result\n" +
-		"must be kept and either passed to Spans.End in the same function or handed\n" +
-		"off (returned, stored, passed on). A deferred End inside a loop runs only\n" +
-		"at function exit, ending every iteration's span at the same instant.\n\n" +
-		"Spans.SetLink records a causal edge, so its target must be a SpanID the\n" +
-		"span API actually produced (Begin/Complete/Instant/FindLast, or a value\n" +
-		"handed in from elsewhere). A constant target, or a local that only ever\n" +
-		"holds constants, records an edge to a span that was never begun — the\n" +
-		"stitcher silently drops it and the causal chain breaks.",
-	Run: runSpanPair,
+	Doc:  "require telemetry Spans.SetLink targets to be span IDs the span API produced",
+	Run:  runSpanPair,
 }
 
-func runSpanPair(pass *Pass) error {
+func runSpanPair(pass *Pass) {
 	for _, f := range pass.Files {
-		if pass.SkipFile(f) {
-			continue
-		}
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkSpanPairs(pass, fd.Body)
-			checkSpanLinks(pass, fd.Body)
-		}
-	}
-	return nil
-}
-
-// spansMethodCall reports whether call invokes the named method on
-// *telemetry.Spans.
-func spansMethodCall(pass *Pass, call *ast.CallExpr, method string) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Name() != method {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	rt := sig.Recv().Type()
-	if p, ok := rt.(*types.Pointer); ok {
-		rt = p.Elem()
-	}
-	named, ok := rt.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
-	}
-	return named.Obj().Pkg().Path() == "repro/internal/telemetry" && named.Obj().Name() == "Spans"
-}
-
-func checkSpanPairs(pass *Pass, body *ast.BlockStmt) {
-	// Classify every Begin call by the statement form it appears in:
-	// discarded (ExprStmt or blank assign), kept in a local var, or
-	// embedded in a larger expression (treated as handed off).
-	kept := map[*types.Var]ast.Expr{} // span var -> Begin call (report anchor)
-
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok && spansMethodCall(pass, call, "Begin") {
-				pass.Reportf(call.Pos(),
-					"result of Spans.Begin is discarded; the span can never be ended — keep the SpanID or use Spans.Complete")
-			}
-		case *ast.AssignStmt:
-			if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-				return true
-			}
-			call, ok := s.Rhs[0].(*ast.CallExpr)
-			if !ok || !spansMethodCall(pass, call, "Begin") {
-				return true
-			}
-			id, ok := s.Lhs[0].(*ast.Ident)
-			if !ok {
-				return true // field/index target: stored, caller's problem
-			}
-			if id.Name == "_" {
-				pass.Reportf(call.Pos(),
-					"result of Spans.Begin is discarded; the span can never be ended — keep the SpanID or use Spans.Complete")
-				return true
-			}
-			if v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var); ok {
-				if _, dup := kept[v]; !dup {
-					kept[v] = call
-				}
-			}
-		}
-		return true
-	})
-
-	if len(kept) > 0 {
-		// A kept span var must be ended or escape. Uses as End's first
-		// argument end it; any other use outside the Begin statement
-		// itself (return, call argument, store, send) hands it off.
-		ended := map[*types.Var]bool{}
-		escaped := map[*types.Var]bool{}
-		ast.Inspect(body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if spansMethodCall(pass, call, "End") && len(call.Args) > 0 {
-				if id, ok := unparen(call.Args[0]).(*ast.Ident); ok {
-					if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok {
-						ended[v] = true
-					}
-				}
-				return true
-			}
-			for _, arg := range call.Args {
-				markSpanEscapes(pass, arg, kept, escaped)
-			}
-			return true
-		})
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.ReturnStmt:
-				for _, r := range s.Results {
-					markSpanEscapes(pass, r, kept, escaped)
-				}
-			case *ast.AssignStmt:
-				for _, r := range s.Rhs {
-					markSpanEscapes(pass, r, kept, escaped)
-				}
-			case *ast.CompositeLit:
-				for _, e := range s.Elts {
-					markSpanEscapes(pass, e, kept, escaped)
-				}
-			case *ast.SendStmt:
-				markSpanEscapes(pass, s.Value, kept, escaped)
-			}
-			return true
-		})
-		for v, begin := range kept {
-			if !ended[v] && !escaped[v] {
-				pass.Reportf(begin.Pos(),
-					"span %s is begun but never ended in this function and never escapes; pair Begin with End (defer works) or use Spans.Complete", v.Name())
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkSpanLinks(pass, fd.Body)
 			}
 		}
 	}
-
-	// Defer discipline: a deferred End lexically inside a loop does
-	// not run per iteration — it piles up until function exit.
-	var loops []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			loops = append(loops, n)
-		case *ast.DeferStmt:
-			d := n.(*ast.DeferStmt)
-			if !spansMethodCall(pass, d.Call, "End") {
-				return true
-			}
-			for _, l := range loops {
-				if d.Pos() > l.Pos() && d.End() <= l.End() {
-					pass.Reportf(d.Pos(),
-						"deferred Spans.End inside a loop runs only at function exit, ending every iteration's span at once; call End directly or hoist the span out of the loop")
-					break
-				}
-			}
-		}
-		return true
-	})
 }
 
 // checkSpanLinks audits every Spans.SetLink target in the function: a
@@ -197,7 +41,7 @@ func checkSpanLinks(pass *Pass, body *ast.BlockStmt) {
 	// taken — all exempt from the constant-only judgment.
 	exempt := map[*types.Var]bool{}
 	markExempt := func(e ast.Expr) {
-		if id, ok := unparen(e).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 			if v, ok := pass.TypesInfo.ObjectOf(id).(*types.Var); ok {
 				exempt[v] = true
 			}
@@ -239,13 +83,16 @@ func checkSpanLinks(pass *Pass, body *ast.BlockStmt) {
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !spansMethodCall(pass, call, "SetLink") || len(call.Args) != 3 {
+		if !ok || len(call.Args) != 3 {
 			return true
 		}
-		target := unparen(call.Args[2])
+		if fn := pass.callee(call); fn == nil || fn.Name() != "SetLink" || !isMethodOf(fn, telemetryPackage, "Spans") {
+			return true
+		}
+		target := ast.Unparen(call.Args[2])
 		if pass.TypesInfo.Types[target].Value != nil {
 			pass.Reportf(target.Pos(),
-				"SetLink target is a constant, not a span that was begun; link a SpanID from Begin/Complete/Instant/FindLast")
+				"SetLink target is a constant, not a span that was begun; link a SpanID from Complete/Instant/FindLast")
 			return true
 		}
 		id, ok := target.(*ast.Ident)
@@ -262,21 +109,7 @@ func checkSpanLinks(pass *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		pass.Reportf(target.Pos(),
-			"SetLink target %s never holds a span ID in this function; link a SpanID from Begin/Complete/Instant/FindLast", v.Name())
-		return true
-	})
-}
-
-// markSpanEscapes marks kept span vars referenced anywhere in e.
-func markSpanEscapes(pass *Pass, e ast.Expr, kept map[*types.Var]ast.Expr, escaped map[*types.Var]bool) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok {
-				if _, isKept := kept[v]; isKept {
-					escaped[v] = true
-				}
-			}
-		}
+			"SetLink target %s never holds a span ID in this function; link a SpanID from Complete/Instant/FindLast", v.Name())
 		return true
 	})
 }

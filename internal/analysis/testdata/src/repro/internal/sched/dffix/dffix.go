@@ -1,6 +1,7 @@
 // dffix holds detflow true positives inside a deterministic package:
-// host-derived values (imported through hostinfo's exported facts,
-// through a local second hop, and through a func value) flowing into
+// host-derived values (imported through hostinfo's function and method
+// summaries, through a local second hop, and through a func value)
+// flowing into
 // telemetry (instruments, spans, the event log) and trace sinks, plus a
 // direct host-state read.
 package dffix
@@ -23,7 +24,7 @@ func record(h *telemetry.Histogram, sp *telemetry.Spans) {
 }
 
 // uptime2 launders the host clock through a second hop: only
-// hostinfo.Uptime's exported summary says its result is tainted.
+// hostinfo.Uptime's summary says its result is tainted.
 func uptime2() int64 {
 	return hostinfo.Uptime() // want "host-derived"
 }
@@ -59,4 +60,13 @@ func viaMethodValue(h *telemetry.Histogram) {
 	f := c.now
 	v := f()
 	h.Observe(v) // want "flows into"
+}
+
+// viaImportedMethod crosses the package boundary through methods, on a
+// value receiver and on a pointer receiver.
+func viaImportedMethod(h *telemetry.Histogram, sp *telemetry.Spans) {
+	var host hostinfo.Host
+	boot := host.Boot() // want "host-derived"
+	h.Observe(boot)     // want "flows into"
+	host.Mark(sp, boot) // want "flows into"
 }

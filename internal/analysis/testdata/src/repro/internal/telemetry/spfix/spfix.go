@@ -1,28 +1,8 @@
-// spfix holds spanpair true positives: discarded Begin results, a
-// span that is neither ended nor handed off, a deferred End inside a
-// loop, and SetLink targets that never held a begun span.
+// spfix holds spanpair true positives: SetLink targets that never held
+// a recorded span.
 package spfix
 
 import "repro/internal/telemetry"
-
-func discarded(s *telemetry.Spans, at int64) {
-	s.Begin(at, "sched", "slice", 0, 0)     // want "discarded"
-	_ = s.Begin(at, "sched", "slice", 0, 0) // want "discarded"
-}
-
-func leaked(s *telemetry.Spans, at int64) {
-	id := s.Begin(at, "sched", "slice", 0, 0) // want "never ended"
-	if id == 0 {
-		return
-	}
-}
-
-func deferInLoop(s *telemetry.Spans, at int64) {
-	for i := int64(0); i < 3; i++ {
-		id := s.Begin(at+i, "sched", "slice", 0, 0)
-		defer s.End(id, at+i+1) // want "inside a loop"
-	}
-}
 
 func linkConstant(s *telemetry.Spans, at int64) {
 	id := s.Instant(at, "fleet", "place", 0, 0, "")

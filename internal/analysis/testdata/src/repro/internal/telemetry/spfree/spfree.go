@@ -1,41 +1,9 @@
-// spfree holds spanpair negatives: the deferred pair, the direct
-// pair (including inside a loop), hand-off by return and by struct
-// store, the pairing-free Complete/Instant forms, and SetLink targets
-// legitimately sourced from the span API, parameters and fields.
+// spfree holds spanpair negatives: the Complete/Instant recording
+// forms, and SetLink targets legitimately sourced from the span API,
+// parameters and fields.
 package spfree
 
 import "repro/internal/telemetry"
-
-func paired(s *telemetry.Spans, at int64) {
-	id := s.Begin(at, "sched", "slice", 0, 0)
-	defer s.End(id, at+1)
-}
-
-func direct(s *telemetry.Spans, at int64) {
-	id := s.Begin(at, "sched", "slice", 0, 0)
-	s.End(id, at+1)
-}
-
-func loopDirect(s *telemetry.Spans, at int64) {
-	for i := int64(0); i < 3; i++ {
-		id := s.Begin(at+i, "sched", "slice", 0, 0)
-		s.End(id, at+i+1)
-	}
-}
-
-func handedOff(s *telemetry.Spans, at int64) telemetry.SpanID {
-	id := s.Begin(at, "sched", "slice", 0, 0)
-	return id
-}
-
-type openRun struct {
-	span telemetry.SpanID
-}
-
-func stored(s *telemetry.Spans, at int64) *openRun {
-	id := s.Begin(at, "sched", "run", 0, 0)
-	return &openRun{span: id}
-}
 
 func closedForms(s *telemetry.Spans, at int64) {
 	s.Complete(at, at+1, "sched", "slice", 0, 0, "")

@@ -46,17 +46,8 @@ func (r *Registry) Lookup(name string) (any, bool) { return nil, false }
 type SpanID int64
 
 // Spans mirrors the live span log: detflow treats its recording
-// methods as sinks, and spanpair enforces Begin/End pairing on it.
+// methods as sinks, and spanpair audits SetLink targets on it.
 type Spans struct{ n int }
-
-// Begin opens a span and returns its ID.
-func (s *Spans) Begin(at int64, cat, name string, tsk int64, parent SpanID) SpanID {
-	s.n++
-	return SpanID(s.n)
-}
-
-// End closes a previously begun span.
-func (s *Spans) End(id SpanID, at int64) {}
 
 // Complete records an already-closed span.
 func (s *Spans) Complete(begin, end int64, cat, name string, tsk int64, parent SpanID, detail string) SpanID {

@@ -30,26 +30,21 @@ import (
 //     admission (trace, metrics, examples) may use floats freely.
 var TickUnits = &Analyzer{
 	Name: "tickunits",
-	Doc: "flag unit-laundering conversions between ticks, core cycles and floats\n\n" +
-		"Core-cycle values must cross into ticks.Ticks via ticks.FromCoreCycles;\n" +
-		"admission/grant arithmetic must stay in ticks.Frac, not float64.",
-	Run: runTickUnits,
+	Doc:  "flag unit-laundering conversions between ticks, core cycles and floats",
+	Run:  runTickUnits,
 }
 
-func runTickUnits(pass *Pass) error {
+func runTickUnits(pass *Pass) {
 	path := pass.Pkg.Path()
 	if path == TicksPackage {
-		return nil // the helpers themselves live here
+		return // the helpers themselves live here
 	}
 	deterministic := InDeterministicPackage(path)
 	admission := InAdmissionPackage(path)
 	if !deterministic && !admission {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
-		if pass.SkipFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) != 1 {
@@ -84,7 +79,6 @@ func runTickUnits(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // coreConstRef returns the name of a core-clock constant referenced
@@ -126,8 +120,3 @@ func isFloatType(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
 }
-
-// Analyzers is the full rdlint suite in reporting order: the v1
-// single-package syntax checks, then the v2 cross-package dataflow
-// analyzers (which export facts and run fleet-wide Finish passes).
-var Analyzers = []*Analyzer{MapOrder, WallClock, RawRand, TickUnits, HotAlloc, RngStream, DetFlow, SpanPair, SharedCapture}

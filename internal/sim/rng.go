@@ -83,33 +83,11 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Weibull samples a Weibull(shape k, scale lambda) variate.
-// Weibull is used by the switch-cost model because its median/mean
-// ratio is tunable through k, letting us calibrate simultaneously to
-// the paper's reported median and mean (§6.1).
-func (r *RNG) Weibull(k, lambda float64) float64 {
-	return weibullQuantile(r.Float64(), k, lambda)
-}
-
 // weibullQuantile is the Weibull inverse CDF at u in [0, 1):
-// lambda * (-ln(1-u))^(1/k).
+// lambda * (-ln(1-u))^(1/k). The switch-cost model draws from a
+// Weibull because its median/mean ratio is tunable through k, letting
+// us calibrate simultaneously to the paper's reported median and mean
+// (§6.1).
 func weibullQuantile(u, k, lambda float64) float64 {
 	return lambda * math.Pow(-math.Log1p(-u), 1/k)
-}
-
-// Exp samples an exponential variate with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	return -mean * math.Log1p(-r.Float64())
-}
-
-// Norm samples a normal variate via Box-Muller (one value per call;
-// the spare is discarded to keep the stream position predictable).
-func (r *RNG) Norm(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	u2 := r.Float64()
-	if u1 < 1e-300 {
-		u1 = 1e-300
-	}
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
 }

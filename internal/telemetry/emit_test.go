@@ -448,8 +448,7 @@ func syntheticLogs(spans, nodes int) (*Manifest, []*Manifest) {
 			at := ticks.Ticks(i) * 27000
 			task := int64(i%syntheticTasksPerNode + 1)
 			name := nm.Tasks[task-1].Name
-			period := set.Spans.Begin(at, "period", name, task, 0)
-			set.Spans.End(period, at+27000)
+			period := set.Spans.Complete(at, at+27000, "period", name, task, 0, "")
 			set.Spans.Complete(at+100, at+9000, "dispatch", name, task, period, "granted")
 			set.Spans.Complete(at+9500, at+20000, "dispatch", name, task, period, "")
 			if i%3 == 0 {

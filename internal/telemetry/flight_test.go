@@ -88,35 +88,34 @@ func TestSpansRingWrapMatchesModuloPlacement(t *testing.T) {
 
 func TestSpansRingGenerationCheck(t *testing.T) {
 	s := NewSpansRing(2)
-	old := s.Begin(1, "cat", "old", NoTask, 0)
+	old := s.Instant(1, "cat", "old", NoTask, 0, "")
 	s.Instant(2, "cat", "b", NoTask, 0, "")
 	s.Instant(3, "cat", "c", NoTask, 0, "") // evicts `old`
 
-	// End and SetLink on the evicted ID must be inert: the slot now
-	// holds a different span and may not be corrupted.
-	s.End(old, 99)
+	// SetLink on the evicted ID must be inert: the slot now holds a
+	// different span and may not be corrupted.
 	s.SetLink(old, CoordTag, 2)
 	for _, sp := range s.Export() {
 		if sp.ID == old {
 			t.Fatal("evicted span still resident")
 		}
-		if sp.End == 99 || sp.Link != 0 {
+		if sp.Link != 0 {
 			t.Fatalf("operation on evicted ID mutated successor: %+v", sp)
 		}
 	}
 
 	// A resident ID still works through the same slot arithmetic.
-	live := s.Begin(4, "cat", "live", NoTask, 0)
-	s.End(live, 50)
+	live := s.Complete(4, 50, "cat", "live", NoTask, 0, "")
+	s.SetLink(live, CoordTag, 2)
 	out := s.Export()
-	if got := out[len(out)-1]; got.ID != live || got.End != 50 {
-		t.Fatalf("resident End lost: %+v", got)
+	if got := out[len(out)-1]; got.ID != live || got.End != 50 || got.Link != 2 || got.LinkNode != CoordTag {
+		t.Fatalf("resident SetLink lost: %+v", got)
 	}
 }
 
 func TestSpansRingExportClearsDanglingRefs(t *testing.T) {
 	s := NewSpansRing(2)
-	parent := s.Begin(1, "cat", "parent", NoTask, 0)
+	parent := s.Instant(1, "cat", "parent", NoTask, 0, "")
 	s.Instant(2, "cat", "x", NoTask, 0, "")
 	child := s.Instant(3, "cat", "child", NoTask, parent, "") // parent evicted here
 	s.SetLink(child, 0, parent)                               // same-log link to an evicted span: dropped at SetLink or Export
@@ -147,8 +146,8 @@ func TestFindLast(t *testing.T) {
 // --- flight recorder ---
 
 // A Flight that owns its ring and one that fronts an unbounded log
-// dump the same bytes when fed the same records: End and SetLink reach
-// resident spans on both and are inert (ring) or below the dumped
+// dump the same bytes when fed the same records: SetLink reaches
+// resident spans on both and is inert (ring) or below the dumped
 // window (log) on evicted ones, and a Parent or same-log Link that
 // points below the window is cleared either way.
 func TestFlightFrontedLogDumpsLikeOwnRing(t *testing.T) {
@@ -168,10 +167,9 @@ func TestFlightFrontedLogDumpsLikeOwnRing(t *testing.T) {
 		// spans before this one: some resident, some long evicted.
 		parent := SpanID(i * 7 % (i + 1))
 		for _, s := range []*Spans{own.Ring(), log} {
-			id := s.Begin(ticksOf(i), "cat", "sp", int64(i), parent)
-			s.End(SpanID(i/2+1), ticksOf(50+i))
+			id := s.Complete(ticksOf(i), ticksOf(50+i), "cat", "sp", int64(i), parent, "")
 			s.SetLink(id, 0, SpanID(i/3+1))                       // same-log link, below the window as i grows
-			s.SetLink(SpanID(i*5%(i+1)+1), CoordTag, SpanID(i+1)) // cross-log link
+			s.SetLink(SpanID(i*5%(i+1)+1), CoordTag, SpanID(i+1)) // cross-log link, on IDs resident and long evicted
 		}
 		same(fmt.Sprintf("after record %d", i+1))
 	}
@@ -185,8 +183,8 @@ func TestFlightFrontedLogDumpsLikeOwnRing(t *testing.T) {
 		}
 	}
 	// The unbounded log itself keeps what the dump dropped.
-	if sp := log.slot(1); sp == nil || sp.End == sp.Begin {
-		t.Fatalf("span 1 of the full log lost its End: %+v", sp)
+	if sp := log.slot(1); sp == nil || sp.End != ticksOf(50) || sp.Link == 0 {
+		t.Fatalf("span 1 of the full log lost its End or its link: %+v", sp)
 	}
 	// Reset lets go of the log: a reused recorder owns its ring again.
 	own.Reset()
@@ -271,8 +269,7 @@ func ids(spans []Span) []SpanID {
 func TestFlightResetForgetsPreviousRun(t *testing.T) {
 	record := func(f *Flight, n int) {
 		for i := 0; i < n; i++ {
-			id := f.Ring().Begin(ticksOf(i), "admission", "sp", int64(i), 0)
-			f.Ring().End(id, ticksOf(i)+5)
+			f.Ring().Complete(ticksOf(i), ticksOf(i)+5, "admission", "sp", int64(i), 0, "")
 			f.Event(ticksOf(i), "kind", "detail")
 		}
 	}
@@ -281,7 +278,6 @@ func TestFlightResetForgetsPreviousRun(t *testing.T) {
 	stale := SpanID(f.Ring().Total())
 	f.Reset()
 
-	f.Ring().End(stale, 999)
 	f.Ring().SetLink(stale, CoordTag, 1)
 	if got := f.Ring().FindLast("admission"); got != 0 {
 		t.Fatalf("FindLast after Reset = %d, want 0", got)
@@ -334,7 +330,7 @@ func TestResidentReadsInPlaceUntilEviction(t *testing.T) {
 }
 
 // BenchmarkFlightRecord measures the always-on black-box hot path: a
-// span opened and closed in the flight ring plus one event record.
+// span recorded in the flight ring plus one event record.
 // This is what every node pays per dispatch with telemetry off, so it
 // must stay at 0 allocs/op (gated via BENCH_kernel.json).
 func BenchmarkFlightRecord(b *testing.B) {
@@ -343,8 +339,7 @@ func BenchmarkFlightRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := r.Begin(ticks.Ticks(i), "dispatch", "worker", 1, 0)
-		r.End(id, ticks.Ticks(i+1))
+		r.Complete(ticks.Ticks(i), ticks.Ticks(i+1), "dispatch", "worker", 1, 0, "")
 		f.Event(ticks.Ticks(i), "sched.dispatch", "granted")
 	}
 }
@@ -356,8 +351,7 @@ func TestFlightRecordAllocFree(t *testing.T) {
 	r := f.Ring()
 	var i int
 	allocs := testing.AllocsPerRun(1000, func() {
-		id := r.Begin(ticks.Ticks(i), "dispatch", "worker", 1, 0)
-		r.End(id, ticks.Ticks(i+1))
+		r.Complete(ticks.Ticks(i), ticks.Ticks(i+1), "dispatch", "worker", 1, 0, "")
 		f.Event(ticks.Ticks(i), "sched.dispatch", "granted")
 		i++
 	})

@@ -86,9 +86,9 @@ type Span struct {
 //
 // IDs are assigned sequentially from 1 regardless of retention mode,
 // so a ring's resident spans always carry a contiguous ID range
-// (FirstID..Total) and a slot's ID doubles as its generation: End and
-// SetLink on an evicted ID fail the ID-equality check and are inert,
-// the same idiom as the PR 4 event pool.
+// (FirstID..Total) and a slot's ID doubles as its generation: SetLink
+// on an evicted ID fails the ID-equality check and is inert, the same
+// idiom as the PR 4 event pool.
 type Spans struct {
 	spans []Span
 	total int64 // spans ever recorded; the next ID is total+1
@@ -114,7 +114,7 @@ func NewSpansRing(max int) *Spans {
 // Reset empties the log for the next run and keeps its storage and
 // mode. IDs start again at 1; until they are reassigned, every ID
 // the previous run handed out is above Total and fails slot's checks,
-// so End, SetLink and FindLast on it are inert.
+// so SetLink and FindLast on it are inert.
 func (s *Spans) Reset() {
 	s.spans = s.spans[:0]
 	s.total, s.head = 0, 0
@@ -174,28 +174,9 @@ func (s *Spans) slot(id SpanID) *Span {
 	return nil
 }
 
-// Begin opens a span at time at and returns its ID for the matching
-// End (and for child spans' parent links).
-func (s *Spans) Begin(at ticks.Ticks, cat, name string, tsk int64, parent SpanID) SpanID {
-	if s == nil {
-		return 0
-	}
-	id := SpanID(s.total + 1)
-	s.put(&Span{ID: id, Parent: parent, Cat: cat, Name: name, Task: tsk, Begin: at, End: at})
-	return id
-}
-
-// End closes an open span at time at. Zero, stale, and ring-evicted
-// IDs are no-ops.
-func (s *Spans) End(id SpanID, at ticks.Ticks) {
-	if sp := s.slot(id); sp != nil {
-		sp.End = at
-	}
-}
-
-// Complete records a span whose begin and end are both already known —
-// the common case for dispatch slices, which are recorded after the
-// fact.
+// Complete records a span from begin to end and returns its ID, for
+// child spans' parent links and for SetLink. Every span is recorded
+// closed: the simulator knows a decision's extent when it records it.
 func (s *Spans) Complete(begin, end ticks.Ticks, cat, name string, tsk int64, parent SpanID, detail string) SpanID {
 	if s == nil {
 		return 0

@@ -81,11 +81,11 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var sp *Spans
-	if id := sp.Begin(1, "c", "n", NoTask, 0); id != 0 {
-		t.Error("nil Spans.Begin must return SpanID 0")
+	if id := sp.Complete(1, 2, "c", "n", NoTask, 0, ""); id != 0 {
+		t.Error("nil Spans.Complete must return SpanID 0")
 	}
-	sp.End(1, 2)
 	sp.Instant(1, "c", "n", NoTask, 0, "")
+	sp.SetLink(1, CoordTag, 1)
 	sp.Reserve(100)
 	if sp.N() != 0 || sp.Export() != nil {
 		t.Error("nil Spans must stay empty")
@@ -266,20 +266,19 @@ func TestMergeGeometryMismatchPanics(t *testing.T) {
 
 func TestSpans(t *testing.T) {
 	sp := NewSpans()
-	period := sp.Begin(100, "period", "worker", 1, 0)
+	period := sp.Complete(100, 200, "period", "worker", 1, 0, "")
 	if period != 1 {
 		t.Fatalf("first span ID = %d, want 1", period)
 	}
 	dispatch := sp.Complete(110, 150, "dispatch", "worker", 1, period, "granted")
 	sp.Instant(120, "admission", "late", NoTask, 0, "rejected: cpu")
-	sp.End(period, 200)
 
 	if sp.N() != 3 {
 		t.Fatalf("N = %d, want 3", sp.N())
 	}
 	out := sp.Export()
 	if out[0].Begin != 100 || out[0].End != 200 {
-		t.Errorf("period span not closed by End: %+v", out[0])
+		t.Errorf("period span lost its bounds: %+v", out[0])
 	}
 	if out[1].Parent != period || out[1].ID != dispatch {
 		t.Errorf("dispatch parent link broken: %+v", out[1])
@@ -288,9 +287,14 @@ func TestSpans(t *testing.T) {
 		t.Errorf("instant span malformed: %+v", out[2])
 	}
 
-	// Stale/zero End IDs are no-ops, not panics.
-	sp.End(0, 999)
-	sp.End(99, 999)
+	// Zero and never-assigned SetLink IDs are no-ops, not panics.
+	sp.SetLink(0, CoordTag, 1)
+	sp.SetLink(99, CoordTag, 1)
+	for _, s := range sp.Export() {
+		if s.Link != 0 {
+			t.Errorf("SetLink on a zero or unassigned ID linked %+v", s)
+		}
+	}
 
 	n := 0
 	sp.All(func(Span) bool { n++; return n < 2 })
@@ -315,8 +319,7 @@ func sampleManifest() *Manifest {
 	set.Registry.Counter("fault.fired").Add(4)
 	set.Registry.Gauge("sched.queue.time_remaining").Set(5)
 	set.Registry.Histogram("sim.switch.cost", 5, 2).Observe(7)
-	set.Spans.Begin(0, "period", "worker", 1, 0)
-	set.Spans.End(1, 270_000)
+	set.Spans.Complete(0, 270_000, "period", "worker", 1, 0, "")
 	set.Spans.Complete(27, 54, "dispatch", "worker", 1, 1, "granted")
 	set.Spans.Instant(100, "admission", "worker", NoTask, 0, "accepted")
 

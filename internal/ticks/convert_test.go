@@ -1,9 +1,6 @@
 package ticks
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestUnitConstructors(t *testing.T) {
 	if FromMilliseconds(10) != 270_000 {
@@ -38,12 +35,6 @@ func TestFracRateAndValidation(t *testing.T) {
 	f := FracOf(27_000, 270_000)
 	if f.Rate().String() != "10.0%" {
 		t.Errorf("Rate().String() = %q", f.Rate().String())
-	}
-	if IsNaNRate(Rate(0.5)) {
-		t.Error("0.5 reported NaN")
-	}
-	if !IsNaNRate(Rate(math.NaN())) {
-		t.Error("NaN not detected")
 	}
 }
 

@@ -2,6 +2,7 @@ package ticks
 
 import (
 	"math"
+	"math/big"
 	"testing"
 )
 
@@ -13,8 +14,10 @@ import (
 // FuzzFracAdd checks the exact-fraction arithmetic that admission
 // control leans on. For any positive denominators: Add commutes and
 // returns lowest terms over a positive denominator. For admission
-// rates in [0,1] additionally: the identity, sign behaviour of Sub, and
-// agreement with float arithmetic to fixed-point tolerance.
+// rates in [0,1] additionally: the identity, (a+b)-b == a — exactly,
+// unless a sum fell back to Add's 1e12 grid, and then to within the
+// grid's resolution (Cmp is exact and no longer hides the difference) —
+// and agreement with float arithmetic to fixed-point tolerance.
 func FuzzFracAdd(f *testing.F) {
 	f.Add(int64(1), int64(3), int64(1), int64(2))
 	f.Add(int64(27_000), int64(270_000), int64(300_000), int64(900_000))
@@ -24,6 +27,7 @@ func FuzzFracAdd(f *testing.F) {
 	// and |MinInt64| is not an int64.
 	f.Add(int64(math.MinInt64), int64(1), int64(-1), int64(1))
 	f.Add(int64(math.MinInt64), int64(6), int64(math.MinInt64), int64(4))
+	f.Add(int64(1), int64(1<<31-1), int64(1), int64(1<<61-1)) // coprime: the sum lands on the grid
 	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64) {
 		if ad <= 0 || bd <= 0 {
 			t.Skip()
@@ -44,9 +48,12 @@ func FuzzFracAdd(f *testing.F) {
 		if z := a.Add(FracZero); z.Cmp(a.reduce()) != 0 {
 			t.Fatalf("a+0 = %v, want %v", z, a)
 		}
-		d := ab.Sub(b)
-		if d.Cmp(a.reduce()) != 0 {
-			t.Fatalf("(a+b)-b = %v, want %v", d, a)
+		if d := ab.Sub(b); d.Cmp(a) != 0 {
+			_, _, sumFits := crossSum(a.reduce(), b.reduce())
+			_, _, diffFits := crossSum(ab, Frac{-b.Num, b.Den}.reduce())
+			if diff := d.Float() - a.Float(); (sumFits && diffFits) || diff < -4e-12 || diff > 4e-12 {
+				t.Fatalf("(a+b)-b = %v, want %v (exact: %v)", d, a, sumFits && diffFits)
+			}
 		}
 		want := a.Float() + b.Float()
 		got := ab.Float()
@@ -108,6 +115,68 @@ func FuzzFracAddMatchesRef(f *testing.F) {
 			t.Fatalf("%v - %v = %v, reference %v", a, b, got, want)
 		}
 	})
+}
+
+// ratOf is f as a math/big rational, the reference Cmp is held to: it
+// shares no code with Frac. The zero value Frac{} is the zero fraction.
+func ratOf(f Frac) *big.Rat {
+	if f.Den == 0 {
+		return new(big.Rat)
+	}
+	return new(big.Rat).SetFrac(big.NewInt(f.Num), big.NewInt(f.Den))
+}
+
+// FuzzFracCmpMatchesBig holds Frac.Cmp — every admission decision — to
+// math/big over the whole int64 range: unreduced terms, MinInt64
+// numerators, the zero value, and cross products far past 64 bits.
+func FuzzFracCmpMatchesBig(f *testing.F) {
+	f.Add(int64(1), int64(3), int64(1), int64(2))
+	f.Add(int64(27_000), int64(270_000), int64(300_000), int64(3_000_000)) // equal, unreduced
+	f.Add(int64(-7), int64(12), int64(5), int64(18))
+	f.Add(int64(-7), int64(12), int64(-5), int64(18))
+	f.Add(int64(0), int64(0), int64(3), int64(4)) // Frac{}
+	f.Add(int64(0), int64(0), int64(0), int64(7))
+	f.Add(int64(9), int64(0), int64(-1), int64(7))                      // a zero denominator reads as zero whatever the numerator
+	f.Add(int64(1<<62-1), int64(1<<62), int64(1<<62-3), int64(1<<62-2)) // differ by 2^-123: far below the 1e12 grid
+	f.Add(int64(math.MinInt64), int64(1), int64(math.MinInt64), int64(2))
+	f.Add(int64(math.MinInt64), int64(math.MaxInt64), int64(-1), int64(1))
+	f.Add(int64(math.MaxInt64), int64(math.MaxInt64-1), int64(math.MaxInt64-1), int64(math.MaxInt64-2))
+	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64) {
+		if ad < 0 || bd < 0 {
+			t.Skip() // a Frac's denominator is never negative
+		}
+		a, b := Frac{an, ad}, Frac{bn, bd}
+		want := ratOf(a).Cmp(ratOf(b))
+		if got := a.Cmp(b); got != want {
+			t.Fatalf("%v Cmp %v = %d, math/big says %d", a, b, got, want)
+		}
+		if got := b.Cmp(a); got != -want {
+			t.Fatalf("%v Cmp %v = %d, math/big says %d", b, a, got, -want)
+		}
+		if got := a.LessOrEqual(b); got != (want <= 0) {
+			t.Fatalf("%v LessOrEqual %v = %v, math/big Cmp says %d", a, b, got, want)
+		}
+	})
+}
+
+// TestFracCmpBelowTheGrid is the regression case for Cmp going through
+// Sub: both cross products overflow an int64 and the two fractions
+// differ by 2^-123, which Add's 1e12 grid rounds to equality.
+func TestFracCmpBelowTheGrid(t *testing.T) {
+	a, b := Frac{1<<62 - 1, 1 << 62}, Frac{1<<62 - 3, 1<<62 - 2} // 1 - 1/2^62 > 1 - 1/(2^62-2)
+	if _, ok := mulOK(a.Num, b.Den); ok {
+		t.Fatal("the case no longer overflows an int64 cross product")
+	}
+	if d := a.Sub(b); d.Num != 0 {
+		t.Fatalf("a-b = %v: the grid now resolves this pair, pick a closer one", d)
+	}
+	want := ratOf(a).Cmp(ratOf(b))
+	if got := a.Cmp(b); got != want || got == 0 {
+		t.Fatalf("%v Cmp %v = %d, math/big says %d", a, b, got, want)
+	}
+	if a.LessOrEqual(b) || !b.LessOrEqual(a) {
+		t.Fatalf("LessOrEqual disagrees with Cmp on %v, %v", a, b)
+	}
 }
 
 // FuzzTickConversions checks microsecond/millisecond round trips.

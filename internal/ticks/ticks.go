@@ -12,6 +12,7 @@
 package ticks
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -313,35 +314,36 @@ func addOK(a, b int64) (int64, bool) {
 	return s, true
 }
 
-// Cmp compares f to g: -1 if f<g, 0 if equal, +1 if f>g.
+// Cmp compares f to g: -1 if f<g, 0 if equal, +1 if f>g. The answer
+// is exact for every pair: denominators are positive, so f ? g is
+// f.Num·g.Den ? g.Num·f.Den, and the two products are formed in 128
+// bits. Cmp never goes through Add, so no admission decision can pass
+// through Add's grid fallback. A zero denominator is the zero value
+// Frac{}, read as the zero fraction the way reduce reads it.
 func (f Frac) Cmp(g Frac) int {
-	// Fast path: with positive denominators and no overflow, compare
-	// cross-products directly and skip Sub's reduce/GCD work. Whenever
-	// this path applies, Sub's exact path would apply too (it reduces
-	// first, gaining headroom), so the answer is identical.
-	if f.Den > 0 && g.Den > 0 {
-		if a, ok1 := mulOK(f.Num, g.Den); ok1 {
-			if b, ok2 := mulOK(g.Num, f.Den); ok2 {
-				switch {
-				case a < b:
-					return -1
-				case a > b:
-					return 1
-				default:
-					return 0
-				}
-			}
-		}
+	fn, gn := f.Num, g.Num
+	if f.Den == 0 {
+		fn = 0
 	}
-	d := f.Sub(g)
-	switch {
-	case d.Num < 0:
-		return -1
-	case d.Num > 0:
-		return 1
-	default:
-		return 0
+	if g.Den == 0 {
+		gn = 0
 	}
+	if fn == 0 || gn == 0 || (fn < 0) != (gn < 0) {
+		// A zero side or opposite signs: the numerators decide alone.
+		return cmp.Compare(fn, gn)
+	}
+	// Same sign, neither zero: compare the magnitudes of the cross
+	// products, and mirror the answer for a negative pair.
+	ahi, alo := bits.Mul64(mag(fn), uint64(g.Den))
+	bhi, blo := bits.Mul64(mag(gn), uint64(f.Den))
+	c := cmp.Compare(ahi, bhi)
+	if c == 0 {
+		c = cmp.Compare(alo, blo)
+	}
+	if fn < 0 {
+		return -c
+	}
+	return c
 }
 
 // LessOrEqual reports whether f <= g.
@@ -361,7 +363,3 @@ var FracOne = Frac{1, 1}
 
 // FracPercent returns p% as a Frac, e.g. FracPercent(4) = 1/25.
 func FracPercent(p int64) Frac { return Frac{p, 100}.reduce() }
-
-// IsNaNRate reports whether a computed Rate is invalid. Used by
-// validation paths that accept externally supplied floats.
-func IsNaNRate(r Rate) bool { return math.IsNaN(float64(r)) }

@@ -88,20 +88,3 @@ func BusyLoopTask(name string) *task.Task {
 		}),
 	}
 }
-
-// CoolDown models the §5.3 cool-down task: quiescent until the
-// processor overheats, then a no-op loop at the percentage the
-// thermal situation demands.
-func CoolDown(percent int) *task.Task {
-	if percent <= 0 || percent > 90 {
-		percent = 30
-	}
-	return &task.Task{
-		Name: "cooldown",
-		List: task.UniformLevels(270_000, "NoOpLoop", percent),
-		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		}),
-		StartQuiescent: true,
-	}
-}

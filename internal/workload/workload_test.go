@@ -263,22 +263,6 @@ func TestBusyLoopTaskShape(t *testing.T) {
 	}
 }
 
-func TestCoolDownDefaults(t *testing.T) {
-	c := CoolDown(0)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !c.StartQuiescent {
-		t.Error("cool-down must start quiescent")
-	}
-	if c.List[0].Rate().Percent() != 30 {
-		t.Errorf("default percent = %v, want 30", c.List[0].Rate())
-	}
-	if CoolDown(50).List[0].Rate().Percent() != 50 {
-		t.Error("explicit percent ignored")
-	}
-}
-
 func TestQualityStrings(t *testing.T) {
 	for _, s := range []string{
 		MPEGStats{Decoded: 1}.QualityString(),
