@@ -50,11 +50,16 @@ loc:
 # table (against the formula it is built from), the rdtel/v2 codec
 # (reader and both writers against their encoding/json references),
 # the instrument registry (a reused one against one built new per
-# generation) and the Resource Manager (operation tapes against a
-# reference model that recomputes from scratch), plus the scenario
-# invariant sweep in internal/core (a regular test, fuzz-like in
-# spirit). -fuzz takes a regexp and refuses to run when it matches two
-# targets, so packages with several anchor theirs.
+# generation), the Resource Manager (operation tapes against a
+# reference model that recomputes from scratch) and the fleet
+# coordinator (submit / crash / restart / storm schedule tapes over 2–8
+# nodes: the conservation ledger holds and nothing depends on the
+# cluster worker count), plus the scenario invariant sweep in
+# internal/core (a regular test, fuzz-like in spirit). -fuzz takes a
+# regexp and refuses to run when it matches two targets, so packages
+# with several anchor theirs. A fleet execution is three cluster runs,
+# so its line caps the engine's minimisation of each new tape (60 s by
+# default, six smoke budgets) at one second.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzFracAdd$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz='^FuzzFracAddMatchesRef$$' -fuzztime=10s ./internal/ticks
@@ -67,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzWritePerfettoMatchesRef$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzRegistryReuse$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzManagerModel$$' -fuzztime=10s ./internal/rm
+	$(GO) test -run=NONE -fuzz='^FuzzFleetSchedule$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
 # Worker invariance over the whole matrix: the sweep engine's tests
@@ -99,7 +105,7 @@ telemetry-smoke:
 	$(TELEMETRY_RUN) -manifest tel-a.json > /dev/null
 	$(TELEMETRY_RUN) -manifest tel-b.json > /dev/null
 	cmp tel-a.json tel-b.json
-	$(GO) run ./cmd/rdtrace export -perfetto -validate -o tel-trace.json tel-a.json
+	$(GO) run ./cmd/rdtrace export -validate -o tel-trace.json tel-a.json
 	cmp tel-a.json internal/telemetry/testdata/settop-smoke.manifest.golden
 	cmp tel-trace.json internal/telemetry/testdata/settop-smoke.perfetto.golden
 	rm -f tel-a.json tel-b.json tel-trace.json
@@ -120,12 +126,12 @@ flight-smoke:
 	cmp flight-w4.json flight-w1.json
 	$(GO) run ./cmd/rdtrace stitch -o flight-stitched.json flight-nodes/*.manifest.json
 	cmp flight-w4.json flight-stitched.json
-	$(GO) run ./cmd/rdtrace export -perfetto -validate -o flight-trace.json flight-w4.json
+	$(GO) run ./cmd/rdtrace export -validate -o flight-trace.json flight-w4.json
 	rm -rf flight-w4.json flight-w1.json flight-stitched.json flight-trace.json flight-nodes
 
 telemetry-golden:
 	$(TELEMETRY_RUN) -manifest internal/telemetry/testdata/settop-smoke.manifest.golden > /dev/null
-	$(GO) run ./cmd/rdtrace export -perfetto -validate \
+	$(GO) run ./cmd/rdtrace export -validate \
 		-o internal/telemetry/testdata/settop-smoke.perfetto.golden \
 		internal/telemetry/testdata/settop-smoke.manifest.golden
 
@@ -134,12 +140,12 @@ telemetry-golden:
 # matrices; see BENCHMARK.json).
 bench:
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchmem $(BENCH_PKGS) | tee bench-latest.txt
-	$(GO) run ./cmd/rdperf parse -label current -out BENCH_kernel.json < bench-latest.txt
+	$(GO) run ./cmd/rdperf parse -out BENCH_kernel.json < bench-latest.txt
 	rm -f bench-latest.txt
 
 # Perf regression gate for CI: the steady-state 0-allocs/op
 # assertions run as regular tests, then a -benchtime=100x pass is
-# compared against the committed baseline with a ±15% tolerance.
+# compared against the committed baseline with rdperf's ±15% tolerance.
 # (100 iterations, not 1: one-shot setup allocations must amortize
 # the same way they do in the full `make bench` runs that produce
 # the baseline, or allocs/op reads high.)
@@ -147,14 +153,12 @@ bench:
 # build — single-iteration timings are far too noisy to gate on, so
 # ns/op drift is judged and printed report-only. After an intended
 # allocation change, refresh the baseline with `make bench` and
-# commit the new BENCH_kernel.json; to run the comparison without gating
-# (e.g. while iterating locally), use BENCH_GATE= (empty).
-BENCH_GATE ?= -gate
+# commit the new BENCH_kernel.json; a local run that only wants the
+# table ignores the exit status.
 bench-smoke:
 	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant ./internal/fleet ./internal/telemetry ./internal/workload
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchtime=100x -benchmem $(BENCH_PKGS) \
-		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json -section current \
-			-threshold 15 $(BENCH_GATE) -gate-units allocs/op,B/op
+		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json
 
 # Byte identity against a parent revision (scripts/identity.sh has the
 # artifact set): make identity PARENT=<rev>. A refactor that must not

@@ -125,17 +125,7 @@ func writeManifest(path string, ran []string) {
 	man.ConfigDigest = telemetry.ConfigDigest(ran)
 	man.Fill(benchTelemetry)
 	man.DeriveTotals()
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rdbench:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := man.WriteJSON(w); err != nil {
+	if err := telemetry.WriteFile(path, man.WriteJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "rdbench:", err)
 		os.Exit(1)
 	}

@@ -1,21 +1,19 @@
 // rdperf maintains the repository's committed layer-benchmark baseline
-// (BENCH_kernel.json) and compares fresh runs against it,
-// benchstat-style. It has two subcommands:
+// (BENCH_kernel.json) and gates fresh runs against it, benchstat-style.
+// It has two subcommands:
 //
-//	go test -run=NONE -bench . -benchmem ./... | rdperf parse -label current -out BENCH_kernel.json
-//	go test -run=NONE -bench . -benchmem ./... | rdperf compare -against BENCH_kernel.json -section current
+//	go test -run=NONE -bench . -benchmem ./... | rdperf parse -out BENCH_kernel.json
+//	go test -run=NONE -bench . -benchmem ./... | rdperf compare -against BENCH_kernel.json
 //
 // parse reads `go test -bench` text on stdin and records each
 // benchmark's metrics (ns/op, B/op, allocs/op, and any custom
-// b.ReportMetric units) under the named section of the output file.
-// compare prints a delta table against a committed section and flags
-// changes beyond the threshold; it is report-only by default (exit 0
-// regardless) so CI can surface drift without turning benchmark noise
-// into build failures — pass -gate (alias: -strict) to make
-// regressions beyond the threshold fatal (non-zero exit), and
-// -gate-units to restrict which units count toward that gate (CI
-// gates on the machine-independent allocs/op and B/op; timing units
-// are judged and printed but tagged report-only).
+// b.ReportMetric units) in the output file. compare prints a delta
+// table against the committed file, flags every change beyond ±15 %,
+// and exits non-zero when a machine-independent unit (allocs/op, B/op)
+// regressed by more; timing units on a shared runner are too noisy to
+// block a merge, so they are judged and printed but tagged
+// report-only. A local run that only wants the table ignores the exit
+// status.
 //
 // The BENCH file format:
 //
@@ -33,6 +31,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -54,16 +53,30 @@ type benchFile struct {
 	Sections map[string]section `json:"sections"`
 }
 
+// The one baseline section, the tolerance every comparison uses, and
+// the units whose regressions fail the build.
+const (
+	baseline  = "current"
+	threshold = 15.0
+)
+
+var gated = map[string]bool{"allocs/op": true, "B/op": true}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 	}
+	fs := flag.NewFlagSet("rdperf "+os.Args[1], flag.ExitOnError)
 	var err error
 	switch os.Args[1] {
 	case "parse":
-		err = cmdParse(os.Args[2:])
+		out := fs.String("out", "", "BENCH file to update (required)")
+		fs.Parse(os.Args[2:])
+		err = cmdParse(*out, fs.Args())
 	case "compare":
-		err = cmdCompare(os.Args[2:])
+		against := fs.String("against", "", "committed BENCH file to compare with (required)")
+		fs.Parse(os.Args[2:])
+		err = cmdCompare(*against, fs.Args())
 	default:
 		usage()
 	}
@@ -75,80 +88,45 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  rdperf parse   -label NAME -out FILE          < go-test-bench-output
-  rdperf compare -against FILE [-section NAME] [-threshold PCT] [-gate|-strict] [-gate-units U1,U2] < go-test-bench-output`)
+  rdperf parse   -out FILE      < go-test-bench-output
+  rdperf compare -against FILE  < go-test-bench-output`)
 	os.Exit(2)
 }
 
-// --- parse ---
-
-func cmdParse(args []string) error {
-	label, out, rest, err := labelOut(args)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("parse: unexpected arguments %v", rest)
+// readBench parses stdin for cmd, which needs a file name and takes no
+// positional arguments.
+func readBench(cmd, path string, rest []string) (section, error) {
+	if path == "" || len(rest) != 0 {
+		usage()
 	}
 	sec, err := parseBenchText(os.Stdin)
+	if err == nil && len(sec) == 0 {
+		err = fmt.Errorf("%s: no Benchmark lines on stdin", cmd)
+	}
+	return sec, err
+}
+
+// cmdParse merges the fresh run into the baseline section of the BENCH
+// file: new benchmarks are added, and benchmarks the run did not
+// exercise are kept, so a partial run does not erase history.
+func cmdParse(path string, rest []string) error {
+	sec, err := readBench("parse", path, rest)
 	if err != nil {
 		return err
 	}
-	if len(sec) == 0 {
-		return fmt.Errorf("parse: no Benchmark lines on stdin")
-	}
-	return updateSection(out, label, sec)
-}
-
-// labelOut parses parse's flags.
-func labelOut(args []string) (label, out string, rest []string, err error) {
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-label":
-			i++
-			if i == len(args) {
-				return "", "", nil, fmt.Errorf("-label needs a value")
-			}
-			label = args[i]
-		case "-out":
-			i++
-			if i == len(args) {
-				return "", "", nil, fmt.Errorf("-out needs a value")
-			}
-			out = args[i]
-		default:
-			rest = append(rest, args[i])
-		}
-	}
-	if label == "" || out == "" {
-		return "", "", nil, fmt.Errorf("-label and -out are required")
-	}
-	return label, out, rest, nil
-}
-
-// updateSection rewrites one section of a BENCH file, preserving the
-// others (new benchmarks in the fresh run are added; benchmarks the
-// fresh run did not exercise are kept so partial runs don't erase
-// history).
-func updateSection(path, label string, sec section) error {
-	bf := benchFile{Schema: "rdperf/v1", Sections: map[string]section{}}
+	bf := benchFile{Sections: map[string]section{}}
 	if raw, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(raw, &bf); err != nil {
 			return fmt.Errorf("%s: %v", path, err)
 		}
-		if bf.Sections == nil {
-			bf.Sections = map[string]section{}
-		}
 	} else if !os.IsNotExist(err) {
 		return err
 	}
-	dst := bf.Sections[label]
-	if dst == nil {
-		dst = section{}
-		bf.Sections[label] = dst
+	if bf.Sections[baseline] == nil {
+		bf.Sections = map[string]section{baseline: {}}
 	}
 	for name, m := range sec {
-		dst[name] = m
+		bf.Sections[baseline][name] = m
 	}
 	bf.Schema = "rdperf/v1"
 	blob, err := json.MarshalIndent(&bf, "", "  ")
@@ -158,61 +136,10 @@ func updateSection(path, label string, sec section) error {
 	return os.WriteFile(path, append(blob, '\n'), 0o644)
 }
 
-// --- compare ---
-
-func cmdCompare(args []string) error {
-	against, sectionName, threshold := "", "current", 10.0
-	gate := false
-	var gateUnits map[string]bool
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "-gate-units":
-			// Restrict which units count toward the gate: timings on
-			// shared CI runners are too noisy to block merges, but
-			// allocs/op and B/op are machine-independent and gate
-			// reliably. Units outside the set are still reported.
-			i++
-			if i == len(args) {
-				return fmt.Errorf("-gate-units needs a comma-separated list")
-			}
-			gateUnits = map[string]bool{}
-			for _, u := range strings.Split(args[i], ",") {
-				if u = strings.TrimSpace(u); u != "" {
-					gateUnits[u] = true
-				}
-			}
-		case "-against":
-			i++
-			if i == len(args) {
-				return fmt.Errorf("-against needs a value")
-			}
-			against = args[i]
-		case "-section":
-			i++
-			if i == len(args) {
-				return fmt.Errorf("-section needs a value")
-			}
-			sectionName = args[i]
-		case "-threshold":
-			i++
-			if i == len(args) {
-				return fmt.Errorf("-threshold needs a value")
-			}
-			v, err := strconv.ParseFloat(args[i], 64)
-			if err != nil || v <= 0 {
-				return fmt.Errorf("bad -threshold %q", args[i])
-			}
-			threshold = v
-		case "-gate", "-strict":
-			// -strict is the CI-facing alias: exit non-zero on any
-			// regression beyond the threshold (default ±10%).
-			gate = true
-		default:
-			return fmt.Errorf("compare: unknown argument %q", args[i])
-		}
-	}
-	if against == "" {
-		return fmt.Errorf("-against is required")
+func cmdCompare(against string, rest []string) error {
+	fresh, err := readBench("compare", against, rest)
+	if err != nil {
+		return err
 	}
 	raw, err := os.ReadFile(against)
 	if err != nil {
@@ -222,20 +149,11 @@ func cmdCompare(args []string) error {
 	if err := json.Unmarshal(raw, &bf); err != nil {
 		return fmt.Errorf("%s: %v", against, err)
 	}
-	base := bf.Sections[sectionName]
+	base := bf.Sections[baseline]
 	if base == nil {
-		return fmt.Errorf("%s has no section %q", against, sectionName)
+		return fmt.Errorf("%s has no section %q", against, baseline)
 	}
-	fresh, err := parseBenchText(os.Stdin)
-	if err != nil {
-		return err
-	}
-	if len(fresh) == 0 {
-		return fmt.Errorf("compare: no Benchmark lines on stdin")
-	}
-
-	regressions := report(os.Stdout, base, fresh, threshold, gateUnits)
-	if gate && regressions > 0 {
+	if regressions := report(os.Stdout, base, fresh); regressions > 0 {
 		return fmt.Errorf("%d regression(s) beyond %.0f%%", regressions, threshold)
 	}
 	return nil
@@ -251,13 +169,12 @@ func lowerIsBetter(unit string) bool {
 }
 
 // report prints the delta table and returns the number of regressions
-// beyond the threshold. Units where both sides are zero (the pinned
-// 0 allocs/op rows) count as unchanged; a zero baseline with a
-// non-zero fresh value is an automatic regression for
-// lower-is-better units. A non-nil gateUnits set restricts which
-// units count toward the returned total: the rest are still judged
-// and printed, tagged "(report-only)".
-func report(w io.Writer, base section, fresh section, threshold float64, gateUnits map[string]bool) int {
+// beyond the threshold in gated units. Units where both sides are zero
+// (the pinned 0 allocs/op rows) count as unchanged; a zero baseline
+// with a non-zero fresh value is an automatic regression for
+// lower-is-better units. Every other unit is still judged and printed,
+// tagged "(report-only)".
+func report(w io.Writer, base, fresh section) int {
 	names := make([]string, 0, len(fresh))
 	for name := range fresh {
 		if _, ok := base[name]; ok {
@@ -287,9 +204,9 @@ func report(w io.Writer, base section, fresh section, threshold float64, gateUni
 		sort.Strings(units)
 		for _, u := range units {
 			old, now := base[name][u], fresh[name][u]
-			verdict, delta := judge(old, now, u, threshold)
+			verdict, delta := judge(old, now, u)
 			if verdict == "REGRESSION" {
-				if gateUnits == nil || gateUnits[u] {
+				if gated[u] {
 					regressions++
 				} else {
 					verdict = "REGRESSION (report-only)"
@@ -307,7 +224,7 @@ func report(w io.Writer, base section, fresh section, threshold float64, gateUni
 }
 
 // judge classifies one (old, new) pair and renders the delta column.
-func judge(old, now float64, unit string, threshold float64) (verdict, delta string) {
+func judge(old, now float64, unit string) (verdict, delta string) {
 	if old == 0 && now == 0 {
 		return "", "0%"
 	}

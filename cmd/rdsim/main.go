@@ -120,16 +120,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		w := os.Stdout
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := rec.WriteJSON(w); err != nil {
+		if err := telemetry.WriteFile(*jsonOut, rec.WriteJSON); err != nil {
 			fatal(err)
 		}
 		if *jsonOut != "-" {
@@ -155,16 +146,7 @@ func main() {
 		}
 		man.Fill(tel)
 		man.DeriveTotals()
-		w := os.Stdout
-		if *manifestOut != "-" {
-			f, err := os.Create(*manifestOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		if err := man.WriteJSON(w); err != nil {
+		if err := telemetry.WriteFile(*manifestOut, man.WriteJSON); err != nil {
 			fatal(err)
 		}
 		if *manifestOut != "-" {

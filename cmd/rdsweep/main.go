@@ -35,7 +35,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,6 +43,7 @@ import (
 	"strings"
 
 	"repro/internal/sweep"
+	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
 
@@ -150,7 +150,7 @@ func run() int {
 		fmt.Print(res.Table())
 	}
 	if *jsonPath != "" {
-		if err := writeFile(*jsonPath, res.WriteJSON); err != nil {
+		if err := telemetry.WriteFile(*jsonPath, res.WriteJSON); err != nil {
 			return fail(err)
 		}
 	}
@@ -209,7 +209,7 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 	if err != nil {
 		return err
 	}
-	if err := writeFile(path, cluster.WriteJSON); err != nil {
+	if err := telemetry.WriteFile(path, cluster.WriteJSON); err != nil {
 		return err
 	}
 	if nodeDir == "" {
@@ -222,7 +222,7 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 	if err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(nodeDir, "coord.manifest.json"), coord.WriteJSON); err != nil {
+	if err := telemetry.WriteFile(filepath.Join(nodeDir, "coord.manifest.json"), coord.WriteJSON); err != nil {
 		return err
 	}
 	for i := 0; i < c.NodeCount(); i++ {
@@ -231,7 +231,7 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 			return err
 		}
 		name := fmt.Sprintf("node%03d.manifest.json", i)
-		if err := writeFile(filepath.Join(nodeDir, name), nm.WriteJSON); err != nil {
+		if err := telemetry.WriteFile(filepath.Join(nodeDir, name), nm.WriteJSON); err != nil {
 			return err
 		}
 	}
@@ -252,23 +252,6 @@ func singleValue(name string, vals []string, fallback string) (string, error) {
 	default:
 		return "", fmt.Errorf("-cluster-manifest needs exactly one value for -%s, got %d", name, len(vals))
 	}
-}
-
-// writeFile hands write the file at path ('-' is stdout) and reports
-// the Close error of a file it created.
-func writeFile(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func splitOrAll(s string) []string {

@@ -17,7 +17,7 @@
 // cross-node causal link:
 //
 //	rdsim -scenario settop -manifest run.json
-//	rdtrace export -perfetto -o trace.pftrace.json run.json
+//	rdtrace export -o trace.pftrace.json run.json
 //
 // Stitch mode joins the coordinator and per-node manifests a fleet run
 // wrote (rdsweep -cluster-manifest ... -node-manifests dir/) into one
@@ -64,7 +64,7 @@ func main() {
 	}
 	if len(os.Args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: rdtrace <trace.json | ->")
-		fmt.Fprintln(os.Stderr, "       rdtrace export -perfetto [-validate] [-o out.json] <manifest.json | ->")
+		fmt.Fprintln(os.Stderr, "       rdtrace export [-validate] [-o out.json] <manifest.json | ->")
 		fmt.Fprintln(os.Stderr, "       rdtrace stitch [-o out.json] <coord+node manifests...>")
 		fmt.Fprintln(os.Stderr, "       rdtrace query [-task T] [-node N|coord] [-cat C] [-chain] <manifest.json | ->")
 		os.Exit(2)
@@ -88,34 +88,17 @@ func main() {
 		e.Summary.VolSwitches, e.Summary.InvolSwitches, e.Summary.SwitchTicks)
 }
 
-// export converts a run manifest to an external trace format.
+// export converts a run manifest to Chrome trace-event JSON.
 func export(args []string) {
 	fs := flag.NewFlagSet("rdtrace export", flag.ExitOnError)
-	perfetto := fs.Bool("perfetto", false, "emit Chrome trace-event JSON (Perfetto / chrome://tracing)")
 	out := fs.String("o", "-", "output file ('-' for stdout)")
 	validate := fs.Bool("validate", false, "structurally validate the export before writing it")
 	_ = fs.Parse(args)
-	if !*perfetto {
-		fmt.Fprintln(os.Stderr, "rdtrace export: specify a format (-perfetto)")
-		os.Exit(2)
-	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: rdtrace export -perfetto [-validate] [-o out.json] <manifest.json | ->")
+		fmt.Fprintln(os.Stderr, "usage: rdtrace export [-validate] [-o out.json] <manifest.json | ->")
 		os.Exit(2)
 	}
-	in := os.Stdin
-	if fs.Arg(0) != "-" {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	man, err := telemetry.ReadManifest(in)
-	if err != nil {
-		fatal(err)
-	}
+	man := readManifestFile(fs.Arg(0))
 	write := func(w io.Writer) error { return telemetry.WritePerfetto(w, man) }
 	if *validate {
 		// Validation needs the whole export; only then is it held in
@@ -132,7 +115,7 @@ func export(args []string) {
 			return err
 		}
 	}
-	if err := writeFile(*out, write); err != nil {
+	if err := telemetry.WriteFile(*out, write); err != nil {
 		fatal(err)
 	}
 }
@@ -186,7 +169,7 @@ func stitch(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if err := writeFile(*out, cluster.WriteJSON); err != nil {
+	if err := telemetry.WriteFile(*out, cluster.WriteJSON); err != nil {
 		fatal(err)
 	}
 }
@@ -300,24 +283,6 @@ func readManifestFile(path string) *telemetry.Manifest {
 		fatal(fmt.Errorf("%s: %v", path, err))
 	}
 	return m
-}
-
-// writeFile hands write the file at path ('-' is stdout) and reports
-// the Close error of a file it created, so a truncated artifact never
-// exits 0.
-func writeFile(path string, write func(io.Writer) error) error {
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

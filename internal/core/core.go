@@ -113,7 +113,6 @@ func New(cfg Config) *Distributor {
 		OverrideWindow: cfg.OverrideWindow,
 		GracePeriod:    cfg.GracePeriod,
 		SporadicSlice:  cfg.SporadicSlice,
-		RemoveOnExit:   true,
 		Telemetry:      cfg.Telemetry,
 	})
 	m.SetHooks(s)

@@ -151,14 +151,14 @@ func BenchmarkFleetEpoch(b *testing.B) {
 			// the checker's per-task records and the telemetry
 			// instruments are set-up, not epoch work.
 			for i := 0; i < 20; i++ {
-				c.now += c.cfg.Epoch
+				c.now += epoch
 				c.advanceAll(c.now)
 				c.barrier(c.now)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.now += c.cfg.Epoch
+				c.now += epoch
 				c.advanceAll(c.now)
 				c.barrier(c.now)
 			}

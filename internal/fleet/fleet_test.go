@@ -432,8 +432,8 @@ func TestConfigAndSubmitValidation(t *testing.T) {
 	if _, err := fleet.New(fleet.Config{Nodes: 0}); err == nil {
 		t.Error("New accepted a zero-node fleet")
 	}
-	if _, err := fleet.New(fleet.Config{Nodes: 2, Epoch: -1}); err == nil {
-		t.Error("New accepted a negative epoch")
+	if _, err := fleet.New(fleet.Config{Nodes: 2, MigrationCost: -1}); err == nil {
+		t.Error("New accepted a negative migration cost")
 	}
 	c := mustNew(t, fleet.Config{Nodes: 1, Seed: 1})
 	bad := []fleet.Admission{

@@ -34,7 +34,7 @@ func (c *Cluster) configDigest() string {
 	return telemetry.ConfigDigest(digestConfig{
 		Nodes:                   c.cfg.Nodes,
 		Seed:                    c.cfg.Seed,
-		Epoch:                   c.cfg.Epoch,
+		Epoch:                   epoch,
 		Placement:               c.cfg.Placement.String(),
 		Retry:                   c.cfg.Retry,
 		MigrationCost:           c.cfg.MigrationCost,

@@ -67,7 +67,7 @@ func TestPlacementOrderMatchesStableSort(t *testing.T) {
 		case step%211 == 0:
 			// The result may not depend on the order the repair starts
 			// from.
-			rng.Shuffle(len(c.mem.order), func(i, j int) { c.mem.order[i], c.mem.order[j] = c.mem.order[j], c.mem.order[i] })
+			rng.Shuffle(len(c.scan.order), func(i, j int) { c.scan.order[i], c.scan.order[j] = c.scan.order[j], c.scan.order[i] })
 		}
 		want := stableOrder(c)
 		if got := c.placementOrder(nil); !slices.Equal(got, want) {

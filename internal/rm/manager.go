@@ -212,8 +212,6 @@ type Config struct {
 	// Box is the Policy Box to consult in overload. If nil a fresh
 	// empty Box is created (every conflict gets an invented policy).
 	Box *policy.Box
-	// Hooks receives Scheduler notifications; nil means NopHooks.
-	Hooks Hooks
 	// InterruptReservePercent is the §5.2 interrupt reserve; the
 	// paper's Figure 5 run uses 4.
 	InterruptReservePercent int64
@@ -229,17 +227,13 @@ func New(cfg Config) *Manager {
 	if box == nil {
 		box = policy.NewBox()
 	}
-	var hooks Hooks = cfg.Hooks
-	if hooks == nil {
-		hooks = NopHooks{}
-	}
 	if cfg.InterruptReservePercent < 0 || cfg.InterruptReservePercent >= 100 {
 		panic("rm: interrupt reserve must be in [0,100)")
 	}
 	reserve := ticks.FracPercent(cfg.InterruptReservePercent)
 	return &Manager{
 		box:      box,
-		hooks:    hooks,
+		hooks:    NopHooks{}, // until SetHooks
 		reserve:  reserve,
 		avail:    ticks.FracOne.Sub(reserve),
 		streamer: cfg.Streamer,

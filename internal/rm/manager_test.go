@@ -437,7 +437,8 @@ func TestPendingAndCollect(t *testing.T) {
 
 func TestHooksSignals(t *testing.T) {
 	h := &recordingHooks{}
-	m := New(Config{Hooks: h})
+	m := New(Config{})
+	m.SetHooks(h)
 	a, _ := m.RequestAdmittance(newTask("a", task.UniformLevels(270_000, "A", 90, 30)))
 	if !m.HasPending() {
 		t.Error("admission left no grant set pending for the Scheduler's callback")

@@ -97,10 +97,10 @@ func newHarness(cfg byte) *harness {
 	h.avail = ticks.FracOne.Sub(ticks.FracPercent(reserve))
 	h.m = New(Config{
 		Box:                     box,
-		Hooks:                   h,
 		InterruptReservePercent: reserve,
 		Streamer:                Capacity{StreamerMBps: h.streamer},
 	})
+	h.m.SetHooks(h)
 	return h
 }
 

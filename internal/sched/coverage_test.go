@@ -158,8 +158,6 @@ func TestGraceBlockAndExitPaths(t *testing.T) {
 	for _, mode := range []task.Op{task.OpBlock, task.OpExit} {
 		mode := mode
 		_, m, s := newSystem(0, sim.ZeroSwitchCosts())
-		exited := false
-		s.onExit = func(task.ID) { exited = true }
 		body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 			if ctx.InGracePeriod {
 				return task.RunResult{Used: ticks.Min(ctx.Span, 10), Op: mode, BlockFor: 5 * ms}
@@ -186,8 +184,8 @@ func TestGraceBlockAndExitPaths(t *testing.T) {
 			if ok {
 				t.Error("exiting grace task still scheduled")
 			}
-			if !exited {
-				t.Error("onExit not called from the grace path")
+			if m.Has(id) {
+				t.Error("the grace path's exit left the task in the Resource Manager")
 			}
 		}
 	}

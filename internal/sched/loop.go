@@ -474,15 +474,11 @@ func (s *Scheduler) leave(cur *tcb, res task.RunResult) {
 		return
 	}
 	s.dropTask(cur)
-	if s.removeOnExit {
-		// A task that terminates naturally leaves the Resource Manager
-		// too. The GrantRemoved signal this triggers finds the tcb
-		// already dropped and is a no-op.
-		_ = s.rmg.Remove(cur.id)
-	}
-	if s.onExit != nil {
-		s.onExit(cur.id)
-	}
+	// A task that terminates naturally leaves the Resource Manager too,
+	// releasing its admission reservation. The GrantRemoved signal this
+	// triggers finds the tcb already dropped and is a no-op. (The error
+	// is "unknown task": whoever removed it first has done the job.)
+	_ = s.rmg.Remove(cur.id)
 }
 
 // maybeGrace performs the §5.6 controlled-preemption dance for a task

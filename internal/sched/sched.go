@@ -211,17 +211,6 @@ type Config struct {
 	// Server (§5.1, "currently 10 ms"). Zero selects 10 ms.
 	SporadicSlice ticks.Ticks
 
-	// RemoveOnExit removes a task from the Resource Manager when its
-	// body returns OpExit, releasing its admission reservation.
-	// internal/core sets it; standalone Scheduler tests that inspect
-	// Manager state after an exit leave it off.
-	RemoveOnExit bool
-
-	// OnExit is called when a task's body returns OpExit, after the
-	// Scheduler drops it (and after the RemoveOnExit removal, if
-	// enabled). May be nil.
-	OnExit func(id task.ID)
-
 	// Telemetry, when non-nil, receives the Scheduler's counters,
 	// queue-depth gauges, and decision spans (docs/OBSERVABILITY.md).
 	// Instrument handles are registered here, once; the hot path never
@@ -235,11 +224,9 @@ type Scheduler struct {
 	rmg *rm.Manager
 	obs Observer
 
-	override     ticks.Ticks
-	grace        ticks.Ticks
-	ssSlice      ticks.Ticks
-	removeOnExit bool
-	onExit       func(task.ID)
+	override ticks.Ticks
+	grace    ticks.Ticks
+	ssSlice  ticks.Ticks
 
 	// byID is the task table, in ascending ID order: startTask and
 	// dropTask keep it sorted, so the per-iteration rollPeriods walk
@@ -303,14 +290,12 @@ func New(cfg Config) *Scheduler {
 		slice = ticks.FromMilliseconds(10)
 	}
 	s := &Scheduler{
-		k:            cfg.Kernel,
-		rmg:          cfg.RM,
-		obs:          obs,
-		override:     override,
-		grace:        grace,
-		ssSlice:      slice,
-		removeOnExit: cfg.RemoveOnExit,
-		onExit:       cfg.OnExit,
+		k:        cfg.Kernel,
+		rmg:      cfg.RM,
+		obs:      obs,
+		override: override,
+		grace:    grace,
+		ssSlice:  slice,
 	}
 	s.wireTelemetry(cfg.Telemetry)
 	return s

@@ -204,20 +204,19 @@ func expandFamilies(names []string) []string {
 
 type costModel struct {
 	Name  string
-	Desc  string
 	costs func() sim.SwitchCosts
 }
 
 // costModels is the registry, in matrix-expansion order.
 var costModels = []costModel{
-	{"zero", "free deterministic switches (pure EDF arithmetic)", sim.ZeroSwitchCosts},
-	{"paper-det", "§6.1 mean costs, deterministic", func() sim.SwitchCosts {
+	{"zero", sim.ZeroSwitchCosts}, // free deterministic switches (pure EDF arithmetic)
+	{"paper-det", func() sim.SwitchCosts { // §6.1 mean costs, deterministic
 		c := sim.PaperSwitchCosts()
 		c.Deterministic = true
 		return c
 	}},
-	{"paper", "§6.1 Weibull-calibrated stochastic costs", sim.PaperSwitchCosts},
-	{"cache", "paper costs plus a 40µs §5.6 cache-refill penalty", func() sim.SwitchCosts {
+	{"paper", sim.PaperSwitchCosts}, // §6.1 Weibull-calibrated stochastic costs
+	{"cache", func() sim.SwitchCosts { // paper costs plus a 40µs §5.6 cache-refill penalty
 		c := sim.PaperSwitchCosts()
 		c.CacheRefillUS = 40
 		return c

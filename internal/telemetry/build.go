@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"io"
+	"os"
 	"os/exec"
 	"strings"
 )
@@ -17,4 +19,23 @@ func GitDescribe() string {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
+}
+
+// WriteFile hands write the file at path ('-' is stdout) and reports
+// the Close error of a file it created, so a truncated artifact never
+// exits 0. CLI-only, like GitDescribe: every command writes its
+// manifests, traces and aggregates through it.
+func WriteFile(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
