@@ -1,9 +1,23 @@
 // Command rdtrace works with the simulator's exported artifacts.
 //
-// Analysis mode (the default) reads a trace exported by rdsim -json:
-// per-task CPU delivery, preemption counts, worst-case completion
-// latency (checked against the §4.2 bound when grants are known), and
-// the miss audit — without re-running the simulation.
+// Analysis mode (the default) reads a trace exported by rdsim -json
+// and, without re-running the simulation, prints one row per task:
+//
+//   - granted: time run against the grant, granted plus §5.6 grace
+//     slices, as sched.TaskStats counts it;
+//   - overtime: unallocated time taken beyond the grant. Sporadic-task
+//     time is not in it: it runs inside the Sporadic Server's (or the
+//     assigning task's) own slice, which is counted once;
+//   - preempt: a period's granted or grace slices, after its first,
+//     that resume after another task or idle ran. A split by an
+//     interrupt, timer or callback, or the task's own grace slice, is
+//     not a preemption;
+//   - lat-p50, lat-p99, lat-max: gaps between consecutive periods' last
+//     granted-work ends, percentiles by nearest rank (§4.2 bounds the
+//     worst by 2·period − 2·CPU);
+//
+// then the miss and switch totals. A kind name it does not know is an
+// error, not a slice left out of the totals.
 //
 //	rdsim -scenario settop -json trace.json
 //	rdtrace trace.json
@@ -78,14 +92,20 @@ func main() {
 		defer f.Close()
 		in = f
 	}
+	if err := analyze(in, os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// analyze prints the per-task analysis of the trace read from in.
+func analyze(in io.Reader, out io.Writer) error {
 	var e trace.Export
 	if err := json.NewDecoder(in).Decode(&e); err != nil {
-		fmt.Fprintln(os.Stderr, "rdtrace: invalid trace:", err)
-		os.Exit(1)
+		return fmt.Errorf("invalid trace: %v", err)
 	}
-	fmt.Print(trace.Analyze(e).String())
-	fmt.Printf("\nswitches: %d voluntary, %d involuntary, %d ticks total\n",
-		e.Summary.VolSwitches, e.Summary.InvolSwitches, e.Summary.SwitchTicks)
+	_, err := fmt.Fprintf(out, "%s\nswitches: %d voluntary, %d involuntary, %d ticks total\n",
+		trace.Analyze(e), e.Summary.VolSwitches, e.Summary.InvolSwitches, e.Summary.SwitchTicks)
+	return err
 }
 
 // export converts a run manifest to Chrome trace-event JSON.

@@ -188,6 +188,8 @@ var Analyzers = []*Analyzer{MapOrder, WallClock, RawRand, TickUnits, HotAlloc, R
 // reproducible (see docs/DETERMINISM.md). Sub-packages are included.
 // cmd/rdbench is in: its output is a pure function of the source,
 // pinned byte for byte by cmd/rdbench/testdata/rdbench.golden.
+// internal/extclock is out: its §5.4 crystal drifts in float ppm, and
+// rounding a float clock reading to ticks is what tickunits forbids.
 var DeterministicPackages = []string{
 	"repro/cmd/rdbench",
 	"repro/internal/sim",
@@ -202,6 +204,11 @@ var DeterministicPackages = []string{
 	"repro/internal/fleet",
 	"repro/internal/invariant",
 	"repro/internal/telemetry",
+	"repro/internal/trace",
+	"repro/internal/workload",
+	"repro/internal/task",
+	"repro/internal/ticks",
+	"repro/internal/metrics",
 }
 
 // AdmissionPackages lists the packages whose arithmetic decides

@@ -391,10 +391,7 @@ func TestObserverWiring(t *testing.T) {
 	if len(rec.Slices) == 0 || len(rec.Periods) == 0 {
 		t.Error("observer received no events")
 	}
-	vol, invol, _, _ := rec.SwitchSummary()
-	_ = vol
-	_ = invol
-	if got := rec.GrantedTicks(rec.TaskIDs()[0]); got != 15*ms {
+	if got := trace.Analyze(rec.Export()).Tasks[0].GrantedTicks; got != 15*ms {
 		t.Errorf("granted ticks from trace = %v, want 15ms", got)
 	}
 }

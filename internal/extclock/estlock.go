@@ -52,14 +52,9 @@ func NewEstimatingPhaseLock(extPeriod, nominal ticks.Ticks, smoothing float64) (
 	}, nil
 }
 
-var errBadPeriod = fmtError("extclock: non-positive period")
-
-type fmtError string
-
-func (e fmtError) Error() string { return string(e) }
-
 // Observe feeds one paired reading of the system clock and the
-// external clock, updating the drift estimate.
+// external clock, updating the drift estimate. A reading that does not
+// advance the system clock is ignored.
 func (l *EstimatingPhaseLock) Observe(sys, ext ticks.Ticks) {
 	if !l.primed {
 		l.lastSys, l.lastExt, l.primed = sys, ext, true

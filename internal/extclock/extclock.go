@@ -9,18 +9,20 @@
 // start of its next period, and uses paired readings of the two
 // clocks to estimate the skew it must compensate.
 //
-// This package provides the drifting Clock model, the §5.4 skew
-// estimation recipe, and a PhaseLock helper that computes the
-// insertion needed each period to stay aligned with an external
-// boundary.
+// This package provides the drifting Clock model, a PhaseLock helper
+// that computes the insertion needed each period to stay aligned with
+// an external boundary, and EstimatingPhaseLock, which does the same
+// from the §5.4 skew estimation recipe.
 package extclock
 
 import (
-	"fmt"
+	"errors"
 	"math"
 
 	"repro/internal/ticks"
 )
+
+var errBadPeriod = errors.New("extclock: non-positive period")
 
 // Clock is an external clock observed from the scheduling (system)
 // clock. A positive drift means the external clock runs fast relative
@@ -132,37 +134,6 @@ func (c *Clock) BoundaryAfter(sys ticks.Ticks, period ticks.Ticks) ticks.Ticks {
 	return at
 }
 
-// SkewEstimator implements the §5.4 recipe: "The application must
-// read both the TCI and the external clock at some interval. The
-// difference between the external clock readings is determined. From
-// that, the expected difference in the TCI clock is computed. The
-// actual difference in the TCI clock readings can be used to
-// calculate the skew."
-type SkewEstimator struct {
-	lastSys, lastExt ticks.Ticks
-	primed           bool
-}
-
-// Sample feeds one paired reading. It returns the estimated drift in
-// PPM of the external clock relative to the system clock since the
-// previous sample; ok is false for the priming sample.
-func (e *SkewEstimator) Sample(sys, ext ticks.Ticks) (ppm float64, ok bool) {
-	if !e.primed {
-		e.lastSys, e.lastExt, e.primed = sys, ext, true
-		return 0, false
-	}
-	dSys := sys - e.lastSys
-	dExt := ext - e.lastExt
-	e.lastSys, e.lastExt = sys, ext
-	if dSys <= 0 {
-		return 0, false
-	}
-	return (float64(dExt)/float64(dSys) - 1) * 1e6, true
-}
-
-// Reset clears the estimator.
-func (e *SkewEstimator) Reset() { e.primed = false }
-
 // PhaseLock computes, each period, the idle cycles a task must insert
 // to start its next period on the next external boundary. Because
 // InsertIdleCycles can only postpone, the task's nominal period must
@@ -178,7 +149,7 @@ type PhaseLock struct {
 // period tracking boundaries every extPeriod external ticks.
 func NewPhaseLock(clk *Clock, extPeriod, nominal ticks.Ticks) (*PhaseLock, error) {
 	if nominal <= 0 || extPeriod <= 0 {
-		return nil, fmt.Errorf("extclock: non-positive period")
+		return nil, errBadPeriod
 	}
 	return &PhaseLock{clk: clk, extPeriod: extPeriod, nominal: nominal}, nil
 }

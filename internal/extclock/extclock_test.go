@@ -103,35 +103,47 @@ func TestBoundaryAfter(t *testing.T) {
 	}
 }
 
-func TestSkewEstimator(t *testing.T) {
+// unsmoothedLock is an EstimatingPhaseLock with smoothing 1, whose
+// Rate is the last paired reading's skew alone.
+func unsmoothedLock(t *testing.T) *EstimatingPhaseLock {
+	t.Helper()
+	l, err := NewEstimatingPhaseLock(270_000, 269_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func TestSkewRecipe(t *testing.T) {
 	c := New(50, 0) // +50 ppm
-	var e SkewEstimator
-	if _, ok := e.Sample(0, c.ReadAt(0)); ok {
-		t.Error("priming sample should not report")
+	l := unsmoothedLock(t)
+	l.Observe(0, c.ReadAt(0))
+	if l.Rate() != 0 {
+		t.Errorf("priming reading moved the estimate to %.2f ppm", l.Rate())
 	}
 	sys := ticks.Ticks(27_000_000) // 1s later
-	ppm, ok := e.Sample(sys, c.ReadAt(sys))
-	if !ok {
-		t.Fatal("second sample should report")
+	l.Observe(sys, c.ReadAt(sys))
+	if math.Abs(l.Rate()-50) > 0.5 {
+		t.Errorf("estimated drift = %.2f ppm, want ~50", l.Rate())
 	}
-	if math.Abs(ppm-50) > 0.5 {
-		t.Errorf("estimated drift = %.2f ppm, want ~50", ppm)
-	}
-	e.Reset()
-	if _, ok := e.Sample(sys, c.ReadAt(sys)); ok {
-		t.Error("post-reset sample should prime again")
+	// A reading that does not advance the system clock is ignored.
+	l.Observe(sys, c.ReadAt(sys)+1000)
+	if math.Abs(l.Rate()-50) > 0.5 {
+		t.Errorf("same-instant reading moved the estimate to %.2f ppm", l.Rate())
 	}
 }
 
-func TestSkewEstimatorTracksChange(t *testing.T) {
+func TestSkewRecipeTracksChange(t *testing.T) {
 	c := NewVariable(0,
 		Segment{UntilSys: ticks.PerSecond, DriftPPM: 80},
 		Segment{UntilSys: Forever, DriftPPM: -40},
 	)
-	var e SkewEstimator
-	e.Sample(0, c.ReadAt(0))
-	p1, _ := e.Sample(ticks.PerSecond, c.ReadAt(ticks.PerSecond))
-	p2, _ := e.Sample(2*ticks.PerSecond, c.ReadAt(2*ticks.PerSecond))
+	l := unsmoothedLock(t)
+	l.Observe(0, c.ReadAt(0))
+	l.Observe(ticks.PerSecond, c.ReadAt(ticks.PerSecond))
+	p1 := l.Rate()
+	l.Observe(2*ticks.PerSecond, c.ReadAt(2*ticks.PerSecond))
+	p2 := l.Rate()
 	if math.Abs(p1-80) > 1 || math.Abs(p2+40) > 1 {
 		t.Errorf("estimates = %.1f/%.1f ppm, want ~80/-40", p1, p2)
 	}

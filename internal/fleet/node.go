@@ -52,13 +52,12 @@ type node struct {
 	violDumped  int64
 	stallDumped bool
 
-	// Accumulators over finished incarnations (of accStats, the three
-	// tick totals the report reads); statsBase subtracts the idle skip
-	// a restarted kernel performs to rejoin cluster time, so
-	// utilization reflects only live capacity.
+	// Accumulators over finished incarnations (of accStats, the elapsed
+	// time and the three tick totals the report reads); statsBase
+	// subtracts the idle skip a restarted kernel performs to rejoin
+	// cluster time, so utilization reflects only live capacity.
 	statsBase       sim.Stats
 	accStats        sim.Stats
-	accElapsed      ticks.Ticks
 	accViolations   int64
 	accDegradations int64
 	initErr         string
@@ -154,7 +153,7 @@ func (n *node) retire(finish bool) {
 	n.accStats.BusyTicks += st.BusyTicks - n.statsBase.BusyTicks
 	n.accStats.SwitchTicks += st.SwitchTicks - n.statsBase.SwitchTicks
 	n.accStats.InterruptTicks += st.InterruptTicks - n.statsBase.InterruptTicks
-	n.accElapsed += st.Now - n.statsBase.Now
+	n.accStats.Now += st.Now - n.statsBase.Now
 }
 
 // load is the placement pressure signal: the committed minimum sum.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
@@ -118,14 +119,14 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 	r.Telemetry = c.tel.Reg().Snapshot()
 	r.PerNode = make([]NodeTelemetry, len(c.nodes))
 	r.FlightDumps = c.flightDumps
-	var elapsed, busy, sw, irq ticks.Ticks
+	var sum sim.Stats
 	for i, n := range c.nodes {
 		r.Degradations += n.accDegradations
 		r.Violations += n.accViolations
-		elapsed += n.accElapsed
-		busy += n.accStats.BusyTicks
-		sw += n.accStats.SwitchTicks
-		irq += n.accStats.InterruptTicks
+		sum.Now += n.accStats.Now
+		sum.BusyTicks += n.accStats.BusyTicks
+		sum.SwitchTicks += n.accStats.SwitchTicks
+		sum.InterruptTicks += n.accStats.InterruptTicks
 		if n.stallErr != "" {
 			r.Stalled = append(r.Stalled, n.stallErr)
 		}
@@ -139,11 +140,9 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 		r.PerNode[i] = NodeTelemetry{Node: i, Restarts: n.restarts, Telemetry: snap}
 		r.Telemetry.Merge(snap)
 	}
-	if elapsed > 0 {
-		r.Utilization = float64(busy) / float64(elapsed)
-		r.SwitchOverhead = float64(sw) / float64(elapsed)
-		r.InterruptLoad = float64(irq) / float64(elapsed)
-	}
+	r.Utilization = sum.Utilization()
+	r.SwitchOverhead = sum.SwitchOverheadFraction()
+	r.InterruptLoad = sum.InterruptLoadFraction()
 	r.FaultsInjected = int64(r.Log.KindPrefixCount("fault."))
 	return r
 }

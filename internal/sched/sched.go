@@ -68,6 +68,22 @@ func (k DispatchKind) String() string {
 	}
 }
 
+// MarshalText encodes the kind by its String name, the form exported
+// traces carry.
+func (k DispatchKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a String name; any other text is an error
+// naming it.
+func (k *DispatchKind) UnmarshalText(text []byte) error {
+	for c := DispatchGranted; c <= DispatchIdle; c++ {
+		if c.String() == string(text) {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("sched: unknown dispatch kind %q", text)
+}
+
 // Observer receives scheduling events; internal/trace implements it.
 // All methods are called from the simulation goroutine.
 type Observer interface {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/ticks"
@@ -26,6 +27,22 @@ func (k SwitchKind) String() string {
 		return "voluntary"
 	}
 	return "involuntary"
+}
+
+// MarshalText encodes the kind by its String name, the form exported
+// traces carry.
+func (k SwitchKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes a String name; any other text is an error
+// naming it.
+func (k *SwitchKind) UnmarshalText(text []byte) error {
+	for _, c := range [...]SwitchKind{Voluntary, Involuntary} {
+		if c.String() == string(text) {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("sim: unknown switch kind %q", text)
 }
 
 // CostDist describes the cost distribution of one switch class as a

@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/task"
 	"repro/internal/ticks"
 )
@@ -19,7 +22,11 @@ type Report struct {
 	Misses int
 }
 
-// TaskReport is one task's analysis.
+// TaskReport is one task's analysis. Its totals are counted as
+// sched.TaskStats counts them: granted is DispatchGranted plus
+// DispatchGrace time, overtime is DispatchOvertime time, and
+// DispatchSporadic slices — nested inside their server's or assigner's
+// own slice — are not counted again.
 type TaskReport struct {
 	ID   task.ID
 	Name string
@@ -27,12 +34,15 @@ type TaskReport struct {
 	Periods       int
 	GrantedTicks  ticks.Ticks
 	OvertimeTicks ticks.Ticks
-	Preemptions   int // granted slices beyond the first, per period, summed
+	// Preemptions counts a period's granted or grace slices, beyond its
+	// first, that resume after another task's or idle's slice — not a
+	// split by a kernel event, nor the task's own grace slice.
+	Preemptions int
 
 	// WorstLatency is the largest gap between consecutive
 	// granted-work completions — bounded by 2·period − 2·CPU (§4.2)
 	// for a task that consumes its grant every period. LatencyP50 and
-	// LatencyP99 are the median and 99th-percentile gaps.
+	// LatencyP99 are the gaps' nearest-rank percentiles.
 	WorstLatency ticks.Ticks
 	LatencyP50   ticks.Ticks
 	LatencyP99   ticks.Ticks
@@ -41,118 +51,90 @@ type TaskReport struct {
 	Levels []int
 }
 
+// taskWalk is one task's position in Analyze's pass over the slices.
+type taskWalk struct {
+	starts   []ticks.Ticks // period starts, in record order
+	period   int           // the period the latest granted slice fell in
+	inPeriod int           // granted or grace slices seen in it
+	ends     []ticks.Ticks // per period, its last granted or grace end (0: none)
+}
+
 // Analyze computes a Report from an Export.
 func Analyze(e Export) Report {
-	var rep Report
-	byID := make(map[task.ID]*TaskReport)
-	order := []task.ID{}
+	rep := Report{Misses: len(e.Misses)}
 	for _, t := range e.Tasks {
-		tr := &TaskReport{ID: t.ID, Name: t.Name}
-		byID[t.ID] = tr
-		order = append(order, t.ID)
+		rep.Tasks = append(rep.Tasks, TaskReport{ID: t.ID, Name: t.Name})
 	}
+	slices.SortFunc(rep.Tasks, func(a, b TaskReport) int { return cmp.Compare(a.ID, b.ID) })
+	index := make(map[task.ID]int, len(rep.Tasks))
+	for i, t := range rep.Tasks {
+		index[t.ID] = i
+	}
+	walks := make([]taskWalk, len(rep.Tasks))
 
-	// Period starts per task, sorted, for period counting and level
-	// tracking.
-	starts := make(map[task.ID][]ExportPeriod)
 	for _, p := range e.Periods {
-		starts[p.ID] = append(starts[p.ID], p)
-		if tr, ok := byID[p.ID]; ok {
-			tr.Periods++
-			if !containsInt(tr.Levels, p.Level) {
-				tr.Levels = append(tr.Levels, p.Level)
-			}
-		}
-		if t := ticks.Ticks(p.Deadline); t > rep.Span {
-			rep.Span = t
-		}
-	}
-
-	// Slice accounting: granted/overtime ticks, preemption counts,
-	// and per-period last-granted-slice ends for latency.
-	type sliceInfo struct {
-		end ticks.Ticks
-	}
-	lastGrantEnd := make(map[task.ID][]ticks.Ticks) // completion per period
-	curCount := make(map[task.ID]int)
-	periodIdx := make(map[task.ID]int)
-	for _, s := range e.Slices {
-		tr, ok := byID[s.ID]
+		rep.Span = max(rep.Span, p.Deadline)
+		i, ok := index[p.ID]
 		if !ok {
 			continue
 		}
-		if t := ticks.Ticks(s.To); t > rep.Span {
-			rep.Span = t
+		tr := &rep.Tasks[i]
+		tr.Periods++
+		if !slices.Contains(tr.Levels, p.Level) {
+			tr.Levels = append(tr.Levels, p.Level)
 		}
+		walks[i].starts = append(walks[i].starts, p.Start)
+	}
+
+	for k, s := range e.Slices {
+		i, ok := index[s.ID]
+		if !ok {
+			continue
+		}
+		tr, w := &rep.Tasks[i], &walks[i]
+		rep.Span = max(rep.Span, s.To)
 		switch s.Kind {
-		case "granted", "grace":
-			tr.GrantedTicks += ticks.Ticks(s.To - s.From)
-			// Which period does this slice belong to? Advance the
-			// pointer while the next period starts at or before the
-			// slice start.
-			ps := starts[s.ID]
-			for periodIdx[s.ID]+1 < len(ps) && ticks.Ticks(ps[periodIdx[s.ID]+1].Start) <= ticks.Ticks(s.From) {
-				periodIdx[s.ID]++
-				curCount[s.ID] = 0
+		case sched.DispatchOvertime:
+			tr.OvertimeTicks += s.To - s.From
+		case sched.DispatchGranted, sched.DispatchGrace:
+			tr.GrantedTicks += s.To - s.From
+			for w.period+1 < len(w.starts) && w.starts[w.period+1] <= s.From {
+				w.period++
+				w.inPeriod = 0
 			}
-			curCount[s.ID]++
-			if curCount[s.ID] > 1 {
+			w.inPeriod++
+			if w.inPeriod > 1 && e.Slices[k-1].ID != s.ID {
 				tr.Preemptions++
 			}
-			idx := periodIdx[s.ID]
-			for len(lastGrantEnd[s.ID]) <= idx {
-				lastGrantEnd[s.ID] = append(lastGrantEnd[s.ID], 0)
+			for len(w.ends) <= w.period {
+				w.ends = append(w.ends, 0)
 			}
-			lastGrantEnd[s.ID][idx] = ticks.Ticks(s.To)
-		case "overtime", "sporadic":
-			tr.OvertimeTicks += ticks.Ticks(s.To - s.From)
+			w.ends[w.period] = s.To
 		}
 	}
 
-	// Latency distribution of consecutive completions.
-	for id, ends := range lastGrantEnd {
-		tr := byID[id]
-		var gaps []ticks.Ticks
-		var prev ticks.Ticks = -1
-		for _, end := range ends {
+	for i, w := range walks {
+		tr := &rep.Tasks[i]
+		slices.Sort(tr.Levels)
+		var gaps metrics.Summary
+		prev := ticks.Ticks(-1)
+		for _, end := range w.ends {
 			if end == 0 {
 				continue
 			}
 			if prev >= 0 {
-				gaps = append(gaps, end-prev)
+				gaps.Add(float64(end - prev))
 			}
 			prev = end
 		}
-		if len(gaps) == 0 {
-			continue
-		}
-		sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-		tr.WorstLatency = gaps[len(gaps)-1]
-		tr.LatencyP50 = gaps[len(gaps)/2]
-		p99 := (len(gaps)*99 + 99) / 100
-		if p99 > len(gaps) {
-			p99 = len(gaps)
-		}
-		tr.LatencyP99 = gaps[p99-1]
-	}
-
-	rep.Misses = len(e.Misses)
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, id := range order {
-		tr := byID[id]
-		sort.Ints(tr.Levels)
-		rep.Tasks = append(rep.Tasks, *tr)
+		// Each statistic is one of the samples, an integer tick count
+		// well inside float64's exact range, so int64 takes it back
+		// exactly.
+		tr.WorstLatency = ticks.Ticks(int64(gaps.Max()))
+		tr.LatencyP50 = ticks.Ticks(int64(gaps.Percentile(50)))
+		tr.LatencyP99 = ticks.Ticks(int64(gaps.Percentile(99)))
 	}
 	return rep
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the report as a table.

@@ -4,58 +4,25 @@ import (
 	"encoding/json"
 	"io"
 
-	"repro/internal/sim"
 	"repro/internal/task"
-	"repro/internal/ticks"
 )
 
 // Export is the JSON shape of a recorded run, for analysis outside
 // the simulator (plotting Figure 5 staircases, computing latency
 // distributions, diffing runs). All times are 27 MHz ticks.
 type Export struct {
-	Tasks    []ExportTask   `json:"tasks"`
-	Slices   []ExportSlice  `json:"slices"`
-	Periods  []ExportPeriod `json:"periods"`
-	Misses   []ExportMiss   `json:"misses,omitempty"`
-	Switches []ExportSwitch `json:"switches,omitempty"`
-	Summary  ExportSummary  `json:"summary"`
+	Tasks    []ExportTask  `json:"tasks"`
+	Slices   []Slice       `json:"slices"`
+	Periods  []PeriodStart `json:"periods"`
+	Misses   []Miss        `json:"misses,omitempty"`
+	Switches []Switch      `json:"switches,omitempty"`
+	Summary  ExportSummary `json:"summary"`
 }
 
 // ExportTask names a task ID.
 type ExportTask struct {
 	ID   task.ID `json:"id"`
 	Name string  `json:"name"`
-}
-
-// ExportSlice is one dispatch slice.
-type ExportSlice struct {
-	ID   task.ID `json:"id"`
-	From int64   `json:"from"`
-	To   int64   `json:"to"`
-	Kind string  `json:"kind"`
-	Lvl  int     `json:"level"`
-}
-
-// ExportPeriod is one period start.
-type ExportPeriod struct {
-	ID       task.ID `json:"id"`
-	Start    int64   `json:"start"`
-	Deadline int64   `json:"deadline"`
-	Level    int     `json:"level"`
-	CPU      int64   `json:"cpu"`
-}
-
-// ExportMiss is one audited deadline miss.
-type ExportMiss struct {
-	ID          task.ID `json:"id"`
-	Deadline    int64   `json:"deadline"`
-	Undelivered int64   `json:"undelivered"`
-}
-
-// ExportSwitch is one context switch.
-type ExportSwitch struct {
-	Kind string `json:"kind"`
-	Cost int64  `json:"cost"`
 }
 
 // ExportSummary aggregates the run.
@@ -66,48 +33,38 @@ type ExportSummary struct {
 	SwitchTicks   int64 `json:"switchTicks"`
 }
 
-// Export builds the JSON-ready view of the recording.
+// Export builds the JSON-ready view of the recording. It shares the
+// Recorder's records rather than copying them.
 func (r *Recorder) Export() Export {
-	var e Export
+	var tasks []ExportTask
 	for _, id := range r.TaskIDs() {
-		e.Tasks = append(e.Tasks, ExportTask{ID: id, Name: r.NameOf(id)})
+		tasks = append(tasks, ExportTask{ID: id, Name: r.NameOf(id)})
 	}
-	for _, s := range r.Slices {
-		e.Slices = append(e.Slices, ExportSlice{
-			ID: s.ID, From: int64(s.From), To: int64(s.To),
-			Kind: s.Kind.String(), Lvl: s.Level,
-		})
+	vol, invol, volT, involT := r.SwitchSummary()
+	return Export{
+		Tasks:    tasks,
+		Slices:   shared(r.Slices),
+		Periods:  shared(r.Periods),
+		Misses:   shared(r.Misses),
+		Switches: shared(r.Switches),
+		Summary: ExportSummary{
+			MissCount:     len(r.Misses),
+			VolSwitches:   vol,
+			InvolSwitches: invol,
+			SwitchTicks:   int64(volT + involT),
+		},
 	}
-	for _, p := range r.Periods {
-		e.Periods = append(e.Periods, ExportPeriod{
-			ID: p.ID, Start: int64(p.Start), Deadline: int64(p.Deadline),
-			Level: p.Level, CPU: int64(p.CPU),
-		})
+}
+
+// shared clips a record store to its length, so appending to an
+// Export never writes into the Recorder, and is nil when the store is
+// empty (a reserved Recorder's stores are not), as the JSON has always
+// carried it.
+func shared[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
 	}
-	for _, m := range r.Misses {
-		e.Misses = append(e.Misses, ExportMiss{
-			ID: m.ID, Deadline: int64(m.Deadline), Undelivered: int64(m.Undelivered),
-		})
-	}
-	var volT, involT ticks.Ticks
-	vol, invol := 0, 0
-	for _, s := range r.Switches {
-		e.Switches = append(e.Switches, ExportSwitch{Kind: s.Kind.String(), Cost: int64(s.Cost)})
-		if s.Kind == sim.Voluntary {
-			vol++
-			volT += s.Cost
-		} else {
-			invol++
-			involT += s.Cost
-		}
-	}
-	e.Summary = ExportSummary{
-		MissCount:     len(r.Misses),
-		VolSwitches:   vol,
-		InvolSwitches: invol,
-		SwitchTicks:   int64(volT + involT),
-	}
-	return e
+	return s[:len(s):len(s)]
 }
 
 // WriteJSON streams the recording as indented JSON.

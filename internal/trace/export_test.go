@@ -3,7 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 func TestExportRoundTrip(t *testing.T) {
@@ -26,9 +31,22 @@ func TestExportRoundTrip(t *testing.T) {
 	if e.Summary.SwitchTicks != 300 {
 		t.Errorf("switch ticks = %d, want 300", e.Summary.SwitchTicks)
 	}
-	// Kinds serialize as strings.
-	if e.Slices[0].Kind != "granted" {
-		t.Errorf("kind = %q", e.Slices[0].Kind)
+	// Kinds serialize as their names and come back typed.
+	if !bytes.Contains(buf.Bytes(), []byte(`"kind": "granted"`)) {
+		t.Errorf("kinds not written by name:\n%s", buf.Bytes())
+	}
+	if !reflect.DeepEqual(e.Slices[2], Slice{ID: 1, From: 5 * ms, To: 7 * ms, Kind: sched.DispatchOvertime}) {
+		t.Errorf("slice = %+v", e.Slices[2])
+	}
+	if e.Switches[1].Kind != sim.Involuntary {
+		t.Errorf("switch kind = %v", e.Switches[1].Kind)
+	}
+	// An unknown kind is an error that names it, not a dropped slice.
+	for _, doc := range []string{`{"slices":[{"kind":"bogus"}]}`, `{"switches":[{"kind":"bogus"}]}`} {
+		err := json.Unmarshal([]byte(doc), &Export{})
+		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("%s: err = %v, want one naming \"bogus\"", doc, err)
+		}
 	}
 }
 

@@ -85,16 +85,11 @@ func fig4Run() *trace.Recorder {
 	rec := trace.New()
 	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
 	period := ticks.PerSecond / 30
-	yieldAll := func() task.Body {
-		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		})
-	}
 	_, _ = d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true)
 	_, _ = d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*gms, "P7"), Body: task.Busy()})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*gms, "D8"), Body: yieldAll()})
+	_, _ = d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*gms, "D8"), Body: task.YieldAll()})
 	_, _ = d.RequestAdmittance(&task.Task{Name: "producer9", List: task.SingleLevel(period, 3*gms, "P9"), Body: task.PeriodicWork(3 * gms)})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*gms, "D10"), Body: yieldAll()})
+	_, _ = d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*gms, "D10"), Body: task.YieldAll()})
 	d.Run(ticks.PerSecond / 3)
 	return rec
 }

@@ -20,36 +20,40 @@ import (
 	"repro/internal/ticks"
 )
 
-// Slice is one contiguous stretch of CPU given to a task.
+// The four record types below are both what the Recorder keeps and
+// what Export serializes; kinds encode by their String names.
+
+// Slice is one contiguous stretch of CPU given to a task. Its name is
+// exported once per task, in Export.Tasks.
 type Slice struct {
-	ID    task.ID
-	Name  string
-	From  ticks.Ticks
-	To    ticks.Ticks
-	Kind  sched.DispatchKind
-	Level int
+	ID    task.ID            `json:"id"`
+	Name  string             `json:"-"`
+	From  ticks.Ticks        `json:"from"`
+	To    ticks.Ticks        `json:"to"`
+	Kind  sched.DispatchKind `json:"kind"`
+	Level int                `json:"level"`
 }
 
 // PeriodStart is one period boundary with its grant.
 type PeriodStart struct {
-	ID       task.ID
-	Start    ticks.Ticks
-	Deadline ticks.Ticks
-	Level    int
-	CPU      ticks.Ticks
+	ID       task.ID     `json:"id"`
+	Start    ticks.Ticks `json:"start"`
+	Deadline ticks.Ticks `json:"deadline"`
+	Level    int         `json:"level"`
+	CPU      ticks.Ticks `json:"cpu"`
 }
 
 // Miss is one audited deadline miss.
 type Miss struct {
-	ID          task.ID
-	Deadline    ticks.Ticks
-	Undelivered ticks.Ticks
+	ID          task.ID     `json:"id"`
+	Deadline    ticks.Ticks `json:"deadline"`
+	Undelivered ticks.Ticks `json:"undelivered"`
 }
 
 // Switch is one context switch with its simulated cost.
 type Switch struct {
-	Kind sim.SwitchKind
-	Cost ticks.Ticks
+	Kind sim.SwitchKind `json:"kind"`
+	Cost ticks.Ticks    `json:"cost"`
 }
 
 // Recorder accumulates scheduling events.
@@ -170,28 +174,6 @@ func (r *Recorder) TaskIDs() []task.ID {
 
 // MissCount reports the total audited misses.
 func (r *Recorder) MissCount() int { return len(r.Misses) }
-
-// GrantedTicks sums granted (and grace) CPU for one task.
-func (r *Recorder) GrantedTicks(id task.ID) ticks.Ticks {
-	var sum ticks.Ticks
-	for _, s := range r.Slices {
-		if s.ID == id && (s.Kind == sched.DispatchGranted || s.Kind == sched.DispatchGrace) {
-			sum += s.To - s.From
-		}
-	}
-	return sum
-}
-
-// OvertimeTicks sums overtime CPU for one task.
-func (r *Recorder) OvertimeTicks(id task.ID) ticks.Ticks {
-	var sum ticks.Ticks
-	for _, s := range r.Slices {
-		if s.ID == id && s.Kind == sched.DispatchOvertime {
-			sum += s.To - s.From
-		}
-	}
-	return sum
-}
 
 // Gantt renders the schedule between from and to as one row per task
 // plus an idle row, with cols columns. Granted time renders as '#'

@@ -39,14 +39,14 @@ func TestTaskIDsAndNames(t *testing.T) {
 }
 
 func TestTickSums(t *testing.T) {
-	r := sampleRecorder()
-	if got := r.GrantedTicks(1); got != 3*ms {
+	rep := Analyze(sampleRecorder().Export())
+	if got := rep.Tasks[0].GrantedTicks; got != 3*ms {
 		t.Errorf("granted(1) = %v, want 3ms", got)
 	}
-	if got := r.OvertimeTicks(1); got != 2*ms {
+	if got := rep.Tasks[0].OvertimeTicks; got != 2*ms {
 		t.Errorf("overtime(1) = %v, want 2ms", got)
 	}
-	if got := r.GrantedTicks(2); got != 2*ms {
+	if got := rep.Tasks[1].GrantedTicks; got != 2*ms {
 		t.Errorf("granted(2) = %v, want 2ms", got)
 	}
 }
