@@ -11,9 +11,10 @@ GO ?= go
 # — the artifact path's four layers over a 50 000-span cluster:
 # stitch, manifest write, manifest read, Perfetto export — and the two
 # things every run does with its instrument registry: snapshot it, and
-# merge the snapshot into a cell that already carries its names.
-BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|RegistrySnapshot|SnapshotMerge
-BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet
+# merge the snapshot into a cell that already carries its names — and
+# one slice of the §3.4 comparators' shared dispatch loop.
+BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|RegistrySnapshot|SnapshotMerge|ComparatorSlice
+BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet ./internal/baseline
 
 .PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
 
@@ -156,7 +157,7 @@ bench:
 # commit the new BENCH_kernel.json; a local run that only wants the
 # table ignores the exit status.
 bench-smoke:
-	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant ./internal/fleet ./internal/telemetry ./internal/workload
+	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant ./internal/fleet ./internal/telemetry ./internal/workload ./internal/baseline
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchtime=100x -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json
 

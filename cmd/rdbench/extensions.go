@@ -137,7 +137,7 @@ func expStreamer(w io.Writer) {
 		Name: "pipeline",
 		List: list,
 		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			if (ctx.NewPeriod || ctx.GrantChanged) && ch != nil {
+			if (ctx.NewPeriod || ctx.GrantChanged()) && ch != nil {
 				if want := list[ctx.Level].StreamerMBps; ch.Rate() != want {
 					_ = ch.SetRate(want)
 				}

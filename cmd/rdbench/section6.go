@@ -164,7 +164,7 @@ func expPreempt(w io.Writer) {
 			Name: "long",
 			List: task.SingleLevel(45*ms, 15*ms, "L"),
 			Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-				if ctx.InGracePeriod {
+				if ctx.InGracePeriod() {
 					return task.RunResult{Used: 0, Op: task.OpYield}
 				}
 				productive += ctx.Span

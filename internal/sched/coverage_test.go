@@ -159,7 +159,7 @@ func TestGraceBlockAndExitPaths(t *testing.T) {
 		mode := mode
 		_, m, s := newSystem(0, sim.ZeroSwitchCosts())
 		body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			if ctx.InGracePeriod {
+			if ctx.InGracePeriod() {
 				return task.RunResult{Used: ticks.Min(ctx.Span, 10), Op: mode, BlockFor: 5 * ms}
 			}
 			return task.RunResult{Used: ctx.Span, Op: task.OpRanOut}

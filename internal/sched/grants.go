@@ -144,7 +144,6 @@ func (s *Scheduler) beginPeriod(t *tcb, start ticks.Ticks) {
 		t.nextGrant = nil
 	}
 	t.prevLevel = prevLevel
-	t.grantChanged = t.grant.Level != prevLevel
 	t.ffuChanged = t.grant.Entry.NeedsFFU != prevFFU
 	t.periodStart = start
 	t.deadline = start + t.grant.Entry.Period
@@ -153,7 +152,13 @@ func (s *Scheduler) beginPeriod(t *tcb, start ticks.Ticks) {
 	}
 	t.remaining = t.grant.Entry.CPU
 	t.prevUsed = t.usedThisPeriod
-	t.prevCompleted = t.completed
+	t.ctxFlags &= task.FlagException // an owed exception outlives the boundary
+	if t.grant.Level != prevLevel {
+		t.ctxFlags |= task.FlagGrantChanged
+	}
+	if t.completed {
+		t.ctxFlags |= task.FlagPrevCompleted
+	}
 	t.usedThisPeriod = 0
 	t.completed = false
 	t.newPeriod = true
@@ -166,8 +171,10 @@ func (s *Scheduler) beginPeriod(t *tcb, start ticks.Ticks) {
 	// The period span is the causal parent of every dispatch span the
 	// period produces. Its window [start, deadline) is known up front,
 	// so it is recorded complete — no open-span bookkeeping to close at
-	// task drop or run end.
-	t.periodSpan = s.tel.spans.Complete(start, t.deadline, "period", t.name, int64(t.id), 0, "")
+	// task drop or run end. Without a span log it stays zero.
+	if s.tel.spans != nil {
+		t.periodSpan = s.tel.spans.Complete(start, t.deadline, "period", t.name, int64(t.id), 0, "")
+	}
 }
 
 // rollPeriods processes every period boundary at or before now:

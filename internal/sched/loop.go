@@ -259,9 +259,7 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 		}
 	}
 
-	var ctx task.RunContext
-	s.buildContext(cur, &ctx, now, span)
-	res := clamped(s.runBody(cur, &ctx), span)
+	res := clamped(s.runBody(cur, now, span), span)
 	// Defend against misbehaving bodies: an unknown op is treated as
 	// running out (the conservative reading), and a body that stopped
 	// early did so voluntarily, whatever it says.
@@ -283,30 +281,6 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 	s.resolve(cur, kind, reason, timerForced, res)
 }
 
-// buildContext fills in the §5.5 calling arguments for a dispatch, in
-// the caller's frame: the struct is copied once, into the body's call.
-func (s *Scheduler) buildContext(cur *tcb, ctx *task.RunContext, now, span ticks.Ticks) {
-	*ctx = task.RunContext{
-		Now:            now,
-		Span:           span,
-		PeriodStart:    cur.periodStart,
-		Level:          cur.grant.Level,
-		GrantChanged:   cur.grantChanged,
-		PrevCompleted:  cur.prevCompleted,
-		PrevUsed:       cur.prevUsed,
-		UsedThisPeriod: cur.usedThisPeriod,
-		Exception:      cur.exception,
-	}
-	cur.exception = false
-	// While a §5.1 grant assignment is active the period callback is
-	// deferred — runAssigned delivers it when the periodic task's own
-	// body resumes.
-	if cur.newPeriod && (cur.ssCurrent == nil || cur.isSS) {
-		cur.newPeriod = false
-		ctx.NewPeriod = s.deliverAsCallback(cur)
-	}
-}
-
 // deliverAsCallback decides the §5.5 semantics for the first dispatch
 // of a period: callback-semantics tasks always get a fresh upcall;
 // return-semantics tasks continue where they left off, unless the
@@ -321,7 +295,7 @@ func (s *Scheduler) deliverAsCallback(cur *tcb) bool {
 	if cur.sem == task.CallbackSemantics {
 		return true
 	}
-	if !cur.grantChanged {
+	if cur.ctxFlags&task.FlagGrantChanged == 0 {
 		return false
 	}
 	if cur.filter != nil {
@@ -330,17 +304,38 @@ func (s *Scheduler) deliverAsCallback(cur *tcb) bool {
 	return cur.ffuChanged
 }
 
-// runBody dispatches to the task body, to the Sporadic Server
-// machinery for the server's tcb, or to an active §5.1 grant
-// assignment.
-func (s *Scheduler) runBody(cur *tcb, ctx *task.RunContext) task.RunResult {
+// runBody hands cur the CPU for span ticks from now: to the Sporadic
+// Server machinery for the server's tcb, to an active §5.1 grant
+// assignment, or to the task body with the §5.5 calling arguments. The
+// flags and the period callback are settled first; the context itself
+// is a literal in the call, so it travels in registers (RunContext).
+func (s *Scheduler) runBody(cur *tcb, now, span ticks.Ticks) task.RunResult {
+	flags := cur.ctxFlags
+	cur.ctxFlags &^= task.FlagException
+	// While a §5.1 grant assignment is active the period callback is
+	// deferred — runAssigned delivers it when the periodic task's own
+	// body resumes.
+	newPeriod := false
+	if cur.newPeriod && (cur.ssCurrent == nil || cur.isSS) {
+		cur.newPeriod = false
+		newPeriod = s.deliverAsCallback(cur)
+	}
 	if cur.isSS {
-		return s.runSporadicServer(cur, ctx.Now, ctx.Span)
+		return s.runSporadicServer(cur, now, span)
 	}
 	if cur.ssCurrent != nil {
-		return s.runAssigned(cur, ctx)
+		return s.runAssigned(cur, now, span, flags)
 	}
-	return cur.body.Run(*ctx)
+	return cur.body.Run(task.RunContext{
+		Now:            now,
+		Span:           span,
+		PeriodStart:    cur.periodStart,
+		Level:          cur.grant.Level,
+		NewPeriod:      newPeriod,
+		PrevUsed:       cur.prevUsed,
+		UsedThisPeriod: cur.usedThisPeriod,
+		Flags:          flags,
+	})
 }
 
 // clamped holds what a body answered to the span it was offered: a
@@ -386,7 +381,11 @@ func (s *Scheduler) charge(cur *tcb, kind DispatchKind, at, used ticks.Ticks) {
 		s.tel.dispatchGrace.Inc()
 	}
 	s.tel.sliceTicks.Observe(int64(used))
-	s.tel.spans.Complete(at, at+used, "dispatch", cur.name, int64(cur.id), cur.periodSpan, kind.String())
+	// Complete is a no-op on a nil log, but building its arguments is
+	// not; a run without a span log skips it.
+	if s.tel.spans != nil {
+		s.tel.spans.Complete(at, at+used, "dispatch", cur.name, int64(cur.id), cur.periodSpan, kind.String())
+	}
 }
 
 // resolve applies the outcome of a dispatch slice: queue movement,
@@ -504,7 +503,7 @@ func (s *Scheduler) maybeGrace(cur *tcb, reason switchReason) {
 			PeriodStart:    cur.periodStart,
 			Level:          cur.grant.Level,
 			UsedThisPeriod: cur.usedThisPeriod,
-			InGracePeriod:  true,
+			Flags:          task.FlagInGracePeriod,
 		}), graceSpan)
 		if cur.dropped {
 			// The grace callback revoked the task's own grant: the tcb is
@@ -531,7 +530,7 @@ func (s *Scheduler) maybeGrace(cur *tcb, reason switchReason) {
 		// Failed to yield inside the grace period: involuntary
 		// preemption plus an exception callback on next dispatch.
 		cur.lastExitVoluntary = false
-		cur.exception = true
+		cur.ctxFlags |= task.FlagException
 		cur.stats.Exceptions++
 		s.tel.exceptions.Inc()
 	}

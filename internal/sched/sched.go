@@ -143,14 +143,16 @@ type tcb struct {
 
 	usedThisPeriod ticks.Ticks
 	prevUsed       ticks.Ticks
-	prevCompleted  bool
 	completed      bool // this period's work reported complete
 	newPeriod      bool // next dispatch is the first of the period
 	everRan        bool // the initial grant has been delivered
-	grantChanged   bool // grant level differs from previous period
 	prevLevel      int  // grant level of the previous period
 	ffuChanged     bool // FFU access acquired or lost with the grant change
-	exception      bool // deliver §5.6 exception callback next dispatch
+	// ctxFlags are the flags the next dispatch's RunContext carries: the
+	// grant changed and the previous period completed, latched by
+	// beginPeriod, and a §5.6 exception callback owed after a grace
+	// overrun, cleared when it is delivered.
+	ctxFlags task.ContextFlags
 
 	queue    queueID
 	overtime bool // also on the OvertimeRequested queue
@@ -398,7 +400,7 @@ func (s *Scheduler) PrevPeriod(id task.ID) (used ticks.Ticks, completed bool, ok
 	if t == nil {
 		return 0, false, false
 	}
-	return t.prevUsed, t.prevCompleted, true
+	return t.prevUsed, t.ctxFlags&task.FlagPrevCompleted != 0, true
 }
 
 // IdleTicks reports CPU spent in the idle thread.

@@ -545,7 +545,7 @@ func TestControlledPreemptionOverrunException(t *testing.T) {
 	// period: involuntary preemption plus exception callbacks.
 	var exceptions int
 	body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		if ctx.Exception {
+		if ctx.Exception() {
 			exceptions++
 		}
 		return task.RunResult{Used: ctx.Span, Op: task.OpRanOut}

@@ -50,14 +50,14 @@ func TestCallingArgumentsPrevUsedPrevCompleted(t *testing.T) {
 		t.Fatalf("only %d period callbacks", len(boundaries))
 	}
 	first := boundaries[0]
-	if first.PrevUsed != 0 || first.PrevCompleted {
-		t.Errorf("initial grant: PrevUsed=%v PrevCompleted=%v, want zero values", first.PrevUsed, first.PrevCompleted)
+	if first.PrevUsed != 0 || first.PrevCompleted() {
+		t.Errorf("initial grant: PrevUsed=%v PrevCompleted=%v, want zero values", first.PrevUsed, first.PrevCompleted())
 	}
 	for i, c := range boundaries[1:] {
 		if c.PrevUsed != 3*ms {
 			t.Errorf("period %d: PrevUsed=%v, want 3ms", i+1, c.PrevUsed)
 		}
-		if !c.PrevCompleted {
+		if !c.PrevCompleted() {
 			t.Errorf("period %d: PrevCompleted=false after a completed period", i+1)
 		}
 	}

@@ -161,7 +161,9 @@ func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ti
 		}
 		s.obs.OnDispatch(cur.id, name, at, at+res.Used, DispatchSporadic, cur.grant.Level)
 		s.tel.dispatchSporadic.Inc()
-		s.tel.spans.Complete(at, at+res.Used, "dispatch", sp.name, int64(cur.id), cur.periodSpan, detail)
+		if s.tel.spans != nil {
+			s.tel.spans.Complete(at, at+res.Used, "dispatch", sp.name, int64(cur.id), cur.periodSpan, detail)
+		}
 	}
 	switch res.Op {
 	case task.OpBlock:
@@ -189,23 +191,30 @@ func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ti
 // remainder, then — if span is left — falls through to cur's own
 // body, delivering any period callback that was deferred while the
 // assignment was active.
-func (s *Scheduler) runAssigned(cur *tcb, ctx *task.RunContext) task.RunResult {
-	used, _ := s.runAssignment(cur, ctx.Now, ctx.Span)
-	if cur.ssCurrent != nil || used == ctx.Span {
+func (s *Scheduler) runAssigned(cur *tcb, now, span ticks.Ticks, flags task.ContextFlags) task.RunResult {
+	used, _ := s.runAssignment(cur, now, span)
+	if cur.ssCurrent != nil || used == span {
 		// Assignment still active (or span exhausted): the periodic
 		// task's own work waits.
 		return task.RunResult{Used: used, Op: task.OpRanOut}
 	}
 	// Assignment over with time left: resume the periodic task's own
 	// body, delivering the deferred period callback if one is due.
-	ctx.Now += used
-	ctx.Span -= used
-	ctx.UsedThisPeriod += used
+	newPeriod := false
 	if cur.newPeriod {
 		cur.newPeriod = false
-		ctx.NewPeriod = s.deliverAsCallback(cur)
+		newPeriod = s.deliverAsCallback(cur)
 	}
-	res := clamped(cur.body.Run(*ctx), ctx.Span)
+	res := clamped(cur.body.Run(task.RunContext{
+		Now:            now + used,
+		Span:           span - used,
+		PeriodStart:    cur.periodStart,
+		Level:          cur.grant.Level,
+		NewPeriod:      newPeriod,
+		PrevUsed:       cur.prevUsed,
+		UsedThisPeriod: cur.usedThisPeriod + used,
+		Flags:          flags,
+	}), span-used)
 	res.Used += used
 	return res
 }

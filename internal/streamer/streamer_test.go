@@ -170,7 +170,7 @@ func TestStreamerFollowsGrants(t *testing.T) {
 		Name: "pipeline",
 		List: list,
 		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			if ctx.NewPeriod || ctx.GrantChanged {
+			if ctx.NewPeriod || ctx.GrantChanged() {
 				// The application re-rates its DMA channel to its
 				// granted bandwidth at each level change.
 				want := list[ctx.Level].StreamerMBps

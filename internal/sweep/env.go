@@ -16,16 +16,33 @@ import (
 
 // probe is the lightweight sched.Observer every single-node run
 // installs: it records each task's first period start, from which
-// admission latency is derived.
+// admission latency is derived. firstPeriod is indexed by task ID —
+// IDs are dense and never reused in a run — with notStarted for a
+// task that has had no period yet. The sweep worker owns the probe
+// and empties it per run, keeping the storage.
 type probe struct {
 	sched.NopObserver
-	firstPeriod map[task.ID]ticks.Ticks
+	firstPeriod []ticks.Ticks
 }
 
+// notStarted marks a firstPeriod slot whose task has not started.
+const notStarted ticks.Ticks = -1
+
 func (p *probe) OnPeriodStart(id task.ID, start, _ ticks.Ticks, _ int, _ ticks.Ticks) {
-	if _, ok := p.firstPeriod[id]; !ok {
+	for int(id) >= len(p.firstPeriod) {
+		p.firstPeriod = append(p.firstPeriod, notStarted)
+	}
+	if p.firstPeriod[id] == notStarted {
 		p.firstPeriod[id] = start
 	}
+}
+
+// started reports id's first period start, and whether it had one.
+func (p *probe) started(id task.ID) (ticks.Ticks, bool) {
+	if uint(id) < uint(len(p.firstPeriod)) && p.firstPeriod[id] != notStarted {
+		return p.firstPeriod[id], true
+	}
+	return 0, false
 }
 
 // env is the harness a scenario's run function stages its experiment
@@ -75,14 +92,15 @@ type admitRec struct {
 }
 
 // worker is the storage one sweep worker builds its runs in, one after
-// another: the arena of its fleet runs and the registry of its
-// single-node runs. It belongs to one goroutine and holds one live
+// another: the arena of its fleet runs and the registry and probe of
+// its single-node runs. It belongs to one goroutine and holds one live
 // run; a finished run's RunMetrics holds copies, so the next run is
-// free to recycle both. Which worker a run lands on, and what ran
+// free to recycle all three. Which worker a run lands on, and what ran
 // there before, never affects its results (docs/DETERMINISM.md).
 type worker struct {
 	arena fleet.Arena
 	tel   telemetry.Set
+	pr    probe
 }
 
 func newWorker() *worker {
@@ -106,9 +124,9 @@ func newEnv(spec RunSpec, w *worker) (*env, error) {
 		return nil, fmt.Errorf("sweep: unknown cost model %q", spec.CostModel)
 	}
 	w.tel.Registry.Reset()
+	w.pr.firstPeriod = w.pr.firstPeriod[:0]
 	return &env{
-		spec: spec, sc: sc, costs: costs, arena: &w.arena, tel: &w.tel,
-		pr: &probe{firstPeriod: make(map[task.ID]ticks.Ticks)},
+		spec: spec, sc: sc, costs: costs, arena: &w.arena, tel: &w.tel, pr: &w.pr,
 	}, nil
 }
 
@@ -166,7 +184,7 @@ func (e *env) run(to func(ticks.Ticks)) error {
 	for _, a := range e.admits {
 		// Tasks that never started (admitted just before the horizon)
 		// contribute no admission-latency sample.
-		if start, ok := e.pr.firstPeriod[a.id]; ok {
+		if start, ok := e.pr.started(a.id); ok {
 			e.m.AdmissionMS = append(e.m.AdmissionMS, (start - a.at).MillisecondsF())
 		}
 	}

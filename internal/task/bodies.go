@@ -62,7 +62,7 @@ func CooperativeWork(work, checkEvery ticks.Ticks) Body {
 		if left <= 0 {
 			return RunResult{Op: OpYield, Completed: true}
 		}
-		if ctx.InGracePeriod {
+		if ctx.InGracePeriod() {
 			// The task only notices the notification at its next safe
 			// point, checkEvery ticks apart. If the grace window ends
 			// before the next poll, it fails to yield and overruns.

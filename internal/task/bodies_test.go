@@ -49,7 +49,7 @@ func TestCooperativeWorkGraceSemantics(t *testing.T) {
 	r = b.Run(RunContext{
 		Span:           200 * ticks.PerMicrosecond,
 		UsedThisPeriod: 4*ms + 30*ticks.PerMicrosecond, // 30us past a poll
-		InGracePeriod:  true,
+		Flags:          FlagInGracePeriod,
 	})
 	if r.Op != OpYield || r.Used != 70*ticks.PerMicrosecond {
 		t.Errorf("grace yield = %+v, want 70us to the next poll", r)
@@ -58,13 +58,13 @@ func TestCooperativeWorkGraceSemantics(t *testing.T) {
 	r = b.Run(RunContext{
 		Span:           40 * ticks.PerMicrosecond,
 		UsedThisPeriod: 4*ms + 30*ticks.PerMicrosecond,
-		InGracePeriod:  true,
+		Flags:          FlagInGracePeriod,
 	})
 	if r.Op != OpRanOut || r.Used != 40*ticks.PerMicrosecond {
 		t.Errorf("grace overrun = %+v, want full span + ran-out", r)
 	}
 	// Work already complete: yields immediately even in grace.
-	r = b.Run(RunContext{Span: ms, UsedThisPeriod: 10 * ms, InGracePeriod: true})
+	r = b.Run(RunContext{Span: ms, UsedThisPeriod: 10 * ms, Flags: FlagInGracePeriod})
 	if r.Op != OpYield || !r.Completed {
 		t.Errorf("completed grace = %+v", r)
 	}

@@ -249,6 +249,11 @@ func (o Op) String() string {
 // CPU. It carries the §5.5 calling arguments: "whether the previous
 // call completed, the sum of the resources used in the previous call,
 // and an indicator of which grant has been assigned for this period."
+//
+// Every dispatch passes one by value, so it is kept to eight
+// register-sized fields: with the body's receiver that is the nine
+// integer argument registers of amd64's Go ABI, and the call needs no
+// stack copy. The rarely read booleans share the Flags byte.
 type RunContext struct {
 	Now  ticks.Ticks // current virtual time
 	Span ticks.Ticks // CPU available before the next scheduling event
@@ -259,29 +264,51 @@ type RunContext struct {
 	// this rather than Now (§5.4).
 	PeriodStart ticks.Ticks
 
-	Level        int  // index into the resource list of the active grant
-	NewPeriod    bool // true for the first dispatch of a period (callback)
-	GrantChanged bool // true if Level differs from the previous period
+	Level     int  // index into the resource list of the active grant
+	NewPeriod bool // true for the first dispatch of a period (callback)
 
-	PrevCompleted bool        // did the previous period's work complete?
-	PrevUsed      ticks.Ticks // resources consumed in the previous period
+	PrevUsed ticks.Ticks // resources consumed in the previous period
 
 	// UsedThisPeriod is the CPU already consumed in the current
 	// period, letting bodies resume mid-period work under return
 	// semantics without keeping their own clocks.
 	UsedThisPeriod ticks.Ticks
 
-	// InGracePeriod is set when the scheduler has requested a
-	// controlled preemption (§5.6): the body must yield within the
-	// grace period or be involuntarily preempted.
-	InGracePeriod bool
-
-	// Exception is set on the first dispatch after the task failed to
-	// yield inside a grace period and was involuntarily preempted
-	// (§5.6: "When next run, it is sent an exception callback,
-	// enabling it to clean up").
-	Exception bool
+	// Flags holds the four rarely read calling arguments; read them
+	// through GrantChanged, PrevCompleted, InGracePeriod and Exception.
+	Flags ContextFlags
 }
+
+// ContextFlags are the boolean calling arguments of a RunContext.
+type ContextFlags uint8
+
+const (
+	// FlagGrantChanged: Level differs from the previous period's.
+	FlagGrantChanged ContextFlags = 1 << iota
+	// FlagPrevCompleted: the previous period's work completed.
+	FlagPrevCompleted
+	// FlagInGracePeriod: the scheduler has requested a controlled
+	// preemption (§5.6), and the body must yield within the grace
+	// period or be involuntarily preempted.
+	FlagInGracePeriod
+	// FlagException: the task failed to yield inside a grace period and
+	// was involuntarily preempted; this is the first dispatch since
+	// (§5.6: "When next run, it is sent an exception callback, enabling
+	// it to clean up").
+	FlagException
+)
+
+// GrantChanged reports whether Level differs from the previous period's.
+func (c RunContext) GrantChanged() bool { return c.Flags&FlagGrantChanged != 0 }
+
+// PrevCompleted reports whether the previous period's work completed.
+func (c RunContext) PrevCompleted() bool { return c.Flags&FlagPrevCompleted != 0 }
+
+// InGracePeriod reports a §5.6 grace-period dispatch.
+func (c RunContext) InGracePeriod() bool { return c.Flags&FlagInGracePeriod != 0 }
+
+// Exception reports the §5.6 exception callback after a grace overrun.
+func (c RunContext) Exception() bool { return c.Flags&FlagException != 0 }
 
 // RunResult reports what the body did with its span.
 type RunResult struct {

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -216,6 +217,53 @@ func TestBodyFuncAdapter(t *testing.T) {
 	r := b.Run(RunContext{Span: 10})
 	if !called || r.Used != 10 {
 		t.Error("BodyFunc adapter did not pass through")
+	}
+}
+
+// TestRunContextFitsRegisters guards the RunContext layout every
+// dispatch passes by value: at most eight fields, each a scalar, so the
+// context and the body's receiver travel in amd64's nine integer
+// argument registers. A ninth field, or a string or slice, fails here
+// instead of quietly adding a stack copy to every slice. Each flag
+// round-trips through its method, alone and with the others set.
+func TestRunContextFitsRegisters(t *testing.T) {
+	rt := reflect.TypeOf(RunContext{})
+	if rt.NumField() > 8 {
+		t.Errorf("RunContext has %d fields, want at most 8", rt.NumField())
+	}
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("RunContext.%s is a %s, want an integer or bool scalar", f.Name, f.Type.Kind())
+		}
+	}
+
+	methods := []struct {
+		flag ContextFlags
+		get  func(RunContext) bool
+	}{
+		{FlagGrantChanged, RunContext.GrantChanged},
+		{FlagPrevCompleted, RunContext.PrevCompleted},
+		{FlagInGracePeriod, RunContext.InGracePeriod},
+		{FlagException, RunContext.Exception},
+	}
+	all := ContextFlags(0)
+	for _, m := range methods {
+		all |= m.flag
+	}
+	for i, m := range methods {
+		if m.get(RunContext{}) {
+			t.Errorf("flag %d reads set on a zero context", i)
+		}
+		if !m.get(RunContext{Flags: m.flag}) || !m.get(RunContext{Flags: all}) {
+			t.Errorf("flag %d does not read back through its method", i)
+		}
+		if m.get(RunContext{Flags: all &^ m.flag}) {
+			t.Errorf("flag %d reads set when only the others are", i)
+		}
 	}
 }
 

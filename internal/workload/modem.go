@@ -60,7 +60,7 @@ func (m *Modem) Stats() ModemStats { return m.stats }
 
 // Run implements task.Body.
 func (m *Modem) Run(ctx task.RunContext) task.RunResult {
-	if ctx.NewPeriod && !ctx.PrevCompleted && ctx.PrevUsed > 0 {
+	if ctx.NewPeriod && !ctx.PrevCompleted() && ctx.PrevUsed > 0 {
 		m.stats.Overruns++
 	}
 	left := m.work - ctx.UsedThisPeriod
