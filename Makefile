@@ -52,10 +52,12 @@ loc:
 # (reader and both writers against their encoding/json references),
 # the instrument registry (a reused one against one built new per
 # generation), the Resource Manager (operation tapes against a
-# reference model that recomputes from scratch) and the fleet
+# reference model that recomputes from scratch), the fleet
 # coordinator (submit / crash / restart / storm schedule tapes over 2–8
 # nodes: the conservation ledger holds and nothing depends on the
-# cluster worker count), plus the scenario invariant sweep in
+# cluster worker count) and the invariant checker's audit cadence (a
+# corruption planted in a live checked system is reported within the
+# checker's detection contract), plus the scenario invariant sweep in
 # internal/core (a regular test, fuzz-like in spirit). -fuzz takes a
 # regexp and refuses to run when it matches two targets, so packages
 # with several anchor theirs. A fleet execution is three cluster runs,
@@ -74,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzRegistryReuse$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzManagerModel$$' -fuzztime=10s ./internal/rm
 	$(GO) test -run=NONE -fuzz='^FuzzFleetSchedule$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
+	$(GO) test -run=NONE -fuzz='^FuzzAuditGate$$' -fuzztime=10s ./internal/sched
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
 # Worker invariance over the whole matrix: the sweep engine's tests

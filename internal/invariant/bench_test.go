@@ -54,8 +54,8 @@ func checkedSystem(tb testing.TB) (chk *invariant.Checker, feed func()) {
 
 // BenchmarkInvariantPeriod measures what the Checker adds to one task
 // period: one OnDispatch, and an OnPeriodStart that closes the period,
-// re-checks the committed fraction and audits the Scheduler's
-// structure over ten tasks.
+// finds the committed grant set unchanged, and — once per round of ten
+// period starts — audits the Scheduler's structure over ten tasks.
 func BenchmarkInvariantPeriod(b *testing.B) {
 	chk, feed := checkedSystem(b)
 	b.ReportAllocs()
@@ -71,8 +71,7 @@ func BenchmarkInvariantPeriod(b *testing.B) {
 
 // TestCheckerSteadyStateAllocFree pins the recurring path: once every
 // task has an open period, dispatches and period starts are checked —
-// committed fraction and full structural audit included — without
-// allocating.
+// the rounds' structural audits included — without allocating.
 func TestCheckerSteadyStateAllocFree(t *testing.T) {
 	chk, feed := checkedSystem(t)
 	before := chk.PeriodsClosed()

@@ -14,6 +14,20 @@
 //     queues consistent, no dangling grant assignments after removal
 //     (sched.Audit).
 //
+// The structural audit is O(N), so it does not run at every period
+// start. Its detection contract:
+//
+//   - A finding that persists is reported within one round: NTasks()
+//     period starts.
+//   - A finding present after a structural change (a task started,
+//     dropped, blocked or woken, a grant assigned, a sporadic task
+//     removed — Scheduler.StructureGeneration) is reported at the next
+//     period start. Both structural bugs found so far followed such a
+//     change: a removal and a Sporadic Server assignment.
+//   - Finish reports whatever is still present.
+//   - A budget inconsistency can go unreported when its own task's next
+//     period start resets the budget before the round's audit.
+//
 // The Checker never panics and never mutates the system it watches; it
 // records Violations with trace cursors and keeps going, exactly so
 // fault scenarios can run to completion and report everything found.
@@ -74,8 +88,15 @@ type Checker struct {
 	// generation: committed sets are immutable between commits, so the
 	// sum only needs re-deriving when a new set is installed.
 	sumGen   uint64
-	sumValid bool
 	sum      ticks.Frac
+	sumValid bool
+
+	// The structural audit's cadence (OnPeriodStart): the period starts
+	// seen since the last audit, and the Scheduler's structure
+	// generation at it. (sinceAudit shares sumValid's word, which keeps
+	// a Checker in its allocation size class.)
+	sinceAudit int32
+	auditGen   uint64
 
 	periodsClosed int64
 
@@ -161,9 +182,12 @@ func (c *Checker) OnDispatch(id task.ID, name string, from, to ticks.Ticks, kind
 }
 
 // OnPeriodStart closes the task's previous period (auditing it) and
-// opens the new one. It also runs the system-wide checks — committed
-// fraction and structural audit — at what is the natural heartbeat of
-// the schedule.
+// opens the new one. It also runs the system-wide checks at what is the
+// natural heartbeat of the schedule: the committed fraction whenever a
+// new grant set was committed, and the structural audit once per round
+// of NTasks() period starts and at the first period start after a
+// structural change (Scheduler.StructureGeneration). So a checked
+// period start costs O(1) amortised, not the O(N) of a full audit.
 func (c *Checker) OnPeriodStart(id task.ID, start, deadline ticks.Ticks, level int, cpu ticks.Ticks) {
 	c.seq++
 	if p := c.openPeriod(id); p != nil {
@@ -176,7 +200,12 @@ func (c *Checker) OnPeriodStart(id task.ID, start, deadline ticks.Ticks, level i
 		c.open[id] = period{present: true, start: start, deadline: deadline, cpu: cpu}
 	}
 	c.checkCommitted(start)
-	c.checkStructure(start)
+	if c.s != nil {
+		c.sinceAudit++
+		if c.s.StructureGeneration() != c.auditGen || int(c.sinceAudit) >= c.s.NTasks() {
+			c.checkStructure(start)
+		}
+	}
 	if c.next != nil {
 		c.next.OnPeriodStart(id, start, deadline, level, cpu)
 	}
@@ -249,19 +278,27 @@ func (c *Checker) closePeriod(id task.ID, p *period, at ticks.Ticks) {
 // under its (possibly pressure-degraded) capacity; the Checker
 // re-derives the sum independently and compares against the full
 // schedulable fraction, which upper-bounds every legal capacity.
+//
+// While the grant generation stands still there is nothing to do: the
+// committed set is the one last summed, Available is fixed when the
+// Manager is built, and the verdict on that pair was given already
+// (reportOvercommit reports a pair once).
 func (c *Checker) checkCommitted(at ticks.Ticks) {
 	if c.m == nil {
 		return
 	}
-	if gen := c.m.GrantGeneration(); !c.sumValid || gen != c.sumGen {
-		// The set is in ascending ID order, so intermediate overflow
-		// behaviour cannot vary across runs.
-		sum := ticks.FracZero
-		for _, g := range c.m.Committed().All() {
-			sum = sum.Add(g.Entry.Frac())
-		}
-		c.sum, c.sumGen, c.sumValid = sum, gen, true
+	gen := c.m.GrantGeneration()
+	if c.sumValid && gen == c.sumGen {
+		return
 	}
+	// The set is in ascending ID order, so intermediate overflow
+	// behaviour cannot vary across runs. The terms go in unreduced: Add
+	// reduces each sum, so the total is the same canonical fraction.
+	sum := ticks.FracZero
+	for _, g := range c.m.Committed().All() {
+		sum = sum.Add(ticks.Frac{Num: int64(g.Entry.CPU), Den: int64(g.Entry.Period)})
+	}
+	c.sum, c.sumGen, c.sumValid = sum, gen, true
 	if avail := c.m.Available(); !c.sum.LessOrEqual(avail) {
 		c.reportOvercommit(at, avail)
 	}
@@ -274,6 +311,7 @@ func (c *Checker) checkStructure(at ticks.Ticks) {
 	if c.s == nil {
 		return
 	}
+	c.auditGen, c.sinceAudit = c.s.StructureGeneration(), 0
 	for _, f := range c.s.Audit().Findings {
 		if c.seen[f] {
 			continue

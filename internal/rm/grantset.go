@@ -421,7 +421,9 @@ func (m *Manager) commit(gs GrantSet) {
 		if ng.Entry.CPU == og.Entry.CPU && ng.Entry.Period == og.Entry.Period {
 			continue // same rate: most grants survive a recompute unchanged
 		}
-		if ng.Entry.Frac().Cmp(og.Entry.Frac()) < 0 {
+		// Compared unreduced: Cmp is exact for positive denominators.
+		rate := ticks.Frac{Num: int64(ng.Entry.CPU), Den: int64(ng.Entry.Period)}
+		if rate.Cmp(ticks.Frac{Num: int64(og.Entry.CPU), Den: int64(og.Entry.Period)}) < 0 {
 			m.hooks.GrantDecreased(og.Task, *ng)
 		}
 	}

@@ -1,11 +1,11 @@
 //rd:hotpath
 package sched
 
-// The invariant checker audits the scheduler at every period start,
-// so the walk below is on the recurring path: one pass over the three
-// queues, one over the task table, no allocation while the bookkeeping
-// is consistent. Findings are formatted by the cold AuditReport.addf
-// (auditreport.go).
+// The invariant checker audits the scheduler once per round of period
+// starts and after every structural change, so the walk below is on
+// the recurring path: one pass over the three queues, one over the task
+// table, no allocation while the bookkeeping is consistent. Findings
+// are formatted by the cold AuditReport.addf (auditreport.go).
 
 // Membership bits Audit writes into tcb.auditSeen: seenTable while
 // stamping the task table, so that the queue walks can tell a live

@@ -267,91 +267,176 @@ func corruptibleSystem(t *testing.T) (*Scheduler, []*tcb) {
 	return s, s.tasksByID()
 }
 
+// auditCorruption damages the bookkeeping in one way the audit exists
+// to notice.
+type auditCorruption struct {
+	name string
+	// live: a running scheduler survives the damage — it neither panics
+	// nor spins on it — so it may be planted mid-run (FuzzAuditGate).
+	// Two kinds of damage spin the run loop at one instant: a queue entry
+	// whose tag names another queue (once at the front with its grant
+	// spent, every pass re-files it and picks it again), and a dropped
+	// task still queued in the table (resolve leaves a dropped task where
+	// it is, so one whose body uses nothing is picked again, at the same
+	// instant).
+	live bool
+	// corrupt damages s, whose task table is ts, and reports false —
+	// having changed nothing — when s lacks what the damage needs.
+	corrupt func(s *Scheduler, ts []*tcb) bool
+}
+
+// ghost is a sporadic task the scheduler never heard of. It has a body,
+// so a live scheduler that dispatches the dangling assignment runs it.
+func ghost() *sporadicTask { return &sporadicTask{id: 99, name: "ghost", body: task.Busy()} }
+
+var auditCorruptions = []auditCorruption{
+	{"dropped task left on a queue", true, func(s *Scheduler, ts []*tcb) bool {
+		// Off the overtime queue, the dropped task is never picked again.
+		i := slices.IndexFunc(s.timeExpired, func(x *tcb) bool { return !x.overtime })
+		if i < 0 {
+			return false
+		}
+		v := s.timeExpired[i]
+		v.dropped = true
+		s.byID = slices.DeleteFunc(slices.Clone(s.byID), func(x *tcb) bool { return x == v })
+		return true
+	}},
+	{"dropped task still in the table and on the overtime queue", false, func(s *Scheduler, ts []*tcb) bool {
+		if len(s.overtimeQ) == 0 {
+			return false
+		}
+		s.overtimeQ[0].dropped = true
+		return true
+	}},
+	{"wrong queue tag", false, func(s *Scheduler, ts []*tcb) bool {
+		if len(s.timeRemaining) == 0 {
+			return false
+		}
+		s.timeRemaining[0].queue = qTimeExpired
+		return true
+	}},
+	{"queue tag cleared", true, func(s *Scheduler, ts []*tcb) bool {
+		if len(s.timeExpired) == 0 {
+			return false
+		}
+		s.timeExpired[0].queue = qNone
+		return true
+	}},
+	{"tagged but taken off the queue", true, func(s *Scheduler, ts []*tcb) bool {
+		if len(s.timeExpired) == 0 {
+			return false
+		}
+		// The previous audit pass marked this tcb as seen on
+		// TimeExpired; a stale mark must not hide its absence now.
+		s.timeExpired = s.timeExpired[1:]
+		return true
+	}},
+	{"on both paper queues", false, func(s *Scheduler, ts []*tcb) bool {
+		if len(s.timeExpired) == 0 {
+			return false
+		}
+		s.timeRemaining = append(s.timeRemaining, s.timeExpired[0])
+		return true
+	}},
+	{"overtime flag flipped on", true, func(s *Scheduler, ts []*tcb) bool {
+		for _, x := range ts {
+			if !x.overtime {
+				x.overtime = true
+				return true
+			}
+		}
+		return false
+	}},
+	{"overtime flag flipped off", false, func(s *Scheduler, ts []*tcb) bool {
+		if len(s.overtimeQ) == 0 {
+			return false
+		}
+		s.overtimeQ[0].overtime = false
+		return true
+	}},
+	{"dangling ssCurrent", true, func(s *Scheduler, ts []*tcb) bool {
+		if len(ts) == 0 {
+			return false
+		}
+		ts[0].ssCurrent, ts[0].ssAssignLeft = ghost(), 5*ms
+		return true
+	}},
+	{"assignee removed behind the scheduler's back", true, func(s *Scheduler, ts []*tcb) bool {
+		if len(ts) < 2 || len(s.sporadics) == 0 {
+			return false
+		}
+		ts[1].ssCurrent, ts[1].ssAssignLeft = s.sporadics[0], 5*ms
+		s.sporadics = nil
+		return true
+	}},
+	{"assignment budget without assignee", true, func(s *Scheduler, ts []*tcb) bool {
+		if len(ts) < 2 || ts[1].ssCurrent != nil {
+			return false
+		}
+		ts[1].ssAssignLeft = 3 * ms
+		return true
+	}},
+	{"budget negative", true, func(s *Scheduler, ts []*tcb) bool {
+		if len(ts) == 0 {
+			return false
+		}
+		ts[0].remaining = -1
+		return true
+	}},
+	{"budget above the grant", true, func(s *Scheduler, ts []*tcb) bool {
+		if len(ts) == 0 {
+			return false
+		}
+		x := ts[len(ts)-1]
+		x.remaining = x.grant.Entry.CPU + 1
+		return true
+	}},
+	{"running task dropped", false, func(s *Scheduler, ts []*tcb) bool {
+		if len(ts) == 0 {
+			return false
+		}
+		s.running = ts[0]
+		ts[0].dropped = true
+		return true
+	}},
+	{"running task not in the table", true, func(s *Scheduler, ts []*tcb) bool {
+		s.running = &tcb{id: 77, name: "stranger"}
+		return true
+	}},
+	{"table entry replaced by a twin", true, func(s *Scheduler, ts []*tcb) bool {
+		if len(ts) == 0 {
+			return false
+		}
+		twin := *ts[0]
+		s.byID = slices.Clone(s.byID)
+		s.byID[0] = &twin
+		return true
+	}},
+	{"everything at once", false, func(s *Scheduler, ts []*tcb) bool {
+		if len(ts) < 3 || len(s.timeRemaining) == 0 || len(s.timeExpired) == 0 || len(s.overtimeQ) == 0 {
+			return false
+		}
+		s.timeRemaining[0].queue = qTimeExpired
+		s.overtimeQ[0].overtime = false
+		s.timeExpired = append(s.timeExpired[1:], &tcb{id: 55, name: "stray", queue: qTimeRemaining, dropped: true})
+		ts[0].remaining = -7
+		ts[1].ssCurrent = ghost()
+		ts[2].ssAssignLeft = 1
+		s.running = &tcb{id: 77, name: "stranger", dropped: true}
+		return true
+	}},
+}
+
 // TestAuditMatchesNaiveOnCorruptedState damages the bookkeeping in
 // every way the audit exists to notice and requires the same findings,
 // in the same words and order, from Audit and from the oracle.
 func TestAuditMatchesNaiveOnCorruptedState(t *testing.T) {
-	ghost := &sporadicTask{id: 99, name: "ghost"}
-	cases := []struct {
-		name    string
-		corrupt func(s *Scheduler, ts []*tcb)
-	}{
-		{"dropped task left on a queue", func(s *Scheduler, ts []*tcb) {
-			v := s.timeExpired[0]
-			v.dropped = true
-			s.byID = slices.DeleteFunc(slices.Clone(s.byID), func(x *tcb) bool { return x == v })
-		}},
-		{"dropped task still in the table and on the overtime queue", func(s *Scheduler, ts []*tcb) {
-			s.overtimeQ[0].dropped = true
-		}},
-		{"wrong queue tag", func(s *Scheduler, ts []*tcb) {
-			s.timeRemaining[0].queue = qTimeExpired
-		}},
-		{"queue tag cleared", func(s *Scheduler, ts []*tcb) {
-			s.timeExpired[0].queue = qNone
-		}},
-		{"tagged but taken off the queue", func(s *Scheduler, ts []*tcb) {
-			// The previous audit pass marked this tcb as seen on
-			// TimeExpired; a stale mark must not hide its absence now.
-			s.timeExpired = s.timeExpired[1:]
-		}},
-		{"on both paper queues", func(s *Scheduler, ts []*tcb) {
-			s.timeRemaining = append(s.timeRemaining, s.timeExpired[0])
-		}},
-		{"overtime flag flipped on", func(s *Scheduler, ts []*tcb) {
-			for _, x := range ts {
-				if !x.overtime {
-					x.overtime = true
-					return
-				}
-			}
-			panic("every task is on the overtime queue")
-		}},
-		{"overtime flag flipped off", func(s *Scheduler, ts []*tcb) {
-			s.overtimeQ[0].overtime = false
-		}},
-		{"dangling ssCurrent", func(s *Scheduler, ts []*tcb) {
-			ts[0].ssCurrent, ts[0].ssAssignLeft = ghost, 5*ms
-		}},
-		{"assignee removed behind the scheduler's back", func(s *Scheduler, ts []*tcb) {
-			ts[1].ssCurrent, ts[1].ssAssignLeft = s.sporadics[0], 5*ms
-			s.sporadics = nil
-		}},
-		{"assignment budget without assignee", func(s *Scheduler, ts []*tcb) {
-			ts[1].ssAssignLeft = 3 * ms
-		}},
-		{"budget negative", func(s *Scheduler, ts []*tcb) {
-			ts[0].remaining = -1
-		}},
-		{"budget above the grant", func(s *Scheduler, ts []*tcb) {
-			ts[2].remaining = ts[2].grant.Entry.CPU + 1
-		}},
-		{"running task dropped", func(s *Scheduler, ts []*tcb) {
-			s.running = ts[0]
-			ts[0].dropped = true
-		}},
-		{"running task not in the table", func(s *Scheduler, ts []*tcb) {
-			s.running = &tcb{id: 77, name: "stranger"}
-		}},
-		{"table entry replaced by a twin", func(s *Scheduler, ts []*tcb) {
-			twin := *ts[0]
-			s.byID = slices.Clone(s.byID)
-			s.byID[0] = &twin
-		}},
-		{"everything at once", func(s *Scheduler, ts []*tcb) {
-			s.timeRemaining[0].queue = qTimeExpired
-			s.overtimeQ[0].overtime = false
-			s.timeExpired = append(s.timeExpired[1:], &tcb{id: 55, name: "stray", queue: qTimeRemaining, dropped: true})
-			ts[0].remaining = -7
-			ts[1].ssCurrent = ghost
-			ts[2].ssAssignLeft = 1
-			s.running = &tcb{id: 77, name: "stranger", dropped: true}
-		}},
-	}
-	for _, c := range cases {
+	for _, c := range auditCorruptions {
 		t.Run(c.name, func(t *testing.T) {
 			s, ts := corruptibleSystem(t)
-			c.corrupt(s, ts)
+			if !c.corrupt(s, ts) {
+				t.Fatal("the populated system lacks what the corruption needs")
+			}
 			if f := auditMatchesNaive(t, s, "after corruption"); len(f) == 0 {
 				t.Fatal("corruption went unnoticed by both audits")
 			}

@@ -38,6 +38,7 @@ func (s *Scheduler) GrantRemoved(id task.ID) {
 }
 
 func (s *Scheduler) dropTask(t *tcb) {
+	s.structGen++
 	t.dropped = true
 	s.dequeue(t)
 	s.setOvertime(t, false)
@@ -129,6 +130,7 @@ func (s *Scheduler) startTask(id task.ID, g rm.Grant, now ticks.Ticks) {
 	}
 	i, _ := s.index(id)
 	s.byID = slices.Insert(s.byID, i, t)
+	s.structGen++
 	s.beginPeriod(t, now)
 	s.obs.OnGrantApplied(id, g)
 }
@@ -286,6 +288,7 @@ func (s *Scheduler) Unblock(id task.ID) error {
 }
 
 func (s *Scheduler) wake(t *tcb) {
+	s.structGen++
 	t.blocked = false
 	t.wokenMidPeriod = true
 	t.wokeAt = s.k.Now()

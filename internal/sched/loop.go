@@ -463,6 +463,7 @@ func (s *Scheduler) resolve(cur *tcb, kind DispatchKind, reason switchReason, ti
 func (s *Scheduler) leave(cur *tcb, res task.RunResult) {
 	cur.lastExitVoluntary = true
 	if res.Op == task.OpBlock {
+		s.structGen++
 		cur.blocked = true
 		s.dequeue(cur)
 		s.setOvertime(cur, false)

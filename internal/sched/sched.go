@@ -274,6 +274,7 @@ type Scheduler struct {
 	sporadics      []*sporadicTask
 	nextSporadicID SporadicID
 	auditEpoch     uint64           // stamp of the latest Audit pass
+	structGen      uint64           // see StructureGeneration
 	pendingSS      map[task.ID]bool // server marks awaiting first pickup
 
 	// idleStats accounts the implicit Idle thread.
@@ -408,6 +409,14 @@ func (s *Scheduler) IdleTicks() ticks.Ticks { return s.idleTicks }
 
 // NTasks reports the number of tasks the Scheduler currently holds.
 func (s *Scheduler) NTasks() int { return len(s.byID) }
+
+// StructureGeneration counts the Scheduler's structural changes: a task
+// starting or being dropped, a task blocking or waking, and a §5.1
+// grant assignment made or a sporadic task removed. It is to the task
+// table what rm.Manager.GrantGeneration is to the committed grants.
+// Queue moves, budget charges and period rollovers do not count, so
+// the dispatch path never touches it.
+func (s *Scheduler) StructureGeneration() uint64 { return s.structGen }
 
 // TaskIDs returns the scheduled task IDs in ascending order.
 func (s *Scheduler) TaskIDs() []task.ID {

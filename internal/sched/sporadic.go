@@ -88,6 +88,7 @@ func (s *Scheduler) AddSporadic(name string, body task.Body) SporadicID {
 func (s *Scheduler) RemoveSporadic(id SporadicID) {
 	for i, sp := range s.sporadics {
 		if sp.id == id {
+			s.structGen++
 			s.k.Cancel(sp.wake)
 			s.sporadics = append(s.sporadics[:i], s.sporadics[i+1:]...)
 			s.clearSSAssignment(sp)
@@ -130,6 +131,7 @@ func (s *Scheduler) AssignGrant(id task.ID, sp SporadicID, amount ticks.Ticks) e
 	}
 	for _, x := range s.sporadics {
 		if x.id == sp {
+			s.structGen++
 			t.ssCurrent = x
 			t.ssAssignLeft = amount
 			return nil

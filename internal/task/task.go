@@ -94,7 +94,10 @@ func (rl ResourceList) Validate() error {
 		}
 	}
 	for i := 1; i < len(rl); i++ {
-		if rl[i].Frac().Cmp(rl[i-1].Frac()) > 0 {
+		// The rates are compared as given: Cmp is exact on any pair with
+		// positive denominators, so reducing them first buys nothing.
+		rate := ticks.Frac{Num: int64(rl[i].CPU), Den: int64(rl[i].Period)}
+		if rate.Cmp(ticks.Frac{Num: int64(rl[i-1].CPU), Den: int64(rl[i-1].Period)}) > 0 {
 			return fmt.Errorf("task: entries not ordered max-to-min rate: entry %d (%s) above entry %d (%s)",
 				i, rl[i].Rate(), i-1, rl[i-1].Rate())
 		}
