@@ -237,10 +237,11 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 	c.nodes = a.nodes[:cfg.Nodes]
 	for i, n := range c.nodes {
 		n.id, n.seed, n.cfg, n.costs = i, seeds.Uint64(), &c.cfg, costs
-		n.tel.Spans = n.flight.Ring()
 		if cfg.SpanLog {
 			n.tel.Spans = telemetry.NewSpans()
 			n.flight.Front(n.tel.Spans)
+		} else {
+			n.tel.Spans = n.flight.Ring()
 		}
 		n.build(0)
 	}

@@ -194,11 +194,9 @@ func (g gatedSystem) populate(rng *sim.RNG, horizon ticks.Ticks) {
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		body := task.Busy()
 		if rng.Intn(2) == 0 {
-			// Blocked for good: a timed block arms its wake from the start
-			// of the dispatch it blocked in, and when that lands inside the
-			// span the server or the assigning task runs on past it, the
-			// kernel panics rather than skip the event.
-			body = task.WorkThenBlock(ms, 0)
+			// A timed block: its wake-up can fall inside the slice the
+			// server or the assigning task is running, which ends there.
+			body = task.WorkThenBlock(ms, ticks.Ticks(1+rng.Intn(20))*ms)
 		}
 		sps = append(sps, d.AddSporadic(fmt.Sprintf("sp%d", i), body))
 	}

@@ -259,7 +259,13 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 		}
 	}
 
-	res := clamped(s.runBody(cur, now, span), span)
+	res, end := s.runBody(cur, now, span)
+	if end < span {
+		// A timed sporadic block armed its wake-up inside the slice, and
+		// the slice ends at that event instead.
+		span, reason = end, reasonEvent
+	}
+	res = clamped(res, span)
 	// Defend against misbehaving bodies: an unknown op is treated as
 	// running out (the conservative reading), and a body that stopped
 	// early did so voluntarily, whatever it says.
@@ -309,7 +315,9 @@ func (s *Scheduler) deliverAsCallback(cur *tcb) bool {
 // assignment, or to the task body with the §5.5 calling arguments. The
 // flags and the period callback are settled first; the context itself
 // is a literal in the call, so it travels in registers (RunContext).
-func (s *Scheduler) runBody(cur *tcb, now, span ticks.Ticks) task.RunResult {
+// It returns the span the result answers to: span, or less where a
+// sporadic task's timed block cut the slice short (runAssignment).
+func (s *Scheduler) runBody(cur *tcb, now, span ticks.Ticks) (task.RunResult, ticks.Ticks) {
 	flags := cur.ctxFlags
 	cur.ctxFlags &^= task.FlagException
 	// While a §5.1 grant assignment is active the period callback is
@@ -335,7 +343,7 @@ func (s *Scheduler) runBody(cur *tcb, now, span ticks.Ticks) task.RunResult {
 		PrevUsed:       cur.prevUsed,
 		UsedThisPeriod: cur.usedThisPeriod,
 		Flags:          flags,
-	})
+	}), span
 }
 
 // clamped holds what a body answered to the span it was offered: a

@@ -148,7 +148,8 @@ func (s *Scheduler) AssignGrant(id task.ID, sp SporadicID, amount ticks.Ticks) e
 // of it; otherwise it carries over to cur's next dispatch, possibly in
 // a later period. turnOver reports an assignment that ended with the
 // task still ready to run — what the Sporadic Server rotates its queue
-// on.
+// on. A timed block arms the wake-up at the block instant, which can
+// fall inside the slice: the caller then ends the slice there (clip).
 func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ticks, turnOver bool) {
 	sp := cur.ssCurrent
 	give := min(span, cur.ssAssignLeft)
@@ -171,7 +172,7 @@ func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ti
 	case task.OpBlock:
 		sp.blocked = true
 		if res.BlockFor > 0 {
-			sp.wake = s.k.AfterCall(res.BlockFor, s, opWakeSporadic, int32(sp.id), 0)
+			sp.wake = s.k.AtCall(at+res.Used+res.BlockFor, s, opWakeSporadic, int32(sp.id), 0)
 		}
 	case task.OpExit:
 		s.RemoveSporadic(sp.id)
@@ -188,17 +189,32 @@ func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ti
 	return res.Used, turnOver
 }
 
+// clip shortens the rest of a slice, span ticks from at, to end at the
+// kernel's next event: the wake-up a timed sporadic block has just
+// armed, which the kernel may not advance past.
+func (s *Scheduler) clip(at, span ticks.Ticks) ticks.Ticks {
+	if ev, ok := s.k.NextEventTime(); ok && ev < at+span {
+		return ev - at
+	}
+	return span
+}
+
 // runAssigned executes a general grant assignment (§5.1) inside the
 // periodic task cur's dispatch. It consumes up to the assignment
 // remainder, then — if span is left — falls through to cur's own
 // body, delivering any period callback that was deferred while the
-// assignment was active.
-func (s *Scheduler) runAssigned(cur *tcb, now, span ticks.Ticks, flags task.ContextFlags) task.RunResult {
+// assignment was active. Like runBody it returns the span its result
+// answers to.
+func (s *Scheduler) runAssigned(cur *tcb, now, span ticks.Ticks, flags task.ContextFlags) (task.RunResult, ticks.Ticks) {
+	sp := cur.ssCurrent
 	used, _ := s.runAssignment(cur, now, span)
+	if sp.blocked {
+		span = used + s.clip(now+used, span-used)
+	}
 	if cur.ssCurrent != nil || used == span {
 		// Assignment still active (or span exhausted): the periodic
 		// task's own work waits.
-		return task.RunResult{Used: used, Op: task.OpRanOut}
+		return task.RunResult{Used: used, Op: task.OpRanOut}, span
 	}
 	// Assignment over with time left: resume the periodic task's own
 	// body, delivering the deferred period callback if one is due.
@@ -218,7 +234,7 @@ func (s *Scheduler) runAssigned(cur *tcb, now, span ticks.Ticks, flags task.Cont
 		Flags:          flags,
 	}), span-used)
 	res.Used += used
-	return res
+	return res, span
 }
 
 // SporadicStatsOf reports accounting for a sporadic task.
@@ -270,8 +286,9 @@ func (s *Scheduler) rotateSporadic(sp *sporadicTask) {
 // runSporadicServer executes the server's dispatch: assign the grant
 // slice to queued sporadic tasks and run them inside the offered
 // span. The result is shaped like a body result so the main loop's
-// resolve logic applies unchanged.
-func (s *Scheduler) runSporadicServer(cur *tcb, at, span ticks.Ticks) task.RunResult {
+// resolve logic applies unchanged; like runBody it returns the span
+// the result answers to.
+func (s *Scheduler) runSporadicServer(cur *tcb, at, span ticks.Ticks) (task.RunResult, ticks.Ticks) {
 	spanLeft := span
 	var used ticks.Ticks
 	// zeroStreak guards against a live-lock: ready sporadic tasks
@@ -296,6 +313,9 @@ func (s *Scheduler) runSporadicServer(cur *tcb, at, span ticks.Ticks) task.RunRe
 		n, turnOver := s.runAssignment(cur, at+used, spanLeft)
 		used += n
 		spanLeft -= n
+		if sp.blocked {
+			spanLeft = s.clip(at+used, spanLeft)
+		}
 		if n == 0 {
 			zeroStreak++
 		} else {
@@ -311,17 +331,23 @@ func (s *Scheduler) runSporadicServer(cur *tcb, at, span ticks.Ticks) task.RunRe
 	// More work queued (or an open assignment): ask for overtime so
 	// unallocated time flows to sporadic tasks.
 	hasWork := cur.ssCurrent != nil || s.nextReadySporadic() != nil
+	end := used + spanLeft
 	switch {
+	case end < span && (spanLeft == 0 || cur.ssAlwaysOvertime):
+		// Ran (or busy-polled) up to a wake-up armed inside the slice:
+		// the slice ends at that event, and the server keeps the CPU and
+		// what is left of its grant.
+		return task.RunResult{Used: end, Op: task.OpRanOut}, end
 	case spanLeft == 0 && (hasWork || cur.ssAlwaysOvertime):
-		return task.RunResult{Used: used, Op: task.OpOvertime}
+		return task.RunResult{Used: used, Op: task.OpOvertime}, end
 	case spanLeft == 0:
-		return task.RunResult{Used: used, Op: task.OpRanOut}
+		return task.RunResult{Used: used, Op: task.OpRanOut}, end
 	case cur.ssAlwaysOvertime:
 		// The Figure 5 server "indicates it has work to do at the end
 		// of each period": with nothing queued it busy-polls, burning
 		// the rest of the span, and still requests overtime.
-		return task.RunResult{Used: used + spanLeft, Op: task.OpOvertime, Completed: true}
+		return task.RunResult{Used: end, Op: task.OpOvertime, Completed: true}, end
 	default:
-		return task.RunResult{Used: used, Op: task.OpYield, Completed: true}
+		return task.RunResult{Used: used, Op: task.OpYield, Completed: true}, end
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -25,8 +26,51 @@ const (
 	// only a single string longer than the slack can grow it.
 	emitSlack = 4 << 10
 	// emitMaxDepth bounds the nesting the precomputed newline+indent
-	// string covers; the deepest document written here nests five.
+	// string and member literals cover; the deepest document written
+	// here nests five.
 	emitMaxDepth = 8
+
+	// manifestUnit and perfettoUnit are the indent units of WriteJSON
+	// and WritePerfetto.
+	manifestUnit = "  "
+	perfettoUnit = " "
+)
+
+// A member is what opens one object member in the writers' layout —
+// newline, indent, quoted key, ": " — at every nesting depth. A writer
+// appends it as one literal and the manifest reader (read.go)
+// recognises it by comparing the input with the same string, so the
+// layout is defined here once. Keys are the struct tags' literals:
+// plain ASCII that needs no escaping.
+type member [emitMaxDepth + 1]string
+
+func newMember(unit, key string) *member {
+	m := new(member)
+	for d := range m {
+		//rdlint:allow hotalloc cold path: once per key and depth, at package initialisation
+		m[d] = "\n" + strings.Repeat(unit, d) + `"` + key + `": `
+	}
+	return m
+}
+
+func mkey(key string) *member { return newMember(manifestUnit, key) }
+
+// The rdtel/v2 members. A name several types share is one member.
+var (
+	kSchema, kBuild, kSeed, kConfigDigest            = mkey("schema"), mkey("build"), mkey("seed"), mkey("config_digest")
+	kHorizonTicks, kNode, kNodeCount, kTasks         = mkey("horizon_ticks"), mkey("node"), mkey("node_count"), mkey("tasks")
+	kMetrics, kSpans, kEvents, kFlightDumps, kTotals = mkey("metrics"), mkey("spans"), mkey("events"), mkey("flight_dumps"), mkey("totals")
+
+	kID, kName, kValue, kMax              = mkey("id"), mkey("name"), mkey("value"), mkey("max")
+	kCounters, kGauges, kHistograms       = mkey("counters"), mkey("gauges"), mkey("histograms")
+	kWidth, kCounts, kSum, kCount         = mkey("width"), mkey("counts"), mkey("sum"), mkey("count")
+	kParent, kCat, kTask, kBegin, kEnd    = mkey("parent"), mkey("cat"), mkey("task"), mkey("begin"), mkey("end")
+	kDetail, kLink, kLinkNode, kAt, kKind = mkey("detail"), mkey("link"), mkey("link_node"), mkey("at"), mkey("kind")
+	kReason, kSpansTotal, kSpansDropped   = mkey("reason"), mkey("spans_total"), mkey("spans_dropped")
+	kEventsTotal, kEventsDropped          = mkey("events_total"), mkey("events_dropped")
+
+	kDeadlineMisses, kViolations   = mkey("deadline_misses"), mkey("violations")
+	kDegradations, kFaultsInjected = mkey("degradations"), mkey("faults_injected")
 )
 
 // emitter writes one indented JSON document into its own buffer and
@@ -83,8 +127,9 @@ func (e *emitter) close(c byte) {
 	e.first = false
 }
 
-// elem positions the next array element: separator, newline, indent.
-func (e *emitter) elem() {
+// sep starts the next element or member of the innermost container:
+// a flush when the buffer is nearly full, then the separating comma.
+func (e *emitter) sep() {
 	if len(e.buf) >= emitBufSize-emitSlack {
 		e.flush()
 	}
@@ -92,16 +137,18 @@ func (e *emitter) elem() {
 		e.buf = append(e.buf, ',')
 	}
 	e.first = false
+}
+
+// elem positions the next array element: separator, newline, indent.
+func (e *emitter) elem() {
+	e.sep()
 	e.buf = append(e.buf, e.nl[:1+e.depth*e.unit]...)
 }
 
-// key positions the next object member and writes its name. Names are
-// the struct tags' literals: plain ASCII that needs no escaping.
-func (e *emitter) key(k string) {
-	e.elem()
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, k...)
-	e.buf = append(e.buf, '"', ':', ' ')
+// key opens the next object member.
+func (e *emitter) key(k *member) {
+	e.sep()
+	e.buf = append(e.buf, k[e.depth]...)
 }
 
 func (e *emitter) int(v int64)   { e.buf = strconv.AppendInt(e.buf, v, 10) }
@@ -112,6 +159,12 @@ func (e *emitter) null()         { e.buf = append(e.buf, "null"...) }
 // 'e' outside [1e-6, 1e21) with a two-digit negative exponent trimmed
 // to one. Callers only pass finite values (tick quotients).
 func (e *emitter) float(f float64) {
+	// Below 2⁵³ every whole number is a float of its own, so no shorter
+	// decimal names it and its shortest 'f' form is its integer digits.
+	if i := int64(f); float64(i) == f && -1<<53 < i && i < 1<<53 && (i != 0 || !math.Signbit(f)) {
+		e.int(i)
+		return
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -202,17 +255,18 @@ func (e *emitter) escaped(s string) {
 
 // --- object members ---
 
-func (e *emitter) strField(k, v string)       { e.key(k); e.str(v) }
-func (e *emitter) intField(k string, v int64) { e.key(k); e.int(v) }
+func (e *emitter) strField(k *member, v string)    { e.key(k); e.str(v) }
+func (e *emitter) intField(k *member, v int64)     { e.key(k); e.int(v) }
+func (e *emitter) floatField(k *member, v float64) { e.key(k); e.float(v) }
 
 // optStr and optInt are the omitempty members.
-func (e *emitter) optStr(k, v string) {
+func (e *emitter) optStr(k *member, v string) {
 	if v != "" {
 		e.strField(k, v)
 	}
 }
 
-func (e *emitter) optInt(k string, v int64) {
+func (e *emitter) optInt(k *member, v int64) {
 	if v != 0 {
 		e.intField(k, v)
 	}
@@ -222,34 +276,34 @@ func (e *emitter) optInt(k string, v int64) {
 
 func (e *emitter) manifest(m *Manifest) {
 	e.open('{')
-	e.strField("schema", m.Schema)
-	e.optStr("build", m.Build)
-	e.key("seed")
+	e.strField(kSchema, m.Schema)
+	e.optStr(kBuild, m.Build)
+	e.key(kSeed)
 	e.uint(m.Seed)
-	e.optStr("config_digest", m.ConfigDigest)
-	e.optInt("horizon_ticks", int64(m.HorizonTicks))
-	e.optInt("node", int64(m.Node))
-	e.optInt("node_count", int64(m.NodeCount))
+	e.optStr(kConfigDigest, m.ConfigDigest)
+	e.optInt(kHorizonTicks, int64(m.HorizonTicks))
+	e.optInt(kNode, int64(m.Node))
+	e.optInt(kNodeCount, int64(m.NodeCount))
 	if len(m.Tasks) > 0 {
-		e.key("tasks")
+		e.key(kTasks)
 		e.open('[')
 		for i := range m.Tasks {
 			t := &m.Tasks[i]
 			e.elem()
 			e.open('{')
-			e.intField("id", t.ID)
-			e.strField("name", t.Name)
-			e.optInt("node", int64(t.Node))
+			e.intField(kID, t.ID)
+			e.strField(kName, t.Name)
+			e.optInt(kNode, int64(t.Node))
 			e.close('}')
 		}
 		e.close(']')
 	}
-	e.key("metrics")
+	e.key(kMetrics)
 	e.snapshot(&m.Metrics)
 	e.spans(m.Spans)
 	e.events(m.Events)
 	if len(m.FlightDumps) > 0 {
-		e.key("flight_dumps")
+		e.key(kFlightDumps)
 		e.open('[')
 		for i := range m.FlightDumps {
 			e.elem()
@@ -257,20 +311,20 @@ func (e *emitter) manifest(m *Manifest) {
 		}
 		e.close(']')
 	}
-	e.key("totals")
+	e.key(kTotals)
 	e.open('{')
-	e.intField("deadline_misses", m.Totals.DeadlineMisses)
-	e.intField("violations", m.Totals.Violations)
-	e.intField("degradations", m.Totals.Degradations)
-	e.intField("faults_injected", m.Totals.FaultsInjected)
-	e.optInt("flight_dumps", m.Totals.FlightDumps)
+	e.intField(kDeadlineMisses, m.Totals.DeadlineMisses)
+	e.intField(kViolations, m.Totals.Violations)
+	e.intField(kDegradations, m.Totals.Degradations)
+	e.intField(kFaultsInjected, m.Totals.FaultsInjected)
+	e.optInt(kFlightDumps, m.Totals.FlightDumps)
 	e.close('}')
 	e.close('}')
 }
 
 // list opens an array member that is never omitted: a nil slice is
 // written as null (and false returned), as encoding/json does.
-func (e *emitter) list(k string, isNil bool) bool {
+func (e *emitter) list(k *member, isNil bool) bool {
 	e.key(k)
 	if isNil {
 		e.null()
@@ -282,45 +336,45 @@ func (e *emitter) list(k string, isNil bool) bool {
 
 func (e *emitter) snapshot(s *Snapshot) {
 	e.open('{')
-	if e.list("counters", s.Counters == nil) {
+	if e.list(kCounters, s.Counters == nil) {
 		for i := range s.Counters {
 			c := &s.Counters[i]
 			e.elem()
 			e.open('{')
-			e.strField("name", c.Name)
-			e.intField("value", c.Value)
+			e.strField(kName, c.Name)
+			e.intField(kValue, c.Value)
 			e.close('}')
 		}
 		e.close(']')
 	}
-	if e.list("gauges", s.Gauges == nil) {
+	if e.list(kGauges, s.Gauges == nil) {
 		for i := range s.Gauges {
 			g := &s.Gauges[i]
 			e.elem()
 			e.open('{')
-			e.strField("name", g.Name)
-			e.intField("value", g.Value)
-			e.intField("max", g.Max)
+			e.strField(kName, g.Name)
+			e.intField(kValue, g.Value)
+			e.intField(kMax, g.Max)
 			e.close('}')
 		}
 		e.close(']')
 	}
-	if e.list("histograms", s.Histograms == nil) {
+	if e.list(kHistograms, s.Histograms == nil) {
 		for i := range s.Histograms {
 			h := &s.Histograms[i]
 			e.elem()
 			e.open('{')
-			e.strField("name", h.Name)
-			e.intField("width", h.Width)
-			if e.list("counts", h.Counts == nil) {
+			e.strField(kName, h.Name)
+			e.intField(kWidth, h.Width)
+			if e.list(kCounts, h.Counts == nil) {
 				for _, n := range h.Counts {
 					e.elem()
 					e.int(n)
 				}
 				e.close(']')
 			}
-			e.intField("sum", h.Sum)
-			e.intField("count", h.Count)
+			e.intField(kSum, h.Sum)
+			e.intField(kCount, h.Count)
 			e.close('}')
 		}
 		e.close(']')
@@ -333,23 +387,23 @@ func (e *emitter) spans(spans []Span) {
 	if len(spans) == 0 {
 		return
 	}
-	e.key("spans")
+	e.key(kSpans)
 	e.open('[')
 	for i := range spans {
 		sp := &spans[i]
 		e.elem()
 		e.open('{')
-		e.intField("id", int64(sp.ID))
-		e.optInt("parent", int64(sp.Parent))
-		e.strField("cat", sp.Cat)
-		e.strField("name", sp.Name)
-		e.intField("task", sp.Task)
-		e.intField("begin", int64(sp.Begin))
-		e.intField("end", int64(sp.End))
-		e.optStr("detail", sp.Detail)
-		e.optInt("node", int64(sp.Node))
-		e.optInt("link", int64(sp.Link))
-		e.optInt("link_node", int64(sp.LinkNode))
+		e.intField(kID, int64(sp.ID))
+		e.optInt(kParent, int64(sp.Parent))
+		e.strField(kCat, sp.Cat)
+		e.strField(kName, sp.Name)
+		e.intField(kTask, sp.Task)
+		e.intField(kBegin, int64(sp.Begin))
+		e.intField(kEnd, int64(sp.End))
+		e.optStr(kDetail, sp.Detail)
+		e.optInt(kNode, int64(sp.Node))
+		e.optInt(kLink, int64(sp.Link))
+		e.optInt(kLinkNode, int64(sp.LinkNode))
 		e.close('}')
 	}
 	e.close(']')
@@ -360,15 +414,15 @@ func (e *emitter) events(events []LogEvent) {
 	if len(events) == 0 {
 		return
 	}
-	e.key("events")
+	e.key(kEvents)
 	e.open('[')
 	for i := range events {
 		ev := &events[i]
 		e.elem()
 		e.open('{')
-		e.intField("at", int64(ev.At))
-		e.strField("kind", ev.Kind)
-		e.optStr("detail", ev.Detail)
+		e.intField(kAt, int64(ev.At))
+		e.strField(kKind, ev.Kind)
+		e.optStr(kDetail, ev.Detail)
 		e.close('}')
 	}
 	e.close(']')
@@ -376,13 +430,13 @@ func (e *emitter) events(events []LogEvent) {
 
 func (e *emitter) flightDump(d *FlightDump) {
 	e.open('{')
-	e.optInt("node", int64(d.Node))
-	e.strField("reason", d.Reason)
-	e.intField("at", int64(d.At))
-	e.intField("spans_total", d.SpansTotal)
-	e.intField("spans_dropped", d.SpansDropped)
-	e.intField("events_total", d.EventsTotal)
-	e.intField("events_dropped", d.EventsDropped)
+	e.optInt(kNode, int64(d.Node))
+	e.strField(kReason, d.Reason)
+	e.intField(kAt, int64(d.At))
+	e.intField(kSpansTotal, d.SpansTotal)
+	e.intField(kSpansDropped, d.SpansDropped)
+	e.intField(kEventsTotal, d.EventsTotal)
+	e.intField(kEventsDropped, d.EventsDropped)
 	e.spans(d.Spans)
 	e.events(d.Events)
 	e.close('}')

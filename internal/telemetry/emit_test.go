@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -320,6 +321,39 @@ func TestEmitterFloatMatchesEncodingJSON(t *testing.T) {
 		e.flush()
 		if got.String() != string(want) {
 			t.Errorf("float %g: emitter %s, encoding/json %s", f, got.String(), want)
+		}
+	}
+}
+
+// TestEmitterFloatIsShortestF holds float, whose whole numbers below
+// 2⁵³ skip the float formatter, to strconv.AppendFloat's shortest 'f'
+// form over tick quotients: whole and fractional microseconds of every
+// magnitude, zero, the whole numbers around ±2⁵³ where the integer path
+// ends, and past it, up to encoding/json's switch to 'e'.
+func TestEmitterFloatIsShortestF(t *testing.T) {
+	quotients := []float64{0, math.Copysign(0, -1)}
+	for d := int64(-3); d <= 3; d++ {
+		quotients = append(quotients, float64(1<<53+d), -float64(1<<53+d), usec(ticks.Ticks(27*(1<<53+d))))
+	}
+	x := uint64(88172645463325252)
+	for i := 0; i < 20000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		tk := ticks.Ticks(x >> (x % 64))
+		quotients = append(quotients, usec(tk), usec(tk-tk%ticks.PerMicrosecond), -usec(tk))
+	}
+	var got bytes.Buffer
+	e := newEmitter(&got, " ")
+	for _, f := range quotients {
+		want := strconv.AppendFloat(nil, f, 'f', -1, 64)
+		if math.Abs(f) >= 1e21 {
+			want, _ = json.Marshal(f)
+		}
+		e.buf = e.buf[:0]
+		e.float(f)
+		if string(e.buf) != string(want) {
+			t.Fatalf("float %v: emitter %s, want %s", f, e.buf, want)
 		}
 	}
 }

@@ -17,13 +17,14 @@ import "repro/internal/ticks"
 // retention, the fleet default: the node records into Ring) or fronts
 // the unbounded log its owner keeps (Front; full retention for
 // cluster-manifest runs) and dumps that log's tail. Either way a span
-// is stored once.
+// is stored once, and the ring is only allocated by the first Ring.
 type Flight struct {
-	ring   *Spans
-	log    *Spans // non-nil: the owner's full log, dumped in place of ring
-	events []LogEvent
-	eseq   int64 // events ever recorded; next slot is eseq % cap(events)
-	ecap   int
+	ring    *Spans // nil until Ring is first called
+	spanCap int    // the ring's capacity, and a dump's window
+	log     *Spans // non-nil: the owner's full log, dumped in place of ring
+	events  []LogEvent
+	eseq    int64 // events ever recorded; next slot is eseq % cap(events)
+	ecap    int
 }
 
 // DefaultFlightSpans and DefaultFlightEvents size a Flight when the
@@ -35,8 +36,9 @@ const (
 )
 
 // NewFlight returns a flight recorder with the given ring capacities;
-// non-positive values select the defaults. All storage is allocated
-// up front so recording never does.
+// non-positive values select the defaults. The event ring is allocated
+// up front and the span ring by the first Ring, so recording never
+// allocates, and a recorder that only ever fronts a log holds no ring.
 func NewFlight(spanCap, eventCap int) *Flight {
 	if spanCap <= 0 {
 		spanCap = DefaultFlightSpans
@@ -45,9 +47,9 @@ func NewFlight(spanCap, eventCap int) *Flight {
 		eventCap = DefaultFlightEvents
 	}
 	return &Flight{
-		ring:   NewSpansRing(spanCap),
-		events: make([]LogEvent, 0, eventCap),
-		ecap:   eventCap,
+		spanCap: spanCap,
+		events:  make([]LogEvent, 0, eventCap),
+		ecap:    eventCap,
 	}
 }
 
@@ -56,17 +58,23 @@ func NewFlight(spanCap, eventCap int) *Flight {
 // recorder that is reused records without allocating from its first
 // span on, like a new one.
 func (f *Flight) Reset() {
-	f.ring.Reset()
+	if f.ring != nil {
+		f.ring.Reset()
+	}
 	f.log = nil
 	f.events = f.events[:0]
 	f.eseq = 0
 }
 
 // Ring exposes the flight recorder's span ring so it can serve as a
-// node's Spans log directly (flight-only retention). Nil-safe.
+// node's Spans log directly (flight-only retention), allocating it on
+// the first call. Nil-safe.
 func (f *Flight) Ring() *Spans {
 	if f == nil {
 		return nil
+	}
+	if f.ring == nil {
+		f.ring = NewSpansRing(f.spanCap)
 	}
 	return f.ring
 }
@@ -119,7 +127,7 @@ func (f *Flight) Dump(node int32, reason string, at ticks.Ticks) FlightDump {
 	if f.log != nil {
 		spans = f.log
 	}
-	d.Spans = spans.exportLast(f.ring.max)
+	d.Spans = spans.exportLast(f.spanCap)
 	for i := range d.Spans {
 		// Stamp the origin tag so a dump validates stand-alone and
 		// inside a node-tagged cluster manifest alike.

@@ -182,9 +182,13 @@ func TestFlightFrontedLogDumpsLikeOwnRing(t *testing.T) {
 			t.Fatalf("dumped span points below the window: %+v", sp)
 		}
 	}
-	// The unbounded log itself keeps what the dump dropped.
+	// The unbounded log itself keeps what the dump dropped, and the
+	// recorder in front of it holds no ring of its own.
 	if sp := log.slot(1); sp == nil || sp.End != ticksOf(50) || sp.Link == 0 {
 		t.Fatalf("span 1 of the full log lost its End or its link: %+v", sp)
+	}
+	if fronting.ring != nil {
+		t.Fatal("a recorder that only fronts a log allocated a span ring")
 	}
 	// Reset lets go of the log: a reused recorder owns its ring again.
 	own.Reset()

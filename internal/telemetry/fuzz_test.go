@@ -27,14 +27,13 @@ func FuzzReadManifest(f *testing.F) {
 		`{"id":2,"cat":"admission","name":"b","task":1,"begin":2,"end":2,"node":1,"link":1}]}`)
 	f.Add(`{"schema":"rdtel/v999"}`)
 	f.Add(`not json`)
-	// What the fast path must defer on (reordered-but-known keys it
-	// takes itself): unknown, re-cased and duplicate keys, nulls,
-	// 1e3 / 1.0 / -0, trailing bytes, surrogate pairs and lone halves.
-	for _, doc := range nonCanonicalDocs {
-		f.Add(doc)
-	}
-	for _, doc := range canonicalVariants {
-		f.Add(doc)
+	// What the fast path must defer on — unknown, re-cased and
+	// duplicate keys, nulls, 1e3 / 1.0 / -0, trailing bytes, surrogates,
+	// any other layout — and what off the writer's path it still takes.
+	for _, docs := range []map[string]string{nonCanonicalDocs, fastVariants, deferredVariants} {
+		for _, doc := range docs {
+			f.Add(doc)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, doc string) {

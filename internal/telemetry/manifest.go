@@ -99,7 +99,7 @@ func (m *Manifest) DeriveTotals() {
 // buffer (emit.go) — byte-for-byte what json.Encoder with
 // SetIndent("", "  ") writes, without the reflection.
 func (m *Manifest) WriteJSON(w io.Writer) error {
-	e := newEmitter(w, "  ")
+	e := newEmitter(w, manifestUnit)
 	e.manifest(m)
 	return e.finish()
 }

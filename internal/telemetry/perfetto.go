@@ -89,25 +89,33 @@ type event struct {
 	s, bp         string
 }
 
+func pkey(key string) *member { return newMember(perfettoUnit, key) }
+
+// The trace-event members, traceEvent's and the args' in their order.
+var (
+	pTraceEvents, pDisplayTimeUnit          = pkey("traceEvents"), pkey("displayTimeUnit")
+	pName, pCat, pPh, pTs, pDur, pPid, pTid = pkey("name"), pkey("cat"), pkey("ph"), pkey("ts"), pkey("dur"), pkey("pid"), pkey("tid")
+	pID, pS, pBp, pArgs                     = pkey("id"), pkey("s"), pkey("bp"), pkey("args")
+	pDetail, pLink, pParent, pValue         = pkey("detail"), pkey("link"), pkey("parent"), pkey("value")
+)
+
 // beginEvent opens the next traceEvents element and writes ev's
 // members in traceEvent's order, omitting what its tags omit.
 func (e *emitter) beginEvent(ev event) {
 	e.elem()
 	e.open('{')
-	e.strField("name", ev.name)
-	e.optStr("cat", ev.cat)
-	e.strField("ph", ev.ph)
-	e.key("ts")
-	e.float(ev.ts)
+	e.strField(pName, ev.name)
+	e.optStr(pCat, ev.cat)
+	e.strField(pPh, ev.ph)
+	e.floatField(pTs, ev.ts)
 	if ev.dur != 0 {
-		e.key("dur")
-		e.float(ev.dur)
+		e.floatField(pDur, ev.dur)
 	}
-	e.intField("pid", int64(ev.pid))
-	e.intField("tid", ev.tid)
-	e.optInt("id", ev.id)
-	e.optStr("s", ev.s)
-	e.optStr("bp", ev.bp)
+	e.intField(pPid, int64(ev.pid))
+	e.intField(pTid, ev.tid)
+	e.optInt(pID, ev.id)
+	e.optStr(pS, ev.s)
+	e.optStr(pBp, ev.bp)
 }
 
 // beginMeta opens a process_name / thread_name metadata event up to
@@ -115,9 +123,9 @@ func (e *emitter) beginEvent(ev event) {
 // (raw, escaped, int) and calls endMeta.
 func (e *emitter) beginMeta(what string, pid int, tid int64) {
 	e.beginEvent(event{name: what, ph: "M", pid: pid, tid: tid})
-	e.key("args")
+	e.key(pArgs)
 	e.open('{')
-	e.key("name")
+	e.key(pName)
 	e.raw(`"`)
 }
 
@@ -140,11 +148,11 @@ func (e *emitter) spanArgs(sp *Span) {
 	if sp.Detail == "" && sp.Parent == 0 && sp.Link == 0 {
 		return
 	}
-	e.key("args")
+	e.key(pArgs)
 	e.open('{')
-	e.optStr("detail", sp.Detail)
-	e.optInt("link", int64(sp.Link))
-	e.optInt("parent", int64(sp.Parent))
+	e.optStr(pDetail, sp.Detail)
+	e.optInt(pLink, int64(sp.Link))
+	e.optInt(pParent, int64(sp.Parent))
 	e.close('}')
 }
 
@@ -156,9 +164,9 @@ func (e *emitter) spanArgs(sp *Span) {
 // json.Encoder with SetIndent("", " ") writes for the same events as a
 // []traceEvent (writePerfettoRef in the tests).
 func WritePerfetto(w io.Writer, m *Manifest) error {
-	e := newEmitter(w, " ")
+	e := newEmitter(w, perfettoUnit)
 	e.open('{')
-	e.key("traceEvents")
+	e.key(pTraceEvents)
 	e.open('[')
 
 	if m.NodeCount > 0 {
@@ -273,15 +281,15 @@ func WritePerfetto(w io.Writer, m *Manifest) error {
 	for i := range m.Metrics.Counters {
 		c := &m.Metrics.Counters[i]
 		e.beginEvent(event{name: c.Name, ph: "C", ts: horizon, pid: perfettoPid, tid: 0})
-		e.key("args")
+		e.key(pArgs)
 		e.open('{')
-		e.intField("value", c.Value)
+		e.intField(pValue, c.Value)
 		e.close('}')
 		e.close('}')
 	}
 
 	e.close(']')
-	e.strField("displayTimeUnit", "ms")
+	e.strField(pDisplayTimeUnit, "ms")
 	e.close('}')
 	return e.finish()
 }

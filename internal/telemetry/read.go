@@ -4,28 +4,29 @@ import (
 	"bytes"
 	"encoding/json"
 	"strconv"
-	"unicode/utf16"
+	"strings"
 	"unicode/utf8"
 
 	"repro/internal/ticks"
 )
 
-// ReadManifest's fast path: a single-pass reader for the documents
+// ReadManifest's fast path: a single-pass reader for exactly the bytes
 // WriteJSON writes. The spans and events arrays are ~99 % of a cluster
 // manifest's bytes and have eleven and three flat members; decoding
 // them by hand instead of by reflection is where the time goes. The
 // small members (tasks, metrics, flight_dumps, totals) are located
 // here and handed to encoding/json as they stand.
 //
-// The reader never guesses. It accepts any member order and any JSON
-// whitespace, but on anything else encoding/json would treat specially
-// — an unknown, repeated or differently-cased key, a null, a number
-// that is not a plain in-range integer, "-0", an escape it does not
-// decode (bad, or a lone surrogate), invalid UTF-8, a control byte in a
-// string, bytes after the document — it gives up, and ReadManifest
-// decodes the same bytes with encoding/json. Every value it does
-// produce is the one encoding/json produces; FuzzReadManifest holds the
-// two to that.
+// The reader takes the writer's layout and nothing else: its members in
+// their order, each recognised by comparing the input with the literal
+// emit.go opens it with, its line breaks and indents, and its escape
+// set. On anything else — other whitespace or member order, an unknown,
+// repeated or differently-cased key, a null, a number that is not a
+// plain in-range integer, "-0", an escape the writer does not write,
+// invalid UTF-8, a control byte in a string, bytes after the document —
+// it gives up, and ReadManifest decodes the same bytes with
+// encoding/json. Every value it does produce is the one encoding/json
+// produces; FuzzReadManifest holds the two to that.
 
 const (
 	// internMax bounds the strings worth interning: categories, names,
@@ -33,15 +34,27 @@ const (
 	// short and repeat tens of thousands of times; long details are
 	// mostly unique.
 	internMax = 32
-	// skipMaxDepth bounds the nesting skip walks through. The members
+	// skipMaxDepth bounds the nesting viaJSON walks through. The members
 	// it covers nest four deep; refusing more keeps the sub-decode's
 	// depth accounting from ever differing from a whole-document one.
 	skipMaxDepth = 16
 )
 
+// The layout around the members: a span or event opens and closes on
+// lines of its own at depth 2, its list closes at depth 1, and the
+// document ends with the line break Encoder.Encode writes.
+var (
+	elemOpen  = "\n" + strings.Repeat(manifestUnit, 2) + "{"
+	elemClose = "\n" + strings.Repeat(manifestUnit, 2) + "}"
+	listClose = "\n" + manifestUnit + "]"
+)
+
+// reader is the fast path's cursor. The first mismatch sets bad, which
+// sticks: later steps may read anything, and the caller discards it.
 type reader struct {
 	data    []byte
 	pos     int
+	bad     bool
 	intern  map[string]string
 	scratch []byte // unescape buffer, reused
 }
@@ -50,201 +63,162 @@ type reader struct {
 // written part of m — the caller starts over with encoding/json.
 func readCanonical(data []byte, m *Manifest) bool {
 	r := reader{data: data, intern: make(map[string]string, 64)}
-	if !r.manifest(m) {
-		return false
-	}
-	r.ws()
-	return r.pos == len(r.data)
+	r.manifest(m)
+	return !r.bad && r.pos == len(r.data)
 }
 
-func (r *reader) ws() {
-	for r.pos < len(r.data) {
-		switch r.data[r.pos] {
-		case ' ', '\n', '\t', '\r':
-			r.pos++
-		default:
-			return
-		}
-	}
-}
-
-func (r *reader) peek() byte {
-	if r.pos < len(r.data) {
-		return r.data[r.pos]
-	}
-	return 0
-}
-
-func (r *reader) eat(c byte) bool {
-	if r.peek() == c {
-		r.pos++
+// lit consumes s if the input continues with it.
+func (r *reader) lit(s string) bool {
+	if len(r.data)-r.pos >= len(s) && string(r.data[r.pos:r.pos+len(s)]) == s {
+		r.pos += len(s)
 		return true
 	}
 	return false
 }
 
-// step enters a container (first: consume its opening bracket) or
-// moves past the ',' to its next element. more=false means the closing
-// bracket was consumed instead.
-func (r *reader) step(first bool, open, close byte) (more, ok bool) {
-	r.ws()
-	if first {
-		if !r.eat(open) {
-			return false, false
-		}
-		r.ws()
-		return !r.eat(close), true
+// expect is lit for what must come next.
+func (r *reader) expect(s string) {
+	if !r.lit(s) {
+		r.bad = true
 	}
-	if r.eat(close) {
-		return false, true
-	}
-	if !r.eat(',') {
-		return false, false
-	}
-	r.ws()
-	return true, true
 }
 
-// nextKey steps to an object's next member and returns its key, with
-// the cursor on the value. Keys are matched verbatim: lower-case
-// letters and '_' only, no escapes.
-func (r *reader) nextKey(first bool) (key []byte, more, ok bool) {
-	if more, ok = r.step(first, '{', '}'); !ok || !more {
-		return nil, false, ok
+// next consumes ',' and then the literal that opens a member, if the
+// input continues with them: an omitempty member the writer wrote.
+func (r *reader) next(lit string) bool {
+	if r.pos < len(r.data) && r.data[r.pos] == ',' {
+		r.pos++
+		if r.lit(lit) {
+			return true
+		}
+		r.pos--
 	}
-	if !r.eat('"') {
-		return nil, false, false
+	return false
+}
+
+// need is next for a member the writer always writes.
+func (r *reader) need(lit string) {
+	if !r.next(lit) {
+		r.bad = true
 	}
-	start := r.pos
-	for c := r.peek(); c >= 'a' && c <= 'z' || c == '_'; c = r.peek() {
+}
+
+// digits reads 0 or a run of digits with no leading zero. Nineteen
+// digits cannot overflow a uint64; only a longer run, which no tick
+// count reaches but a seed may, is parsed again with its overflow
+// check.
+func (r *reader) digits() uint64 {
+	d, start := r.data, r.pos
+	var u uint64
+	for r.pos < len(d) && d[r.pos]-'0' < 10 {
+		u = u*10 + uint64(d[r.pos]-'0')
 		r.pos++
 	}
-	key = r.data[start:r.pos]
-	if !r.eat('"') {
-		return nil, false, false
+	switch n := r.pos - start; {
+	case n == 0, n > 1 && d[start] == '0':
+		r.bad = true
+	case n > 19:
+		var err error
+		u, err = strconv.ParseUint(string(d[start:r.pos]), 10, 64)
+		r.bad = r.bad || err != nil
 	}
-	r.ws()
-	if !r.eat(':') {
-		return nil, false, false
-	}
-	r.ws()
-	return key, true, true
+	return u
 }
 
-// digits reads 0 or a run of digits with no leading zero.
-func (r *reader) digits() (u uint64, ok bool) {
-	c := r.peek()
-	if c < '0' || c > '9' {
-		return 0, false
-	}
-	r.pos++
-	if c == '0' {
-		return 0, true
-	}
-	u = uint64(c - '0')
-	for c = r.peek(); c >= '0' && c <= '9'; c = r.peek() {
-		d := uint64(c - '0')
-		if u > (1<<64-1-d)/10 {
-			return 0, false
-		}
-		u = u*10 + d
-		r.pos++
-	}
-	return u, true
-}
-
-// int reads an integer that fits a signed type of the given width. A
-// fraction or exponent is left unread, which the next step rejects.
-func (r *reader) int(bits uint) (int64, bool) {
-	neg := r.eat('-')
-	u, ok := r.digits()
+// int reads an integer that fits a signed type of the given width.
+func (r *reader) int(bits uint) int64 {
+	neg := r.lit("-")
+	u := r.digits()
 	limit := uint64(1) << (bits - 1)
 	switch {
-	case !ok, neg && u == 0, neg && u > limit, !neg && u >= limit:
-		return 0, false
+	case neg && (u == 0 || u > limit), !neg && u >= limit:
+		r.bad = true
+		return 0
 	case neg:
-		return -int64(u), true
+		return -int64(u)
 	}
-	return int64(u), true
+	return int64(u)
 }
 
 // str reads a string value, interning it when short.
-func (r *reader) str() (string, bool) {
-	b, ok := r.strBytes()
-	if !ok {
-		return "", false
-	}
+func (r *reader) str() string {
+	b := r.strBytes()
 	if len(b) > internMax {
-		return string(b), true
+		return string(b)
 	}
 	s, ok := r.intern[string(b)]
 	if !ok {
 		s = string(b)
 		r.intern[s] = s
 	}
-	return s, true
+	return s
 }
 
 // strBytes reads a string value and returns its decoded bytes: a slice
 // of the input when it has no escapes, else of r.scratch.
-func (r *reader) strBytes() ([]byte, bool) {
-	if !r.eat('"') {
-		return nil, false
-	}
+func (r *reader) strBytes() []byte {
+	r.expect(`"`)
 	start := r.pos
 	for r.pos < len(r.data) {
 		c := r.data[r.pos]
 		switch {
+		case c < utf8.RuneSelf && jsonSafe[c]:
+			r.pos++
 		case c == '"':
 			r.pos++
-			return r.data[start : r.pos-1], true
+			return r.data[start : r.pos-1]
 		case c == '\\':
 			return r.unescape(start)
-		case c < ' ':
-			return nil, false
-		case c < utf8.RuneSelf:
-			r.pos++
 		default:
-			_, size := utf8.DecodeRune(r.data[r.pos:])
-			if size == 1 {
-				return nil, false
+			if !r.char() {
+				return nil
 			}
-			r.pos += size
 		}
 	}
-	return nil, false
+	r.bad = true
+	return nil
+}
+
+// char steps over one unescaped string character that is not plain
+// ASCII: the characters the writer escapes, or a multi-byte UTF-8
+// sequence, which must be valid.
+func (r *reader) char() bool {
+	c := r.data[r.pos]
+	size := 1
+	switch {
+	case c < ' ':
+		r.bad = true
+	case c >= utf8.RuneSelf:
+		if _, size = utf8.DecodeRune(r.data[r.pos:]); size == 1 {
+			r.bad = true
+		}
+	}
+	r.pos += size
+	return !r.bad
 }
 
 // unescape finishes strBytes for a string whose first backslash is at
-// the cursor; data[start:pos] is the clean prefix.
-func (r *reader) unescape(start int) ([]byte, bool) {
+// the cursor; data[start:pos] is the clean prefix. It decodes the
+// escapes the writer writes — \" \\ \b \f \n \r \t and \u with four
+// lower-case hex digits — and refuses the rest, \u surrogates included.
+func (r *reader) unescape(start int) []byte {
 	out := append(r.scratch[:0], r.data[start:r.pos]...)
-	for r.pos < len(r.data) {
+	for r.pos < len(r.data) && !r.bad {
 		c := r.data[r.pos]
 		switch {
 		case c == '"':
 			r.pos++
 			r.scratch = out
-			return out, true
-		case c < ' ':
-			return nil, false
-		case c < utf8.RuneSelf && c != '\\':
-			out = append(out, c)
-			r.pos++
+			return out
 		case c != '\\':
-			_, size := utf8.DecodeRune(r.data[r.pos:])
-			if size == 1 {
-				return nil, false
+			from := r.pos
+			if r.char() {
+				out = append(out, r.data[from:r.pos]...)
 			}
-			out = append(out, r.data[r.pos:r.pos+size]...)
-			r.pos += size
-		default:
-			if r.pos+1 >= len(r.data) {
-				return nil, false
-			}
+		case r.pos+1 < len(r.data):
 			r.pos += 2
 			switch esc := r.data[r.pos-1]; esc {
-			case '"', '\\', '/':
+			case '"', '\\':
 				out = append(out, esc)
 			case 'b':
 				out = append(out, '\b')
@@ -257,50 +231,48 @@ func (r *reader) unescape(start int) ([]byte, bool) {
 			case 't':
 				out = append(out, '\t')
 			case 'u':
-				c, ok := r.hex4()
-				if !ok {
-					return nil, false
-				}
-				if utf16.IsSurrogate(c) {
-					// Decode a well-formed pair; defer on a lone half
-					// (encoding/json substitutes U+FFFD there).
-					if !r.eat('\\') || !r.eat('u') {
-						return nil, false
-					}
-					lo, ok := r.hex4()
-					if c = utf16.DecodeRune(c, lo); !ok || c == utf8.RuneError {
-						return nil, false
-					}
-				}
-				out = utf8.AppendRune(out, c)
+				out = utf8.AppendRune(out, r.hex4())
 			default:
-				return nil, false
+				r.bad = true
 			}
+		default:
+			r.bad = true
 		}
 	}
-	return nil, false
+	r.bad = true
+	return nil
 }
 
-// hex4 reads the four hex digits of a \u escape.
-func (r *reader) hex4() (rune, bool) {
-	if r.pos+4 > len(r.data) {
-		return 0, false
+// hex4 reads the four hex digits of a \u escape that is not half of a
+// surrogate pair.
+func (r *reader) hex4() rune {
+	if len(r.data)-r.pos < 4 {
+		r.bad = true
+		return 0
 	}
-	v, err := strconv.ParseUint(string(r.data[r.pos:r.pos+4]), 16, 16)
-	if err != nil {
-		return 0, false
+	var v rune
+	for _, c := range r.data[r.pos : r.pos+4] {
+		i := strings.IndexByte(hexDigits, c)
+		if i < 0 {
+			r.bad = true
+		}
+		v = v<<4 | rune(i)
 	}
 	r.pos += 4
-	return rune(v), true
+	if 0xd800 <= v && v < 0xe000 {
+		r.bad = true
+	}
+	return v
 }
 
 // viaJSON finds the extent of the object or array at the cursor and
 // decodes it with encoding/json, which also does all the checking:
 // json.Unmarshal accepts the slice only if it is exactly one valid
 // value, and then that is the value a whole-document decode reaches.
-func (r *reader) viaJSON(open byte, into any) bool {
-	if r.peek() != open {
-		return false
+func (r *reader) viaJSON(open byte, into any) {
+	if r.bad || r.pos >= len(r.data) || r.data[r.pos] != open {
+		r.bad = true
+		return
 	}
 	start, depth := r.pos, 0
 	for r.pos < len(r.data) {
@@ -317,203 +289,121 @@ func (r *reader) viaJSON(open byte, into any) bool {
 			r.pos++
 		case '{', '[':
 			if depth++; depth > skipMaxDepth {
-				return false
+				r.bad = true
+				return
 			}
 		case '}', ']':
 			if depth--; depth == 0 {
-				return json.Unmarshal(r.data[start:r.pos], into) == nil
+				r.bad = r.bad || json.Unmarshal(r.data[start:r.pos], into) != nil
+				return
 			}
 		}
 	}
-	return false
+	r.bad = true
 }
 
-func (r *reader) manifest(m *Manifest) bool {
-	var seen, bit uint
-	for first := true; ; first = false {
-		key, more, ok := r.nextKey(first)
-		if !ok || !more {
-			return ok
+func (r *reader) manifest(m *Manifest) {
+	const d = 1
+	r.expect("{")
+	r.expect(kSchema[d])
+	m.Schema = r.str()
+	if r.next(kBuild[d]) {
+		m.Build = r.str()
+	}
+	r.need(kSeed[d])
+	m.Seed = r.digits()
+	if r.next(kConfigDigest[d]) {
+		m.ConfigDigest = r.str()
+	}
+	if r.next(kHorizonTicks[d]) {
+		m.HorizonTicks = ticks.Ticks(r.int(64))
+	}
+	if r.next(kNode[d]) {
+		m.Node = int32(r.int(32))
+	}
+	if r.next(kNodeCount[d]) {
+		m.NodeCount = int(r.int(strconv.IntSize))
+	}
+	if r.next(kTasks[d]) {
+		r.viaJSON('[', &m.Tasks)
+	}
+	r.need(kMetrics[d])
+	r.viaJSON('{', &m.Metrics)
+	if r.next(kSpans[d]) {
+		m.Spans = list(r, (*reader).span)
+	}
+	if r.next(kEvents[d]) {
+		m.Events = list(r, (*reader).event)
+	}
+	if r.next(kFlightDumps[d]) {
+		r.viaJSON('[', &m.FlightDumps)
+	}
+	r.need(kTotals[d])
+	r.viaJSON('{', &m.Totals)
+	r.expect("\n}\n")
+}
+
+// list reads the spans or events of a manifest: a non-empty array of
+// objects, each read by elem.
+func list[T any](r *reader, elem func(*reader, *T)) []T {
+	r.expect("[")
+	// Sized once: every element opens with a '{', so the braces left in
+	// the input bound the count, and in a cluster log nearly all of them
+	// are spans. Growing instead copies tens of thousands of 96-byte
+	// spans per step.
+	out := make([]T, 0, bytes.Count(r.data[r.pos:], []byte{'{'}))
+	for !r.bad {
+		var zero T
+		out = append(out, zero)
+		r.expect(elemOpen)
+		elem(r, &out[len(out)-1])
+		r.expect(elemClose)
+		if !r.lit(",") {
+			break
 		}
-		var v int64
-		switch string(key) {
-		case "schema":
-			m.Schema, ok = r.str()
-			bit = 1 << 0
-		case "build":
-			m.Build, ok = r.str()
-			bit = 1 << 1
-		case "seed":
-			m.Seed, ok = r.digits()
-			bit = 1 << 2
-		case "config_digest":
-			m.ConfigDigest, ok = r.str()
-			bit = 1 << 3
-		case "horizon_ticks":
-			v, ok = r.int(64)
-			m.HorizonTicks = ticks.Ticks(v)
-			bit = 1 << 4
-		case "node":
-			v, ok = r.int(32)
-			m.Node = int32(v)
-			bit = 1 << 5
-		case "node_count":
-			v, ok = r.int(strconv.IntSize)
-			m.NodeCount = int(v)
-			bit = 1 << 6
-		case "tasks":
-			ok = r.viaJSON('[', &m.Tasks)
-			bit = 1 << 7
-		case "metrics":
-			ok = r.viaJSON('{', &m.Metrics)
-			bit = 1 << 8
-		case "spans":
-			m.Spans, ok = r.spans()
-			bit = 1 << 9
-		case "events":
-			m.Events, ok = r.events()
-			bit = 1 << 10
-		case "flight_dumps":
-			ok = r.viaJSON('[', &m.FlightDumps)
-			bit = 1 << 11
-		case "totals":
-			ok = r.viaJSON('{', &m.Totals)
-			bit = 1 << 12
-		default:
-			return false
-		}
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
+	}
+	r.expect(listClose)
+	return out
+}
+
+func (r *reader) span(sp *Span) {
+	const d = 3
+	r.expect(kID[d])
+	sp.ID = SpanID(r.int(32))
+	if r.next(kParent[d]) {
+		sp.Parent = SpanID(r.int(32))
+	}
+	r.need(kCat[d])
+	sp.Cat = r.str()
+	r.need(kName[d])
+	sp.Name = r.str()
+	r.need(kTask[d])
+	sp.Task = r.int(64)
+	r.need(kBegin[d])
+	sp.Begin = ticks.Ticks(r.int(64))
+	r.need(kEnd[d])
+	sp.End = ticks.Ticks(r.int(64))
+	if r.next(kDetail[d]) {
+		sp.Detail = r.str()
+	}
+	if r.next(kNode[d]) {
+		sp.Node = int32(r.int(32))
+	}
+	if r.next(kLink[d]) {
+		sp.Link = SpanID(r.int(32))
+	}
+	if r.next(kLinkNode[d]) {
+		sp.LinkNode = int32(r.int(32))
 	}
 }
 
-func (r *reader) spans() ([]Span, bool) {
-	spans := []Span{}
-	for first := true; ; first = false {
-		more, ok := r.step(first, '[', ']')
-		if !ok {
-			return nil, false
-		}
-		if !more {
-			return spans, true
-		}
-		if first {
-			// Sized once: every span opens with a '{', so the braces left
-			// in the input bound the count, and in a cluster log nearly all
-			// of them are spans. Growing instead copies tens of thousands
-			// of 96-byte spans per step.
-			spans = make([]Span, 0, bytes.Count(r.data[r.pos:], []byte{'{'}))
-		}
-		spans = append(spans, Span{})
-		if !r.span(&spans[len(spans)-1]) {
-			return nil, false
-		}
-	}
-}
-
-func (r *reader) span(sp *Span) bool {
-	var seen, bit uint
-	for first := true; ; first = false {
-		key, more, ok := r.nextKey(first)
-		if !ok || !more {
-			return ok
-		}
-		var v int64
-		switch string(key) {
-		case "id":
-			v, ok = r.int(32)
-			sp.ID = SpanID(v)
-			bit = 1 << 0
-		case "parent":
-			v, ok = r.int(32)
-			sp.Parent = SpanID(v)
-			bit = 1 << 1
-		case "cat":
-			sp.Cat, ok = r.str()
-			bit = 1 << 2
-		case "name":
-			sp.Name, ok = r.str()
-			bit = 1 << 3
-		case "task":
-			sp.Task, ok = r.int(64)
-			bit = 1 << 4
-		case "begin":
-			v, ok = r.int(64)
-			sp.Begin = ticks.Ticks(v)
-			bit = 1 << 5
-		case "end":
-			v, ok = r.int(64)
-			sp.End = ticks.Ticks(v)
-			bit = 1 << 6
-		case "detail":
-			sp.Detail, ok = r.str()
-			bit = 1 << 7
-		case "node":
-			v, ok = r.int(32)
-			sp.Node = int32(v)
-			bit = 1 << 8
-		case "link":
-			v, ok = r.int(32)
-			sp.Link = SpanID(v)
-			bit = 1 << 9
-		case "link_node":
-			v, ok = r.int(32)
-			sp.LinkNode = int32(v)
-			bit = 1 << 10
-		default:
-			return false
-		}
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-	}
-}
-
-func (r *reader) events() ([]LogEvent, bool) {
-	events := []LogEvent{}
-	for first := true; ; first = false {
-		more, ok := r.step(first, '[', ']')
-		if !ok {
-			return nil, false
-		}
-		if !more {
-			return events, true
-		}
-		events = append(events, LogEvent{})
-		if !r.event(&events[len(events)-1]) {
-			return nil, false
-		}
-	}
-}
-
-func (r *reader) event(ev *LogEvent) bool {
-	var seen, bit uint
-	for first := true; ; first = false {
-		key, more, ok := r.nextKey(first)
-		if !ok || !more {
-			return ok
-		}
-		var v int64
-		switch string(key) {
-		case "at":
-			v, ok = r.int(64)
-			ev.At = ticks.Ticks(v)
-			bit = 1 << 0
-		case "kind":
-			ev.Kind, ok = r.str()
-			bit = 1 << 1
-		case "detail":
-			ev.Detail, ok = r.str()
-			bit = 1 << 2
-		default:
-			return false
-		}
-		if !ok || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
+func (r *reader) event(ev *LogEvent) {
+	const d = 3
+	r.expect(kAt[d])
+	ev.At = ticks.Ticks(r.int(64))
+	r.need(kKind[d])
+	ev.Kind = r.str()
+	if r.next(kDetail[d]) {
+		ev.Detail = r.str()
 	}
 }

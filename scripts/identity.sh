@@ -12,11 +12,14 @@
 # into .git. The artifact set:
 #
 #   sweep.json        rdsweep -scenarios all -costs all -seeds 6 -horizon-ms 700 -json
-#   fig5.* settop.*   rdsim trace + manifest (-build '')
-#   crash-<p>-w<n>.json, crash-<p>-nodes/, crash-<p>-stitched.json
+#   fig5.* settop.*   rdsim trace + manifest (-build ''), and the
+#                     manifest's `rdtrace export` (settop.perfetto.json)
+#   crash-<p>-w<n>.json, crash-<p>-nodes/, crash-<p>-stitched.json,
+#   crash-<p>-w1.perfetto.json
 #                     fleet-crash cluster manifest under each placement
 #                     at 1 and 2 cluster workers, the per-node manifests,
-#                     and `rdtrace stitch` of the node files
+#                     `rdtrace stitch` of the node files, and the
+#                     Perfetto export of the 1-worker manifest
 #   rdbench.txt       every rdbench experiment
 #   digests.txt       the six benchmark workloads' stats_digest and exact
 #                     work counts (benchmark -trace 1)
@@ -52,6 +55,7 @@ produce() (
 		"$bin/rdsim" -scenario "$sc" -seed 7 -horizon 100ms -build '' \
 			-json "$out/$sc.trace.json" -manifest "$out/$sc.manifest.json" >/dev/null
 	done
+	"$bin/rdtrace" export -validate -o "$out/settop.perfetto.json" "$out/settop.manifest.json"
 	for p in first-fit least-loaded rr-hash; do
 		for w in 1 2; do
 			"$bin/rdsweep" -scenarios fleet-crash -policies "$p" -horizon-ms 500 -cluster-workers "$w" \
@@ -60,6 +64,7 @@ produce() (
 		"$bin/rdtrace" stitch -o "$out/crash-$p-stitched.json" "$out/crash-$p-nodes"/*.manifest.json
 		cmp "$out/crash-$p-w1.json" "$out/crash-$p-w2.json"
 		cmp "$out/crash-$p-w1.json" "$out/crash-$p-stitched.json"
+		"$bin/rdtrace" export -validate -o "$out/crash-$p-w1.perfetto.json" "$out/crash-$p-w1.json"
 	done
 	"$bin/rdbench" >"$out/rdbench.txt"
 	# The benchmark writes its profile under benchmark/out relative to
