@@ -62,7 +62,7 @@ func run() int {
 		policiesFlag  = flag.String("policies", "all", "comma-separated policy variants, or 'all'")
 		seedsFlag     = flag.Int("seeds", 16, "number of seeds per cell")
 		seedBase      = flag.Uint64("seed-base", 1, "first seed; runs use seed-base .. seed-base+seeds-1")
-		workers       = flag.Int("workers", 0, "worker pool size; 0 = GOMAXPROCS (never affects results)")
+		workers       = flag.Int("workers", 0, "worker pool size; 0 = GOMAXPROCS. The cores it leaves idle advance fleet cluster nodes; neither affects results")
 		horizonMS     = flag.Int64("horizon-ms", 0, "simulated duration per run in ms; 0 = default (2000)")
 		jsonPath      = flag.String("json", "", "write machine-readable aggregates to this file ('-' for stdout)")
 		quiet         = flag.Bool("quiet", false, "suppress the human-readable table")

@@ -138,30 +138,40 @@ func TestClusterRebuildAllocs(t *testing.T) {
 }
 
 // BenchmarkFleetEpoch measures one epoch of a resident cluster: every
-// node advanced 10 ms, then the coordinator's barrier.
+// node advanced 10 ms on the pool, then the coordinator's barrier.
 func BenchmarkFleetEpoch(b *testing.B) {
-	for _, n := range []int{16, 120} {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			c, err := New(residentConfig(n, FirstFit))
-			if err != nil {
-				b.Fatal(err)
+	for _, workers := range []int{1, 2} {
+		for _, n := range []int{16, 120} {
+			name := fmt.Sprintf("nodes=%d", n)
+			if workers > 1 {
+				name += fmt.Sprintf("/workers=%d", workers)
 			}
-			c.barrier(0)
-			// Past every node's first periods: the tasks' first grants,
-			// the checker's per-task records and the telemetry
-			// instruments are set-up, not epoch work.
-			for i := 0; i < 20; i++ {
-				c.now += epoch
-				c.advanceAll(c.now)
-				c.barrier(c.now)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.now += epoch
-				c.advanceAll(c.now)
-				c.barrier(c.now)
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				cfg := residentConfig(n, FirstFit)
+				cfg.Workers = workers
+				c, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.pool.start(c.nodes, c.cfg.Workers)
+				defer c.pool.stop()
+				c.barrier(0)
+				// Past every node's first periods: the tasks' first grants,
+				// the checker's per-task records and the telemetry
+				// instruments are set-up, not epoch work.
+				for i := 0; i < 20; i++ {
+					c.now += epoch
+					c.pool.advance(c.now)
+					c.barrier(c.now)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.now += epoch
+					c.pool.advance(c.now)
+					c.barrier(c.now)
+				}
+			})
+		}
 	}
 }

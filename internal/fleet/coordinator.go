@@ -1,6 +1,8 @@
+//rd:hotpath
 package fleet
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +29,7 @@ type Cluster struct {
 
 	queue  *actionQueue
 	seqCtr int64
+	pool   pool
 
 	// placement.go: the offer-order scratch and the backoff jitter.
 	scan    *placeScratch
@@ -169,13 +172,15 @@ func (c *Cluster) Run(horizon ticks.Ticks) *Report {
 	}
 	c.ran = true
 	c.horizon = horizon
+	c.pool.start(c.nodes, c.cfg.Workers)
+	defer c.pool.stop()
 	c.barrier(0)
 	for c.now < horizon {
 		next := c.now + epoch
 		if next > horizon {
 			next = horizon
 		}
-		c.advanceAll(next)
+		c.pool.advance(next)
 		c.now = next
 		c.barrier(next)
 	}
@@ -183,31 +188,105 @@ func (c *Cluster) Run(horizon ticks.Ticks) *Report {
 	return c.report(horizon)
 }
 
-// advanceAll runs every live node to limit on the worker pool (a down
-// or stalled node's advance returns at once). The pool only partitions
-// node indexes; each node's trajectory is fixed by its own kernel, so
-// the partition cannot affect results.
-func (c *Cluster) advanceAll(limit ticks.Ticks) {
-	if c.cfg.Workers <= 1 {
-		for _, n := range c.nodes {
-			n.advance(limit)
+// pool advances the nodes between barriers. Run starts Workers−1
+// helpers once, each owning a fixed contiguous range of the nodes
+// (ranges[0] is the coordinator's), and stop joins them on every exit
+// from Run, a panic included, so none touches a node NewIn recycles. An
+// epoch is its limit sent on each helper's wake channel (-1 stops the
+// helper); pending counts the helpers still advancing.
+type pool struct {
+	ranges  []nodeRange
+	pending atomic.Int64
+	joined  sync.WaitGroup
+}
+
+// spinChecks bounds a helper's spin before it parks: spinning keeps
+// its core through a barrier, parking lends the core to the runtime
+// (the GC included) through a long one.
+const spinChecks = 1 << 16
+
+// poll is check i of a spin-wait. Every 16th yields the P: yielding on
+// every check slows the goroutine on the other core through the
+// scheduler traffic, and never yielding keeps the GC's workers off the
+// P until the runtime preempts the spin.
+func poll(i int) {
+	if i%16 == 15 {
+		runtime.Gosched()
+	}
+}
+
+// nodeRange is one worker's nodes and the panic that ended its last
+// epoch, if one did.
+type nodeRange struct {
+	nodes    []*node
+	wake     chan ticks.Ticks
+	panicked any
+}
+
+func (p *pool) start(nodes []*node, workers int) {
+	p.ranges = make([]nodeRange, workers)
+	for k := range p.ranges {
+		r := &p.ranges[k]
+		r.nodes = nodes[k*len(nodes)/workers : (k+1)*len(nodes)/workers]
+		if k > 0 {
+			r.wake = make(chan ticks.Ticks, 1)
+			p.joined.Add(1)
+			go p.help(r)
 		}
-		return
 	}
-	// Each worker claims the next unclaimed node index until none are
-	// left.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(c.cfg.Workers)
-	for w := 0; w < c.cfg.Workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(c.nodes)); i = next.Add(1) - 1 {
-				c.nodes[i].advance(limit)
-			}
-		}()
+}
+
+// advance runs every live node to limit (a down or stalled node's
+// advance returns at once), then re-raises the first range's panic:
+// ranges are in node order and each stops at its first, so that is the
+// node a one-worker run panics on. A node's trajectory is its own
+// kernel's, so the ranges cannot affect any result. Nothing allocates.
+func (p *pool) advance(limit ticks.Ticks) {
+	p.pending.Store(int64(len(p.ranges) - 1))
+	p.release(limit)
+	p.ranges[0].run(limit)
+	for i := 0; p.pending.Load() != 0; i++ {
+		poll(i)
 	}
-	wg.Wait()
+	for k := range p.ranges {
+		if v := p.ranges[k].panicked; v != nil {
+			panic(v)
+		}
+	}
+}
+
+func (p *pool) stop() {
+	p.release(-1)
+	p.joined.Wait()
+}
+
+func (p *pool) release(limit ticks.Ticks) {
+	for k := 1; k < len(p.ranges); k++ {
+		p.ranges[k].wake <- limit
+	}
+}
+
+func (r *nodeRange) run(limit ticks.Ticks) {
+	defer func() { r.panicked = recover() }()
+	for _, n := range r.nodes {
+		n.advance(limit)
+	}
+}
+
+// help is a helper's loop: spin, then park, until the next limit.
+func (p *pool) help(r *nodeRange) {
+	defer p.joined.Done()
+	for {
+		for i := 0; len(r.wake) == 0 && i < spinChecks; i++ {
+			poll(i)
+		}
+		limit := <-r.wake
+		if limit < 0 {
+			return
+		}
+		r.run(limit)
+		p.pending.Add(-1)
+	}
 }
 
 // barrier is the sequential coordinator phase at cluster time now.

@@ -9,17 +9,19 @@
 //
 // # Determinism
 //
-// The cluster advances on epoch barriers. Between barriers every
-// live node runs its own single-goroutine kernel in parallel on a
-// bounded worker pool (the rdsweep sharding pattern — nodes share no
-// state, so the node→worker assignment cannot affect any node's
-// trajectory). At each barrier a single coordinator applies every
-// inter-node action — arrivals, retries, crashes, restarts,
-// migrations — sequentially, ordered by (due time, submission
-// sequence). Inter-node effects are therefore quantized to epoch
-// boundaries: conservative, and exactly reproducible for any worker
-// count. `fleet.Config.Workers` never affects results, only wall
-// time; fleet_test.go pins this the way sweep_test.go pins rdsweep.
+// The cluster advances on epoch barriers. Between barriers every live
+// node runs its own single-goroutine kernel on a persistent pool: Run
+// starts Workers−1 helpers once, each owning a contiguous node range
+// (the coordinator advances the first), and joins them on every exit,
+// a panic included; a node's panic is re-raised after the epoch, the
+// lowest-indexed node's first, as a one-worker run raises it. Nodes
+// share no state, so no node's trajectory depends on the ranges. At
+// each barrier a single coordinator applies every inter-node action —
+// arrivals, retries, crashes, restarts, migrations — sequentially,
+// ordered by (due time, submission sequence), so inter-node effects
+// are quantized to epoch boundaries: conservative, and reproducible for
+// any worker count. `fleet.Config.Workers` never affects results, only
+// wall time; fleet_test.go pins this the way sweep_test.go pins rdsweep.
 //
 // Randomness follows the repo's substream discipline
 // (docs/DETERMINISM.md): backoff jitter draws from the dedicated
@@ -124,8 +126,9 @@ type Config struct {
 	// MigrationCost is the state-transfer charge a migration's target
 	// node pays, delivered as one interrupt slab (default 100 µs).
 	MigrationCost ticks.Ticks
-	// Workers bounds the node-advance pool; <= 0 selects
-	// min(GOMAXPROCS, Nodes). Never affects results.
+	// Workers sizes the node-advance pool, contiguous node ranges for the
+	// coordinator and Workers−1 helpers; <= 0 selects GOMAXPROCS, at
+	// most Nodes are used. Never affects results, a node's panic included.
 	Workers int
 	// SwitchCosts applies to every node kernel (nil = zero costs).
 	SwitchCosts *sim.SwitchCosts

@@ -75,10 +75,11 @@ type env struct {
 
 	// arena is where runFleet builds its cluster: the sweep worker's
 	// own, recycled by its next fleet run, or a private one when the
-	// cluster is handed to a caller. cluster and report are what
-	// runFleet built and measured, kept for RunFleetCluster;
-	// clusterWorkers and spanLog are its overrides of the sweep's
-	// one-worker, counters-only cluster.
+	// cluster is handed to a caller. clusterWorkers sizes the cluster's
+	// node-advance pool: the sweep worker's share of the idle cores, or
+	// RunFleetCluster's count. cluster and report are what runFleet
+	// built and measured, kept for RunFleetCluster; spanLog is its
+	// override of the sweep's counters-only cluster.
 	arena          *fleet.Arena
 	clusterWorkers int
 	spanLog        bool
@@ -96,11 +97,13 @@ type admitRec struct {
 // its single-node runs. It belongs to one goroutine and holds one live
 // run; a finished run's RunMetrics holds copies, so the next run is
 // free to recycle all three. Which worker a run lands on, and what ran
-// there before, never affects its results (docs/DETERMINISM.md).
+// there before, never affects its results (docs/DETERMINISM.md), nor
+// does clusterWorkers, the pool size of its clusters (0: one).
 type worker struct {
-	arena fleet.Arena
-	tel   telemetry.Set
-	pr    probe
+	arena          fleet.Arena
+	tel            telemetry.Set
+	pr             probe
+	clusterWorkers int
 }
 
 func newWorker() *worker {
@@ -127,6 +130,7 @@ func newEnv(spec RunSpec, w *worker) (*env, error) {
 	w.pr.firstPeriod = w.pr.firstPeriod[:0]
 	return &env{
 		spec: spec, sc: sc, costs: costs, arena: &w.arena, tel: &w.tel, pr: &w.pr,
+		clusterWorkers: w.clusterWorkers,
 	}, nil
 }
 

@@ -67,7 +67,7 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 	cfg.Seed = e.spec.Seed
 	cfg.SwitchCosts = &e.costs
 	cfg.Placement = placements[e.spec.Policy]
-	cfg.Workers = max(1, e.clusterWorkers) // 1: the sweep already parallelizes across runs
+	cfg.Workers = max(1, e.clusterWorkers)
 	cfg.SpanLog = e.spanLog
 	cfg.Invariants = true
 	c, err := fleet.NewIn(e.arena, cfg)

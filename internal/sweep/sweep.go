@@ -198,8 +198,10 @@ func (m Matrix) Specs() ([]RunSpec, error) {
 
 // Options controls sweep execution.
 type Options struct {
-	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS.
-	// The result does not depend on this value.
+	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS. The
+	// cores the pool leaves idle, GOMAXPROCS / min(Workers, runs) per
+	// worker, advance the nodes of its fleet clusters. The result
+	// depends on neither value.
 	Workers int
 
 	// Progress, when non-nil, is called after each run completes with
@@ -228,6 +230,9 @@ func Run(m Matrix, opt Options) (*Result, error) {
 	if workers > len(specs) {
 		workers = len(specs)
 	}
+	// A fleet cluster advances its nodes on the cores this pool leaves
+	// idle.
+	clusterWorkers := max(1, runtime.GOMAXPROCS(0)/workers)
 
 	// Each worker claims the next unclaimed spec index until none are
 	// left; out[i] is written by whichever worker claimed i, so the
@@ -242,6 +247,7 @@ func Run(m Matrix, opt Options) (*Result, error) {
 		go func() {
 			defer done.Done()
 			w := newWorker()
+			w.clusterWorkers = clusterWorkers
 			for i := next.Add(1) - 1; i < int64(len(specs)); i = next.Add(1) - 1 {
 				out[i] = runOne(specs[i], w)
 				if opt.Progress != nil {

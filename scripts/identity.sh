@@ -12,6 +12,9 @@
 # into .git. The artifact set:
 #
 #   sweep.json        rdsweep -scenarios all -costs all -seeds 6 -horizon-ms 700 -json
+#   fleet-w1.json     rdsweep -scenarios fleet -workers 1 -seeds 2 -horizon-ms 700 -json:
+#                     one sweep worker, so its clusters advance on the idle
+#                     cores (sweep.json's GOMAXPROCS workers leave none)
 #   fig5.* settop.*   rdsim trace + manifest (-build ''), and the
 #                     manifest's `rdtrace export` (settop.perfetto.json)
 #   crash-<p>-w<n>.json, crash-<p>-nodes/, crash-<p>-stitched.json,
@@ -51,6 +54,7 @@ produce() (
 	go build -o "$bin/benchmark" ./benchmark
 
 	"$bin/rdsweep" -scenarios all -costs all -seeds 6 -horizon-ms 700 -quiet -json "$out/sweep.json"
+	"$bin/rdsweep" -scenarios fleet -workers 1 -seeds 2 -horizon-ms 700 -quiet -json "$out/fleet-w1.json"
 	for sc in fig5 settop; do
 		"$bin/rdsim" -scenario "$sc" -seed 7 -horizon 100ms -build '' \
 			-json "$out/$sc.trace.json" -manifest "$out/$sc.manifest.json" >/dev/null
