@@ -27,7 +27,7 @@ func expSporadicLatency(w io.Writer) {
 	}{
 		{2, 1}, {5, 1}, {10, 1}, {18, 1}, {10, 2}, {10, 4},
 	} {
-		d := newDist(core.Config{Seed: 3, SwitchCosts: zeroCosts()})
+		d := core.New(core.Config{Seed: 3, SwitchCosts: zeroCosts()})
 		_, err := d.AddSporadicServer("ss",
 			task.SingleLevel(10*ms, 10*ms*ticks.Ticks(cfg.grantPct)/100, "SS"), false)
 		if err != nil {
@@ -110,7 +110,7 @@ func expInterrupts(w io.Writer) {
 		// Zero switch costs isolate the interrupt dimension; with the
 		// stochastic cost model the reserve must cover switch
 		// overhead too (~0.5-1%), shifting the knee left.
-		d := newDist(core.Config{
+		d := core.New(core.Config{
 			Seed:                    3,
 			SwitchCosts:             zeroCosts(),
 			InterruptReservePercent: 4,
@@ -146,7 +146,7 @@ func expPeriods(w io.Writer) {
 	fmt.Fprintln(w, "interrupts required' for ANY period set")
 	run := func(name string, periodsMs []int64) {
 		rec := trace.New()
-		d := newDist(core.Config{Seed: 11, Observer: rec})
+		d := core.New(core.Config{Seed: 11, Observer: rec})
 		for i, p := range periodsMs {
 			period := ticks.FromMilliseconds(p)
 			cpu := period / 5 // 20% each
@@ -181,7 +181,7 @@ func expAblateOverride(w io.Writer) {
 	fmt.Fprintf(w, "  %12s %10s %10s %12s %8s\n", "window (us)", "vol", "invol", "switch CPU%", "misses")
 	for _, us := range []int64{0, 50, 100, 200, 500, 1000, 5000} {
 		rec := trace.New()
-		d := newDist(core.Config{
+		d := core.New(core.Config{
 			Seed:           3,
 			OverrideWindow: ticks.FromMicroseconds(us),
 			Observer:       rec,
@@ -213,7 +213,7 @@ func expAblateGrace(w io.Writer) {
 	fmt.Fprintf(w, "  %12s %10s %10s %12s %8s\n", "grace (us)", "invol", "overruns", "switch CPU%", "misses")
 	for _, us := range []int64{25, 50, 100, 200, 400, 800} {
 		rec := trace.New()
-		d := newDist(core.Config{
+		d := core.New(core.Config{
 			Seed:        3,
 			GracePeriod: ticks.FromMicroseconds(us),
 			Observer:    rec,
@@ -247,18 +247,12 @@ func expAblateReserve(w io.Writer) {
 	fmt.Fprintf(w, "  %12s %14s %14s %8s\n", "reserve (%)", "thread2 (ms)", "granted (%)", "misses")
 	for _, pct := range []int64{0, 2, 4, 8, 16} {
 		rec := trace.New()
-		d := newDist(core.Config{
+		d := core.New(core.Config{
 			Seed:                    3,
 			InterruptReservePercent: pct,
 			Observer:                rec,
 		})
-		_, _ = d.AddSporadicServer("ss", task.SingleLevel(2_700_000, 27_000, "SS"), true)
-		ids := make([]task.ID, 5)
-		for i := 0; i < 5; i++ {
-			d.At(ticks.Ticks(i)*20*ms, func() {
-				ids[i], _ = d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("t%d", i+2)))
-			})
-		}
+		_, ids, _ := workload.Figure5(d)
 		d.Run(200 * ms)
 		series := rec.AllocationSeries(ids[0])
 		var final ticks.Ticks
@@ -278,7 +272,7 @@ func expAblateSlice(w io.Writer) {
 	fmt.Fprintln(w, "two sporadic hogs behind a 10ms/2ms Sporadic Server, 1s per point")
 	fmt.Fprintf(w, "  %12s %12s %12s %14s\n", "slice (ms)", "hog-a (ms)", "hog-b (ms)", "alternations")
 	for _, sliceMs := range []int64{1, 5, 10, 20, 50} {
-		d := newDist(core.Config{
+		d := core.New(core.Config{
 			Seed:          3,
 			SporadicSlice: ticks.FromMilliseconds(sliceMs),
 		})

@@ -10,6 +10,7 @@ import (
 	"repro/internal/rm"
 	"repro/internal/sim"
 	"repro/internal/streamer"
+	"repro/internal/sweep"
 	"repro/internal/task"
 	"repro/internal/ticks"
 	"repro/internal/trace"
@@ -27,33 +28,15 @@ func expBaselines(w io.Writer) {
 	fmt.Fprintln(w, "reserves strand worst-case reservations; the RD sheds by policy")
 	fmt.Fprintln(w)
 
-	// --- MPEG quality in 120% overload ---
-	fsMPEG := workload.NewMPEG()
-	k1 := sim.NewKernel(sim.Config{Costs: sim.ZeroSwitchCosts()})
-	fs := baseline.NewFairShare(k1, ms)
-	fs.Add("mpeg", 900_000, 1, fsMPEG)
-	for _, n := range []string{"w1", "w2", "w3"} {
-		fs.Add(n, 10*ms, 1, task.PeriodicWork(3*ms))
-	}
-	fs.RunUntil(horizon)
-	fsMPEG.Flush()
-
-	rdMPEG := workload.NewMPEG()
-	d := newDist(core.Config{SwitchCosts: zeroCosts()})
-	_, _ = d.RequestAdmittance(rdMPEG.Task())
-	for _, n := range []string{"w1", "w2", "w3"} {
-		_, _ = d.RequestAdmittance(&task.Task{
-			Name: n,
-			List: task.UniformLevels(10*ms, "W", 30, 20),
-			Body: task.YieldAll(),
-		})
-	}
-	d.Run(horizon)
-	rdMPEG.Flush()
-
+	// MPEG quality in 120% overload: the sweep's baseline-media cell.
 	fmt.Fprintln(w, "MPEG quality over 2s at 120% offered load:")
-	fmt.Fprintf(w, "  fair share:  %s\n", fsMPEG.Stats().QualityString())
-	fmt.Fprintf(w, "  distributor: %s\n", rdMPEG.Stats().QualityString())
+	cells(w, sweep.Matrix{
+		Scenarios:  []string{"baseline-media"},
+		CostModels: []string{"zero"},
+		Policies:   []string{sweep.PolicyInvent, sweep.PolicyBaselineFairShare},
+		Seeds:      []uint64{1},
+		Horizon:    horizon,
+	})
 	fmt.Fprintln(w)
 
 	// --- utilization with a variable-demand task ---
@@ -63,7 +46,7 @@ func expBaselines(w io.Writer) {
 	_ = r.Reserve("bg", 10*ms, 2*ms, task.Busy())
 	r.RunUntil(ticks.PerSecond)
 
-	d2 := newDist(core.Config{SwitchCosts: zeroCosts()})
+	d2 := core.New(core.Config{SwitchCosts: zeroCosts()})
 	_, _ = d2.RequestAdmittance(&task.Task{
 		Name: "variable", List: task.SingleLevel(10*ms, 8*ms, "V"), Body: task.PeriodicWork(2 * ms),
 	})
@@ -125,7 +108,7 @@ func expBaselines(w io.Writer) {
 func expStreamer(w io.Writer) {
 	fmt.Fprintln(w, "a 100KB transfer every 10ms through a channel rated at the task's")
 	fmt.Fprintln(w, "granted StreamerMBps; a CPU hog arrives at t=500ms and sheds it")
-	d := newDist(core.Config{SwitchCosts: zeroCosts()})
+	d := core.New(core.Config{SwitchCosts: zeroCosts()})
 	e := streamer.New(d.Kernel(), 400)
 	list := task.ResourceList{
 		{Period: 270_000, CPU: 81_000, Fn: "StreamHQ", StreamerMBps: 200},
@@ -196,10 +179,8 @@ func expLatency(w io.Writer) {
 	fmt.Fprintln(w, "paper: max latency = 2*period - 2*CPU (grant at the start of one")
 	fmt.Fprintln(w, "period, then at the end of the next); Table 4 workload, 10s")
 	rec := recFor(10 * ticks.PerSecond)
-	d := newDist(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	_, _ = d.RequestAdmittance(workload.NewModem().Task(false))
-	_, _ = d.RequestAdmittance(workload.NewGraphics3D(42).Task())
-	_, _ = d.RequestAdmittance(workload.NewMPEG().Task())
+	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
+	workload.Settop(d)
 	d.Run(10 * ticks.PerSecond)
 	rep := trace.Analyze(rec.Export())
 	grantByName := map[string]rm.Grant{}
@@ -243,7 +224,7 @@ func expNotify(w io.Writer) {
 			n, st.Periods, st.MissedPeriods, st.UsedTicks)
 	}
 
-	d := newDist(core.Config{SwitchCosts: zeroCosts()})
+	d := core.New(core.Config{SwitchCosts: zeroCosts()})
 	list := task.ResourceList{
 		{Period: 10 * ms, CPU: 4 * ms, Fn: "Hi"},
 		{Period: 10 * ms, CPU: 1 * ms, Fn: "Lo"},
@@ -286,7 +267,7 @@ func expClock(w io.Writer) {
 		if err != nil {
 			panic(err)
 		}
-		d := newDist(core.Config{SwitchCosts: zeroCosts()})
+		d := core.New(core.Config{SwitchCosts: zeroCosts()})
 		var id task.ID
 		body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 			if ctx.NewPeriod {

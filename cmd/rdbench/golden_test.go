@@ -47,7 +47,9 @@ var quoteRE = regexp.MustCompile("(?ms)^```rdbench:(\\S+)\n(.*?)^```$")
 // TestExperimentsDocQuotesGolden holds EXPERIMENTS.md to the golden:
 // every block tagged rdbench:<experiment> must be a contiguous run of
 // whole lines of that experiment's golden section, so a measured number
-// in the document cannot drift from the one the code prints.
+// in the document cannot drift from the one the code prints. A markdown
+// table is how a measurement gets typed in instead, so the file may
+// hold none.
 func TestExperimentsDocQuotesGolden(t *testing.T) {
 	golden, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -69,6 +71,11 @@ func TestExperimentsDocQuotesGolden(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "|") {
+			t.Errorf("EXPERIMENTS.md:%d is a markdown table row; quote rdbench output instead: %s", i+1, line)
+		}
 	}
 	quotes := quoteRE.FindAllStringSubmatch(string(doc), -1)
 	if len(quotes) == 0 {

@@ -1,7 +1,9 @@
 // Command rdbench regenerates every table and figure from the
 // paper's evaluation (§6), printing paper-reported values next to the
-// values measured on this reproduction's simulator. Its output is a
-// pure function of the source: golden_test.go pins every byte of it
+// values measured on this reproduction's simulator. The paper's task
+// sets come from internal/workload's builders, and the sweep-*
+// experiments run fixed matrices of rdsweep registry cells. Its output
+// is a pure function of the source: golden_test.go pins every byte of it
 // against testdata/rdbench.golden (go test ./cmd/rdbench; -update
 // regenerates), and EXPERIMENTS.md quotes that file.
 //
@@ -20,8 +22,7 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/telemetry"
+	"repro/internal/sweep"
 )
 
 // experiment is one reproducible artifact from the paper.
@@ -31,8 +32,9 @@ type experiment struct {
 	run   func(w io.Writer)
 }
 
-// experiments is every table, figure and ablation rdbench stages, in
-// the order a full run prints them.
+// experiments is every table, figure, ablation and cell matrix
+// rdbench runs, in print order. They stage fixed task sets and drop
+// admission errors: a denial changes the golden-pinned output.
 var experiments = []experiment{
 	{"table2", "Table 2: MPEG resource list", expTable2},
 	{"table3", "Table 3: 3D graphics resource list", expTable3},
@@ -59,38 +61,24 @@ var experiments = []experiment{
 	{"latency", "§4.2: the 2·period − 2·CPU latency bound", expLatency},
 	{"streamer", "Data Streamer: bandwidth grants metering real DMA", expStreamer},
 	{"fig4fix", "§6.5: the Figure 4 application bug, fixed with events", expFig4Fix},
+	{"sweep-core", "rdsweep cells: the six paper-core scenarios, paper costs, 8 seeds × 2 s", expSweepCore},
+	{"sweep-baseline", "rdsweep cells: the baseline family, paper costs, 8 seeds × 900 ms", expSweepBaseline},
+	{"sweep-fleet", "rdsweep cells: the fleet family, paper costs, 8 seeds × 2 s", expSweepFleet},
 }
 
 // run writes each experiment under its banner with a blank line after
-// it — a section of the golden — and returns the names it ran.
-func run(w io.Writer, exps []experiment) []string {
-	names := make([]string, len(exps))
-	for i, e := range exps {
+// it — a section of the golden.
+func run(w io.Writer, exps []experiment) {
+	for _, e := range exps {
 		banner(w, e.title)
 		e.run(w)
 		fmt.Fprintln(w)
-		names[i] = e.name
 	}
-	return names
-}
-
-// benchTelemetry is non-nil when -manifest was given. Every experiment
-// builds its Distributors through newDist, so all of an invocation's
-// runs register into the one registry and the manifest aggregates the
-// whole invocation (like an rdsweep cell aggregates its runs).
-var benchTelemetry *telemetry.Set
-
-// newDist is the only way rdbench experiments assemble a Distributor:
-// core.New plus the invocation-wide telemetry set.
-func newDist(cfg core.Config) *core.Distributor {
-	cfg.Telemetry = benchTelemetry
-	return core.New(cfg)
 }
 
 func main() {
 	exp := flag.String("exp", "", "run a single experiment by name")
 	list := flag.Bool("list", false, "list experiment names")
-	manifestOut := flag.String("manifest", "", "write an rdtel/v2 manifest aggregating the invocation to this file ('-' for stdout)")
 	flag.Parse()
 
 	if *list {
@@ -98,11 +86,6 @@ func main() {
 			fmt.Printf("%-10s %s\n", e.name, e.title)
 		}
 		return
-	}
-	if *manifestOut != "" {
-		// Registry only: experiments run many unrelated kernels, so
-		// interleaved span timelines would mislead more than inform.
-		benchTelemetry = &telemetry.Set{Registry: telemetry.NewRegistry()}
 	}
 	exps := experiments
 	if *exp != "" {
@@ -113,22 +96,35 @@ func main() {
 		}
 		exps = experiments[i : i+1]
 	}
-	ran := run(os.Stdout, exps)
-	if *manifestOut != "" {
-		writeManifest(*manifestOut, ran)
-	}
+	run(os.Stdout, exps)
 }
 
-func writeManifest(path string, ran []string) {
-	man := telemetry.NewManifest(0)
-	man.Build = telemetry.GitDescribe()
-	man.ConfigDigest = telemetry.ConfigDigest(ran)
-	man.Fill(benchTelemetry)
-	man.DeriveTotals()
-	if err := telemetry.WriteFile(path, man.WriteJSON); err != nil {
-		fmt.Fprintln(os.Stderr, "rdbench:", err)
-		os.Exit(1)
+// cells runs a matrix of sweep registry cells on one worker and prints
+// sweep's own table, so rdbench never re-stages a sweep scenario.
+func cells(w io.Writer, m sweep.Matrix) {
+	res, err := sweep.Run(m, sweep.Options{Workers: 1})
+	if err != nil {
+		fmt.Fprintln(w, "  ", err)
+		return
 	}
+	fmt.Fprint(w, res.Table())
+}
+
+// The sweep-* experiments: each a matrix of registry cells under the
+// paper's cost model, 8 seeds.
+var paperCosts, eightSeeds = []string{"paper"}, sweep.SeedRange(1, 8)
+
+func expSweepCore(w io.Writer) {
+	paperCore := []string{"settop", "media", "overload", "quiescent", "studio", "stress"}
+	cells(w, sweep.Matrix{Scenarios: paperCore, CostModels: paperCosts, Seeds: eightSeeds})
+}
+
+func expSweepBaseline(w io.Writer) {
+	cells(w, sweep.Matrix{Scenarios: []string{sweep.BaselineFamily}, CostModels: paperCosts, Seeds: eightSeeds, Horizon: 900 * ms})
+}
+
+func expSweepFleet(w io.Writer) {
+	cells(w, sweep.Matrix{Scenarios: []string{sweep.FleetFamily}, CostModels: paperCosts, Seeds: eightSeeds})
 }
 
 func banner(w io.Writer, title string) {

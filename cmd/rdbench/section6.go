@@ -35,7 +35,7 @@ func expSwitch(w io.Writer) {
 	// periods, on the stochastic cost model.
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "paper: tuned MPEG+AC3 system: ~300 switches/s, ~0.7% of CPU")
-	d := newDist(core.Config{Seed: 7})
+	d := core.New(core.Config{Seed: 7})
 	period := ticks.PerSecond / 30
 	mpeg := workload.NewMPEG()
 	ac3 := workload.NewAC3()
@@ -128,20 +128,21 @@ func expGrantSet(w io.Writer) {
 func expPreempt(w io.Writer) {
 	fmt.Fprintln(w, "paper: managed preemption costs 'potentially much less' than an")
 	fmt.Fprintln(w, "       involuntary switch; checking the grace flag is nearly free")
-	run := func(controlled bool) (vol, invol int64, exceptions int64) {
-		d := newDist(core.Config{Seed: 5})
-		// A long task that gets preempted by a short task every 10ms.
-		long := &task.Task{
-			Name:                 "long",
-			List:                 task.SingleLevel(45*ms, 15*ms, "L"),
-			Body:                 task.CooperativeWork(15*ms, 50*ticks.PerMicrosecond),
-			ControlledPreemption: controlled,
-		}
-		id, _ := d.RequestAdmittance(long)
+	// stage admits a long task running body, preempted every 10ms by a
+	// short task, and runs both for 5s.
+	stage := func(d *core.Distributor, body task.Body, controlled bool) task.ID {
+		id, _ := d.RequestAdmittance(&task.Task{
+			Name: "long", List: task.SingleLevel(45*ms, 15*ms, "L"), Body: body, ControlledPreemption: controlled,
+		})
 		_, _ = d.RequestAdmittance(&task.Task{
 			Name: "short", List: task.SingleLevel(10*ms, 5*ms, "S"), Body: task.PeriodicWork(5 * ms),
 		})
 		d.Run(5 * ticks.PerSecond)
+		return id
+	}
+	run := func(controlled bool) (vol, invol int64, exceptions int64) {
+		d := core.New(core.Config{Seed: 5})
+		id := stage(d, task.CooperativeWork(15*ms, 50*ticks.PerMicrosecond), controlled)
 		st := d.KernelStats()
 		ts, _ := d.Stats(id)
 		return st.VolSwitches, st.InvolSwitches, ts.Exceptions
@@ -158,29 +159,19 @@ func expPreempt(w io.Writer) {
 	runCache := func(controlled bool) ticks.Ticks {
 		costs := sim.PaperSwitchCosts()
 		costs.CacheRefillUS = 200
-		d := newDist(core.Config{Seed: 5, SwitchCosts: &costs})
+		d := core.New(core.Config{Seed: 5, SwitchCosts: &costs})
 		var productive ticks.Ticks
-		long := &task.Task{
-			Name: "long",
-			List: task.SingleLevel(45*ms, 15*ms, "L"),
-			Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-				if ctx.InGracePeriod() {
-					return task.RunResult{Used: 0, Op: task.OpYield}
-				}
-				productive += ctx.Span
-				op := task.OpRanOut
-				if controlled {
-					op = task.OpYield
-				}
-				return task.RunResult{Used: ctx.Span, Op: op, Completed: controlled}
-			}),
-			ControlledPreemption: controlled,
-		}
-		id, _ := d.RequestAdmittance(long)
-		_, _ = d.RequestAdmittance(&task.Task{
-			Name: "short", List: task.SingleLevel(10*ms, 5*ms, "S"), Body: task.PeriodicWork(5 * ms),
-		})
-		d.Run(5 * ticks.PerSecond)
+		id := stage(d, task.BodyFunc(func(ctx task.RunContext) task.RunResult {
+			if ctx.InGracePeriod() {
+				return task.RunResult{Used: 0, Op: task.OpYield}
+			}
+			productive += ctx.Span
+			op := task.OpRanOut
+			if controlled {
+				op = task.OpYield
+			}
+			return task.RunResult{Used: ctx.Span, Op: op, Completed: controlled}
+		}), controlled)
 		st, _ := d.Stats(id)
 		return st.UsedTicks - productive
 	}
@@ -195,13 +186,8 @@ func expFig4(w io.Writer) {
 	fmt.Fprintln(w, "paper: producer 7 takes unused time (light) plus its guarantee (dark);")
 	fmt.Fprintln(w, "       data threads busy-wait their grants (the application bug)")
 	rec := recFor(ticks.PerSecond / 3)
-	d := newDist(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	period := ticks.PerSecond / 30
-	_, _ = d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true)
-	_, _ = d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*ms, "P7"), Body: task.Busy()})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*ms, "D8"), Body: task.YieldAll()})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "producer9", List: task.SingleLevel(period, 3*ms, "P9"), Body: task.PeriodicWork(3 * ms)})
-	_, _ = d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*ms, "D10"), Body: task.YieldAll()})
+	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
+	workload.Figure4(d)
 	d.Run(ticks.PerSecond / 3)
 	fmt.Fprintln(w, "measured schedule (final 100ms of the 333ms run):")
 	fmt.Fprintln(w, rec.Gantt(ticks.PerSecond/3-100*ms, ticks.PerSecond/3, 100))
@@ -219,7 +205,7 @@ func expFig4Fix(w io.Writer) {
 	period := ticks.PerSecond / 30
 	run := func(fixed bool) (switches int64, dataCPU ticks.Ticks, misses int) {
 		rec := trace.New()
-		d := newDist(core.Config{Seed: 3, Observer: rec})
+		d := core.New(core.Config{Seed: 3, Observer: rec})
 		_, _ = d.AddSporadicServer("ss", task.SingleLevel(2_700_000, 27_000, "SS"), true)
 
 		// Producer 9 completes 3ms of work each period and, in the
@@ -290,18 +276,12 @@ func expFig5(w io.Writer) {
 	fmt.Fprintln(w, "paper: thread 2 allocation steps 9 -> 4 -> 3 -> 2 -> 2 ms as")
 	fmt.Fprintln(w, "       threads are admitted every 20ms; no deadline misses")
 	rec := recFor(ticks.PerSecond)
-	d := newDist(core.Config{
+	d := core.New(core.Config{
 		SwitchCosts:             zeroCosts(),
 		InterruptReservePercent: 4,
 		Observer:                rec,
 	})
-	ss, _ := d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true)
-	ids := make([]task.ID, 5)
-	for i := 0; i < 5; i++ {
-		d.At(ticks.Ticks(i)*20*ms, func() {
-			ids[i], _ = d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("thread%d", i+2)))
-		})
-	}
+	ss, ids, _ := workload.Figure5(d)
 	d.Run(200 * ms)
 	fmt.Fprintln(w, "measured allocations (ms CPU per 10ms period):")
 	fmt.Fprint(w, rec.AllocationTable(append([]task.ID{ss}, ids...), 150*ms))

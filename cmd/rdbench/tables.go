@@ -43,18 +43,13 @@ func expTable4(w io.Writer) {
 	fmt.Fprintln(w, "paper: modem 10%, 3D 52%, MPEG 33% — three simultaneous grants")
 	fmt.Fprintln(w, "measured grant set (invented 1/3 policy; 3D lands on its nearest")
 	fmt.Fprintln(w, "Table 3 entry, 40%, since grants must map to real levels):")
-	d := newDist(core.Config{SwitchCosts: zeroCosts()})
-	modem, _ := d.RequestAdmittance(workload.NewModem().Task(false))
-	g3d, _ := d.RequestAdmittance(workload.NewGraphics3D(1).Task())
-	mpeg, _ := d.RequestAdmittance(workload.NewMPEG().Task())
+	d := core.New(core.Config{SwitchCosts: zeroCosts()})
+	workload.Settop(d)
 	gs := d.Grants()
-	for _, row := range []struct {
-		name string
-		id   task.ID
-	}{{"modem", modem}, {"3d", g3d}, {"mpeg", mpeg}} {
-		g := gs.Of(row.id)
+	for _, g := range gs.All() {
+		t, _ := d.Manager().TaskByID(g.Task)
 		fmt.Fprintf(w, "  %-6s %10d %10d %7s  %s\n",
-			row.name, g.Entry.Period, g.Entry.CPU, g.Entry.Rate(), g.Entry.Fn)
+			t.Name, g.Entry.Period, g.Entry.CPU, g.Entry.Rate(), g.Entry.Fn)
 	}
 	fmt.Fprintf(w, "  total: %.1f%% of CPU (paper total: 95%%)\n", 100*gs.TotalFrac().Float())
 }
@@ -93,10 +88,8 @@ func recFor(horizon ticks.Ticks) *trace.Recorder {
 func expFig3(w io.Writer) {
 	fmt.Fprintln(w, "paper: EDF schedule preempting the MPEG and 3D tasks; modem never preempted")
 	rec := recFor(200 * ms)
-	d := newDist(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	_, _ = d.RequestAdmittance(workload.NewModem().Task(false))
-	_, _ = d.RequestAdmittance(workload.NewGraphics3D(42).Task())
-	_, _ = d.RequestAdmittance(workload.NewMPEG().Task())
+	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
+	workload.Settop(d)
 	d.Run(200 * ms)
 	fmt.Fprintln(w, "measured schedule, first 200 ms:")
 	fmt.Fprintln(w, rec.Gantt(0, 200*ms, 110))

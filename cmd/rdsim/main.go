@@ -29,9 +29,12 @@ import (
 const ms = ticks.PerMillisecond
 
 type scenario struct {
-	name  string
-	desc  string
-	setup func(d *core.Distributor) (quality func())
+	name string
+	desc string
+	// setup admits the scenario's tasks, returning the error of a denied
+	// admission. report, when non-nil, runs after the run's summary: it
+	// prints the application quality, or exits on a denial made mid-run.
+	setup func(d *core.Distributor) (report func(), err error)
 	// reserve is the interrupt reserve percentage for the run.
 	reserve int64
 }
@@ -85,7 +88,10 @@ func main() {
 		Observer:                rec,
 		Telemetry:               tel,
 	})
-	quality := sc.setup(d)
+	report, err := sc.setup(d)
+	if err != nil {
+		fatal(err)
+	}
 	d.Run(ticks.FromDuration(*horizon))
 
 	fmt.Printf("scenario %q after %v simulated:\n\n", sc.name, *horizon)
@@ -114,9 +120,8 @@ func main() {
 		ks.VolSwitches, ks.InvolSwitches, 100*ks.SwitchOverheadFraction(), ks.IdleTicks)
 	fmt.Printf("deadline misses: %d\n", rec.MissCount())
 
-	if quality != nil {
-		fmt.Println("\napplication quality:")
-		quality()
+	if report != nil {
+		report()
 	}
 
 	if *jsonOut != "" {
@@ -158,43 +163,32 @@ func main() {
 // defaultBuild is the -build sentinel meaning "ask git describe".
 const defaultBuild = "auto"
 
-func setupSettop(d *core.Distributor) func() {
-	modem := workload.NewModem()
-	g3d := workload.NewGraphics3D(42)
-	mpeg := workload.NewMPEG()
-	must(d.RequestAdmittance(modem.Task(false)))
-	must(d.RequestAdmittance(g3d.Task()))
-	must(d.RequestAdmittance(mpeg.Task()))
+func setupSettop(d *core.Distributor) (func(), error) {
+	modem, g3d, mpeg, err := workload.Settop(d)
 	return func() {
 		mpeg.Flush()
-		fmt.Printf("  modem: %s\n", modem.Stats().QualityString())
+		fmt.Printf("\napplication quality:\n  modem: %s\n", modem.Stats().QualityString())
 		fmt.Printf("  3d:    %s\n", g3d.Stats().QualityString())
 		fmt.Printf("  mpeg:  %s\n", mpeg.Stats().QualityString())
-	}
+	}, err
 }
 
-func setupFig4(d *core.Distributor) func() {
-	period := ticks.PerSecond / 30
-	mustSS(d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true))
-	must(d.RequestAdmittance(&task.Task{Name: "producer7", List: task.SingleLevel(period, 13*ms, "P"), Body: task.Busy()}))
-	must(d.RequestAdmittance(&task.Task{Name: "data8", List: task.SingleLevel(period, 2*ms, "D"), Body: task.YieldAll()}))
-	must(d.RequestAdmittance(&task.Task{Name: "producer9", List: task.SingleLevel(period, 3*ms, "P"), Body: task.PeriodicWork(3 * ms)}))
-	must(d.RequestAdmittance(&task.Task{Name: "data10", List: task.SingleLevel(period, 3*ms, "D"), Body: task.YieldAll()}))
-	return nil
+func setupFig4(d *core.Distributor) (func(), error) { return nil, workload.Figure4(d) }
+
+// setupFig5's threads are admitted mid-run, so a denial is found after
+// it: a thread the run reached that holds no ID.
+func setupFig5(d *core.Distributor) (func(), error) {
+	_, threads, err := workload.Figure5(d)
+	return func() {
+		for i, id := range threads {
+			if id == task.NoID && d.Now() > ticks.Ticks(i)*workload.Figure5Stagger {
+				fatal(fmt.Errorf("fig5: thread%d was denied admission", i+2))
+			}
+		}
+	}, err
 }
 
-func setupFig5(d *core.Distributor) func() {
-	mustSS(d.AddSporadicServer("sporadic", task.SingleLevel(2_700_000, 27_000, "SS"), true))
-	for i := 0; i < 5; i++ {
-		i := i
-		d.At(ticks.Ticks(i)*20*ms, func() {
-			must(d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("thread%d", i+2))))
-		})
-	}
-	return nil
-}
-
-func setupQuiescent(d *core.Distributor) func() {
+func setupQuiescent(d *core.Distributor) (func(), error) {
 	ac3 := workload.NewAC3()
 	modem := workload.NewModem()
 	must(d.RequestAdmittance(&task.Task{
@@ -203,10 +197,7 @@ func setupQuiescent(d *core.Distributor) func() {
 		Body: task.YieldAll(),
 	}))
 	must(d.RequestAdmittance(ac3.Task()))
-	modemID, err := d.RequestAdmittance(modem.Task(true))
-	if err != nil {
-		fatal(err)
-	}
+	modemID := must(d.RequestAdmittance(modem.Task(true)))
 	d.At(500*ms, func() {
 		if err := d.Wake(modemID); err != nil {
 			fatal(err)
@@ -214,16 +205,16 @@ func setupQuiescent(d *core.Distributor) func() {
 	})
 	return func() {
 		ac3.Flush()
-		fmt.Printf("  ac3:   %s\n", ac3.Stats().QualityString())
+		fmt.Printf("\napplication quality:\n  ac3:   %s\n", ac3.Stats().QualityString())
 		fmt.Printf("  modem: %s\n", modem.Stats().QualityString())
-	}
+	}, nil
 }
 
-func setupAVSync(d *core.Distributor) func() {
+func setupAVSync(d *core.Distributor) (func(), error) {
 	ext := extclock.New(120, 0)
 	pl, err := extclock.NewPhaseLock(ext, 270_000, 269_500)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	var id task.ID
 	var maxErr ticks.Ticks
@@ -245,19 +236,16 @@ func setupAVSync(d *core.Distributor) func() {
 		}
 		return task.RunResult{Used: left, Op: task.OpYield, Completed: true}
 	})
-	id, err = d.RequestAdmittance(&task.Task{
+	id = must(d.RequestAdmittance(&task.Task{
 		Name: "display", List: task.SingleLevel(269_500, 2*ms, "Refresh"), Body: body,
-	})
-	if err != nil {
-		fatal(err)
-	}
+	}))
 	must(d.RequestAdmittance(&task.Task{
 		Name: "worker", List: task.SingleLevel(10*ms, 3*ms, "W"), Body: task.PeriodicWork(3 * ms),
 	}))
 	return func() {
-		fmt.Printf("  display: %d periods, max phase error %.1fus against the drifting clock\n",
+		fmt.Printf("\napplication quality:\n  display: %d periods, max phase error %.1fus against the drifting clock\n",
 			periods, maxErr.MicrosecondsF())
-	}
+	}, nil
 }
 
 func must(id task.ID, err error) task.ID {
@@ -266,8 +254,6 @@ func must(id task.ID, err error) task.ID {
 	}
 	return id
 }
-
-func mustSS(id task.ID, err error) task.ID { return must(id, err) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "rdsim:", err)

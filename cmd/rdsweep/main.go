@@ -123,8 +123,13 @@ func run() int {
 	}
 
 	if *clusterManifest != "" {
-		if err := runClusterManifest(*scenariosFlag, *costsFlag, *policiesFlag,
-			*seedBase, *horizonMS, *clusterWorkers, *clusterManifest, *nodeManifests); err != nil {
+		costsSet := false
+		flag.Visit(func(f *flag.Flag) { costsSet = costsSet || f.Name == "costs" })
+		spec, err := clusterSpec(*scenariosFlag, *costsFlag, costsSet, *policiesFlag, *seedBase, *horizonMS)
+		if err == nil {
+			err = runClusterManifest(spec, *clusterWorkers, *clusterManifest, *nodeManifests)
+		}
+		if err != nil {
 			return fail(err)
 		}
 		return 0
@@ -161,21 +166,20 @@ func run() int {
 	return 0
 }
 
-// runClusterManifest is the -cluster-manifest mode: one fleet-family
-// run with full span logging, its stitched cluster manifest written to
-// path and (optionally) the coordinator/per-node manifests it stitches
-// into a directory.
-func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonMS int64, workers int, path, nodeDir string) error {
+// clusterSpec resolves the -cluster-manifest mode's flags to its one
+// run. costsSet reports whether -costs was given: left untouched, its
+// two-model default picks the paper model; given, it must name one.
+func clusterSpec(scenarios, costs string, costsSet bool, policies string, seed uint64, horizonMS int64) (sweep.RunSpec, error) {
 	scenario, err := singleValue("scenarios", splitOrAll(scenarios), "")
 	if err != nil {
-		return err
+		return sweep.RunSpec{}, err
 	}
-	if costs == strings.Join(sweep.DefaultCostModels(), ",") {
-		costs = "paper" // untouched -costs default: pick the paper model
+	if !costsSet {
+		costs = "paper"
 	}
 	cost, err := singleValue("costs", splitOrAll(costs), "paper")
 	if err != nil {
-		return err
+		return sweep.RunSpec{}, err
 	}
 	// An unnamed policy falls back to the first value of the
 	// scenario's axis.
@@ -186,20 +190,27 @@ func runClusterManifest(scenarios, costs, policies string, seed uint64, horizonM
 		}
 	}
 	if fallback == "" {
-		return fmt.Errorf("unknown scenario %q (see -list)", scenario)
+		return sweep.RunSpec{}, fmt.Errorf("unknown scenario %q (see -list)", scenario)
 	}
 	policy, err := singleValue("policies", splitOrAll(policies), fallback)
 	if err != nil {
-		return err
+		return sweep.RunSpec{}, err
 	}
 	horizon := ticks.FromMilliseconds(horizonMS)
 	if horizon <= 0 {
 		horizon = sweep.DefaultHorizon
 	}
-	spec := sweep.RunSpec{
+	return sweep.RunSpec{
 		Scenario: scenario, CostModel: cost, Policy: policy,
 		Seed: seed, Horizon: horizon,
-	}
+	}, nil
+}
+
+// runClusterManifest is the -cluster-manifest mode: spec's fleet-family
+// run with full span logging, its stitched cluster manifest written to
+// path and (optionally) the coordinator/per-node manifests it stitches
+// into a directory.
+func runClusterManifest(spec sweep.RunSpec, workers int, path, nodeDir string) error {
 	c, _, err := sweep.RunFleetCluster(spec, workers)
 	if err != nil {
 		return err

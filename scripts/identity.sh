@@ -2,7 +2,8 @@
 # Byte identity of the working tree against a parent revision: build
 # both, produce the standard artifact set on each side, cmp file by
 # file. `make identity PARENT=<rev>` runs this; exit 0 = every artifact
-# identical, 1 = at least one differs (each is named), 2 = usage.
+# identical, 1 = at least one differs (each is named, and a differing
+# text artifact's `diff -u` is printed, up to 200 lines), 2 = usage.
 #
 #   bash scripts/identity.sh <rev> [scratch-dir]
 #
@@ -89,5 +90,11 @@ if diff -rq "$scratch/parent" "$scratch/change"; then
 	[ $# -eq 2 ] || rm -rf "$scratch"
 	exit 0
 fi
+for f in rdbench.txt digests.txt; do
+	if ! cmp -s "$scratch/parent/$f" "$scratch/change/$f"; then
+		echo "identity: $f differs:"
+		{ diff -u "$scratch/parent/$f" "$scratch/change/$f" || true; } | head -n 200
+	fi
+done
 echo "identity: artifacts differ; both sets are under $scratch" >&2
 exit 1
