@@ -13,7 +13,7 @@ GO ?= go
 # things every run does with its instrument registry: snapshot it, and
 # merge the snapshot into a cell that already carries its names — and
 # one slice of the §3.4 comparators' shared dispatch loop.
-BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|RegistrySnapshot|SnapshotMerge|ComparatorSlice
+BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|RegistrySnapshot|SnapshotMerge|ComparatorSlice|FleetRun
 BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet ./internal/baseline
 
 .PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzManagerModel$$' -fuzztime=10s ./internal/rm
 	$(GO) test -run=NONE -fuzz='^FuzzFleetSchedule$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run=NONE -fuzz='^FuzzAuditGate$$' -fuzztime=10s ./internal/sched
+	$(GO) test -run=NONE -fuzz='^FuzzSchedulerChurn$$' -fuzztime=10s ./internal/sched
 	$(GO) test -run=TestScenarioFuzz -count=1 ./internal/core
 
 # Worker invariance over the whole matrix: the sweep engine's tests

@@ -3,8 +3,8 @@ package fleet
 // Arena is the storage clusters are built in, one after another: the
 // node shells — each node's flight recorder (span ring and event
 // ring), event log and instrument registry — the coordinator's span
-// log, flight recorder and registry, the action queue and the
-// placement scratch. The rings alone are three quarters of what a
+// log, flight recorder and registry, the action queue, the admission
+// records and the placement scratch. The rings alone are three quarters of what a
 // 120-node cluster allocates to exist, so a caller that runs many
 // clusters keeps one Arena and pays for them once. The zero value is
 // ready to use.
@@ -25,6 +25,7 @@ type Arena struct {
 	rec   recorder     // record.go
 	queue actionQueue  // coordinator.go
 	scan  placeScratch // placement.go
+	recs  records      // ledger.go
 }
 
 // reset readies the arena for a cluster of the given node count and
@@ -43,4 +44,5 @@ func (a *Arena) reset(nodes, spanCap int) {
 	}
 	a.queue.reset()
 	a.scan.reset()
+	a.recs.reset()
 }

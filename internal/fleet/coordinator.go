@@ -39,7 +39,7 @@ type Cluster struct {
 	// of them — four no fleet.* counter carries, every other one in its
 	// registered counter and nowhere else; the report and the
 	// conservation audit read them.
-	adms                                               []*admRec
+	recs                                               *records
 	arrivals, unarrived, deniedAttempts, migrateFailed int64
 	recoveryMS                                         metrics.Summary
 	cPlaced, cSpill, cRetry, cReject, cMigrate         *telemetry.Counter
@@ -69,8 +69,8 @@ type action struct {
 	due  ticks.Ticks
 	seq  int64
 	kind actionKind
-	adm  *admRec
-	node int
+	adm  *admRec // a retry's record
+	node int     // a crash's or restart's node; an arrival's record index
 }
 
 // actionQueue is a binary min-heap on (due, seq): due time orders
@@ -296,7 +296,7 @@ func (c *Cluster) barrier(now ticks.Ticks) {
 		switch a.kind {
 		case actArrive:
 			c.arrivals++
-			c.place(a.adm, now)
+			c.place(&c.recs.a[a.node], now)
 		case actRetry:
 			c.place(a.adm, now)
 		case actCrash:

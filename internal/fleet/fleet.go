@@ -217,6 +217,7 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 		cfg:     cfg,
 		queue:   &a.queue,
 		scan:    &a.scan,
+		recs:    &a.recs,
 		backoff: sim.NewRNG(sim.SplitSeed(cfg.Seed, StreamBackoff)),
 	}
 	c.recordIn(&a.rec)
@@ -274,6 +275,6 @@ func (c *Cluster) Submit(a Admission) error {
 	if err := a.List.Validate(); err != nil {
 		return fmt.Errorf("fleet: admission %q: %w", a.Name, err)
 	}
-	c.push(a.At, actArrive, c.submitted(a), -1)
+	c.push(a.At, actArrive, nil, c.submitted(a))
 	return nil
 }

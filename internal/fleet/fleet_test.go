@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -463,15 +464,15 @@ func TestConfigAndSubmitValidation(t *testing.T) {
 // instrument from zero — and the finished run's report, holding copies,
 // does not notice.
 func TestNodeRegistrySpansIncarnationsNotClusters(t *testing.T) {
-	accepted := func(rep *fleet.Report) (sum int64) {
-		for _, n := range rep.PerNode {
-			sum += n.Telemetry.CounterValue("rm.admit.accepted")
+	accepted := func(c *fleet.Cluster) (sum int64) {
+		for i := 0; i < c.NodeCount(); i++ {
+			sum += nodeMetrics(t, c, i).CounterValue("rm.admit.accepted")
 		}
 		return sum
 	}
 	// Five 20% tasks fill node 0; it crashes under them and they are
 	// re-placed; three latecomers arrive after its restart.
-	build := func(a *fleet.Arena, crash bool) *fleet.Report {
+	build := func(a *fleet.Arena, crash bool) (*fleet.Cluster, *fleet.Report) {
 		c, err := fleet.NewIn(a, fleet.Config{Nodes: 3, Seed: 1, Workers: 1, Invariants: true})
 		if err != nil {
 			t.Fatal(err)
@@ -493,21 +494,21 @@ func TestNodeRegistrySpansIncarnationsNotClusters(t *testing.T) {
 				List: task.SingleLevel(10*ms, 2*ms, "Fleet"), Body: steadyBody(),
 			})
 		}
-		return c.Run(300 * ms)
+		return c, c.Run(300 * ms)
 	}
 
 	arena := new(fleet.Arena)
-	crashed := build(arena, true)
-	if crashed.Restarts != 1 || crashed.LostToCrash != 5 || crashed.Recovered != 5 || crashed.PerNode[0].Restarts != 1 {
+	cc, crashed := build(arena, true)
+	if crashed.Restarts != 1 || crashed.LostToCrash != 5 || crashed.Recovered != 5 {
 		t.Fatalf("the crash cycle did not run as staged: %s", crashed.Summary())
 	}
 	// Every placement, a crash re-placement included, is one accepted
 	// admission on some node; node 0's first five are only still
 	// counted if its counter survived the restart.
-	if got, want := accepted(crashed), crashed.Placed; got != want || want != 13 {
+	if got, want := accepted(cc), crashed.Placed; got != want || want != 13 {
 		t.Errorf("nodes count %d accepted admissions over the run, the coordinator %d placements; want 13 of each", got, want)
 	}
-	if got := crashed.PerNode[0].Telemetry.CounterValue("rm.admit.accepted"); got < 5 {
+	if got := nodeMetrics(t, cc, 0).CounterValue("rm.admit.accepted"); got < 5 {
 		t.Errorf("node 0 counts %d accepted admissions, want its first incarnation's 5 and any since", got)
 	}
 	before, err := json.Marshal(crashed)
@@ -515,12 +516,18 @@ func TestNodeRegistrySpansIncarnationsNotClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	quiet, fresh := build(arena, false), build(new(fleet.Arena), false)
-	if !reflect.DeepEqual(quiet.PerNode, fresh.PerNode) || !reflect.DeepEqual(quiet.Telemetry, fresh.Telemetry) {
+	qc, quiet := build(arena, false)
+	fc, fresh := build(new(fleet.Arena), false)
+	for i := 0; i < qc.NodeCount(); i++ {
+		if q, f := nodeMetrics(t, qc, i), nodeMetrics(t, fc, i); !reflect.DeepEqual(q, f) {
+			t.Errorf("node %d of a cluster built after a crashed one snapshots differently from one in a fresh arena:\n reused: %+v\n  fresh: %+v", i, q, f)
+		}
+	}
+	if !reflect.DeepEqual(quiet.Telemetry, fresh.Telemetry) {
 		t.Errorf("a cluster built after a crashed one snapshots differently from one in a fresh arena:\n reused: %+v\n  fresh: %+v",
 			quiet.Telemetry, fresh.Telemetry)
 	}
-	if got := accepted(quiet); got != 8 {
+	if got := accepted(qc); got != 8 {
 		t.Errorf("the second cluster counts %d accepted admissions, want its own 8", got)
 	}
 	if after, err := json.Marshal(crashed); err != nil || !bytes.Equal(before, after) {
@@ -528,31 +535,47 @@ func TestNodeRegistrySpansIncarnationsNotClusters(t *testing.T) {
 	}
 }
 
-// The report's cluster-wide snapshot is merged from the per-node ones
-// and must share no bucket with them: the merge adds in place.
+// nodeMetrics is node i's own telemetry snapshot, from its manifest.
+func nodeMetrics(t *testing.T, c *fleet.Cluster, i int) *telemetry.Snapshot {
+	t.Helper()
+	m, err := c.NodeManifest(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &m.Metrics
+}
+
+// The report's cluster-wide snapshot is merged from the nodes'
+// registries through one snapshot refilled node after node, and must
+// share no bucket with it or with them: the merge adds in place.
 func TestReportSnapshotsShareNoBuckets(t *testing.T) {
-	rep := run(t, 42, 1)
-	var hists int
-	for _, n := range rep.PerNode {
-		for _, h := range n.Telemetry.Histograms {
+	c, rep := crashFleet(t, 1)
+	bucketsSum := func(who string, hs []telemetry.HistSnap) {
+		for _, h := range hs {
 			var sum int64
-			for _, c := range h.Counts {
-				sum += c
+			for _, n := range h.Counts {
+				sum += n
 			}
 			if sum != h.Count {
-				t.Fatalf("node %d histogram %s: buckets sum to %d, count is %d — another snapshot was added into it",
-					n.Node, h.Name, sum, h.Count)
+				t.Fatalf("%s histogram %s: buckets sum to %d, count is %d — another snapshot was added into it",
+					who, h.Name, sum, h.Count)
 			}
-			hists++
 		}
 	}
+	var hists int
+	for i := 0; i < c.NodeCount(); i++ {
+		hs := nodeMetrics(t, c, i).Histograms
+		bucketsSum(fmt.Sprintf("node %d", i), hs)
+		hists += len(hs)
+	}
+	bucketsSum("the cluster", rep.Telemetry.Histograms)
 	if hists == 0 || len(rep.Telemetry.Histograms) == 0 {
-		t.Fatal("the faulted fleet observed no histogram")
+		t.Fatal("the fleet observed no histogram")
 	}
 	for i := range rep.Telemetry.Histograms {
 		rep.Telemetry.Histograms[i].Counts[0] += 1000
 	}
-	for _, h := range rep.PerNode[0].Telemetry.Histograms {
+	for _, h := range nodeMetrics(t, c, 0).Histograms {
 		if h.Counts[0] >= 1000 {
 			t.Fatalf("writing the cluster snapshot's %s buckets wrote node 0's", h.Name)
 		}

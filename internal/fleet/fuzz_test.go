@@ -121,7 +121,7 @@ func checkLedger(t *testing.T, c *Cluster, rep *Report) {
 	}
 	var byState [admLost + 1]int64
 	var lost, recovered int64
-	for _, a := range c.adms {
+	for _, a := range c.recs.a {
 		byState[a.state]++
 		lost += int64(a.timesLost)
 		recovered += int64(a.timesRecovered)
@@ -134,9 +134,9 @@ func checkLedger(t *testing.T, c *Cluster, rep *Report) {
 	}
 	// Pending at the end means never arrived: everything that entered
 	// the pipeline is placed or has a recorded terminal outcome.
-	if byState[admPending] != rep.Unarrived || rep.Arrivals+rep.Unarrived != int64(len(c.adms)) {
+	if byState[admPending] != rep.Unarrived || rep.Arrivals+rep.Unarrived != int64(len(c.recs.a)) {
 		t.Errorf("%d pending of %d admissions, report says %d arrived, %d unarrived",
-			byState[admPending], len(c.adms), rep.Arrivals, rep.Unarrived)
+			byState[admPending], len(c.recs.a), rep.Arrivals, rep.Unarrived)
 	}
 	if byState[admRejected] != rep.Rejected || byState[admLost] != rep.LostRecorded ||
 		lost != rep.LostToCrash || recovered != rep.Recovered {

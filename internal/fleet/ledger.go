@@ -43,12 +43,18 @@ type admRec struct {
 	linkSpan telemetry.SpanID
 }
 
-// submitted opens the ledger entry for one admission: pending, on no
-// node.
-func (c *Cluster) submitted(a Admission) *admRec {
-	rec := &admRec{Admission: a, seq: len(c.adms), node: -1, id: task.NoID}
-	c.adms = append(c.adms, rec)
-	return rec
+// records is the admission records' storage, kept by the Arena from
+// cluster to cluster. Only Submit appends, and Submit precedes Run, so
+// the record pointers Run hands to the queue and the nodes never move.
+type records struct{ a []admRec }
+
+func (r *records) reset() { clear(r.a); r.a = r.a[:0] }
+
+// submitted opens the ledger entry for one admission — pending, on no
+// node — and returns its index in the records.
+func (c *Cluster) submitted(a Admission) int {
+	c.recs.a = append(c.recs.a, admRec{Admission: a, seq: len(c.recs.a), node: -1, id: task.NoID})
+	return len(c.recs.a) - 1
 }
 
 // placed commits a's guarantee on n, under the task ID n's RM issued
@@ -226,7 +232,8 @@ func (c *Cluster) auditConservation() []string {
 	var probs []string
 	var lost, recovered, lostRec int64
 	cLost, cRecovered, cDrop := c.cLost.Value(), c.cRecovered.Value(), c.cDrop.Value()
-	for _, a := range c.adms {
+	for i := range c.recs.a {
+		a := &c.recs.a[i]
 		lost += int64(a.timesLost)
 		recovered += int64(a.timesRecovered)
 		if a.state == admLost {

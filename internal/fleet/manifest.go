@@ -98,8 +98,8 @@ func (c *Cluster) nodeManifest(i int, spans spanReader) *telemetry.Manifest {
 	m.Metrics = n.tel.Reg().Snapshot()
 	m.Spans = spans(n.tel.SpanLog())
 	m.Events = n.flog.Events()
-	for _, a := range c.adms {
-		if a.state == admPlaced && a.node == i && a.id != task.NoID {
+	for k := range c.recs.a {
+		if a := &c.recs.a[k]; a.state == admPlaced && a.node == i && a.id != task.NoID {
 			m.Tasks = append(m.Tasks, telemetry.TaskInfo{
 				ID: int64(a.id), Name: a.Name, Node: telemetry.NodeTag(i),
 			})

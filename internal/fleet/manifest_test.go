@@ -225,10 +225,14 @@ func TestManifestAndPerNodeWorkerInvariance(t *testing.T) {
 		if err := m.WriteJSON(&buf); err != nil {
 			t.Fatalf("workers=%d: write: %v", workers, err)
 		}
-		if len(rep.PerNode) != 4 {
-			t.Fatalf("workers=%d: PerNode has %d entries, want 4", workers, len(rep.PerNode))
+		var snaps []*telemetry.Snapshot
+		for i := 0; i < c.NodeCount(); i++ {
+			snaps = append(snaps, nodeMetrics(t, c, i))
 		}
-		perNode, err := json.Marshal(rep.PerNode)
+		if len(snaps) != 4 || len(rep.Telemetry.Counters) == 0 {
+			t.Fatalf("workers=%d: %d node snapshots, %d cluster counters", workers, len(snaps), len(rep.Telemetry.Counters))
+		}
+		perNode, err := json.Marshal(snaps)
 		if err != nil {
 			t.Fatalf("workers=%d: marshal per-node: %v", workers, err)
 		}

@@ -148,7 +148,7 @@ func (n *node) retire(finish bool) {
 		n.accViolations += int64(n.chk.NViolations())
 		n.chk = nil
 	}
-	n.accDegradations += int64(len(n.d.Manager().DegradationEvents()))
+	n.accDegradations += int64(n.d.Manager().NDegradations())
 	st := n.d.Kernel().Stats()
 	n.accStats.BusyTicks += st.BusyTicks - n.statsBase.BusyTicks
 	n.accStats.SwitchTicks += st.SwitchTicks - n.statsBase.SwitchTicks

@@ -79,7 +79,8 @@ func fnv64(s string) uint64 {
 // the policy's order and returns the first that admits it, with the
 // task ID that node's RM issued and the number of nodes that denied
 // the offer first — nil when every node denied. One descriptor serves
-// the whole scan: the RM copies the list only when it admits, and Body
+// the whole scan: the RM copies the list only when it admits, a denial
+// builds no error (rm.Manager.Offer), and Body
 // builds a fresh body per scan because bodies carry progress state — a
 // denied offer never dispatches it, a re-placed task restarts. A
 // migration's scan leaves out skip, the node the task is moving off
@@ -95,8 +96,7 @@ func (c *Cluster) offerScan(a *admRec, skip int, calmOnly bool) (*node, task.ID,
 		if calmOnly && n.d.Manager().Pressure().Cmp(ticks.FracZero) > 0 {
 			continue
 		}
-		id, err := n.d.RequestAdmittance(offer)
-		if err == nil {
+		if id, ok := n.d.Manager().Offer(offer); ok {
 			return n, id, denials
 		}
 		denials++

@@ -60,13 +60,8 @@ type Report struct {
 	// fleet.* counters unioned with every node's own registry
 	// (sched.*, rm.*, sim.*, invariant.*), merged coordinator-first
 	// then in node-ID order — worker-count invariant like every other
-	// aggregate here.
+	// aggregate here. A node's own snapshot is in its NodeManifest.
 	Telemetry telemetry.Snapshot
-
-	// PerNode is each node's own telemetry snapshot, in node-ID order,
-	// so a report can attribute misses or pressure to a specific node
-	// instead of the flat cluster union.
-	PerNode []NodeTelemetry
 
 	// FlightDumps are the run's black-box artifacts, in trigger order:
 	// one per node crash, per newly noticed invariant breach, per
@@ -76,13 +71,6 @@ type Report struct {
 	// Log is the merged event log: coordinator events first, then
 	// each node's own log in node-ID order.
 	Log telemetry.EventLog
-}
-
-// NodeTelemetry is one node's slice of the report.
-type NodeTelemetry struct {
-	Node      int
-	Restarts  int
-	Telemetry telemetry.Snapshot
 }
 
 func (c *Cluster) report(horizon ticks.Ticks) *Report {
@@ -117,10 +105,12 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 	r.RecoveryMS.Merge(&c.recoveryMS)
 	r.Log.Merge(&c.flog)
 	r.Telemetry = c.tel.Reg().Snapshot()
-	r.PerNode = make([]NodeTelemetry, len(c.nodes))
 	r.FlightDumps = c.flightDumps
 	var sum sim.Stats
-	for i, n := range c.nodes {
+	// One node's snapshot at a time, refilled in place: it is read for
+	// two counters and merged into the cluster's, which copies it.
+	var snap telemetry.Snapshot
+	for _, n := range c.nodes {
 		r.Degradations += n.accDegradations
 		r.Violations += n.accViolations
 		sum.Now += n.accStats.Now
@@ -134,10 +124,9 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 			r.Stalled = append(r.Stalled, n.initErr)
 		}
 		r.Log.Merge(&n.flog)
-		snap := n.tel.Reg().Snapshot()
+		n.tel.Reg().SnapshotInto(&snap)
 		r.Misses += snap.CounterValue("sched.deadline.misses")
 		r.Periods += snap.CounterValue("sched.period.rollovers")
-		r.PerNode[i] = NodeTelemetry{Node: i, Restarts: n.restarts, Telemetry: snap}
 		r.Telemetry.Merge(snap)
 	}
 	r.Utilization = sum.Utilization()

@@ -223,9 +223,26 @@ func (b *Box) Len() int {
 // of N threads receives 1/Nth of the resources, and an arbitrary
 // thread is given control of exclusive resources").
 func (b *Box) PolicyFor(active []MemberID) Policy {
-	b.tel.consults.Inc()
+	if p, ok := b.Consult(active); ok {
+		return p
+	}
 	if len(active) == 0 {
 		return Policy{Shares: Ranking{}, Invented: true}
+	}
+	return invent(active)
+}
+
+// Consult is PolicyFor for a caller that applies an invented policy
+// itself rather than reading it out of a Ranking: it returns the stored
+// policy for the running members and true, or the zero Policy and false
+// where PolicyFor would invent one. It counts the consultation, and the
+// invention, exactly as PolicyFor does. The invented policy gives each
+// member InventedShare(len(active)) and the exclusive resources to the
+// lowest-numbered member (Invent).
+func (b *Box) Consult(active []MemberID) (Policy, bool) {
+	b.tel.consults.Inc()
+	if len(active) == 0 {
+		return Policy{}, false
 	}
 	// A layer that stores nothing cannot match, so a Box nobody has
 	// written a policy into — every fleet node's — invents without
@@ -233,14 +250,20 @@ func (b *Box) PolicyFor(active []MemberID) Policy {
 	if len(b.user) > 0 || len(b.builtin) > 0 {
 		k := keyOf(active)
 		if p, ok := b.user[k]; ok {
-			return p
+			return p, true
 		}
 		if p, ok := b.builtin[k]; ok {
-			return p
+			return p, true
 		}
 	}
-	return b.Invent(active)
+	b.tel.invents.Inc()
+	return Policy{}, false
 }
+
+// InventedShare is each member's share, in percent, of the policy the
+// Box invents for n members: "each of N threads receives 1/Nth of the
+// resources".
+func InventedShare(n int) int { return 100 / n }
 
 // Invent fabricates the 1/N policy for the given members. The
 // "arbitrary thread" given exclusive resources is the lowest-numbered
@@ -249,9 +272,12 @@ func (b *Box) PolicyFor(active []MemberID) Policy {
 // of timing or creation order).
 func (b *Box) Invent(active []MemberID) Policy {
 	b.tel.invents.Inc()
-	n := len(active)
-	shares := make(Ranking, n)
-	each := 100 / n
+	return invent(active)
+}
+
+func invent(active []MemberID) Policy {
+	shares := make(Ranking, len(active))
+	each := InventedShare(len(active))
 	for _, m := range active {
 		shares[m] = each
 	}

@@ -43,17 +43,24 @@ func BenchmarkAdmitDeny(b *testing.B) {
 	}
 }
 
+// acceptManager is ten residents whose maxima overload the CPU, so an
+// accept recomputes the grant set through the Policy Box, and the probe
+// an accept admits.
+func acceptManager(tb testing.TB) (*Manager, *task.Task) {
+	m := New(Config{})
+	for i := 0; i < 10; i++ {
+		if _, err := m.RequestAdmittance(newTask(fmt.Sprintf("r%d", i), task.UniformLevels(10*benchMS, "R", 12, 8))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m, newTask("probe", task.UniformLevels(10*benchMS, "P", 12, 8))
+}
+
 // BenchmarkAdmitAccept measures one accepted admission into a manager
 // with ten residents (overload: the grant set is recomputed through
 // the Policy Box), and the removal that makes room for the next.
 func BenchmarkAdmitAccept(b *testing.B) {
-	m := New(Config{})
-	for i := 0; i < 10; i++ {
-		if _, err := m.RequestAdmittance(newTask(fmt.Sprintf("r%d", i), task.UniformLevels(10*benchMS, "R", 12, 8))); err != nil {
-			b.Fatal(err)
-		}
-	}
-	probe := newTask("probe", task.UniformLevels(10*benchMS, "P", 12, 8))
+	m, probe := acceptManager(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,6 +86,55 @@ func TestAdmitDenyAllocFreeButForItsError(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("denied RequestAdmittance allocates %v objects, want at most 1", n)
+	}
+}
+
+// TestAdmitAcceptAllocs pins the accept path: an admission and the
+// removal that makes room for the next allocate at most two objects
+// between them (thirteen while every commit built a new grant set,
+// every invented policy a Ranking, every admission a record).
+func TestAdmitAcceptAllocs(t *testing.T) {
+	m, probe := acceptManager(t)
+	if n := testing.AllocsPerRun(200, func() {
+		id, err := m.RequestAdmittance(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("accept + remove allocates %v objects, want at most 2", n)
+	}
+}
+
+// TestOfferDeniesLikeRequestAdmittance: Offer turns the probe away
+// allocating nothing, and counts and records the denial as
+// RequestAdmittance does.
+func TestOfferDeniesLikeRequestAdmittance(t *testing.T) {
+	m, big := fullManager(t)
+	reg := telemetry.NewRegistry()
+	m.EnableTelemetry(&telemetry.Set{Registry: reg}, nil)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := m.Offer(big); ok {
+			t.Fatal("offer admitted past capacity")
+		}
+	}); n != 0 {
+		t.Errorf("a denied Offer allocates %v objects, want 0", n)
+	}
+	offered, _ := reg.Lookup("rm.admit.rejected")
+	before := offered.Value()
+	if _, err := m.RequestAdmittance(big); err == nil {
+		t.Fatal("admitted past capacity")
+	}
+	if _, ok := m.Offer(big); ok {
+		t.Fatal("offer admitted past capacity")
+	}
+	if got := offered.Value() - before; got != 2 {
+		t.Errorf("a denied RequestAdmittance and a denied Offer count %d rejections, want 2", got)
+	}
+	if id, ok := m.Offer(newTask("small", task.SingleLevel(10*benchMS, benchMS/20, "S"))); !ok || !m.Has(id) {
+		t.Errorf("Offer of a task that fits: %d, %v", id, ok)
 	}
 }
 

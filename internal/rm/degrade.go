@@ -75,6 +75,10 @@ func (m *Manager) DegradationEvents() []DegradationEvent {
 	return out
 }
 
+// NDegradations reports how many degradation decisions are recorded:
+// the length of DegradationEvents, without the copy.
+func (m *Manager) NDegradations() int { return len(m.degradations) }
+
 // capacityForGrants is the CPU fraction the grant computation may
 // distribute: Available() minus pressure, floored at the admission
 // running sum so every admitted minimum stays deliverable (§4.1) and

@@ -1,6 +1,8 @@
 package rm
 
 import (
+	"slices"
+
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
@@ -33,7 +35,7 @@ func (m *Manager) recomputeGrants() {
 	m.tel.recomputes.Inc()
 
 	if len(active) == 0 {
-		m.commit(GrantSet{})
+		m.commit(GrantSet{m.nextSet(0)})
 		return
 	}
 
@@ -47,7 +49,7 @@ func (m *Manager) recomputeGrants() {
 		m.ffuMaxCount <= 1 {
 		m.lastOp.FastPath = true
 		m.tel.fastPath.Inc()
-		g := make([]Grant, len(active))
+		g := m.nextSet(len(active))
 		for i, a := range active {
 			g[i] = Grant{Task: a.id, Level: 0, Entry: a.list.Max()}
 		}
@@ -63,7 +65,12 @@ func (m *Manager) recomputeGrants() {
 		members = append(members, a.member)
 	}
 	m.scratch.members = members
-	pol := m.box.PolicyFor(members)
+	pol, stored := m.box.Consult(members)
+	if !stored {
+		// The invented 1/N policy, which correlate applies without
+		// building its Ranking (shareOf).
+		pol = policy.Policy{Exclusive: slices.Min(members), Invented: true}
+	}
 	m.lastOp.PolicyInvented = pol.Invented
 	m.tel.consults.Inc()
 	if pol.Invented {
@@ -111,7 +118,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 		// The share is read out of the policy once, here; an invented
 		// policy gives every member the same one, so its fraction is
 		// reduced once per run of equal shares, not once per thread.
-		c := cand{a: a, share: pol.Shares[a.member]}
+		c := cand{a: a, share: shareOf(pol, n, a.member)}
 		if i > 0 && cands[i-1].share == c.share {
 			c.target = cands[i-1].target
 		} else {
@@ -230,7 +237,7 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	}
 
 	// cands follow active, which is in ID order: so is the set.
-	g := make([]Grant, n)
+	g := m.nextSet(n)
 	for i := range cands {
 		c := &cands[i]
 		g[i] = Grant{Task: c.a.id, Level: c.chosen, Entry: c.a.list[c.chosen]}
@@ -347,6 +354,16 @@ func (m *Manager) enforceStreamer(cands []cand, sum ticks.Frac) ticks.Frac {
 	return sum
 }
 
+// shareOf is member's share under pol. recomputeGrants hands correlate
+// an invented policy without its Ranking: each of the n members then
+// has the even share.
+func shareOf(pol policy.Policy, n int, member policy.MemberID) int {
+	if pol.Shares == nil {
+		return policy.InventedShare(n)
+	}
+	return pol.Shares[member]
+}
+
 // cand is one thread's state during policy correlation.
 type cand struct {
 	a      *admitted
@@ -427,7 +444,18 @@ func (m *Manager) commit(gs GrantSet) {
 			m.hooks.GrantDecreased(og.Task, *ng)
 		}
 	}
-	m.grants = gs
+	m.spare, m.grants = m.grants.g, gs
 	m.gen++
 	m.pending = true
+}
+
+// nextSet is the storage the next grant set of n grants is built in:
+// the backing of the set committed before the current one, which no
+// caller may hold any more (Committed), or, where that is short, new
+// storage of exactly n.
+func (m *Manager) nextSet(n int) []Grant {
+	if cap(m.spare) < n {
+		return make([]Grant, n)
+	}
+	return m.spare[:n]
 }

@@ -52,9 +52,8 @@ var (
 
 // CPUDenialError is the admission denial of a task whose minimum rate
 // does not fit the schedulable CPU. It carries the two fractions the
-// test compared and renders them only if someone reads the message:
-// under fleet spillover a node denies several times per accept, and
-// nobody reads those. errors.Is(err, ErrAdmissionDenied) holds.
+// test compared and renders them only if someone reads the message.
+// errors.Is(err, ErrAdmissionDenied) holds.
 type CPUDenialError struct {
 	MinSum      ticks.Frac // the admission running sum, had the task been admitted
 	Schedulable ticks.Frac // Manager.Available()
@@ -92,16 +91,20 @@ type admitted struct {
 	fracs  []ticks.Frac
 	member policy.MemberID
 	state  task.State
+	// nextFree links the records of removed tasks (Manager.free).
+	nextFree *admitted
 }
 
 func (a *admitted) minFrac() ticks.Frac { return a.fracs[len(a.fracs)-1] }
 
-func fracsOf(list task.ResourceList) []ticks.Frac {
-	out := make([]ticks.Frac, len(list))
-	for j := range list {
-		out[j] = list[j].Frac()
+// setList installs a copy of list as a's admitted list, in a's own list
+// and fracs backings where they are long enough.
+func (a *admitted) setList(list task.ResourceList) {
+	a.list = append(a.list[:0], list...)
+	a.fracs = slices.Grow(a.fracs[:0], len(list))
+	for j := range a.list {
+		a.fracs = append(a.fracs, a.list[j].Frac())
 	}
-	return out
 }
 
 // Manager is the Resource Manager.
@@ -125,6 +128,10 @@ type Manager struct {
 	// in order, so admission appends; lookups (find) are a binary search
 	// over the handful of tasks one CPU admits.
 	tasks []*admitted
+	// free lists the records of removed tasks, list and fracs backings
+	// included, for admission to hand out again: nothing outside a
+	// Manager call holds a record.
+	free *admitted
 
 	// minSum is the running sum of minimum rates over ALL admitted
 	// tasks (runnable, blocked, and quiescent) that makes admission
@@ -147,7 +154,11 @@ type Manager struct {
 	// level requires the FFU; exclusivity caps this at one.
 	ffuResidents int
 
+	// grants is the committed set. spare is the backing of the set
+	// committed before it, which the next recompute builds into: a
+	// committed set is valid until the next commit (Committed).
 	grants  GrantSet
+	spare   []Grant
 	gen     uint64 // bumped each time commit installs a grant set
 	pending bool   // a recomputed grant set awaits Scheduler pickup
 
@@ -160,8 +171,7 @@ type Manager struct {
 
 	// scratch is recomputeGrants' working storage. Every slice is
 	// reset where it is used and nothing in it outlives the call, so
-	// one set per Manager serves every recompute; only the committed
-	// GrantSet, immutable once installed, is built fresh.
+	// one set per Manager serves every recompute.
 	scratch struct {
 		active  []*admitted
 		members []policy.MemberID
@@ -277,6 +287,49 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 	if err := t.Validate(); err != nil {
 		return task.NoID, err
 	}
+	id, v := m.admit(t)
+	// A denial leaves the sums as they were, so its error is built from
+	// them again.
+	switch v {
+	case deniedCPU:
+		return task.NoID, &CPUDenialError{MinSum: m.minSum.Add(t.List.MinFrac()), Schedulable: m.avail}
+	case deniedStreamer:
+		return task.NoID, &StreamerDenialError{
+			MinMBps: m.minStreamerSum + t.List.Min().StreamerMBps, CapacityMBps: m.streamer.StreamerMBps}
+	case deniedFFU:
+		return task.NoID, ErrFFUDenied
+	}
+	return id, nil
+}
+
+// Offer is RequestAdmittance for a caller that needs only the verdict:
+// under fleet spillover a node denies several offers per accept, and
+// nobody reads why. A denial is counted and recorded as
+// RequestAdmittance records it, and builds no error; an invalid task is
+// denied too.
+func (m *Manager) Offer(t *task.Task) (task.ID, bool) {
+	m.lastOp = OpStats{Op: "admit"}
+	if t.Validate() != nil {
+		return task.NoID, false
+	}
+	id, v := m.admit(t)
+	return id, v == accepted
+}
+
+// verdict is the outcome of admission control: which test, if any,
+// turned the task away.
+type verdict uint8
+
+const (
+	accepted verdict = iota
+	deniedCPU
+	deniedStreamer
+	deniedFFU
+)
+
+// admit runs the three admission tests for the valid task t and, if it
+// passes them, admits it and recomputes the grant set.
+func (m *Manager) admit(t *task.Task) (task.ID, verdict) {
 	// The three tests read the caller's list; it is copied only once
 	// the task is in.
 	list := t.List
@@ -284,28 +337,22 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 	m.lastOp.AdmissionChecks = 1
 	if !newSum.LessOrEqual(m.avail) {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: cpu")
-		return task.NoID, &CPUDenialError{MinSum: newSum, Schedulable: m.avail}
+		return task.NoID, deniedCPU
 	}
 	newStreamer := m.minStreamerSum + list.Min().StreamerMBps
 	if !m.streamer.Fits(newStreamer) {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: streamer")
-		return task.NoID, &StreamerDenialError{MinMBps: newStreamer, CapacityMBps: m.streamer.StreamerMBps}
+		return task.NoID, deniedStreamer
 	}
 	if list.MinNeedsFFU() && m.ffuResidents > 0 {
 		m.telAdmission(t.Name, task.NoID, false, "rejected: ffu")
-		return task.NoID, ErrFFUDenied
+		return task.NoID, deniedFFU
 	}
 	id := m.nextID
 	m.nextID++
-	list = list.Clone()
-	a := &admitted{
-		id:     id,
-		t:      t,
-		list:   list,
-		fracs:  fracsOf(list),
-		member: m.box.Register(t.Name),
-		state:  task.Runnable,
-	}
+	a := m.record()
+	a.id, a.t, a.member, a.state = id, t, m.box.Register(t.Name), task.Runnable
+	a.setList(list)
 	if t.StartQuiescent {
 		a.state = task.Quiescent
 	}
@@ -320,7 +367,18 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 	}
 	m.recomputeGrants()
 	m.telAdmission(t.Name, id, true, "accepted")
-	return id, nil
+	return id, accepted
+}
+
+// record returns the storage for a new admission record: a removed
+// task's, or a new one.
+func (m *Manager) record() *admitted {
+	a := m.free
+	if a == nil {
+		return new(admitted)
+	}
+	m.free, a.nextFree = a.nextFree, nil
+	return a
 }
 
 // addMaxSums and subMaxSums maintain the non-quiescent fast-path
@@ -359,6 +417,10 @@ func (m *Manager) Remove(id task.ID) error {
 		m.subMaxSums(a)
 	}
 	m.tasks = slices.Delete(m.tasks, i, i+1)
+	// The record keeps its backings for the next admission and lets go
+	// of the descriptor.
+	*a = admitted{list: a.list[:0], fracs: a.fracs[:0], nextFree: m.free}
+	m.free = a
 	m.hooks.GrantRemoved(id)
 	m.recomputeGrants()
 	return nil
@@ -436,8 +498,7 @@ func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 	if a.state != task.Quiescent {
 		m.subMaxSums(a)
 	}
-	a.list = list.Clone()
-	a.fracs = fracsOf(a.list)
+	a.setList(list)
 	if a.state != task.Quiescent {
 		m.addMaxSums(a)
 	}
@@ -513,15 +574,17 @@ func (m *Manager) Grants() GrantSet { return m.grants.Clone() }
 
 // Committed returns the committed grant set itself, for observers that
 // read it on a recurring path (the invariant Checker re-sums it after
-// every commit). The set is immutable by contract — recomputation
-// installs a freshly built one — and the caller must not modify it;
-// use Grants for a copy to keep.
+// every commit). The set is valid until the next commit: recomputation
+// builds each new set into the storage of the set committed before the
+// current one, so the caller must neither modify the set nor keep it
+// past the Manager's next operation; use Grants for a copy to keep.
 func (m *Manager) Committed() GrantSet { return m.grants }
 
 // GrantGeneration counts committed grant-set installs. Observers that
 // derive values from the committed set (e.g. the invariant Checker's
 // fraction sum) can skip recomputation while the generation is
-// unchanged, since committed sets are immutable between commits.
+// unchanged, since a committed set does not change until the next
+// commit.
 func (m *Manager) GrantGeneration() uint64 { return m.gen }
 
 // HasPending reports whether a recomputed grant set awaits pickup.
@@ -532,11 +595,11 @@ func (m *Manager) HasPending() bool { return m.pending }
 // information" when it has unallocated time. It returns the current
 // grant set and clears the pending flag.
 //
-// The returned set is the committed set itself, not a copy: committed
-// sets are immutable (recomputation always installs a freshly built
-// one, see commit), and the Scheduler only reads the set, so the
-// unallocated-time pickup path avoids a per-call clone. External
-// callers get the defensive copy via Grants.
+// The returned set is the committed set itself, not a copy, and like
+// Committed's it is valid until the next commit: the Scheduler copies
+// each grant into its task's control block before anything can
+// recompute, so the unallocated-time pickup path avoids a per-call
+// clone. External callers get the defensive copy via Grants.
 func (m *Manager) CollectGrants() GrantSet {
 	m.pending = false
 	return m.grants

@@ -13,6 +13,16 @@ type AuditCorruption struct {
 	Apply func(s *Scheduler) bool
 }
 
+// SpareTCBs reports how many dropped tasks' tcbs await a new task, for
+// the churn oracle to see its tapes reach the recycled path.
+func (s *Scheduler) SpareTCBs() int {
+	n := 0
+	for t := s.spare; t != nil; t = t.nextSpare {
+		n++
+	}
+	return n
+}
+
 // AuditCorruptions is the corruption table.
 var AuditCorruptions = func() []AuditCorruption {
 	out := make([]AuditCorruption, len(auditCorruptions))

@@ -25,8 +25,7 @@ func (s *Scheduler) GrantDecreased(id task.ID, g rm.Grant) {
 	if t == nil {
 		return // not yet picked up; the eventual pickup has the new grant
 	}
-	ng := g
-	t.nextGrant = &ng
+	t.nextGrant, t.hasNext = g, true
 }
 
 // GrantRemoved implements rm.Hooks: the task exited, was terminated,
@@ -53,8 +52,9 @@ func (s *Scheduler) dropTask(t *tcb) {
 	if s.running == t {
 		s.running = nil
 	}
-	if i, ok := s.index(t.id); ok {
+	if i, ok := s.index(t.id); ok && s.byID[i] == t {
 		s.byID = slices.Delete(s.byID, i, i+1)
+		t.nextSpare, s.spare = s.spare, t
 	}
 }
 
@@ -88,13 +88,8 @@ func (s *Scheduler) collectGrants() {
 			s.startTask(g.Task, g, now)
 			continue
 		}
-		if g != t.grant {
-			ng := g
-			t.nextGrant = &ng
-		} else {
-			// Same grant as running: clear any stale change.
-			t.nextGrant = nil
-		}
+		// A grant equal to the running one clears any stale change.
+		t.nextGrant, t.hasNext = g, g != t.grant
 	}
 	// Tasks the Scheduler holds but the set omits were removed or
 	// quiesced; the immediate GrantRemoved signal already dropped
@@ -111,7 +106,8 @@ func (s *Scheduler) startTask(id task.ID, g rm.Grant, now ticks.Ticks) {
 		// Granted but unknown to the Manager: a wiring bug.
 		panic(fmt.Sprintf("sched: grant for unknown task %d: %v", id, err))
 	}
-	t := &tcb{
+	t := s.spareTCB()
+	*t = tcb{
 		id:         id,
 		name:       desc.Name,
 		body:       desc.Body,
@@ -135,15 +131,29 @@ func (s *Scheduler) startTask(id task.ID, g rm.Grant, now ticks.Ticks) {
 	s.obs.OnGrantApplied(id, g)
 }
 
+// spareTCB returns the storage for a starting task's tcb: a dropped
+// task's, every field of which startTask sets anew, or a new one.
+// startTask runs only from collectGrants, in time the Scheduler would
+// otherwise leave unallocated, so no dispatch in flight still holds the
+// dropped tcb: resolve and maybeGrace have read its dropped flag by the
+// time the loop picks up grants again.
+func (s *Scheduler) spareTCB() *tcb {
+	t := s.spare
+	if t == nil {
+		return new(tcb)
+	}
+	s.spare = t.nextSpare
+	return t
+}
+
 // beginPeriod starts a fresh period for t at start: applies any
 // pending grant change, resets the per-period accounting, and places
 // the task on TimeRemaining.
 func (s *Scheduler) beginPeriod(t *tcb, start ticks.Ticks) {
 	prevLevel := t.grant.Level
 	prevFFU := t.grant.Entry.NeedsFFU
-	if t.nextGrant != nil {
-		t.grant = *t.nextGrant
-		t.nextGrant = nil
+	if t.hasNext {
+		t.grant, t.hasNext = t.nextGrant, false
 	}
 	t.prevLevel = prevLevel
 	t.ffuChanged = t.grant.Entry.NeedsFFU != prevFFU
@@ -235,7 +245,7 @@ func (s *Scheduler) rollPeriods(now ticks.Ticks) {
 func (s *Scheduler) advanceWindow(t *tcb) {
 	start := t.deadline + t.takeInsertedIdle()
 	period := t.grant.Entry.Period
-	if t.nextGrant != nil {
+	if t.hasNext {
 		// Window arithmetic uses the upcoming grant's period once
 		// the change is due; applying it here keeps deadlines
 		// consistent with what beginPeriod will install.

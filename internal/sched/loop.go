@@ -157,7 +157,7 @@ func (s *Scheduler) preemptTime(cur *tcb) ticks.Ticks {
 		}
 		start := t.deadline + t.insertIdle
 		period := t.grant.Entry.Period
-		if t.nextGrant != nil {
+		if t.hasNext {
 			period = t.nextGrant.Entry.Period
 		}
 		if start+period < cur.deadline && start < best {

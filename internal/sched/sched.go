@@ -134,7 +134,8 @@ type tcb struct {
 	controlled bool        // §5.6 controlled-preemption registration
 
 	grant     rm.Grant
-	nextGrant *rm.Grant // grant to apply at the next period start
+	nextGrant rm.Grant // grant to apply at the next period start, if hasNext
+	hasNext   bool
 
 	periodStart ticks.Ticks
 	deadline    ticks.Ticks
@@ -190,6 +191,9 @@ type tcb struct {
 	// this tcb on, valid only while auditEpoch equals that pass's stamp.
 	auditEpoch uint64
 	auditSeen  uint8
+
+	// nextSpare links the tcbs of dropped tasks (Scheduler.spare).
+	nextSpare *tcb
 
 	// Accounting.
 	stats TaskStats
@@ -250,6 +254,9 @@ type Scheduler struct {
 	// dropTask keep it sorted, so the per-iteration rollPeriods walk
 	// never rebuilds or sorts a snapshot and find is a binary search.
 	byID []*tcb
+	// spare lists the tcbs of dropped tasks, linked through nextSpare,
+	// for startTask to hand out again (spareTCB).
+	spare *tcb
 	// nextRoll is the earliest deadline the last full rollPeriods walk
 	// left behind, lowered when a task starts a period that ends sooner:
 	// no boundary is due before it, so a loop pass at an earlier time

@@ -29,3 +29,29 @@ func BenchmarkSweepCell(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFleetRun measures one fleet-crash cell (120 nodes,
+// least-loaded, 700 ms) on a warm sweep worker — the arena, registry
+// and arrival names kept from the run before, as every fleet cell of a
+// sweep but a worker's first finds them. Its allocs/op and B/op are a
+// fleet run's allocation level.
+func BenchmarkFleetRun(b *testing.B) {
+	spec := RunSpec{
+		Scenario:  "fleet-crash",
+		CostModel: "paper",
+		Policy:    PolicyFleetLeastLoaded,
+		Seed:      1,
+		Horizon:   700 * ticks.PerMillisecond,
+	}
+	w := newWorker()
+	if out := runOne(spec, w); out.Err != "" {
+		b.Fatalf("run failed: %s", out.Err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := runOne(spec, w); out.Err != "" {
+			b.Fatalf("run failed: %s", out.Err)
+		}
+	}
+}

@@ -81,6 +81,7 @@ type env struct {
 	// built and measured, kept for RunFleetCluster; spanLog is its
 	// override of the sweep's counters-only cluster.
 	arena          *fleet.Arena
+	names          *fleetNames
 	clusterWorkers int
 	spanLog        bool
 	cluster        *fleet.Cluster
@@ -93,14 +94,15 @@ type admitRec struct {
 }
 
 // worker is the storage one sweep worker builds its runs in, one after
-// another: the arena of its fleet runs and the registry and probe of
-// its single-node runs. It belongs to one goroutine and holds one live
-// run; a finished run's RunMetrics holds copies, so the next run is
-// free to recycle all three. Which worker a run lands on, and what ran
+// another: the arena and arrival names of its fleet runs and the
+// registry and probe of its single-node runs. It belongs to one
+// goroutine and holds one live run; a finished run's RunMetrics holds
+// copies, so the next run is free to recycle all of it. Which worker a run lands on, and what ran
 // there before, never affects its results (docs/DETERMINISM.md), nor
 // does clusterWorkers, the pool size of its clusters (0: one).
 type worker struct {
 	arena          fleet.Arena
+	names          fleetNames
 	tel            telemetry.Set
 	pr             probe
 	clusterWorkers int
@@ -129,7 +131,7 @@ func newEnv(spec RunSpec, w *worker) (*env, error) {
 	w.tel.Registry.Reset()
 	w.pr.firstPeriod = w.pr.firstPeriod[:0]
 	return &env{
-		spec: spec, sc: sc, costs: costs, arena: &w.arena, tel: &w.tel, pr: &w.pr,
+		spec: spec, sc: sc, costs: costs, arena: &w.arena, names: &w.names, tel: &w.tel, pr: &w.pr,
 		clusterWorkers: w.clusterWorkers,
 	}, nil
 }
@@ -197,7 +199,7 @@ func (e *env) run(to func(ticks.Ticks)) error {
 		e.m.Violations = int64(len(e.chk.Violations()))
 	}
 	if e.d != nil {
-		e.m.Degradations = int64(len(e.d.Manager().DegradationEvents()))
+		e.m.Degradations = int64(e.d.Manager().NDegradations())
 	}
 	e.m.FaultsInjected = int64(e.flog.KindPrefixCount("fault."))
 	e.m.Telemetry = e.tel.Reg().Snapshot()

@@ -38,6 +38,19 @@ var placements = map[string]fleet.Placement{
 	PolicyFleetRRHash:      fleet.RoundRobinHash,
 }
 
+// fleetNames are the names a fleet run submits its arrivals under,
+// "fl00000" onwards: the same in every run, so a sweep worker builds
+// them once.
+type fleetNames []string
+
+// name is the i-th arrival's name.
+func (ns *fleetNames) name(i int) string {
+	for len(*ns) <= i {
+		*ns = append(*ns, fmt.Sprintf("fl%05d", len(*ns)))
+	}
+	return (*ns)[i]
+}
+
 // fleetBody builds bodies that consume their grant and exit after
 // life periods, so fleet capacity churns and retries have something
 // to win.
@@ -91,7 +104,7 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 		top := 8 + rng.Intn(topPct-7) // top level 8..topPct percent
 		if err := c.Submit(fleet.Admission{
 			At:   ticks.Ticks(rng.Uint64() % window),
-			Name: fmt.Sprintf("fl%05d", i),
+			Name: e.names.name(i),
 			List: task.UniformLevels(period, "Fleet", top, (top+1)/2),
 			Body: fleetBody(10 + rng.Intn(40)),
 		}); err != nil {

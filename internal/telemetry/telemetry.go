@@ -314,20 +314,24 @@ type Snapshot struct {
 // Registry snapshots empty.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
+	r.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto is Snapshot into s's storage: s's lists and buckets are
+// refilled, and only those too short for r are allocated, so a caller
+// that merges registry after registry through one snapshot allocates
+// for the first. What s held before is overwritten; s shares nothing
+// with r afterwards.
+func (r *Registry) SnapshotInto(s *Snapshot) {
 	if r == nil {
-		return s
+		*s = Snapshot{}
+		return
 	}
-	// Each list is allocated once, at its size; a kind with no live
-	// instrument stays nil and marshals as null.
-	if r.nc > 0 {
-		s.Counters = make([]CounterSnap, 0, r.nc)
-	}
-	if r.ng > 0 {
-		s.Gauges = make([]GaugeSnap, 0, r.ng)
-	}
-	if r.nh > 0 {
-		s.Histograms = make([]HistSnap, 0, r.nh)
-	}
+	// Each list is allocated at its size; in a fresh snapshot a kind
+	// with no live instrument stays nil and marshals as null.
+	old := s.Histograms
+	s.Counters, s.Gauges, s.Histograms = refill(s.Counters, r.nc), refill(s.Gauges, r.ng), refill(s.Histograms, r.nh)
 	for _, c := range r.counters {
 		if c.gen == r.gen {
 			s.Counters = append(s.Counters, CounterSnap{Name: c.name, Value: c.v})
@@ -338,17 +342,40 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Gauges = append(s.Gauges, GaugeSnap{Name: g.name, Value: g.v, Max: g.max})
 		}
 	}
-	block := make([]int64, r.nb)
+	// A histogram's buckets go where the one before it in s kept its
+	// own, if they fit; the others share one block, allocated at the
+	// first that does not for every bucket still to come.
+	var block []int64
+	left := r.nb
 	for _, h := range r.hists {
-		if h.gen == r.gen {
-			n := copy(block, h.counts)
-			s.Histograms = append(s.Histograms, HistSnap{
-				Name: h.name, Width: h.width, Counts: block[:n:n], Sum: h.sum, Count: h.n,
-			})
-			block = block[n:]
+		if h.gen != r.gen {
+			continue
 		}
+		n, k := len(h.counts), len(s.Histograms)
+		var counts []int64
+		if k < len(old) && cap(old[k].Counts) >= n {
+			counts = old[k].Counts[:n]
+		} else {
+			if len(block) < n {
+				block = make([]int64, left)
+			}
+			counts, block = block[:n:n], block[n:]
+		}
+		left -= n
+		copy(counts, h.counts)
+		s.Histograms = append(s.Histograms, HistSnap{
+			Name: h.name, Width: h.width, Counts: counts, Sum: h.sum, Count: h.n,
+		})
 	}
-	return s
+}
+
+// refill returns list emptied with room for n entries: its own storage
+// when that is large enough.
+func refill[T any](list []T, n int) []T {
+	if cap(list) < n {
+		return make([]T, 0, n)
+	}
+	return list[:0]
 }
 
 // Merge folds o into s: counters and histogram buckets add, gauge
