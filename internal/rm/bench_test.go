@@ -122,15 +122,15 @@ func TestOfferDeniesLikeRequestAdmittance(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a denied Offer allocates %v objects, want 0", n)
 	}
-	offered, _ := reg.Lookup("rm.admit.rejected")
-	before := offered.Value()
+	rejected, _ := reg.Lookup("rm.admit.rejected")
+	before := rejected.Value()
 	if _, err := m.RequestAdmittance(big); err == nil {
 		t.Fatal("admitted past capacity")
 	}
 	if _, ok := m.Offer(big); ok {
 		t.Fatal("offer admitted past capacity")
 	}
-	if got := offered.Value() - before; got != 2 {
+	if got := rejected.Value() - before; got != 2 {
 		t.Errorf("a denied RequestAdmittance and a denied Offer count %d rejections, want 2", got)
 	}
 	if id, ok := m.Offer(newTask("small", task.SingleLevel(10*benchMS, benchMS/20, "S"))); !ok || !m.Has(id) {
