@@ -16,7 +16,7 @@ GO ?= go
 BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|RegistrySnapshot|SnapshotMerge|ComparatorSlice|FleetRun
 BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet ./internal/baseline
 
-.PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke telemetry-smoke telemetry-golden identity ci
+.PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke counts-smoke telemetry-smoke telemetry-golden identity ci
 
 all: build test lint
 
@@ -165,6 +165,20 @@ bench-smoke:
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchtime=100x -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json
 
+# The six benchmark workloads' exact work counts — the `… count` lines
+# of `benchmark -trace 1 -seed 1`, which repeat exactly for a seed on
+# any machine — held by `rdperf counts` to the committed
+# BENCH_counts.json with no tolerance: a count that moves means the
+# simulated behaviour changed. The benchmark runs in a temporary
+# directory, so its traced outputs stay out of the tree. After an
+# intended change, record the file from the same output with
+# `rdperf counts -out BENCH_counts.json`.
+counts-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/bin/benchmark" ./benchmark && \
+	(cd "$$dir" && bin/benchmark -workload all -seed 1 -seconds 1 -trace 1 > counts.txt) && \
+	$(GO) run ./cmd/rdperf counts -against BENCH_counts.json < "$$dir/counts.txt"
+
 # Byte identity against a parent revision (scripts/identity.sh has the
 # artifact set): make identity PARENT=<rev>. A refactor that must not
 # change a byte of output runs this instead of retyping the recipe.
@@ -172,4 +186,4 @@ identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	bash scripts/identity.sh $(PARENT)
 
-ci: build test race lint fuzz-smoke sweep-smoke flight-smoke telemetry-smoke bench-smoke
+ci: build test race lint fuzz-smoke sweep-smoke flight-smoke telemetry-smoke bench-smoke counts-smoke

@@ -1,9 +1,11 @@
 // rdperf maintains the repository's committed layer-benchmark baseline
-// (BENCH_kernel.json) and gates fresh runs against it, benchstat-style.
-// It has two subcommands:
+// (BENCH_kernel.json) and gates fresh runs against it, benchstat-style,
+// and does the same, exactly, for the benchmark workloads' work counts
+// (BENCH_counts.json). It has three subcommands:
 //
 //	go test -run=NONE -bench . -benchmem ./... | rdperf parse -out BENCH_kernel.json
 //	go test -run=NONE -bench . -benchmem ./... | rdperf compare -against BENCH_kernel.json
+//	benchmark -workload all -seed 1 -trace 1 | rdperf counts -out|-against BENCH_counts.json
 //
 // parse reads `go test -bench` text on stdin and records each
 // benchmark's metrics (ns/op, B/op, allocs/op, and any custom
@@ -26,6 +28,8 @@
 //
 // Benchmark names are normalized by stripping the trailing -N
 // GOMAXPROCS suffix, so files recorded on different machines compare.
+//
+// counts is in counts.go.
 package main
 
 import (
@@ -77,6 +81,11 @@ func main() {
 		against := fs.String("against", "", "committed BENCH file to compare with (required)")
 		fs.Parse(os.Args[2:])
 		err = cmdCompare(*against, fs.Args())
+	case "counts":
+		out := fs.String("out", "", "BENCH_counts file to record the counts in")
+		against := fs.String("against", "", "committed BENCH_counts file the counts must equal")
+		fs.Parse(os.Args[2:])
+		err = cmdCounts(*out, *against, fs.Args())
 	default:
 		usage()
 	}
@@ -89,7 +98,9 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rdperf parse   -out FILE      < go-test-bench-output
-  rdperf compare -against FILE  < go-test-bench-output`)
+  rdperf compare -against FILE  < go-test-bench-output
+  rdperf counts  -out FILE      < benchmark-trace-output
+  rdperf counts  -against FILE  < benchmark-trace-output`)
 	os.Exit(2)
 }
 

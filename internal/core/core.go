@@ -87,18 +87,32 @@ type Distributor struct {
 }
 
 // New assembles a Distributor.
-func New(cfg Config) *Distributor {
+func New(cfg Config) *Distributor { return NewIn(nil, cfg) }
+
+// NewIn is New in d's storage (a new Distributor when d is nil): the
+// kernel, Resource Manager (with the Policy Box it made) and Scheduler
+// are rebuilt in their own storage, each keeping only its backings (the
+// event pool, the records and both grant-set backings, the tcbs), and
+// nothing else of the system d was survives. A caller that builds
+// system after system — a fleet node restarting, a cluster rebuilt in
+// its arena — keeps one Distributor and grows those backings once. The
+// Distributor d was is gone: whoever held it, or any of its parts, must
+// not use it again.
+func NewIn(d *Distributor, cfg Config) *Distributor {
 	costs := sim.PaperSwitchCosts()
 	if cfg.SwitchCosts != nil {
 		costs = *cfg.SwitchCosts
 	}
-	k := sim.NewKernel(sim.Config{Seed: cfg.Seed, Costs: costs})
-	m := rm.New(rm.Config{
+	if d == nil {
+		d = new(Distributor)
+	}
+	k := sim.NewKernelIn(d.kernel, sim.Config{Seed: cfg.Seed, Costs: costs})
+	m := rm.NewIn(d.rm, rm.Config{
 		Box:                     cfg.PolicyBox,
 		InterruptReservePercent: cfg.InterruptReservePercent,
 		Streamer:                cfg.Streamer,
 	})
-	d := &Distributor{kernel: k, rm: m, tel: cfg.Telemetry}
+	*d = Distributor{kernel: k, rm: m, sched: d.sched, tel: cfg.Telemetry}
 	if t := cfg.Telemetry; t != nil {
 		k.EnableTelemetry(t.Reg())
 		m.EnableTelemetry(t, k.Now)
@@ -106,7 +120,7 @@ func New(cfg Config) *Distributor {
 		d.governorSamples = t.Reg().Counter("core.governor.samples")
 		d.governorSpans = t.SpanLog()
 	}
-	s := sched.New(sched.Config{
+	s := sched.NewIn(d.sched, sched.Config{
 		Kernel:         k,
 		RM:             m,
 		Observer:       cfg.Observer,

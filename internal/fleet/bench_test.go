@@ -137,6 +137,48 @@ func TestClusterRebuildAllocs(t *testing.T) {
 	}
 }
 
+// TestNodeRebuildAllocs pins what rebuilding a warm node allocates: at a
+// cluster reset (the shell emptied, the node built at time zero) and at
+// a crash→restart (the incarnation retired, the next built at cluster
+// time), invariants and governor on as in fleet-crash, no NodeInit. A
+// warm shell rebuilds its Distributor and checker in their own storage,
+// so what is left is the governor's closures and the Manager's clock:
+// well under the same build on a shell that has none.
+func TestNodeRebuildAllocs(t *testing.T) {
+	const warm = 5
+	c, err := New(Config{Nodes: 1, Seed: 1, Workers: 1, InterruptReservePercent: 2, GovernorInterval: 10 * ms, Invariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.nodes[0]
+	reset := func() {
+		n.reset()
+		n.seed, n.cfg = 1, &c.cfg
+		n.tel.Spans = n.flight.Ring()
+		n.build(0)
+	}
+	restart := func() {
+		n.retire(false)
+		n.d = nil
+		n.build(50 * ms)
+	}
+	cold := testing.AllocsPerRun(10, func() {
+		n.dist, n.check = nil, nil
+		reset()
+	})
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{{"cluster reset", reset}, {"crash→restart", restart}} {
+		if got := testing.AllocsPerRun(10, tc.f); got != warm {
+			t.Errorf("a warm node's %s allocates %v times, want %d (a cold build %v)", tc.name, got, warm, cold)
+		}
+	}
+	if cold < 2*warm {
+		t.Errorf("a cold node build allocates %v times, not well over a warm rebuild's %d", cold, warm)
+	}
+}
+
 // BenchmarkFleetEpoch measures one epoch of a resident cluster: every
 // node advanced 10 ms on the pool, then the coordinator's barrier.
 func BenchmarkFleetEpoch(b *testing.B) {

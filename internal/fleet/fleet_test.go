@@ -72,7 +72,7 @@ func run(t *testing.T, seed uint64, workers int) *fleet.Report {
 // keeping flightSpans spans (0: the default).
 func runIn(t *testing.T, a *fleet.Arena, seed uint64, workers, flightSpans int) *fleet.Report {
 	t.Helper()
-	c, err := fleet.NewIn(a, fleet.Config{
+	_, rep := runCfg(t, a, fleet.Config{
 		Nodes:                   12,
 		Seed:                    seed,
 		Workers:                 workers,
@@ -82,9 +82,18 @@ func runIn(t *testing.T, a *fleet.Arena, seed uint64, workers, flightSpans int) 
 		Invariants:              true,
 		FlightSpans:             flightSpans,
 	})
+	return rep
+}
+
+// runCfg is run's faulted fleet and its arrivals on a cluster built
+// from cfg in arena a.
+func runCfg(t *testing.T, a *fleet.Arena, cfg fleet.Config) (*fleet.Cluster, *fleet.Report) {
+	t.Helper()
+	c, err := fleet.NewIn(a, cfg)
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
 	}
+	seed := cfg.Seed
 	var alog telemetry.EventLog
 	err = fault.ArmFleet(c, seed, &alog,
 		fault.NodeCrash{Node: -1, At: 40 * ms, Cycles: 3, MeanUp: 60 * ms, MeanDown: 25 * ms},
@@ -103,7 +112,7 @@ func runIn(t *testing.T, a *fleet.Arena, seed uint64, workers, flightSpans int) 
 			Body: steadyBody(),
 		})
 	}
-	return c.Run(400 * ms)
+	return c, c.Run(400 * ms)
 }
 
 // The fleet analogue of rdsweep's worker-invariance contract: the
@@ -184,6 +193,53 @@ func TestArenaFollowsRingSize(t *testing.T) {
 	}
 	if again := runIn(t, a, 42, 1, 0); !reflect.DeepEqual(again.FlightDumps, wide.FlightDumps) {
 		t.Fatal("a default fleet built after an 8-span one differs from the first default fleet")
+	}
+}
+
+// A node rebuilt in storage that other nodes' incarnations used — their
+// Distributors and checkers, tasks and pending events — cannot be told
+// from one built new: cluster B built in an arena that has just run a
+// different crashing cluster A reports and stitches exactly what B
+// built in a fresh arena does. B crashes too, so its restarts rebuild
+// its own retired incarnations.
+func TestRecycledNodesMatchFresh(t *testing.T) {
+	b := fleet.Config{
+		Nodes: 8, Seed: 3, Workers: 1, Placement: fleet.FirstFit,
+		InterruptReservePercent: 2, GovernorInterval: 10 * ms, Invariants: true, SpanLog: true,
+	}
+	build := func(a *fleet.Arena) (rep, manifest []byte, restarts int64) {
+		c, r := runCfg(t, a, b)
+		m, err := c.Manifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js, buf.Bytes(), r.Restarts
+	}
+	arena := new(fleet.Arena)
+	_, a := runCfg(t, arena, fleet.Config{
+		Nodes: 12, Seed: 11, Workers: 2, Placement: fleet.LeastLoaded, GovernorInterval: 5 * ms, Invariants: true,
+	})
+	if a.Restarts == 0 {
+		t.Fatal("cluster A restarted no node; its incarnations were never rebuilt")
+	}
+	gotRep, gotMan, restarts := build(arena)
+	wantRep, wantMan, _ := build(new(fleet.Arena))
+	if restarts == 0 {
+		t.Fatal("cluster B restarted no node; its own incarnations were never rebuilt")
+	}
+	if !bytes.Equal(gotRep, wantRep) {
+		t.Errorf("B's report after A differs from B's in a fresh arena:\n reused: %s\n  fresh: %s", gotRep, wantRep)
+	}
+	if !bytes.Equal(gotMan, wantMan) {
+		t.Error("B's cluster manifest after A differs from B's in a fresh arena")
 	}
 }
 

@@ -19,8 +19,10 @@ type node struct {
 	cfg   *Config
 	costs sim.SwitchCosts
 
-	d   *core.Distributor
-	chk *invariant.Checker
+	d     *core.Distributor  // the live incarnation; nil while down
+	chk   *invariant.Checker // its checker; nil without Config.Invariants
+	dist  *core.Distributor  // the storage every incarnation is built in
+	check *invariant.Checker // the storage every checker is built in
 	// flog is the node's own event log: injectors armed on this node
 	// record here from the parallel phase, so fire-time writes stay
 	// node-local. Merged into the cluster report in node-ID order,
@@ -79,10 +81,10 @@ func (n *node) reset() {
 	n.flight.Reset()
 	n.flog.Reset()
 	n.tel.Registry.Reset()
-	*n = node{flight: n.flight, flog: n.flog, tel: n.tel, placed: n.placed[:0]}
+	*n = node{flight: n.flight, flog: n.flog, tel: n.tel, placed: n.placed[:0], dist: n.dist, check: n.check}
 }
 
-// build assembles a fresh incarnation at cluster time at.
+// build assembles a fresh incarnation at cluster time at in the shell.
 func (n *node) build(at ticks.Ticks) {
 	cfg := core.Config{
 		Seed:                    n.seed,
@@ -90,13 +92,13 @@ func (n *node) build(at ticks.Ticks) {
 		InterruptReservePercent: n.cfg.InterruptReservePercent,
 		Telemetry:               n.tel,
 	}
-	n.chk = nil
-	n.scannedGen = 0
+	n.chk, n.scannedGen = nil, 0
 	if n.cfg.Invariants {
-		n.chk = invariant.New(nil)
-		cfg.Observer = n.chk
+		n.check = invariant.NewIn(n.check, nil)
+		n.chk, cfg.Observer = n.check, n.check
 	}
-	n.d = core.New(cfg)
+	n.dist = core.NewIn(n.dist, cfg)
+	n.d = n.dist
 	if n.chk != nil {
 		n.chk.Bind(n.d.Kernel(), n.d.Manager(), n.d.Scheduler())
 		n.chk.LogTo(&n.flog)
@@ -138,9 +140,6 @@ func (n *node) advance(limit ticks.Ticks) {
 // periods died with the node, and the fleet ledger, not the node
 // checker, owns the lost guarantees).
 func (n *node) retire(finish bool) {
-	if n.d == nil {
-		return
-	}
 	if n.chk != nil {
 		if finish {
 			n.chk.Finish()

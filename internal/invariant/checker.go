@@ -110,11 +110,23 @@ var _ sched.Observer = (*Checker)(nil)
 
 // New builds a Checker that forwards every event to next (nil for
 // none). Call Bind before running the system.
-func New(next sched.Observer) *Checker {
-	return &Checker{
-		next: next,
-		seen: make(map[string]bool),
+func New(next sched.Observer) *Checker { return NewIn(nil, next) }
+
+// NewIn is New in c's storage (a new Checker when c is nil): c forgets
+// the system it watched and everything it recorded, and keeps only its
+// open-period table and the storage of its finding set. The Checker c
+// was is gone: whoever held it must not use it again.
+func NewIn(c *Checker, next sched.Observer) *Checker {
+	if c == nil {
+		c = new(Checker)
 	}
+	seen := c.seen
+	if seen == nil {
+		seen = make(map[string]bool)
+	}
+	clear(seen)
+	*c = Checker{next: next, open: c.open[:0], seen: seen}
+	return c
 }
 
 // Bind attaches the assembled system so the Checker can cross-examine

@@ -111,8 +111,18 @@ type Box struct {
 // created on first write (reads and deletes on nil maps are safe), so
 // a Box that is constructed but never consulted — every underload run
 // — costs one allocation, not five.
-func NewBox() *Box {
-	return &Box{nextID: 1}
+func NewBox() *Box { return NewBoxIn(nil) }
+
+// NewBoxIn is NewBox in b's storage (a new Box when b is nil): b is
+// emptied of members, policies and telemetry, and keeps only its
+// member map's storage. The Box b was is gone.
+func NewBoxIn(b *Box) *Box {
+	if b == nil {
+		b = new(Box)
+	}
+	clear(b.byName)
+	*b = Box{nextID: 1, byName: b.byName}
+	return b
 }
 
 // Register correlates a task name with a MemberID, creating one if

@@ -111,6 +111,9 @@ func (a *admitted) setList(list task.ResourceList) {
 type Manager struct {
 	box   *policy.Box
 	hooks Hooks
+	// own is the Box the Manager made for a Config without one, kept
+	// for NewIn to rebuild in.
+	own *policy.Box
 
 	// reserve is the CPU fraction set aside for interrupt handling
 	// (§5.2). The Figure 5 run reserves 4%. avail is 1 - reserve, the
@@ -232,28 +235,50 @@ type Config struct {
 }
 
 // New returns an empty Manager.
-func New(cfg Config) *Manager {
-	box := cfg.Box
-	if box == nil {
-		box = policy.NewBox()
-	}
+func New(cfg Config) *Manager { return NewIn(nil, cfg) }
+
+// NewIn is New in m's storage (a new Manager when m is nil). m keeps
+// only its records, on the free list with every task let go, both
+// grant-set backings, emptied, and the Box it made itself, emptied and
+// used again when cfg has none. The Manager m was is gone: whoever held
+// it, or a set it committed, must not use it again.
+func NewIn(m *Manager, cfg Config) *Manager {
 	if cfg.InterruptReservePercent < 0 || cfg.InterruptReservePercent >= 100 {
 		panic("rm: interrupt reserve must be in [0,100)")
 	}
+	if m == nil {
+		m = new(Manager)
+	}
+	box := cfg.Box
+	if box == nil {
+		m.own = policy.NewBoxIn(m.own)
+		box = m.own
+	}
+	free := m.free
+	for _, a := range m.tasks {
+		*a = admitted{list: a.list[:0], fracs: a.fracs[:0], nextFree: free}
+		free = a
+	}
+	clear(m.grants.g[:cap(m.grants.g)])
+	clear(m.spare[:cap(m.spare)])
 	reserve := ticks.FracPercent(cfg.InterruptReservePercent)
-	return &Manager{
+	*m = Manager{
 		box:      box,
 		hooks:    NopHooks{}, // until SetHooks
+		own:      m.own,
 		reserve:  reserve,
 		avail:    ticks.FracOne.Sub(reserve),
 		streamer: cfg.Streamer,
 		nextID:   1,
+		free:     free,
 		minSum:   ticks.FracZero,
 		maxSum:   ticks.FracZero,
 		pressure: ticks.FracZero,
-		// grants is the zero GrantSet, the empty set, until the first
-		// commit installs one.
+		// grants is the empty set until the first commit installs one.
+		grants: GrantSet{m.grants.g[:0]},
+		spare:  m.spare[:0],
 	}
+	return m
 }
 
 // Box exposes the Policy Box (applications and the user may install

@@ -1,7 +1,9 @@
 package sched_test
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rm"
@@ -18,6 +20,11 @@ import (
 // step the oracle holds each task's accounting to what the Observer
 // reported of that task alone: a field carried over from a tcb's
 // previous owner shows in Stats or in the first period's grant.
+//
+// A recycle step rebuilds the kernel, Manager and Scheduler in their
+// own storage (NewKernelIn, rm.NewIn, NewIn) mid-tape, and from there
+// the tape also runs on a trio built new from the same seed: the two
+// must dispatch the same slices and audit to the same findings.
 
 // churnBody runs a library body until the tape makes it exit.
 type churnBody struct {
@@ -46,6 +53,8 @@ type churnObserver struct {
 	m      *rm.Manager
 	ledger map[task.ID]*churnLedger
 	bad    []string
+	// slices is the per-slice transcript: every dispatch, in order.
+	slices []byte
 }
 
 func (o *churnObserver) of(id task.ID) *churnLedger {
@@ -73,10 +82,11 @@ func (o *churnObserver) OnPeriodStart(id task.ID, start, _ ticks.Ticks, level in
 
 func (o *churnObserver) OnDeadlineMiss(id task.ID, _, _ ticks.Ticks) { o.of(id).misses++ }
 
-func (o *churnObserver) OnDispatch(id task.ID, _ string, from, to ticks.Ticks, kind sched.DispatchKind, _ int) {
+func (o *churnObserver) OnDispatch(id task.ID, _ string, from, to ticks.Ticks, kind sched.DispatchKind, level int) {
 	if kind == sched.DispatchOvertime {
 		o.of(id).overtime += to - from
 	}
+	o.slices = fmt.Appendf(o.slices, "%d %v-%v %v %d\n", id, from, to, kind, level)
 }
 
 // churnSystem is the Manager and Scheduler under test, the oracle's
@@ -94,18 +104,23 @@ type churnSystem struct {
 	recycled int
 }
 
-func newChurnSystem(seed uint64) *churnSystem {
+func newChurnSystem(seed uint64) *churnSystem { return new(churnSystem).rebuild(seed) }
+
+// rebuild readies c for a tape seeded by seed, its kernel, Manager and
+// Scheduler built in the storage of the ones it had, if any.
+func (c *churnSystem) rebuild(seed uint64) *churnSystem {
 	rng := sim.NewRNG(seed)
 	costs := sim.ZeroSwitchCosts()
 	if rng.Intn(2) == 0 {
 		costs = sim.PaperSwitchCosts()
 	}
-	k := sim.NewKernel(sim.Config{Seed: seed, Costs: costs})
-	m := rm.New(rm.Config{InterruptReservePercent: int64(rng.Intn(5))})
+	k := sim.NewKernelIn(c.k, sim.Config{Seed: seed, Costs: costs})
+	m := rm.NewIn(c.m, rm.Config{InterruptReservePercent: int64(rng.Intn(5))})
 	o := &churnObserver{m: m, ledger: map[task.ID]*churnLedger{}}
-	s := sched.New(sched.Config{Kernel: k, RM: m, Observer: o})
+	s := sched.NewIn(c.s, sched.Config{Kernel: k, RM: m, Observer: o})
 	m.SetHooks(s)
-	return &churnSystem{k: k, m: m, s: s, o: o, rng: rng, bodies: map[task.ID]*churnBody{}}
+	*c = churnSystem{k: k, m: m, s: s, o: o, rng: rng, bodies: map[task.ID]*churnBody{}, recycled: c.recycled}
+	return c
 }
 
 // list is a resource list of one to three levels of a 5–40 ms period.
@@ -141,7 +156,7 @@ func (c *churnSystem) body(cpu ticks.Ticks) *churnBody {
 func (c *churnSystem) step(op byte) string {
 	// An ID the Manager issued, or the next one, which it has not.
 	id := task.ID(1 + c.rng.Intn(int(c.lastID)+1))
-	switch op % 8 {
+	switch op % 9 {
 	case 0, 1:
 		list := c.list()
 		b := c.body(list.Min().CPU)
@@ -202,24 +217,67 @@ func (c *churnSystem) check(t *testing.T, what string) {
 	}
 }
 
+// agree holds the rebuilt system c to its fresh twin after the same
+// step: the same step, the same slices dispatched, the same findings.
+func (c *churnSystem) agree(t *testing.T, twin *churnSystem, what, twinWhat string) {
+	t.Helper()
+	if what != twinWhat {
+		t.Fatalf("the rebuilt system did %q where a fresh one did %q", what, twinWhat)
+	}
+	if !bytes.Equal(c.o.slices, twin.o.slices) {
+		t.Fatalf("after %s: the rebuilt system's slices differ from a fresh one's:\n%s\nfresh:\n%s", what, c.o.slices, twin.o.slices)
+	}
+	if f, g := c.s.Audit().Findings, twin.s.Audit().Findings; !slices.Equal(f, g) {
+		t.Fatalf("after %s: the rebuilt system's audit finds %q, a fresh one's %q", what, f, g)
+	}
+}
+
+// churnResult is what a tape reached: runs that started a task in a
+// recycled tcb, and recycle steps that rebuilt a system holding tasks.
+type churnResult struct{ recycledTCBs, rebuiltBusy int }
+
 // churn plays tape on a system seeded by seed, checking after every
-// step, and reports how many runs recycled a tcb.
-func churn(t *testing.T, seed uint64, tape []byte) int {
+// step. From the first recycle step on, a fresh twin plays the rest of
+// the tape beside it.
+func churn(t *testing.T, seed uint64, tape []byte) churnResult {
 	c := newChurnSystem(seed)
+	var twin *churnSystem
+	var res churnResult
 	if len(tape) > 256 {
 		tape = tape[:256]
 	}
 	for _, op := range tape {
-		c.check(t, c.step(op))
+		if op%9 == 8 { // recycle: step plays the other eight
+			if c.s.NTasks() > 0 {
+				res.rebuiltBusy++
+			}
+			next := c.rng.Uint64()
+			c.rebuild(next)
+			twin = newChurnSystem(next)
+			c.check(t, "recycle")
+			continue
+		}
+		what := c.step(op)
+		c.check(t, what)
+		if twin != nil {
+			twinWhat := twin.step(op)
+			twin.check(t, twinWhat)
+			c.agree(t, twin, what, twinWhat)
+		}
 	}
 	c.s.RunUntil(c.k.Now() + 100*ms)
 	c.check(t, "the final run")
-	return c.recycled
+	if twin != nil {
+		twin.s.RunUntil(twin.k.Now() + 100*ms)
+		c.agree(t, twin, "the final run", "the final run")
+	}
+	res.recycledTCBs = c.recycled
+	return res
 }
 
-// churnTapes is the seed corpus: every eight steps hold each operation
-// once, two admissions and a run among them, in an order that shifts
-// from tape to tape.
+// churnTapes is the seed corpus: every nine steps hold each operation
+// once, two admissions, a run and a recycle among them, in an order
+// that shifts from tape to tape.
 func churnTapes() [][]byte {
 	var tapes [][]byte
 	for i := 0; i < 8; i++ {
@@ -233,7 +291,8 @@ func churnTapes() [][]byte {
 }
 
 // FuzzSchedulerChurn: no tape panics, breaks the structural audit, or
-// starts a task with anything of a previous tcb owner's accounting.
+// starts a task with anything of a previous tcb owner's accounting, and
+// a system rebuilt in place behaves as one built new.
 func FuzzSchedulerChurn(f *testing.F) {
 	for i, tape := range churnTapes() {
 		f.Add(uint64(i+1), tape)
@@ -241,14 +300,20 @@ func FuzzSchedulerChurn(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, tape []byte) { churn(t, seed, tape) })
 }
 
-// TestSchedulerChurnRecycles: the corpus reaches the recycled path —
-// tasks start in tcbs that dropped tasks left.
+// TestSchedulerChurnRecycles: the corpus reaches both recycled paths —
+// tasks start in tcbs that dropped tasks left, and recycle steps
+// rebuild systems that still hold tasks.
 func TestSchedulerChurnRecycles(t *testing.T) {
-	recycled := 0
+	var sum churnResult
 	for i, tape := range churnTapes() {
-		recycled += churn(t, uint64(i+1), tape)
+		r := churn(t, uint64(i+1), tape)
+		sum.recycledTCBs += r.recycledTCBs
+		sum.rebuiltBusy += r.rebuiltBusy
 	}
-	if recycled == 0 {
+	if sum.recycledTCBs == 0 {
 		t.Fatal("no run of the corpus started a task in a recycled tcb")
+	}
+	if sum.rebuiltBusy == 0 {
+		t.Fatal("no recycle step of the corpus rebuilt a system that held tasks")
 	}
 }

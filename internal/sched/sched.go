@@ -295,7 +295,13 @@ type Scheduler struct {
 // New builds a Scheduler on the given kernel and Resource Manager.
 // Wire it as the Manager's Hooks (rm.Config.Hooks) so grant
 // notifications flow; internal/core does this.
-func New(cfg Config) *Scheduler {
+func New(cfg Config) *Scheduler { return NewIn(nil, cfg) }
+
+// NewIn is New in s's storage (a new Scheduler when s is nil). s keeps
+// only its tcbs, every one on the spare list and emptied, so no task of
+// the previous run stays reachable through them. The Scheduler s was is
+// gone: whoever held it must not use it again.
+func NewIn(s *Scheduler, cfg Config) *Scheduler {
 	if cfg.Kernel == nil || cfg.RM == nil {
 		panic("sched: Kernel and RM are required")
 	}
@@ -315,13 +321,24 @@ func New(cfg Config) *Scheduler {
 	if slice == 0 {
 		slice = ticks.FromMilliseconds(10)
 	}
-	s := &Scheduler{
+	if s == nil {
+		s = new(Scheduler)
+	}
+	spare := s.spare
+	for _, t := range s.byID {
+		t.nextSpare, spare = spare, t
+	}
+	for t := spare; t != nil; t = t.nextSpare {
+		*t = tcb{nextSpare: t.nextSpare}
+	}
+	*s = Scheduler{
 		k:        cfg.Kernel,
 		rmg:      cfg.RM,
 		obs:      obs,
 		override: override,
 		grace:    grace,
 		ssSlice:  slice,
+		spare:    spare,
 	}
 	s.wireTelemetry(cfg.Telemetry)
 	return s

@@ -122,6 +122,17 @@ func (q *EventQueue) release(e *Event) {
 	q.free = append(q.free, e)
 }
 
+// reset reclaims every pending event and empties the queue, keeping
+// its heap array and pool for the next run. The sequence restarts at
+// zero: it only orders events queued after this.
+func (q *EventQueue) reset() {
+	for _, e := range q.h {
+		q.release(e)
+	}
+	clear(q.h)
+	*q = EventQueue{h: q.h[:0], free: q.free}
+}
+
 // Push schedules fn at time at and returns a cancellation handle.
 func (q *EventQueue) Push(at ticks.Ticks, fn func()) EventRef {
 	e := q.get()

@@ -74,16 +74,30 @@ type Config struct {
 }
 
 // NewKernel returns a kernel at virtual time zero.
-func NewKernel(cfg Config) *Kernel {
+func NewKernel(cfg Config) *Kernel { return NewKernelIn(nil, cfg) }
+
+// NewKernelIn is NewKernel in k's storage (a new Kernel when k is nil):
+// k is rebuilt at virtual time zero and keeps only its event pool.
+// Every event still queued is reclaimed first, so no callback of the
+// previous run stays reachable and every EventRef into it is stale
+// (generations only ever grow). The kernel k was is gone: whoever held
+// it must not use it again.
+func NewKernelIn(k *Kernel, cfg Config) *Kernel {
 	budget := cfg.SameTickBudget
 	if budget == 0 {
 		budget = DefaultSameTickBudget
 	}
-	return &Kernel{
+	if k == nil {
+		k = new(Kernel)
+	}
+	k.events.reset()
+	*k = Kernel{
+		events:     k.events,
 		rng:        *NewRNG(cfg.Seed),
 		costs:      cfg.Costs,
 		tickBudget: budget,
 	}
+	return k
 }
 
 // Now reports the current virtual time.

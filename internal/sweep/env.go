@@ -81,7 +81,7 @@ type env struct {
 	// built and measured, kept for RunFleetCluster; spanLog is its
 	// override of the sweep's counters-only cluster.
 	arena          *fleet.Arena
-	names          *fleetNames
+	arrivals       *fleetArrivals
 	clusterWorkers int
 	spanLog        bool
 	cluster        *fleet.Cluster
@@ -94,7 +94,7 @@ type admitRec struct {
 }
 
 // worker is the storage one sweep worker builds its runs in, one after
-// another: the arena and arrival names of its fleet runs and the
+// another: the arena and arrivals of its fleet runs and the
 // registry and probe of its single-node runs. It belongs to one
 // goroutine and holds one live run; a finished run's RunMetrics holds
 // copies, so the next run is free to recycle all of it. Which worker a run lands on, and what ran
@@ -102,7 +102,7 @@ type admitRec struct {
 // does clusterWorkers, the pool size of its clusters (0: one).
 type worker struct {
 	arena          fleet.Arena
-	names          fleetNames
+	arrivals       fleetArrivals
 	tel            telemetry.Set
 	pr             probe
 	clusterWorkers int
@@ -131,7 +131,7 @@ func newEnv(spec RunSpec, w *worker) (*env, error) {
 	w.tel.Registry.Reset()
 	w.pr.firstPeriod = w.pr.firstPeriod[:0]
 	return &env{
-		spec: spec, sc: sc, costs: costs, arena: &w.arena, names: &w.names, tel: &w.tel, pr: &w.pr,
+		spec: spec, sc: sc, costs: costs, arena: &w.arena, arrivals: &w.arrivals, tel: &w.tel, pr: &w.pr,
 		clusterWorkers: w.clusterWorkers,
 	}, nil
 }

@@ -38,17 +38,43 @@ var placements = map[string]fleet.Placement{
 	PolicyFleetRRHash:      fleet.RoundRobinHash,
 }
 
-// fleetNames are the names a fleet run submits its arrivals under,
-// "fl00000" onwards: the same in every run, so a sweep worker builds
-// them once.
-type fleetNames []string
+// fleetArrivals is what a fleet run submits its arrivals under, the
+// same in every run, so a sweep worker builds each once: their names,
+// "fl00000" onwards, and their resource lists, one per period and top
+// level. Arrivals that draw the same pair share one list, which nothing
+// writes: the node RM that admits a task keeps its own copy.
+type fleetArrivals struct {
+	names []string
+	lists map[fleetLevels]task.ResourceList
+}
+
+// fleetLevels names an arrival's list: its period and top level.
+type fleetLevels struct {
+	period ticks.Ticks
+	top    int
+}
 
 // name is the i-th arrival's name.
-func (ns *fleetNames) name(i int) string {
-	for len(*ns) <= i {
-		*ns = append(*ns, fmt.Sprintf("fl%05d", len(*ns)))
+func (fa *fleetArrivals) name(i int) string {
+	for len(fa.names) <= i {
+		fa.names = append(fa.names, fmt.Sprintf("fl%05d", len(fa.names)))
 	}
-	return (*ns)[i]
+	return fa.names[i]
+}
+
+// list is the two-level list of an arrival of the given period: top
+// percent of the CPU, or half of that rounded up.
+func (fa *fleetArrivals) list(period ticks.Ticks, top int) task.ResourceList {
+	key := fleetLevels{period, top}
+	if l, ok := fa.lists[key]; ok {
+		return l
+	}
+	if fa.lists == nil {
+		fa.lists = make(map[fleetLevels]task.ResourceList)
+	}
+	l := task.UniformLevels(period, "Fleet", top, (top+1)/2)
+	fa.lists[key] = l
+	return l
 }
 
 // fleetBody builds bodies that consume their grant and exit after
@@ -104,8 +130,8 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 		top := 8 + rng.Intn(topPct-7) // top level 8..topPct percent
 		if err := c.Submit(fleet.Admission{
 			At:   ticks.Ticks(rng.Uint64() % window),
-			Name: e.names.name(i),
-			List: task.UniformLevels(period, "Fleet", top, (top+1)/2),
+			Name: e.arrivals.name(i),
+			List: e.arrivals.list(period, top),
 			Body: fleetBody(10 + rng.Intn(40)),
 		}); err != nil {
 			return err
