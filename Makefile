@@ -8,12 +8,13 @@ GO ?= go
 # checker's per-period audit — the fleet coordinator's three — the
 # least-loaded offer order, cluster construction (cold, and rebuilt in a
 # warm arena) and one epoch (advance plus barrier) at 16 and 120 nodes
-# — the artifact path's four layers over a 50 000-span cluster:
-# stitch, manifest write, manifest read, Perfetto export — and the two
-# things every run does with its instrument registry: snapshot it, and
-# merge the snapshot into a cell that already carries its names — and
-# one slice of the §3.4 comparators' shared dispatch loop.
-BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|RegistrySnapshot|SnapshotMerge|ComparatorSlice|FleetRun
+# — the artifact path's five layers over a 50 000-span cluster:
+# stitch, manifest write, manifest read, Perfetto export and its
+# validation — and the two things every run does with its instrument
+# registry: snapshot it, and merge the snapshot into a cell that
+# already carries its names — and one slice of the §3.4 comparators'
+# shared dispatch loop.
+BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|PerfettoValidate|RegistrySnapshot|SnapshotMerge|ComparatorSlice|FleetRun
 BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet ./internal/baseline
 
 .PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke counts-smoke telemetry-smoke telemetry-golden identity ci
@@ -49,10 +50,11 @@ loc:
 # Short fuzz runs of the exact-arithmetic kernels (Frac.Cmp against
 # math/big, Frac.Add against its predecessor), the switch-cost tick
 # table (against the formula it is built from), the rdtel/v2 codec
-# (reader and both writers against their encoding/json references),
-# the instrument registry (a reused one against one built new per
-# generation), the Resource Manager (operation tapes against a
-# reference model that recomputes from scratch), the fleet
+# (reader, both writers and the Perfetto validator against their
+# encoding/json references), the instrument registry (a reused one
+# against one built new per generation), the Resource Manager
+# (operation tapes against a reference model that recomputes from
+# scratch), the fleet
 # coordinator (submit / crash / restart / storm schedule tapes over 2–8
 # nodes: the conservation ledger holds and nothing depends on the
 # cluster worker count) and the invariant checker's audit cadence (a
@@ -61,8 +63,9 @@ loc:
 # internal/core (a regular test, fuzz-like in spirit). -fuzz takes a
 # regexp and refuses to run when it matches two targets, so packages
 # with several anchor theirs. A fleet execution is three cluster runs,
-# so its line caps the engine's minimisation of each new tape (60 s by
-# default, six smoke budgets) at one second.
+# and the Perfetto validator's seeds are whole exports, so their lines
+# cap the engine's minimisation of each new input (60 s by default, six
+# smoke budgets) at one second.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzFracAdd$$' -fuzztime=10s ./internal/ticks
 	$(GO) test -run=NONE -fuzz='^FuzzFracAddMatchesRef$$' -fuzztime=10s ./internal/ticks
@@ -73,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzReadManifest$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzWriteJSONMatchesRef$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzWritePerfettoMatchesRef$$' -fuzztime=10s ./internal/telemetry
+	$(GO) test -run=NONE -fuzz='^FuzzValidatePerfettoMatchesRef$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzRegistryReuse$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzManagerModel$$' -fuzztime=10s ./internal/rm
 	$(GO) test -run=NONE -fuzz='^FuzzFleetSchedule$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet

@@ -79,3 +79,18 @@ func BenchmarkPerfettoExport(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkPerfettoValidate(b *testing.B) {
+	var doc bytes.Buffer
+	if err := WritePerfetto(&doc, syntheticCluster(benchSpans, benchNodes)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ValidatePerfetto(bytes.NewReader(doc.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -440,6 +440,30 @@ func TestWritePerfettoAllocsIndependentOfSpanCount(t *testing.T) {
 	}
 }
 
+// ValidatePerfetto's fast path allocates its input copy and its tables,
+// which hold only open pairs: none per event. (Were an export handed to
+// the encoding/json validator, the count would grow with its events.)
+func TestValidatePerfettoAllocsIndependentOfEventCount(t *testing.T) {
+	export := func(m *Manifest) []byte {
+		var buf bytes.Buffer
+		if err := WritePerfetto(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	small, large := export(syntheticCluster(1000, 4)), export(syntheticCluster(50000, 4))
+	count := func(doc []byte) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if err := ValidatePerfetto(bytes.NewReader(doc)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := count(small), count(large); a != b {
+		t.Errorf("ValidatePerfetto allocates %v times at %d bytes, %v at %d", a, len(small), b, len(large))
+	}
+}
+
 // --- the synthetic cluster the differential tests and benchmarks share ---
 
 // syntheticTasksPerNode is fixed so the task table (which the export

@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -136,4 +140,53 @@ func FuzzWritePerfettoMatchesRef(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cat, name, detail, task string, id, parent, node, link int32, taskID, begin, end int64, seed uint64) {
 		checkWritePerfettoMatchesRef(t, fuzzedManifest(cat, name, detail, task, id, parent, node, link, taskID, begin, end, seed))
 	})
+}
+
+// FuzzValidatePerfettoMatchesRef: ValidatePerfetto returns what the
+// encoding/json validator returns on every input, error text and all,
+// and its fast path accepts nothing that validator rejects. Seeds: the
+// settop golden, a small stitched cluster export (s/f flows, "bp": "e",
+// args.link and args.parent), and every malformed document both as
+// written and re-indented into the writer's layout, where the fast path
+// reads it to the end and must refuse it on its phases and pairings.
+func FuzzValidatePerfettoMatchesRef(f *testing.F) {
+	golden, err := os.ReadFile("testdata/settop-smoke.perfetto.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(golden))
+	var cluster strings.Builder
+	if err := WritePerfetto(&cluster, syntheticCluster(60, 2)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cluster.String())
+	for _, c := range malformedPerfetto {
+		f.Add(c.doc)
+		f.Add(perfettoLayout(c.doc))
+	}
+	ev := perfettoEv
+	if ok := perfettoDoc(ev("b", "period", 1), ev("s", "fleet-link", 1), ev("t", "fleet-link", 1), ev("e", "period", 1), ev("f", "fleet-link", 1)); !perfettoCanonical([]byte(perfettoLayout(ok))) {
+		f.Fatal("perfettoLayout does not lay a well-paired document out as the fast path takes it")
+	}
+
+	f.Fuzz(func(t *testing.T, doc string) {
+		want := validatePerfettoJSON(strings.NewReader(doc))
+		if perfettoCanonical([]byte(doc)) && want != nil {
+			t.Fatalf("fast path accepted a document the reference rejects: %v", want)
+		}
+		if got := ValidatePerfetto(strings.NewReader(doc)); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("ValidatePerfetto = %v, reference = %v", got, want)
+		}
+	})
+}
+
+// perfettoLayout re-indents a compact trace-event document the way
+// WritePerfetto lays one out, adding the displayTimeUnit member it
+// always writes; a document that is not an object is returned as is.
+func perfettoLayout(doc string) string {
+	var out bytes.Buffer
+	if !strings.HasSuffix(doc, "]}") || json.Indent(&out, []byte(strings.TrimSuffix(doc, "}")+`,"displayTimeUnit":"ms"}`), "", perfettoUnit) != nil {
+		return doc
+	}
+	return out.String() + "\n"
 }

@@ -2,6 +2,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -27,7 +28,7 @@ import (
 //
 // Times convert from 27 MHz ticks to the microseconds Chrome expects.
 
-// traceEvent is one Chrome trace-event record as ValidatePerfetto
+// traceEvent is one Chrome trace-event record as validatePerfettoJSON
 // decodes it (and as the reference writer in the tests encodes it).
 // WritePerfetto emits the same members in the same order without
 // building one.
@@ -294,13 +295,24 @@ func WritePerfetto(w io.Writer, m *Manifest) error {
 	return e.finish()
 }
 
-// ValidatePerfetto decodes Chrome trace-event JSON and checks the
-// structural rules Perfetto relies on: a traceEvents array, a known
-// phase on every event, non-negative times and durations, matching
-// b/e pairs per (cat, id), and matching s/f flow pairs per (cat, id)
-// with no step or finish before its start. telemetry-smoke and
-// flight-smoke run it over the exported artifacts.
+// ValidatePerfetto checks Chrome trace-event JSON by validatePerfettoJSON's
+// rules; perfettoCanonical (read.go) passes the writer's own in one pass.
 func ValidatePerfetto(r io.Reader) error {
+	data, err := readAll(r)
+	if err != nil {
+		return fmt.Errorf("telemetry: perfetto: %v", err)
+	}
+	if perfettoCanonical(data) {
+		return nil
+	}
+	return validatePerfettoJSON(bytes.NewReader(data))
+}
+
+// validatePerfettoJSON decodes the document with encoding/json and checks
+// a traceEvents array, a known phase on every event, non-negative times
+// and durations, and b/e and s/f pairs per (cat, id) with no end, step
+// or finish before its start.
+func validatePerfettoJSON(r io.Reader) error {
 	var f perfettoFile
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&f); err != nil {

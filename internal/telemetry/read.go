@@ -407,3 +407,101 @@ func (r *reader) event(ev *LogEvent) {
 		ev.Detail = r.str()
 	}
 }
+
+// ValidatePerfetto's fast path reads exactly what WritePerfetto writes,
+// with the manifest reader's cursor and member literals, and says yes
+// only to its layout, member order and escapes, plain non-negative ts
+// and dur, known phases, b/e and s/t/f paired per (cat, id) and closed.
+var (
+	pListOpen, pListEnd = "{" + pTraceEvents[1] + "[", "\n ]," + pDisplayTimeUnit[1]
+	pEventOpen          = "\n  {" + pName[3] // an event at depth 2, up to its name's value
+)
+
+func perfettoCanonical(data []byte) bool {
+	const d = 3
+	r := reader{data: data, intern: make(map[string]string, 16)}
+	async, flows := map[pairKey]int{}, map[pairKey]int{}
+	r.expect(pListOpen)
+	for more := true; more && !r.bad; more = r.lit(",") {
+		var key pairKey
+		r.expect(pEventOpen)
+		r.strBytes()
+		if r.next(pCat[d]) {
+			key.cat = r.str()
+		}
+		r.need(pPh[d])
+		ph := string(r.strBytes()) // one byte: no allocation
+		r.need(pTs[d])
+		r.decimal()
+		if r.next(pDur[d]) {
+			r.decimal()
+		}
+		r.need(pPid[d])
+		r.int(strconv.IntSize)
+		r.need(pTid[d])
+		r.int(64)
+		if r.next(pID[d]) {
+			key.id = r.int(64)
+		}
+		if r.next(pS[d]) {
+			r.strBytes()
+		}
+		if r.next(pBp[d]) {
+			r.strBytes()
+		}
+		if r.next(pArgs[d]) {
+			r.args()
+		}
+		r.expect("\n  }")
+		pairs := async // a table drops a key whose count returns to zero
+		if ph == "s" || ph == "t" || ph == "f" {
+			pairs = flows
+		}
+		switch n := pairs[key]; ph {
+		case "M", "X", "i", "C":
+		case "b", "s":
+			pairs[key] = n + 1
+		case "t":
+			r.bad = r.bad || n == 0
+		case "e", "f":
+			r.bad = r.bad || n == 0
+			if pairs[key] = n - 1; n <= 1 {
+				delete(pairs, key)
+			}
+		default:
+			r.bad = true
+		}
+	}
+	r.expect(pListEnd)
+	r.strBytes()
+	r.expect("\n}\n")
+	return !r.bad && r.pos == len(data) && len(async) == 0 && len(flows) == 0
+}
+
+// args reads one or more of the writer's args, in a map's key order.
+func (r *reader) args() {
+	r.expect("{")
+	first := true // no comma before the first member
+	for _, k := range [...]*member{pDetail, pLink, pName, pParent, pValue} {
+		if first && r.lit(k[4]) || !first && r.next(k[4]) {
+			first = false
+			if k == pDetail || k == pName {
+				r.strBytes()
+			} else {
+				r.int(64)
+			}
+		}
+	}
+	r.expect("\n   }")
+}
+
+// decimal reads digits and an optional fraction: no sign, no exponent.
+func (r *reader) decimal() {
+	r.digits()
+	if start := r.pos + 1; r.lit(".") {
+		for r.pos < len(r.data) && r.data[r.pos]-'0' < 10 {
+			r.pos++
+		}
+		r.bad = r.bad || r.pos == start
+	}
+}

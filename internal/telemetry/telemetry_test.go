@@ -428,15 +428,23 @@ func TestWritePerfettoDeterministicAndValid(t *testing.T) {
 	}
 }
 
-// TestValidatePerfettoRejectsMalformed pins each failure's message:
-// pairings are named "cat/id", and of several left open the
-// name-sorted first is the one reported.
-func TestValidatePerfettoRejectsMalformed(t *testing.T) {
-	ev := func(ph, cat string, id int) string {
-		return fmt.Sprintf(`{"name":"x","cat":%q,"ph":%q,"ts":0,"pid":1,"tid":1,"id":%d}`, cat, ph, id)
-	}
-	doc := func(events ...string) string { return `{"traceEvents":[` + strings.Join(events, ",") + `]}` }
-	cases := map[string]struct{ doc, want string }{
+// perfettoEv and perfettoDoc build the compact documents of
+// malformedPerfetto.
+func perfettoEv(ph, cat string, id int) string {
+	return fmt.Sprintf(`{"name":"x","cat":%q,"ph":%q,"ts":0,"pid":1,"tid":1,"id":%d}`, cat, ph, id)
+}
+
+func perfettoDoc(events ...string) string {
+	return `{"traceEvents":[` + strings.Join(events, ",") + `]}`
+}
+
+// malformedPerfetto maps each way a trace-event document can fail
+// ValidatePerfetto to a document that fails it so and the message
+// after "telemetry: perfetto: ". FuzzValidatePerfettoMatchesRef seeds
+// from it.
+var malformedPerfetto = func() map[string]struct{ doc, want string } {
+	ev, doc := perfettoEv, perfettoDoc
+	return map[string]struct{ doc, want string }{
 		"empty":        {doc(), "no traceEvents"},
 		"noTraceKey":   {`{"displayTimeUnit":"ms"}`, "no traceEvents"},
 		"notJSON":      {`]`, "invalid character ']' looking for beginning of value"},
@@ -458,7 +466,14 @@ func TestValidatePerfettoRejectsMalformed(t *testing.T) {
 		"startNoFinish": {doc(ev("s", "fleet-link", 9)), "flow fleet-link/9 left open"},
 		"firstOpenFlow": {doc(ev("s", "fleet-link", 9), ev("s", "causal", 30), ev("s", "causal", 4)), "flow causal/30 left open"},
 	}
-	for name, c := range cases {
+}()
+
+// TestValidatePerfettoRejectsMalformed pins each failure's message:
+// pairings are named "cat/id", and of several left open the
+// name-sorted first is the one reported.
+func TestValidatePerfettoRejectsMalformed(t *testing.T) {
+	ev, doc := perfettoEv, perfettoDoc
+	for name, c := range malformedPerfetto {
 		err := ValidatePerfetto(strings.NewReader(c.doc))
 		if want := "telemetry: perfetto: " + c.want; err == nil || err.Error() != want {
 			t.Errorf("%s: err = %v, want %s", name, err, want)
