@@ -12,10 +12,11 @@ GO ?= go
 # stitch, manifest write, manifest read, Perfetto export and its
 # validation — and the two things every run does with its instrument
 # registry: snapshot it, and merge the snapshot into a cell that
-# already carries its names — and one slice of the §3.4 comparators'
-# shared dispatch loop.
-BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|PerfettoValidate|RegistrySnapshot|SnapshotMerge|ComparatorSlice|FleetRun
-BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet ./internal/baseline
+# already carries its names — one slice of the §3.4 comparators'
+# shared dispatch loop, and the Data Streamer's two recurring costs: a
+# DMA frame on a warm channel and a reallocation.
+BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|PerfettoValidate|RegistrySnapshot|SnapshotMerge|ComparatorSlice|FleetRun|StreamerTransfer|StreamerReallocate
+BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet ./internal/baseline ./internal/streamer
 
 .PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke counts-smoke telemetry-smoke telemetry-golden identity ci
 
@@ -54,7 +55,8 @@ loc:
 # encoding/json references), the instrument registry (a reused one
 # against one built new per generation), the Resource Manager
 # (operation tapes against a reference model that recomputes from
-# scratch), the fleet
+# scratch), the Data Streamer (operation tapes against the engine it
+# replaced, under each allocator), the fleet
 # coordinator (submit / crash / restart / storm schedule tapes over 2–8
 # nodes: the conservation ledger holds and nothing depends on the
 # cluster worker count) and the invariant checker's audit cadence (a
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz='^FuzzValidatePerfettoMatchesRef$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzRegistryReuse$$' -fuzztime=10s ./internal/telemetry
 	$(GO) test -run=NONE -fuzz='^FuzzManagerModel$$' -fuzztime=10s ./internal/rm
+	$(GO) test -run=NONE -fuzz='^FuzzStreamerMatchesRef$$' -fuzztime=10s ./internal/streamer
 	$(GO) test -run=NONE -fuzz='^FuzzFleetSchedule$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/fleet
 	$(GO) test -run=NONE -fuzz='^FuzzAuditGate$$' -fuzztime=10s ./internal/sched
 	$(GO) test -run=NONE -fuzz='^FuzzSchedulerChurn$$' -fuzztime=10s ./internal/sched
@@ -165,7 +168,7 @@ bench:
 # commit the new BENCH_kernel.json; a local run that only wants the
 # table ignores the exit status.
 bench-smoke:
-	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant ./internal/fleet ./internal/telemetry ./internal/workload ./internal/baseline
+	$(GO) test -run 'AllocFree' -count=1 ./internal/sim ./internal/sched ./internal/rm ./internal/invariant ./internal/fleet ./internal/telemetry ./internal/workload ./internal/baseline ./internal/streamer
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchtime=100x -benchmem $(BENCH_PKGS) \
 		| $(GO) run ./cmd/rdperf compare -against BENCH_kernel.json
 

@@ -1,7 +1,5 @@
 package streamer
 
-import "sort"
-
 // Demand is one channel's bandwidth request as the allocator sees it,
 // in the engine's deterministic open order.
 type Demand struct {
@@ -10,15 +8,17 @@ type Demand struct {
 	Quality int64 // scenario-defined value of serving this channel
 }
 
-// Allocator divides streamer capacity among channel demands. The
-// returned slice is positional: rates[i] is the grant for demands[i],
-// 0 (or a short slice) meaning stalled. Implementations must be pure
-// functions of (totalMBps, demands) — the engine calls them from
-// deterministic simulation context and the sweep relies on
+// Allocator divides streamer capacity among channel demands. Allocate
+// fills out, which has one entry per demand, positionally: out[i] is
+// the grant for demands[i], 0 meaning stalled. It overwrites every
+// entry whatever out held before, and allocates nothing, so the engine
+// hands it the same scratch on every reallocation. Implementations
+// must be pure functions of (totalMBps, demands) — the engine calls
+// them from deterministic simulation context and the sweep relies on
 // byte-identical replays.
 type Allocator interface {
 	Name() string
-	Allocate(totalMBps int64, demands []Demand) []int64
+	Allocate(totalMBps int64, demands []Demand, out []int64)
 }
 
 // Metered is the RD's first-come-first-served reservation policy as
@@ -31,21 +31,13 @@ type Metered struct{}
 func (Metered) Name() string { return "metered" }
 
 // Allocate implements Allocator.
-func (Metered) Allocate(totalMBps int64, demands []Demand) []int64 {
-	out := make([]int64, len(demands))
+func (Metered) Allocate(totalMBps int64, demands []Demand, out []int64) {
 	remaining := totalMBps
 	for i, d := range demands {
-		g := d.MBps
-		if g < 0 {
-			g = 0
-		}
-		if g > remaining {
-			g = remaining
-		}
+		g := min(max(d.MBps, 0), remaining)
 		out[i] = g
 		remaining -= g
 	}
-	return out
 }
 
 // MaxMinFair is progressive water-filling: capacity is leveled up in
@@ -59,60 +51,64 @@ type MaxMinFair struct{}
 // Name implements Allocator.
 func (MaxMinFair) Name() string { return "maxmin" }
 
-// Allocate implements Allocator.
-func (MaxMinFair) Allocate(totalMBps int64, demands []Demand) []int64 {
-	out := make([]int64, len(demands))
+// Allocate implements Allocator. A channel is unsatisfied while its
+// grant is below its demand: until the last round only satisfied
+// channels are granted anything, so out itself marks who is left.
+func (MaxMinFair) Allocate(totalMBps int64, demands []Demand, out []int64) {
+	clear(out)
 	remaining := totalMBps
-	unsat := make([]int, 0, len(demands))
-	for i, d := range demands {
-		if d.MBps > 0 {
-			unsat = append(unsat, i)
+	for remaining > 0 {
+		var unsat int64
+		for i, d := range demands {
+			if out[i] < d.MBps {
+				unsat++
+			}
 		}
-	}
-	for len(unsat) > 0 && remaining > 0 {
-		share := remaining / int64(len(unsat))
+		if unsat == 0 {
+			return
+		}
+		share := remaining / unsat
 		if share == 0 {
 			// Fewer whole units than claimants: one each, open order.
-			for _, i := range unsat {
-				if remaining == 0 {
-					break
-				}
-				out[i]++
-				remaining--
-			}
-			break
+			spread(demands, out, remaining)
+			return
 		}
 		satisfied := false
-		next := unsat[:0]
-		for _, i := range unsat {
-			if need := demands[i].MBps - out[i]; need <= share {
-				out[i] += need
+		for i, d := range demands {
+			if need := d.MBps - out[i]; need > 0 && need <= share {
+				out[i] = d.MBps
 				remaining -= need
 				satisfied = true
-			} else {
-				next = append(next, i)
 			}
 		}
-		unsat = next
 		if !satisfied {
 			// Everyone needs more than the equal share: level up and
 			// spread the remainder, then stop — demands all exceed
 			// what is left.
-			for _, i := range unsat {
-				out[i] += share
-				remaining -= share
-			}
-			for _, i := range unsat {
-				if remaining == 0 {
-					break
+			for i, d := range demands {
+				if out[i] < d.MBps {
+					out[i] += share
+					remaining -= share
 				}
-				out[i]++
-				remaining--
 			}
-			break
+			spread(demands, out, remaining)
+			return
 		}
 	}
-	return out
+}
+
+// spread gives the unsatisfied channels one unit each, in open order,
+// until remaining runs out.
+func spread(demands []Demand, out []int64, remaining int64) {
+	for i, d := range demands {
+		if remaining == 0 {
+			return
+		}
+		if out[i] < d.MBps {
+			out[i]++
+			remaining--
+		}
+	}
 }
 
 // MaxThroughput grants the highest-quality channels their full demand
@@ -124,27 +120,23 @@ type MaxThroughput struct{}
 // Name implements Allocator.
 func (MaxThroughput) Name() string { return "maxthru" }
 
-// Allocate implements Allocator.
-func (MaxThroughput) Allocate(totalMBps int64, demands []Demand) []int64 {
-	out := make([]int64, len(demands))
-	idx := make([]int, len(demands))
-	for i := range idx {
-		idx[i] = i
+// Allocate implements Allocator. It serves by selection: each round
+// picks the first channel in open order of the highest quality not yet
+// served, marked by a negative out.
+func (MaxThroughput) Allocate(totalMBps int64, demands []Demand, out []int64) {
+	for i := range out {
+		out[i] = -1
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return demands[idx[a]].Quality > demands[idx[b]].Quality
-	})
 	remaining := totalMBps
-	for _, i := range idx {
-		g := demands[i].MBps
-		if g < 0 {
-			g = 0
+	for range demands {
+		next := -1
+		for i, d := range demands {
+			if out[i] < 0 && (next < 0 || d.Quality > demands[next].Quality) {
+				next = i
+			}
 		}
-		if g > remaining {
-			g = remaining
-		}
-		out[i] = g
+		g := min(max(demands[next].MBps, 0), remaining)
+		out[next] = g
 		remaining -= g
 	}
-	return out
 }

@@ -1,9 +1,12 @@
 package streamer
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/ticks"
 )
@@ -54,8 +57,9 @@ func TestSetRateEveryTickExact(t *testing.T) {
 }
 
 // TestCloseMidTransfer pins the Close contract: an in-flight
-// transfer's onDone never fires, the engine's allocation returns to
-// its pre-open value, and Submit after Close errors.
+// transfer's onDone never fires but its busy time up to the close
+// counts, the engine's allocation returns to its pre-open value, and
+// Submit after Close errors.
 func TestCloseMidTransfer(t *testing.T) {
 	k := kernel()
 	e := New(k, 400)
@@ -79,6 +83,10 @@ func TestCloseMidTransfer(t *testing.T) {
 	if fired {
 		t.Error("closed channel's in-flight onDone fired")
 	}
+	// The transfer moved data until the close, and that time counts.
+	if st := c.Stats(); st.BusyTicks != 100_000 || st.Transfers != 0 {
+		t.Errorf("stats after close = %+v, want 100000 busy ticks and no transfer", st)
+	}
 	if _, alloc := e.Capacity(); alloc != preAlloc {
 		t.Errorf("allocated = %d after close, want pre-open %d", alloc, preAlloc)
 	}
@@ -87,8 +95,15 @@ func TestCloseMidTransfer(t *testing.T) {
 	}
 }
 
+// allocate runs a over demands into a fresh out.
+func allocate(a Allocator, total int64, demands []Demand) []int64 {
+	out := make([]int64, len(demands))
+	a.Allocate(total, demands, out)
+	return out
+}
+
 func TestMeteredAllocator(t *testing.T) {
-	got := Metered{}.Allocate(300, []Demand{
+	got := allocate(Metered{}, 300, []Demand{
 		{Name: "a", MBps: 200}, {Name: "b", MBps: 150}, {Name: "c", MBps: 100},
 	})
 	// FCFS: a full, b the remainder, c starves.
@@ -117,7 +132,7 @@ func TestMaxMinFairAllocator(t *testing.T) {
 		for i, d := range tc.demands {
 			ds[i] = Demand{MBps: d}
 		}
-		got := MaxMinFair{}.Allocate(tc.total, ds)
+		got := allocate(MaxMinFair{}, tc.total, ds)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: maxmin(%d, %v) = %v, want %v", tc.name, tc.total, tc.demands, got, tc.want)
 		}
@@ -132,7 +147,7 @@ func TestMaxMinFairAllocator(t *testing.T) {
 }
 
 func TestMaxThroughputAllocator(t *testing.T) {
-	got := MaxThroughput{}.Allocate(300, []Demand{
+	got := allocate(MaxThroughput{}, 300, []Demand{
 		{Name: "low", MBps: 200, Quality: 1},
 		{Name: "high", MBps: 250, Quality: 9},
 		{Name: "mid", MBps: 100, Quality: 5},
@@ -225,5 +240,92 @@ func TestStreamerTelemetry(t *testing.T) {
 	}
 	if got := counters["streamer.reallocations"]; got == 0 {
 		t.Error("no reallocations recorded")
+	}
+}
+
+// TestAllocatorProperties holds each allocator to its definition over
+// random demand vectors, zero demands and quality ties included: the
+// grants are feasible and work-conserving, each policy's own order
+// holds, the reference allocator agrees, and a second call on a dirty
+// out gives the same answer.
+func TestAllocatorProperties(t *testing.T) {
+	rng := sim.NewRNG(0x5eed)
+	refs := map[string]refAllocator{"metered": refMetered{}, "maxmin": refMaxMinFair{}, "maxthru": refMaxThroughput{}}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(6)
+		total := int64(rng.Intn(400))
+		ds := make([]Demand, n)
+		for i := range ds {
+			// A third of the demands are small, so ties, zeros and
+			// full satisfaction all occur.
+			d := int64(rng.Intn(250))
+			if rng.Intn(3) == 0 {
+				d = int64(rng.Intn(4))
+			}
+			ds[i] = Demand{MBps: d, Quality: int64(rng.Intn(3))}
+		}
+		for _, p := range allocPairs {
+			a := p.alloc
+			got := allocate(a, total, ds)
+			where := func() string { return fmt.Sprintf("%s(%d, %v) = %v", a.Name(), total, ds, got) }
+
+			var sum int64
+			unmet := false
+			for i, g := range got {
+				if g < 0 || g > ds[i].MBps {
+					t.Fatalf("%s: grant %d outside [0, %d]", where(), g, ds[i].MBps)
+				}
+				sum += g
+				unmet = unmet || g < ds[i].MBps
+			}
+			if sum > total || (unmet && sum != total) {
+				t.Fatalf("%s: grants sum to %d of %d with a demand unmet: %v", where(), sum, total, unmet)
+			}
+
+			switch a.(type) {
+			case Metered:
+				left := total
+				for i, g := range got {
+					if want := min(ds[i].MBps, left); g != want {
+						t.Fatalf("%s: channel %d got %d, first come first served gives %d", where(), i, g, want)
+					}
+					left -= g
+				}
+			case MaxMinFair:
+				for i, g := range got {
+					if g == ds[i].MBps {
+						continue
+					}
+					for j, o := range got {
+						if g < o-1 {
+							t.Fatalf("%s: channel %d short of its demand holds %d, under channel %d's %d minus one", where(), i, g, j, o)
+						}
+					}
+				}
+			case MaxThroughput:
+				for j, g := range got {
+					if g == 0 {
+						continue
+					}
+					for i := range got {
+						ahead := ds[i].Quality > ds[j].Quality || (ds[i].Quality == ds[j].Quality && i < j)
+						if ahead && got[i] != ds[i].MBps {
+							t.Fatalf("%s: channel %d served while channel %d ahead of it is short", where(), j, i)
+						}
+					}
+				}
+			}
+
+			if want := refs[a.Name()].Allocate(total, ds); !slices.Equal(got, want) {
+				t.Fatalf("%s, reference allocator gives %v", where(), want)
+			}
+			dirty := make([]int64, n)
+			for i := range dirty {
+				dirty[i] = int64(rng.Intn(1000)) - 500
+			}
+			if a.Allocate(total, ds, dirty); !slices.Equal(dirty, got) {
+				t.Fatalf("%s, but %v on a dirty out", where(), dirty)
+			}
+		}
 	}
 }

@@ -24,11 +24,14 @@
 // Progress is tracked exactly in byte·27 units (one tick moves `mbps`
 // units), so a transfer re-rated arbitrarily often still completes
 // within one tick of the ideal time and BusyTicks cannot drift.
+//
+//rd:hotpath
 package streamer
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -48,7 +51,11 @@ type Engine struct {
 	// channel rates are computed by the allocator over declared
 	// demands instead of being hard reservations.
 	alloc Allocator
-	tel   streamTelemetry
+	// demands and rates are reallocate's scratch, one entry per open
+	// channel, kept for the next call.
+	demands []Demand
+	rates   []int64
+	tel     streamTelemetry
 }
 
 // streamTelemetry holds the engine's pre-registered instrument
@@ -83,19 +90,6 @@ func NewAllocated(k *sim.Kernel, totalMBps int64, alloc Allocator) *Engine {
 	}
 	e.alloc = alloc
 	return e
-}
-
-// Instrument pre-registers the engine's instruments in t's registry.
-// A nil Set leaves every handle nil and the engine silent.
-func (e *Engine) Instrument(t *telemetry.Set) {
-	r := t.Reg()
-	e.tel = streamTelemetry{
-		transfers:   r.Counter("streamer.transfers"),
-		bytes:       r.Counter("streamer.bytes"),
-		reallocs:    r.Counter("streamer.reallocations"),
-		allocatedBW: r.Gauge("streamer.allocated_mbps"),
-	}
-	e.tel.allocatedBW.Set(e.allocated)
 }
 
 // Capacity reports total and currently allocated bandwidth.
@@ -150,20 +144,15 @@ func (e *Engine) OpenQuality(name string, mbps, quality int64) (*Channel, error)
 // reallocate recomputes every channel's rate from the declared
 // demands, in open order, and re-rates in-flight transfers.
 func (e *Engine) reallocate() {
-	demands := make([]Demand, len(e.order))
-	for i, c := range e.order {
-		demands[i] = Demand{Name: c.name, MBps: c.demand, Quality: c.quality}
+	e.demands = e.demands[:0]
+	for _, c := range e.order {
+		e.demands = append(e.demands, Demand{Name: c.name, MBps: c.demand, Quality: c.quality})
 	}
-	rates := e.alloc.Allocate(e.totalMBps, demands)
+	e.rates = slices.Grow(e.rates[:0], len(e.order))[:len(e.order)]
+	e.alloc.Allocate(e.totalMBps, e.demands, e.rates)
 	var sum int64
 	for i, c := range e.order {
-		var r int64
-		if i < len(rates) {
-			r = rates[i]
-		}
-		if r < 0 {
-			r = 0
-		}
+		r := max(e.rates[i], 0)
 		if r != c.mbps {
 			c.rerate(r)
 		}
@@ -183,9 +172,13 @@ type Channel struct {
 	quality int64
 	closed  bool
 
-	// In-flight transfer, if any (channels are FIFO: one transfer
-	// moves at a time per channel; more queue behind it).
-	queue []*Transfer
+	// queue[head:] are the channel's transfers in submit order:
+	// queue[head] is in flight (channels are FIFO: one transfer moves
+	// at a time per channel), the rest wait behind it. Transfers are
+	// held by value; Submit slides the live tail down to reuse the
+	// backing once at least half of it is spent.
+	queue []transfer
+	head  int
 
 	stats ChannelStats
 }
@@ -197,16 +190,24 @@ type ChannelStats struct {
 	BusyTicks ticks.Ticks
 }
 
-// Transfer is one queued DMA operation.
-type Transfer struct {
+// transfer is one queued DMA operation.
+type transfer struct {
 	bytes   int64
 	rem27   int64 // exact progress: byte·27 units still to move
 	onDone  func()
 	event   sim.EventRef
 	started ticks.Ticks
 	running bool
-	ch      *Channel
 }
+
+// completion is a Channel as the sim.Handler of the one event it arms
+// at a time, its in-flight transfer's completion.
+type completion Channel
+
+var _ sim.Handler = (*completion)(nil)
+
+// HandleEvent implements sim.Handler.
+func (c *completion) HandleEvent(_, _ int32, _ ticks.Ticks) { (*Channel)(c).complete() }
 
 // Name reports the channel name.
 func (c *Channel) Name() string { return c.name }
@@ -221,7 +222,7 @@ func (c *Channel) Demand() int64 { return c.demand }
 func (c *Channel) Stats() ChannelStats { return c.stats }
 
 // QueueLen reports queued transfers, including the in-flight one.
-func (c *Channel) QueueLen() int { return len(c.queue) }
+func (c *Channel) QueueLen() int { return len(c.queue) - c.head }
 
 // ticksFor27 converts rem27 byte·27 units at mbps to ticks: one tick
 // moves mbps units (1 MB/s = 1e6 B/s = 1e6·27 units / 27e6 ticks).
@@ -237,8 +238,9 @@ func ticksFor27(rem27, mbps int64) ticks.Ticks {
 }
 
 // Submit queues a transfer of the given size; onDone fires in virtual
-// time when the last byte lands. Returns an error on a closed
-// channel or non-positive size.
+// time when the last byte lands. A channel completes its transfers in
+// submit order. Returns an error on a closed channel or non-positive
+// size.
 func (c *Channel) Submit(bytes int64, onDone func()) error {
 	if c.closed {
 		return fmt.Errorf("streamer: channel %q is closed", c.name)
@@ -246,31 +248,38 @@ func (c *Channel) Submit(bytes int64, onDone func()) error {
 	if bytes <= 0 {
 		return fmt.Errorf("streamer: transfer needs positive size, got %d", bytes)
 	}
-	t := &Transfer{bytes: bytes, rem27: bytes * 27, onDone: onDone, ch: c}
-	c.queue = append(c.queue, t)
-	if len(c.queue) == 1 {
-		c.start(t)
+	if c.head > 0 && 2*c.head >= cap(c.queue) {
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:]) // drop the spent transfers' callbacks
+		c.queue, c.head = c.queue[:n], 0
+	}
+	c.queue = append(c.queue, transfer{bytes: bytes, rem27: bytes * 27, onDone: onDone})
+	if c.QueueLen() == 1 {
+		c.start()
 	}
 	return nil
 }
 
-// start arms the completion event for t at the channel's current
-// rate. A zero rate stalls the transfer: no event, and progress
-// resumes when a reallocation raises the rate again.
-func (c *Channel) start(t *Transfer) {
+// start arms the completion event of the in-flight transfer at the
+// channel's current rate. A zero rate stalls the transfer: no event,
+// and progress resumes when a reallocation raises the rate again.
+func (c *Channel) start() {
+	t := &c.queue[c.head]
 	if c.mbps <= 0 {
 		t.running = false
 		return
 	}
-	t.started = c.engine.k.Now()
+	k := c.engine.k
+	t.started = k.Now()
 	t.running = true
-	t.event = c.engine.k.After(ticksFor27(t.rem27, c.mbps), func() { c.complete(t) })
+	t.event = k.AfterCall(ticksFor27(t.rem27, c.mbps), (*completion)(c), 0, 0, 0)
 }
 
-// pause accounts t's progress at the current rate and disarms its
-// completion event. Exact: elapsed ticks move elapsed·mbps byte·27
-// units, no rounding.
-func (c *Channel) pause(t *Transfer) {
+// pause accounts the in-flight transfer's progress at the current
+// rate and disarms its completion event. Exact: elapsed ticks move
+// elapsed·mbps byte·27 units, no rounding.
+func (c *Channel) pause() {
+	t := &c.queue[c.head]
 	if !t.running {
 		return
 	}
@@ -286,18 +295,19 @@ func (c *Channel) pause(t *Transfer) {
 	t.running = false
 }
 
-func (c *Channel) complete(t *Transfer) {
-	now := c.engine.k.Now()
-	t.rem27 = 0
-	t.running = false
+// complete retires the in-flight transfer, starts the next one and
+// runs the retired transfer's onDone.
+func (c *Channel) complete() {
+	t := c.queue[c.head]
+	c.queue[c.head] = transfer{}
+	c.head++
 	c.stats.Transfers++
 	c.stats.Bytes += t.bytes
-	c.stats.BusyTicks += now - t.started
+	c.stats.BusyTicks += c.engine.k.Now() - t.started
 	c.engine.tel.transfers.Inc()
 	c.engine.tel.bytes.Add(t.bytes)
-	c.queue = c.queue[1:]
-	if len(c.queue) > 0 {
-		c.start(c.queue[0])
+	if c.QueueLen() > 0 {
+		c.start()
 	}
 	if t.onDone != nil {
 		t.onDone()
@@ -308,11 +318,10 @@ func (c *Channel) complete(t *Transfer) {
 // restarting the in-flight transfer so its remaining bytes finish at
 // the new rate.
 func (c *Channel) rerate(mbps int64) {
-	if len(c.queue) > 0 {
-		t := c.queue[0]
-		c.pause(t)
+	if c.QueueLen() > 0 {
+		c.pause()
 		c.mbps = mbps
-		c.start(t)
+		c.start()
 	} else {
 		c.mbps = mbps
 	}
@@ -347,16 +356,17 @@ func (c *Channel) SetRate(mbps int64) error {
 }
 
 // Close releases the channel. Queued transfers are dropped without
-// completion callbacks — an in-flight transfer's onDone never fires.
-// In policy-driven mode the freed bandwidth is redistributed.
+// completion callbacks — an in-flight transfer's onDone never fires,
+// but the time it spent moving data counts in BusyTicks. In
+// policy-driven mode the freed bandwidth is redistributed.
 func (c *Channel) Close() {
 	if c.closed {
 		return
 	}
-	if len(c.queue) > 0 && c.queue[0].running {
-		c.engine.k.Cancel(c.queue[0].event)
+	if c.QueueLen() > 0 {
+		c.pause()
 	}
-	c.queue = nil
+	c.queue, c.head = nil, 0
 	c.closed = true
 	e := c.engine
 	delete(e.channels, c.name)

@@ -104,7 +104,9 @@ func TestSweepFleetWorkerInvariance(t *testing.T) {
 // checker's and the injectors' instruments appear), to a comparator
 // (a bare kernel: most names retire), to a fleet run (which leaves it
 // alone) and back, and a name one scenario registers must not leak
-// into the next one's snapshot. Every run must equal the same spec run
+// into the next one's snapshot. Both cost models run, so the worker's
+// Distributor, bare kernel and checker are rebuilt under paper and
+// zero switch costs in turn. Every run must equal the same spec run
 // in storage of its own, and the aggregated JSON must not depend on how
 // many workers shared the runs out.
 func TestWorkerReuseMatchesFresh(t *testing.T) {
@@ -114,7 +116,7 @@ func TestWorkerReuseMatchesFresh(t *testing.T) {
 			"studio", "fault-storm", "baseline-streamer", "fleet-surge",
 			"quiescent", "fault-policy", "baseline-overload", "media",
 		},
-		CostModels: []string{"paper"},
+		CostModels: []string{"paper", "zero"},
 		Seeds:      SeedRange(1, 2),
 		Horizon:    300 * ticks.PerMillisecond,
 	}

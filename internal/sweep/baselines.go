@@ -200,13 +200,18 @@ func runBaselineOverload(e *env) error {
 
 // dmaProducer is a periodic CPU stage that submits one DMA frame per
 // period; the frame is late when its transfer completes after the
-// period's deadline.
+// period's deadline. Frames complete in submit order, so every frame
+// shares one done callback, which checks the oldest deadline queued.
 type dmaProducer struct {
 	k      *sim.Kernel
 	ch     *streamer.Channel
 	period ticks.Ticks
 	cpu    ticks.Ticks
 	frame  int64
+	done   func()
+
+	deadlines []ticks.Ticks // deadlines[head:] are the in-flight frames'
+	head      int
 
 	stopped   bool
 	submitted int64
@@ -220,16 +225,24 @@ func (p *dmaProducer) Run(ctx task.RunContext) task.RunResult {
 		return task.RunResult{Used: ctx.Span, Op: task.OpRanOut}
 	}
 	if !p.stopped {
-		deadline := ctx.PeriodStart + p.period
 		p.submitted++
-		_ = p.ch.Submit(p.frame, func() {
-			p.delivered++
-			if p.k.Now() > deadline {
-				p.late++
-			}
-		})
+		if p.head > 0 && 2*p.head >= cap(p.deadlines) {
+			n := copy(p.deadlines, p.deadlines[p.head:])
+			p.deadlines, p.head = p.deadlines[:n], 0
+		}
+		p.deadlines = append(p.deadlines, ctx.PeriodStart+p.period)
+		_ = p.ch.Submit(p.frame, p.done)
 	}
 	return task.RunResult{Used: left, Op: task.OpYield, Completed: true}
+}
+
+// frameDone retires the oldest in-flight frame.
+func (p *dmaProducer) frameDone() {
+	p.delivered++
+	if p.k.Now() > p.deadlines[p.head] {
+		p.late++
+	}
+	p.head++
 }
 
 // runBaselineStreamer is the contended-streamer scenario: three DMA
@@ -279,6 +292,7 @@ func runBaselineStreamer(e *env) error {
 		}
 		channels[i] = ch
 		p := &dmaProducer{k: k, ch: ch, period: cs.period, cpu: cs.cpu, frame: cs.frame}
+		p.done = p.frameDone
 		producers[i] = p
 		c.Add(cs.name, cs.period, cs.quality, p)
 		names[i] = cs.name

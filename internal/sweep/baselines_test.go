@@ -124,3 +124,27 @@ func TestBaselineStreamerPoliciesDiffer(t *testing.T) {
 		t.Errorf("metered and max-min produced identical loss=%d bytes=%d; allocator axis is dead", a.Loss, ab)
 	}
 }
+
+// TestStreamerRunAllocsIndependentOfHorizon: on a warm worker a
+// baseline-streamer run allocates what it keeps, not something per DMA
+// frame, so doubling the horizon may add only the growth of a queue's
+// backing. (A frame once cost a transfer, a completion closure and its
+// onDone closure: ≈ 1 300 allocations a run at 2 s, ≈ 2 500 at 4 s.)
+func TestStreamerRunAllocsIndependentOfHorizon(t *testing.T) {
+	for _, pol := range []string{PolicyInvent, PolicyStreamerMaxMin, PolicyStreamerMaxThru} {
+		w := newWorker()
+		allocs := func(horizon ticks.Ticks) float64 {
+			spec := RunSpec{Scenario: "baseline-streamer", CostModel: "paper", Policy: pol, Seed: 5, Horizon: horizon}
+			return testing.AllocsPerRun(3, func() {
+				if m := runOne(spec, w); m.Err != "" {
+					t.Fatalf("%s: %s", pol, m.Err)
+				}
+			})
+		}
+		short, long := allocs(2*ticks.PerSecond), allocs(4*ticks.PerSecond)
+		if long > short+8 {
+			t.Errorf("%s: a warm 4 s run allocates %.0f times, a 2 s run %.0f: allocation grows with the frame count", pol, long, short)
+		}
+		t.Logf("%s: %.0f allocations at 2 s, %.0f at 4 s", pol, short, long)
+	}
+}

@@ -55,8 +55,10 @@ type env struct {
 	sc    *Scenario
 	costs sim.SwitchCosts
 	m     RunMetrics
+	// w is the sweep worker whose storage the run is built in: its own,
+	// or a fresh one when the cluster is handed to a caller.
+	w *worker
 
-	pr *probe
 	// k is the run's kernel: the Distributor's own, or the bare one a
 	// comparator scheduler drives. d is the Distributor when there is
 	// one; admit, wake and server go through it.
@@ -73,15 +75,10 @@ type env struct {
 	// flog collects fault-injection and invariant events for the run.
 	flog telemetry.EventLog
 
-	// arena is where runFleet builds its cluster: the sweep worker's
-	// own, recycled by its next fleet run, or a private one when the
-	// cluster is handed to a caller. clusterWorkers sizes the cluster's
-	// node-advance pool: the sweep worker's share of the idle cores, or
-	// RunFleetCluster's count. cluster and report are what runFleet
-	// built and measured, kept for RunFleetCluster; spanLog is its
-	// override of the sweep's counters-only cluster.
-	arena          *fleet.Arena
-	arrivals       *fleetArrivals
+	// clusterWorkers sizes the cluster's node-advance pool: the sweep
+	// worker's share of the idle cores, or RunFleetCluster's count.
+	// cluster and report are what runFleet built and measured, kept for
+	// RunFleetCluster; spanLog overrides the counters-only cluster.
 	clusterWorkers int
 	spanLog        bool
 	cluster        *fleet.Cluster
@@ -94,17 +91,22 @@ type admitRec struct {
 }
 
 // worker is the storage one sweep worker builds its runs in, one after
-// another: the arena and arrivals of its fleet runs and the
-// registry and probe of its single-node runs. It belongs to one
-// goroutine and holds one live run; a finished run's RunMetrics holds
-// copies, so the next run is free to recycle all of it. Which worker a run lands on, and what ran
-// there before, never affects its results (docs/DETERMINISM.md), nor
-// does clusterWorkers, the pool size of its clusters (0: one).
+// another: the arena and arrivals of its fleet runs, and the registry,
+// probe, Distributor, bare kernel and checker of its single-node runs,
+// which start, startKernel and withInvariants rebuild in place as a
+// fleet node shell does. It belongs to one goroutine and holds one
+// live run; a finished run's RunMetrics holds copies, so the next run
+// is free to recycle all of it. Which worker a run lands on, and what
+// ran there before, never affects its results (docs/DETERMINISM.md),
+// nor does clusterWorkers, the pool size of its clusters (0: one).
 type worker struct {
 	arena          fleet.Arena
 	arrivals       fleetArrivals
 	tel            telemetry.Set
 	pr             probe
+	dist           *core.Distributor
+	kern           *sim.Kernel
+	chk            *invariant.Checker
 	clusterWorkers int
 }
 
@@ -131,8 +133,7 @@ func newEnv(spec RunSpec, w *worker) (*env, error) {
 	w.tel.Registry.Reset()
 	w.pr.firstPeriod = w.pr.firstPeriod[:0]
 	return &env{
-		spec: spec, sc: sc, costs: costs, arena: &w.arena, arrivals: &w.arrivals, tel: &w.tel, pr: &w.pr,
-		clusterWorkers: w.clusterWorkers,
+		spec: spec, sc: sc, costs: costs, w: w, tel: &w.tel, clusterWorkers: w.clusterWorkers,
 	}, nil
 }
 
@@ -143,12 +144,13 @@ func newEnv(spec RunSpec, w *worker) (*env, error) {
 func (e *env) start(cfg core.Config) *core.Distributor {
 	cfg.Seed = e.spec.Seed
 	cfg.SwitchCosts = &e.costs
-	cfg.Observer = e.pr
+	cfg.Observer = &e.w.pr
 	if e.chk != nil {
 		cfg.Observer = e.chk
 	}
 	cfg.Telemetry = e.tel
-	e.d = core.New(cfg)
+	e.d = core.NewIn(e.w.dist, cfg)
+	e.w.dist = e.d
 	e.k = e.d.Kernel()
 	if e.chk != nil {
 		e.chk.Bind(e.k, e.d.Manager(), e.d.Scheduler())
@@ -160,7 +162,8 @@ func (e *env) start(cfg core.Config) *core.Distributor {
 // startKernel assembles a bare kernel for comparator scenarios that
 // run a baseline scheduler directly, without a Distributor.
 func (e *env) startKernel() *sim.Kernel {
-	e.k = sim.NewKernel(sim.Config{Seed: e.spec.Seed, Costs: e.costs})
+	e.k = sim.NewKernelIn(e.w.kern, sim.Config{Seed: e.spec.Seed, Costs: e.costs})
+	e.w.kern = e.k
 	e.k.EnableTelemetry(e.tel.Reg())
 	return e.k
 }
@@ -169,7 +172,8 @@ func (e *env) startKernel() *sim.Kernel {
 // Call it before start; violations are mirrored into the run's event
 // log and counted in RunMetrics.Violations.
 func (e *env) withInvariants() {
-	e.chk = invariant.New(e.pr)
+	e.chk = invariant.NewIn(e.w.chk, &e.w.pr)
+	e.w.chk = e.chk
 	e.chk.LogTo(&e.flog)
 }
 
@@ -190,7 +194,7 @@ func (e *env) run(to func(ticks.Ticks)) error {
 	for _, a := range e.admits {
 		// Tasks that never started (admitted just before the horizon)
 		// contribute no admission-latency sample.
-		if start, ok := e.pr.started(a.id); ok {
+		if start, ok := e.w.pr.started(a.id); ok {
 			e.m.AdmissionMS = append(e.m.AdmissionMS, (start - a.at).MillisecondsF())
 		}
 	}

@@ -109,7 +109,7 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 	cfg.Workers = max(1, e.clusterWorkers)
 	cfg.SpanLog = e.spanLog
 	cfg.Invariants = true
-	c, err := fleet.NewIn(e.arena, cfg)
+	c, err := fleet.NewIn(&e.w.arena, cfg)
 	if err != nil {
 		return err
 	}
@@ -130,8 +130,8 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 		top := 8 + rng.Intn(topPct-7) // top level 8..topPct percent
 		if err := c.Submit(fleet.Admission{
 			At:   ticks.Ticks(rng.Uint64() % window),
-			Name: e.arrivals.name(i),
-			List: e.arrivals.list(period, top),
+			Name: e.w.arrivals.name(i),
+			List: e.w.arrivals.list(period, top),
 			Body: fleetBody(10 + rng.Intn(40)),
 		}); err != nil {
 			return err
