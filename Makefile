@@ -95,9 +95,11 @@ fuzz-smoke:
 # accounting, and the fleet's two worker pools and rebuilt arenas
 # (docs/DETERMINISM.md) are all in it — on 4 workers and on 1,
 # asserting byte-identical JSON aggregates. The families' own packages
-# run under -race in `make race`.
+# run under -race in `make race`; the node-advance pool's tests, whose
+# interleavings differ from run to run, run 20 times under it here.
 sweep-smoke:
 	$(GO) test -race -count=1 ./internal/sweep/...
+	$(GO) test -race -count=20 -run 'WorkerCountInvariance|WorkerInvariance|Panic|IdleCores|PoolAdvances' ./internal/fleet ./internal/sweep
 	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 4 -horizon-ms 500 -quiet -json all-w4.json
 	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 1 -horizon-ms 500 -quiet -json all-w1.json
 	cmp all-w4.json all-w1.json

@@ -180,17 +180,34 @@ func TestNodeRebuildAllocs(t *testing.T) {
 }
 
 // BenchmarkFleetEpoch measures one epoch of a resident cluster: every
-// node advanced 10 ms on the pool, then the coordinator's barrier.
+// node advanced 10 ms on the pool, then the coordinator's barrier. The
+// skewed cluster holds its residents on the first half of its nodes
+// only, as first-fit loads a fleet: at two workers one range holds the
+// work and the other worker steals it.
 func BenchmarkFleetEpoch(b *testing.B) {
 	for _, workers := range []int{1, 2} {
-		for _, n := range []int{16, 120} {
-			name := fmt.Sprintf("nodes=%d", n)
+		for _, tc := range []struct {
+			n      int
+			skewed bool
+		}{{16, false}, {120, false}, {120, true}} {
+			name := fmt.Sprintf("nodes=%d", tc.n)
+			if tc.skewed {
+				name += "/skewed"
+			}
 			if workers > 1 {
 				name += fmt.Sprintf("/workers=%d", workers)
 			}
 			b.Run(name, func(b *testing.B) {
-				cfg := residentConfig(n, FirstFit)
+				cfg := residentConfig(tc.n, FirstFit)
 				cfg.Workers = workers
+				if init := cfg.NodeInit; tc.skewed {
+					cfg.NodeInit = func(d *core.Distributor, node int) error {
+						if node >= tc.n/2 {
+							return nil
+						}
+						return init(d, node)
+					}
+				}
 				c, err := New(cfg)
 				if err != nil {
 					b.Fatal(err)

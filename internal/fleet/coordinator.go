@@ -189,15 +189,21 @@ func (c *Cluster) Run(horizon ticks.Ticks) *Report {
 }
 
 // pool advances the nodes between barriers. Run starts Workers−1
-// helpers once, each owning a fixed contiguous range of the nodes
-// (ranges[0] is the coordinator's), and stop joins them on every exit
-// from Run, a panic included, so none touches a node NewIn recycles. An
-// epoch is its limit sent on each helper's wake channel (-1 stops the
-// helper); pending counts the helpers still advancing.
+// helpers once, and stop joins them on every exit from Run, a panic
+// included, so none touches a node NewIn recycles. Worker k (the
+// coordinator is 0) claims range k of the nodes front to back, then the
+// other ranges' unclaimed nodes from the back, so an owner keeps its
+// cache-warm front and a thief takes the cold tail. An epoch is its
+// limit sent on each helper's wake channel (-1 stops the helper);
+// pending counts the helpers still advancing.
 type pool struct {
-	ranges  []nodeRange
-	pending atomic.Int64
-	joined  sync.WaitGroup
+	nodes     []*node
+	ranges    []nodeRange
+	pending   atomic.Int64
+	joined    sync.WaitGroup
+	mu        sync.Mutex
+	panicNode int
+	panicked  any
 }
 
 // spinChecks bounds a helper's spin before it parks: spinning keeps
@@ -215,43 +221,41 @@ func poll(i int) {
 	}
 }
 
-// nodeRange is one worker's nodes and the panic that ended its last
-// epoch, if one did.
+// nodeRange is one worker's range, its unclaimed nodes [lo, hi) packed
+// lo<<32 | hi into the one word every claim swaps. The padding keeps
+// two ranges' words off one cache line.
 type nodeRange struct {
-	nodes    []*node
-	wake     chan ticks.Ticks
-	panicked any
+	unclaimed atomic.Uint64
+	wake      chan ticks.Ticks
+	_         [64]byte
 }
 
 func (p *pool) start(nodes []*node, workers int) {
-	p.ranges = make([]nodeRange, workers)
-	for k := range p.ranges {
-		r := &p.ranges[k]
-		r.nodes = nodes[k*len(nodes)/workers : (k+1)*len(nodes)/workers]
-		if k > 0 {
-			r.wake = make(chan ticks.Ticks, 1)
-			p.joined.Add(1)
-			go p.help(r)
-		}
+	p.nodes, p.ranges = nodes, make([]nodeRange, workers)
+	for k := 1; k < workers; k++ {
+		p.ranges[k].wake = make(chan ticks.Ticks, 1)
+		p.joined.Add(1)
+		go p.help(k)
 	}
 }
 
 // advance runs every live node to limit (a down or stalled node's
-// advance returns at once), then re-raises the first range's panic:
-// ranges are in node order and each stops at its first, so that is the
-// node a one-worker run panics on. A node's trajectory is its own
-// kernel's, so the ranges cannot affect any result. Nothing allocates.
+// advance returns at once), then re-raises the lowest-indexed node's
+// panic: every node is claimed whatever panics, so that is the node a
+// one-worker run panics on. Nothing allocates.
 func (p *pool) advance(limit ticks.Ticks) {
-	p.pending.Store(int64(len(p.ranges) - 1))
+	n, w := len(p.nodes), len(p.ranges)
+	for k := range p.ranges {
+		p.ranges[k].unclaimed.Store(uint64(k*n/w)<<32 | uint64((k+1)*n/w))
+	}
+	p.pending.Store(int64(w - 1))
 	p.release(limit)
-	p.ranges[0].run(limit)
+	p.run(0, limit)
 	for i := 0; p.pending.Load() != 0; i++ {
 		poll(i)
 	}
-	for k := range p.ranges {
-		if v := p.ranges[k].panicked; v != nil {
-			panic(v)
-		}
+	if p.panicked != nil {
+		panic(p.panicked)
 	}
 }
 
@@ -266,16 +270,51 @@ func (p *pool) release(limit ticks.Ticks) {
 	}
 }
 
-func (r *nodeRange) run(limit ticks.Ticks) {
-	defer func() { r.panicked = recover() }()
-	for _, n := range r.nodes {
-		n.advance(limit)
+// run is worker k's part of an epoch: its own range from the front,
+// then each other range, the next one first, from the back.
+func (p *pool) run(k int, limit ticks.Ticks) {
+	for j := range p.ranges {
+		r := &p.ranges[(k+j)%len(p.ranges)]
+		for i := r.claim(j > 0); i >= 0; i = r.claim(j > 0) {
+			p.step(i, limit)
+		}
 	}
 }
 
+// claim takes r's front unclaimed node, or its back one, and returns
+// its index; -1 when none is left.
+func (r *nodeRange) claim(back bool) int {
+	for w := r.unclaimed.Load(); w>>32 < uint64(uint32(w)); w = r.unclaimed.Load() {
+		i, next := int(w>>32), w+1<<32
+		if back {
+			i, next = int(uint32(w))-1, w-1
+		}
+		if r.unclaimed.CompareAndSwap(w, next) {
+			return i
+		}
+	}
+	return -1
+}
+
+// step advances node i to limit. Its panic is recovered into
+// panicked if no lower-indexed node's is there.
+func (p *pool) step(i int, limit ticks.Ticks) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.mu.Lock()
+			if p.panicked == nil || i < p.panicNode {
+				p.panicNode, p.panicked = i, v
+			}
+			p.mu.Unlock()
+		}
+	}()
+	p.nodes[i].advance(limit)
+}
+
 // help is a helper's loop: spin, then park, until the next limit.
-func (p *pool) help(r *nodeRange) {
+func (p *pool) help(k int) {
 	defer p.joined.Done()
+	r := &p.ranges[k]
 	for {
 		for i := 0; len(r.wake) == 0 && i < spinChecks; i++ {
 			poll(i)
@@ -284,7 +323,7 @@ func (p *pool) help(r *nodeRange) {
 		if limit < 0 {
 			return
 		}
-		r.run(limit)
+		p.run(k, limit)
 		p.pending.Add(-1)
 	}
 }

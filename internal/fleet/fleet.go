@@ -11,11 +11,12 @@
 //
 // The cluster advances on epoch barriers. Between barriers every live
 // node runs its own single-goroutine kernel on a persistent pool: Run
-// starts Workers−1 helpers once, each owning a contiguous node range
-// (the coordinator advances the first), and joins them on every exit,
-// a panic included; a node's panic is re-raised after the epoch, the
-// lowest-indexed node's first, as a one-worker run raises it. Nodes
-// share no state, so no node's trajectory depends on the ranges. At
+// starts Workers−1 helpers once and joins them on every exit, a panic
+// included. Each worker drains its own node range, then steals the
+// others' tails; every node is claimed once per epoch, and the
+// lowest-indexed node's panic is re-raised after it, as a one-worker
+// run raises it. Nodes share no state, so no node's trajectory depends
+// on the worker that claims it. At
 // each barrier a single coordinator applies every inter-node action —
 // arrivals, retries, crashes, restarts, migrations — sequentially,
 // ordered by (due time, submission sequence), so inter-node effects
@@ -126,9 +127,9 @@ type Config struct {
 	// MigrationCost is the state-transfer charge a migration's target
 	// node pays, delivered as one interrupt slab (default 100 µs).
 	MigrationCost ticks.Ticks
-	// Workers sizes the node-advance pool, contiguous node ranges for the
-	// coordinator and Workers−1 helpers; <= 0 selects GOMAXPROCS, at
-	// most Nodes are used. Never affects results, a node's panic included.
+	// Workers sizes the work-stealing node-advance pool; <= 0 selects
+	// GOMAXPROCS, at most Nodes are used. Never affects results, a node's
+	// panic included.
 	Workers int
 	// SwitchCosts applies to every node kernel (nil = zero costs).
 	SwitchCosts *sim.SwitchCosts

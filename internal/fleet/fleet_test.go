@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
 	"repro/internal/task"
@@ -72,7 +75,16 @@ func run(t *testing.T, seed uint64, workers int) *fleet.Report {
 // keeping flightSpans spans (0: the default).
 func runIn(t *testing.T, a *fleet.Arena, seed uint64, workers, flightSpans int) *fleet.Report {
 	t.Helper()
-	_, rep := runCfg(t, a, fleet.Config{
+	cfg := faultedConfig(seed, workers)
+	cfg.FlightSpans = flightSpans
+	_, rep := runCfg(t, a, cfg)
+	return rep
+}
+
+// faultedConfig is run's cluster: 12 least-loaded nodes, governors and
+// checkers armed.
+func faultedConfig(seed uint64, workers int) fleet.Config {
+	return fleet.Config{
 		Nodes:                   12,
 		Seed:                    seed,
 		Workers:                 workers,
@@ -80,9 +92,7 @@ func runIn(t *testing.T, a *fleet.Arena, seed uint64, workers, flightSpans int) 
 		InterruptReservePercent: 2,
 		GovernorInterval:        10 * ms,
 		Invariants:              true,
-		FlightSpans:             flightSpans,
-	})
-	return rep
+	}
 }
 
 // runCfg is run's faulted fleet and its arrivals on a cluster built
@@ -117,26 +127,67 @@ func runCfg(t *testing.T, a *fleet.Arena, cfg fleet.Config) (*fleet.Cluster, *fl
 
 // The fleet analogue of rdsweep's worker-invariance contract: the
 // report (counters, latency percentiles, aggregate fractions) and
-// the merged event log are byte-identical for any worker count.
+// the merged event log are byte-identical for any worker count. Under
+// first-fit the low-index nodes hold the load, so a worker steals from
+// another's range in every epoch.
 func TestWorkerCountInvariance(t *testing.T) {
-	var refSummary, refLog string
-	for _, workers := range []int{1, 3, 8} {
-		rep := run(t, 42, workers)
-		if len(rep.Stalled) != 0 {
-			t.Fatalf("workers=%d: stalled nodes: %v", workers, rep.Stalled)
+	for _, p := range []fleet.Placement{fleet.LeastLoaded, fleet.FirstFit} {
+		var refSummary, refLog string
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			cfg := faultedConfig(42, workers)
+			cfg.Placement = p
+			_, rep := runCfg(t, new(fleet.Arena), cfg)
+			if len(rep.Stalled) != 0 {
+				t.Fatalf("%s, workers=%d: stalled nodes: %v", p, workers, rep.Stalled)
+			}
+			checkTallies(t, rep)
+			sum, log := rep.Summary(), rep.Log.String()
+			if refSummary == "" {
+				refSummary, refLog = sum, log
+				continue
+			}
+			if sum != refSummary {
+				t.Errorf("%s, workers=%d summary diverged:\n got %s\nwant %s", p, workers, sum, refSummary)
+			}
+			if log != refLog {
+				t.Errorf("%s, workers=%d event log diverged", p, workers)
+			}
 		}
-		checkTallies(t, rep)
-		sum, log := rep.Summary(), rep.Log.String()
-		if refSummary == "" {
-			refSummary, refLog = sum, log
-			continue
-		}
-		if sum != refSummary {
-			t.Errorf("workers=%d summary diverged:\n got %s\nwant %s", workers, sum, refSummary)
-		}
-		if log != refLog {
-			t.Errorf("workers=%d event log diverged", workers)
-		}
+	}
+}
+
+// TestPoolAdvancesOnEveryWorker: a pool of W workers advances W nodes
+// at once. Each node's body waits at its first call until W bodies have
+// started, which takes W goroutines: a worker blocked in one node's body
+// claims no other node.
+func TestPoolAdvancesOnEveryWorker(t *testing.T) {
+	for _, workers := range []int{2, 3, 4} {
+		var started atomic.Int64
+		met := make(chan struct{})
+		deadline := time.Now().Add(10 * time.Second)
+		c := mustNew(t, fleet.Config{Nodes: 2 * workers, Seed: 1, Workers: workers,
+			NodeInit: func(d *core.Distributor, node int) error {
+				first := true
+				_, err := d.RequestAdmittance(&task.Task{
+					Name: "meet", List: task.SingleLevel(10*ms, ms, "Meet"),
+					Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
+						if first {
+							first = false
+							if started.Add(1) == int64(workers) {
+								close(met)
+							}
+							select {
+							case <-met:
+							case <-time.After(time.Until(deadline)):
+								t.Errorf("workers=%d: node %d's body met %d of %d at once", workers, node, started.Load(), workers)
+							}
+						}
+						return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
+					}),
+				})
+				return err
+			}})
+		c.Run(20 * ms)
 	}
 }
 

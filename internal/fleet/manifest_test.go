@@ -212,39 +212,45 @@ func TestClusterManifestCausalChainAcrossMigration(t *testing.T) {
 
 // The worker-invariance contract extends to the observability layer:
 // the stitched cluster manifest's bytes and every per-node telemetry
-// snapshot in the report are identical for any node worker count.
+// snapshot in the report are identical for any node worker count,
+// under first-fit (the zero Placement, whose skew makes workers steal)
+// and least-loaded.
 func TestManifestAndPerNodeWorkerInvariance(t *testing.T) {
-	var refManifest, refPerNode []byte
-	for _, workers := range []int{1, 2, 4} {
-		c, rep := crashFleet(t, workers)
-		m, err := c.Manifest()
-		if err != nil {
-			t.Fatalf("workers=%d: manifest: %v", workers, err)
-		}
-		var buf bytes.Buffer
-		if err := m.WriteJSON(&buf); err != nil {
-			t.Fatalf("workers=%d: write: %v", workers, err)
-		}
-		var snaps []*telemetry.Snapshot
-		for i := 0; i < c.NodeCount(); i++ {
-			snaps = append(snaps, nodeMetrics(t, c, i))
-		}
-		if len(snaps) != 4 || len(rep.Telemetry.Counters) == 0 {
-			t.Fatalf("workers=%d: %d node snapshots, %d cluster counters", workers, len(snaps), len(rep.Telemetry.Counters))
-		}
-		perNode, err := json.Marshal(snaps)
-		if err != nil {
-			t.Fatalf("workers=%d: marshal per-node: %v", workers, err)
-		}
-		if refManifest == nil {
-			refManifest, refPerNode = buf.Bytes(), perNode
-			continue
-		}
-		if !bytes.Equal(buf.Bytes(), refManifest) {
-			t.Errorf("workers=%d: stitched cluster manifest diverged from workers=1", workers)
-		}
-		if !bytes.Equal(perNode, refPerNode) {
-			t.Errorf("workers=%d: per-node telemetry snapshots diverged from workers=1", workers)
+	for _, p := range []fleet.Placement{fleet.FirstFit, fleet.LeastLoaded} {
+		var refManifest, refPerNode []byte
+		for _, workers := range []int{1, 2, 3, 4} {
+			c, rep := crashFleetIn(t, new(fleet.Arena), fleet.Config{
+				Nodes: 4, Seed: 1, Workers: workers, Placement: p, Invariants: true, SpanLog: true,
+			})
+			m, err := c.Manifest()
+			if err != nil {
+				t.Fatalf("%s, workers=%d: manifest: %v", p, workers, err)
+			}
+			var buf bytes.Buffer
+			if err := m.WriteJSON(&buf); err != nil {
+				t.Fatalf("%s, workers=%d: write: %v", p, workers, err)
+			}
+			var snaps []*telemetry.Snapshot
+			for i := 0; i < c.NodeCount(); i++ {
+				snaps = append(snaps, nodeMetrics(t, c, i))
+			}
+			if len(snaps) != 4 || len(rep.Telemetry.Counters) == 0 {
+				t.Fatalf("%s, workers=%d: %d node snapshots, %d cluster counters", p, workers, len(snaps), len(rep.Telemetry.Counters))
+			}
+			perNode, err := json.Marshal(snaps)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: marshal per-node: %v", p, workers, err)
+			}
+			if refManifest == nil {
+				refManifest, refPerNode = buf.Bytes(), perNode
+				continue
+			}
+			if !bytes.Equal(buf.Bytes(), refManifest) {
+				t.Errorf("%s, workers=%d: stitched cluster manifest diverged from workers=1", p, workers)
+			}
+			if !bytes.Equal(perNode, refPerNode) {
+				t.Errorf("%s, workers=%d: per-node telemetry snapshots diverged from workers=1", p, workers)
+			}
 		}
 	}
 }

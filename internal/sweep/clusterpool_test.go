@@ -1,11 +1,10 @@
 package sweep
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -33,33 +32,22 @@ func probeFleet(e *env, nodes int, body func(node int) task.Body) error {
 	}}, 1, 10)
 }
 
-// goroutineID is the calling goroutine's ID, from its stack header.
-func goroutineID() string {
-	var buf [32]byte
-	return string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1])
-}
-
 // TestSweepHandsIdleCoresToClusters: a sweep's fleet clusters advance
 // their nodes on the cores its own pool leaves idle — GOMAXPROCS over
-// the pool size, counted after the pool is clamped to the run count. A
-// cluster's pool size is observed as the number of goroutines that ran
-// its nodes' bodies.
+// the pool size, counted after the pool is clamped to the run count.
+// The probe reads the pool size its env hands the cluster; that a pool
+// of W workers advances nodes on W goroutines is fleet's
+// TestPoolAdvancesOnEveryWorker.
 func TestSweepHandsIdleCoresToClusters(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	advancers := make(chan int, 8)
+	poolSizes := make(chan int, 8)
 	withProbe(t, func(e *env) error {
-		var mu sync.Mutex
-		seen := map[string]bool{}
-		err := probeFleet(e, 4, func(int) task.Body {
+		poolSizes <- e.clusterWorkers
+		return probeFleet(e, 4, func(int) task.Body {
 			return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-				mu.Lock()
-				seen[goroutineID()] = true
-				mu.Unlock()
 				return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
 			})
 		})
-		advancers <- len(seen)
-		return err
 	})
 	for _, tc := range []struct{ workers, seeds, clusterWorkers int }{
 		{1, 2, 2},
@@ -77,25 +65,27 @@ func TestSweepHandsIdleCoresToClusters(t *testing.T) {
 			t.Fatalf("Workers: %d: %d failed runs", tc.workers, n)
 		}
 		for i := 0; i < tc.seeds; i++ {
-			if got := <-advancers; got != tc.clusterWorkers {
-				t.Errorf("Workers: %d over %d runs: a cluster's nodes ran on %d goroutines, want %d",
+			if got := <-poolSizes; got != tc.clusterWorkers {
+				t.Errorf("Workers: %d over %d runs: a cluster was handed %d pool workers, want %d",
 					tc.workers, tc.seeds, got, tc.clusterWorkers)
 			}
 		}
 	}
 }
 
-// TestClusterPanicIsTheOneWorkerPanic: a node body that panics in a
-// helper's range is a failed run, not a dead process, and the run's Err
-// is the panic a one-worker run records. Nodes 3 and 5 panic in the same
-// epoch, at three workers in two helpers' ranges; node 3 is the one a
-// one-worker run reaches first. Every helper has exited when the run
-// returns.
+// TestClusterPanicIsTheOneWorkerPanic: a node body that panics on a
+// helper is a failed run, not a dead process, and the run's Err is the
+// panic a one-worker run records. Two nodes of six panic in the same
+// epoch; the lower-indexed is the one a one-worker run reaches first.
+// Node 3 is the tail of a range at three workers, node 2 at two and
+// four: the node a thief claims first. Every helper has exited when the
+// run returns.
 func TestClusterPanicIsTheOneWorkerPanic(t *testing.T) {
+	var panicking [2]int
 	withProbe(t, func(e *env) error {
 		return probeFleet(e, 6, func(node int) task.Body {
 			return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-				if (node == 3 || node == 5) && ctx.Now >= 30*ms {
+				if (node == panicking[0] || node == panicking[1]) && ctx.Now >= 30*ms {
 					panic(fmt.Sprintf("node %d body", node))
 				}
 				return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
@@ -103,21 +93,25 @@ func TestClusterPanicIsTheOneWorkerPanic(t *testing.T) {
 		})
 	})
 	spec := RunSpec{Scenario: "probe", CostModel: "zero", Policy: PolicyFleetFirstFit, Seed: 1, Horizon: 100 * ms}
-	for _, workers := range []int{1, 3} {
-		before := runtime.NumGoroutine()
-		w := newWorker()
-		w.clusterWorkers = workers
-		if got, want := runOne(spec, w).Err, "panic: node 3 body"; got != want {
-			t.Errorf("clusterWorkers=%d: Err %q, want %q", workers, got, want)
-		}
-		// A joined helper has run its last line; let it finish exiting.
-		n := runtime.NumGoroutine()
-		for i := 0; n > before && i < 1000; i++ {
-			runtime.Gosched()
-			n = runtime.NumGoroutine()
-		}
-		if n != before {
-			t.Errorf("clusterWorkers=%d: %d goroutines after the run, %d before", workers, n, before)
+	for _, panicking = range [][2]int{{3, 5}, {2, 4}} {
+		for _, workers := range []int{1, 2, 3, 4} {
+			before := runtime.NumGoroutine()
+			w := newWorker()
+			w.clusterWorkers = workers
+			if got, want := runOne(spec, w).Err, fmt.Sprintf("panic: node %d body", panicking[0]); got != want {
+				t.Errorf("nodes %v, clusterWorkers=%d: Err %q, want %q", panicking, workers, got, want)
+			}
+			// A joined helper has run its last line; let it finish exiting,
+			// on a thread the OS may have descheduled. One that was never
+			// joined parks for good.
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); {
+				runtime.Gosched()
+				n = runtime.NumGoroutine()
+			}
+			if n > before {
+				t.Errorf("nodes %v, clusterWorkers=%d: %d goroutines after the run, %d before", panicking, workers, n, before)
+			}
 		}
 	}
 }
