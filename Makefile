@@ -106,16 +106,19 @@ sweep-smoke:
 	rm -f all-w4.json all-w1.json
 
 # Telemetry smoke (see docs/OBSERVABILITY.md): the telemetry suite,
-# then a seeded scenario run twice — the rdtel/v2 manifests must be
-# byte-identical — and an export that must pass the Chrome trace-event
-# structural validation and byte-match the committed goldens under
-# internal/telemetry/testdata/. -build '' keeps git state out of the
-# comparison. Regenerate the goldens with `make telemetry-golden`
-# after an intentional format change.
+# then the tests of the codec's chunk runner and split reader ten times
+# under the race detector, then a seeded scenario run twice — the
+# rdtel/v2 manifests must be byte-identical — and an export that must
+# pass the Chrome trace-event structural validation and byte-match the
+# committed goldens under internal/telemetry/testdata/. -build '' keeps
+# git state out of the comparison. Regenerate the goldens with `make
+# telemetry-golden` after an intentional format change.
 TELEMETRY_RUN = $(GO) run ./cmd/rdsim -scenario settop -seed 7 -horizon 100ms -build ''
+TELEMETRY_SPLIT_TESTS = ^(TestCodecIndependentOfGOMAXPROCS|TestChunkedWriteErrors|TestChunkedAllocsIndependentOfSpanCount|TestWritersStream|TestSplitReaderTakesWriterOutput)$$
 
 telemetry-smoke:
 	$(GO) test -count=1 ./internal/telemetry/...
+	$(GO) test -race -count=10 -run '$(TELEMETRY_SPLIT_TESTS)' ./internal/telemetry
 	$(TELEMETRY_RUN) -manifest tel-a.json > /dev/null
 	$(TELEMETRY_RUN) -manifest tel-b.json > /dev/null
 	cmp tel-a.json tel-b.json

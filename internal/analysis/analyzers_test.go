@@ -38,7 +38,7 @@ var fixtures = map[*analysis.Analyzer][]string{
 	// deterministic set) is summarized but reports nothing.
 	analysis.DetFlow:       {"repro/internal/sched/dffix", "repro/internal/sched/dffree", "repro/internal/hostinfo"},
 	analysis.SpanPair:      {"repro/internal/telemetry/spfix", "repro/internal/telemetry/spfree"},
-	analysis.SharedCapture: {"repro/internal/sweep/scfix", "repro/internal/sweep/scfree"},
+	analysis.SharedCapture: {"repro/internal/sweep/scfix", "repro/internal/sweep/scfree", "repro/internal/telemetry/scchunk"},
 	analysis.TickUnits:     {"repro/internal/sched/tufix", "repro/internal/rm/tufix", "repro/example/tufree"},
 }
 

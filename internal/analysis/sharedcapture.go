@@ -6,7 +6,7 @@ import (
 )
 
 // SharedCapture polices goroutine-spawned closures in the sweep
-// engine: a closure launched with `go` may not write to variables it
+// engine, the fleet and the telemetry codec: a closure launched with `go` may not write to variables it
 // captures from the enclosing scope. Writes through a disjoint slice
 // or map index (the per-spec out[i] convention) are allowed, as are
 // method calls — mutation through a method is the job of Merge-style
@@ -16,15 +16,16 @@ import (
 // on goroutine scheduling.
 var SharedCapture = &Analyzer{
 	Name: "sharedcapture",
-	Doc:  "forbid goroutine closures writing captured shared state in the sweep engine",
+	Doc:  "forbid goroutine closures writing captured shared state in the sweep engine, fleet and telemetry codec",
 	Run:  runSharedCapture,
 }
 
 // sharedCapturePackages lists the package subtrees where the rule
-// applies: the parallel sweep engine and the fleet cluster's node
-// worker pool, where scheduling-dependent writes silently change
-// aggregated results.
-var sharedCapturePackages = []string{"repro/internal/sweep", "repro/internal/fleet"}
+// applies: the parallel sweep engine, the fleet cluster's node worker
+// pool and the telemetry codec's chunk workers, where
+// scheduling-dependent writes silently change aggregated results or
+// artifact bytes.
+var sharedCapturePackages = []string{"repro/internal/sweep", "repro/internal/fleet", "repro/internal/telemetry"}
 
 func runSharedCapture(pass *Pass) {
 	if !underAny(pass.Pkg.Path(), sharedCapturePackages) {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 )
 
@@ -34,6 +36,13 @@ const (
 	// and WritePerfetto.
 	manifestUnit = "  "
 	perfettoUnit = " "
+
+	// A span list of at least minChunks chunks of spanChunk spans — 2 048
+	// spans — is encoded, and read, in parallel (chunked, read.go's
+	// spanList). A chunk of a fleet's spans comes to 45–60 KiB in either
+	// layout, so it fits one emitBufSize ring slot and one write.
+	spanChunk = 256
+	minChunks = 8
 )
 
 // A member is what opens one object member in the writers' layout —
@@ -77,22 +86,29 @@ var (
 // flushes the buffer to w as it fills. The first write error sticks;
 // later output is discarded and finish reports it.
 type emitter struct {
-	w     io.Writer
-	buf   []byte
-	err   error
-	nl    string // "\n" then emitMaxDepth indent units
-	unit  int    // len of one indent unit
-	depth int
-	first bool // nothing emitted yet inside the innermost open container
+	w       io.Writer
+	buf     []byte
+	flushAt int // sep flushes once buf holds this much
+	err     error
+	nl      string // "\n" then emitMaxDepth indent units
+	unit    int    // len of one indent unit
+	depth   int
+	first   bool // nothing emitted yet inside the innermost open container
+
+	chunk, workers int // chunked's plan (newEmitter)
+	chunks         int // the chunks chunked has encoded
 }
 
-func newEmitter(w io.Writer, unit string) *emitter {
+// newEmitter writes with the indent unit, and with chunked's plan:
+// spans per chunk and the most goroutines to encode on.
+func newEmitter(w io.Writer, unit string, chunk, workers int) *emitter {
 	nl := make([]byte, 0, 1+emitMaxDepth*len(unit))
 	nl = append(nl, '\n')
 	for i := 0; i < emitMaxDepth; i++ {
 		nl = append(nl, unit...)
 	}
-	return &emitter{w: w, buf: make([]byte, 0, emitBufSize), nl: string(nl), unit: len(unit)}
+	return &emitter{w: w, buf: make([]byte, 0, emitBufSize), flushAt: emitBufSize - emitSlack,
+		nl: string(nl), unit: len(unit), chunk: chunk, workers: workers}
 }
 
 func (e *emitter) flush() {
@@ -130,7 +146,7 @@ func (e *emitter) close(c byte) {
 // sep starts the next element or member of the innermost container:
 // a flush when the buffer is nearly full, then the separating comma.
 func (e *emitter) sep() {
-	if len(e.buf) >= emitBufSize-emitSlack {
+	if len(e.buf) >= e.flushAt {
 		e.flush()
 	}
 	if !e.first {
@@ -389,24 +405,30 @@ func (e *emitter) spans(spans []Span) {
 	}
 	e.key(kSpans)
 	e.open('[')
-	for i := range spans {
-		sp := &spans[i]
-		e.elem()
-		e.open('{')
-		e.intField(kID, int64(sp.ID))
-		e.optInt(kParent, int64(sp.Parent))
-		e.strField(kCat, sp.Cat)
-		e.strField(kName, sp.Name)
-		e.intField(kTask, sp.Task)
-		e.intField(kBegin, int64(sp.Begin))
-		e.intField(kEnd, int64(sp.End))
-		e.optStr(kDetail, sp.Detail)
-		e.optInt(kNode, int64(sp.Node))
-		e.optInt(kLink, int64(sp.Link))
-		e.optInt(kLinkNode, int64(sp.LinkNode))
-		e.close('}')
+	if !e.chunked(spans, (*emitter).span) {
+		for i := range spans {
+			e.span(&spans[i])
+		}
 	}
 	e.close(']')
+}
+
+// span writes one element of a "spans" list.
+func (e *emitter) span(sp *Span) {
+	e.elem()
+	e.open('{')
+	e.intField(kID, int64(sp.ID))
+	e.optInt(kParent, int64(sp.Parent))
+	e.strField(kCat, sp.Cat)
+	e.strField(kName, sp.Name)
+	e.intField(kTask, sp.Task)
+	e.intField(kBegin, int64(sp.Begin))
+	e.intField(kEnd, int64(sp.End))
+	e.optStr(kDetail, sp.Detail)
+	e.optInt(kNode, int64(sp.Node))
+	e.optInt(kLink, int64(sp.Link))
+	e.optInt(kLinkNode, int64(sp.LinkNode))
+	e.close('}')
 }
 
 // events writes the omitempty "events" member of a manifest or dump.
@@ -440,4 +462,100 @@ func (e *emitter) flightDump(d *FlightDump) {
 	e.spans(d.Spans)
 	e.events(d.Events)
 	e.close('}')
+}
+
+// --- the chunk runner ---
+
+// chunkSlot is one buffer of chunked's ring: an emitter that never
+// flushes, and a signal that the chunk claimed into it is encoded.
+type chunkSlot struct {
+	e     emitter
+	ready chan struct{}
+}
+
+// chunked writes body's output for each span, when the list holds
+// minChunks chunks of e.chunk spans and the emitter has two or more
+// workers, and reports whether it did; the caller's own loop writes a
+// shorter list. The chunks are claimed in order by W = min(workers,
+// chunks) goroutines, the caller one of them, and each is encoded into
+// one of a ring of 2×W reused buffers; the caller writes the buffers in
+// chunk order, in writes of at most emitBufSize, and encodes while the
+// next one is not ready. A chunk's bytes depend only on its spans and
+// the list's indent, so the output is the plain loop's; the scheduling
+// decides only which goroutine encodes which chunk.
+func (e *emitter) chunked(spans []Span, body func(*emitter, *Span)) bool {
+	if e.workers < 2 || len(spans) < minChunks*e.chunk {
+		return false
+	}
+	size, depth, first := e.chunk, e.depth, e.first
+	c := (len(spans) + size - 1) / size
+	w := min(e.workers, c)
+	slots := make([]chunkSlot, 2*w)
+	for i := range slots {
+		slots[i] = chunkSlot{emitter{buf: make([]byte, 0, emitBufSize), flushAt: math.MaxInt, nl: e.nl, unit: e.unit}, make(chan struct{}, 1)}
+	}
+	var next, written atomic.Int64 // the next chunk to claim; chunks written
+	wake := make(chan struct{}, 1) // a helper waits here for a free slot
+	// claim takes the next chunk, if any, once its slot's previous chunk
+	// is written: a slot holds one chunk at a time, which its signal names.
+	claim := func() int {
+		for j := next.Load(); j < int64(c) && j < written.Load()+int64(len(slots)); j = next.Load() {
+			if next.CompareAndSwap(j, j+1) {
+				return int(j)
+			}
+		}
+		return -1
+	}
+	encode := func(j int) {
+		s := &slots[j%len(slots)]
+		s.e.buf, s.e.depth, s.e.first = s.e.buf[:0], depth, j == 0 && first
+		for i := j * size; i < min((j+1)*size, len(spans)); i++ {
+			body(&s.e, &spans[i])
+		}
+		s.ready <- struct{}{}
+	}
+	var helpers sync.WaitGroup
+	helpers.Add(w - 1)
+	for k := 1; k < w; k++ {
+		go func() {
+			defer helpers.Done()
+			for next.Load() < int64(c) {
+				if j := claim(); j >= 0 {
+					encode(j)
+				} else {
+					<-wake
+				}
+			}
+		}()
+	}
+	e.flush() // what precedes the list goes first
+	for n := 0; n < c && e.err == nil; n++ {
+		s := &slots[n%len(slots)]
+		for { // encode while chunk n is not ready
+			select {
+			case <-s.ready:
+			default:
+				if j := claim(); j >= 0 {
+					encode(j)
+					continue
+				}
+				<-s.ready
+			}
+			break
+		}
+		for b := s.e.buf; len(b) > 0 && e.err == nil; b = b[min(len(b), emitBufSize):] {
+			_, e.err = e.w.Write(b[:min(len(b), emitBufSize)])
+		}
+		written.Store(int64(n + 1))
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}
+	next.Store(int64(c)) // after a write error, chunks in hand finish unwritten
+	close(wake)
+	helpers.Wait()
+	e.first = false
+	e.chunks += c
+	return true
 }

@@ -8,10 +8,12 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ticks"
 )
@@ -190,6 +192,72 @@ func checkWritersMatchRef(t *testing.T, m *Manifest) {
 	checkWritePerfettoMatchesRef(t, m)
 }
 
+// checkChunkedMatchesRef holds a writer's chunk runner to its reference
+// encoder: in chunks of 1, 2 and 3 spans on 2, 3 and 4 workers, write
+// must split m's span list and write ref's bytes. m needs at least
+// 3×minChunks spans.
+func checkChunkedMatchesRef(t *testing.T, name string, write func(w io.Writer, chunk, workers int) (int, error), ref func(io.Writer) error) {
+	t.Helper()
+	var want bytes.Buffer
+	if err := ref(&want); err != nil {
+		t.Fatal(err)
+	}
+	for chunk := 1; chunk <= 3; chunk++ {
+		for workers := 2; workers <= 4; workers++ {
+			var got bytes.Buffer
+			chunks, err := write(&got, chunk, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chunks == 0 {
+				t.Fatalf("%s in chunks of %d on %d workers: the runner did not split the span list", name, chunk, workers)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("%s in chunks of %d on %d workers differs from encoding/json at byte %d:\n got: %s\nwant: %s", name, chunk, workers,
+					firstDiff(got.Bytes(), want.Bytes()), around(got.Bytes(), want.Bytes()), around(want.Bytes(), got.Bytes()))
+			}
+		}
+	}
+}
+
+func checkChunkedWriteJSONMatchesRef(t *testing.T, m *Manifest) {
+	t.Helper()
+	checkChunkedMatchesRef(t, "WriteJSON", m.writeJSON, func(w io.Writer) error { return writeJSONRef(w, m) })
+}
+
+func checkChunkedWritePerfettoMatchesRef(t *testing.T, m *Manifest) {
+	t.Helper()
+	checkChunkedMatchesRef(t, "WritePerfetto",
+		func(w io.Writer, chunk, workers int) (int, error) { return writePerfetto(w, m, chunk, workers) },
+		func(w io.Writer) error { return writePerfettoRef(w, m) })
+}
+
+// writeJSON and writePerfetto are WriteJSON and WritePerfetto with
+// chunked's plan as parameters, also returning how many chunks the span
+// list was cut into (0: the plain loop wrote it).
+func (m *Manifest) writeJSON(w io.Writer, chunk, workers int) (int, error) {
+	e := newEmitter(w, manifestUnit, chunk, workers)
+	e.manifest(m)
+	return e.chunks, e.finish()
+}
+
+func writePerfetto(w io.Writer, m *Manifest, chunk, workers int) (int, error) {
+	e := newEmitter(w, perfettoUnit, chunk, workers)
+	err := e.perfetto(m)
+	return e.chunks, err
+}
+
+// repeatSpans is m with its span list repeated k times, long enough to
+// cut into chunks of a few spans. Neither writer minds repeated IDs.
+func repeatSpans(m *Manifest, k int) *Manifest {
+	c := *m
+	c.Spans = nil
+	for i := 0; i < k; i++ {
+		c.Spans = append(c.Spans, m.Spans...)
+	}
+	return &c
+}
+
 func firstDiff(a, b []byte) int {
 	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
@@ -263,6 +331,12 @@ func TestWritersMatchRef(t *testing.T) {
 	for i, s := range hostileStrings {
 		t.Run(fmt.Sprintf("edge%d", i), func(t *testing.T) { checkWritersMatchRef(t, edgeManifest(s)) })
 	}
+	t.Run("chunked", func(t *testing.T) {
+		for _, m := range []*Manifest{syntheticCluster(300, 3), repeatSpans(edgeManifest(hostileStrings[2]), 3), repeatSpans(edgeManifest(hostileStrings[6]), 3)} {
+			checkChunkedWriteJSONMatchesRef(t, m)
+			checkChunkedWritePerfettoMatchesRef(t, m)
+		}
+	})
 	t.Run("unsortedIDs", func(t *testing.T) {
 		// Not a manifest ReadManifest would return, but WritePerfetto
 		// takes any: duplicate and descending IDs, last one wins.
@@ -316,7 +390,7 @@ func TestEmitterFloatMatchesEncodingJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		e := newEmitter(&got, " ")
+		e := newEmitter(&got, " ", spanChunk, 1)
 		e.float(f)
 		e.flush()
 		if got.String() != string(want) {
@@ -344,7 +418,7 @@ func TestEmitterFloatIsShortestF(t *testing.T) {
 		quotients = append(quotients, usec(tk), usec(tk-tk%ticks.PerMicrosecond), -usec(tk))
 	}
 	var got bytes.Buffer
-	e := newEmitter(&got, " ")
+	e := newEmitter(&got, " ", spanChunk, 1)
 	for _, f := range quotients {
 		want := strconv.AppendFloat(nil, f, 'f', -1, 64)
 		if math.Abs(f) >= 1e21 {
@@ -388,29 +462,101 @@ type chunkSizes []int
 
 func (c *chunkSizes) Write(p []byte) (int, error) { *c = append(*c, len(p)); return len(p), nil }
 
+// TestWritersStream: both writers flush as they go, in writes of at
+// most emitBufSize bytes — on the serial path, and at GOMAXPROCS 2 on
+// a 50 000-span cluster, whose span list the chunk runner writes.
 func TestWritersStream(t *testing.T) {
-	m := syntheticCluster(5000, 3)
-	for name, write := range map[string]func(io.Writer) error{
-		"WriteJSON":     m.WriteJSON,
-		"WritePerfetto": func(w io.Writer) error { return WritePerfetto(w, m) },
-	} {
-		var sizes chunkSizes
-		if err := write(&sizes); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct{ spans, procs int }{{5000, 1}, {50000, 2}} {
+		m := syntheticCluster(c.spans, 3)
+		setProcs(t, c.procs)
+		for name, write := range writersAtProcs(m) {
+			var sizes chunkSizes
+			chunks, err := write(&sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (chunks > 0) != (c.procs > 1) {
+				t.Errorf("%s of %d spans at GOMAXPROCS %d encoded %d chunks in parallel", name, len(m.Spans), c.procs, chunks)
+			}
+			if len(sizes) < 4 {
+				t.Errorf("%s made %d writes for a multi-buffer document; it should flush as it goes", name, len(sizes))
+			}
+			for _, n := range sizes {
+				if n > emitBufSize {
+					t.Errorf("%s wrote a %d-byte chunk, over the %d-byte buffer", name, n, emitBufSize)
+				}
+			}
 		}
-		if len(sizes) < 4 {
-			t.Errorf("%s made %d writes for a multi-buffer document; it should flush as it goes", name, len(sizes))
-		}
-		for _, n := range sizes {
-			if n > emitBufSize {
-				t.Errorf("%s wrote a %d-byte chunk, over the %d-byte buffer", name, n, emitBufSize)
+	}
+}
+
+// setProcs sets GOMAXPROCS for the rest of the test.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// writersAtProcs is both writers as WriteJSON and WritePerfetto call
+// them, returning how many chunks they encoded in parallel.
+func writersAtProcs(m *Manifest) map[string]func(io.Writer) (int, error) {
+	return map[string]func(io.Writer) (int, error){
+		"WriteJSON":     func(w io.Writer) (int, error) { return m.writeJSON(w, spanChunk, runtime.GOMAXPROCS(0)) },
+		"WritePerfetto": func(w io.Writer) (int, error) { return writePerfetto(w, m, spanChunk, runtime.GOMAXPROCS(0)) },
+	}
+}
+
+// failLater fails the write that would take it past n bytes, and
+// counts the writes made after that.
+type failLater struct {
+	n, after int
+	failed   bool
+}
+
+func (f *failLater) Write(p []byte) (int, error) {
+	switch {
+	case f.failed:
+		f.after++
+		return 0, errors.New("write after a failed write")
+	case f.n < len(p):
+		f.failed = true
+		return 0, errSink
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestChunkedWriteErrors: when the sink fails while the chunk runner
+// is writing, a writer returns that first error, makes no write after
+// it, and leaves no chunk goroutine behind — failing before the list,
+// in its first chunks and deep in it.
+func TestChunkedWriteErrors(t *testing.T) {
+	setProcs(t, 2)
+	m := syntheticCluster(20000, 3)
+	for _, limit := range []int{0, emitBufSize / 2, 3 * emitBufSize, 40 * emitBufSize} {
+		for name, write := range writersAtProcs(m) {
+			before := runtime.NumGoroutine()
+			f := &failLater{n: limit}
+			chunks, err := write(f)
+			if !errors.Is(err, errSink) || f.after != 0 || chunks == 0 {
+				t.Errorf("%s failing after %d bytes: err %v, %d writes after it, %d chunks in parallel", name, limit, err, f.after, chunks)
+			}
+			// A joined helper has run its last line; let it finish exiting.
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); {
+				runtime.Gosched()
+				n = runtime.NumGoroutine()
+			}
+			if n > before {
+				t.Errorf("%s failing after %d bytes: %d goroutines after the write, %d before", name, limit, n, before)
 			}
 		}
 	}
 }
 
 // The emitter's allocations are its own set-up (plus, for the export,
-// the sorted task copy): none per span.
+// the sorted task copy): none per span. testing.AllocsPerRun runs at
+// GOMAXPROCS 1, so these two see only the serial path;
+// TestChunkedAllocsIndependentOfSpanCount covers the chunk runner.
 
 func TestWriteJSONAllocsIndependentOfSpanCount(t *testing.T) {
 	small, large := syntheticCluster(1000, 4), syntheticCluster(50000, 4)
@@ -437,6 +583,81 @@ func TestWritePerfettoAllocsIndependentOfSpanCount(t *testing.T) {
 	}
 	if a, b := count(small), count(large); a != b {
 		t.Errorf("WritePerfetto allocates %v times at %d spans, %v at %d", a, len(small.Spans), b, len(large.Spans))
+	}
+}
+
+// mallocs is the fewest heap allocations over twenty calls of f,
+// counted with runtime.MemStats at the current GOMAXPROCS. The fewest,
+// because a call may also pay for a goroutine descriptor the runtime
+// had no free one of, or (under -race) for the detector's own records.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	return least
+}
+
+// TestChunkedAllocsIndependentOfSpanCount is the two tests above at
+// GOMAXPROCS 2, where the chunk runner encodes the span lists: its
+// ring, channels and helper are a fixed set, none per span or chunk.
+// Both lists are cut into chunks of 1 000/minChunks spans, so the
+// 1 000-span one splits too.
+func TestChunkedAllocsIndependentOfSpanCount(t *testing.T) {
+	setProcs(t, 2)
+	small, large := syntheticCluster(1000, 4), syntheticCluster(50000, 4)
+	chunk := len(small.Spans) / minChunks
+	for name, write := range map[string]func(*Manifest) (int, error){
+		"WriteJSON":     func(m *Manifest) (int, error) { return m.writeJSON(io.Discard, chunk, 2) },
+		"WritePerfetto": func(m *Manifest) (int, error) { return writePerfetto(io.Discard, m, chunk, 2) },
+	} {
+		count := func(m *Manifest) uint64 {
+			if chunks, err := write(m); err != nil || chunks == 0 {
+				t.Fatalf("%s of %d spans: %d chunks in parallel, err %v", name, len(m.Spans), chunks, err)
+			}
+			return mallocs(func() { _, _ = write(m) })
+		}
+		if a, b := count(small), count(large); a != b {
+			t.Errorf("%s at GOMAXPROCS 2 allocates %d times at %d spans, %d at %d", name, a, len(small.Spans), b, len(large.Spans))
+		}
+	}
+}
+
+// TestSplitPathsIdleBelowThreshold: on a span list under the threshold,
+// the settop golden's, a plan of two workers or parts splits nothing
+// and allocates what a plan of one does.
+func TestSplitPathsIdleBelowThreshold(t *testing.T) {
+	doc, err := os.ReadFile("testdata/settop-smoke.manifest.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := new(Manifest)
+	if _, ok := readCanonical(doc, m, 1, 0); !ok || len(m.Spans) == 0 || len(m.Spans) >= minChunks*spanChunk {
+		t.Fatalf("the golden's %d spans are not a list under the threshold", len(m.Spans))
+	}
+	for name, run := range map[string]func(n int) (int, error){
+		"WriteJSON":     func(n int) (int, error) { return m.writeJSON(io.Discard, spanChunk, n) },
+		"WritePerfetto": func(n int) (int, error) { return writePerfetto(io.Discard, m, spanChunk, n) },
+		"ReadManifest": func(n int) (int, error) {
+			split, _ := readCanonical(doc, new(Manifest), n, minChunks*spanChunk)
+			return split, nil
+		},
+	} {
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if split, err := run(n); split != 0 || err != nil {
+					t.Fatalf("%s with a plan of %d: split in %d, err %v", name, n, split, err)
+				}
+			})
+		}
+		if one, two := allocs(1), allocs(2); one != two {
+			t.Errorf("%s allocates %v times with a plan of one, %v with two", name, one, two)
+		}
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // FuzzReadManifest feeds arbitrary bytes through the manifest reader.
 // The single-pass fast path and the reference encoding/json decode must
 // agree on every input — accept or reject, error text, and
-// reflect.DeepEqual on the value — and anything accepted must validate,
+// reflect.DeepEqual on the value — as must the split reader at 2–4
+// parts and the one-part reader (checkReadersAgree holds both), and
+// anything accepted must validate,
 // re-serialize, and read back to an equivalent document: the round-trip
 // contract rdtrace stitch and the smoke gates depend on.
 func FuzzReadManifest(f *testing.F) {
@@ -24,6 +26,11 @@ func FuzzReadManifest(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed.String())
+	var cluster strings.Builder
+	if err := syntheticCluster(40, 2).WriteJSON(&cluster); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cluster.String()) // enough spans to split in four
 	f.Add(`{"schema":"rdtel/v2","seed":1}`)
 	f.Add(`{"schema":"rdtel/v1","seed":1}`) // the retired schema: rejected, not panicked on
 	f.Add(`{"schema":"rdtel/v2","seed":1,"node_count":2,"spans":[` +
@@ -126,11 +133,15 @@ func addWriterSeeds(f *testing.F) {
 }
 
 // FuzzWriteJSONMatchesRef: the streaming emitter writes the bytes
-// encoding/json writes, whatever the strings and integers.
+// encoding/json writes, whatever the strings and integers — in one
+// pass, and through the chunk runner with its four spans repeated six
+// times, in chunks of 1–3 spans on 2–4 workers.
 func FuzzWriteJSONMatchesRef(f *testing.F) {
 	addWriterSeeds(f)
 	f.Fuzz(func(t *testing.T, cat, name, detail, task string, id, parent, node, link int32, taskID, begin, end int64, seed uint64) {
-		checkWriteJSONMatchesRef(t, fuzzedManifest(cat, name, detail, task, id, parent, node, link, taskID, begin, end, seed))
+		m := fuzzedManifest(cat, name, detail, task, id, parent, node, link, taskID, begin, end, seed)
+		checkWriteJSONMatchesRef(t, m)
+		checkChunkedWriteJSONMatchesRef(t, repeatSpans(m, 6))
 	})
 }
 
@@ -138,7 +149,9 @@ func FuzzWriteJSONMatchesRef(f *testing.F) {
 func FuzzWritePerfettoMatchesRef(f *testing.F) {
 	addWriterSeeds(f)
 	f.Fuzz(func(t *testing.T, cat, name, detail, task string, id, parent, node, link int32, taskID, begin, end int64, seed uint64) {
-		checkWritePerfettoMatchesRef(t, fuzzedManifest(cat, name, detail, task, id, parent, node, link, taskID, begin, end, seed))
+		m := fuzzedManifest(cat, name, detail, task, id, parent, node, link, taskID, begin, end, seed)
+		checkWritePerfettoMatchesRef(t, m)
+		checkChunkedWritePerfettoMatchesRef(t, repeatSpans(m, 6))
 	})
 }
 

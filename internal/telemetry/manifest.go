@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 
 	"repro/internal/ticks"
 )
@@ -97,16 +98,18 @@ func (m *Manifest) DeriveTotals() {
 // record or name-sorted order; nothing consults maps at encode time.
 // The manifest is walked once and streamed to w through the emitter's
 // buffer (emit.go) — byte-for-byte what json.Encoder with
-// SetIndent("", "  ") writes, without the reflection.
+// SetIndent("", "  ") writes, without the reflection. A long span list
+// is encoded in chunks on up to GOMAXPROCS goroutines.
 func (m *Manifest) WriteJSON(w io.Writer) error {
-	e := newEmitter(w, manifestUnit)
+	e := newEmitter(w, manifestUnit, spanChunk, runtime.GOMAXPROCS(0))
 	e.manifest(m)
 	return e.finish()
 }
 
 // ReadManifest decodes and structurally validates a manifest. Documents
 // shaped the way WriteJSON shapes them take the single-pass reader in
-// read.go; anything else is decoded by encoding/json from the same
+// read.go, which reads a long span list in parts on up to GOMAXPROCS
+// goroutines; anything else is decoded by encoding/json from the same
 // bytes, so what is accepted, and as what value, does not depend on
 // which path ran.
 func ReadManifest(r io.Reader) (*Manifest, error) {
@@ -115,7 +118,7 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("telemetry: manifest: %v", err)
 	}
 	m := new(Manifest)
-	if !readCanonical(data, m) {
+	if _, ok := readCanonical(data, m, runtime.GOMAXPROCS(0), minChunks*spanChunk); !ok {
 		m = new(Manifest)
 		if err := json.NewDecoder(bytes.NewReader(data)).Decode(m); err != nil {
 			return nil, fmt.Errorf("telemetry: manifest: %v", err)

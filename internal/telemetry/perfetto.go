@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strconv"
 
@@ -157,15 +158,44 @@ func (e *emitter) spanArgs(sp *Span) {
 	e.close('}')
 }
 
+// spanEvent writes a span's trace event, or for a period window its
+// async begin and end pair.
+func (e *emitter) spanEvent(sp *Span) {
+	ev := event{name: sp.Name, cat: sp.Cat, ts: usec(sp.Begin), pid: pidOf(sp.Node), tid: tidOf(sp.Task)}
+	switch {
+	case sp.Begin == sp.End:
+		ev.ph, ev.s = "i", instantScope
+	case sp.Cat == "period":
+		// Grant/period windows overlap their own dispatch slices, so
+		// they render as async slices rather than stacked X events.
+		ev.ph, ev.id = "b", int64(sp.ID)
+	default:
+		ev.ph, ev.dur = "X", usec(sp.End-sp.Begin)
+	}
+	e.beginEvent(ev)
+	e.spanArgs(sp)
+	e.close('}')
+	if ev.ph == "b" {
+		ev.ph, ev.ts = "e", usec(sp.End)
+		e.beginEvent(ev)
+		e.close('}')
+	}
+}
+
 // WritePerfetto renders a manifest as Chrome trace-event JSON. Event
 // order is deterministic: metadata (processes, then threads by pid and
 // tid), spans in record order, flow pairs in successor-span order,
 // counters by name. Each event is written as it is derived, through
 // the streaming emitter WriteJSON uses (emit.go); the bytes are what
 // json.Encoder with SetIndent("", " ") writes for the same events as a
-// []traceEvent (writePerfettoRef in the tests).
+// []traceEvent (writePerfettoRef in the tests). The span events are
+// encoded in chunks as WriteJSON's spans are.
 func WritePerfetto(w io.Writer, m *Manifest) error {
-	e := newEmitter(w, perfettoUnit)
+	return newEmitter(w, perfettoUnit, spanChunk, runtime.GOMAXPROCS(0)).perfetto(m)
+}
+
+// perfetto is WritePerfetto on a given emitter.
+func (e *emitter) perfetto(m *Manifest) error {
 	e.open('{')
 	e.key(pTraceEvents)
 	e.open('[')
@@ -202,34 +232,18 @@ func WritePerfetto(w io.Writer, m *Manifest) error {
 		e.endMeta()
 	}
 
+	if !e.chunked(m.Spans, (*emitter).spanEvent) {
+		for i := range m.Spans {
+			e.spanEvent(&m.Spans[i])
+		}
+	}
+
 	// sorted: span IDs strictly increase, as ValidateManifest demands of
 	// anything ReadManifest returns; flow targets are then found by
 	// binary search.
 	sorted := true
-	for i := range m.Spans {
-		sp := &m.Spans[i]
-		if i > 0 && sp.ID <= m.Spans[i-1].ID {
-			sorted = false
-		}
-		ev := event{name: sp.Name, cat: sp.Cat, ts: usec(sp.Begin), pid: pidOf(sp.Node), tid: tidOf(sp.Task)}
-		switch {
-		case sp.Begin == sp.End:
-			ev.ph, ev.s = "i", instantScope
-		case sp.Cat == "period":
-			// Grant/period windows overlap their own dispatch slices, so
-			// they render as async slices rather than stacked X events.
-			ev.ph, ev.id = "b", int64(sp.ID)
-		default:
-			ev.ph, ev.dur = "X", usec(sp.End-sp.Begin)
-		}
-		e.beginEvent(ev)
-		e.spanArgs(sp)
-		e.close('}')
-		if ev.ph == "b" {
-			ev.ph, ev.ts = "e", usec(sp.End)
-			e.beginEvent(ev)
-			e.close('}')
-		}
+	for i := 1; i < len(m.Spans) && sorted; i++ {
+		sorted = m.Spans[i].ID > m.Spans[i-1].ID
 	}
 
 	// Flow pairs for resolved causal links (stitched manifests: Link is

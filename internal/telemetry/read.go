@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"repro/internal/ticks"
@@ -56,15 +57,22 @@ type reader struct {
 	pos     int
 	bad     bool
 	intern  map[string]string
-	scratch []byte // unescape buffer, reused
+	shared  *sharedIntern // where a split read's parts take new strings
+	scratch []byte        // unescape buffer, reused
+
+	// parts and minSpans are spanList's plan: the most parts to read
+	// the spans in (1: never split), and the fewest '{' bytes a list
+	// needs to be split. split counts the parts it read.
+	parts, minSpans, split int
 }
 
 // readCanonical decodes data into m, or reports false having possibly
-// written part of m — the caller starts over with encoding/json.
-func readCanonical(data []byte, m *Manifest) bool {
-	r := reader{data: data, intern: make(map[string]string, 64)}
+// written part of m — the caller starts over with encoding/json. It
+// also returns how many parts the span list was read in (0: one pass).
+func readCanonical(data []byte, m *Manifest, parts, minSpans int) (int, bool) {
+	r := reader{data: data, intern: make(map[string]string, 64), parts: parts, minSpans: minSpans}
 	r.manifest(m)
-	return !r.bad && r.pos == len(r.data)
+	return r.split, !r.bad && r.pos == len(r.data)
 }
 
 // lit consumes s if the input continues with it.
@@ -148,8 +156,32 @@ func (r *reader) str() string {
 	}
 	s, ok := r.intern[string(b)]
 	if !ok {
-		s = string(b)
+		s = r.shared.get(b)
 		r.intern[s] = s
+	}
+	return s
+}
+
+// sharedIntern is the map the parts of a split read take a string from
+// when their own map has none, so that they hold one copy between them
+// as one pass does.
+type sharedIntern struct {
+	mu sync.Mutex
+	m  map[string]string
+}
+
+// get returns b as a string: t's copy, made if there is none yet; a
+// new one when there is no t.
+func (t *sharedIntern) get(b []byte) string {
+	if t == nil {
+		return string(b)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s, ok := t.m[string(b)]
+	if !ok {
+		s = string(b)
+		t.m[s] = s
 	}
 	return s
 }
@@ -330,7 +362,7 @@ func (r *reader) manifest(m *Manifest) {
 	r.need(kMetrics[d])
 	r.viaJSON('{', &m.Metrics)
 	if r.next(kSpans[d]) {
-		m.Spans = list(r, (*reader).span)
+		m.Spans = r.spanList()
 	}
 	if r.next(kEvents[d]) {
 		m.Events = list(r, (*reader).event)
@@ -351,7 +383,14 @@ func list[T any](r *reader, elem func(*reader, *T)) []T {
 	// the input bound the count, and in a cluster log nearly all of them
 	// are spans. Growing instead copies tens of thousands of 96-byte
 	// spans per step.
-	out := make([]T, 0, bytes.Count(r.data[r.pos:], []byte{'{'}))
+	out := elems(r, make([]T, 0, bytes.Count(r.data[r.pos:], []byte{'{'})), elem)
+	r.expect(listClose)
+	return out
+}
+
+// elems appends the elements of a list read by elem to out, up to the
+// first one no comma follows.
+func elems[T any](r *reader, out []T, elem func(*reader, *T)) []T {
 	for !r.bad {
 		var zero T
 		out = append(out, zero)
@@ -362,7 +401,6 @@ func list[T any](r *reader, elem func(*reader, *T)) []T {
 			break
 		}
 	}
-	r.expect(listClose)
 	return out
 }
 
@@ -406,6 +444,112 @@ func (r *reader) event(ev *LogEvent) {
 	if r.next(kDetail[d]) {
 		ev.Detail = r.str()
 	}
+}
+
+// elemBoundary precedes the '{' of every span but the first. A raw
+// line break is never inside a string the fast path takes, so in the
+// span list these bytes can only be layout.
+var elemBoundary = []byte("," + elemOpen[:len(elemOpen)-1])
+
+// spanList is list for the spans, split when the plan has two or more
+// parts and the list holds minSpans '{'. The list is cut at the commas
+// before up to parts−1 element boundaries, evenly by bytes; each part
+// reads with elems and a cursor of its own, which must end at the
+// part's end, into a window of one slice as long as its part's '{'
+// count. A '{' inside a string leaves a window short, and the windows
+// are then moved together. If a part refuses, the reader refuses.
+func (r *reader) spanList() []Span {
+	cuts, offs := r.cutSpans()
+	if cuts == nil {
+		return list(r, (*reader).span)
+	}
+	parts := len(cuts) - 1
+	out, got := make([]Span, offs[parts]), make([]int, parts)
+	shared := &sharedIntern{m: r.intern}
+	part := func(k int) int { // the spans read, or -1
+		p := reader{data: r.data[:cuts[k+1]], pos: cuts[k] + 1, intern: make(map[string]string, 64), shared: shared}
+		if n := len(elems(&p, out[offs[k]:offs[k]:offs[k+1]], (*reader).span)); !p.bad && p.pos == cuts[k+1] {
+			return n
+		}
+		return -1
+	}
+	var wg sync.WaitGroup
+	wg.Add(parts - 1)
+	for k := 1; k < parts; k++ {
+		go func() {
+			defer wg.Done()
+			got[k] = part(k)
+		}()
+	}
+	got[0] = part(0)
+	wg.Wait()
+	n := 0
+	for k, g := range got {
+		if g < 0 {
+			r.bad = true
+			return nil
+		}
+		if n != offs[k] {
+			copy(out[n:], out[offs[k]:offs[k]+g])
+		}
+		n += g
+	}
+	r.split, r.pos = parts, cuts[parts]
+	r.expect(listClose)
+	return out[:n]
+}
+
+// cutSpans plans spanList's parts: cuts from the list's '[' through its
+// commas to its closing line, and offs, the running '{' counts. It
+// returns nil for a list to read in one pass.
+func (r *reader) cutSpans() (cuts, offs []int) {
+	d, start := r.data, r.pos
+	if r.parts < 2 || start >= len(d) || d[start] != '[' {
+		return nil, nil
+	}
+	// The list ends at the first ']' that follows a line break and one
+	// indent: a span holds no array, and a string no raw line break.
+	end := start + 1
+	for !bytes.HasSuffix(d[:end], []byte(listClose)) {
+		i := bytes.IndexByte(d[end:], ']')
+		if i < 0 {
+			return nil, nil
+		}
+		end += i + 1
+	}
+	end -= len(listClose)
+	// Enough '{' to split? Counted a block at a time, so a long list
+	// costs a few blocks and a short one allocates nothing.
+	n := 0
+	for i := start; i < end && n < r.minSpans; i += emitBufSize {
+		n += bytes.Count(d[i:min(i+emitBufSize, end)], []byte{'{'})
+	}
+	if n < r.minSpans {
+		return nil, nil
+	}
+	cuts = append(make([]int, 0, r.parts+1), start)
+	for k := 1; k < r.parts; k++ {
+		at := max(start+k*(end-start)/r.parts, cuts[len(cuts)-1]+len(elemBoundary)+1)
+		for at < end && (d[at] != '{' || !bytes.HasSuffix(d[:at], elemBoundary)) {
+			if i := bytes.IndexByte(d[at+1:end], '{'); i >= 0 {
+				at += i + 1
+			} else {
+				at = end
+			}
+		}
+		if at < end {
+			cuts = append(cuts, at-len(elemBoundary))
+		}
+	}
+	cuts = append(cuts, end)
+	offs = make([]int, len(cuts))
+	for k := 1; k < len(cuts); k++ {
+		offs[k] = offs[k-1] + bytes.Count(d[cuts[k-1]:cuts[k]], []byte{'{'})
+	}
+	if len(cuts) < 3 {
+		return nil, nil
+	}
+	return cuts, offs
 }
 
 // ValidatePerfetto's fast path reads exactly what WritePerfetto writes,

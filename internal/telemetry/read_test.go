@@ -34,7 +34,7 @@ func readManifestRef(doc string) (*Manifest, error) {
 func checkReadersAgree(t *testing.T, doc string) (fast bool) {
 	t.Helper()
 	got := new(Manifest)
-	if fast = readCanonical([]byte(doc), got); fast {
+	if _, fast = readCanonical([]byte(doc), got, 1, 0); fast {
 		want := new(Manifest)
 		if err := json.NewDecoder(strings.NewReader(doc)).Decode(want); err != nil {
 			t.Fatalf("fast path accepted what encoding/json rejects (%v): %q", err, doc)
@@ -51,7 +51,55 @@ func checkReadersAgree(t *testing.T, doc string) (fast bool) {
 	if !reflect.DeepEqual(m, ref) {
 		t.Fatalf("ReadManifest returned\n %+v\nreference\n %+v\nfrom %q", m, ref, doc)
 	}
+	checkSplitReaderAgrees(t, doc, got, fast)
 	return fast
+}
+
+// checkSplitReaderAgrees holds the split reader to the one-part reader
+// on one document, whose one-part result was one, ok: at 2, 3 and 4
+// parts, with any list of two or more spans split, it must decode the
+// same value, or refuse too. It returns the most parts a read split
+// the span list into.
+func checkSplitReaderAgrees(t *testing.T, doc string, one *Manifest, ok bool) (split int) {
+	t.Helper()
+	for parts := 2; parts <= 4; parts++ {
+		m := new(Manifest)
+		n, splitOK := readCanonical([]byte(doc), m, parts, 1)
+		if splitOK != ok {
+			t.Fatalf("read in %d parts (split %d), the fast path took it = %v; in one, %v: %q", parts, n, splitOK, ok, doc)
+		}
+		if ok && !reflect.DeepEqual(m, one) {
+			t.Fatalf("read in %d parts (split %d):\n %+v\nin one:\n %+v\nfrom %q", parts, n, m, one, doc)
+		}
+		split = max(split, n)
+	}
+	return split
+}
+
+// TestSplitReaderTakesWriterOutput: the split reader really splits
+// writer output — a stitched cluster, a list whose strings hold '{'
+// and elemBoundary's bytes escaped, so its windows are compacted — and
+// decodes what one pass does.
+func TestSplitReaderTakesWriterOutput(t *testing.T) {
+	braces := syntheticCluster(300, 2)
+	for i := range braces.Spans {
+		if i%7 == 0 {
+			braces.Spans[i].Detail = "{\",\n    {" + braces.Spans[i].Detail
+		}
+	}
+	for name, m := range map[string]*Manifest{"cluster": syntheticCluster(2000, 5), "braces": braces} {
+		var doc bytes.Buffer
+		if err := m.WriteJSON(&doc); err != nil {
+			t.Fatal(err)
+		}
+		one := new(Manifest)
+		if _, ok := readCanonical(doc.Bytes(), one, 1, 0); !ok {
+			t.Fatalf("%s: the fast path deferred", name)
+		}
+		if split := checkSplitReaderAgrees(t, doc.String(), one, true); split != 4 {
+			t.Errorf("%s: read in at most %d parts, want 4", name, split)
+		}
+	}
 }
 
 // TestReadCanonicalTakesWriterOutput pins that the fast path is the
@@ -99,7 +147,7 @@ func TestReadCanonicalTakesWriterOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := new(Manifest)
-	if !readCanonical(golden, m) || !checkReadersAgree(t, string(golden)) {
+	if _, ok := readCanonical(golden, m, 1, 0); !ok || !checkReadersAgree(t, string(golden)) {
 		t.Fatal("the fast path deferred on settop-smoke.manifest.golden")
 	}
 	want, err := os.ReadFile("testdata/settop-smoke.perfetto.golden")
@@ -303,23 +351,28 @@ func TestReadCanonicalEditsAgree(t *testing.T) {
 	}
 }
 
+// TestReadManifestInternsRepeatedStrings: a category or name is one
+// string however often it repeats — read in one pass, or split in three
+// parts, which share their copies.
 func TestReadManifestInternsRepeatedStrings(t *testing.T) {
 	var doc bytes.Buffer
 	if err := syntheticCluster(2000, 3).WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadManifest(&doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := map[string]*byte{}
-	for i := range m.Spans {
-		for _, s := range []string{m.Spans[i].Cat, m.Spans[i].Name} {
-			p := unsafe.StringData(s)
-			if q, ok := first[s]; ok && p != q {
-				t.Fatalf("span %d: %q is a second copy of an earlier string", i, s)
+	for _, parts := range []int{1, 3} {
+		m := new(Manifest)
+		if split, ok := readCanonical(doc.Bytes(), m, parts, 1); !ok || (parts > 1) != (split == parts) {
+			t.Fatalf("%d parts: the fast path took it = %v, in %d parts", parts, ok, split)
+		}
+		first := map[string]*byte{}
+		for i := range m.Spans {
+			for _, s := range []string{m.Spans[i].Cat, m.Spans[i].Name} {
+				p := unsafe.StringData(s)
+				if q, ok := first[s]; ok && p != q {
+					t.Fatalf("%d parts, span %d: %q is a second copy of an earlier string", parts, i, s)
+				}
+				first[s] = p
 			}
-			first[s] = p
 		}
 	}
 }
