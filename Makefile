@@ -18,7 +18,7 @@ GO ?= go
 BENCH_REGEX = KernelStep|SwitchSample|PeriodRollover|SporadicDispatch|SweepCell|Table2MPEGDecodeSecond|BenchmarkEventQueue$$|SchedulerSteadyState|FlightRecord|InvariantPeriod|AdmitDeny|AdmitAccept|PlacementOrder|ClusterBuild|ClusterRebuild|FleetEpoch|StitchCluster|ManifestWrite|ManifestRead|PerfettoExport|PerfettoValidate|RegistrySnapshot|SnapshotMerge|ComparatorSlice|FleetRun|StreamerTransfer|StreamerReallocate
 BENCH_PKGS  = ./internal/sim ./internal/sched ./internal/core ./internal/sweep ./internal/telemetry ./internal/rm ./internal/invariant ./internal/fleet ./internal/baseline ./internal/streamer
 
-.PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke counts-smoke telemetry-smoke telemetry-golden identity ci
+.PHONY: all build test race lint loc fuzz-smoke sweep-smoke flight-smoke bench bench-smoke counts-smoke examples-smoke telemetry-smoke telemetry-golden identity ci
 
 all: build test lint
 
@@ -191,6 +191,17 @@ counts-smoke:
 	(cd "$$dir" && bin/benchmark -workload all -seed 1 -seconds 1 -trace 1 > counts.txt) && \
 	$(GO) run ./cmd/rdperf counts -against BENCH_counts.json < "$$dir/counts.txt"
 
+# Every examples/* program runs to completion: each prints its deadline
+# misses but exits 0 regardless, so a non-zero exit or a line reporting
+# a miss in any of their formats (`MISSES: 3`, `worker misses 1`,
+# `misses=1`, `2 deadline misses`) fails the target.
+examples-smoke:
+	@for ex in examples/*/; do \
+		echo "$(GO) run ./$$ex"; \
+		out=$$($(GO) run ./$$ex) || exit 1; \
+		if echo "$$out" | grep -iE 'misses[:=]? ?[1-9]|\b[1-9][0-9]* deadline misses'; then echo "$$ex: deadline misses"; exit 1; fi; \
+	done
+
 # Byte identity against a parent revision (scripts/identity.sh has the
 # artifact set): make identity PARENT=<rev>. A refactor that must not
 # change a byte of output runs this instead of retyping the recipe.
@@ -198,4 +209,4 @@ identity:
 	@test -n "$(PARENT)" || { echo "usage: make identity PARENT=<rev>"; exit 2; }
 	bash scripts/identity.sh $(PARENT)
 
-ci: build test race lint fuzz-smoke sweep-smoke flight-smoke telemetry-smoke bench-smoke counts-smoke
+ci: build test race lint fuzz-smoke sweep-smoke flight-smoke telemetry-smoke bench-smoke counts-smoke examples-smoke

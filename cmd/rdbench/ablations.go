@@ -252,7 +252,10 @@ func expAblateReserve(w io.Writer) {
 			InterruptReservePercent: pct,
 			Observer:                rec,
 		})
-		_, ids, _ := workload.Figure5(d)
+		_, ids, err := workload.Figure5(d)
+		if err != nil {
+			panic(err)
+		}
 		d.Run(200 * ms)
 		series := rec.AllocationSeries(ids[0])
 		var final ticks.Ticks

@@ -180,7 +180,9 @@ func expLatency(w io.Writer) {
 	fmt.Fprintln(w, "period, then at the end of the next); Table 4 workload, 10s")
 	rec := recFor(10 * ticks.PerSecond)
 	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	workload.Settop(d)
+	if _, _, _, err := workload.Settop(d); err != nil {
+		panic(err)
+	}
 	d.Run(10 * ticks.PerSecond)
 	rep := trace.Analyze(rec.Export())
 	grantByName := map[string]rm.Grant{}
@@ -262,40 +264,21 @@ func expClock(w io.Writer) {
 	fmt.Fprintln(w, "InsertIdleCycles interface postpones periods to stay in phase")
 
 	run := func(compensate bool) (maxErr ticks.Ticks, periods int) {
-		ext := extclock.New(drift, 0)
-		pl, err := extclock.NewPhaseLock(ext, extPeriod, nominal)
+		pl, err := extclock.NewPhaseLock(extclock.New(drift, 0), extPeriod, nominal)
 		if err != nil {
 			panic(err)
 		}
+		var insert func(task.RunContext) ticks.Ticks
+		if compensate {
+			insert = func(ctx task.RunContext) ticks.Ticks { return pl.Insertion(ctx.PeriodStart) }
+		}
 		d := core.New(core.Config{SwitchCosts: zeroCosts()})
-		var id task.ID
-		body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			if ctx.NewPeriod {
-				periods++
-				if e := pl.PhaseErrorAt(ctx.PeriodStart); e > maxErr && periods > 1 {
-					maxErr = e
-				}
-				if compensate {
-					_ = d.InsertIdleCycles(id, pl.Insertion(ctx.PeriodStart))
-				}
-			}
-			left := 2*ms - ctx.UsedThisPeriod
-			if left <= 0 {
-				return task.RunResult{Op: task.OpYield, Completed: true}
-			}
-			if left > ctx.Span {
-				left = ctx.Span
-			}
-			return task.RunResult{Used: left, Op: task.OpYield, Completed: true}
-		})
-		id, err = d.RequestAdmittance(&task.Task{
-			Name: "display", List: task.SingleLevel(nominal, 2*ms, "Refresh"), Body: body,
-		})
+		display, err := workload.PhaseLockedDisplay(d, pl, nominal, 1, insert)
 		if err != nil {
 			panic(err)
 		}
 		d.Run(horizon)
-		return maxErr, periods
+		return display.MaxPhaseError, display.Periods
 	}
 
 	rawErr, rawPeriods := run(false)

@@ -187,7 +187,9 @@ func expFig4(w io.Writer) {
 	fmt.Fprintln(w, "       data threads busy-wait their grants (the application bug)")
 	rec := recFor(ticks.PerSecond / 3)
 	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	workload.Figure4(d)
+	if err := workload.Figure4(d); err != nil {
+		panic(err)
+	}
 	d.Run(ticks.PerSecond / 3)
 	fmt.Fprintln(w, "measured schedule (final 100ms of the 333ms run):")
 	fmt.Fprintln(w, rec.Gantt(ticks.PerSecond/3-100*ms, ticks.PerSecond/3, 100))
@@ -281,7 +283,10 @@ func expFig5(w io.Writer) {
 		InterruptReservePercent: 4,
 		Observer:                rec,
 	})
-	ss, ids, _ := workload.Figure5(d)
+	ss, ids, err := workload.Figure5(d)
+	if err != nil {
+		panic(err)
+	}
 	d.Run(200 * ms)
 	fmt.Fprintln(w, "measured allocations (ms CPU per 10ms period):")
 	fmt.Fprint(w, rec.AllocationTable(append([]task.ID{ss}, ids...), 150*ms))

@@ -44,7 +44,9 @@ func expTable4(w io.Writer) {
 	fmt.Fprintln(w, "measured grant set (invented 1/3 policy; 3D lands on its nearest")
 	fmt.Fprintln(w, "Table 3 entry, 40%, since grants must map to real levels):")
 	d := core.New(core.Config{SwitchCosts: zeroCosts()})
-	workload.Settop(d)
+	if _, _, _, err := workload.Settop(d); err != nil {
+		panic(err)
+	}
 	gs := d.Grants()
 	for _, g := range gs.All() {
 		t, _ := d.Manager().TaskByID(g.Task)
@@ -89,7 +91,9 @@ func expFig3(w io.Writer) {
 	fmt.Fprintln(w, "paper: EDF schedule preempting the MPEG and 3D tasks; modem never preempted")
 	rec := recFor(200 * ms)
 	d := core.New(core.Config{SwitchCosts: zeroCosts(), Observer: rec})
-	workload.Settop(d)
+	if _, _, _, err := workload.Settop(d); err != nil {
+		panic(err)
+	}
 	d.Run(200 * ms)
 	fmt.Fprintln(w, "measured schedule, first 200 ms:")
 	fmt.Fprintln(w, rec.Gantt(0, 200*ms, 110))

@@ -189,70 +189,32 @@ func setupFig5(d *core.Distributor) (func(), error) {
 }
 
 func setupQuiescent(d *core.Distributor) (func(), error) {
-	ac3 := workload.NewAC3()
-	modem := workload.NewModem()
-	must(d.RequestAdmittance(&task.Task{
-		Name: "dvd",
-		List: task.UniformLevels(10*ms, "DecodeDVD", 85, 70, 55, 40),
-		Body: task.YieldAll(),
-	}))
-	must(d.RequestAdmittance(ac3.Task()))
-	modemID := must(d.RequestAdmittance(modem.Task(true)))
-	d.At(500*ms, func() {
-		if err := d.Wake(modemID); err != nil {
-			fatal(err)
-		}
-	})
+	_, ac3, modem, err := workload.Quiescent(d, 500*ms)
 	return func() {
 		ac3.Flush()
 		fmt.Printf("\napplication quality:\n  ac3:   %s\n", ac3.Stats().QualityString())
 		fmt.Printf("  modem: %s\n", modem.Stats().QualityString())
-	}, nil
+	}, err
 }
 
 func setupAVSync(d *core.Distributor) (func(), error) {
-	ext := extclock.New(120, 0)
-	pl, err := extclock.NewPhaseLock(ext, 270_000, 269_500)
+	pl, err := extclock.NewPhaseLock(extclock.New(120, 0), 270_000, 269_500)
 	if err != nil {
 		return nil, err
 	}
-	var id task.ID
-	var maxErr ticks.Ticks
-	periods := 0
-	body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-		if ctx.NewPeriod {
-			periods++
-			if e := pl.PhaseErrorAt(ctx.PeriodStart); e > maxErr && periods > 1 {
-				maxErr = e
-			}
-			_ = d.InsertIdleCycles(id, pl.Insertion(ctx.PeriodStart))
-		}
-		left := 2*ms - ctx.UsedThisPeriod
-		if left <= 0 {
-			return task.RunResult{Op: task.OpYield, Completed: true}
-		}
-		if left > ctx.Span {
-			left = ctx.Span
-		}
-		return task.RunResult{Used: left, Op: task.OpYield, Completed: true}
+	display, err := workload.PhaseLockedDisplay(d, pl, 269_500, 1,
+		func(ctx task.RunContext) ticks.Ticks { return pl.Insertion(ctx.PeriodStart) })
+	if err != nil {
+		return nil, err
+	}
+	_, err = d.RequestAdmittance(&task.Task{
+		Name: "worker", List: task.SingleLevel(10*ms, 3*ms, "W"),
+		Body: task.PeriodicWork(3 * ms),
 	})
-	id = must(d.RequestAdmittance(&task.Task{
-		Name: "display", List: task.SingleLevel(269_500, 2*ms, "Refresh"), Body: body,
-	}))
-	must(d.RequestAdmittance(&task.Task{
-		Name: "worker", List: task.SingleLevel(10*ms, 3*ms, "W"), Body: task.PeriodicWork(3 * ms),
-	}))
 	return func() {
 		fmt.Printf("\napplication quality:\n  display: %d periods, max phase error %.1fus against the drifting clock\n",
-			periods, maxErr.MicrosecondsF())
-	}, nil
-}
-
-func must(id task.ID, err error) task.ID {
-	if err != nil {
-		fatal(err)
-	}
-	return id
+			display.Periods, display.MaxPhaseError.MicrosecondsF())
+	}, err
 }
 
 func fatal(err error) {

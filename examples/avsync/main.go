@@ -17,6 +17,7 @@ import (
 	"repro/internal/extclock"
 	"repro/internal/task"
 	"repro/internal/ticks"
+	"repro/internal/workload"
 )
 
 const ms = ticks.PerMillisecond
@@ -41,39 +42,14 @@ func main() {
 		}
 		d := core.New(core.Config{Seed: 9})
 
-		var id task.ID
-		var maxErr ticks.Ticks
-		periods := 0
-		body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			if ctx.NewPeriod {
-				periods++
-				if periods > 5 { // skip estimator warm-up
-					if e := oracle.PhaseErrorAt(ctx.PeriodStart); e > maxErr {
-						maxErr = e
-					}
-				}
-				// All the app can do: read both clocks now.
-				lock.Observe(ctx.Now, ext.ReadAt(ctx.Now))
-				if compensate {
-					ins := lock.Insertion(ctx.PeriodStart, ctx.Now, ext.ReadAt(ctx.Now))
-					if err := d.InsertIdleCycles(id, ins); err != nil {
-						log.Fatal(err)
-					}
-				}
+		// All the app can do: read both clocks at each period start.
+		// The error is measured after the estimator's five warm-up periods.
+		display, err := workload.PhaseLockedDisplay(d, oracle, nominal, 5, func(ctx task.RunContext) ticks.Ticks {
+			lock.Observe(ctx.Now, ext.ReadAt(ctx.Now))
+			if !compensate {
+				return 0
 			}
-			left := 2*ms - ctx.UsedThisPeriod
-			if left <= 0 {
-				return task.RunResult{Op: task.OpYield, Completed: true}
-			}
-			if left > ctx.Span {
-				left = ctx.Span
-			}
-			return task.RunResult{Used: left, Op: task.OpYield, Completed: true}
-		})
-		id, err = d.RequestAdmittance(&task.Task{
-			Name: "display",
-			List: task.SingleLevel(nominal, 2*ms, "Refresh"),
-			Body: body,
+			return lock.Insertion(ctx.PeriodStart, ctx.Now, ext.ReadAt(ctx.Now))
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -97,7 +73,7 @@ func main() {
 		}
 		wst, _ := d.Stats(worker)
 		fmt.Printf("%-17s %4d periods, max phase error %8.1f us, drift estimate %+6.1f ppm, worker misses %d\n",
-			mode, periods, maxErr.MicrosecondsF(), lock.Rate(), wst.Misses)
+			mode, display.Periods, display.MaxPhaseError.MicrosecondsF(), lock.Rate(), wst.Misses)
 	}
 
 	fmt.Println("\nuncompensated drift accumulates to a full dropped/duplicated frame;")

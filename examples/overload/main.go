@@ -28,25 +28,17 @@ func main() {
 		Observer:                rec,
 	})
 
-	ssID, err := d.AddSporadicServer("sporadic",
-		task.SingleLevel(2_700_000, 27_000, "SporadicServer"), true)
+	ssID, ids, err := workload.Figure5(d)
 	if err != nil {
 		log.Fatalf("admit sporadic server: %v", err)
 	}
 
-	ids := make([]task.ID, 5)
-	for i := 0; i < 5; i++ {
-		i := i
-		d.At(ticks.Ticks(i)*20*ms, func() {
-			id, err := d.RequestAdmittance(workload.BusyLoopTask(fmt.Sprintf("thread%d", i+2)))
-			if err != nil {
-				log.Fatalf("thread %d denied: %v", i+2, err)
-			}
-			ids[i] = id
-		})
-	}
-
 	d.Run(200 * ms)
+	for i, id := range ids {
+		if id == task.NoID {
+			log.Fatalf("thread%d denied", i+2)
+		}
+	}
 
 	fmt.Println("per-period CPU allocations as threads arrive (compare Figure 5):")
 	order := append([]task.ID{ssID}, ids...)

@@ -15,15 +15,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
-	"repro/internal/task"
 	"repro/internal/ticks"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 func main() {
-	const ms = ticks.PerMillisecond
-
 	// Default policy: when dvd-video, ac3 audio and the modem all
 	// contend, audio and modem stay whole and video takes the cut.
 	box := policy.NewBox()
@@ -44,35 +41,14 @@ func main() {
 	rec := trace.New()
 	d := core.New(core.Config{PolicyBox: box, Observer: rec})
 
-	dvd, err := d.RequestAdmittance(&task.Task{
-		Name: "dvd",
-		List: task.UniformLevels(10*ms, "DecodeDVD", 85, 70, 55, 40),
-		Body: task.YieldAll(),
-	})
+	// The telephone rings half a second in; the modem wakes then.
+	dvd, ac3, modem, err := workload.Quiescent(d, 500*ticks.PerMillisecond)
 	if err != nil {
-		log.Fatalf("admit dvd: %v", err)
-	}
-
-	ac3 := workload.NewAC3()
-	if _, err := d.RequestAdmittance(ac3.Task()); err != nil {
-		log.Fatalf("admit ac3: %v", err)
-	}
-
-	modem := workload.NewModem()
-	modemID, err := d.RequestAdmittance(modem.Task(true)) // quiescent
-	if err != nil {
-		log.Fatalf("admit modem: %v", err)
+		log.Fatalf("admit: %v", err)
 	}
 
 	fmt.Println("before the call (modem quiescent):")
 	printGrants(d)
-
-	// The telephone rings half a second in.
-	d.At(500*ms, func() {
-		if err := d.Wake(modemID); err != nil {
-			log.Fatalf("wake modem: %v", err)
-		}
-	})
 
 	d.Run(ticks.FromSeconds(1))
 

@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/task"
 	"repro/internal/ticks"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -23,34 +22,18 @@ func main() {
 	rec := trace.New()
 	d := core.New(core.Config{Observer: rec})
 
-	modem := workload.NewModem()
-	modemID, err := d.RequestAdmittance(modem.Task(false))
+	modem, g3d, mpeg, err := workload.Settop(d)
 	if err != nil {
-		log.Fatalf("admit modem: %v", err)
-	}
-
-	g3d := workload.NewGraphics3D(42)
-	g3dID, err := d.RequestAdmittance(g3d.Task())
-	if err != nil {
-		log.Fatalf("admit 3d: %v", err)
-	}
-
-	mpeg := workload.NewMPEG()
-	mpegID, err := d.RequestAdmittance(mpeg.Task())
-	if err != nil {
-		log.Fatalf("admit mpeg: %v", err)
+		log.Fatalf("admit: %v", err)
 	}
 
 	fmt.Println("grant set (compare Table 4):")
 	fmt.Printf("  %-6s %10s %10s %7s  %s\n", "task", "period", "cpu req", "rate", "function")
 	gs := d.Grants()
-	for _, row := range []struct {
-		name string
-		id   task.ID
-	}{{"modem", modemID}, {"3d", g3dID}, {"mpeg", mpegID}} {
-		g := gs.Of(row.id)
+	for _, g := range gs.All() {
+		t, _ := d.Manager().TaskByID(g.Task)
 		fmt.Printf("  %-6s %10d %10d %7s  %s\n",
-			row.name, g.Entry.Period, g.Entry.CPU, g.Entry.Rate(), g.Entry.Fn)
+			t.Name, g.Entry.Period, g.Entry.CPU, g.Entry.Rate(), g.Entry.Fn)
 	}
 	fmt.Printf("  total %.1f%% of CPU\n\n", 100*gs.TotalFrac().Float())
 

@@ -123,38 +123,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var displayID task.ID
-	var maxPhaseErr ticks.Ticks
 	oracle, _ := extclock.NewPhaseLock(ext, 270_000, 269_400)
-	displayPeriods := 0
-	displayID, err = d.RequestAdmittance(&task.Task{
-		Name: "display",
-		List: task.SingleLevel(269_400, 2*ms, "Refresh"),
-		Body: task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			if ctx.NewPeriod {
-				displayPeriods++
-				if displayPeriods > 5 {
-					if e := oracle.PhaseErrorAt(ctx.PeriodStart); e > maxPhaseErr {
-						maxPhaseErr = e
-					}
-				}
-				lock.Observe(ctx.Now, ext.ReadAt(ctx.Now))
-				_ = d.InsertIdleCycles(displayID, lock.Insertion(ctx.PeriodStart, ctx.Now, ext.ReadAt(ctx.Now)))
-			}
-			left := 2*ms - ctx.UsedThisPeriod
-			if left <= 0 {
-				return task.RunResult{Op: task.OpYield, Completed: true}
-			}
-			if left > ctx.Span {
-				left = ctx.Span
-			}
-			return task.RunResult{Used: left, Op: task.OpYield, Completed: true}
-		}),
+	display, err := workload.PhaseLockedDisplay(d, oracle, 269_400, 5, func(ctx task.RunContext) ticks.Ticks {
+		lock.Observe(ctx.Now, ext.ReadAt(ctx.Now))
+		return lock.Insertion(ctx.PeriodStart, ctx.Now, ext.ReadAt(ctx.Now))
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	names[displayID] = "display"
+	names[display.ID] = "display"
 
 	// Sporadic Server with two background jobs.
 	ssID, err := d.AddSporadicServer("sporadic", task.SingleLevel(10*ms, ms/2, "SS"), true)
@@ -190,7 +167,7 @@ func main() {
 	fmt.Printf("  ac3:     %s\n", ac3.Stats().QualityString())
 	fmt.Printf("  modem:   %s (woken at t=4s)\n", modem.Stats().QualityString())
 	fmt.Printf("  display: %d periods, max phase error %.1fus vs the drifting crystal\n",
-		displayPeriods, maxPhaseErr.MicrosecondsF())
+		display.Periods, display.MaxPhaseError.MicrosecondsF())
 	fmt.Printf("  sporadic work: indexer %v, compress %v\n", indexed, compressed)
 	fmt.Printf("  interrupts: %d (%.1f%% of CPU, inside the 4%% reserve)\n",
 		ks.Interrupts, 100*ks.InterruptLoadFraction())

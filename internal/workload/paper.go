@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/extclock"
 	"repro/internal/task"
 	"repro/internal/ticks"
 )
@@ -56,6 +57,79 @@ func Figure5(d *core.Distributor) (server task.ID, threads []task.ID, err error)
 		})
 	}
 	return server, threads, nil
+}
+
+// Quiescent admits §5.3's telephone-answering set in order: the DVD
+// decoder (85/70/55/40 % of a 10 ms period, busy-waiting its grants),
+// the AC3 decoder and the modem, quiescent, which it wakes at wake. It
+// returns the DVD's ID and the two workloads for their quality
+// figures; after a denial no wake-up is armed.
+func Quiescent(d *core.Distributor, wake ticks.Ticks) (dvd task.ID, ac3 *AC3, modem *Modem, err error) {
+	ac3, modem = NewAC3(), NewModem()
+	dvd, err = d.RequestAdmittance(&task.Task{
+		Name: "dvd",
+		List: task.UniformLevels(10*ticks.PerMillisecond, "DecodeDVD", 85, 70, 55, 40),
+		Body: task.YieldAll(),
+	})
+	if err != nil {
+		return task.NoID, nil, nil, err
+	}
+	if _, err = d.RequestAdmittance(ac3.Task()); err != nil {
+		return task.NoID, nil, nil, err
+	}
+	modemID, err := d.RequestAdmittance(modem.Task(true))
+	if err != nil {
+		return task.NoID, nil, nil, err
+	}
+	d.At(wake, func() {
+		if err := d.Wake(modemID); err != nil {
+			panic(err)
+		}
+	})
+	return dvd, ac3, modem, nil
+}
+
+// LockedDisplay is PhaseLockedDisplay's tally, filled in as the
+// display's periods start.
+type LockedDisplay struct {
+	ID      task.ID
+	Periods int
+	// MaxPhaseError is the largest phase error against the oracle at
+	// a period start after the first warm-up periods.
+	MaxPhaseError ticks.Ticks
+}
+
+// PhaseLockedDisplay admits §5.4's display: 2 ms of refresh work in
+// each nominal-tick period, paced by the external clock behind
+// oracle. At each period start it postpones the next start by
+// insert(ctx), which must not be negative; a nil insert leaves the
+// display uncompensated.
+func PhaseLockedDisplay(d *core.Distributor, oracle *extclock.PhaseLock, nominal ticks.Ticks, warmup int,
+	insert func(task.RunContext) ticks.Ticks) (*LockedDisplay, error) {
+	const refresh = 2 * ticks.PerMillisecond
+	ld := &LockedDisplay{}
+	body := task.BodyFunc(func(ctx task.RunContext) task.RunResult {
+		if ctx.NewPeriod {
+			ld.Periods++
+			if e := oracle.PhaseErrorAt(ctx.PeriodStart); e > ld.MaxPhaseError && ld.Periods > warmup {
+				ld.MaxPhaseError = e
+			}
+			if insert != nil {
+				if err := d.InsertIdleCycles(ld.ID, insert(ctx)); err != nil {
+					panic(err)
+				}
+			}
+		}
+		return task.RunResult{Used: max(min(refresh-ctx.UsedThisPeriod, ctx.Span), 0), Op: task.OpYield, Completed: true}
+	})
+	id, err := d.RequestAdmittance(&task.Task{
+		Name: "display", List: task.SingleLevel(nominal, refresh, "Refresh"), Body: body,
+	})
+	if err != nil {
+		return nil, err
+	}
+	ld.ID = id
+	return ld, nil
 }
 
 func admitAll(d *core.Distributor, tasks ...*task.Task) error {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/extclock"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/ticks"
@@ -273,6 +274,49 @@ func TestQualityStrings(t *testing.T) {
 	} {
 		if !strings.Contains(s, "=") {
 			t.Errorf("quality string %q", s)
+		}
+	}
+}
+
+// Each paper builder, staged on a Distributor whose 99 % interrupt
+// reserve leaves no room for its set, reports the denial: the
+// builders that admit at once return it, Quiescent arming no wake-up,
+// and Figure5's mid-run threads stay task.NoID.
+func TestPaperBuildersReportDenial(t *testing.T) {
+	oracle, err := extclock.NewPhaseLock(extclock.New(120, 0), 270_000, 269_500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		stage func(d *core.Distributor) error
+	}{
+		{"Settop", func(d *core.Distributor) error { _, _, _, err := Settop(d); return err }},
+		{"Figure4", Figure4},
+		{"Quiescent", func(d *core.Distributor) error { _, _, _, err := Quiescent(d, 500*ms); return err }},
+		{"PhaseLockedDisplay", func(d *core.Distributor) error {
+			_, err := PhaseLockedDisplay(d, oracle, 269_500, 1, nil)
+			return err
+		}},
+	} {
+		d := core.New(core.Config{InterruptReservePercent: 99})
+		if err := tc.stage(d); err == nil {
+			t.Errorf("%s: admitted into a 1%% machine", tc.name)
+		}
+		if at, ok := d.Kernel().NextEventTime(); tc.name == "Quiescent" && ok {
+			t.Errorf("Quiescent: denied, yet an event is armed at %v", at)
+		}
+	}
+
+	d := core.New(core.Config{InterruptReservePercent: 99})
+	server, threads, err := Figure5(d)
+	if err != nil || server == task.NoID {
+		t.Fatalf("Figure5: the 1%% server was not admitted: %v", err)
+	}
+	d.Run(200 * ms)
+	for i, id := range threads {
+		if id != task.NoID {
+			t.Errorf("Figure5: thread%d admitted as %d into the server's 1%%", i+2, id)
 		}
 	}
 }

@@ -16,7 +16,9 @@
 #   fleet-w1.json     rdsweep -scenarios fleet -workers 1 -seeds 2 -horizon-ms 700 -json:
 #                     one sweep worker, so its clusters advance on the idle
 #                     cores (sweep.json's GOMAXPROCS workers leave none)
-#   fig5.* settop.*   rdsim trace + manifest (-build ''), and the
+#   <sc>.trace.json, <sc>.manifest.json
+#                     rdsim trace + manifest (-build '') of every scenario
+#                     (settop fig4 fig5 quiescent avsync), and the settop
 #                     manifest's `rdtrace export` (settop.perfetto.json)
 #   crash-<p>-w<n>.json, crash-<p>-nodes/, crash-<p>-stitched.json,
 #   crash-<p>-w1.perfetto.json
@@ -25,6 +27,8 @@
 #                     `rdtrace stitch` of the node files, and the
 #                     Perfetto export of the 1-worker manifest
 #   rdbench.txt       every rdbench experiment
+#   example-<name>.txt
+#                     the stdout of every examples/* program
 #   digests.txt       the six benchmark workloads' stats_digest and exact
 #                     work counts (benchmark -trace 1)
 set -euo pipefail
@@ -56,7 +60,7 @@ produce() (
 
 	"$bin/rdsweep" -scenarios all -costs all -seeds 6 -horizon-ms 700 -quiet -json "$out/sweep.json"
 	"$bin/rdsweep" -scenarios fleet -workers 1 -seeds 2 -horizon-ms 700 -quiet -json "$out/fleet-w1.json"
-	for sc in fig5 settop; do
+	for sc in settop fig4 fig5 quiescent avsync; do
 		"$bin/rdsim" -scenario "$sc" -seed 7 -horizon 100ms -build '' \
 			-json "$out/$sc.trace.json" -manifest "$out/$sc.manifest.json" >/dev/null
 	done
@@ -72,6 +76,9 @@ produce() (
 		"$bin/rdtrace" export -validate -o "$out/crash-$p-w1.perfetto.json" "$out/crash-$p-w1.json"
 	done
 	"$bin/rdbench" >"$out/rdbench.txt"
+	for ex in examples/*/; do
+		go run "./$ex" >"$out/example-$(basename "$ex").txt"
+	done
 	# The benchmark writes its profile under benchmark/out relative to
 	# where it runs; the output dir keeps that out of both trees.
 	(cd "$out" && for wl in paper-short paper-long fault-baseline fleet-deny fleet-wide cluster-manifest; do
@@ -90,7 +97,7 @@ if diff -rq "$scratch/parent" "$scratch/change"; then
 	[ $# -eq 2 ] || rm -rf "$scratch"
 	exit 0
 fi
-for f in rdbench.txt digests.txt; do
+for f in rdbench.txt digests.txt $(cd "$scratch/parent" && echo example-*.txt); do
 	if ! cmp -s "$scratch/parent/$f" "$scratch/change/$f"; then
 		echo "identity: $f differs:"
 		{ diff -u "$scratch/parent/$f" "$scratch/change/$f" || true; } | head -n 200
