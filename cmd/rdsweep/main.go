@@ -196,8 +196,11 @@ func clusterSpec(scenarios, costs string, costsSet bool, policies string, seed u
 	if err != nil {
 		return sweep.RunSpec{}, err
 	}
+	if horizonMS < 0 {
+		return sweep.RunSpec{}, fmt.Errorf("-horizon-ms %d must not be negative", horizonMS)
+	}
 	horizon := ticks.FromMilliseconds(horizonMS)
-	if horizon <= 0 {
+	if horizon == 0 {
 		horizon = sweep.DefaultHorizon
 	}
 	return sweep.RunSpec{

@@ -49,10 +49,10 @@ func main() {
 
 	d.Run(ticks.FromSeconds(1))
 
-	for name, id := range map[string]task.ID{"mpeg": mpeg, "sweeper": sweep} {
+	for i, id := range []task.ID{mpeg, sweep} {
 		st, _ := d.Stats(id)
 		fmt.Printf("%-8s periods=%d misses=%d granted=%v used=%v overtime=%v\n",
-			name, st.Periods, st.Misses, st.GrantedTicks, st.UsedTicks, st.OvertimeTicks)
+			[]string{"mpeg", "sweeper"}[i], st.Periods, st.Misses, st.GrantedTicks, st.UsedTicks, st.OvertimeTicks)
 	}
 	ks := d.KernelStats()
 	fmt.Printf("switches: %d voluntary, %d involuntary (%.2f%% of CPU); idle %v\n",

@@ -28,19 +28,17 @@ type Arena struct {
 	recs  records      // ledger.go
 }
 
-// reset readies the arena for a cluster of the given node count and
-// span-ring size: recorders of another size are let go, nothing of the
-// previous cluster is left in the shells, the queue or the scratch, and
-// the shells the arena is short of are built.
-func (a *Arena) reset(nodes, spanCap int) {
-	if a.rec.reset(spanCap) {
-		a.nodes = nil
-	}
+// reset readies the arena for a cluster of the given node count:
+// nothing of the previous cluster is left in the recorder, the shells,
+// the queue or the scratch, and the shells the arena is short of are
+// built.
+func (a *Arena) reset(nodes int) {
+	a.rec.reset()
 	for _, n := range a.nodes {
 		n.reset()
 	}
 	for len(a.nodes) < nodes {
-		a.nodes = append(a.nodes, newShell(spanCap))
+		a.nodes = append(a.nodes, newShell())
 	}
 	a.queue.reset()
 	a.scan.reset()

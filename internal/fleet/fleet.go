@@ -73,6 +73,19 @@ const (
 // epoch boundaries.
 const epoch = 10 * ticks.PerMillisecond
 
+// The fleet-wide retry loop: an admission may consume retryAttempts
+// full placement scans; attempt k waits min(retryBase<<(k-1), retryMax)
+// plus jitter in [0, delay/2] drawn from StreamBackoff.
+const (
+	retryAttempts = 4
+	retryBase     = 5 * ticks.PerMillisecond
+	retryMax      = 80 * ticks.PerMillisecond
+)
+
+// migrationCost is the state-transfer charge a migration's target node
+// pays, delivered as one interrupt slab.
+const migrationCost = 100 * ticks.PerMicrosecond
+
 // Placement selects the order in which the admission front end
 // offers a task to nodes.
 type Placement int
@@ -99,19 +112,6 @@ func (p Placement) String() string {
 	}
 }
 
-// RetryPolicy bounds the fleet-wide admission retry loop.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of full placement scans an
-	// admission may consume before the cluster gives up on it.
-	MaxAttempts int
-	// Base is the backoff before the second attempt; attempt k waits
-	// min(Base<<(k-1), Max) plus jitter in [0, delay/2] drawn from
-	// StreamBackoff.
-	Base ticks.Ticks
-	// Max caps the exponential growth.
-	Max ticks.Ticks
-}
-
 // Config assembles a cluster.
 type Config struct {
 	// Nodes is the fleet size; every node is a full RD.
@@ -121,12 +121,6 @@ type Config struct {
 	Seed uint64
 	// Placement selects the admission scan order.
 	Placement Placement
-	// Retry bounds the fleet-wide retry loop (defaults: 4 attempts,
-	// 5 ms base, 80 ms cap).
-	Retry RetryPolicy
-	// MigrationCost is the state-transfer charge a migration's target
-	// node pays, delivered as one interrupt slab (default 100 µs).
-	MigrationCost ticks.Ticks
 	// Workers sizes the work-stealing node-advance pool; <= 0 selects
 	// GOMAXPROCS, at most Nodes are used. Never affects results, a node's
 	// panic included.
@@ -155,11 +149,6 @@ type Config struct {
 	// recorder's ring, so telemetry memory stays bounded at fleet
 	// scale while the black box and causal links still work.
 	SpanLog bool
-	// FlightSpans sizes each node's (and the coordinator's) black-box
-	// span ring; zero selects the telemetry package default. Ring
-	// capacity never affects a run's trajectory, only how much history
-	// a dump can carry.
-	FlightSpans int
 }
 
 // Admission is one guaranteed-task arrival presented to the cluster
@@ -191,20 +180,8 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("fleet: node count %d must be at least 1", cfg.Nodes)
 	}
-	if cfg.MigrationCost < 0 || cfg.GovernorInterval < 0 {
-		return nil, fmt.Errorf("fleet: migration cost and governor interval must not be negative")
-	}
-	if cfg.MigrationCost == 0 {
-		cfg.MigrationCost = 100 * ticks.PerMicrosecond
-	}
-	if cfg.Retry.MaxAttempts <= 0 {
-		cfg.Retry.MaxAttempts = 4
-	}
-	if cfg.Retry.Base <= 0 {
-		cfg.Retry.Base = 5 * ticks.PerMillisecond
-	}
-	if cfg.Retry.Max < cfg.Retry.Base {
-		cfg.Retry.Max = 80 * ticks.PerMillisecond
+	if cfg.GovernorInterval < 0 {
+		return nil, fmt.Errorf("fleet: governor interval must not be negative")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -213,7 +190,7 @@ func NewIn(a *Arena, cfg Config) (*Cluster, error) {
 		cfg.Workers = cfg.Nodes
 	}
 
-	a.reset(cfg.Nodes, cfg.FlightSpans)
+	a.reset(cfg.Nodes)
 	c := &Cluster{
 		cfg:     cfg,
 		queue:   &a.queue,

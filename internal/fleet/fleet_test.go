@@ -68,16 +68,7 @@ func mustNew(t *testing.T, cfg fleet.Config) *fleet.Cluster {
 // worker-invariance and determinism tests.
 func run(t *testing.T, seed uint64, workers int) *fleet.Report {
 	t.Helper()
-	return runIn(t, new(fleet.Arena), seed, workers, 0)
-}
-
-// runIn is run with the fleet built in arena a and its black boxes
-// keeping flightSpans spans (0: the default).
-func runIn(t *testing.T, a *fleet.Arena, seed uint64, workers, flightSpans int) *fleet.Report {
-	t.Helper()
-	cfg := faultedConfig(seed, workers)
-	cfg.FlightSpans = flightSpans
-	_, rep := runCfg(t, a, cfg)
+	_, rep := runCfg(t, new(fleet.Arena), faultedConfig(seed, workers))
 	return rep
 }
 
@@ -223,30 +214,6 @@ func checkTallies(t *testing.T, rep *fleet.Report) {
 	}
 }
 
-// An arena hands a cluster recorders of the ring size its Config asks
-// for, whatever size the cluster before it used: ring size is the one
-// thing about a black box a dump shows.
-func TestArenaFollowsRingSize(t *testing.T) {
-	a := new(fleet.Arena)
-	wide := runIn(t, a, 42, 1, 0)
-	narrow := runIn(t, a, 42, 1, 8)
-	fresh := runIn(t, new(fleet.Arena), 42, 1, 8)
-	if len(narrow.FlightDumps) == 0 {
-		t.Fatal("the faulted fleet dumped no black box")
-	}
-	for i, d := range narrow.FlightDumps {
-		if len(d.Spans) != 8 {
-			t.Fatalf("dump %d carries %d spans from an 8-span ring", i, len(d.Spans))
-		}
-	}
-	if !reflect.DeepEqual(narrow.FlightDumps, fresh.FlightDumps) || narrow.Summary() != fresh.Summary() {
-		t.Fatal("an 8-span fleet built after a default one differs from a fresh 8-span fleet")
-	}
-	if again := runIn(t, a, 42, 1, 0); !reflect.DeepEqual(again.FlightDumps, wide.FlightDumps) {
-		t.Fatal("a default fleet built after an 8-span one differs from the first default fleet")
-	}
-}
-
 // A node rebuilt in storage that other nodes' incarnations used — their
 // Distributors and checkers, tasks and pending events — cannot be told
 // from one built new: cluster B built in an arena that has just run a
@@ -374,10 +341,7 @@ func TestCrashRecoveryReplacesGuarantees(t *testing.T) {
 // retry loop backs off a bounded number of times, and the admission
 // ends as a recorded fleet-wide rejection — never a silent drop.
 func TestSpilloverBackoffAndRejection(t *testing.T) {
-	c := mustNew(t, fleet.Config{
-		Nodes: 2, Seed: 3, Workers: 1,
-		Retry: fleet.RetryPolicy{MaxAttempts: 3, Base: 5 * ms, Max: 40 * ms},
-	})
+	c := mustNew(t, fleet.Config{Nodes: 2, Seed: 3, Workers: 1})
 	for i := 0; i < 5; i++ {
 		mustSubmit(t, c, fleet.Admission{
 			At:   0,
@@ -397,24 +361,21 @@ func TestSpilloverBackoffAndRejection(t *testing.T) {
 	if rep.Rejected != 1 {
 		t.Fatalf("rejected %d, want 1: %s", rep.Rejected, rep.Summary())
 	}
-	if rep.Retries != 2 {
-		t.Fatalf("retries %d, want 2 (3 attempts = 2 backoffs): %s", rep.Retries, rep.Summary())
+	if rep.Retries != 3 {
+		t.Fatalf("retries %d, want 3 (4 attempts = 3 backoffs): %s", rep.Retries, rep.Summary())
 	}
 	if n := rep.Log.CountKind("fleet.reject"); n != 1 {
 		t.Fatalf("fleet.reject events = %d, want 1:\n%s", n, rep.Log.String())
 	}
-	if n := rep.Log.CountKind("fleet.backoff"); n != 2 {
-		t.Fatalf("fleet.backoff events = %d, want 2:\n%s", n, rep.Log.String())
+	if n := rep.Log.CountKind("fleet.backoff"); n != 3 {
+		t.Fatalf("fleet.backoff events = %d, want 3:\n%s", n, rep.Log.String())
 	}
 }
 
 // A denied admission retried after capacity frees up lands on its
 // retry — the backoff loop is a real second chance, not a formality.
 func TestRetrySucceedsWhenCapacityFrees(t *testing.T) {
-	c := mustNew(t, fleet.Config{
-		Nodes: 1, Seed: 5, Workers: 1,
-		Retry: fleet.RetryPolicy{MaxAttempts: 6, Base: 10 * ms, Max: 40 * ms},
-	})
+	c := mustNew(t, fleet.Config{Nodes: 1, Seed: 5, Workers: 1})
 	// Fills the node, exits after 3 periods (~30 ms).
 	mustSubmit(t, c, fleet.Admission{
 		At: 0, Name: "hog", List: task.SingleLevel(10*ms, 9*ms, "Fleet"), Body: finiteBody(3),
@@ -499,7 +460,6 @@ func TestMigrationUnderGovernorPressure(t *testing.T) {
 		Workers:                 1,
 		InterruptReservePercent: 2,
 		GovernorInterval:        5 * ms,
-		MigrationCost:           200 * ticks.PerMicrosecond,
 		Invariants:              true,
 	})
 	var alog telemetry.EventLog
@@ -540,8 +500,8 @@ func TestConfigAndSubmitValidation(t *testing.T) {
 	if _, err := fleet.New(fleet.Config{Nodes: 0}); err == nil {
 		t.Error("New accepted a zero-node fleet")
 	}
-	if _, err := fleet.New(fleet.Config{Nodes: 2, MigrationCost: -1}); err == nil {
-		t.Error("New accepted a negative migration cost")
+	if _, err := fleet.New(fleet.Config{Nodes: 2, GovernorInterval: -1}); err == nil {
+		t.Error("New accepted a negative governor interval")
 	}
 	c := mustNew(t, fleet.Config{Nodes: 1, Seed: 1})
 	bad := []fleet.Admission{

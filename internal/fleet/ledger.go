@@ -98,7 +98,7 @@ func (c *Cluster) moved(a *admRec, src, dst *node, id task.ID, now ticks.Ticks) 
 	c.tipToAdmission(dst, a, m)
 	c.flog.Record(now, "fleet.migrate",
 		fmt.Sprintf("%s moved node %d -> %d under shed pressure; %v transfer charged to target",
-			a.Name, src.id, dst.id, c.cfg.MigrationCost))
+			a.Name, src.id, dst.id, migrationCost))
 }
 
 // lostToCrash puts a, a guarantee held by the node that just crashed,

@@ -22,7 +22,7 @@ type digestConfig struct {
 	Seed                    uint64
 	Epoch                   ticks.Ticks
 	Placement               string
-	Retry                   RetryPolicy
+	Retry                   retryDigest
 	MigrationCost           ticks.Ticks
 	InterruptReservePercent int64
 	GovernorInterval        ticks.Ticks
@@ -30,14 +30,17 @@ type digestConfig struct {
 	SpanLog                 bool
 }
 
+// retryDigest is the shape the retry bounds take in the digest.
+type retryDigest struct{ MaxAttempts, Base, Max ticks.Ticks }
+
 func (c *Cluster) configDigest() string {
 	return telemetry.ConfigDigest(digestConfig{
 		Nodes:                   c.cfg.Nodes,
 		Seed:                    c.cfg.Seed,
 		Epoch:                   epoch,
 		Placement:               c.cfg.Placement.String(),
-		Retry:                   c.cfg.Retry,
-		MigrationCost:           c.cfg.MigrationCost,
+		Retry:                   retryDigest{retryAttempts, retryBase, retryMax},
+		MigrationCost:           migrationCost,
 		InterruptReservePercent: c.cfg.InterruptReservePercent,
 		GovernorInterval:        c.cfg.GovernorInterval,
 		Invariants:              c.cfg.Invariants,

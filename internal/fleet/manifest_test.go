@@ -22,11 +22,12 @@ func crashFleet(t *testing.T, workers int) (*fleet.Cluster, *fleet.Report) {
 	t.Helper()
 	return crashFleetIn(t, new(fleet.Arena), fleet.Config{
 		Nodes: 4, Seed: 1, Workers: workers, Invariants: true, SpanLog: true,
-	})
+	}, 50*ms, 200*ms)
 }
 
-// crashFleetIn is crashFleet built in arena a from cfg.
-func crashFleetIn(t *testing.T, a *fleet.Arena, cfg fleet.Config) (*fleet.Cluster, *fleet.Report) {
+// crashFleetIn is crashFleet built in arena a from cfg, with node 0
+// crashing at crashAt of a run to horizon.
+func crashFleetIn(t *testing.T, a *fleet.Arena, cfg fleet.Config, crashAt, horizon ticks.Ticks) (*fleet.Cluster, *fleet.Report) {
 	t.Helper()
 	c, err := fleet.NewIn(a, cfg)
 	if err != nil {
@@ -34,7 +35,7 @@ func crashFleetIn(t *testing.T, a *fleet.Arena, cfg fleet.Config) (*fleet.Cluste
 	}
 	var alog telemetry.EventLog
 	if err := fault.ArmFleet(c, 1, &alog,
-		fault.NodeCrash{Node: 0, At: 50 * ms, Cycles: 1, MeanUp: 200 * ms, MeanDown: 30 * ms}); err != nil {
+		fault.NodeCrash{Node: 0, At: crashAt, Cycles: 1, MeanUp: 200 * ms, MeanDown: 30 * ms}); err != nil {
 		t.Fatalf("arm: %v", err)
 	}
 	for i := 0; i < 8; i++ {
@@ -45,7 +46,7 @@ func crashFleetIn(t *testing.T, a *fleet.Arena, cfg fleet.Config) (*fleet.Cluste
 			Body: steadyBody(),
 		})
 	}
-	rep := c.Run(200 * ms)
+	rep := c.Run(horizon)
 	if len(rep.Stalled) != 0 {
 		t.Fatalf("stalled: %v", rep.Stalled)
 	}
@@ -158,7 +159,6 @@ func TestClusterManifestCausalChainAcrossMigration(t *testing.T) {
 		Workers:                 1,
 		InterruptReservePercent: 2,
 		GovernorInterval:        5 * ms,
-		MigrationCost:           200 * ticks.PerMicrosecond,
 		Invariants:              true,
 		SpanLog:                 true,
 	})
@@ -221,7 +221,7 @@ func TestManifestAndPerNodeWorkerInvariance(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 4} {
 			c, rep := crashFleetIn(t, new(fleet.Arena), fleet.Config{
 				Nodes: 4, Seed: 1, Workers: workers, Placement: p, Invariants: true, SpanLog: true,
-			})
+			}, 50*ms, 200*ms)
 			m, err := c.Manifest()
 			if err != nil {
 				t.Fatalf("%s, workers=%d: manifest: %v", p, workers, err)
@@ -259,10 +259,10 @@ func TestManifestAndPerNodeWorkerInvariance(t *testing.T) {
 // (the default) or fronts the full log SpanLog keeps.
 func TestFlightDumpsIgnoreSpanLog(t *testing.T) {
 	a := new(fleet.Arena)
-	cfg := fleet.Config{Nodes: 4, Seed: 1, Workers: 1, Invariants: true, FlightSpans: 16}
-	_, off := crashFleetIn(t, a, cfg)
+	cfg := fleet.Config{Nodes: 4, Seed: 1, Workers: 1, Invariants: true}
+	_, off := crashFleetIn(t, a, cfg, 400*ms, 500*ms)
 	cfg.SpanLog = true
-	_, on := crashFleetIn(t, a, cfg)
+	_, on := crashFleetIn(t, a, cfg, 400*ms, 500*ms)
 	evicted := false
 	for _, d := range on.FlightDumps {
 		evicted = evicted || d.SpansDropped > 0
@@ -325,5 +325,28 @@ func TestStitchOfWrittenPartsMatchesLiveManifest(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("stitching the written per-part manifests diverged from the live cluster manifest")
+	}
+}
+
+// A manifest's config digest hashes the settings that shape a run,
+// fixed ones included; these values pin its bytes.
+func TestConfigDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  fleet.Config
+		want string
+	}{
+		{fleet.Config{Nodes: 2, Seed: 1, Workers: 1}, "8114486bd5314864"},
+		{fleet.Config{Nodes: 120, Seed: 7, Workers: 1, InterruptReservePercent: 2,
+			GovernorInterval: 10 * ms, Invariants: true}, "1429a24ea07c30fc"},
+	} {
+		c := mustNew(t, tc.cfg)
+		c.Run(10 * ms)
+		m, err := c.CoordManifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.ConfigDigest != tc.want {
+			t.Errorf("%+v: config digest %s, want %s", tc.cfg, m.ConfigDigest, tc.want)
+		}
 	}
 }

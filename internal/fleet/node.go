@@ -66,10 +66,10 @@ type node struct {
 }
 
 // newShell allocates a node's storage — the part of it an Arena keeps
-// from cluster to cluster — with a span ring of the given size.
-func newShell(spanCap int) *node {
+// from cluster to cluster.
+func newShell() *node {
 	n := &node{
-		flight: telemetry.NewFlight(spanCap, 0),
+		flight: telemetry.NewFlight(0, 0),
 		tel:    &telemetry.Set{Registry: telemetry.NewRegistry()},
 	}
 	n.flog.MirrorTo(n.flight)

@@ -114,7 +114,7 @@ func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 		return
 	}
 	a.attempts++
-	if a.attempts >= c.cfg.Retry.MaxAttempts {
+	if a.attempts >= retryAttempts {
 		c.abandon(a, now, fmt.Sprintf("denied fleet-wide %d times", a.attempts))
 		return
 	}
@@ -126,12 +126,12 @@ func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 	c.push(now+delay, actRetry, a, -1)
 }
 
-// backoffDelay is the wait before attempt+1: min(Base<<(attempt-1),
-// Max) plus jitter in [0, delay/2] from the StreamBackoff substream.
+// backoffDelay is the wait before attempt+1: min(retryBase<<(attempt-1),
+// retryMax) plus jitter in [0, delay/2] from the StreamBackoff substream.
 func (c *Cluster) backoffDelay(attempt int) ticks.Ticks {
-	d := c.cfg.Retry.Max
+	d := retryMax
 	if shift := uint(attempt - 1); shift < 32 {
-		if b := c.cfg.Retry.Base << shift; b < d {
+		if b := retryBase << shift; b < d {
 			d = b
 		}
 	}
@@ -170,6 +170,6 @@ func (c *Cluster) migrate(a *admRec, src *node, now ticks.Ticks) {
 			fmt.Sprintf("%s: source node %d would not release: %v", a.Name, src.id, err))
 		return
 	}
-	dst.d.Kernel().RunInterrupt(c.cfg.MigrationCost)
+	dst.d.Kernel().RunInterrupt(migrationCost)
 	c.moved(a, src, dst, id, now)
 }

@@ -17,27 +17,18 @@ type recorder struct {
 	spans  *telemetry.Spans
 	flight *telemetry.Flight
 	reg    telemetry.Registry
-	// spanCap is the Config ring size the recorders above were built
-	// with.
-	spanCap int
 }
 
-// reset empties the recorder for a cluster with the given span-ring
-// size. It reports whether that size is a new one: the recorders built
-// for the old size — the node shells' too — are then to be let go.
-func (r *recorder) reset(spanCap int) (resized bool) {
-	if resized = r.spanCap != spanCap; resized {
-		r.flight, r.spanCap = nil, spanCap
-	}
+// reset empties the recorder for the next cluster.
+func (r *recorder) reset() {
 	if r.flight == nil {
-		r.flight = telemetry.NewFlight(spanCap, 0)
+		r.flight = telemetry.NewFlight(0, 0)
 		r.spans = telemetry.NewSpans()
 	}
 	r.flight.Reset()
 	r.spans.Reset()
 	r.reg.Reset()
 	r.flight.Front(r.spans)
-	return resized
 }
 
 // recordIn points the cluster's recording at r: its registry and span

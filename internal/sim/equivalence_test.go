@@ -191,9 +191,8 @@ func TestAdvanceToBoundaryMatchesRunUntil(t *testing.T) {
 // semantics (budget N → N fired, Events == N+1, stalled event still
 // queued) on the pooled kernel.
 func TestRunUntilMatchesSteppingAtStall(t *testing.T) {
-	const budget = 100
 	mk := func() (*Kernel, *storm) {
-		k := NewKernel(Config{Seed: 5, SameTickBudget: budget})
+		k := NewKernel(Config{Seed: 5})
 		s := &storm{k: k, intervals: []ticks.Ticks{70}}
 		k.AfterCall(0, s, stormOpSource, 0, 0)
 		k.AfterCall(500, s, stormOpSpin, 0, 0) // zero-delay loop at t=500
@@ -211,8 +210,8 @@ func TestRunUntilMatchesSteppingAtStall(t *testing.T) {
 	if !ok {
 		t.Fatal("spin loop did not trip the budget")
 	}
-	if info.At != 500 || info.Events != budget+1 {
-		t.Errorf("StallInfo = %+v, want At=500 Events=%d", info, budget+1)
+	if info.At != 500 || info.Events != sameTickBudget+1 {
+		t.Errorf("StallInfo = %+v, want At=500 Events=%d", info, sameTickBudget+1)
 	}
 	if runK.Now() != 500 {
 		t.Errorf("clock = %v, want held at the stall instant 500", runK.Now())

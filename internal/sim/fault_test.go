@@ -9,7 +9,7 @@ import (
 // A zero-delay self-rescheduling loop must trip the livelock guard and
 // return control, not hang RunUntil forever (satellite: livelock guard).
 func TestSameTickBudgetTripsOnZeroDelayLoop(t *testing.T) {
-	k := NewKernel(Config{Seed: 1, SameTickBudget: 100})
+	k := NewKernel(Config{Seed: 1})
 	fired := 0
 	var loop func()
 	loop = func() {
@@ -27,11 +27,11 @@ func TestSameTickBudgetTripsOnZeroDelayLoop(t *testing.T) {
 	if st.At != 10 {
 		t.Errorf("stall at %v, want 10", st.At)
 	}
-	if st.Events != 101 {
-		t.Errorf("stall after %d events, want 101 (budget 100 + the one over)", st.Events)
+	if st.Events != sameTickBudget+1 {
+		t.Errorf("stall after %d events, want %d (the budget + the one over)", st.Events, sameTickBudget+1)
 	}
-	if fired != 100 {
-		t.Errorf("loop body fired %d times, want exactly the budget (100)", fired)
+	if fired != sameTickBudget {
+		t.Errorf("loop body fired %d times, want exactly the budget (%d)", fired, sameTickBudget)
 	}
 	// The clock stays at the stall instant so callers can report it.
 	if k.Now() != 10 {
@@ -42,18 +42,18 @@ func TestSameTickBudgetTripsOnZeroDelayLoop(t *testing.T) {
 		t.Error("Step ran an event on a stalled kernel")
 	}
 	k.RunUntil(2000)
-	if fired != 100 {
+	if fired != sameTickBudget {
 		t.Errorf("RunUntil on a stalled kernel ran events (fired=%d)", fired)
 	}
 }
 
-// Legitimate same-instant cascades well under the budget must run
+// Legitimate same-instant cascades up to the budget must run
 // unharmed, and the counter must reset when the clock moves.
 func TestSameTickBudgetAllowsFiniteCascades(t *testing.T) {
-	k := NewKernel(Config{Seed: 1, SameTickBudget: 8})
+	k := NewKernel(Config{Seed: 1})
 	total := 0
 	burst := func(at ticks.Ticks) {
-		for i := 0; i < 8; i++ { // exactly the budget, twice
+		for i := 0; i < sameTickBudget; i++ { // exactly the budget, twice
 			k.At(at, func() { total++ })
 		}
 	}
@@ -63,33 +63,11 @@ func TestSameTickBudgetAllowsFiniteCascades(t *testing.T) {
 	if _, ok := k.Stalled(); ok {
 		t.Fatal("guard tripped on a finite cascade within budget")
 	}
-	if total != 16 {
-		t.Errorf("ran %d events, want 16", total)
+	if total != 2*sameTickBudget {
+		t.Errorf("ran %d events, want %d", total, 2*sameTickBudget)
 	}
 	if k.Now() != 100 {
 		t.Errorf("clock at %v, want 100", k.Now())
-	}
-}
-
-// A negative budget disables the guard; the default budget is large
-// enough that ordinary workloads never trip it.
-func TestSameTickBudgetDisabled(t *testing.T) {
-	k := NewKernel(Config{Seed: 1, SameTickBudget: -1})
-	n := 0
-	var loop func()
-	loop = func() {
-		n++
-		if n < DefaultSameTickBudget+5 {
-			k.After(0, loop)
-		}
-	}
-	k.At(1, loop)
-	k.RunUntil(2)
-	if _, ok := k.Stalled(); ok {
-		t.Fatal("guard tripped despite being disabled")
-	}
-	if n != DefaultSameTickBudget+5 {
-		t.Errorf("ran %d events, want %d", n, DefaultSameTickBudget+5)
 	}
 }
 

@@ -32,11 +32,10 @@ type Kernel struct {
 	// delivery and zero extra RNG draws.
 	timerFault *TimerFault
 
-	// Livelock guard (see Config.SameTickBudget).
-	tickBudget int
-	tickAt     ticks.Ticks
-	tickCount  int
-	stall      *StallInfo
+	// Livelock guard (see sameTickBudget).
+	tickAt    ticks.Ticks
+	tickCount int
+	stall     *StallInfo
 
 	// Counters.
 	volSwitches    int64
@@ -52,12 +51,13 @@ type Kernel struct {
 	tel kernelTelemetry
 }
 
-// DefaultSameTickBudget is the same-tick event budget installed when
-// Config.SameTickBudget is zero. Legitimate same-instant cascades
-// (period rollovers, interrupt bursts, coalesced timers) run a handful
-// of events per tick; tens of thousands at one instant means a
-// zero-delay self-rescheduling loop that would otherwise hang the run.
-const DefaultSameTickBudget = 1 << 16
+// sameTickBudget bounds the events one virtual instant may run before
+// the kernel declares a livelock and stops dispatching (see Stalled).
+// Legitimate same-instant cascades (period rollovers, interrupt bursts,
+// coalesced timers) run a handful of events per tick; tens of thousands
+// at one instant means a zero-delay self-rescheduling loop that would
+// otherwise hang the run.
+const sameTickBudget = 1 << 16
 
 // Config parameterises a Kernel.
 type Config struct {
@@ -66,11 +66,6 @@ type Config struct {
 	// Costs is the context-switch cost model. The zero value means
 	// free, deterministic switches (ZeroSwitchCosts).
 	Costs SwitchCosts
-	// SameTickBudget bounds how many events may execute at a single
-	// virtual instant before the kernel declares a livelock and stops
-	// dispatching (reported via Stalled, never a hang or a panic).
-	// Zero selects DefaultSameTickBudget; negative disables the guard.
-	SameTickBudget int
 }
 
 // NewKernel returns a kernel at virtual time zero.
@@ -83,19 +78,14 @@ func NewKernel(cfg Config) *Kernel { return NewKernelIn(nil, cfg) }
 // (generations only ever grow). The kernel k was is gone: whoever held
 // it must not use it again.
 func NewKernelIn(k *Kernel, cfg Config) *Kernel {
-	budget := cfg.SameTickBudget
-	if budget == 0 {
-		budget = DefaultSameTickBudget
-	}
 	if k == nil {
 		k = new(Kernel)
 	}
 	k.events.reset()
 	*k = Kernel{
-		events:     k.events,
-		rng:        *NewRNG(cfg.Seed),
-		costs:      cfg.Costs,
-		tickBudget: budget,
+		events: k.events,
+		rng:    *NewRNG(cfg.Seed),
+		costs:  cfg.Costs,
 	}
 	return k
 }
@@ -184,7 +174,7 @@ func (k *Kernel) dispatch() bool {
 	}
 	if e.At == k.tickAt {
 		k.tickCount++
-		if k.tickBudget > 0 && k.tickCount > k.tickBudget {
+		if k.tickCount > sameTickBudget {
 			k.stall = &StallInfo{At: e.At, Events: k.tickCount}
 			return false
 		}

@@ -114,10 +114,11 @@ type Matrix struct {
 const DefaultHorizon = 2 * ticks.PerSecond
 
 // SeedRange returns n consecutive seeds starting at base — the usual
-// way to populate Matrix.Seeds. (Runs decorrelate internally via
-// sim.SplitSeed substreams, so consecutive seeds are fine.)
+// way to populate Matrix.Seeds — and none for n <= 0. (Runs decorrelate
+// internally via sim.SplitSeed substreams, so consecutive seeds are
+// fine.)
 func SeedRange(base uint64, n int) []uint64 {
-	out := make([]uint64, n)
+	out := make([]uint64, max(n, 0))
 	for i := range out {
 		out[i] = base + uint64(i)
 	}
@@ -160,8 +161,11 @@ func (m Matrix) Specs() ([]RunSpec, error) {
 	if len(m.Seeds) == 0 {
 		return nil, fmt.Errorf("sweep: matrix has no seeds")
 	}
+	if m.Horizon < 0 {
+		return nil, fmt.Errorf("sweep: horizon %v must not be negative", m.Horizon.Duration())
+	}
 	horizon := m.Horizon
-	if horizon <= 0 {
+	if horizon == 0 {
 		horizon = DefaultHorizon
 	}
 

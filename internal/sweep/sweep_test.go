@@ -150,6 +150,17 @@ func TestSpecsExpansion(t *testing.T) {
 	if _, err := (Matrix{}).Specs(); err == nil {
 		t.Error("matrix without seeds accepted")
 	}
+	for _, n := range []int{0, -1} {
+		if s := SeedRange(1, n); len(s) != 0 {
+			t.Errorf("SeedRange(1, %d) = %v, want none", n, s)
+		}
+		if _, err := (Matrix{Seeds: SeedRange(1, n)}).Specs(); err == nil || !strings.Contains(err.Error(), "no seeds") {
+			t.Errorf("SeedRange(1, %d) matrix: got %v, want a no-seeds error", n, err)
+		}
+	}
+	if _, err := (Matrix{Seeds: []uint64{1}, Horizon: -1}).Specs(); err == nil {
+		t.Error("negative horizon accepted")
+	}
 
 	// overload supports only the invented policy: asking for all
 	// three must produce exactly one cell's worth of specs.
