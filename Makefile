@@ -181,14 +181,22 @@ bench-smoke:
 # of `benchmark -trace 1 -seed 1`, which repeat exactly for a seed on
 # any machine — held by `rdperf counts` to the committed
 # BENCH_counts.json with no tolerance: a count that moves means the
-# simulated behaviour changed. The benchmark runs in a temporary
-# directory, so its traced outputs stay out of the tree. After an
-# intended change, record the file from the same output with
-# `rdperf counts -out BENCH_counts.json`.
+# simulated behaviour changed. Then their allocation rates —
+# allocs_per_run and alloc_kb_per_run of an untraced one-second pass at
+# GOMAXPROCS=2 — held to the same file within ±5 % either way.
+# cluster-manifest runs again for the benchmark's own 10 s, whose lines
+# replace its first: each pass grows the benchmark's two output buffers
+# once (≈ 96 MB), and over one second's 9–12 runs that share moves its
+# KiB per run by more than 5 % with the host's speed. The benchmark
+# runs in a temporary directory, so its traced outputs stay out of the
+# tree. After an intended change, record the file from the same output
+# with `rdperf counts -out BENCH_counts.json`.
 counts-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/bin/benchmark" ./benchmark && \
-	(cd "$$dir" && bin/benchmark -workload all -seed 1 -seconds 1 -trace 1 > counts.txt) && \
+	(cd "$$dir" && bin/benchmark -workload all -seed 1 -seconds 1 -trace 1 > counts.txt && \
+		GOMAXPROCS=2 bin/benchmark -workload all -seed 1 -seconds 1 -trace 0 >> counts.txt && \
+		GOMAXPROCS=2 bin/benchmark -workload cluster-manifest -seed 1 -seconds 10 -trace 0 >> counts.txt) && \
 	$(GO) run ./cmd/rdperf counts -against BENCH_counts.json < "$$dir/counts.txt"
 
 # Every examples/* program runs to completion: each prints its deadline

@@ -1,11 +1,13 @@
 // rdperf maintains the repository's committed layer-benchmark baseline
 // (BENCH_kernel.json) and gates fresh runs against it, benchstat-style,
-// and does the same, exactly, for the benchmark workloads' work counts
-// (BENCH_counts.json). It has three subcommands:
+// and does the same for the benchmark workloads' work counts, exactly,
+// and their allocation rates, within ±5 % (BENCH_counts.json). It has
+// three subcommands:
 //
 //	go test -run=NONE -bench . -benchmem ./... | rdperf parse -out BENCH_kernel.json
 //	go test -run=NONE -bench . -benchmem ./... | rdperf compare -against BENCH_kernel.json
-//	benchmark -workload all -seed 1 -trace 1 | rdperf counts -out|-against BENCH_counts.json
+//	(benchmark -workload all -seed 1 -seconds 1 -trace 1; GOMAXPROCS=2 benchmark -workload all -seed 1 -seconds 1 -trace 0) |
+//		rdperf counts -out|-against BENCH_counts.json
 //
 // parse reads `go test -bench` text on stdin and records each
 // benchmark's metrics (ns/op, B/op, allocs/op, and any custom
@@ -83,7 +85,7 @@ func main() {
 		err = cmdCompare(*against, fs.Args())
 	case "counts":
 		out := fs.String("out", "", "BENCH_counts file to record the counts in")
-		against := fs.String("against", "", "committed BENCH_counts file the counts must equal")
+		against := fs.String("against", "", "committed BENCH_counts file the counts must equal and the allocation rates stay near")
 		fs.Parse(os.Args[2:])
 		err = cmdCounts(*out, *against, fs.Args())
 	default:
@@ -99,8 +101,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   rdperf parse   -out FILE      < go-test-bench-output
   rdperf compare -against FILE  < go-test-bench-output
-  rdperf counts  -out FILE      < benchmark-trace-output
-  rdperf counts  -against FILE  < benchmark-trace-output`)
+  rdperf counts  -out FILE      < benchmark-output
+  rdperf counts  -against FILE  < benchmark-output`)
 	os.Exit(2)
 }
 

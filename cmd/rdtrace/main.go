@@ -72,7 +72,7 @@ func main() {
 			stitch(os.Args[2:])
 			return
 		case "query":
-			query(os.Args[2:])
+			queryCmd(os.Args[2:])
 			return
 		}
 	}
@@ -194,49 +194,66 @@ func stitch(args []string) {
 	}
 }
 
-// query filters a manifest's span log and optionally walks causal
-// links backward, printing each matching span's cross-node chain.
-func query(args []string) {
+// queryFlags are query's filters: a task name or numeric ID, a node
+// index or "coord", a span category; and whether to walk the chain.
+type queryFlags struct {
+	task, node, cat string
+	chain           bool
+}
+
+// queryCmd is the query verb: flags, the manifest, then query.
+func queryCmd(args []string) {
 	fs := flag.NewFlagSet("rdtrace query", flag.ExitOnError)
-	taskF := fs.String("task", "", "filter: task name or numeric task ID")
-	nodeF := fs.String("node", "", "filter: node index, or 'coord'")
-	catF := fs.String("cat", "", "filter: span category")
-	chain := fs.Bool("chain", false, "walk each match's causal links back and print the chain")
+	var q queryFlags
+	fs.StringVar(&q.task, "task", "", "filter: task name or numeric task ID")
+	fs.StringVar(&q.node, "node", "", "filter: node index, or 'coord'")
+	fs.StringVar(&q.cat, "cat", "", "filter: span category")
+	fs.BoolVar(&q.chain, "chain", false, "walk each match's causal links back and print the chain")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: rdtrace query [-task T] [-node N|coord] [-cat C] [-chain] <manifest.json | ->")
 		os.Exit(2)
 	}
-	man := readManifestFile(fs.Arg(0))
+	if err := query(readManifestFile(fs.Arg(0)), q, os.Stdout); err != nil {
+		fatal(err)
+	}
+}
 
+// query filters a manifest's span log and optionally walks causal
+// links backward, printing each matching span's cross-node chain to w.
+// A task or node the manifest does not hold is an error.
+func query(man *telemetry.Manifest, q queryFlags, w io.Writer) error {
 	// Task IDs are node-local in a cluster manifest, so a name filter
 	// resolves to (node tag, id) pairs; a bare numeric filter matches
 	// that id on any node.
 	var idFilter map[int64]bool
 	var keyFilter map[[2]int64]bool
-	if *taskF != "" {
+	if q.task != "" {
 		idFilter = map[int64]bool{}
 		keyFilter = map[[2]int64]bool{}
-		if id, err := strconv.ParseInt(*taskF, 10, 64); err == nil {
+		if id, err := strconv.ParseInt(q.task, 10, 64); err == nil {
 			idFilter[id] = true
 		}
 		for _, t := range man.Tasks {
-			if t.Name == *taskF {
+			if t.Name == q.task {
 				keyFilter[[2]int64{int64(t.Node), t.ID}] = true
 			}
 		}
 		if len(idFilter)+len(keyFilter) == 0 {
-			fatal(fmt.Errorf("no task %q in manifest", *taskF))
+			return fmt.Errorf("no task %q in manifest", q.task)
 		}
 	}
 	wantNode, nodeSet := int32(0), false
 	switch {
-	case *nodeF == "coord":
+	case q.node == "coord":
 		wantNode, nodeSet = telemetry.CoordTag, true
-	case *nodeF != "":
-		i, err := strconv.Atoi(*nodeF)
+	case q.node != "":
+		i, err := strconv.Atoi(q.node)
 		if err != nil || i < 0 {
-			fatal(fmt.Errorf("-node wants a node index or 'coord', got %q", *nodeF))
+			return fmt.Errorf("-node wants a node index or 'coord', got %q", q.node)
+		}
+		if i >= man.NodeCount {
+			return fmt.Errorf("-node %d is outside the manifest's %d fleet nodes", i, man.NodeCount)
 		}
 		wantNode, nodeSet = telemetry.NodeTag(i), true
 	}
@@ -254,27 +271,28 @@ func query(args []string) {
 		if nodeSet && sp.Node != wantNode {
 			continue
 		}
-		if *catF != "" && sp.Cat != *catF {
+		if q.cat != "" && sp.Cat != q.cat {
 			continue
 		}
 		matched++
-		printSpan(sp, "")
-		if *chain {
+		printSpan(w, sp, "")
+		if q.chain {
 			for link := sp.Link; link != 0; {
 				target, ok := byID[link]
 				if !ok {
-					fmt.Printf("    <- span %d (evicted from the flight ring)\n", link)
+					fmt.Fprintf(w, "    <- span %d (evicted from the flight ring)\n", link)
 					break
 				}
-				printSpan(target, "    <- ")
+				printSpan(w, target, "    <- ")
 				link = target.Link
 			}
 		}
 	}
-	fmt.Printf("%d of %d spans matched\n", matched, len(man.Spans))
+	_, err := fmt.Fprintf(w, "%d of %d spans matched\n", matched, len(man.Spans))
+	return err
 }
 
-func printSpan(sp *telemetry.Span, prefix string) {
+func printSpan(w io.Writer, sp *telemetry.Span, prefix string) {
 	task := ""
 	if sp.Task != telemetry.NoTask {
 		task = fmt.Sprintf(" task=%d", sp.Task)
@@ -283,7 +301,7 @@ func printSpan(sp *telemetry.Span, prefix string) {
 	if sp.Detail != "" {
 		detail = " " + sp.Detail
 	}
-	fmt.Printf("%s%8d %-7s %-10s %-14s [%d..%d]%s%s\n",
+	fmt.Fprintf(w, "%s%8d %-7s %-10s %-14s [%d..%d]%s%s\n",
 		prefix, int64(sp.ID), telemetry.TagString(sp.Node), sp.Cat, sp.Name,
 		int64(sp.Begin), int64(sp.End), task, detail)
 }

@@ -56,11 +56,6 @@ func (c *Cluster) manifestShell(tag int32) *telemetry.Manifest {
 	return m
 }
 
-// spanReader takes a span log's resident spans for a manifest:
-// Spans.Export for a manifest handed to a caller, Spans.Resident for
-// one that only feeds the stitch.
-type spanReader func(*telemetry.Spans) []telemetry.Span
-
 // CoordManifest freezes the coordinator's own view: fleet.* counters,
 // the fleet decision-span log, the coordinator event log, and every
 // black-box dump the run produced. Valid after Run.
@@ -68,13 +63,16 @@ func (c *Cluster) CoordManifest() (*telemetry.Manifest, error) {
 	if !c.ran {
 		return nil, fmt.Errorf("fleet: CoordManifest before Run")
 	}
-	return c.coordManifest((*telemetry.Spans).Export), nil
+	m := c.coordManifest()
+	m.Spans = c.tel.SpanLog().Export()
+	return m, nil
 }
 
-func (c *Cluster) coordManifest(spans spanReader) *telemetry.Manifest {
+// coordManifest is CoordManifest without the spans, which the live
+// stitch reads from the log.
+func (c *Cluster) coordManifest() *telemetry.Manifest {
 	m := c.manifestShell(telemetry.CoordTag)
 	m.Metrics = c.tel.Reg().Snapshot()
-	m.Spans = spans(c.tel.SpanLog())
 	m.Events = c.flog.Events()
 	m.FlightDumps = c.flightDumps
 	m.DeriveTotals()
@@ -92,14 +90,16 @@ func (c *Cluster) NodeManifest(i int) (*telemetry.Manifest, error) {
 	if i < 0 || i >= len(c.nodes) {
 		return nil, fmt.Errorf("fleet: NodeManifest(%d) outside fleet of %d", i, len(c.nodes))
 	}
-	return c.nodeManifest(i, (*telemetry.Spans).Export), nil
+	m := c.nodeManifest(i)
+	m.Spans = c.nodes[i].tel.SpanLog().Export()
+	return m, nil
 }
 
-func (c *Cluster) nodeManifest(i int, spans spanReader) *telemetry.Manifest {
+// nodeManifest is NodeManifest without the spans.
+func (c *Cluster) nodeManifest(i int) *telemetry.Manifest {
 	n := c.nodes[i]
 	m := c.manifestShell(telemetry.NodeTag(i))
 	m.Metrics = n.tel.Reg().Snapshot()
-	m.Spans = spans(n.tel.SpanLog())
 	m.Events = n.flog.Events()
 	for k := range c.recs.a {
 		if a := &c.recs.a[k]; a.state == admPlaced && a.node == i && a.id != task.NoID {
@@ -118,15 +118,17 @@ func (c *Cluster) nodeManifest(i int, spans spanReader) *telemetry.Manifest {
 // resolved, metrics and events merged in node order, flight dumps
 // attached. Stitching the files written from CoordManifest and
 // NodeManifest through telemetry.StitchCluster (rdtrace stitch)
-// produces the identical result. The stitch copies every span into the
-// result, so it reads the logs where they lie. Valid after Run.
+// produces the identical result. The stitch reads every span log where
+// it lies, so its result holds the only copy. Valid after Run.
 func (c *Cluster) Manifest() (*telemetry.Manifest, error) {
 	if !c.ran {
 		return nil, fmt.Errorf("fleet: Manifest before Run")
 	}
 	nodes := make([]*telemetry.Manifest, len(c.nodes))
-	for i := range c.nodes {
-		nodes[i] = c.nodeManifest(i, (*telemetry.Spans).Resident)
+	logs := make([]*telemetry.Spans, 1+len(c.nodes))
+	logs[0] = c.tel.SpanLog()
+	for i, n := range c.nodes {
+		nodes[i], logs[1+i] = c.nodeManifest(i), n.tel.SpanLog()
 	}
-	return telemetry.StitchCluster(c.coordManifest((*telemetry.Spans).Resident), nodes)
+	return telemetry.StitchLogs(c.coordManifest(), nodes, logs)
 }

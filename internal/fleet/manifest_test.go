@@ -275,56 +275,67 @@ func TestFlightDumpsIgnoreSpanLog(t *testing.T) {
 	}
 }
 
-// Cluster.Manifest is defined as StitchCluster over the cluster's own
-// per-part manifests; writing those parts to JSON and restitching them
-// (what `rdtrace stitch` does with the files rdsweep writes) must
-// reproduce the live cluster manifest byte for byte.
+// Cluster.Manifest stitches the cluster's span logs where they lie;
+// writing its per-part manifests to JSON and restitching them (what
+// `rdtrace stitch` does with the files rdsweep writes) must reproduce
+// the live cluster manifest byte for byte — with full span logs that
+// fill several storage blocks per node, and with flight rings only,
+// which have wrapped.
 func TestStitchOfWrittenPartsMatchesLiveManifest(t *testing.T) {
-	c, _ := crashFleet(t, 2)
-	live, err := c.Manifest()
-	if err != nil {
-		t.Fatalf("manifest: %v", err)
-	}
-
-	roundtrip := func(m *telemetry.Manifest) *telemetry.Manifest {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := m.WriteJSON(&buf); err != nil {
-			t.Fatalf("write part: %v", err)
-		}
-		back, err := telemetry.ReadManifest(&buf)
+	for _, spanLog := range []bool{true, false} {
+		cfg := fleet.Config{Nodes: 4, Seed: 1, Workers: 2, Invariants: true, SpanLog: spanLog}
+		c, _ := crashFleetIn(t, new(fleet.Arena), cfg, 50*ms, 2000*ms)
+		live, err := c.Manifest()
 		if err != nil {
-			t.Fatalf("reread part: %v", err)
+			t.Fatalf("manifest: %v", err)
 		}
-		return back
-	}
 
-	coord, err := c.CoordManifest()
-	if err != nil {
-		t.Fatalf("coord manifest: %v", err)
-	}
-	nodes := make([]*telemetry.Manifest, c.NodeCount())
-	for i := range nodes {
-		nm, err := c.NodeManifest(i)
+		roundtrip := func(m *telemetry.Manifest) *telemetry.Manifest {
+			t.Helper()
+			var buf bytes.Buffer
+			if err := m.WriteJSON(&buf); err != nil {
+				t.Fatalf("write part: %v", err)
+			}
+			back, err := telemetry.ReadManifest(&buf)
+			if err != nil {
+				t.Fatalf("reread part: %v", err)
+			}
+			return back
+		}
+
+		coord, err := c.CoordManifest()
 		if err != nil {
-			t.Fatalf("node %d manifest: %v", i, err)
+			t.Fatalf("coord manifest: %v", err)
 		}
-		nodes[i] = roundtrip(nm)
-	}
-	stitched, err := telemetry.StitchCluster(roundtrip(coord), nodes)
-	if err != nil {
-		t.Fatalf("stitch: %v", err)
-	}
+		nodes := make([]*telemetry.Manifest, c.NodeCount())
+		longest, wrapped := 0, false
+		for i := range nodes {
+			nm, err := c.NodeManifest(i)
+			if err != nil {
+				t.Fatalf("node %d manifest: %v", i, err)
+			}
+			longest = max(longest, len(nm.Spans))
+			wrapped = wrapped || len(nm.Spans) > 0 && nm.Spans[0].ID > 1
+			nodes[i] = roundtrip(nm)
+		}
+		if spanLog && longest < 3*256 || !spanLog && !wrapped {
+			t.Fatalf("SpanLog %v: the longest node log holds %d spans, a ring wrapped = %v; the case needs longer logs", spanLog, longest, wrapped)
+		}
+		stitched, err := telemetry.StitchCluster(roundtrip(coord), nodes)
+		if err != nil {
+			t.Fatalf("stitch: %v", err)
+		}
 
-	var a, b bytes.Buffer
-	if err := live.WriteJSON(&a); err != nil {
-		t.Fatalf("write live: %v", err)
-	}
-	if err := stitched.WriteJSON(&b); err != nil {
-		t.Fatalf("write stitched: %v", err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("stitching the written per-part manifests diverged from the live cluster manifest")
+		var a, b bytes.Buffer
+		if err := live.WriteJSON(&a); err != nil {
+			t.Fatalf("write live: %v", err)
+		}
+		if err := stitched.WriteJSON(&b); err != nil {
+			t.Fatalf("write stitched: %v", err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("SpanLog %v: stitching the written per-part manifests diverged from the live cluster manifest", spanLog)
+		}
 	}
 }
 

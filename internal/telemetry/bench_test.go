@@ -22,19 +22,31 @@ const (
 	benchNodes = 24
 )
 
+// BenchmarkStitchCluster stitches from the parts' manifests (rdtrace
+// stitch) and from their span logs (Cluster.Manifest, the live path).
 func BenchmarkStitchCluster(b *testing.B) {
-	coord, logs := syntheticLogs(benchSpans, benchNodes)
-	m, err := StitchCluster(coord, logs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(m.Spans)) * int64(unsafe.Sizeof(Span{})))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := StitchCluster(coord, logs); err != nil {
-			b.Fatal(err)
-		}
+	coord, parts, logs := syntheticLogs(benchSpans, benchNodes)
+	for _, bc := range []struct {
+		name   string
+		stitch func() (*Manifest, error)
+	}{
+		{"manifests", func() (*Manifest, error) { return StitchCluster(coord, parts) }},
+		{"logs", func() (*Manifest, error) { return StitchLogs(coord, parts, logs) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, err := bc.stitch()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(m.Spans)) * int64(unsafe.Sizeof(Span{})))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.stitch(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -24,6 +24,22 @@ import "fmt"
 // rdsweep wrote is byte-identical to the manifest the live cluster
 // produced.
 func StitchCluster(coord *Manifest, nodes []*Manifest) (*Manifest, error) {
+	return stitch(coord, nodes, nil)
+}
+
+// StitchLogs is StitchCluster reading each part's spans from its span
+// log in place — logs[0] the coordinator's, logs[1+i] node i's — not
+// from the part, so the stitched list is their only copy. A wrapped
+// ring's references below its window drop as Export would drop them.
+func StitchLogs(coord *Manifest, nodes []*Manifest, logs []*Spans) (*Manifest, error) {
+	if len(logs) != 1+len(nodes) {
+		return nil, fmt.Errorf("telemetry: stitch: %d span logs for %d nodes and a coordinator", len(logs), len(nodes))
+	}
+	return stitch(coord, nodes, logs)
+}
+
+// stitch is StitchCluster, with the spans from logs unless logs is nil.
+func stitch(coord *Manifest, nodes []*Manifest, logs []*Spans) (*Manifest, error) {
 	if coord == nil {
 		return nil, fmt.Errorf("telemetry: stitch: nil coordinator manifest")
 	}
@@ -45,23 +61,38 @@ func StitchCluster(coord *Manifest, nodes []*Manifest) (*Manifest, error) {
 	out.HorizonTicks = coord.HorizonTicks
 	out.NodeCount = len(nodes)
 
-	// Per-log ID windows: window[k] = [lo, hi] resident IDs, base[k] =
-	// global IDs already assigned to earlier logs. Log 0 is the
-	// coordinator; log 1+i is node i.
-	logs := make([]*Manifest, 0, 1+len(nodes))
-	logs = append(logs, coord)
-	logs = append(logs, nodes...)
+	// Log 0 is the coordinator, log 1+i node i. Each log's spans are
+	// appended as they stand, and its window read off the appended tail:
+	// [lo, hi] its resident IDs, from base (the global IDs earlier logs
+	// took) to end in out.Spans.
+	parts := append([]*Manifest{coord}, nodes...)
 	type window struct {
-		lo, hi SpanID
-		base   int64
+		lo, hi    SpanID
+		base, end int
+		tag       int32
 	}
-	wins := make([]window, len(logs))
-	var total int64
-	for k, lm := range logs {
-		w := window{base: total}
-		if n := len(lm.Spans); n > 0 {
-			w.lo, w.hi = lm.Spans[0].ID, lm.Spans[n-1].ID
-			total += int64(n)
+	wins := make([]window, len(parts))
+	total := 0
+	for k, lm := range parts {
+		if logs != nil {
+			total += logs[k].N()
+		} else {
+			total += len(lm.Spans)
+		}
+	}
+	out.Spans = make([]Span, 0, total)
+	for k, lm := range parts {
+		w := window{base: len(out.Spans), tag: NodeTag(k - 1)}
+		if k == 0 {
+			w.tag = CoordTag
+		}
+		if logs != nil {
+			out.Spans = logs[k].appendFrom(out.Spans, logs[k].firstID())
+		} else {
+			out.Spans = append(out.Spans, lm.Spans...)
+		}
+		if w.end = len(out.Spans); w.end > w.base {
+			w.lo, w.hi = out.Spans[w.base].ID, out.Spans[w.end-1].ID
 		}
 		wins[k] = w
 	}
@@ -78,68 +109,49 @@ func StitchCluster(coord *Manifest, nodes []*Manifest) (*Manifest, error) {
 		return 0, false
 	}
 
-	rebase := func(k int, id SpanID) (SpanID, bool) {
+	// rebase returns the global ID of log k's span id, or 0 if id is
+	// outside the log's window (an evicted Parent or Link target).
+	rebase := func(k int, id SpanID) SpanID {
 		w := wins[k]
 		if w.hi == 0 || id < w.lo || id > w.hi {
-			return 0, false
+			return 0
 		}
 		// Resident spans carry contiguous IDs, so the offset within
 		// the window is the offset within the global block.
-		return SpanID(w.base + int64(id-w.lo) + 1), true
+		return SpanID(w.base + int(id-w.lo) + 1)
 	}
 
-	out.Spans = make([]Span, 0, total)
-	for k, lm := range logs {
-		tag := CoordTag
-		if k > 0 {
-			tag = NodeTag(k - 1)
-		}
-		for i := range lm.Spans {
-			sp := lm.Spans[i]
-			gid, ok := rebase(k, sp.ID)
-			if !ok {
-				return nil, fmt.Errorf("telemetry: stitch: %s span id %d outside its own window", TagString(tag), sp.ID)
+	// Then each tail is rebased in place.
+	for k, w := range wins {
+		for i := w.base; i < w.end; i++ {
+			sp := &out.Spans[i]
+			gid := rebase(k, sp.ID)
+			if gid == 0 {
+				return nil, fmt.Errorf("telemetry: stitch: %s span id %d outside its own window", TagString(w.tag), sp.ID)
 			}
-			sp.ID = gid
-			sp.Node = tag
+			sp.ID, sp.Node = gid, w.tag
 			if sp.Parent != 0 {
-				if p, ok := rebase(k, sp.Parent); ok {
-					sp.Parent = p
-				} else {
-					sp.Parent = 0
-				}
+				sp.Parent = rebase(k, sp.Parent)
 			}
 			if sp.Link != 0 {
 				src := k
 				if sp.LinkNode != 0 {
 					var ok bool
 					if src, ok = logOf(sp.LinkNode); !ok {
-						return nil, fmt.Errorf("telemetry: stitch: %s span %d links to unknown tag %d", TagString(tag), sp.ID, sp.LinkNode)
+						return nil, fmt.Errorf("telemetry: stitch: %s span %d links to unknown tag %d", TagString(w.tag), sp.ID, sp.LinkNode)
 					}
 				}
-				if l, ok := rebase(src, sp.Link); ok {
-					sp.Link = l
-				} else {
-					sp.Link = 0 // target evicted from its ring
-				}
-				sp.LinkNode = 0
+				sp.Link, sp.LinkNode = rebase(src, sp.Link), 0
 			}
-			out.Spans = append(out.Spans, sp)
 		}
 	}
 
-	for k, lm := range logs {
-		tag := CoordTag
-		if k > 0 {
-			tag = NodeTag(k - 1)
-		}
+	for k, lm := range parts {
 		out.Metrics.Merge(lm.Metrics)
-		for _, e := range lm.Events {
-			out.Events = append(out.Events, e)
-		}
+		out.Events = append(out.Events, lm.Events...)
 		for _, ti := range lm.Tasks {
 			if ti.Node == 0 {
-				ti.Node = tag
+				ti.Node = wins[k].tag
 			}
 			out.Tasks = append(out.Tasks, ti)
 		}

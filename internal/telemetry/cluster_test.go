@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -201,5 +202,35 @@ func TestValidateManifestRejectsCorruptSpans(t *testing.T) {
 	m.Spans[1].Node = NodeTag(4) // beyond NodeCount
 	if err := ValidateManifest(m); err == nil {
 		t.Error("node tag outside the cluster must be rejected")
+	}
+}
+
+// StitchLogs reads the span logs the parts were filled from and stitches
+// what StitchCluster stitches from the parts; a wrapped ring needs no
+// Export first. A log count that does not match the parts is refused.
+func TestStitchLogsMatchesStitchCluster(t *testing.T) {
+	coord, parts, logs := syntheticLogs(3000, 4)
+	ring := NewSpansRing(100)
+	for i := 0; i < 250; i++ {
+		ring.Instant(ticksOf(i), "dispatch", "sp", 1, SpanID(max(i-3, 0)), "")
+		ring.SetLink(SpanID(i+1), 0, SpanID(i-5))
+	}
+	parts[2].Spans, logs[3] = ring.Export(), ring
+	want, err := StitchCluster(coord, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append([]*Manifest{coord}, parts...) {
+		p.Spans = nil // StitchLogs does not read them
+	}
+	got, err := StitchLogs(coord, parts, logs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("stitching the span logs differs from stitching the manifests")
+	}
+	if _, err := StitchLogs(coord, parts, logs[1:]); err == nil {
+		t.Fatal("StitchLogs took 4 logs for 4 nodes and a coordinator")
 	}
 }

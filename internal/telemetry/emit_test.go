@@ -695,8 +695,9 @@ const syntheticTasksPerNode = 8
 // manifest and `nodes` node manifests holding about `spans` spans
 // between them in the mix a fleet run records — period windows with
 // dispatch slices under them, admission instants with stock details,
-// and placement decisions linked back to the coordinator's.
-func syntheticLogs(spans, nodes int) (*Manifest, []*Manifest) {
+// and placement decisions linked back to the coordinator's — and the
+// span logs the manifests were filled from, the coordinator's first.
+func syntheticLogs(spans, nodes int) (*Manifest, []*Manifest, []*Spans) {
 	perNode := spans / (nodes + 1)
 	coordSet := NewSet()
 	coordSet.Registry.Counter("fleet.placed").Add(int64(perNode))
@@ -712,6 +713,7 @@ func syntheticLogs(spans, nodes int) (*Manifest, []*Manifest) {
 	coord.Events = []LogEvent{{At: 5, Kind: "storm", Detail: "front crosses nodes 0-2"}}
 
 	logs := make([]*Manifest, nodes)
+	spanLogs := []*Spans{coordSet.Spans}
 	for n := range logs {
 		set := NewSet()
 		set.Registry.Counter("sched.dispatch.granted").Add(int64(perNode))
@@ -748,14 +750,15 @@ func syntheticLogs(spans, nodes int) (*Manifest, []*Manifest) {
 			nm.FlightDumps = []FlightDump{f.Dump(NodeTag(0), "node-crash", 99)}
 		}
 		logs[n] = nm
+		spanLogs = append(spanLogs, set.Spans)
 	}
-	return coord, logs
+	return coord, logs, spanLogs
 }
 
 // syntheticCluster is syntheticLogs stitched: a valid rdtel/v2 cluster
 // manifest of about `spans` spans over `nodes` nodes.
 func syntheticCluster(spans, nodes int) *Manifest {
-	coord, logs := syntheticLogs(spans, nodes)
+	coord, logs, _ := syntheticLogs(spans, nodes)
 	m, err := StitchCluster(coord, logs)
 	if err != nil {
 		panic(err)

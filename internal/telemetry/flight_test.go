@@ -59,7 +59,7 @@ func TestSpansRingWrapMatchesModuloPlacement(t *testing.T) {
 				}
 				continue
 			}
-			at := &ring.spans[(int(k)-1)%ringCap]
+			at := &ring.blocks[0][(int(k)-1)%ringCap]
 			if sp != at || sp.ID != k || sp.Task != int64(k-1) {
 				t.Fatalf("after %d: slot(%d) = %+v, want the span at index %d: %+v", id, k, sp, (int(k)-1)%ringCap, *at)
 			}
@@ -305,31 +305,79 @@ func TestFlightResetForgetsPreviousRun(t *testing.T) {
 	}
 }
 
-// TestResidentReadsInPlaceUntilEviction: Resident is Export without
-// the copy exactly while there is nothing for Export to fix up.
-func TestResidentReadsInPlaceUntilEviction(t *testing.T) {
-	for _, s := range []*Spans{NewSpans(), NewSpansRing(8)} {
-		if s.Resident() != nil {
-			t.Fatal("Resident of an empty log is not nil")
+// An unbounded log stores its spans in blocks of spanBlock. Recorded
+// across the first two block boundaries, with links set on the spans
+// either side of each, every reader returns what a plain slice of the
+// same records holds; and an ID handed out before a Reset stays inert
+// until the refill reaches it.
+func TestSpanLogBlocksMatchSlice(t *testing.T) {
+	cats := []string{"period", "dispatch", "admission"}
+	s := NewSpans()
+	var ref []Span
+	for i := 0; i < 2*spanBlock+3; i++ {
+		cat := cats[i*i%len(cats)]
+		id := s.Complete(ticksOf(i), ticksOf(i+1), cat, "sp", int64(i), SpanID(i/2), "")
+		ref = append(ref, Span{ID: id, Parent: SpanID(i / 2), Cat: cat, Name: "sp", Task: int64(i), Begin: ticksOf(i), End: ticksOf(i + 1)})
+		if id != SpanID(i+1) {
+			t.Fatalf("record %d: ID %d", i, id)
 		}
-		for i := 0; i < 5; i++ {
-			s.Instant(ticksOf(i), "cat", "sp", NoTask, SpanID(i), "")
-		}
-		got := s.Resident()
-		if !reflect.DeepEqual(got, s.Export()) {
-			t.Fatalf("Resident = %+v, Export = %+v", got, s.Export())
-		}
-		if &got[0] != &s.spans[0] {
-			t.Fatal("Resident copied a log nothing was evicted from")
+		if k := id % spanBlock; id > 1 && (k <= 1 || k == spanBlock-1) { // 255–257, 511–513
+			s.SetLink(id, NodeTag(1), id-1)
+			ref[id-1].Link, ref[id-1].LinkNode = id-1, NodeTag(1)
 		}
 	}
-	ring := NewSpansRing(3)
-	for i := 0; i < 5; i++ {
-		ring.Instant(ticksOf(i), "cat", "sp", NoTask, SpanID(i), "")
+	for i := range ref {
+		if sp := s.slot(ref[i].ID); sp == nil || *sp != ref[i] {
+			t.Fatalf("slot(%d) = %+v, want %+v", ref[i].ID, sp, ref[i])
+		}
 	}
-	got := ring.Resident()
-	if !reflect.DeepEqual(got, ring.Export()) || &got[0] == &ring.spans[0] {
-		t.Fatalf("Resident of a wrapped ring must be Export's copy: %+v", got)
+	for _, c := range cats {
+		want := SpanID(0)
+		for i := range ref {
+			if ref[i].Cat == c {
+				want = ref[i].ID
+			}
+		}
+		if got := s.FindLast(c); got != want {
+			t.Fatalf("FindLast(%q) = %d, want %d", c, got, want)
+		}
+	}
+	var all []Span
+	s.All(func(sp Span) bool { all = append(all, sp); return true })
+	if !reflect.DeepEqual(all, ref) || !reflect.DeepEqual(s.Export(), ref) || s.N() != len(ref) {
+		t.Fatalf("All or Export differ from the records (N = %d)", s.N())
+	}
+
+	stale := SpanID(spanBlock + 1)
+	s.Reset()
+	s.SetLink(stale, CoordTag, 1)
+	if s.slot(stale) != nil || s.FindLast("period") != 0 || s.Export() != nil {
+		t.Fatal("an ID from before Reset resolves")
+	}
+	for i := 0; i < spanBlock+1; i++ {
+		s.Instant(ticksOf(i), "fresh", "sp", NoTask, 0, "")
+	}
+	if sp := s.slot(stale); sp == nil || sp.Cat != "fresh" || sp.Link != 0 {
+		t.Fatalf("refilled slot %d = %+v", stale, sp)
+	}
+}
+
+// A log that is Reset refills the blocks it has: recording the same
+// run again allocates nothing.
+func TestSpanLogRefillAllocFree(t *testing.T) {
+	s := NewSpans()
+	run := func() {
+		s.Reset()
+		for i := 0; i < 3000; i++ {
+			s.Complete(ticksOf(i), ticksOf(i+1), "dispatch", "worker", 1, SpanID(i), "")
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("refilling a Reset log allocates %.0f times, want 0", allocs)
+	}
+	if s.N() != 3000 || len(s.blocks) != (3000+spanBlock-1)/spanBlock {
+		t.Fatalf("N = %d in %d blocks", s.N(), len(s.blocks))
 	}
 }
 

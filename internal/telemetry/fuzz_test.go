@@ -187,8 +187,10 @@ func FuzzValidatePerfettoMatchesRef(f *testing.F) {
 		if perfettoCanonical([]byte(doc)) && want != nil {
 			t.Fatalf("fast path accepted a document the reference rejects: %v", want)
 		}
-		if got := ValidatePerfetto(strings.NewReader(doc)); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("ValidatePerfetto = %v, reference = %v", got, want)
+		for _, way := range readerWays(doc) {
+			if got := ValidatePerfetto(way.r); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("ValidatePerfetto from %s = %v, reference = %v", way.name, got, want)
+			}
 		}
 	})
 }

@@ -109,16 +109,21 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 // ReadManifest decodes and structurally validates a manifest. Documents
 // shaped the way WriteJSON shapes them take the single-pass reader in
 // read.go, which reads a long span list in parts on up to GOMAXPROCS
-// goroutines; anything else is decoded by encoding/json from the same
+// goroutines, in place when r hands its bytes over whole (parseInput);
+// anything else is decoded by encoding/json from a copy of the same
 // bytes, so what is accepted, and as what value, does not depend on
-// which path ran.
+// which path ran. The manifest shares no memory with the input.
 func ReadManifest(r io.Reader) (*Manifest, error) {
-	data, err := readAll(r)
+	var m *Manifest
+	data, ok, err := parseInput(r, func(b []byte) bool {
+		m = new(Manifest)
+		_, ok := readCanonical(b, m, runtime.GOMAXPROCS(0), minChunks*spanChunk)
+		return ok
+	})
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: manifest: %v", err)
 	}
-	m := new(Manifest)
-	if _, ok := readCanonical(data, m, runtime.GOMAXPROCS(0), minChunks*spanChunk); !ok {
+	if !ok {
 		m = new(Manifest)
 		if err := json.NewDecoder(bytes.NewReader(data)).Decode(m); err != nil {
 			return nil, fmt.Errorf("telemetry: manifest: %v", err)
@@ -130,15 +135,40 @@ func ReadManifest(r io.Reader) (*Manifest, error) {
 	return m, nil
 }
 
-// readAll is io.ReadAll with the buffer sized up front when the reader
-// can say how much is left (bytes.Reader, bytes.Buffer, strings.Reader).
-func readAll(r io.Reader) ([]byte, error) {
-	var b bytes.Buffer
-	if sized, ok := r.(interface{ Len() int }); ok {
-		b.Grow(sized.Len() + bytes.MinRead)
+// parseInput copies r into a sink that hands its first Write to parse
+// in place; parse keeps none of the bytes. io.Copy has a bytes.Reader
+// or bytes.Buffer write itself whole in that Write. If parse refuses
+// it, the sink copies all it is written, parse runs on the copy if
+// there was more, and the copy is returned for the caller's fallback.
+// Writes after an accepted one are discarded, as a json.Decoder
+// ignores what follows the value it decodes.
+func parseInput(r io.Reader, parse func([]byte) bool) (data []byte, ok bool, err error) {
+	s := &parseSink{parse: parse}
+	if _, err := io.Copy(s, r); err != nil {
+		return nil, false, err
 	}
-	_, err := b.ReadFrom(r)
-	return b.Bytes(), err
+	if !s.ok && s.writes > 1 {
+		s.ok = parse(s.data)
+	}
+	return s.data, s.ok, nil
+}
+
+type parseSink struct {
+	parse  func([]byte) bool
+	writes int
+	ok     bool
+	data   []byte
+}
+
+func (s *parseSink) Write(p []byte) (int, error) {
+	switch s.writes++; {
+	case s.ok:
+	case s.writes == 1 && s.parse(p):
+		s.ok = true
+	default:
+		s.data = append(s.data, p...)
+	}
+	return len(p), nil
 }
 
 // ValidateManifest checks a manifest's structural invariants: a known

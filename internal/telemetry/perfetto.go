@@ -310,13 +310,14 @@ func (e *emitter) perfetto(m *Manifest) error {
 }
 
 // ValidatePerfetto checks Chrome trace-event JSON by validatePerfettoJSON's
-// rules; perfettoCanonical (read.go) passes the writer's own in one pass.
+// rules; perfettoCanonical (read.go) passes the writer's own in one pass,
+// in place when r hands its bytes over in one piece (parseInput).
 func ValidatePerfetto(r io.Reader) error {
-	data, err := readAll(r)
+	data, ok, err := parseInput(r, perfettoCanonical)
 	if err != nil {
 		return fmt.Errorf("telemetry: perfetto: %v", err)
 	}
-	if perfettoCanonical(data) {
+	if ok {
 		return nil
 	}
 	return validatePerfettoJSON(bytes.NewReader(data))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"reflect"
@@ -43,16 +44,100 @@ func checkReadersAgree(t *testing.T, doc string) (fast bool) {
 			t.Fatalf("fast path decoded\n %+v\nencoding/json decoded\n %+v\nfrom %q", got, want, doc)
 		}
 	}
-	m, err := ReadManifest(strings.NewReader(doc))
 	ref, refErr := readManifestRef(doc)
-	if fmt.Sprint(err) != fmt.Sprint(refErr) {
-		t.Fatalf("ReadManifest error %v, reference %v, on %q", err, refErr, doc)
-	}
-	if !reflect.DeepEqual(m, ref) {
-		t.Fatalf("ReadManifest returned\n %+v\nreference\n %+v\nfrom %q", m, ref, doc)
+	for _, way := range readerWays(doc) {
+		m, err := ReadManifest(way.r)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("ReadManifest from %s: error %v, reference %v, on %q", way.name, err, refErr, doc)
+		}
+		if !reflect.DeepEqual(m, ref) {
+			t.Fatalf("ReadManifest from %s returned\n %+v\nreference\n %+v\nfrom %q", way.name, m, ref, doc)
+		}
 	}
 	checkSplitReaderAgrees(t, doc, got, fast)
 	return fast
+}
+
+// readerWays hands doc over three ways: a bytes.Reader, whose one Write
+// parseInput parses in place; a reader with no WriteTo, whose reads it
+// copies; and a WriterTo that writes seven bytes at a time, so the
+// parse of the first Write fails and the sink falls back to its copy.
+func readerWays(doc string) []struct {
+	name string
+	r    io.Reader
+} {
+	return []struct {
+		name string
+		r    io.Reader
+	}{
+		{"a bytes.Reader", bytes.NewReader([]byte(doc))},
+		{"a plain reader", struct{ io.Reader }{strings.NewReader(doc)}},
+		{"seven-byte writes", dribbler{strings.NewReader(doc), 7}},
+	}
+}
+
+// dribbler is a reader whose WriteTo writes n bytes at a time.
+type dribbler struct {
+	*strings.Reader
+	n int
+}
+
+func (d dribbler) WriteTo(w io.Writer) (int64, error) {
+	return io.CopyBuffer(w, struct{ io.Reader }{d.Reader}, make([]byte, d.n))
+}
+
+// A document the first Write holds whole is taken, and what is written
+// after it discarded, as a json.Decoder ignores what follows the value
+// it decodes; the two readers agree on what follows, too.
+func TestReadersIgnoreWritesAfterTheDocument(t *testing.T) {
+	doc := writerLayout(sampleManifest())
+	for _, tail := range []string{"", "\n", "not json", doc} {
+		m, err := ReadManifest(dribbler{strings.NewReader(doc + tail), len(doc)})
+		ref, refErr := readManifestRef(doc + tail)
+		if err != nil || refErr != nil || !reflect.DeepEqual(m, ref) {
+			t.Errorf("tail %q: read %+v (%v), reference %+v (%v)", tail, m, err, ref, refErr)
+		}
+	}
+	golden, err := os.ReadFile("testdata/settop-smoke.perfetto.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"", "not json"} {
+		if err := ValidatePerfetto(dribbler{strings.NewReader(string(golden) + tail), len(golden)}); err != nil {
+			t.Errorf("tail %q: %v", tail, err)
+		}
+		if err := validatePerfettoJSON(strings.NewReader(string(golden) + tail)); err != nil {
+			t.Errorf("reference, tail %q: %v", tail, err)
+		}
+	}
+}
+
+// ReadManifest parses a bytes.Reader's bytes where they lie, and the
+// manifest it returns shares none of them: the caller may reuse its
+// buffer, as the benchmark does, and the manifest does not change.
+func TestReadManifestDoesNotAliasInput(t *testing.T) {
+	m := syntheticCluster(3000, 3)
+	for i := range m.Spans {
+		if i%5 == 0 {
+			m.Spans[i].Detail = fmt.Sprintf("a detail longer than the interned strings, \"escaped\" %d", i)
+		}
+	}
+	var doc bytes.Buffer
+	if err := m.WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadManifest(bytes.NewReader(bytes.Clone(doc.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadManifest(bytes.NewReader(doc.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(doc.Bytes())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("zeroing the input changed the manifest read from it")
+	}
 }
 
 // checkSplitReaderAgrees holds the split reader to the one-part reader
@@ -109,7 +194,7 @@ func TestSplitReaderTakesWriterOutput(t *testing.T) {
 // stitched cluster manifest, manifests with flight dumps, and the edge
 // cases — and the same documents compacted are deferred, and agree.
 func TestReadCanonicalTakesWriterOutput(t *testing.T) {
-	coord, logs := syntheticLogs(2000, 5)
+	coord, logs, _ := syntheticLogs(2000, 5)
 	manifests := map[string]*Manifest{
 		"zero":        {},
 		"sample":      sampleManifest(),
@@ -307,6 +392,7 @@ var deferredVariants = func() map[string]string {
 		"tabs":             strings.ReplaceAll(base, "  ", "\t"),
 		"spaceBeforeColon": strings.Replace(base, `"seed": `, `"seed" : `, 1),
 		"trailingNewline":  base + "\n",
+		"trailingBytes":    base + `{"schema":"rdtel/v2","seed":2} and then not json`,
 		"whitespace":       " \t\r\n{ \"schema\" :\t\"rdtel/v2\" ,\r\n\"seed\" : 1 , \"spans\" : [ { \"id\" : 1 } , { \"id\" : 2 } ] }\n\n",
 		"emptyArrays":      `{"schema":"rdtel/v2","seed":0,"spans":[],"events":[],"tasks":[],"flight_dumps":[]}`,
 		"emptyObject":      `{}`,

@@ -89,12 +89,21 @@ type Span struct {
 // (FirstID..Total) and a slot's ID doubles as its generation: SetLink
 // on an evicted ID fails the ID-equality check and is inert, the same
 // idiom as the PR 4 event pool.
+//
+// Both modes store spans in blocks of spanBlock: slot i is
+// blocks[i/spanBlock][i%spanBlock], where i is ID−1, modulo the
+// capacity in a ring. A ring's blocks are allocated up front; an
+// unbounded log allocates a block as it reaches it and never copies
+// one, and Reset keeps them all for the next run to refill in order.
 type Spans struct {
-	spans []Span
-	total int64 // spans ever recorded; the next ID is total+1
-	max   int   // >0: ring capacity; 0: unbounded
-	head  int   // full ring: the slot the next span overwrites, total mod max
+	blocks [][]Span
+	total  int64 // spans ever recorded; the next ID is total+1
+	max    int   // >0: ring capacity; 0: unbounded
+	next   int   // the slot the next span goes to: total, wrapped at max in a ring
 }
+
+// spanBlock is the spans in one storage block: 24 KiB.
+const spanBlock = 256
 
 // NewSpans returns an empty unbounded span log.
 func NewSpans() *Spans { return &Spans{} }
@@ -106,50 +115,36 @@ func NewSpansRing(max int) *Spans {
 	if max <= 0 {
 		max = 1
 	}
-	// The whole ring is allocated up front so the fill phase appends
-	// within capacity: record never allocates, from the first span on.
-	return &Spans{spans: make([]Span, 0, max), max: max}
+	// The whole ring is allocated up front, so record never
+	// allocates, from the first span on.
+	s := &Spans{max: max}
+	for i := 0; i < max; i += spanBlock {
+		s.blocks = append(s.blocks, make([]Span, min(spanBlock, max-i)))
+	}
+	return s
 }
 
 // Reset empties the log for the next run and keeps its storage and
 // mode. IDs start again at 1; until they are reassigned, every ID
 // the previous run handed out is above Total and fails slot's checks,
 // so SetLink and FindLast on it are inert.
-func (s *Spans) Reset() {
-	s.spans = s.spans[:0]
-	s.total, s.head = 0, 0
-}
-
-// Reserve grows the log's capacity ahead of an append-heavy run, the
-// same pay-as-you-go idiom as trace.Recorder.Reserve. Rings ignore it:
-// their storage is fixed at construction.
-func (s *Spans) Reserve(n int) {
-	if s == nil || s.max > 0 || n <= cap(s.spans)-len(s.spans) {
-		return
-	}
-	grown := make([]Span, len(s.spans), len(s.spans)+n)
-	copy(grown, s.spans)
-	s.spans = grown
-}
+func (s *Spans) Reset() { s.total, s.next = 0, 0 }
 
 // put stores *sp (whose ID the caller has already assigned as the next
-// sequential ID) and advances the total. In ring mode the slot for ID
-// k is (k-1) mod max, which coincides with plain append order until
-// the ring is full, so the steady state allocates nothing. A full
-// ring does not divide to find that slot: IDs are sequential, so head
-// — zero when the ring fills, wrapping at max — is the same number
-// slot computes. The span travels by pointer and is copied once, into
-// its slot.
+// sequential ID) in the next slot and advances the total. A ring does
+// not divide to find that slot: IDs are sequential, so next — wrapping
+// at max — is the same number slot computes. The span travels by
+// pointer and is copied once, into its slot.
 func (s *Spans) put(sp *Span) {
-	if s.max > 0 && len(s.spans) == s.max {
-		s.spans[s.head] = *sp
-		if s.head++; s.head == s.max {
-			s.head = 0
-		}
-	} else {
-		s.spans = append(s.spans, *sp)
+	b := s.next / spanBlock
+	if b == len(s.blocks) {
+		s.blocks = append(s.blocks, make([]Span, spanBlock))
 	}
+	s.blocks[b][s.next%spanBlock] = *sp
 	s.total++
+	if s.next++; s.next == s.max {
+		s.next = 0
+	}
 }
 
 // slot returns the live storage for id, or nil if id is zero, not yet
@@ -159,16 +154,11 @@ func (s *Spans) slot(id SpanID) *Span {
 	if s == nil || id <= 0 || int64(id) > s.total {
 		return nil
 	}
-	var i int
+	i := int(id) - 1
 	if s.max > 0 {
-		i = int((int64(id) - 1) % int64(s.max))
-		if i >= len(s.spans) {
-			return nil
-		}
-	} else {
-		i = int(id) - 1
+		i %= s.max
 	}
-	if sp := &s.spans[i]; sp.ID == id {
+	if sp := &s.blocks[i/spanBlock][i%spanBlock]; sp.ID == id {
 		return sp
 	}
 	return nil
@@ -228,11 +218,8 @@ func (s *Spans) FindLast(cat string) SpanID {
 
 // firstID reports the lowest resident span ID (1 for unbounded logs).
 func (s *Spans) firstID() SpanID {
-	if s == nil || s.total == 0 {
-		return 1
-	}
-	if s.max > 0 && s.total > int64(len(s.spans)) {
-		return SpanID(s.total - int64(len(s.spans)) + 1)
+	if s != nil && s.max > 0 && s.total > int64(s.max) {
+		return SpanID(s.total - int64(s.max) + 1)
 	}
 	return 1
 }
@@ -243,7 +230,7 @@ func (s *Spans) N() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.spans)
+	return int(s.total - int64(s.firstID()) + 1)
 }
 
 // Total reports the number of spans ever recorded, including any a
@@ -271,20 +258,6 @@ func (s *Spans) All(yield func(Span) bool) {
 	}
 }
 
-// Resident returns the resident spans in ID order for a caller that
-// reads them and lets go before the log records again — the cluster
-// stitch, which copies every span into the stitched manifest anyway.
-// While nothing has been evicted that is the log's own storage: there
-// is no reference below the window for Export to clear. A ring that
-// has wrapped is neither in ID order nor free of such references, so
-// it gets Export's copy.
-func (s *Spans) Resident() []Span {
-	if s == nil || s.total == 0 || s.firstID() != 1 {
-		return s.Export()
-	}
-	return s.spans
-}
-
 // Export returns a copy of the resident spans in ID order for
 // manifests. For rings, references that point below the retention
 // window — a Parent or same-log Link whose target was evicted — are
@@ -299,24 +272,38 @@ func (s *Spans) exportLast(n int) []Span {
 	if s == nil || s.total == 0 {
 		return nil
 	}
-	lo := s.firstID()
-	if w := SpanID(s.total - int64(n) + 1); w > lo {
-		lo = w
+	lo := max(s.firstID(), SpanID(s.total-int64(n)+1))
+	out := s.appendFrom(make([]Span, 0, int(s.total-int64(lo))+1), lo)
+	for i := range out {
+		sp := &out[i]
+		if sp.Parent < lo {
+			sp.Parent = 0
+		}
+		if sp.LinkNode == 0 && sp.Link < lo {
+			sp.Link = 0
+		}
 	}
-	out := make([]Span, 0, int(s.total-int64(lo))+1)
-	for id := lo; int64(id) <= s.total; id++ {
-		sp := s.slot(id)
-		if sp == nil {
-			continue
+	return out
+}
+
+// appendFrom appends the resident spans from ID lo on to out, in ID
+// order, a block's run at a time.
+func (s *Spans) appendFrom(out []Span, lo SpanID) []Span {
+	if s == nil {
+		return out
+	}
+	i := int(lo) - 1
+	if s.max > 0 {
+		i %= s.max
+	}
+	for n := int(s.total - int64(lo) + 1); n > 0; {
+		run := s.blocks[i/spanBlock][i%spanBlock:]
+		run = run[:min(n, len(run))]
+		out = append(out, run...)
+		n -= len(run)
+		if i += len(run); i == s.max {
+			i = 0
 		}
-		cp := *sp
-		if cp.Parent != 0 && cp.Parent < lo {
-			cp.Parent = 0
-		}
-		if cp.Link != 0 && cp.LinkNode == 0 && cp.Link < lo {
-			cp.Link = 0
-		}
-		out = append(out, cp)
 	}
 	return out
 }

@@ -86,7 +86,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.Instant(1, "c", "n", NoTask, 0, "")
 	sp.SetLink(1, CoordTag, 1)
-	sp.Reserve(100)
 	if sp.N() != 0 || sp.Export() != nil {
 		t.Error("nil Spans must stay empty")
 	}
