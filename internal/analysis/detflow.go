@@ -48,7 +48,7 @@ var DetFlow = &Analyzer{
 // starts with On" (the observer-callback convention).
 var detflowSinkMethods = map[[2]string]map[string]bool{
 	{"repro/internal/trace", "Recorder"}:      nil,
-	{"repro/internal/telemetry", "Spans"}:     {"Complete": true, "Instant": true},
+	{"repro/internal/telemetry", "Spans"}:     {"Complete": true, "Instant": true, "SetDetail": true},
 	{"repro/internal/telemetry", "Counter"}:   {"Add": true},
 	{"repro/internal/telemetry", "Gauge"}:     {"Set": true},
 	{"repro/internal/telemetry", "Histogram"}: {"Observe": true},

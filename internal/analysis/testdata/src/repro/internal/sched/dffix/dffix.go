@@ -7,6 +7,7 @@
 package dffix
 
 import (
+	"fmt"
 	"os"
 	"time"
 
@@ -41,6 +42,13 @@ func viaFuncValue(h *telemetry.Histogram) {
 
 func misses(r *trace.Recorder) {
 	r.OnDeadlineMiss(1, uptime2(), 0) // want "flows into"
+}
+
+// lateDetail renders a host value into a span's detail after the span
+// was recorded.
+func lateDetail(sp *telemetry.Spans) {
+	id := sp.Instant(0, "fleet", "place", -1, 0, "")
+	sp.SetDetail(id, fmt.Sprint(uptime2())) // want "flows into"
 }
 
 func logged(l *telemetry.EventLog) {

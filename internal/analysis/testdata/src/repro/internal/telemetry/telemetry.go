@@ -65,6 +65,10 @@ func (s *Spans) Instant(at int64, cat, name string, tsk int64, parent SpanID, de
 // audits its target argument.
 func (s *Spans) SetLink(id SpanID, linkNode int32, target SpanID) {}
 
+// SetDetail fills in an existing span's detail; detflow treats it as a
+// sink like Instant.
+func (s *Spans) SetDetail(id SpanID, detail string) {}
+
 // FindLast returns the newest resident span with the given category.
 func (s *Spans) FindLast(cat string) SpanID { return SpanID(s.n) }
 

@@ -45,12 +45,12 @@ type Cluster struct {
 	cPlaced, cSpill, cRetry, cReject, cMigrate         *telemetry.Counter
 	cCrash, cRestart, cLost, cRecovered, cDrop         *telemetry.Counter
 
-	// record.go: the coordinator's instrument set and black box (the
-	// arena's recorder), its event log, and every black-box dump the
-	// run produced, in trigger order (barrier order, node order within
-	// a barrier).
+	// record.go: the arena's recorder (the coordinator's span log and
+	// black box), its instrument set, its event log, and every
+	// black-box dump the run produced, in trigger order (barrier
+	// order, node order within a barrier).
+	rec         *recorder
 	tel         *telemetry.Set
-	flight      *telemetry.Flight
 	flog        telemetry.EventLog
 	flightDumps []telemetry.FlightDump
 	cFlightDump *telemetry.Counter

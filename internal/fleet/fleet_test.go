@@ -337,6 +337,45 @@ func TestCrashRecoveryReplacesGuarantees(t *testing.T) {
 	}
 }
 
+// A node whose kernel trips the livelock guard stays stalled: a crash
+// and a restart scheduled for it are recorded as skipped, and its black
+// box is dumped once.
+func TestCrashOnStalledNodeIsRecorded(t *testing.T) {
+	c := mustNew(t, fleet.Config{Nodes: 2, Seed: 1, Workers: 1})
+	k := c.Node(1).Kernel()
+	var loop func()
+	loop = func() { k.After(0, loop) }
+	k.At(5*ms, loop)
+	c.ScheduleNodeCrash(1, 30*ms)
+	c.ScheduleNodeRestart(1, 60*ms)
+	rep := c.Run(100 * ms)
+	if len(rep.Stalled) != 1 || !strings.HasPrefix(rep.Stalled[0], "node 1: kernel livelock guard tripped") {
+		t.Fatalf("stalled = %q, want node 1's livelock", rep.Stalled)
+	}
+	if rep.Crashes != 0 || rep.Restarts != 0 {
+		t.Errorf("a stalled node crashed %d and restarted %d times", rep.Crashes, rep.Restarts)
+	}
+	stalls := 0
+	for _, d := range rep.FlightDumps {
+		if d.Reason == "stall" {
+			stalls++
+		}
+	}
+	if stalls != 1 {
+		t.Errorf("%d stall dumps, want 1", stalls)
+	}
+	skipped := map[string]int{}
+	rep.Log.All(func(e telemetry.LogEvent) bool {
+		if strings.HasSuffix(e.Kind, "-skipped") && e.Detail == "node 1 is stalled" {
+			skipped[e.Kind]++
+		}
+		return true
+	})
+	if skipped["fleet.crash-skipped"] != 1 || skipped["fleet.restart-skipped"] != 1 || len(skipped) != 2 {
+		t.Errorf("want one crash and one restart skipped as \"node 1 is stalled\":\n%s", rep.Log.String())
+	}
+}
+
 // When the whole fleet is full, denials spill across siblings, the
 // retry loop backs off a bounded number of times, and the admission
 // ends as a recorded fleet-wide rejection — never a silent drop.

@@ -71,8 +71,7 @@ func (c *Cluster) placed(a *admRec, n *node, id task.ID, denials int, now ticks.
 	if denials > 0 {
 		c.cSpill.Inc()
 		spanName = "spill"
-		c.flog.Record(now, "fleet.spill",
-			fmt.Sprintf("%s spilled to node %d after %d denial(s)", a.Name, n.id, denials))
+		c.flog.Record(now, "fleet.spill", c.rec.text(&note{a: a, x: int32(n.id), y: int32(denials), kind: noteSpillEvent}))
 	}
 	if a.recovering {
 		a.recovering = false
@@ -83,7 +82,7 @@ func (c *Cluster) placed(a *admRec, n *node, id task.ID, denials int, now ticks.
 		c.flog.Record(now, "fleet.recover",
 			fmt.Sprintf("%s re-placed on node %d, %v after its node crashed", a.Name, n.id, now-a.crashAt))
 	}
-	p := c.fleetSpan(now, spanName, a, fmt.Sprintf("%s -> node %d", a.Name, n.id))
+	p := c.noteSpan(now, spanName, note{a: a, x: int32(n.id), kind: notePlaced})
 	c.tipToAdmission(n, a, p)
 }
 
@@ -94,11 +93,10 @@ func (c *Cluster) moved(a *admRec, src, dst *node, id task.ID, now ticks.Ticks) 
 	a.node, a.id = dst.id, id
 	dst.placed = append(dst.placed, a)
 	c.cMigrate.Inc()
-	m := c.fleetSpan(now, "migrate", a, fmt.Sprintf("%s node %d -> %d", a.Name, src.id, dst.id))
-	c.tipToAdmission(dst, a, m)
-	c.flog.Record(now, "fleet.migrate",
-		fmt.Sprintf("%s moved node %d -> %d under shed pressure; %v transfer charged to target",
-			a.Name, src.id, dst.id, migrationCost))
+	mv := note{a: a, x: int32(src.id), y: int32(dst.id), kind: noteMigrate}
+	c.tipToAdmission(dst, a, c.noteSpan(now, "migrate", mv))
+	mv.kind = noteMigrateEvent
+	c.flog.Record(now, "fleet.migrate", c.rec.text(&mv))
 }
 
 // lostToCrash puts a, a guarantee held by the node that just crashed,
@@ -111,14 +109,14 @@ func (c *Cluster) lostToCrash(a *admRec, ni int, now ticks.Ticks) {
 	a.attempts = 0
 	a.timesLost++
 	c.cLost.Inc()
-	c.fleetSpan(now, "crash-readmit", a, fmt.Sprintf("%s lost with node %d", a.Name, ni))
+	c.noteSpan(now, "crash-readmit", note{a: a, x: int32(ni), kind: noteLost})
 }
 
 // done retires a: its task exited naturally on n, delivered in full.
 func (c *Cluster) done(a *admRec, n *node, now ticks.Ticks) {
 	a.state = admDone
 	a.id = task.NoID
-	c.fleetSpan(now, "complete", a, fmt.Sprintf("%s ran out on node %d", a.Name, n.id))
+	c.noteSpan(now, "complete", note{a: a, x: int32(n.id), kind: noteDone})
 }
 
 // abandon records an admission's terminal failure: a degradation if
@@ -152,6 +150,7 @@ func (c *Cluster) doCrash(ni int, now ticks.Ticks) {
 		return
 	}
 	if n.stallErr != "" {
+		c.flog.Record(now, "fleet.crash-skipped", fmt.Sprintf("node %d is stalled", ni))
 		return
 	}
 	n.retire(false)
@@ -178,6 +177,10 @@ func (c *Cluster) doCrash(ni int, now ticks.Ticks) {
 // re-installs its resident workload.
 func (c *Cluster) doRestart(ni int, now ticks.Ticks) {
 	n := c.nodes[ni]
+	if n.stallErr != "" {
+		c.flog.Record(now, "fleet.restart-skipped", fmt.Sprintf("node %d is stalled", ni))
+		return
+	}
 	if !n.down {
 		c.flog.Record(now, "fleet.restart-skipped", fmt.Sprintf("node %d is already up", ni))
 		return

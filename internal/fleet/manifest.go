@@ -69,8 +69,9 @@ func (c *Cluster) CoordManifest() (*telemetry.Manifest, error) {
 }
 
 // coordManifest is CoordManifest without the spans, which the live
-// stitch reads from the log.
+// stitch reads from the log; it renders the log's pending details.
 func (c *Cluster) coordManifest() *telemetry.Manifest {
+	c.renderNotes()
 	m := c.manifestShell(telemetry.CoordTag)
 	m.Metrics = c.tel.Reg().Snapshot()
 	m.Events = c.flog.Events()

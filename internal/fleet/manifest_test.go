@@ -339,6 +339,44 @@ func TestStitchOfWrittenPartsMatchesLiveManifest(t *testing.T) {
 	}
 }
 
+// The coordinator's decision text is rendered when its span log is
+// read: each reader sees the same bytes, on every read and in either
+// order.
+func TestCoordinatorRendersOnRead(t *testing.T) {
+	write := func(m *telemetry.Manifest, err error) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err == nil {
+			err = m.WriteJSON(&buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	c, _ := crashFleet(t, 1)
+	coord, err := c.CoordManifest()
+	placed := false
+	for _, sp := range coord.Spans {
+		placed = placed || sp.Name == "place" && sp.Detail == "g0 -> node 0"
+	}
+	if !placed {
+		t.Error(`no coordinator span reads "g0 -> node 0"`)
+	}
+	coordFirst := write(coord, err)
+	cluster := write(c.Manifest())
+	if !bytes.Equal(write(c.CoordManifest()), coordFirst) {
+		t.Error("a second CoordManifest differs from the first")
+	}
+	d, _ := crashFleet(t, 1)
+	if !bytes.Equal(write(d.Manifest()), cluster) {
+		t.Error("Manifest read first differs from Manifest after CoordManifest")
+	}
+	if !bytes.Equal(write(d.CoordManifest()), coordFirst) {
+		t.Error("CoordManifest after Manifest differs from CoordManifest read first")
+	}
+}
+
 // A manifest's config digest hashes the settings that shape a run,
 // fixed ones included; these values pin its bytes.
 func TestConfigDigestPinned(t *testing.T) {

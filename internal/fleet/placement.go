@@ -131,9 +131,7 @@ func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 func (c *Cluster) backoffDelay(attempt int) ticks.Ticks {
 	d := retryMax
 	if shift := uint(attempt - 1); shift < 32 {
-		if b := retryBase << shift; b < d {
-			d = b
-		}
+		d = min(d, retryBase<<shift)
 	}
 	return d + ticks.Ticks(c.backoff.Uint64()%uint64(d/2+1))
 }
@@ -146,13 +144,10 @@ func (c *Cluster) backoffDelay(attempt int) ticks.Ticks {
 // most one migration per source node per barrier.
 func (c *Cluster) migrationScan(now ticks.Ticks) {
 	for _, n := range c.nodes {
-		if n.down || n.d == nil || len(n.placed) == 0 || n.stallErr != "" {
-			continue
+		if !n.down && n.d != nil && len(n.placed) > 0 && n.stallErr == "" &&
+			n.d.Manager().Pressure().Cmp(ticks.FracZero) > 0 {
+			c.migrate(n.placed[len(n.placed)-1], n, now)
 		}
-		if n.d.Manager().Pressure().Cmp(ticks.FracZero) <= 0 {
-			continue
-		}
-		c.migrate(n.placed[len(n.placed)-1], n, now)
 	}
 }
 

@@ -92,14 +92,18 @@ func TestSpansRingGenerationCheck(t *testing.T) {
 	s.Instant(2, "cat", "b", NoTask, 0, "")
 	s.Instant(3, "cat", "c", NoTask, 0, "") // evicts `old`
 
-	// SetLink on the evicted ID must be inert: the slot now holds a
-	// different span and may not be corrupted.
+	// SetLink and SetDetail on the evicted ID must be inert: the slot
+	// now holds a different span and may not be corrupted. So must
+	// SetDetail on the zero ID and on one not yet assigned.
 	s.SetLink(old, CoordTag, 2)
+	s.SetDetail(old, "stale")
+	s.SetDetail(0, "zero")
+	s.SetDetail(4, "future")
 	for _, sp := range s.Export() {
 		if sp.ID == old {
 			t.Fatal("evicted span still resident")
 		}
-		if sp.Link != 0 {
+		if sp.Link != 0 || sp.Detail != "" {
 			t.Fatalf("operation on evicted ID mutated successor: %+v", sp)
 		}
 	}
@@ -107,9 +111,10 @@ func TestSpansRingGenerationCheck(t *testing.T) {
 	// A resident ID still works through the same slot arithmetic.
 	live := s.Complete(4, 50, "cat", "live", NoTask, 0, "")
 	s.SetLink(live, CoordTag, 2)
+	s.SetDetail(live, "late")
 	out := s.Export()
-	if got := out[len(out)-1]; got.ID != live || got.End != 50 || got.Link != 2 || got.LinkNode != CoordTag {
-		t.Fatalf("resident SetLink lost: %+v", got)
+	if got := out[len(out)-1]; got.ID != live || got.End != 50 || got.Link != 2 || got.LinkNode != CoordTag || got.Detail != "late" {
+		t.Fatalf("resident SetLink or SetDetail lost: %+v", got)
 	}
 }
 

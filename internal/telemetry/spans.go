@@ -199,6 +199,14 @@ func (s *Spans) SetLink(id SpanID, linkNode int32, target SpanID) {
 	}
 }
 
+// SetDetail fills in span id's detail after it was recorded. Zero,
+// stale, and ring-evicted IDs are no-ops, as for SetLink.
+func (s *Spans) SetDetail(id SpanID, detail string) {
+	if sp := s.slot(id); sp != nil {
+		sp.Detail = detail
+	}
+}
+
 // FindLast returns the ID of the most recently recorded span with the
 // given category, or zero if none is resident. The scan walks
 // backwards over live storage only, so it is deterministic and
