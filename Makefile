@@ -61,7 +61,10 @@ loc:
 # nodes: the conservation ledger holds and nothing depends on the
 # cluster worker count) and the invariant checker's audit cadence (a
 # corruption planted in a live checked system is reported within the
-# checker's detection contract), plus the scenario invariant sweep in
+# checker's detection contract), the scheduler's storage recycling
+# (churn tapes whose Audit stays clean and whose per-task Stats match
+# what the Observer saw, with a mid-tape rebuild played beside a fresh
+# one), plus the scenario invariant sweep in
 # internal/core (a regular test, fuzz-like in spirit). -fuzz takes a
 # regexp and refuses to run when it matches two targets, so packages
 # with several anchor theirs. A fleet execution is three cluster runs,

@@ -43,7 +43,7 @@
 // accepted, and run ahead of every reservation — so making the loop
 // choose between two classes of work would have it branch on its
 // caller. Rialto keeps that two-class selection and takes everything
-// else (roll, nextBoundary, idle, spend, Stats) from the loop.
+// else (roll, idle, spend, Stats) from the loop.
 package baseline
 
 import (

@@ -101,8 +101,8 @@ type loop struct {
 	quantum ticks.Ticks // the default slice; unused by the EDF pickers
 	tasks   []*btask
 	// nextRoll is the earliest deadline in the table, as of the last
-	// roll that walked it: before it, roll has nothing to do and is the
-	// next boundary nextBoundary reports. add lowers it and roll
+	// roll that walked it: before it, roll has nothing to do, and it
+	// bounds the next slice (Kernel.SliceEnd). add lowers it and roll
 	// recomputes it when it walks. Deadlines change only in beginPeriod,
 	// which only those two call, so it is exact. The zero value makes
 	// the first roll walk.
@@ -198,17 +198,6 @@ func (c *loop) roll(now ticks.Ticks, p picker) {
 	}
 }
 
-// nextBoundary is the earliest instant the schedule can change before
-// limit: a period boundary or a kernel event. It reads the watermark
-// the preceding roll left, so it is called after roll.
-func (c *loop) nextBoundary(limit ticks.Ticks) ticks.Ticks {
-	next := min(limit, c.nextRoll)
-	if at, ok := c.k.NextEventTime(); ok && at < next {
-		next = at
-	}
-	return next
-}
-
 // idle leaves the CPU idle for d ticks; d <= 0 means nothing lies
 // ahead of now and reports false so the run loop ends.
 func (c *loop) idle(d ticks.Ticks) bool {
@@ -242,17 +231,19 @@ func (c *loop) spend(b *btask, used ticks.Ticks) {
 	c.tel.sliceTicks.Observe(int64(used))
 }
 
-// runUntil is the shared dispatch loop: roll periods, let the
-// concrete scheduler pick and size a slice, bound it by the next
-// boundary/event, run the body, account, charge, park. The body's
-// context is a literal in the call, so it travels in registers
-// (task.RunContext).
+// runUntil is the shared dispatch loop: resume (Kernel.Settle), roll
+// periods, let the concrete scheduler pick and size a slice, end it at
+// the next boundary or event (Kernel.SliceEnd), run the body, account,
+// charge, park. The body's context is a literal in the call, so it
+// travels in registers (task.RunContext).
 func (c *loop) runUntil(limit ticks.Ticks, p picker) {
-	for c.k.Now() < limit {
-		now := c.k.Now()
-		c.k.RunUntil(now)
+	for {
+		now, ok := c.k.Settle(limit)
+		if !ok {
+			return
+		}
 		c.roll(now, p)
-		next := c.nextBoundary(limit)
+		next, _ := c.k.SliceEnd(min(limit, c.nextRoll))
 		cur := p.pick()
 		if cur == nil {
 			if !c.idle(next - now) {

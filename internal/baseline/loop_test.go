@@ -256,7 +256,7 @@ func rollRun(kind string, seed uint64, walk bool) string {
 // to the full walk it replaced: under every comparator, random task
 // sets — some admitted mid-run, which is what lowers the watermark —
 // periods, horizons and slice-cutting events must give the same picks,
-// slice bounds and Stats whether roll and nextBoundary read the
+// slice bounds and Stats whether roll and the slice bound read the
 // watermark or walk the table on every pass.
 func TestLoopRollSkipMatchesFullWalk(t *testing.T) {
 	for _, kind := range comparatorKinds {

@@ -92,13 +92,15 @@ func (r *Rialto) BeginConstraint(name string, deadline, estimate ticks.Ticks, bo
 // RunUntil drives the schedule to limit: accepted constraints run
 // earliest-deadline first; reservation time fills the gaps.
 func (r *Rialto) RunUntil(limit ticks.Ticks) {
-	for r.k.Now() < limit {
-		now := r.k.Now()
-		r.k.RunUntil(now)
+	for {
+		now, ok := r.k.Settle(limit)
+		if !ok {
+			return
+		}
 		r.roll(now, r)
 		r.expireConstraints(now)
 		// A live constraint's deadline is a boundary too.
-		next := r.nextBoundary(limit)
+		next, _ := r.k.SliceEnd(min(limit, r.nextRoll))
 		for _, c := range r.cons {
 			if !c.done && !c.missed && c.deadline < next {
 				next = c.deadline

@@ -23,24 +23,9 @@ const (
 // RunUntil drives the schedule until virtual time reaches limit.
 // It may be called repeatedly to extend a run.
 func (s *Scheduler) RunUntil(limit ticks.Ticks) {
-	for s.k.Now() < limit {
-		now := s.k.Now()
-		s.k.RunUntil(now) // fire events due exactly now
-		if _, stalled := s.k.Stalled(); stalled {
-			// The kernel tripped its same-tick livelock guard: it has
-			// stopped dispatching events, so the schedule cannot make
-			// progress. Return with the clock at the stall instant so
-			// the caller can report it (sim.Kernel.Stalled).
-			return
-		}
-		// Event handlers (interrupts, §5.2) may occupy the CPU and
-		// advance the clock; re-read it so period rollovers and
-		// preemption arithmetic see the true time. A handler may even
-		// carry the clock to or past the limit (a long interrupt slab
-		// near the horizon): there is no slice left to dispatch, and a
-		// later RunUntil call picks up from the overshot instant.
-		now = s.k.Now()
-		if now >= limit {
+	for {
+		now, ok := s.k.Settle(limit)
+		if !ok {
 			return
 		}
 		s.rollPeriods(now)
@@ -122,12 +107,10 @@ func (s *Scheduler) idleUntilNextInterest(limit ticks.Ticks) {
 			next = b
 		}
 	}
-	if at, ok := s.k.NextEventTime(); ok && at < next {
-		next = at
-	}
+	next, _ = s.k.SliceEnd(next)
 	if next <= now {
-		// Nothing strictly ahead of now (can only be limit == now);
-		// the loop condition will end the run.
+		// Unreachable: Settle stops at limit, and boundaries and events
+		// lie strictly ahead once rolled and fired.
 		return
 	}
 	d := next - now
@@ -224,8 +207,8 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 	default:
 		panic("sched: dispatchSlice with kind " + kind.String())
 	}
-	if at, ok := s.k.NextEventTime(); ok && at < switchAt {
-		switchAt, reason = at, reasonEvent
+	if end, cut := s.k.SliceEnd(switchAt); cut {
+		switchAt, reason = end, reasonEvent
 	}
 	if limit < switchAt {
 		switchAt, reason = limit, reasonLimit
@@ -498,10 +481,8 @@ func (s *Scheduler) maybeGrace(cur *tcb, reason switchReason) {
 		return
 	}
 	now := s.k.Now()
-	graceSpan := s.grace
-	if at, ok := s.k.NextEventTime(); ok && at-now < graceSpan {
-		graceSpan = at - now
-	}
+	end, _ := s.k.SliceEnd(now + s.grace)
+	graceSpan := end - now
 	// With no room for a grace period the task has failed to yield
 	// before it was offered anything.
 	res := task.RunResult{Op: task.OpRanOut}

@@ -149,7 +149,8 @@ func (s *Scheduler) AssignGrant(id task.ID, sp SporadicID, amount ticks.Ticks) e
 // a later period. turnOver reports an assignment that ended with the
 // task still ready to run — what the Sporadic Server rotates its queue
 // on. A timed block arms the wake-up at the block instant, which can
-// fall inside the slice: the caller then ends the slice there (clip).
+// fall inside the slice: the caller then ends the slice there
+// (Kernel.SliceEnd).
 func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ticks, turnOver bool) {
 	sp := cur.ssCurrent
 	give := min(span, cur.ssAssignLeft)
@@ -189,16 +190,6 @@ func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ti
 	return res.Used, turnOver
 }
 
-// clip shortens the rest of a slice, span ticks from at, to end at the
-// kernel's next event: the wake-up a timed sporadic block has just
-// armed, which the kernel may not advance past.
-func (s *Scheduler) clip(at, span ticks.Ticks) ticks.Ticks {
-	if ev, ok := s.k.NextEventTime(); ok && ev < at+span {
-		return ev - at
-	}
-	return span
-}
-
 // runAssigned executes a general grant assignment (§5.1) inside the
 // periodic task cur's dispatch. It consumes up to the assignment
 // remainder, then — if span is left — falls through to cur's own
@@ -209,7 +200,8 @@ func (s *Scheduler) runAssigned(cur *tcb, now, span ticks.Ticks, flags task.Cont
 	sp := cur.ssCurrent
 	used, _ := s.runAssignment(cur, now, span)
 	if sp.blocked {
-		span = used + s.clip(now+used, span-used)
+		end, _ := s.k.SliceEnd(now + span)
+		span = end - now
 	}
 	if cur.ssCurrent != nil || used == span {
 		// Assignment still active (or span exhausted): the periodic
@@ -314,7 +306,8 @@ func (s *Scheduler) runSporadicServer(cur *tcb, at, span ticks.Ticks) (task.RunR
 		used += n
 		spanLeft -= n
 		if sp.blocked {
-			spanLeft = s.clip(at+used, spanLeft)
+			end, _ := s.k.SliceEnd(at + used + spanLeft)
+			spanLeft = end - at - used
 		}
 		if n == 0 {
 			zeroStreak++

@@ -148,6 +148,31 @@ func (k *Kernel) Cancel(e EventRef) { k.events.Cancel(e) }
 // NextEventTime reports when the next pending event fires.
 func (k *Kernel) NextEventTime() (ticks.Ticks, bool) { return k.events.PeekTime() }
 
+// SliceEnd is the one slice-end rule: a slice, idle stretch or grace
+// span that would run to want ends at the next pending event instead,
+// if that comes first — the check advance enforces. cut reports an
+// event strictly before want; one at want is no cut.
+func (k *Kernel) SliceEnd(want ticks.Ticks) (end ticks.Ticks, cut bool) {
+	if at, ok := k.events.PeekTime(); ok && at < want {
+		return at, true
+	}
+	return want, false
+}
+
+// Settle is the one resume step of a run loop: it fires the events due
+// now and returns the clock as their handlers left it — an interrupt
+// (§5.2) occupies the CPU and moves it, so a loop must schedule from
+// the returned instant. ok is false when no slice is left: the clock is
+// at or past limit (a handler may carry it there; a later call picks
+// up from the overshot instant), or the kernel has stalled (Stalled),
+// with the clock at the stall instant for the caller to report.
+func (k *Kernel) Settle(limit ticks.Ticks) (now ticks.Ticks, ok bool) {
+	if k.now < limit {
+		k.RunUntil(k.now)
+	}
+	return k.now, k.stall == nil && k.now < limit
+}
+
 // Step runs the single earliest pending event, advancing the clock to
 // its time. It reports false if no events are pending, or if the
 // kernel has stalled on the same-tick budget (see Stalled) — a stalled
@@ -230,7 +255,7 @@ func (k *Kernel) advance(d ticks.Ticks) {
 		panic("sim: advance with negative duration")
 	}
 	target := k.now + d
-	if at, ok := k.events.PeekTime(); ok && at < target {
+	if at, cut := k.SliceEnd(target); cut {
 		//rdlint:allow hotalloc panic path: the run is already dead, allocation cost is irrelevant
 		panic(fmt.Sprintf("sim: advance(%v) would skip event at %v (now %v)", d, at, k.now))
 	}

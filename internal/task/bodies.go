@@ -25,10 +25,12 @@ func BusySilent() Body {
 	})
 }
 
-// YieldAll consumes everything it is offered and then yields,
-// reporting the period's work done: a task that always uses exactly
-// its grant and never asks for more — the data-management threads of
-// Figure 4, the DVD and overlay tasks of the examples.
+// YieldAll consumes every span it is offered and then yields,
+// reporting the period's work done, and never asks for more — the
+// data-management threads of Figure 4, the DVD and overlay tasks of
+// the examples. A span is the whole grant only when no kernel event
+// falls inside it; a span cut short by an event ends the period's
+// work all the same.
 func YieldAll() Body {
 	return BodyFunc(func(ctx RunContext) RunResult {
 		return RunResult{Used: ctx.Span, Op: OpYield, Completed: true}

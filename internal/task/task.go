@@ -258,8 +258,12 @@ func (o Op) String() string {
 // integer argument registers of amd64's Go ABI, and the call needs no
 // stack copy. The rarely read booleans share the Flags byte.
 type RunContext struct {
-	Now  ticks.Ticks // current virtual time
-	Span ticks.Ticks // CPU available before the next scheduling event
+	Now ticks.Ticks // current virtual time
+	// Span is the CPU offered before the next scheduling event. Any
+	// kernel event (an interrupt, a timer, a fleet epoch barrier) ends
+	// it as well, so a span can be shorter than what is left of the
+	// grant (sim.Kernel.SliceEnd).
+	Span ticks.Ticks
 
 	// PeriodStart is the start of the current period. Dispatch may
 	// happen anywhere inside the period (EDF delivers the grant at
