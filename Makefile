@@ -156,11 +156,13 @@ telemetry-golden:
 		internal/telemetry/testdata/settop-smoke.manifest.golden
 
 # Refresh the committed layer baseline, BENCH_kernel.json's "current"
-# section. End-to-end sweep throughput is benchmark/'s job (frozen
-# matrices; see BENCHMARK.json).
+# section, and re-render docs/PERFORMANCE.md's layer table from it.
+# End-to-end sweep throughput is benchmark/'s job (frozen matrices; see
+# BENCHMARK.json).
 bench:
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchmem $(BENCH_PKGS) | tee bench-latest.txt
 	$(GO) run ./cmd/rdperf parse -out BENCH_kernel.json < bench-latest.txt
+	$(GO) run ./cmd/rdperf doc -bench BENCH_kernel.json -doc docs/PERFORMANCE.md
 	rm -f bench-latest.txt
 
 # Perf regression gate for CI: the steady-state 0-allocs/op

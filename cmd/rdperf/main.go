@@ -1,13 +1,15 @@
 // rdperf maintains the repository's committed layer-benchmark baseline
 // (BENCH_kernel.json) and gates fresh runs against it, benchstat-style,
 // and does the same for the benchmark workloads' work counts, exactly,
-// and their allocation rates, within ±5 % (BENCH_counts.json). It has
-// three subcommands:
+// and their allocation rates, within ±5 % (BENCH_counts.json), and
+// renders docs/PERFORMANCE.md's layer table from the first. It has four
+// subcommands:
 //
 //	go test -run=NONE -bench . -benchmem ./... | rdperf parse -out BENCH_kernel.json
 //	go test -run=NONE -bench . -benchmem ./... | rdperf compare -against BENCH_kernel.json
 //	(benchmark -workload all -seed 1 -seconds 1 -trace 1; GOMAXPROCS=2 benchmark -workload all -seed 1 -seconds 1 -trace 0) |
 //		rdperf counts -out|-against BENCH_counts.json
+//	rdperf doc -bench BENCH_kernel.json -doc docs/PERFORMANCE.md
 //
 // parse reads `go test -bench` text on stdin and records each
 // benchmark's metrics (ns/op, B/op, allocs/op, and any custom
@@ -31,7 +33,7 @@
 // Benchmark names are normalized by stripping the trailing -N
 // GOMAXPROCS suffix, so files recorded on different machines compare.
 //
-// counts is in counts.go.
+// counts is in counts.go, doc in doc.go.
 package main
 
 import (
@@ -88,6 +90,11 @@ func main() {
 		against := fs.String("against", "", "committed BENCH_counts file the counts must equal and the allocation rates stay near")
 		fs.Parse(os.Args[2:])
 		err = cmdCounts(*out, *against, fs.Args())
+	case "doc":
+		bench := fs.String("bench", "", "BENCH_kernel file the numbers come from (required)")
+		doc := fs.String("doc", "", "document whose marked layer table to rewrite (required)")
+		fs.Parse(os.Args[2:])
+		err = cmdDoc(*bench, *doc, fs.Args())
 	default:
 		usage()
 	}
@@ -102,7 +109,8 @@ func usage() {
   rdperf parse   -out FILE      < go-test-bench-output
   rdperf compare -against FILE  < go-test-bench-output
   rdperf counts  -out FILE      < benchmark-output
-  rdperf counts  -against FILE  < benchmark-output`)
+  rdperf counts  -against FILE  < benchmark-output
+  rdperf doc     -bench FILE -doc DOC`)
 	os.Exit(2)
 }
 

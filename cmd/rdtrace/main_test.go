@@ -108,7 +108,7 @@ func fleetManifest(t *testing.T) *telemetry.Manifest {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"g0", "g1", "g2"} {
-		if err := c.Submit(fleet.Admission{Name: name, List: task.SingleLevel(10*ms, 4*ms, "Fleet"), Body: task.YieldAll}); err != nil {
+		if err := c.Submit(fleet.Admission{Name: name, List: task.SingleLevel(10*ms, 4*ms, "Fleet"), Body: fleet.BodyFunc(task.YieldAll)}); err != nil {
 			t.Fatal(err)
 		}
 	}

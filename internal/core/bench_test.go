@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/ticks"
 	"repro/internal/workload"
 )
@@ -25,5 +26,27 @@ func BenchmarkTable2MPEGDecodeSecond(b *testing.B) {
 		if st := m.Stats(); st.UnplannedLoss != 0 {
 			b.Fatalf("losses at full quality: %s", st.QualityString())
 		}
+	}
+}
+
+// TestGovernorRearmAllocFree: a Distributor rebuilt in its own storage
+// starts its overload governor, and the governor samples and re-arms at
+// each millisecond inside a 10 ms run, without allocating — its state is
+// the Distributor's and its timer a typed kernel event.
+func TestGovernorRearmAllocFree(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := core.Config{Seed: 1, InterruptReservePercent: 2, Telemetry: &telemetry.Set{Registry: reg}}
+	d := core.New(cfg)
+	rebuild := func() {
+		d = core.NewIn(d, cfg)
+		d.EnableOverloadGovernor(ticks.PerMillisecond)
+		d.Run(10 * ticks.PerMillisecond)
+	}
+	rebuild()
+	if n := testing.AllocsPerRun(20, rebuild); n != 0 {
+		t.Errorf("a rebuilt governor allocates %v times per run, want 0", n)
+	}
+	if c, _ := reg.Lookup("core.governor.samples"); c == nil || c.Value() != 22*9 {
+		t.Errorf("governor samples %v, want 198 (1–9 ms of 22 runs)", c)
 	}
 }

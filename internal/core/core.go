@@ -84,6 +84,7 @@ type Distributor struct {
 
 	governorSamples *telemetry.Counter
 	governorSpans   *telemetry.Spans
+	gov             governor // governor.go
 }
 
 // New assembles a Distributor.
@@ -115,7 +116,7 @@ func NewIn(d *Distributor, cfg Config) *Distributor {
 	*d = Distributor{kernel: k, rm: m, sched: d.sched, tel: cfg.Telemetry}
 	if t := cfg.Telemetry; t != nil {
 		k.EnableTelemetry(t.Reg())
-		m.EnableTelemetry(t, k.Now)
+		m.EnableTelemetry(t, k)
 		m.Box().EnableTelemetry(t.Reg())
 		d.governorSamples = t.Reg().Counter("core.governor.samples")
 		d.governorSpans = t.SpanLog()

@@ -22,40 +22,49 @@ import (
 // Manager's SetPressure deduplicates on value, so quantization keeps a
 // steady overload from regranting every window over measurement
 // noise. The governor draws no randomness and runs entirely on kernel
-// events, so enabling it is deterministic for a given seed.
+// events, so enabling it is deterministic for a given seed. Enable it
+// once per build of the Distributor: its state is the Distributor's.
 func (d *Distributor) EnableOverloadGovernor(interval ticks.Ticks) {
 	if interval <= 0 {
 		interval = 10 * ticks.PerMillisecond
 	}
 	// The reserve the admission arithmetic already set aside; load up
 	// to this fraction is planned for and must not trigger pressure.
-	reserve := ticks.FracOne.Sub(d.rm.Available())
+	d.gov = governor{d: d, interval: interval, reserve: ticks.FracOne.Sub(d.rm.Available())}
+	d.kernel.AfterCall(interval, &d.gov, 0, 0, 0)
+}
 
-	var lastNow, lastIRQ ticks.Ticks
-	var tick func()
-	tick = func() {
-		st := d.kernel.Stats()
-		window, irq := st.Now-lastNow, st.InterruptTicks-lastIRQ
-		lastNow, lastIRQ = st.Now, st.InterruptTicks
-		d.governorSamples.Inc()
-		if window > 0 {
-			load := ticks.Frac{Num: int64(irq), Den: int64(window)}
-			// Almost every sample finds the load within the reserve: the
-			// comparison cross-multiplies, and only an overload pays for
-			// the reduced difference.
-			if load.Cmp(reserve) > 0 {
-				// Round the excess up to a whole percent: never shed
-				// less than the measured overload.
-				excess := load.Sub(reserve)
-				pct := (excess.Num*100 + excess.Den - 1) / excess.Den
-				d.governorSpans.Instant(st.Now, "governor", "apply-pressure", telemetry.NoTask, 0, "")
-				d.rm.SetPressure(st.Now, ticks.FracPercent(pct), fmt.Sprintf(
-					"interrupt load %d%% over reserve", pct))
-			} else {
-				d.rm.SetPressure(st.Now, ticks.FracZero, "interrupt load within reserve")
-			}
+// governor is the overload governor's state, kept in its Distributor
+// and re-armed as a typed kernel event: a sample allocates nothing.
+type governor struct {
+	d                          *Distributor
+	interval, lastNow, lastIRQ ticks.Ticks
+	reserve                    ticks.Frac
+}
+
+// HandleEvent takes one sample and arms the next.
+func (g *governor) HandleEvent(int32, int32, ticks.Ticks) {
+	d := g.d
+	st := d.kernel.Stats()
+	window, irq := st.Now-g.lastNow, st.InterruptTicks-g.lastIRQ
+	g.lastNow, g.lastIRQ = st.Now, st.InterruptTicks
+	d.governorSamples.Inc()
+	if window > 0 {
+		load := ticks.Frac{Num: int64(irq), Den: int64(window)}
+		// Almost every sample finds the load within the reserve: the
+		// comparison cross-multiplies, and only an overload pays for
+		// the reduced difference.
+		if load.Cmp(g.reserve) > 0 {
+			// Round the excess up to a whole percent: never shed
+			// less than the measured overload.
+			excess := load.Sub(g.reserve)
+			pct := (excess.Num*100 + excess.Den - 1) / excess.Den
+			d.governorSpans.Instant(st.Now, "governor", "apply-pressure", telemetry.NoTask, 0, "")
+			d.rm.SetPressure(st.Now, ticks.FracPercent(pct), fmt.Sprintf(
+				"interrupt load %d%% over reserve", pct))
+		} else {
+			d.rm.SetPressure(st.Now, ticks.FracZero, "interrupt load within reserve")
 		}
-		d.kernel.After(interval, tick)
 	}
-	d.kernel.After(interval, tick)
+	d.kernel.AfterCall(g.interval, g, 0, 0, 0)
 }

@@ -137,30 +137,48 @@ func TestClusterRebuildAllocs(t *testing.T) {
 	}
 }
 
-// TestNodeRebuildAllocs pins what rebuilding a warm node allocates: at a
-// cluster reset (the shell emptied, the node built at time zero) and at
-// a crash→restart (the incarnation retired, the next built at cluster
-// time), invariants and governor on as in fleet-crash, no NodeInit. A
-// warm shell rebuilds its Distributor and checker in their own storage,
-// so what is left is the governor's closures and the Manager's clock:
-// well under the same build on a shell that has none.
+// TestNodeRebuildAllocs pins that rebuilding a warm node allocates
+// nothing: at a cluster reset (the shell emptied, the node built at time
+// zero) and at a crash→restart (the incarnation retired, the next built
+// at cluster time), invariants and governor on as in fleet-crash, four
+// residents admitted by NodeInit from descriptors the test keeps (the RM
+// copies what it admits). Each new incarnation then runs its first five
+// periods, its tasks starting and rolling over the queues, and grows
+// nothing either: the scheduler keeps its task table and queues, the RM
+// its task table and correlation scratch, the Distributor its governor.
+// A cold build, on a shell with no storage, allocates.
 func TestNodeRebuildAllocs(t *testing.T) {
-	const warm = 5
-	c, err := New(Config{Nodes: 1, Seed: 1, Workers: 1, InterruptReservePercent: 2, GovernorInterval: 10 * ms, Invariants: true})
+	residents := make([]task.Task, 4)
+	for j := range residents {
+		residents[j] = task.Task{Name: fmt.Sprintf("r%d", j), List: task.SingleLevel(10*ms, ms, "R"), Body: task.Busy()}
+	}
+	c, err := New(Config{Nodes: 1, Seed: 1, Workers: 1, InterruptReservePercent: 2, GovernorInterval: 10 * ms, Invariants: true,
+		NodeInit: func(d *core.Distributor, _ int) error {
+			for j := range residents {
+				if _, err := d.RequestAdmittance(&residents[j]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := c.nodes[0]
 	reset := func() {
 		n.reset()
-		n.seed, n.cfg = 1, &c.cfg
+		n.seed, n.cfg, n.costs = 1, &c.cfg, sim.ZeroSwitchCosts()
 		n.tel.Spans = n.flight.Ring()
 		n.build(0)
+		n.advance(50 * ms)
 	}
+	at := 50 * ms
 	restart := func() {
 		n.retire(false)
 		n.d = nil
-		n.build(50 * ms)
+		at += 100 * ms
+		n.build(at)
+		n.advance(at + 50*ms)
 	}
 	cold := testing.AllocsPerRun(10, func() {
 		n.dist, n.check = nil, nil
@@ -170,12 +188,15 @@ func TestNodeRebuildAllocs(t *testing.T) {
 		name string
 		f    func()
 	}{{"cluster reset", reset}, {"crash→restart", restart}} {
-		if got := testing.AllocsPerRun(10, tc.f); got != warm {
-			t.Errorf("a warm node's %s allocates %v times, want %d (a cold build %v)", tc.name, got, warm, cold)
+		if got := testing.AllocsPerRun(10, tc.f); got != 0 {
+			t.Errorf("a warm node's %s and first periods allocate %v times, want 0 (a cold build %v)", tc.name, got, cold)
 		}
 	}
-	if cold < 2*warm {
-		t.Errorf("a cold node build allocates %v times, not well over a warm rebuild's %d", cold, warm)
+	if st, _ := n.d.Stats(1); st.Periods != 5 || n.initErr != "" || n.stallErr != "" {
+		t.Errorf("the last incarnation's first task rolled %d periods, want 5 (init %q, stall %q)", st.Periods, n.initErr, n.stallErr)
+	}
+	if cold == 0 {
+		t.Error("a cold node build allocates nothing: the pin above shows nothing")
 	}
 }
 

@@ -166,7 +166,21 @@ type Admission struct {
 	// Body builds a fresh task body per placement scan — bodies carry
 	// progress state, and a re-placed task restarts. A scan offers the
 	// one body to node after node: a denied offer never dispatches it.
-	Body func() task.Body
+	Body BodySource
+}
+
+// BodySource builds an admission's task bodies, one per placement scan.
+type BodySource interface{ NewBody() task.Body }
+
+// BodyFunc is a BodySource that calls a closure.
+type BodyFunc func() task.Body
+
+// NewBody calls f. A nil f builds no body, so the scan rejects it.
+func (f BodyFunc) NewBody() task.Body {
+	if f == nil {
+		return nil
+	}
+	return f()
 }
 
 // New assembles a fleet in an arena of its own: the cluster may be

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -22,7 +23,7 @@ const ms = ticks.PerMillisecond
 
 // steadyBody builds bodies that consume their span forever — a task
 // that holds its guarantee until the cluster (or a crash) takes it.
-func steadyBody() func() task.Body {
+func steadyBody() fleet.BodyFunc {
 	return func() task.Body {
 		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
@@ -31,7 +32,7 @@ func steadyBody() func() task.Body {
 }
 
 // finiteBody builds bodies that exit after n periods.
-func finiteBody(n int) func() task.Body {
+func finiteBody(n int) fleet.BodyFunc {
 	return func() task.Body {
 		left := n
 		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
@@ -435,6 +436,41 @@ func TestRetrySucceedsWhenCapacityFrees(t *testing.T) {
 	}
 }
 
+// An offer that fails validation is no capacity denial: an admission
+// whose body factory returns nil, or is a nil BodyFunc, is rejected at
+// its first scan, with the validation error as the reason, without a
+// node denial or a retry; an admission beside them is placed as usual.
+func TestInvalidOfferRejectedAtOnce(t *testing.T) {
+	c := mustNew(t, fleet.Config{Nodes: 3, Seed: 5, Workers: 1})
+	mustSubmit(t, c, fleet.Admission{
+		At: 0, Name: "hollow", List: task.SingleLevel(10*ms, ms, "Fleet"),
+		Body: fleet.BodyFunc(func() task.Body { return nil }),
+	})
+	mustSubmit(t, c, fleet.Admission{
+		At: 0, Name: "void", List: task.SingleLevel(10*ms, ms, "Fleet"), Body: fleet.BodyFunc(nil),
+	})
+	mustSubmit(t, c, fleet.Admission{
+		At: 0, Name: "sound", List: task.SingleLevel(10*ms, ms, "Fleet"), Body: steadyBody(),
+	})
+	rep := c.Run(100 * ms)
+	if rep.Rejected != 2 || rep.Placed != 1 || rep.Retries != 0 || rep.DeniedAttempts != 0 {
+		t.Fatalf("want 2 rejected, 1 placed, no retry, no node denial: %s", rep.Summary())
+	}
+	var got []string
+	for _, ev := range rep.Log.Events() {
+		if ev.Kind == "fleet.reject" {
+			got = append(got, ev.Detail)
+		}
+	}
+	want := []string{
+		`hollow rejected fleet-wide (task "hollow": body is required)`,
+		`void rejected fleet-wide (task "void": body is required)`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fleet.reject lines %q, want %q", got, want)
+	}
+}
+
 // Placement policies really change where load lands.
 func TestPlacementPoliciesDiffer(t *testing.T) {
 	place := func(p fleet.Placement) string {
@@ -493,6 +529,29 @@ func TestPlacementPoliciesDiffer(t *testing.T) {
 // pressure-free sibling, the target pays the transfer charge, and
 // nothing is lost.
 func TestMigrationUnderGovernorPressure(t *testing.T) {
+	rep := runStormedPair(t, func(int) fleet.BodySource { return steadyBody() })
+	if len(rep.Stalled) != 0 {
+		t.Fatalf("stalled: %v", rep.Stalled)
+	}
+	if rep.Degradations == 0 {
+		t.Fatalf("storm never drove the governor to shed: %s", rep.Summary())
+	}
+	if rep.Migrations == 0 {
+		t.Fatalf("pressure never triggered a migration: %s\n%s", rep.Summary(), rep.Log.String())
+	}
+	if n := rep.Log.CountKind("fleet.migrate"); int64(n) != rep.Migrations {
+		t.Fatalf("migrations %d but %d fleet.migrate events", rep.Migrations, n)
+	}
+	if rep.Violations != 0 {
+		t.Fatalf("%d violation(s):\n%s", rep.Violations, rep.Log.String())
+	}
+}
+
+// runStormedPair runs three 20 % guarantees on the first node of two
+// under an interrupt storm that drives its governor to shed, each
+// admission's bodies from body(i).
+func runStormedPair(t *testing.T, body func(i int) fleet.BodySource) *fleet.Report {
+	t.Helper()
 	c := mustNew(t, fleet.Config{
 		Nodes:                   2,
 		Seed:                    11,
@@ -513,24 +572,32 @@ func TestMigrationUnderGovernorPressure(t *testing.T) {
 		mustSubmit(t, c, fleet.Admission{
 			At: 0, Name: "m" + string(rune('0'+i)),
 			List: task.UniformLevels(10*ms, "Fleet", 20, 10),
-			Body: steadyBody(),
+			Body: body(i),
 		})
 	}
-	rep := c.Run(200 * ms)
-	if len(rep.Stalled) != 0 {
-		t.Fatalf("stalled: %v", rep.Stalled)
+	return c.Run(200 * ms)
+}
+
+// A migration whose offer fails validation moves nothing: the source
+// keeps the task, and the failure's line gives the validation error.
+func TestInvalidMigrationOfferFails(t *testing.T) {
+	rep := runStormedPair(t, func(int) fleet.BodySource {
+		built := 0
+		return fleet.BodyFunc(func() task.Body {
+			if built++; built > 1 {
+				return nil
+			}
+			return steadyBody()()
+		})
+	})
+	if rep.Placed != 3 || rep.Migrations != 0 || rep.MigrateFailed == 0 {
+		t.Fatalf("want 3 placed, no migration, a failed one: %s", rep.Summary())
 	}
-	if rep.Degradations == 0 {
-		t.Fatalf("storm never drove the governor to shed: %s", rep.Summary())
-	}
-	if rep.Migrations == 0 {
-		t.Fatalf("pressure never triggered a migration: %s\n%s", rep.Summary(), rep.Log.String())
-	}
-	if n := rep.Log.CountKind("fleet.migrate"); int64(n) != rep.Migrations {
-		t.Fatalf("migrations %d but %d fleet.migrate events", rep.Migrations, n)
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("%d violation(s):\n%s", rep.Violations, rep.Log.String())
+	want := `m2: task "m2": body is required`
+	for _, ev := range rep.Log.Events() {
+		if ev.Kind == "fleet.migrate-failed" && ev.Detail != want {
+			t.Fatalf("fleet.migrate-failed %q, want %q", ev.Detail, want)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ const (
 )
 
 // lifetimeBody exits after life periods; life 0 never exits.
-func lifetimeBody(life int) func() task.Body {
+func lifetimeBody(life int) BodyFunc {
 	return func() task.Body {
 		periods := 0
 		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {

@@ -78,16 +78,19 @@ func fnv64(s string) uint64 {
 // offerScan is one placement scan: it presents a to the live nodes in
 // the policy's order and returns the first that admits it, with the
 // task ID that node's RM issued and the number of nodes that denied
-// the offer first — nil when every node denied. One descriptor serves
-// the whole scan: the RM copies the list only when it admits, a denial
-// builds no error (rm.Manager.Offer), and Body
-// builds a fresh body per scan because bodies carry progress state — a
-// denied offer never dispatches it, a re-placed task restarts. A
-// migration's scan leaves out skip, the node the task is moving off
-// (-1: none), and with calmOnly every node that is itself shedding.
-func (c *Cluster) offerScan(a *admRec, skip int, calmOnly bool) (*node, task.ID, int) {
+// the offer first — nil when every node denied, and an invalid offer's
+// error without offering it. One descriptor, on the stack, serves the
+// whole scan: the RM copies it only when it admits, a denial builds no
+// error (rm.Manager.Offer), and Body builds a fresh body per scan as
+// bodies carry progress state. A migration's scan leaves out skip, the
+// node the task is moving off (-1: none), and with calmOnly every node
+// that is itself shedding.
+func (c *Cluster) offerScan(a *admRec, skip int, calmOnly bool) (*node, task.ID, int, error) {
 	denials := 0
-	offer := &task.Task{Name: a.Name, List: a.List, Body: a.Body()}
+	offer := &task.Task{Name: a.Name, List: a.List, Body: a.Body.NewBody()}
+	if err := offer.Validate(); err != nil {
+		return nil, task.NoID, 0, err
+	}
 	for _, ni := range c.placementOrder(a) {
 		n := c.nodes[ni]
 		if ni == skip || n.down || n.stallErr != "" {
@@ -97,20 +100,25 @@ func (c *Cluster) offerScan(a *admRec, skip int, calmOnly bool) (*node, task.ID,
 			continue
 		}
 		if id, ok := n.d.Manager().Offer(offer); ok {
-			return n, id, denials
+			return n, id, denials, nil
 		}
 		denials++
 		c.deniedAttempts++
 	}
-	return nil, task.NoID, denials
+	return nil, task.NoID, denials, nil
 }
 
 // place runs one full placement scan for a and either commits a
 // guarantee, schedules a backoff retry, or records the admission's
-// terminal outcome.
+// terminal outcome — at once for an offer no node could admit.
 func (c *Cluster) place(a *admRec, now ticks.Ticks) {
-	if n, id, denials := c.offerScan(a, -1, false); n != nil {
+	n, id, denials, err := c.offerScan(a, -1, false)
+	if n != nil {
 		c.placed(a, n, id, denials, now)
+		return
+	}
+	if err != nil {
+		c.abandon(a, now, err.Error())
 		return
 	}
 	a.attempts++
@@ -152,11 +160,14 @@ func (c *Cluster) migrationScan(now ticks.Ticks) {
 }
 
 func (c *Cluster) migrate(a *admRec, src *node, now ticks.Ticks) {
-	dst, id, _ := c.offerScan(a, src.id, true)
+	dst, id, _, err := c.offerScan(a, src.id, true)
 	if dst == nil {
 		c.migrateFailed++
-		c.flog.Record(now, "fleet.migrate-failed",
-			fmt.Sprintf("%s: node %d under pressure but no sibling can host", a.Name, src.id))
+		why := fmt.Sprintf("%s: node %d under pressure but no sibling can host", a.Name, src.id)
+		if err != nil {
+			why = a.Name + ": " + err.Error()
+		}
+		c.flog.Record(now, "fleet.migrate-failed", why)
 		return
 	}
 	if err := src.d.Terminate(a.id); err != nil {

@@ -93,3 +93,24 @@ func TestPlacementOrderAllocFree(t *testing.T) {
 		t.Errorf("placementOrder allocates %v objects per scan, want 0", n)
 	}
 }
+
+// TestDeniedScanAllocFree: a warm placement scan that every node denies
+// allocates nothing — the offer is a descriptor on the stack, its body
+// the admission's source's, and a denial builds no error.
+func TestDeniedScanAllocFree(t *testing.T) {
+	c := loadedCluster(t, 120)
+	body := task.Busy()
+	a := &admRec{Admission: Admission{
+		Name: "big", List: task.SingleLevel(10*ms, 9*ms, "B"),
+		Body: BodyFunc(func() task.Body { return body }),
+	}}
+	scan := func() {
+		if n, _, denials, err := c.offerScan(a, -1, false); n != nil || denials != 120 || err != nil {
+			t.Fatalf("scan placed on %v after %d denials (%v), want 120 denials", n, denials, err)
+		}
+	}
+	scan()
+	if n := testing.AllocsPerRun(100, scan); n != 0 {
+		t.Errorf("a denied placement scan allocates %v objects, want 0", n)
+	}
+}

@@ -82,9 +82,10 @@ func (e *StreamerDenialError) Unwrap() error { return ErrStreamerDenied }
 
 // admitted is the Manager's record of one admitted task.
 type admitted struct {
-	id   task.ID
-	t    *task.Task
-	list task.ResourceList // admitted copy (descriptor may be reused)
+	id task.ID
+	// t copies the admitted descriptor, List included: callers may reuse theirs.
+	t    task.Task
+	list task.ResourceList
 	// fracs[j] is list[j].Frac(), derived once when the list is
 	// admitted: grant computation walks every entry's rate on every
 	// correlation pass.
@@ -101,6 +102,7 @@ func (a *admitted) minFrac() ticks.Frac { return a.fracs[len(a.fracs)-1] }
 // and fracs backings where they are long enough.
 func (a *admitted) setList(list task.ResourceList) {
 	a.list = append(a.list[:0], list...)
+	a.t.List = a.list
 	a.fracs = slices.Grow(a.fracs[:0], len(list))
 	for j := range a.list {
 		a.fracs = append(a.fracs, a.list[j].Frac())
@@ -238,10 +240,12 @@ type Config struct {
 func New(cfg Config) *Manager { return NewIn(nil, cfg) }
 
 // NewIn is New in m's storage (a new Manager when m is nil). m keeps
-// only its records, on the free list with every task let go, both
-// grant-set backings, emptied, and the Box it made itself, emptied and
-// used again when cfg has none. The Manager m was is gone: whoever held
-// it, or a set it committed, must not use it again.
+// only its records, on the free list with every task let go, the
+// backings of its task table, both grant sets and the correlation
+// scratch, emptied (table and scratch point only at records), and the
+// Box it made itself, emptied and used again when cfg has none. The
+// Manager m was is gone: whoever held it, or a set it committed, must
+// not use it again.
 func NewIn(m *Manager, cfg Config) *Manager {
 	if cfg.InterruptReservePercent < 0 || cfg.InterruptReservePercent >= 100 {
 		panic("rm: interrupt reserve must be in [0,100)")
@@ -261,6 +265,7 @@ func NewIn(m *Manager, cfg Config) *Manager {
 	}
 	clear(m.grants.g[:cap(m.grants.g)])
 	clear(m.spare[:cap(m.spare)])
+	scratch := m.scratch
 	reserve := ticks.FracPercent(cfg.InterruptReservePercent)
 	*m = Manager{
 		box:      box,
@@ -275,8 +280,10 @@ func NewIn(m *Manager, cfg Config) *Manager {
 		maxSum:   ticks.FracZero,
 		pressure: ticks.FracZero,
 		// grants is the empty set until the first commit installs one.
-		grants: GrantSet{m.grants.g[:0]},
-		spare:  m.spare[:0],
+		grants:  GrantSet{m.grants.g[:0]},
+		spare:   m.spare[:0],
+		tasks:   m.tasks[:0],
+		scratch: scratch,
 	}
 	return m
 }
@@ -330,13 +337,11 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 // Offer is RequestAdmittance for a caller that needs only the verdict:
 // under fleet spillover a node denies several offers per accept, and
 // nobody reads why. A denial is counted and recorded as
-// RequestAdmittance records it, and builds no error; an invalid task is
-// denied too.
+// RequestAdmittance records it, and builds no error. t must be valid
+// (t.Validate() == nil): a caller offering one descriptor to node after
+// node validates it once, not once per node.
 func (m *Manager) Offer(t *task.Task) (task.ID, bool) {
 	m.lastOp = OpStats{Op: "admit"}
-	if t.Validate() != nil {
-		return task.NoID, false
-	}
 	id, v := m.admit(t)
 	return id, v == accepted
 }
@@ -376,7 +381,7 @@ func (m *Manager) admit(t *task.Task) (task.ID, verdict) {
 	id := m.nextID
 	m.nextID++
 	a := m.record()
-	a.id, a.t, a.member, a.state = id, t, m.box.Register(t.Name), task.Runnable
+	a.id, a.t, a.member, a.state = id, *t, m.box.Register(t.Name), task.Runnable
 	a.setList(list)
 	if t.StartQuiescent {
 		a.state = task.Quiescent
@@ -564,13 +569,14 @@ func (m *Manager) State(id task.ID) (task.State, error) {
 	return a.state, nil
 }
 
-// TaskByID returns the descriptor admitted under id.
+// TaskByID returns the Manager's copy of the descriptor admitted under
+// id, its List the admitted list. It is valid until id is removed.
 func (m *Manager) TaskByID(id task.ID) (*task.Task, error) {
 	a, err := m.find(id)
 	if err != nil {
 		return nil, err
 	}
-	return a.t, nil
+	return &a.t, nil
 }
 
 // ListOf returns the admitted resource list of id.

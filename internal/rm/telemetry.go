@@ -21,14 +21,14 @@ type rmTelemetry struct {
 	sheds         *telemetry.Counter
 
 	spans *telemetry.Spans
-	now   func() ticks.Ticks
+	clock interface{ Now() ticks.Ticks }
 }
 
 // EnableTelemetry registers the Manager's instruments with t and
-// installs now as the span timestamp source. A nil Set leaves every
-// handle nil and the Manager silent; a nil now pins span timestamps
-// at zero (tests that exercise the Manager without a kernel).
-func (m *Manager) EnableTelemetry(t *telemetry.Set, now func() ticks.Ticks) {
+// installs clock (the kernel) as the span timestamp source. A nil Set
+// leaves every handle nil and the Manager silent; a nil clock pins span
+// timestamps at zero (tests that exercise the Manager without a kernel).
+func (m *Manager) EnableTelemetry(t *telemetry.Set, clock interface{ Now() ticks.Ticks }) {
 	r := t.Reg()
 	m.tel = rmTelemetry{
 		admitAccepted: r.Counter("rm.admit.accepted"),
@@ -39,15 +39,15 @@ func (m *Manager) EnableTelemetry(t *telemetry.Set, now func() ticks.Ticks) {
 		invents:       r.Counter("rm.policy.invented"),
 		sheds:         r.Counter("rm.degrade.sheds"),
 		spans:         t.SpanLog(),
-		now:           now,
+		clock:         clock,
 	}
 }
 
 func (m *Manager) telNow() ticks.Ticks {
-	if m.tel.now == nil {
+	if m.tel.clock == nil {
 		return 0
 	}
-	return m.tel.now()
+	return m.tel.clock.Now()
 }
 
 // telAdmission records one admission verdict: the accept/reject

@@ -24,7 +24,7 @@ func rolloverSystem(tb testing.TB) (*sim.Kernel, *Scheduler) {
 	k := sim.NewKernel(sim.Config{Seed: 1, Costs: sim.ZeroSwitchCosts()})
 	k.EnableTelemetry(tel.Reg())
 	m := rm.New(rm.Config{})
-	m.EnableTelemetry(tel, k.Now)
+	m.EnableTelemetry(tel, k)
 	s := New(Config{Kernel: k, RM: m, Telemetry: tel})
 	m.SetHooks(s)
 	if _, err := m.RequestAdmittance(&task.Task{
@@ -100,7 +100,7 @@ func sporadicSystem(tb testing.TB, assigned bool) (*sim.Kernel, *Scheduler, *nam
 	k := sim.NewKernel(sim.Config{Seed: 1, Costs: sim.ZeroSwitchCosts()})
 	k.EnableTelemetry(tel.Reg())
 	m := rm.New(rm.Config{})
-	m.EnableTelemetry(tel, k.Now)
+	m.EnableTelemetry(tel, k)
 	s := New(Config{Kernel: k, RM: m, Observer: obs, Telemetry: tel})
 	m.SetHooks(s)
 	id, err := m.RequestAdmittance(&task.Task{

@@ -299,8 +299,9 @@ func New(cfg Config) *Scheduler { return NewIn(nil, cfg) }
 
 // NewIn is New in s's storage (a new Scheduler when s is nil). s keeps
 // only its tcbs, every one on the spare list and emptied, so no task of
-// the previous run stays reachable through them. The Scheduler s was is
-// gone: whoever held it must not use it again.
+// the previous run stays reachable through them, and the backings of
+// its task table and queues, which hold only those tcbs, emptied. The
+// Scheduler s was is gone: whoever held it must not use it again.
 func NewIn(s *Scheduler, cfg Config) *Scheduler {
 	if cfg.Kernel == nil || cfg.RM == nil {
 		panic("sched: Kernel and RM are required")
@@ -332,13 +333,17 @@ func NewIn(s *Scheduler, cfg Config) *Scheduler {
 		*t = tcb{nextSpare: t.nextSpare}
 	}
 	*s = Scheduler{
-		k:        cfg.Kernel,
-		rmg:      cfg.RM,
-		obs:      obs,
-		override: override,
-		grace:    grace,
-		ssSlice:  slice,
-		spare:    spare,
+		k:             cfg.Kernel,
+		rmg:           cfg.RM,
+		obs:           obs,
+		override:      override,
+		grace:         grace,
+		ssSlice:       slice,
+		spare:         spare,
+		byID:          s.byID[:0],
+		timeRemaining: s.timeRemaining[:0],
+		timeExpired:   s.timeExpired[:0],
+		overtimeQ:     s.overtimeQ[:0],
 	}
 	s.wireTelemetry(cfg.Telemetry)
 	return s

@@ -36,13 +36,7 @@ func BenchmarkSweepCell(b *testing.B) {
 // sweep but a worker's first finds them. Its allocs/op and B/op are a
 // fleet run's allocation level.
 func BenchmarkFleetRun(b *testing.B) {
-	spec := RunSpec{
-		Scenario:  "fleet-crash",
-		CostModel: "paper",
-		Policy:    PolicyFleetLeastLoaded,
-		Seed:      1,
-		Horizon:   700 * ticks.PerMillisecond,
-	}
+	spec := fleetRunSpec
 	w := newWorker()
 	if out := runOne(spec, w); out.Err != "" {
 		b.Fatalf("run failed: %s", out.Err)
@@ -54,4 +48,37 @@ func BenchmarkFleetRun(b *testing.B) {
 			b.Fatalf("run failed: %s", out.Err)
 		}
 	}
+}
+
+// fleetRunSpec is BenchmarkFleetRun's cell.
+var fleetRunSpec = RunSpec{
+	Scenario:  "fleet-crash",
+	CostModel: "paper",
+	Policy:    PolicyFleetLeastLoaded,
+	Seed:      1,
+	Horizon:   700 * ticks.PerMillisecond,
+}
+
+// TestFleetRunAllocCeiling holds BenchmarkFleetRun's cell on a warm
+// sweep worker under a ceiling of its allocation count when the ceiling
+// was set (1 309) plus 10 %, so a site that allocates again per
+// placement scan, per body or per node incarnation fails go test, not
+// only bench-smoke's ±15 % gate.
+func TestFleetRunAllocCeiling(t *testing.T) {
+	const ceiling = 1440
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	w := newWorker()
+	run := func() {
+		if out := runOne(fleetRunSpec, w); out.Err != "" {
+			t.Fatalf("run failed: %s", out.Err)
+		}
+	}
+	run()
+	n := testing.AllocsPerRun(3, run)
+	if n > ceiling {
+		t.Errorf("a warm fleet-crash cell allocates %v times, over the ceiling of %d", n, ceiling)
+	}
+	t.Logf("a warm fleet-crash cell allocates %v times (ceiling %d)", n, ceiling)
 }

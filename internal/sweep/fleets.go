@@ -44,8 +44,9 @@ var placements = map[string]fleet.Placement{
 // level. Arrivals that draw the same pair share one list, which nothing
 // writes: the node RM that admits a task keeps its own copy.
 type fleetArrivals struct {
-	names []string
-	lists map[fleetLevels]task.ResourceList
+	names  []string
+	lists  map[fleetLevels]task.ResourceList
+	bodies []fleetBody // a run's arrivals and their bodies, emptied per run
 }
 
 // fleetLevels names an arrival's list: its period and top level.
@@ -77,22 +78,33 @@ func (fa *fleetArrivals) list(period ticks.Ticks, top int) task.ResourceList {
 	return l
 }
 
-// fleetBody builds bodies that consume their grant and exit after
-// life periods, so fleet capacity churns and retries have something
-// to win.
-func fleetBody(life int) func() task.Body {
-	return func() task.Body {
-		periods := 0
-		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
-			if ctx.NewPeriod {
-				periods++
-				if periods > life {
-					return task.RunResult{Op: task.OpExit}
-				}
-			}
-			return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
-		})
+// body takes a fleetBody of the given life from the slab. Should append
+// move the slab, a body already taken stays where it is, live through
+// its pointer; only the copy left behind, which nothing reads, is stale.
+func (fa *fleetArrivals) body(life int) *fleetBody {
+	fa.bodies = append(fa.bodies, fleetBody{life: life, slab: fa})
+	return &fa.bodies[len(fa.bodies)-1]
+}
+
+// fleetBody is an arrival's body source and each body it builds: a body
+// consumes its grant and exits after life periods, so fleet capacity
+// churns and retries have something to win.
+type fleetBody struct {
+	life, periods int
+	slab          *fleetArrivals
+}
+
+// NewBody is a fresh body of b's life, from b's slab.
+func (b *fleetBody) NewBody() task.Body { return b.slab.body(b.life) }
+
+// Run implements task.Body.
+func (b *fleetBody) Run(ctx task.RunContext) task.RunResult {
+	if ctx.NewPeriod {
+		if b.periods++; b.periods > b.life {
+			return task.RunResult{Op: task.OpExit}
+		}
 	}
+	return task.RunResult{Used: ctx.Span, Op: task.OpYield, Completed: true}
 }
 
 // runFleet is the family's shared harness: build the cluster with
@@ -122,6 +134,7 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 	// Open-loop arrivals over the first three quarters of the horizon:
 	// mixed periods, two-level lists (something to shed), finite
 	// lifetimes (capacity churns, so backoff retries can succeed).
+	e.w.arrivals.bodies = e.w.arrivals.bodies[:0]
 	rng := sim.NewRNG(sim.SplitSeed(e.spec.Seed, streamFleet))
 	periodChoices := []int64{5, 10, 20, 40} // ms
 	window := uint64(e.spec.Horizon * 3 / 4)
@@ -132,7 +145,7 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 			At:   ticks.Ticks(rng.Uint64() % window),
 			Name: e.w.arrivals.name(i),
 			List: e.w.arrivals.list(period, top),
-			Body: fleetBody(10 + rng.Intn(40)),
+			Body: e.w.arrivals.body(10 + rng.Intn(40)),
 		}); err != nil {
 			return err
 		}
