@@ -156,13 +156,14 @@ telemetry-golden:
 		internal/telemetry/testdata/settop-smoke.manifest.golden
 
 # Refresh the committed layer baseline, BENCH_kernel.json's "current"
-# section, and re-render docs/PERFORMANCE.md's layer table from it.
+# section, and re-render docs/PERFORMANCE.md's layer table from it (and
+# its workload table from BENCH_counts.json).
 # End-to-end sweep throughput is benchmark/'s job (frozen matrices; see
 # BENCHMARK.json).
 bench:
 	$(GO) test -run=NONE -bench '$(BENCH_REGEX)' -benchmem $(BENCH_PKGS) | tee bench-latest.txt
 	$(GO) run ./cmd/rdperf parse -out BENCH_kernel.json < bench-latest.txt
-	$(GO) run ./cmd/rdperf doc -bench BENCH_kernel.json -doc docs/PERFORMANCE.md
+	$(GO) run ./cmd/rdperf doc -bench BENCH_kernel.json -counts BENCH_counts.json -doc docs/PERFORMANCE.md
 	rm -f bench-latest.txt
 
 # Perf regression gate for CI: the steady-state 0-allocs/op
@@ -195,7 +196,8 @@ bench-smoke:
 # KiB per run by more than 5 % with the host's speed. The benchmark
 # runs in a temporary directory, so its traced outputs stay out of the
 # tree. After an intended change, record the file from the same output
-# with `rdperf counts -out BENCH_counts.json`.
+# with `rdperf counts -out BENCH_counts.json`, then re-render
+# docs/PERFORMANCE.md's workload table with `rdperf doc`.
 counts-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/bin/benchmark" ./benchmark && \

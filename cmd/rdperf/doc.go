@@ -46,15 +46,15 @@ var layers = []layer{
 		"`recomputeGrants`' `correlate` in kept scratch; two grant-set backings; a removed task's record reused"},
 	{"RM admission, deny", []string{"BenchmarkAdmitDeny"}, "≤ 1, `TestAdmitDenyAllocFreeButForItsError`; `Manager.Offer` 0",
 		"three `Frac` comparisons and the denial error value"},
-	{"whole fleet run", []string{"BenchmarkFleetRun"}, "≤ 1 440, `TestFleetRunAllocCeiling`",
-		"one fleet-crash cell on a warm sweep worker: what the run keeps — flight dumps, fault arming, the rare decisions' `fmt` lines"},
+	{"whole fleet run", []string{"BenchmarkFleetRun"}, "≤ 627, `TestFleetRunAllocCeiling`",
+		"one fleet-crash cell on a warm sweep worker: what the run keeps — coordinator notes, spill/migrate event lines, flight dumps, fault arming, one detail string per storm burst"},
 	{"invariant checker period", []string{"BenchmarkInvariantPeriod"}, "0, `TestCheckerSteadyStateAllocFree`",
 		"`closePeriod` and the open-period write; the O(N) `sched.Audit` once per round of `NTasks()` period starts"},
 	{"placement scan", []string{"BenchmarkPlacementOrder"}, "0, `TestPlacementOrderAllocFree`, `TestDeniedScanAllocFree`",
 		"insertion repair of the kept `(load, node)` permutation: ≈ one comparison per node; the offer on the stack"},
 	{"cluster build", []string{"BenchmarkClusterBuild", "BenchmarkClusterRebuild/nodes=16", "BenchmarkClusterRebuild/nodes=120"},
-		"0 per warm node, `TestNodeRebuildAllocs`; rings kept, `TestClusterRebuildAllocs`",
-		"cold: per-node `core.New`, rings, registries; warm: only the benchmark's `NodeInit` building resident names and lists"},
+		"0 per warm node, `TestNodeRebuildAllocs`; ≤ 70 per cold node, `TestClusterBuildAllocsPerNode`; rings kept, `TestClusterRebuildAllocs`",
+		"cold: per-node `core.New`, rings, registries (instruments from chunks); warm: only the benchmark's `NodeInit` building resident names and lists"},
 	{"fleet epoch", []string{"BenchmarkFleetEpoch/nodes=16", "BenchmarkFleetEpoch/nodes=120", "BenchmarkFleetEpoch/nodes=120/skewed",
 		"BenchmarkFleetEpoch/nodes=16/workers=2", "BenchmarkFleetEpoch/nodes=120/workers=2", "BenchmarkFleetEpoch/nodes=120/skewed/workers=2"},
 		"", "`sched.RunUntil` per node, then the barrier; two workers share the nodes by stealing"},
@@ -76,45 +76,92 @@ var layers = []layer{
 		"a literal comparison per member, the digits of each `ts`/`dur`, a pairing-table update per b/e and s/f event"},
 }
 
-// The markers around the rendered table in the document.
+// workloads is the per-workload table, in the order the document lists
+// it: each benchmark workload and one line on what dominates a run of
+// it. renderWorkloads reads the allocation rates from BENCH_counts.json.
+var workloads = []struct{ name, note string }{
+	{"paper-short", "per-run construction and admission are still a large share; then `rollPeriods` + `beginPeriod`"},
+	{"paper-long", "the event loop: `sched.RunUntil`, `charge`, switch-cost samples, two histogram observes per dispatch"},
+	{"fault-baseline", "the comparators' `baseline.loop`, ≈ 28 % of CPU: with the `nextRoll` watermark it is the pickers' own per-slice scans (`Lottery.pick`, `minPass`, `CFS.slice`); then `sched` ≈ 16 %, `sim` ≈ 10 %, the registry snapshot and instruments ≈ 10 %, allocation + GC ≈ 13 %, the streamer and the invariant checker ≈ 2–3 % each"},
+	{"fleet-deny", "flat shares of a `-trace 1` pass: `sched` ≈ a third, `ticks.Frac` ≈ a tenth, then RM denial, GC and the checker (≈ 5 %, its audit once per round); node advance runs on both cores (the pool, below)"},
+	{"fleet-wide", "flat shares of a `-trace 1` pass: `sched` ≈ a quarter, GC ≈ 12 %, `ticks.Frac` ≈ a tenth, the checker ≈ 4 %; then the barrier, which the pool leaves serial. Allocations: each round's cold arena (node shells, rings, chunked instruments), then the spill/migrate event lines and flight dumps"},
+	{"cluster-manifest", "the run with the span log on, ≈ 28 ms of a ≈ 75 ms run; read + validate and the Perfetto export, ≈ 19 and ≈ 16 ms with their span lists on both cores (≈ 26 and ≈ 29 on one; the export's largest cost is the shortest form of a fractional timestamp); then the write and the stitch copy; off the clock but inside `setup_s`, the Perfetto validation, one pass since it stopped decoding through `encoding/json`"},
+}
+
+// The markers around each rendered table in the document.
 const (
-	docBegin = "<!-- rdperf doc: begin -->\n"
-	docEnd   = "<!-- rdperf doc: end -->\n"
+	docBegin       = "<!-- rdperf doc: begin -->\n"
+	docEnd         = "<!-- rdperf doc: end -->\n"
+	workloadsBegin = "<!-- rdperf doc workloads: begin -->\n"
+	workloadsEnd   = "<!-- rdperf doc workloads: end -->\n"
 )
 
-// cmdDoc renders the layer table from the BENCH file at bench into
-// the document doc, between its markers.
-func cmdDoc(bench, doc string, rest []string) error {
-	if bench == "" || doc == "" || len(rest) != 0 {
+// cmdDoc renders the layer table from the BENCH file at bench and the
+// workload table from the BENCH_counts file at counts into the
+// document doc, each between its markers.
+func cmdDoc(bench, counts, doc string, rest []string) error {
+	if bench == "" || counts == "" || doc == "" || len(rest) != 0 {
 		usage()
-	}
-	raw, err := os.ReadFile(bench)
-	if err != nil {
-		return err
-	}
-	var table bytes.Buffer
-	if err := renderLayers(&table, raw); err != nil {
-		return fmt.Errorf("%s: %v", bench, err)
 	}
 	text, err := os.ReadFile(doc)
 	if err != nil {
 		return err
 	}
-	before, after, err := splitDoc(string(text))
-	if err != nil {
-		return fmt.Errorf("%s: %v", doc, err)
+	out := string(text)
+	for _, t := range []struct {
+		src, begin, end string
+		render          func(io.Writer, []byte) error
+	}{{bench, docBegin, docEnd, renderLayers}, {counts, workloadsBegin, workloadsEnd, renderWorkloads}} {
+		raw, err := os.ReadFile(t.src)
+		if err != nil {
+			return err
+		}
+		var table bytes.Buffer
+		if err := t.render(&table, raw); err != nil {
+			return fmt.Errorf("%s: %v", t.src, err)
+		}
+		before, after, err := splitDoc(out, t.begin, t.end)
+		if err != nil {
+			return fmt.Errorf("%s: %v", doc, err)
+		}
+		out = before + t.begin + table.String() + t.end + after
 	}
-	return os.WriteFile(doc, []byte(before+docBegin+table.String()+docEnd+after), 0o644)
+	return os.WriteFile(doc, []byte(out), 0o644)
 }
 
 // splitDoc returns what precedes the begin marker and what follows the
 // end marker.
-func splitDoc(text string) (before, after string, err error) {
-	b, e := strings.Index(text, docBegin), strings.Index(text, docEnd)
+func splitDoc(text, begin, end string) (before, after string, err error) {
+	b, e := strings.Index(text, begin), strings.Index(text, end)
 	if b < 0 || e < b {
-		return "", "", fmt.Errorf("no %q … %q block", strings.TrimSpace(docBegin), strings.TrimSpace(docEnd))
+		return "", "", fmt.Errorf("no %q … %q block", strings.TrimSpace(begin), strings.TrimSpace(end))
 	}
-	return text[:b], text[e+len(docEnd):], nil
+	return text[:b], text[e+len(end):], nil
+}
+
+// renderWorkloads writes the markdown workload table, one row per
+// benchmark workload, its allocation rates read from raw, a
+// BENCH_counts file, which must record those of every workload listed
+// and of no other.
+func renderWorkloads(w io.Writer, raw []byte) error {
+	var cf countsFile
+	if err := json.Unmarshal(raw, &cf); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "| workload | allocs/run | KiB/run | what dominates a run |")
+	fmt.Fprintln(w, "|---|--:|--:|---|")
+	for _, wl := range workloads {
+		a, ok := cf.Allocs[wl.name]
+		if !ok {
+			return fmt.Errorf("no allocation rates for workload %q", wl.name)
+		}
+		fmt.Fprintf(w, "| `%s` | %s | %s | %s |\n", wl.name,
+			strconv.FormatFloat(a["allocs_per_run"], 'f', 1, 64), strconv.FormatFloat(a["alloc_kb_per_run"], 'f', 1, 64), wl.note)
+	}
+	if len(cf.Allocs) != len(workloads) {
+		return fmt.Errorf("allocation rates for %d workloads, the table lists %d", len(cf.Allocs), len(workloads))
+	}
+	return nil
 }
 
 // renderLayers writes the markdown layer table, one row per benchmark,

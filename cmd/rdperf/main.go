@@ -2,14 +2,14 @@
 // (BENCH_kernel.json) and gates fresh runs against it, benchstat-style,
 // and does the same for the benchmark workloads' work counts, exactly,
 // and their allocation rates, within ±5 % (BENCH_counts.json), and
-// renders docs/PERFORMANCE.md's layer table from the first. It has four
-// subcommands:
+// renders docs/PERFORMANCE.md's layer and workload tables from the two.
+// It has four subcommands:
 //
 //	go test -run=NONE -bench . -benchmem ./... | rdperf parse -out BENCH_kernel.json
 //	go test -run=NONE -bench . -benchmem ./... | rdperf compare -against BENCH_kernel.json
 //	(benchmark -workload all -seed 1 -seconds 1 -trace 1; GOMAXPROCS=2 benchmark -workload all -seed 1 -seconds 1 -trace 0) |
 //		rdperf counts -out|-against BENCH_counts.json
-//	rdperf doc -bench BENCH_kernel.json -doc docs/PERFORMANCE.md
+//	rdperf doc -bench BENCH_kernel.json -counts BENCH_counts.json -doc docs/PERFORMANCE.md
 //
 // parse reads `go test -bench` text on stdin and records each
 // benchmark's metrics (ns/op, B/op, allocs/op, and any custom
@@ -91,10 +91,11 @@ func main() {
 		fs.Parse(os.Args[2:])
 		err = cmdCounts(*out, *against, fs.Args())
 	case "doc":
-		bench := fs.String("bench", "", "BENCH_kernel file the numbers come from (required)")
-		doc := fs.String("doc", "", "document whose marked layer table to rewrite (required)")
+		bench := fs.String("bench", "", "BENCH_kernel file the layer table's numbers come from (required)")
+		counts := fs.String("counts", "", "BENCH_counts file the workload table's numbers come from (required)")
+		doc := fs.String("doc", "", "document whose marked tables to rewrite (required)")
 		fs.Parse(os.Args[2:])
-		err = cmdDoc(*bench, *doc, fs.Args())
+		err = cmdDoc(*bench, *counts, *doc, fs.Args())
 	default:
 		usage()
 	}
@@ -110,7 +111,7 @@ func usage() {
   rdperf compare -against FILE  < go-test-bench-output
   rdperf counts  -out FILE      < benchmark-output
   rdperf counts  -against FILE  < benchmark-output
-  rdperf doc     -bench FILE -doc DOC`)
+  rdperf doc     -bench FILE -counts FILE -doc DOC`)
 	os.Exit(2)
 }
 

@@ -50,3 +50,24 @@ func TestGovernorRearmAllocFree(t *testing.T) {
 		t.Errorf("governor samples %v, want 198 (1–9 ms of 22 runs)", c)
 	}
 }
+
+// TestGovernorSteadyOverloadAllocFree: a governor sample that finds the
+// same overload as the last allocates nothing — its reason is a string
+// built once per percent, which the Manager drops for a pressure it
+// already applies.
+func TestGovernorSteadyOverloadAllocFree(t *testing.T) {
+	d := core.New(core.Config{Seed: 1, InterruptReservePercent: 2})
+	if err := d.AddInterruptLoad(100*ticks.PerMicrosecond, 10*ticks.PerMicrosecond); err != nil {
+		t.Fatal(err)
+	}
+	d.EnableOverloadGovernor(ticks.PerMillisecond)
+	d.Run(5 * ticks.PerMillisecond)
+	applied := len(d.Manager().DegradationEvents())
+	if n := testing.AllocsPerRun(20, func() { d.Run(ticks.PerMillisecond) }); n != 0 {
+		t.Errorf("a governor sample under a steady overload allocates %v times, want 0", n)
+	}
+	evs := d.Manager().DegradationEvents()
+	if applied == 0 || len(evs) != applied || evs[applied-1].Reason != "interrupt load 8% over reserve" {
+		t.Errorf("degradations %d before the measured samples, %v after: want a steady 8%% overload", applied, evs)
+	}
+}

@@ -60,11 +60,32 @@ func (g *governor) HandleEvent(int32, int32, ticks.Ticks) {
 			excess := load.Sub(g.reserve)
 			pct := (excess.Num*100 + excess.Den - 1) / excess.Den
 			d.governorSpans.Instant(st.Now, "governor", "apply-pressure", telemetry.NoTask, 0, "")
-			d.rm.SetPressure(st.Now, ticks.FracPercent(pct), fmt.Sprintf(
-				"interrupt load %d%% over reserve", pct))
+			d.rm.SetPressure(st.Now, ticks.FracPercent(pct), overloadReason(pct))
 		} else {
 			d.rm.SetPressure(st.Now, ticks.FracZero, "interrupt load within reserve")
 		}
 	}
 	d.kernel.AfterCall(g.interval, g, 0, 0, 0)
+}
+
+// overloadReasons holds the apply-pressure reason of every whole
+// percent up to 100, so a sample formats nothing (the Manager drops the
+// reason of a pressure it already applies).
+var overloadReasons = func() (r [101]string) {
+	for pct := range r {
+		r[pct] = fmt.Sprintf(overloadFormat, pct)
+	}
+	return r
+}()
+
+const overloadFormat = "interrupt load %d%% over reserve"
+
+// overloadReason is the reason for pressure of pct percent. A sample
+// can find more than 100: a handler's service counts as interrupt time
+// when it starts, and a sample can fire while it runs.
+func overloadReason(pct int64) string {
+	if pct < int64(len(overloadReasons)) {
+		return overloadReasons[pct]
+	}
+	return fmt.Sprintf(overloadFormat, pct)
 }

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -312,6 +313,7 @@ type Storm struct {
 
 	// Injected accumulates the total handler time actually injected,
 	// for tests to reconcile against the kernel's interrupt counters.
+	// It is a single-node hook: a NodeStorm rejects it.
 	Injected *ticks.Ticks
 }
 
@@ -337,26 +339,40 @@ func (s Storm) Validate() error {
 }
 
 func (s Storm) Arm(d *core.Distributor, rng *sim.RNG, log *telemetry.EventLog) {
-	counts := make([]int, s.Bursts)
-	for i := range counts {
-		counts[i] = s.Count
+	b := &stormBursts{d: d, log: log, service: s.Service, serviceText: s.Service.String(), injected: s.Injected}
+	for i := 0; i < s.Bursts; i++ {
+		n := s.Count
 		if s.Count > 1 {
-			counts[i] = s.Count/2 + rng.Intn(s.Count/2+1)
+			n = s.Count/2 + rng.Intn(s.Count/2+1)
+		}
+		d.Kernel().AtCall(s.At+ticks.Ticks(i)*s.Every, b, 0, 0, ticks.Ticks(n))
+	}
+}
+
+// stormBursts is one armed Storm: each burst is a typed kernel event
+// whose argument is its handler count.
+type stormBursts struct {
+	d           *core.Distributor
+	log         *telemetry.EventLog
+	service     ticks.Ticks
+	serviceText string // service, formatted once
+	injected    *ticks.Ticks
+}
+
+// HandleEvent runs one burst of arg back-to-back handlers.
+func (b *stormBursts) HandleEvent(_, _ int32, arg ticks.Ticks) {
+	at := b.d.Now()
+	for j := ticks.Ticks(0); j < arg; j++ {
+		b.d.Kernel().RunInterrupt(b.service)
+		if b.injected != nil {
+			*b.injected += b.service
 		}
 	}
-	for i, n := range counts {
-		n := n
-		d.At(s.At+ticks.Ticks(i)*s.Every, func() {
-			at := d.Now()
-			for j := 0; j < n; j++ {
-				d.Kernel().RunInterrupt(s.Service)
-				if s.Injected != nil {
-					*s.Injected += s.Service
-				}
-			}
-			record(d, log, at, "fault.storm", fmt.Sprintf("burst of %d handlers x %v ticks", n, s.Service))
-		})
-	}
+	var buf [64]byte
+	detail := append(buf[:0], "burst of "...)
+	detail = strconv.AppendInt(detail, int64(arg), 10)
+	detail = append(append(append(detail, " handlers x "...), b.serviceText...), " ticks"...)
+	record(b.d, b.log, at, "fault.storm", string(detail))
 }
 
 // --- timer lateness / coalescing ---

@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -412,6 +413,7 @@ func TestNodeInjectorValidationRejectsBadSpecs(t *testing.T) {
 		{"node-storm/zero-fan", fault.NodeStorm{Storm: storm, Nodes: 0}},
 		{"node-storm/negative-first", fault.NodeStorm{Storm: storm, FirstNode: -1, Nodes: 1}},
 		{"node-storm/negative-stagger", fault.NodeStorm{Storm: storm, Nodes: 1, Stagger: -1}},
+		{"node-storm/shared-injected", fault.NodeStorm{Storm: fault.Storm{Bursts: 1, Count: 1, Service: ms, Injected: new(ticks.Ticks)}, Nodes: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -420,4 +422,31 @@ func TestNodeInjectorValidationRejectsBadSpecs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestStormBurstAllocatesItsDetail: a storm burst allocates one string,
+// its event detail, beyond the event log's amortised append, and the
+// detail reads as it did when fmt formatted it.
+func TestStormBurstAllocatesItsDetail(t *testing.T) {
+	d := core.New(core.Config{Seed: 1, Telemetry: &telemetry.Set{Registry: telemetry.NewRegistry()}})
+	var log telemetry.EventLog
+	const bursts = 200
+	s := fault.Storm{At: ms, Bursts: bursts, Every: ms, Count: 12, Service: 30 * ticks.PerMicrosecond}
+	mustArm(t, d, 5, &log, s)
+	d.Run(ms)
+	if n := testing.AllocsPerRun(bursts-10, func() { d.Run(ms) }); n != 1 {
+		t.Errorf("a storm burst allocates %v times, want 1", n)
+	}
+	if log.N() != bursts-9 {
+		t.Fatalf("%d bursts logged, want %d", log.N(), bursts-9)
+	}
+	log.All(func(e telemetry.LogEvent) bool {
+		var n int
+		if _, err := fmt.Sscanf(e.Detail, "burst of %d handlers", &n); err != nil ||
+			e.Detail != fmt.Sprintf("burst of %d handlers x %v ticks", n, s.Service) || n < s.Count/2 || n > s.Count {
+			t.Errorf("burst detail %q", e.Detail)
+			return false
+		}
+		return true
+	})
 }

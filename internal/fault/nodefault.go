@@ -14,6 +14,7 @@ package fault
 // semantics".
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -161,7 +162,7 @@ func (n NodeCrash) ArmFleet(f NodeFleet, rng *sim.RNG, log *telemetry.EventLog) 
 // a crash lands first — outages do not deliver interrupts.
 type NodeStorm struct {
 	// Storm is the per-node burst shape (validated like a standalone
-	// Storm).
+	// Storm, and without an Injected counter).
 	Storm Storm
 	// FirstNode and Nodes select the contiguous fan
 	// [FirstNode, FirstNode+Nodes).
@@ -184,6 +185,11 @@ func (s NodeStorm) Validate() error {
 	}
 	if s.Stagger < 0 {
 		return fmt.Errorf("stagger %d must not be negative", int64(s.Stagger))
+	}
+	if s.Storm.Injected != nil {
+		// Every node of the fan would add into the one counter, from
+		// parallel node advances.
+		return errors.New("storm's Injected counter is a single-node hook, not shareable across a fan")
 	}
 	return nil
 }

@@ -90,6 +90,24 @@ func BenchmarkClusterBuild(b *testing.B) {
 	}
 }
 
+// TestClusterBuildAllocsPerNode: a cold fleet.New of 120 resident nodes
+// allocates at most 70 times per node — a node shell's instruments come
+// from its registry's chunks, not one heap object each.
+func TestClusterBuildAllocsPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	cfg := residentConfig(120, FirstFit)
+	n := testing.AllocsPerRun(3, func() {
+		if _, err := New(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perNode := n / float64(cfg.Nodes); perNode > 70 {
+		t.Errorf("a cold 120-node build allocates %v times, %.1f per node, want at most 70", n, perNode)
+	}
+}
+
 // BenchmarkClusterRebuild measures fleet.NewIn in an arena that has
 // built the same fleet before: what a sweep worker's second and later
 // fleet cells pay, at the node counts of fleet-spill and fleet-crash.

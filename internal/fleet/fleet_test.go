@@ -754,3 +754,21 @@ func TestReportSnapshotsShareNoBuckets(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeStormRejectsSharedInjected: Storm.Injected is a single-node
+// test hook. Fanned across nodes, every node of the fan would add into
+// the one counter from the parallel phase, a data race that `go test
+// -race` reports on a 2-node fan at two workers, so ArmFleet refuses
+// it. Were it accepted, the run below would be that race.
+func TestNodeStormRejectsSharedInjected(t *testing.T) {
+	c := mustNew(t, fleet.Config{Nodes: 2, Seed: 1, Workers: 2})
+	var injected ticks.Ticks
+	err := fault.ArmFleet(c, 1, &telemetry.EventLog{}, fault.NodeStorm{
+		Storm: fault.Storm{At: ms, Bursts: 40, Every: ms, Count: 4, Service: 100 * ticks.PerMicrosecond, Injected: &injected},
+		Nodes: 2,
+	})
+	if err == nil {
+		c.Run(50 * ms)
+		t.Fatalf("ArmFleet accepted a storm fan sharing one Injected counter (%v injected)", injected)
+	}
+}

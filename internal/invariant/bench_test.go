@@ -83,3 +83,15 @@ func TestCheckerSteadyStateAllocFree(t *testing.T) {
 			chk.PeriodsClosed()-before, chk.NViolations())
 	}
 }
+
+// TestFinishAllocFree: auditing a clean run's end allocates nothing —
+// Finish walks the open-period table, not a copy of the task IDs.
+func TestFinishAllocFree(t *testing.T) {
+	chk, _ := checkedSystem(t)
+	if n := testing.AllocsPerRun(100, chk.Finish); n != 0 {
+		t.Errorf("Finish allocates %v objects on a clean run, want 0", n)
+	}
+	if chk.NViolations() != 0 {
+		t.Fatalf("a clean run's Finish reported %v", chk.Violations())
+	}
+}

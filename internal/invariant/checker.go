@@ -346,9 +346,15 @@ func (c *Checker) Finish() {
 	if c.s == nil {
 		return
 	}
-	for _, id := range c.s.TaskIDs() {
-		p := c.openPeriod(id)
-		if p == nil {
+	// The open-period table is indexed by ID, so this walk visits the
+	// scheduled tasks in ascending ID order; an ID the Scheduler no
+	// longer holds is skipped.
+	for i := range c.open {
+		p, id := &c.open[i], task.ID(i)
+		if !p.present {
+			continue
+		}
+		if _, _, held := c.s.PrevPeriod(id); !held {
 			continue
 		}
 		// Lazy boundary processing (§6.1) legitimately leaves a deadline

@@ -1,6 +1,7 @@
 package invariant_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,6 +149,37 @@ func TestUnboundCheckerNeverPanics(t *testing.T) {
 	chk.OnDeadlineMiss(1, 10*ms, 0)
 	chk.OnBlock(1, 5*ms)
 	chk.Finish()
+}
+
+// Finish reports stuck periods in ascending task-ID order, and only
+// for tasks the Scheduler still holds: a period planted long past its
+// deadline on a live task is stuck, one on a terminated task is not.
+func TestFinishReportsStuckPeriodsInIDOrder(t *testing.T) {
+	chk := invariant.New(nil)
+	d := core.New(core.Config{Seed: 3, Observer: chk})
+	chk.Bind(d.Kernel(), d.Manager(), d.Scheduler())
+	ids := make([]task.ID, 4)
+	for i := range ids {
+		ids[i] = mustAdmit(t, d, "t", 10*ms, ms, task.PeriodicWork(ms))
+	}
+	d.Run(100 * ms)
+	if err := d.Terminate(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	d.Run(20 * ms)
+	for _, i := range []int{3, 1, 0} {
+		chk.OnPeriodStart(ids[i], 0, 10*ms, 0, 0)
+	}
+	chk.Finish()
+	var stuck []task.ID
+	for _, v := range chk.Violations() {
+		if v.Kind == "stuck-period" {
+			stuck = append(stuck, v.Task)
+		}
+	}
+	if want := []task.ID{ids[0], ids[3]}; !slices.Equal(stuck, want) {
+		t.Errorf("stuck periods reported for %v, want %v", stuck, want)
+	}
 }
 
 // --- helpers ---

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -142,4 +143,18 @@ func TestWorkerReuseMatchesFresh(t *testing.T) {
 		}
 	}
 	assertWorkerInvariant(t, m, 1, 2, 3)
+}
+
+// TestArrivalNames: a fleet arrival's name is "fl" and its index in at
+// least five digits, as fmt's "fl%05d" renders it.
+func TestArrivalNames(t *testing.T) {
+	var fa fleetArrivals
+	for _, i := range []int{0, 7, 42, 999, 1000, 12345, 99999, 100000, 123456} {
+		if got, want := fa.name(i), fmt.Sprintf("fl%05d", i); got != want {
+			t.Errorf("arrival %d is named %q, want %q", i, got, want)
+		}
+	}
+	if len(fa.names) != 123457 || fa.name(5) != "fl00005" {
+		t.Errorf("%d names kept, want one per index up to the last asked for", len(fa.names))
+	}
 }

@@ -20,6 +20,7 @@ package sweep
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
@@ -55,10 +56,15 @@ type fleetLevels struct {
 	top    int
 }
 
-// name is the i-th arrival's name.
+// name is the i-th arrival's name: "fl" and i in at least five digits.
 func (fa *fleetArrivals) name(i int) string {
-	for len(fa.names) <= i {
-		fa.names = append(fa.names, fmt.Sprintf("fl%05d", len(fa.names)))
+	for n := len(fa.names); n <= i; n++ {
+		var buf [24]byte
+		b := append(buf[:0], "fl"...)
+		for p := 10000; p > 1 && n < p; p /= 10 {
+			b = append(b, '0')
+		}
+		fa.names = append(fa.names, string(strconv.AppendInt(b, int64(n), 10)))
 	}
 	return fa.names[i]
 }

@@ -52,6 +52,44 @@ func TestRegistryReset(t *testing.T) {
 	}
 }
 
+// TestRegistryChunksStayPut: instruments and bucket arrays come from
+// chunks that never move, so every handle a registry has handed out
+// still names its instrument after hundreds more were registered, and
+// no histogram's buckets reach into another's.
+func TestRegistryChunksStayPut(t *testing.T) {
+	r := NewRegistry()
+	name := func(i int) string { return string(rune('a'+i%26)) + string(rune('a'+i/26)) }
+	var cs []*Counter
+	var hs []*Histogram
+	for i := 0; i < 300; i++ {
+		c := r.Counter(name(i))
+		c.Add(int64(i))
+		cs = append(cs, c)
+		if i%10 == 0 {
+			h := r.Histogram(name(i), 1, 1+i/10)
+			for v := int64(0); v <= int64(1+i/10); v++ {
+				h.Observe(v)
+			}
+			hs = append(hs, h)
+		}
+	}
+	for i, c := range cs {
+		if got := r.Counter(name(i)); got != c || c.Value() != int64(i) {
+			t.Fatalf("counter %s: handle kept %v, value %d; want the same handle, value %d", name(i), got == c, c.Value(), i)
+		}
+	}
+	for k, h := range hs {
+		if len(h.counts) != cap(h.counts) || h.Count() != int64(len(h.counts)) {
+			t.Fatalf("histogram %d: %d buckets, room for %d, %d samples", k, len(h.counts), cap(h.counts), h.Count())
+		}
+		for b, n := range h.counts {
+			if n != 1 {
+				t.Fatalf("histogram %d bucket %d holds %d samples, want 1: another histogram's buckets overlap it", k, b, n)
+			}
+		}
+	}
+}
+
 // FuzzRegistryReuse drives one registry through generations of
 // register / update / Reset / Snapshot and, beside it, a registry built
 // new for each generation. Every snapshot must marshal to the same

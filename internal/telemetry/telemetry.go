@@ -177,6 +177,44 @@ type Registry struct {
 	// Live instruments of each kind, and the live histograms' buckets:
 	// what a Snapshot will hold.
 	nc, ng, nh, nb int
+	// Where new instruments and bucket arrays come from.
+	cs chunks[Counter]
+	gs chunks[Gauge]
+	hs chunks[Histogram]
+	bs chunks[int64]
+}
+
+// chunks hands out values from blocks that never move, so a handle
+// stays put while its registry grows: the first block holds 4 values,
+// each next one twice the last, and a block too small for the request
+// that opens it holds two such requests.
+type chunks[T any] struct {
+	free []T // the newest block's unused tail
+	next int // the next block's size
+}
+
+// insert puts a new value from c into list at i. A full list grows by
+// what c's block has left, so it grows as often as c opens a block.
+func insert[T any](list []*T, i int, c *chunks[T]) []*T {
+	v := &c.take(1)[0]
+	if len(list) == cap(list) {
+		list = slices.Grow(list, len(c.free)+1)
+	}
+	return slices.Insert(list, i, v)
+}
+
+// take returns n zeroed, adjacent values.
+func (c *chunks[T]) take(n int) []T {
+	if len(c.free) < n {
+		size := max(c.next, 4)
+		if size < n {
+			size = 2 * n
+		}
+		c.free, c.next = make([]T, size), 2*size
+	}
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
 }
 
 func byCounterName(c *Counter, name string) int     { return strings.Compare(c.name, name) }
@@ -201,7 +239,7 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	i, ok := slices.BinarySearchFunc(r.counters, name, byCounterName)
 	if !ok {
-		r.counters = slices.Insert(r.counters, i, new(Counter))
+		r.counters = insert(r.counters, i, &r.cs)
 	}
 	c := r.counters[i]
 	if !ok || c.gen != r.gen {
@@ -219,7 +257,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	i, ok := slices.BinarySearchFunc(r.gauges, name, byGaugeName)
 	if !ok {
-		r.gauges = slices.Insert(r.gauges, i, new(Gauge))
+		r.gauges = insert(r.gauges, i, &r.gs)
 	}
 	g := r.gauges[i]
 	if !ok || g.gen != r.gen {
@@ -244,14 +282,14 @@ func (r *Registry) Histogram(name string, width int64, bins int) *Histogram {
 	}
 	i, ok := slices.BinarySearchFunc(r.hists, name, byHistogramName)
 	if !ok {
-		r.hists = slices.Insert(r.hists, i, new(Histogram))
+		r.hists = insert(r.hists, i, &r.hs)
 	}
 	h := r.hists[i]
 	switch {
 	case !ok || h.gen != r.gen:
 		counts := h.counts
 		if len(counts) != bins+1 {
-			counts = make([]int64, bins+1)
+			counts = r.bs.take(bins + 1)
 		}
 		clear(counts)
 		*h = Histogram{name: name, width: width, counts: counts, gen: r.gen}

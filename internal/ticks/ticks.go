@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 	"time"
 )
 
@@ -114,18 +115,19 @@ func FromCoreCycles(cycles int64) Ticks {
 
 // String renders t with an adaptive unit for human-readable traces.
 func (t Ticks) String() string {
+	n, unit := int64(t), "t"
 	switch {
 	case t == 0:
 		return "0t"
 	case t%PerSecond == 0:
-		return fmt.Sprintf("%ds", int64(t/PerSecond))
+		n, unit = int64(t/PerSecond), "s"
 	case t%PerMillisecond == 0:
-		return fmt.Sprintf("%dms", int64(t/PerMillisecond))
+		n, unit = int64(t/PerMillisecond), "ms"
 	case t%PerMicrosecond == 0:
-		return fmt.Sprintf("%dus", int64(t/PerMicrosecond))
-	default:
-		return fmt.Sprintf("%dt", int64(t))
+		n, unit = int64(t/PerMicrosecond), "us"
 	}
+	var buf [24]byte
+	return string(append(strconv.AppendInt(buf[:0], n, 10), unit...))
 }
 
 // Min returns the smaller of a and b.

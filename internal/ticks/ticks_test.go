@@ -1,6 +1,7 @@
 package ticks
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -86,20 +87,46 @@ func TestCoreCyclesRoundTripApprox(t *testing.T) {
 	}
 }
 
+// TestString holds the strconv rendering byte-equal to the fmt one it
+// replaced, at zero, at exact multiples of each unit, at values that
+// are multiples of none, at negative values and at the extremes.
 func TestString(t *testing.T) {
+	viaFmt := func(tk Ticks) string {
+		switch {
+		case tk == 0:
+			return "0t"
+		case tk%PerSecond == 0:
+			return fmt.Sprintf("%ds", int64(tk/PerSecond))
+		case tk%PerMillisecond == 0:
+			return fmt.Sprintf("%dms", int64(tk/PerMillisecond))
+		case tk%PerMicrosecond == 0:
+			return fmt.Sprintf("%dus", int64(tk/PerMicrosecond))
+		default:
+			return fmt.Sprintf("%dt", int64(tk))
+		}
+	}
 	cases := []struct {
 		tk   Ticks
 		want string
 	}{
 		{0, "0t"},
 		{PerSecond, "1s"},
+		{-120 * PerSecond, "-120s"},
 		{3 * PerMillisecond, "3ms"},
+		{-1500 * PerMillisecond, "-1500ms"},
 		{500 * PerMicrosecond, "500us"},
+		{-PerMicrosecond, "-1us"},
 		{100, "100t"},
+		{1, "1t"},
+		{-1, "-1t"},
+		{PerSecond + 1, "27000001t"},
+		{math.MaxInt64, "9223372036854775807t"},
+		{math.MinInt64, "-9223372036854775808t"},
+		{math.MaxInt64 / PerSecond * PerSecond, "341606371735s"},
 	}
 	for _, c := range cases {
-		if got := c.tk.String(); got != c.want {
-			t.Errorf("(%d).String() = %q, want %q", int64(c.tk), got, c.want)
+		if got := c.tk.String(); got != c.want || got != viaFmt(c.tk) {
+			t.Errorf("(%d).String() = %q, want %q (fmt renders %q)", int64(c.tk), got, c.want, viaFmt(c.tk))
 		}
 	}
 }
