@@ -51,23 +51,7 @@ var quoteRE = regexp.MustCompile("(?ms)^```rdbench:(\\S+)\n(.*?)^```$")
 // table is how a measurement gets typed in instead, so the file may
 // hold none.
 func TestExperimentsDocQuotesGolden(t *testing.T) {
-	golden, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Walking the table backwards, an experiment's section is whatever
-	// follows its banner in what is left of the file.
-	rest, sections := string(golden), map[string]string{}
-	for i := len(experiments) - 1; i >= 0; i-- {
-		var head bytes.Buffer
-		banner(&head, experiments[i].title)
-		at := strings.LastIndex(rest, head.String())
-		if at < 0 {
-			t.Fatalf("%s has no section for %q", goldenPath, experiments[i].name)
-		}
-		sections[experiments[i].name] = rest[at+head.Len():]
-		rest = rest[:at]
-	}
+	sections := goldenSections(t)
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
@@ -89,4 +73,27 @@ func TestExperimentsDocQuotesGolden(t *testing.T) {
 			t.Errorf("EXPERIMENTS.md: this block is not a run of lines of `rdbench -exp %s`:\n%s", name, quote)
 		}
 	}
+}
+
+// goldenSections splits the golden into each experiment's section, by
+// name: walking the table backwards, an experiment's section is
+// whatever follows its banner in what is left of the file.
+func goldenSections(t *testing.T) map[string]string {
+	t.Helper()
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, sections := string(golden), map[string]string{}
+	for i := len(experiments) - 1; i >= 0; i-- {
+		var head bytes.Buffer
+		banner(&head, experiments[i].title)
+		at := strings.LastIndex(rest, head.String())
+		if at < 0 {
+			t.Fatalf("%s has no section for %q", goldenPath, experiments[i].name)
+		}
+		sections[experiments[i].name] = rest[at+head.Len():]
+		rest = rest[:at]
+	}
+	return sections
 }

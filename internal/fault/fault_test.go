@@ -18,17 +18,17 @@ import (
 const ms = ticks.PerMillisecond
 
 // system assembles a Distributor with an invariant checker chained in
-// front of obs, plus a baseline well-behaved workload.
-func system(t *testing.T, seed uint64, reservePct int64, obs *trace.Recorder) (*core.Distributor, *invariant.Checker, map[string]task.ID) {
+// front of obs and mirroring its violations into log (nil for none),
+// plus a baseline well-behaved workload.
+func system(t *testing.T, seed uint64, reservePct int64, obs *trace.Recorder, log *telemetry.EventLog) (*core.Distributor, *invariant.Checker, map[string]task.ID) {
 	t.Helper()
-	var inner *trace.Recorder
-	chk := invariant.New(nil)
+	cfg := core.Config{Seed: seed, InterruptReservePercent: reservePct}
 	if obs != nil {
-		inner = obs
-		chk = invariant.New(inner)
+		cfg.Observer = obs
 	}
-	d := core.New(core.Config{Seed: seed, InterruptReservePercent: reservePct, Observer: chk})
-	chk.Bind(d.Kernel(), d.Manager(), d.Scheduler())
+	var sh invariant.Shell
+	d := sh.Build(cfg, true, log)
+	chk := sh.Checker()
 
 	ids := make(map[string]task.ID)
 	admit := func(name string, period, cpu ticks.Ticks, body task.Body) {
@@ -68,7 +68,7 @@ func suite(at ticks.Ticks) []fault.Injector {
 func TestDormantFaultsPreserveTrace(t *testing.T) {
 	run := func(armed bool) []byte {
 		rec := trace.New()
-		d, _, _ := system(t, 42, 4, rec)
+		d, _, _ := system(t, 42, 4, rec, nil)
 		if armed {
 			var log telemetry.EventLog
 			mustArm(t, d, 42, &log, suite(ticks.FromSeconds(10))...)
@@ -91,9 +91,8 @@ func TestDormantFaultsPreserveTrace(t *testing.T) {
 func TestFaultedRunIsDeterministic(t *testing.T) {
 	run := func() ([]byte, string, int) {
 		rec := trace.New()
-		d, chk, _ := system(t, 7, 4, rec)
 		var log telemetry.EventLog
-		chk.LogTo(&log)
+		d, chk, _ := system(t, 7, 4, rec, &log)
 		mustArm(t, d, 7, &log, suite(50*ms)...)
 		d.Run(ticks.FromMilliseconds(600))
 		chk.Finish()
@@ -119,9 +118,8 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 // An overrunning task is contained in overtime: the well-behaved tasks
 // keep every guarantee and the checker stays clean.
 func TestOverrunIsContained(t *testing.T) {
-	d, chk, ids := system(t, 3, 0, nil)
 	var log telemetry.EventLog
-	chk.LogTo(&log)
+	d, chk, ids := system(t, 3, 0, nil, &log)
 	mustArm(t, d, 3, &log, fault.Overrun{TaskName: "hog", Period: 15 * ms, CPU: 2 * ms, At: 30 * ms})
 	d.Run(ticks.FromMilliseconds(500))
 	chk.Finish()
@@ -147,7 +145,7 @@ func TestOverrunIsContained(t *testing.T) {
 // period: the scheduler charges exceptions and the rest of the system
 // is untouched.
 func TestNeverQuiesceChargesExceptions(t *testing.T) {
-	d, chk, ids := system(t, 5, 0, nil)
+	d, chk, ids := system(t, 5, 0, nil, nil)
 	var log telemetry.EventLog
 	mustArm(t, d, 5, &log, fault.NeverQuiesce{TaskName: "zombie", Period: 20 * ms, CPU: 2 * ms, At: 20 * ms})
 	d.Run(ticks.FromMilliseconds(500))
@@ -180,9 +178,8 @@ func TestNeverQuiesceChargesExceptions(t *testing.T) {
 // Crash/restart cycles leave no dangling scheduler state: every cycle
 // is logged, the final audit is clean, and survivors never miss.
 func TestCrashRestartLeavesNoDanglingState(t *testing.T) {
-	d, chk, ids := system(t, 9, 0, nil)
 	var log telemetry.EventLog
-	chk.LogTo(&log)
+	d, chk, ids := system(t, 9, 0, nil, &log)
 	mustArm(t, d, 9, &log, fault.CrashRestart{
 		TaskName: "flaky", Period: 10 * ms, CPU: 1 * ms, At: 25 * ms,
 		Cycles: 4, MeanUp: 60 * ms, MeanDown: 15 * ms,
@@ -215,9 +212,8 @@ func TestCrashRestartLeavesNoDanglingState(t *testing.T) {
 // with it, and any deadline the storm destroys is a *recorded* miss —
 // the checker finds nothing silent.
 func TestStormAccountingAndRecordedMisses(t *testing.T) {
-	d, chk, _ := system(t, 13, 4, nil)
 	var log telemetry.EventLog
-	chk.LogTo(&log)
+	d, chk, _ := system(t, 13, 4, nil, &log)
 	injected := new(ticks.Ticks)
 	// A violent storm: bursts of multi-millisecond handler slabs, far
 	// beyond the 4% reserve.
@@ -259,7 +255,7 @@ func TestStormAccountingAndRecordedMisses(t *testing.T) {
 // Timer jitter only ever delays — it must not break the schedule's
 // structure, and the run with jitter armed still audits clean.
 func TestJitterKeepsStructureIntact(t *testing.T) {
-	d, chk, _ := system(t, 17, 0, nil)
+	d, chk, _ := system(t, 17, 0, nil, nil)
 	var log telemetry.EventLog
 	mustArm(t, d, 17, &log, fault.Jitter{At: 10 * ms, MaxLate: 100 * ticks.PerMicrosecond, Coalesce: 20 * ticks.PerMicrosecond})
 	d.Run(ticks.FromMilliseconds(400))
@@ -278,7 +274,7 @@ func TestJitterKeepsStructureIntact(t *testing.T) {
 // Box half-mutated — across many deterministic corruption draws.
 func TestPolicyCorruptionRejectedAtomically(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
-		d, _, _ := system(t, seed, 0, nil)
+		d, _, _ := system(t, seed, 0, nil, nil)
 		var log telemetry.EventLog
 		mustArm(t, d, seed, &log,
 			fault.PolicyCorrupt{At: 10 * ms},
@@ -358,7 +354,7 @@ func TestInjectorValidationRejectsBadSpecs(t *testing.T) {
 			if err := tc.inj.Validate(); err == nil {
 				t.Fatalf("Validate accepted a degenerate spec: %+v", tc.inj)
 			}
-			d, _, _ := system(t, 1, 0, nil)
+			d, _, _ := system(t, 1, 0, nil, nil)
 			var log telemetry.EventLog
 			if err := fault.ArmAll(d, 1, &log, tc.inj); err == nil {
 				t.Fatalf("ArmAll armed a degenerate spec: %+v", tc.inj)
@@ -374,7 +370,7 @@ func TestInjectorValidationRejectsBadSpecs(t *testing.T) {
 // unarmed: validation is all-or-nothing, so a run never starts with a
 // half-armed fault plan.
 func TestArmAllIsAllOrNothing(t *testing.T) {
-	d, _, _ := system(t, 1, 0, nil)
+	d, _, _ := system(t, 1, 0, nil, nil)
 	var log telemetry.EventLog
 	err := fault.ArmAll(d, 1, &log,
 		fault.Overrun{TaskName: "ok", Period: 10 * ms, CPU: ms, At: 10 * ms},

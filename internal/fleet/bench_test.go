@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/telemetry"
@@ -199,7 +200,7 @@ func TestNodeRebuildAllocs(t *testing.T) {
 		n.advance(at + 50*ms)
 	}
 	cold := testing.AllocsPerRun(10, func() {
-		n.dist, n.check = nil, nil
+		n.shell = invariant.Shell{}
 		reset()
 	})
 	for _, tc := range []struct {

@@ -155,9 +155,7 @@ func (c *Cluster) doCrash(ni int, now ticks.Ticks) {
 	}
 	n.retire(false)
 	lost := n.placed
-	n.placed = nil
-	n.down = true
-	n.d = nil
+	n.placed, n.down, n.d = nil, true, nil
 	c.cCrash.Inc()
 	c.fleetSpan(now, "crash", nil, fmt.Sprintf("node %d; %d guarantee(s) lost", ni, len(lost)))
 	c.flog.Record(now, "fault.node-crash",

@@ -19,10 +19,8 @@ type node struct {
 	cfg   *Config
 	costs sim.SwitchCosts
 
-	d     *core.Distributor  // the live incarnation; nil while down
-	chk   *invariant.Checker // its checker; nil without Config.Invariants
-	dist  *core.Distributor  // the storage every incarnation is built in
-	check *invariant.Checker // the storage every checker is built in
+	shell invariant.Shell   // builds every incarnation, checked under Config.Invariants
+	d     *core.Distributor // the live incarnation; nil while down, kept after finish
 	// flog is the node's own event log: injectors armed on this node
 	// record here from the parallel phase, so fire-time writes stay
 	// node-local. Merged into the cluster report in node-ID order,
@@ -81,29 +79,18 @@ func (n *node) reset() {
 	n.flight.Reset()
 	n.flog.Reset()
 	n.tel.Registry.Reset()
-	*n = node{flight: n.flight, flog: n.flog, tel: n.tel, placed: n.placed[:0], dist: n.dist, check: n.check}
+	*n = node{flight: n.flight, flog: n.flog, tel: n.tel, placed: n.placed[:0], shell: n.shell}
 }
 
 // build assembles a fresh incarnation at cluster time at in the shell.
 func (n *node) build(at ticks.Ticks) {
-	cfg := core.Config{
+	n.scannedGen = 0
+	n.d = n.shell.Build(core.Config{
 		Seed:                    n.seed,
 		SwitchCosts:             &n.costs,
 		InterruptReservePercent: n.cfg.InterruptReservePercent,
 		Telemetry:               n.tel,
-	}
-	n.chk, n.scannedGen = nil, 0
-	if n.cfg.Invariants {
-		n.check = invariant.NewIn(n.check, nil)
-		n.chk, cfg.Observer = n.check, n.check
-	}
-	n.dist = core.NewIn(n.dist, cfg)
-	n.d = n.dist
-	if n.chk != nil {
-		n.chk.Bind(n.d.Kernel(), n.d.Manager(), n.d.Scheduler())
-		n.chk.LogTo(&n.flog)
-		n.chk.EnableTelemetry(n.tel)
-	}
+	}, n.cfg.Invariants, &n.flog)
 	if at > 0 {
 		// A restarted kernel idles forward to rejoin cluster time; the
 		// stats base excludes that skip from the node's accounting.
@@ -128,26 +115,18 @@ func (n *node) advance(limit ticks.Ticks) {
 	}
 	n.d.RunUntil(limit)
 	if info, ok := n.d.Kernel().Stalled(); ok {
-		n.stallErr = fmt.Sprintf("node %d: kernel livelock guard tripped at t=%d after %d same-tick events",
-			n.id, int64(info.At), info.Events)
+		n.stallErr = fmt.Sprintf("node %d: %s", n.id, info)
 	}
 }
 
-// retire folds the current incarnation's stats into the node
-// accumulators and lets its checker go — the violations it recorded are
-// in the accumulator from here on. finish additionally finalizes the
-// checker first (a crashed incarnation is not finalized: its open
-// periods died with the node, and the fleet ledger, not the node
-// checker, owns the lost guarantees).
+// retire folds the current incarnation's stats, violations and
+// degradations into the node accumulators. finish finalizes its checker
+// first; a crash does not (the fleet ledger, not the node checker, owns
+// the guarantees that died with the node).
 func (n *node) retire(finish bool) {
-	if n.chk != nil {
-		if finish {
-			n.chk.Finish()
-		}
-		n.accViolations += int64(n.chk.NViolations())
-		n.chk = nil
-	}
-	n.accDegradations += int64(n.d.Manager().NDegradations())
+	violations, degradations := n.shell.Retire(finish)
+	n.accViolations += violations
+	n.accDegradations += degradations
 	st := n.d.Kernel().Stats()
 	n.accStats.BusyTicks += st.BusyTicks - n.statsBase.BusyTicks
 	n.accStats.SwitchTicks += st.SwitchTicks - n.statsBase.SwitchTicks

@@ -153,8 +153,8 @@ func (c *Cluster) dump(n *node, reason string, at ticks.Ticks) {
 // since n's last such dump.
 func (c *Cluster) dumpBreach(n *node, at ticks.Ticks) {
 	v := n.accViolations
-	if n.chk != nil {
-		v += int64(n.chk.NViolations())
+	if chk := n.shell.Checker(); chk != nil {
+		v += int64(chk.NViolations())
 	}
 	if v > n.violDumped {
 		n.violDumped = v

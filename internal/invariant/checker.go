@@ -65,7 +65,7 @@ type period struct {
 
 // Checker is a sched.Observer that audits the guarantees as they are
 // (or are not) delivered. Construct with New, wire as the system's
-// Observer, then Bind the assembled components.
+// Observer, then Bind the assembled components; or build both in a Shell.
 type Checker struct {
 	next sched.Observer
 
@@ -73,7 +73,7 @@ type Checker struct {
 	m *rm.Manager
 	s *sched.Scheduler
 
-	log *telemetry.EventLog // optional mirror of violations
+	log *telemetry.EventLog // optional mirror of violations (Shell.Build)
 
 	seq int64
 	// open holds each task's current period, indexed by task ID — a
@@ -100,8 +100,8 @@ type Checker struct {
 
 	periodsClosed int64
 
-	// telViolations counts recorded violations ("invariant.violations");
-	// nil (telemetry off) is a no-op.
+	// telViolations counts violations ("invariant.violations"), telSpans
+	// mirrors each as an instant span (Shell.Build); nil is a no-op.
 	telViolations *telemetry.Counter
 	telSpans      *telemetry.Spans
 }
@@ -136,10 +136,6 @@ func NewIn(c *Checker, next sched.Observer) *Checker {
 func (c *Checker) Bind(k *sim.Kernel, m *rm.Manager, s *sched.Scheduler) {
 	c.k, c.m, c.s = k, m, s
 }
-
-// LogTo mirrors every violation into l as an event with kind
-// "invariant.<Kind>". Pass nil to stop mirroring.
-func (c *Checker) LogTo(l *telemetry.EventLog) { c.log = l }
 
 // Violations returns a copy of everything recorded so far, in
 // detection order.

@@ -81,9 +81,10 @@ func TestRecordedMissIsNotAViolation(t *testing.T) {
 // recorded miss, no block, and no completion is a silent miss — the
 // exact failure the paper's guarantee machinery must never allow.
 func TestSilentMissIsDetected(t *testing.T) {
-	chk := invariant.New(nil)
 	var log telemetry.EventLog
-	chk.LogTo(&log)
+	var sh invariant.Shell
+	sh.Build(core.Config{}, true, &log)
+	chk := sh.Checker()
 
 	chk.OnPeriodStart(7, 0, 10*ms, 0, 3*ms)
 	chk.OnDispatch(7, "t", 0, 1*ms, sched.DispatchGranted, 0)

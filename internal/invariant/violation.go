@@ -32,14 +32,6 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%d @%d] %s task=%d: %s", v.Cursor.Seq, int64(v.At), v.Kind, int64(v.Task), v.Detail)
 }
 
-// EnableTelemetry counts every recorded violation on
-// "invariant.violations" and mirrors each as an instant decision span.
-// A nil Set leaves the Checker silent.
-func (c *Checker) EnableTelemetry(t *telemetry.Set) {
-	c.telViolations = t.Reg().Counter("invariant.violations")
-	c.telSpans = t.SpanLog()
-}
-
 func (c *Checker) report(kind string, id task.ID, at ticks.Ticks, detail string) {
 	v := Violation{
 		Kind:   kind,

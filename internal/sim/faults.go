@@ -16,8 +16,9 @@ type StallInfo struct {
 	Events int         // events that had executed at that instant
 }
 
+// String is the sentence a stalled sweep cell or fleet node reports.
 func (s StallInfo) String() string {
-	return fmt.Sprintf("sim: livelock at %v after %d same-tick events", s.At, s.Events)
+	return fmt.Sprintf("kernel livelock guard tripped at t=%d after %d same-tick events", int64(s.At), s.Events)
 }
 
 // Stalled reports whether the livelock guard has tripped, and the

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -69,9 +70,10 @@ type env struct {
 	tel    *telemetry.Set
 	admits []admitRec
 
-	// chk, when armed via withInvariants, rides the observer chain and
-	// audits the paper's guarantees during the run.
-	chk *invariant.Checker
+	// checked has start build an invariant Checker in front of the
+	// probe: it audits the paper's guarantees during the run, its
+	// violations logged in flog and counted in RunMetrics.Violations.
+	checked bool
 	// flog collects fault-injection and invariant events for the run.
 	flog telemetry.EventLog
 
@@ -92,11 +94,10 @@ type admitRec struct {
 
 // worker is the storage one sweep worker builds its runs in, one after
 // another: the arena and arrivals of its fleet runs, and the registry,
-// probe, Distributor, bare kernel and checker of its single-node runs,
-// which start, startKernel and withInvariants rebuild in place as a
-// fleet node shell does. It belongs to one goroutine and holds one
-// live run; a finished run's RunMetrics holds copies, so the next run
-// is free to recycle all of it. Which worker a run lands on, and what
+// probe, shell (as a fleet node's) and bare kernel of its single-node
+// runs. It belongs to one goroutine and holds one live run; a finished
+// run's RunMetrics holds copies, so the next run is free to recycle
+// all of it. Which worker a run lands on, and what
 // ran there before, never affects its results (docs/DETERMINISM.md),
 // nor does clusterWorkers, the pool size of its clusters (0: one).
 type worker struct {
@@ -104,9 +105,8 @@ type worker struct {
 	arrivals       fleetArrivals
 	tel            telemetry.Set
 	pr             probe
-	dist           *core.Distributor
+	shell          invariant.Shell
 	kern           *sim.Kernel
-	chk            *invariant.Checker
 	clusterWorkers int
 }
 
@@ -137,25 +137,17 @@ func newEnv(spec RunSpec, w *worker) (*env, error) {
 	}, nil
 }
 
-// start assembles the run's Distributor, applying the spec's seed and
-// cost model plus the sweep's probe observer to the scenario's config.
-// When withInvariants armed a checker, the checker becomes the
-// observer and chains to the probe, so standard metrics still flow.
+// start assembles the run's Distributor in the worker's shell,
+// applying the spec's seed and cost model plus the sweep's probe
+// observer (behind the checker of a checked run) to the scenario's
+// config.
 func (e *env) start(cfg core.Config) *core.Distributor {
 	cfg.Seed = e.spec.Seed
 	cfg.SwitchCosts = &e.costs
 	cfg.Observer = &e.w.pr
-	if e.chk != nil {
-		cfg.Observer = e.chk
-	}
 	cfg.Telemetry = e.tel
-	e.d = core.NewIn(e.w.dist, cfg)
-	e.w.dist = e.d
+	e.d = e.w.shell.Build(cfg, e.checked, &e.flog)
 	e.k = e.d.Kernel()
-	if e.chk != nil {
-		e.chk.Bind(e.k, e.d.Manager(), e.d.Scheduler())
-		e.chk.EnableTelemetry(e.tel)
-	}
 	return e.d
 }
 
@@ -168,15 +160,6 @@ func (e *env) startKernel() *sim.Kernel {
 	return e.k
 }
 
-// withInvariants arms the runtime guarantee checker for this run.
-// Call it before start; violations are mirrored into the run's event
-// log and counted in RunMetrics.Violations.
-func (e *env) withInvariants() {
-	e.chk = invariant.NewIn(e.w.chk, &e.w.pr)
-	e.w.chk = e.chk
-	e.chk.LogTo(&e.flog)
-}
-
 // run drives the single-node substrate to the horizon — to is the
 // Distributor's Run or a comparator's RunUntil — and folds what the
 // kernel, probe, checker, event log and telemetry registry measured
@@ -184,8 +167,7 @@ func (e *env) withInvariants() {
 func (e *env) run(to func(ticks.Ticks)) error {
 	to(e.spec.Horizon)
 	if info, ok := e.k.Stalled(); ok {
-		return fmt.Errorf("kernel livelock guard tripped at t=%d after %d same-tick events",
-			int64(info.At), info.Events)
+		return errors.New(info.String())
 	}
 	st := e.k.Stats()
 	e.m.Utilization = st.Utilization()
@@ -198,12 +180,8 @@ func (e *env) run(to func(ticks.Ticks)) error {
 			e.m.AdmissionMS = append(e.m.AdmissionMS, (start - a.at).MillisecondsF())
 		}
 	}
-	if e.chk != nil {
-		e.chk.Finish()
-		e.m.Violations = int64(len(e.chk.Violations()))
-	}
 	if e.d != nil {
-		e.m.Degradations = int64(e.d.Manager().NDegradations())
+		e.m.Violations, e.m.Degradations = e.w.shell.Retire(true)
 	}
 	e.m.FaultsInjected = int64(e.flog.KindPrefixCount("fault."))
 	e.m.Telemetry = e.tel.Reg().Snapshot()

@@ -43,7 +43,7 @@ func (e *env) faultBaseline() error {
 // ticks, when non-zero), admit the baseline, arm the injectors, run,
 // and report recorded misses over total periods as the quality figure.
 func (e *env) runFault(cfg core.Config, governor ticks.Ticks, injs ...fault.Injector) error {
-	e.withInvariants()
+	e.checked = true
 	d := e.start(cfg)
 	if governor > 0 {
 		d.EnableOverloadGovernor(governor)

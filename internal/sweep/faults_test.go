@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/ticks"
@@ -125,10 +126,12 @@ func TestStormDegradationIsRecordedPolicyDecision(t *testing.T) {
 		t.Error("no storm bursts logged")
 	}
 
-	if vs := e.chk.Violations(); len(vs) != 0 {
-		t.Errorf("degraded run has %d guarantee violations; degradation must be a recorded decision, not a breach", len(vs))
-		for _, v := range vs {
-			t.Log(v)
+	if e.m.Violations != 0 {
+		t.Errorf("degraded run has %d guarantee violations; degradation must be a recorded decision, not a breach", e.m.Violations)
+		for _, ev := range e.flog.Events() {
+			if strings.HasPrefix(ev.Kind, "invariant.") {
+				t.Log(ev.Detail)
+			}
 		}
 	}
 }

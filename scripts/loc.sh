@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Go line counts per package: non-test (.go outside _test.go) and test
-# (_test.go), then the two totals, the rdlint subtotal ROADMAP item 5a
-# tracks, and the largest non-test file. `make loc` runs this. Counts
+# (_test.go), then the two totals, the subtotal of the static analyser
+# (internal/analysis/... and cmd/rdlint), and the largest non-test file. `make loc` runs this. Counts
 # are `wc -l` over tracked and untracked-but-not-ignored files;
 # testdata/ fixtures are not counted.
 #
