@@ -25,8 +25,8 @@ type layer struct {
 // numbers are never typed here: renderLayers reads them from the
 // committed baseline.
 var layers = []layer{
-	{"event queue", []string{"BenchmarkEventQueue"}, "",
-		"the one `Event` a push of a never-pooled entry allocates; heap sift on a 4-ary array"},
+	{"event queue", []string{"BenchmarkEventQueue"}, "⌈n/8⌉ per n cold pushes, `TestColdQueueAllocatesByBlock`",
+		"a cold push's share of an 8-event block; heap sift on a 4-ary array"},
 	{"kernel step", []string{"BenchmarkKernelStep"}, "0, `TestKernelStepSteadyStateIsAllocFree`",
 		"pop + typed dispatch + re-arm of a recycled `Event`"},
 	{"switch-cost sample", []string{"BenchmarkSwitchSample"}, "",

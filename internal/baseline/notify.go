@@ -79,14 +79,3 @@ func (nf *Notifier) pick() *btask {
 func (nf *Notifier) slice(cur *btask) ticks.Ticks { return cur.demand() - cur.usedPd }
 
 func (nf *Notifier) closePeriod(b *btask) { nf.score(b, b.usedPd >= b.demand()) }
-
-// levelsOf converts a task.ResourceList with a single shared period
-// into the Notifier's demand menu, for experiments that run the same
-// application menus under both systems.
-func LevelsOf(rl task.ResourceList) (period ticks.Ticks, levels []ticks.Ticks) {
-	period = rl[0].Period
-	for _, e := range rl {
-		levels = append(levels, e.CPU)
-	}
-	return period, levels
-}

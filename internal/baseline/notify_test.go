@@ -96,10 +96,3 @@ func TestNotifierOverloadMissesDuringRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestLevelsOf(t *testing.T) {
-	p, levels := LevelsOf(task.UniformLevels(270_000, "T", 50, 10))
-	if p != 270_000 || len(levels) != 2 || levels[0] != 135_000 || levels[1] != 27_000 {
-		t.Errorf("LevelsOf = %v %v", p, levels)
-	}
-}

@@ -2,6 +2,7 @@
 package fleet
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,9 +18,10 @@ import (
 // Arena the caller reuses), feed with Submit (and optionally
 // fault.ArmFleet), then Run once.
 //
-// This file is the coordinator: the epoch loop and the action queue it
-// drains at each barrier. What an action does is in placement.go,
-// ledger.go and record.go, each with its own part of the arena below.
+// This file is the coordinator: the epoch loop and the actions it
+// drains from its event queue at each barrier. What an action does is
+// in placement.go, ledger.go and record.go, each with its own part of
+// the arena below.
 type Cluster struct {
 	cfg     Config
 	nodes   []*node
@@ -27,9 +29,8 @@ type Cluster struct {
 	horizon ticks.Ticks
 	ran     bool
 
-	queue  *actionQueue
-	seqCtr int64
-	pool   pool
+	queue *sim.EventQueue
+	pool  pool
 
 	// placement.go: the offer-order scratch and the backoff jitter.
 	scan    *placeScratch
@@ -56,82 +57,31 @@ type Cluster struct {
 	cFlightDump *telemetry.Counter
 }
 
-type actionKind uint8
-
+// The coordinator's actions ride the simulator's event queue as
+// nil-handler typed events: op is one of these kinds, id the admission
+// record's index (an arrival or a retry) or the node (a crash or a
+// restart). The queue's (time, push sequence) order makes the
+// coordinator's processing order a pure function of the spec.
 const (
-	actArrive actionKind = iota
+	actArrive int32 = iota
 	actRetry
 	actCrash
 	actRestart
 )
 
-type action struct {
-	due  ticks.Ticks
-	seq  int64
-	kind actionKind
-	adm  *admRec // a retry's record
-	node int     // a crash's or restart's node; an arrival's record index
+func (c *Cluster) push(due ticks.Ticks, kind int32, index int) {
+	c.queue.PushCall(due, nil, kind, int32(index), 0)
 }
 
-// actionQueue is a binary min-heap on (due, seq): due time orders
-// actions across barriers, submission sequence breaks ties inside
-// one, so the coordinator's processing order is a pure function of
-// the spec.
-type actionQueue struct{ a []action }
-
-func (q *actionQueue) reset() { q.a = q.a[:0] }
-
-func (q *actionQueue) less(i, j int) bool {
-	if q.a[i].due != q.a[j].due {
-		return q.a[i].due < q.a[j].due
+// next pops the earliest action due by limit; ok is false when none is.
+func (c *Cluster) next(limit ticks.Ticks) (kind int32, index int, ok bool) {
+	if due, ok := c.queue.PeekTime(); !ok || due > limit {
+		return 0, 0, false
 	}
-	return q.a[i].seq < q.a[j].seq
-}
-
-func (q *actionQueue) push(x action) {
-	q.a = append(q.a, x)
-	i := len(q.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q.a[i], q.a[p] = q.a[p], q.a[i]
-		i = p
-	}
-}
-
-func (q *actionQueue) pop() action {
-	top := q.a[0]
-	last := len(q.a) - 1
-	q.a[0] = q.a[last]
-	q.a = q.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(q.a) && q.less(l, s) {
-			s = l
-		}
-		if r < len(q.a) && q.less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		q.a[i], q.a[s] = q.a[s], q.a[i]
-		i = s
-	}
-	return top
-}
-
-func (q *actionQueue) len() int { return len(q.a) }
-
-func (q *actionQueue) topDue() ticks.Ticks { return q.a[0].due }
-
-func (c *Cluster) push(due ticks.Ticks, kind actionKind, adm *admRec, node int) {
-	c.seqCtr++
-	c.queue.push(action{due: due, seq: c.seqCtr, kind: kind, adm: adm, node: node})
+	e := c.queue.Pop()
+	kind, id, _ := e.Payload()
+	c.queue.Recycle(e)
+	return kind, int(id), true
 }
 
 // NodeCount implements fault.NodeFleet.
@@ -140,12 +90,12 @@ func (c *Cluster) NodeCount() int { return len(c.nodes) }
 // ScheduleNodeCrash implements fault.NodeFleet: the crash lands at
 // the epoch barrier covering at.
 func (c *Cluster) ScheduleNodeCrash(node int, at ticks.Ticks) {
-	c.push(at, actCrash, nil, node)
+	c.push(at, actCrash, node)
 }
 
 // ScheduleNodeRestart implements fault.NodeFleet.
 func (c *Cluster) ScheduleNodeRestart(node int, at ticks.Ticks) {
-	c.push(at, actRestart, nil, node)
+	c.push(at, actRestart, node)
 }
 
 // ArmOnNode implements fault.NodeFleet: the injector is armed on the
@@ -330,18 +280,17 @@ func (p *pool) help(k int) {
 
 // barrier is the sequential coordinator phase at cluster time now.
 func (c *Cluster) barrier(now ticks.Ticks) {
-	for c.queue.len() > 0 && c.queue.topDue() <= now {
-		a := c.queue.pop()
-		switch a.kind {
+	for kind, i, ok := c.next(now); ok; kind, i, ok = c.next(now) {
+		switch kind {
 		case actArrive:
 			c.arrivals++
-			c.place(&c.recs.a[a.node], now)
+			fallthrough
 		case actRetry:
-			c.place(a.adm, now)
+			c.place(&c.recs.a[i], now)
 		case actCrash:
-			c.doCrash(a.node, now)
+			c.doCrash(i, now)
 		case actRestart:
-			c.doRestart(a.node, now)
+			c.doRestart(i, now)
 		}
 	}
 	c.completionScan(now)
@@ -355,17 +304,16 @@ func (c *Cluster) barrier(now ticks.Ticks) {
 // checkers. A finalized checker can surface stuck-period breaches that
 // no barrier saw; those get a horizon-time dump.
 func (c *Cluster) finish(horizon ticks.Ticks) {
-	for c.queue.len() > 0 {
-		a := c.queue.pop()
-		switch a.kind {
+	for kind, i, ok := c.next(math.MaxInt64); ok; kind, i, ok = c.next(math.MaxInt64) {
+		switch kind {
 		case actArrive:
 			c.unarrived++
 		case actRetry:
-			c.abandon(a.adm, horizon, "horizon reached mid-retry")
+			c.abandon(&c.recs.a[i], horizon, "horizon reached mid-retry")
 		}
 	}
 	for _, n := range c.nodes {
-		if !n.down {
+		if n.d != nil {
 			n.retire(true)
 			c.dumpBreach(n, horizon)
 		}

@@ -267,6 +267,6 @@ func (c *Cluster) Submit(a Admission) error {
 	if err := a.List.Validate(); err != nil {
 		return fmt.Errorf("fleet: admission %q: %w", a.Name, err)
 	}
-	c.push(a.At, actArrive, nil, c.submitted(a))
+	c.push(a.At, actArrive, c.submitted(a))
 	return nil
 }

@@ -65,12 +65,31 @@ func mustNew(t *testing.T, cfg fleet.Config) *fleet.Cluster {
 
 // run builds a representative faulted fleet — governors armed, a
 // roaming crash/restart injector, a correlated storm fan, staggered
-// multi-level arrivals — and returns its report. Used by the
+// multi-level arrivals — and returns it with its report. Used by the
 // worker-invariance and determinism tests.
-func run(t *testing.T, seed uint64, workers int) *fleet.Report {
+func run(t *testing.T, seed uint64, workers int) (*fleet.Cluster, *fleet.Report) {
 	t.Helper()
-	_, rep := runCfg(t, new(fleet.Arena), faultedConfig(seed, workers))
-	return rep
+	return runCfg(t, new(fleet.Arena), faultedConfig(seed, workers))
+}
+
+// eventLog is a finished cluster's events, read from its manifests:
+// the coordinator's, then each node's in node order.
+func eventLog(t *testing.T, c *fleet.Cluster) *telemetry.EventLog {
+	t.Helper()
+	var log telemetry.EventLog
+	add := func(m *telemetry.Manifest, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range m.Events {
+			log.Record(e.At, e.Kind, e.Detail)
+		}
+	}
+	add(c.CoordManifest())
+	for i := range c.NodeCount() {
+		add(c.NodeManifest(i))
+	}
+	return &log
 }
 
 // faultedConfig is run's cluster: 12 least-loaded nodes, governors and
@@ -119,7 +138,7 @@ func runCfg(t *testing.T, a *fleet.Arena, cfg fleet.Config) (*fleet.Cluster, *fl
 
 // The fleet analogue of rdsweep's worker-invariance contract: the
 // report (counters, latency percentiles, aggregate fractions) and
-// the merged event log are byte-identical for any worker count. Under
+// the event logs are byte-identical for any worker count. Under
 // first-fit the low-index nodes hold the load, so a worker steals from
 // another's range in every epoch.
 func TestWorkerCountInvariance(t *testing.T) {
@@ -128,12 +147,12 @@ func TestWorkerCountInvariance(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 4, 8} {
 			cfg := faultedConfig(42, workers)
 			cfg.Placement = p
-			_, rep := runCfg(t, new(fleet.Arena), cfg)
+			c, rep := runCfg(t, new(fleet.Arena), cfg)
 			if len(rep.Stalled) != 0 {
 				t.Fatalf("%s, workers=%d: stalled nodes: %v", p, workers, rep.Stalled)
 			}
 			checkTallies(t, rep)
-			sum, log := rep.Summary(), rep.Log.String()
+			sum, log := rep.Summary(), eventLog(t, c).String()
 			if refSummary == "" {
 				refSummary, refLog = sum, log
 				continue
@@ -264,11 +283,12 @@ func TestRecycledNodesMatchFresh(t *testing.T) {
 
 // Same seed, same fleet; different seed, different fleet.
 func TestClusterDeterminism(t *testing.T) {
-	a, b := run(t, 7, 4), run(t, 7, 4)
-	if a.Summary() != b.Summary() || a.Log.String() != b.Log.String() {
+	ca, a := run(t, 7, 4)
+	cb, b := run(t, 7, 4)
+	if a.Summary() != b.Summary() || eventLog(t, ca).String() != eventLog(t, cb).String() {
 		t.Fatalf("same-seed fleets diverged:\n a: %s\n b: %s", a.Summary(), b.Summary())
 	}
-	c := run(t, 8, 4)
+	_, c := run(t, 8, 4)
 	if a.Summary() == c.Summary() {
 		t.Fatal("different seeds produced identical fleets — the seed is not reaching the run")
 	}
@@ -278,7 +298,7 @@ func TestClusterDeterminism(t *testing.T) {
 // crashes really happen, every lost guarantee is re-placed or
 // recorded, and the invariant checkers find nothing.
 func TestFaultedFleetConservation(t *testing.T) {
-	rep := run(t, 42, 4)
+	c, rep := run(t, 42, 4)
 	if rep.Crashes == 0 || rep.Restarts == 0 {
 		t.Fatalf("crash injector never fired: %s", rep.Summary())
 	}
@@ -290,7 +310,7 @@ func TestFaultedFleetConservation(t *testing.T) {
 			rep.LostToCrash, rep.Recovered, rep.LostRecorded)
 	}
 	if rep.Violations != 0 {
-		t.Fatalf("%d invariant violation(s):\n%s", rep.Violations, rep.Log.String())
+		t.Fatalf("%d invariant violation(s):\n%s", rep.Violations, eventLog(t, c))
 	}
 	if rep.FaultsInjected == 0 {
 		t.Fatal("no fault events recorded")
@@ -324,17 +344,53 @@ func TestCrashRecoveryReplacesGuarantees(t *testing.T) {
 		t.Fatalf("crash cycle did not execute: %s", rep.Summary())
 	}
 	if rep.LostToCrash != 5 {
-		t.Fatalf("lost %d guarantees to the crash, want 5:\n%s", rep.LostToCrash, rep.Log.String())
+		t.Fatalf("lost %d guarantees to the crash, want 5:\n%s", rep.LostToCrash, eventLog(t, c))
 	}
 	if rep.Recovered != 5 || rep.LostRecorded != 0 {
 		t.Fatalf("want all 5 re-placed on siblings, got %d recovered, %d recorded lost:\n%s",
-			rep.Recovered, rep.LostRecorded, rep.Log.String())
+			rep.Recovered, rep.LostRecorded, eventLog(t, c))
 	}
 	if rep.RecoveryMS.N() != 5 {
 		t.Fatalf("recovery latency samples = %d, want 5", rep.RecoveryMS.N())
 	}
 	if rep.Violations != 0 {
-		t.Fatalf("%d violation(s):\n%s", rep.Violations, rep.Log.String())
+		t.Fatalf("%d violation(s):\n%s", rep.Violations, eventLog(t, c))
+	}
+}
+
+// The coordinator applies actions due at one barrier in the order they
+// were queued, and a crash's re-admissions, queued at the barrier that
+// executes the crash, run in that same barrier. Under first-fit a, b
+// and c (40 % each) arrive together: c spills to node 1. Node 0's
+// crash then re-places a on node 1 and b, the later of its two, on
+// node 2, with zero recovery latency.
+func TestBarrierActionOrder(t *testing.T) {
+	c := mustNew(t, fleet.Config{Nodes: 3, Seed: 1, Workers: 1, Placement: fleet.FirstFit})
+	for _, name := range []string{"a", "b", "c"} {
+		mustSubmit(t, c, fleet.Admission{
+			At: 0, Name: name, List: task.SingleLevel(10*ms, 4*ms, "Fleet"), Body: steadyBody(),
+		})
+	}
+	c.ScheduleNodeCrash(0, 50*ms)
+	rep := c.Run(100 * ms)
+	if rep.Crashes != 1 || rep.Recovered != 2 {
+		t.Fatalf("want one crash and two recoveries: %s", rep.Summary())
+	}
+	var got []string
+	log := eventLog(t, c)
+	for _, ev := range log.Events() {
+		if ev.Kind == "fleet.spill" || ev.Kind == "fleet.recover" {
+			got = append(got, fmt.Sprintf("%v %s: %s", ev.At, ev.Kind, ev.Detail))
+		}
+	}
+	want := []string{
+		"0t fleet.spill: c spilled to node 1 after 1 denial(s)",
+		"50ms fleet.recover: a re-placed on node 1, 0t after its node crashed",
+		"50ms fleet.spill: b spilled to node 2 after 1 denial(s)",
+		"50ms fleet.recover: b re-placed on node 2, 0t after its node crashed",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("got %q\nwant %q:\n%s", got, want, log)
 	}
 }
 
@@ -366,14 +422,15 @@ func TestCrashOnStalledNodeIsRecorded(t *testing.T) {
 		t.Errorf("%d stall dumps, want 1", stalls)
 	}
 	skipped := map[string]int{}
-	rep.Log.All(func(e telemetry.LogEvent) bool {
+	log := eventLog(t, c)
+	log.All(func(e telemetry.LogEvent) bool {
 		if strings.HasSuffix(e.Kind, "-skipped") && e.Detail == "node 1 is stalled" {
 			skipped[e.Kind]++
 		}
 		return true
 	})
 	if skipped["fleet.crash-skipped"] != 1 || skipped["fleet.restart-skipped"] != 1 || len(skipped) != 2 {
-		t.Errorf("want one crash and one restart skipped as \"node 1 is stalled\":\n%s", rep.Log.String())
+		t.Errorf("want one crash and one restart skipped as \"node 1 is stalled\":\n%s", log)
 	}
 }
 
@@ -404,11 +461,12 @@ func TestSpilloverBackoffAndRejection(t *testing.T) {
 	if rep.Retries != 3 {
 		t.Fatalf("retries %d, want 3 (4 attempts = 3 backoffs): %s", rep.Retries, rep.Summary())
 	}
-	if n := rep.Log.CountKind("fleet.reject"); n != 1 {
-		t.Fatalf("fleet.reject events = %d, want 1:\n%s", n, rep.Log.String())
+	log := eventLog(t, c)
+	if n := log.CountKind("fleet.reject"); n != 1 {
+		t.Fatalf("fleet.reject events = %d, want 1:\n%s", n, log)
 	}
-	if n := rep.Log.CountKind("fleet.backoff"); n != 3 {
-		t.Fatalf("fleet.backoff events = %d, want 3:\n%s", n, rep.Log.String())
+	if n := log.CountKind("fleet.backoff"); n != 3 {
+		t.Fatalf("fleet.backoff events = %d, want 3:\n%s", n, log)
 	}
 }
 
@@ -426,7 +484,7 @@ func TestRetrySucceedsWhenCapacityFrees(t *testing.T) {
 	})
 	rep := c.Run(300 * ms)
 	if rep.Placed != 2 {
-		t.Fatalf("placed %d, want both eventually: %s\n%s", rep.Placed, rep.Summary(), rep.Log.String())
+		t.Fatalf("placed %d, want both eventually: %s\n%s", rep.Placed, rep.Summary(), eventLog(t, c))
 	}
 	if rep.Retries == 0 {
 		t.Fatalf("patient admission was never retried: %s", rep.Summary())
@@ -457,7 +515,7 @@ func TestInvalidOfferRejectedAtOnce(t *testing.T) {
 		t.Fatalf("want 2 rejected, 1 placed, no retry, no node denial: %s", rep.Summary())
 	}
 	var got []string
-	for _, ev := range rep.Log.Events() {
+	for _, ev := range eventLog(t, c).Events() {
 		if ev.Kind == "fleet.reject" {
 			got = append(got, ev.Detail)
 		}
@@ -486,11 +544,10 @@ func TestPlacementPoliciesDiffer(t *testing.T) {
 			t.Fatalf("%v: placed %d of %d", p, rep.Placed, len(names))
 		}
 		var b strings.Builder
-		rep.Log.All(func(ev telemetry.LogEvent) bool {
+		for _, ev := range eventLog(t, c).Events() {
 			b.WriteString(ev.Kind)
 			b.WriteByte(';')
-			return true
-		})
+		}
 		return b.String()
 	}
 	_ = place(fleet.FirstFit)
@@ -529,7 +586,7 @@ func TestPlacementPoliciesDiffer(t *testing.T) {
 // pressure-free sibling, the target pays the transfer charge, and
 // nothing is lost.
 func TestMigrationUnderGovernorPressure(t *testing.T) {
-	rep := runStormedPair(t, func(int) fleet.BodySource { return steadyBody() })
+	c, rep := runStormedPair(t, func(int) fleet.BodySource { return steadyBody() })
 	if len(rep.Stalled) != 0 {
 		t.Fatalf("stalled: %v", rep.Stalled)
 	}
@@ -537,20 +594,20 @@ func TestMigrationUnderGovernorPressure(t *testing.T) {
 		t.Fatalf("storm never drove the governor to shed: %s", rep.Summary())
 	}
 	if rep.Migrations == 0 {
-		t.Fatalf("pressure never triggered a migration: %s\n%s", rep.Summary(), rep.Log.String())
+		t.Fatalf("pressure never triggered a migration: %s\n%s", rep.Summary(), eventLog(t, c))
 	}
-	if n := rep.Log.CountKind("fleet.migrate"); int64(n) != rep.Migrations {
+	if n := eventLog(t, c).CountKind("fleet.migrate"); int64(n) != rep.Migrations {
 		t.Fatalf("migrations %d but %d fleet.migrate events", rep.Migrations, n)
 	}
 	if rep.Violations != 0 {
-		t.Fatalf("%d violation(s):\n%s", rep.Violations, rep.Log.String())
+		t.Fatalf("%d violation(s):\n%s", rep.Violations, eventLog(t, c))
 	}
 }
 
 // runStormedPair runs three 20 % guarantees on the first node of two
 // under an interrupt storm that drives its governor to shed, each
 // admission's bodies from body(i).
-func runStormedPair(t *testing.T, body func(i int) fleet.BodySource) *fleet.Report {
+func runStormedPair(t *testing.T, body func(i int) fleet.BodySource) (*fleet.Cluster, *fleet.Report) {
 	t.Helper()
 	c := mustNew(t, fleet.Config{
 		Nodes:                   2,
@@ -575,13 +632,13 @@ func runStormedPair(t *testing.T, body func(i int) fleet.BodySource) *fleet.Repo
 			Body: body(i),
 		})
 	}
-	return c.Run(200 * ms)
+	return c, c.Run(200 * ms)
 }
 
 // A migration whose offer fails validation moves nothing: the source
 // keeps the task, and the failure's line gives the validation error.
 func TestInvalidMigrationOfferFails(t *testing.T) {
-	rep := runStormedPair(t, func(int) fleet.BodySource {
+	c, rep := runStormedPair(t, func(int) fleet.BodySource {
 		built := 0
 		return fleet.BodyFunc(func() task.Body {
 			if built++; built > 1 {
@@ -594,7 +651,7 @@ func TestInvalidMigrationOfferFails(t *testing.T) {
 		t.Fatalf("want 3 placed, no migration, a failed one: %s", rep.Summary())
 	}
 	want := `m2: task "m2": body is required`
-	for _, ev := range rep.Log.Events() {
+	for _, ev := range eventLog(t, c).Events() {
 		if ev.Kind == "fleet.migrate-failed" && ev.Detail != want {
 			t.Fatalf("fleet.migrate-failed %q, want %q", ev.Detail, want)
 		}

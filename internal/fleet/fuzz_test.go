@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -113,8 +114,8 @@ func fleetFromTape(t *testing.T, tape []byte, workers int) *Cluster {
 // counting from the admission records and the nodes' held lists — not
 // through auditConservation, which it also requires to have been silent.
 func checkLedger(t *testing.T, c *Cluster, rep *Report) {
-	if n := rep.Log.CountKind("invariant.fleet-conservation"); n != 0 {
-		t.Errorf("%d invariant.fleet-conservation event(s):\n%s", n, rep.Log.String())
+	if n := c.flog.CountKind("invariant.fleet-conservation"); n != 0 {
+		t.Errorf("%d invariant.fleet-conservation event(s):\n%s", n, c.flog.String())
 	}
 	if rep.LostToCrash != rep.Recovered+rep.LostRecorded {
 		t.Errorf("lost to crash %d != recovered %d + lost-recorded %d", rep.LostToCrash, rep.Recovered, rep.LostRecorded)
@@ -156,9 +157,20 @@ func checkLedger(t *testing.T, c *Cluster, rep *Report) {
 	}
 }
 
+// eventText renders a finished cluster's event logs, the coordinator's
+// first, then each node's in node order.
+func eventText(c *Cluster) string {
+	var b strings.Builder
+	b.WriteString(c.flog.String())
+	for _, n := range c.nodes {
+		b.WriteString(n.flog.String())
+	}
+	return b.String()
+}
+
 // FuzzFleetSchedule runs a tape's schedule at 1, 2 and 3 cluster
 // workers: no run may panic or break the conservation ledger, and the
-// report, the merged event log and the stitched manifest must not
+// report, the event logs and the stitched manifest must not
 // depend on the worker count.
 func FuzzFleetSchedule(f *testing.F) {
 	// A fleet-crash-shaped schedule: 8 least-loaded nodes under 10 ms
@@ -190,13 +202,13 @@ func FuzzFleetSchedule(f *testing.F) {
 				t.Fatal(err)
 			}
 			if workers == 1 {
-				summary, log, manifest = rep.Summary(), rep.Log.String(), buf.Bytes()
+				summary, log, manifest = rep.Summary(), eventText(c), buf.Bytes()
 				continue
 			}
 			if got := rep.Summary(); got != summary {
 				t.Errorf("summary at %d workers\n %s\nat 1 worker\n %s", workers, got, summary)
 			}
-			if rep.Log.String() != log {
+			if eventText(c) != log {
 				t.Errorf("event log at %d workers differs from 1 worker's", workers)
 			}
 			if !bytes.Equal(buf.Bytes(), manifest) {

@@ -45,7 +45,7 @@ type admRec struct {
 
 // records is the admission records' storage, kept by the Arena from
 // cluster to cluster. Only Submit appends, and Submit precedes Run, so
-// the record pointers Run hands to the queue and the nodes never move.
+// the record pointers Run hands to the nodes never move.
 type records struct{ a []admRec }
 
 func (r *records) reset() { clear(r.a); r.a = r.a[:0] }
@@ -145,7 +145,7 @@ func (c *Cluster) abandon(a *admRec, now ticks.Ticks, why string) {
 // every fleet guarantee it held enters the recovery pipeline.
 func (c *Cluster) doCrash(ni int, now ticks.Ticks) {
 	n := c.nodes[ni]
-	if n.down {
+	if n.d == nil {
 		c.flog.Record(now, "fleet.crash-skipped", fmt.Sprintf("node %d is already down", ni))
 		return
 	}
@@ -155,7 +155,7 @@ func (c *Cluster) doCrash(ni int, now ticks.Ticks) {
 	}
 	n.retire(false)
 	lost := n.placed
-	n.placed, n.down, n.d = nil, true, nil
+	n.placed, n.d = nil, nil
 	c.cCrash.Inc()
 	c.fleetSpan(now, "crash", nil, fmt.Sprintf("node %d; %d guarantee(s) lost", ni, len(lost)))
 	c.flog.Record(now, "fault.node-crash",
@@ -166,7 +166,7 @@ func (c *Cluster) doCrash(ni int, now ticks.Ticks) {
 	c.dump(n, "node-crash", now)
 	for _, a := range lost {
 		c.lostToCrash(a, ni, now)
-		c.push(now, actRetry, a, -1)
+		c.push(now, actRetry, a.seq)
 	}
 }
 
@@ -179,12 +179,11 @@ func (c *Cluster) doRestart(ni int, now ticks.Ticks) {
 		c.flog.Record(now, "fleet.restart-skipped", fmt.Sprintf("node %d is stalled", ni))
 		return
 	}
-	if !n.down {
+	if n.d != nil {
 		c.flog.Record(now, "fleet.restart-skipped", fmt.Sprintf("node %d is already up", ni))
 		return
 	}
 	n.seed = sim.SplitSeed(n.seed, StreamNodeSeeds)
-	n.down = false
 	n.restarts++
 	c.cRestart.Inc()
 	c.fleetSpan(now, "restart", nil, fmt.Sprintf("node %d incarnation %d", ni, n.restarts+1))
@@ -202,7 +201,7 @@ func (c *Cluster) doRestart(ni int, now ticks.Ticks) {
 // placement.
 func (c *Cluster) completionScan(now ticks.Ticks) {
 	for _, n := range c.nodes {
-		if n.down || n.d == nil || len(n.placed) == 0 {
+		if n.d == nil || len(n.placed) == 0 {
 			continue
 		}
 		// A task leaves the RM only through a grant recompute, and a

@@ -20,11 +20,11 @@ type node struct {
 	costs sim.SwitchCosts
 
 	shell invariant.Shell   // builds every incarnation, checked under Config.Invariants
-	d     *core.Distributor // the live incarnation; nil while down, kept after finish
+	d     *core.Distributor // the live incarnation; nil exactly while the node is down, kept after finish
 	// flog is the node's own event log: injectors armed on this node
 	// record here from the parallel phase, so fire-time writes stay
-	// node-local. Merged into the cluster report in node-ID order,
-	// and mirrored into the node's flight recorder.
+	// node-local. Read in place by the report's fault count and the
+	// node's manifest, and mirrored into the node's flight recorder.
 	flog telemetry.EventLog
 
 	// tel is the node's telemetry set. It outlives incarnations: a
@@ -40,7 +40,6 @@ type node struct {
 	// invariant checker.
 	flight *telemetry.Flight
 
-	down     bool
 	restarts int
 	placed   []*admRec
 	// scannedGen is the incarnation's Manager.GrantGeneration at the
@@ -110,7 +109,7 @@ func (n *node) build(at ticks.Ticks) {
 // advance runs the node's kernel to limit. Parallel phase: called
 // from pool workers, touches only this node.
 func (n *node) advance(limit ticks.Ticks) {
-	if n.down || n.stallErr != "" {
+	if n.d == nil || n.stallErr != "" {
 		return
 	}
 	n.d.RunUntil(limit)
@@ -137,7 +136,7 @@ func (n *node) retire(finish bool) {
 // load is the placement pressure signal: the committed minimum sum.
 // Down nodes sort last.
 func (n *node) load() ticks.Frac {
-	if n.down || n.d == nil {
+	if n.d == nil {
 		return ticks.FracOne
 	}
 	return n.d.Manager().MinSum()

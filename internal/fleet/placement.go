@@ -93,7 +93,7 @@ func (c *Cluster) offerScan(a *admRec, skip int, calmOnly bool) (*node, task.ID,
 	}
 	for _, ni := range c.placementOrder(a) {
 		n := c.nodes[ni]
-		if ni == skip || n.down || n.stallErr != "" {
+		if ni == skip || n.d == nil || n.stallErr != "" {
 			continue
 		}
 		if calmOnly && n.d.Manager().Pressure().Cmp(ticks.FracZero) > 0 {
@@ -131,7 +131,7 @@ func (c *Cluster) place(a *admRec, now ticks.Ticks) {
 	c.fleetSpan(now, "backoff", a, fmt.Sprintf("%s attempt %d", a.Name, a.attempts))
 	c.flog.Record(now, "fleet.backoff",
 		fmt.Sprintf("%s attempt %d denied fleet-wide; retry in %v", a.Name, a.attempts, delay))
-	c.push(now+delay, actRetry, a, -1)
+	c.push(now+delay, actRetry, a.seq)
 }
 
 // backoffDelay is the wait before attempt+1: min(retryBase<<(attempt-1),
@@ -152,7 +152,7 @@ func (c *Cluster) backoffDelay(attempt int) ticks.Ticks {
 // most one migration per source node per barrier.
 func (c *Cluster) migrationScan(now ticks.Ticks) {
 	for _, n := range c.nodes {
-		if !n.down && n.d != nil && len(n.placed) > 0 && n.stallErr == "" &&
+		if n.d != nil && len(n.placed) > 0 && n.stallErr == "" &&
 			n.d.Manager().Pressure().Cmp(ticks.FracZero) > 0 {
 			c.migrate(n.placed[len(n.placed)-1], n, now)
 		}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/task"
 	"repro/internal/ticks"
 )
@@ -31,15 +32,18 @@ func TestPlacementOrderMatchesStableSort(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := make([][]task.ID, len(c.nodes))
+	parked := make([]*core.Distributor, len(c.nodes))
 	// One node's load moves per step: a task of 3, 5 or 10 % (few
 	// sizes, so equal loads are common) arrives or leaves, or the node
-	// goes down (load FracOne, sorts last) or comes back.
+	// goes down (its Distributor parked: load FracOne, sorts last) or
+	// comes back. A parked node takes no admission or removal.
 	mutate := func() {
 		i := rng.Intn(len(c.nodes))
 		n := c.nodes[i]
 		switch op := rng.Intn(8); {
 		case op == 0:
-			n.down = !n.down
+			n.d, parked[i] = parked[i], n.d
+		case n.d == nil:
 		case op <= 2 && len(held[i]) > 0:
 			k := rng.Intn(len(held[i]))
 			if err := n.d.Manager().Remove(held[i][k]); err != nil {
@@ -76,7 +80,7 @@ func TestPlacementOrderMatchesStableSort(t *testing.T) {
 	}
 	ties, down := 0, 0
 	for i, nd := range c.nodes {
-		if nd.down {
+		if nd.d == nil {
 			down++
 		}
 		if i > 0 && nd.load().Cmp(c.nodes[i-1].load()) == 0 {

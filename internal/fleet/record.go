@@ -172,7 +172,7 @@ func (c *Cluster) flightScan(now ticks.Ticks) {
 			n.stallDumped = true
 			c.dump(n, "stall", now)
 		}
-		if !n.down {
+		if n.d != nil {
 			c.dumpBreach(n, now)
 		}
 	}

@@ -67,10 +67,6 @@ type Report struct {
 	// one per node crash, per newly noticed invariant breach, per
 	// stall, and per conservation-audit failure.
 	FlightDumps []telemetry.FlightDump
-
-	// Log is the merged event log: coordinator events first, then
-	// each node's own log in node-ID order.
-	Log telemetry.EventLog
 }
 
 func (c *Cluster) report(horizon ticks.Ticks) *Report {
@@ -103,7 +99,7 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 		Violations:     int64(len(probs)),
 	}
 	r.RecoveryMS.Merge(&c.recoveryMS)
-	r.Log.Merge(&c.flog)
+	r.FaultsInjected = int64(c.flog.KindPrefixCount("fault."))
 	r.Telemetry = c.tel.Reg().Snapshot()
 	r.FlightDumps = c.flightDumps
 	var sum sim.Stats
@@ -123,7 +119,7 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 		if n.initErr != "" {
 			r.Stalled = append(r.Stalled, n.initErr)
 		}
-		r.Log.Merge(&n.flog)
+		r.FaultsInjected += int64(n.flog.KindPrefixCount("fault."))
 		n.tel.Reg().SnapshotInto(&snap)
 		r.Misses += snap.CounterValue("sched.deadline.misses")
 		r.Periods += snap.CounterValue("sched.period.rollovers")
@@ -132,13 +128,12 @@ func (c *Cluster) report(horizon ticks.Ticks) *Report {
 	r.Utilization = sum.Utilization()
 	r.SwitchOverhead = sum.SwitchOverheadFraction()
 	r.InterruptLoad = sum.InterruptLoadFraction()
-	r.FaultsInjected = int64(r.Log.KindPrefixCount("fault."))
 	return r
 }
 
 // Summary renders the report's scalar fields in a fixed layout —
 // the worker-invariance and determinism tests compare these strings
-// (and Log.String()) byte for byte.
+// (and the manifests' event logs) byte for byte.
 func (r *Report) Summary() string {
 	return fmt.Sprintf(
 		"nodes=%d horizon=%v arrivals=%d placed=%d spill=%d retries=%d rejected=%d unarrived=%d denied=%d "+

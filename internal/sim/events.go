@@ -30,6 +30,9 @@ type Handler interface {
 
 // Event is a scheduled callback in virtual time. Exactly one of Fn
 // (closure form) or the typed (Handler, op, id, arg) payload is set.
+// A typed event may carry a nil Handler: it is then data, not a
+// callback — the queue's owner pops it, reads it with Payload and
+// recycles it instead of firing it (the fleet coordinator's actions).
 //
 // Events are pooled: once an event fires or is cancelled, the queue
 // reclaims it for reuse, so a *Event must never be held across its
@@ -63,6 +66,9 @@ func (e *Event) fire() {
 	e.Fn()
 }
 
+// Payload returns a typed event's (op, id, arg).
+func (e *Event) Payload() (op, id int32, arg ticks.Ticks) { return e.op, e.id, e.arg }
+
 // EventRef is a revocable handle on a scheduled event. The zero value
 // names no event; Cancel of it is a no-op. A ref survives its event:
 // after the event fires, is cancelled, or its storage is reused for a
@@ -87,17 +93,26 @@ func (r EventRef) Pending() bool {
 // The heap is a concrete-typed 4-ary array heap over pooled *Event
 // nodes: Push/Pop/Cancel neither box through interfaces (as
 // container/heap does) nor allocate per timer once the pool has
-// warmed up. The layout after any operation sequence is a pure
+// warmed up; a cold pool grows by blocks of eventBlock events. The layout after any operation sequence is a pure
 // function of that sequence — there is no randomness and no
 // address-dependent comparison — so identical runs produce identical
 // pop orders even after Cancel-induced re-heaps.
 type EventQueue struct {
-	h    []*Event // 4-ary min-heap: children of i are 4i+1 .. 4i+4
-	free []*Event // reclaimed events awaiting reuse
-	seq  uint64
+	h     []*Event // 4-ary min-heap: children of i are 4i+1 .. 4i+4
+	free  []*Event // reclaimed events awaiting reuse
+	fresh []Event  // the never-used rest of the newest block
+	seq   uint64
 }
 
-// get takes an event from the free list, or allocates one.
+// eventBlock is how many events get allocates at once when the free
+// list is empty, so a cold queue costs one allocation per block rather
+// than per event. Eight 64-byte events are 512 bytes, the largest
+// object the Go allocator places without a header: a larger block
+// (32 events, 2 056 bytes with its header) lands in a size class 12 %
+// bigger than it.
+const eventBlock = 8
+
+// get takes an event from the free list, or else from the newest block.
 func (q *EventQueue) get() *Event {
 	if n := len(q.free); n > 0 {
 		e := q.free[n-1]
@@ -105,7 +120,13 @@ func (q *EventQueue) get() *Event {
 		q.free = q.free[:n-1]
 		return e
 	}
-	return &Event{index: -1}
+	if len(q.fresh) == 0 {
+		q.fresh = make([]Event, eventBlock)
+	}
+	e := &q.fresh[0]
+	q.fresh = q.fresh[1:]
+	e.index = -1
+	return e
 }
 
 // release reclaims a no-longer-queued event into the pool. The
@@ -122,15 +143,15 @@ func (q *EventQueue) release(e *Event) {
 	q.free = append(q.free, e)
 }
 
-// reset reclaims every pending event and empties the queue, keeping
+// Reset reclaims every pending event and empties the queue, keeping
 // its heap array and pool for the next run. The sequence restarts at
 // zero: it only orders events queued after this.
-func (q *EventQueue) reset() {
+func (q *EventQueue) Reset() {
 	for _, e := range q.h {
 		q.release(e)
 	}
 	clear(q.h)
-	*q = EventQueue{h: q.h[:0], free: q.free}
+	*q = EventQueue{h: q.h[:0], free: q.free, fresh: q.fresh}
 }
 
 // Push schedules fn at time at and returns a cancellation handle.

@@ -81,7 +81,7 @@ func NewKernelIn(k *Kernel, cfg Config) *Kernel {
 	if k == nil {
 		k = new(Kernel)
 	}
-	k.events.reset()
+	k.events.Reset()
 	*k = Kernel{
 		events: k.events,
 		rng:    *NewRNG(cfg.Seed),

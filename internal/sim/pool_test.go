@@ -160,3 +160,35 @@ func TestReleaseBeforeRunReusesSameEvent(t *testing.T) {
 		t.Error("reused event kept its generation: stale refs would stay live")
 	}
 }
+
+// TestColdQueueAllocatesByBlock pins the pool's growth: a cold queue
+// takes its first n events from ⌈n/eventBlock⌉ block allocations, not
+// n single ones. The heap arrays are sized up front, so only the
+// events are counted. A nil-handler typed event pops as data.
+func TestColdQueueAllocatesByBlock(t *testing.T) {
+	for _, n := range []int{1, eventBlock, eventBlock + 1, 100} {
+		const runs = 10
+		qs := make([]EventQueue, runs+1)
+		for i := range qs {
+			qs[i].h = make([]*Event, 0, n)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			q := &qs[next]
+			next++
+			for i := 0; i < n; i++ {
+				q.PushCall(ticks.Ticks(n-i), nil, 1, int32(i), 2)
+			}
+		})
+		if want := float64((n + eventBlock - 1) / eventBlock); allocs != want {
+			t.Errorf("%d pushes on a cold queue: %v allocs, want %v", n, allocs, want)
+		}
+		for i := n - 1; i >= 0; i-- {
+			e := qs[0].Pop()
+			if op, id, arg := e.Payload(); op != 1 || id != int32(i) || arg != 2 {
+				t.Fatalf("popped payload (%d, %d, %d), want (1, %d, 2)", op, id, arg, i)
+			}
+			qs[0].Recycle(e)
+		}
+	}
+}

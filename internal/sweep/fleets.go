@@ -173,7 +173,7 @@ func (e *env) runFleet(cfg fleet.Config, perNode, topPct int, injs ...fault.Node
 	e.m.Violations = rep.Violations
 	e.m.Degradations = rep.Degradations
 	// Arm-time events land in the run's own log, fire-time events in
-	// the cluster's merged log.
+	// the cluster's coordinator and node logs, which the report counts.
 	e.m.FaultsInjected = rep.FaultsInjected + int64(e.flog.KindPrefixCount("fault."))
 	e.m.RecoveryMS.Merge(&rep.RecoveryMS)
 	e.m.Telemetry = rep.Telemetry
