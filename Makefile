@@ -102,7 +102,7 @@ fuzz-smoke:
 # interleavings differ from run to run, run 20 times under it here.
 sweep-smoke:
 	$(GO) test -race -count=1 ./internal/sweep/...
-	$(GO) test -race -count=20 -run 'WorkerCountInvariance|WorkerInvariance|Panic|IdleCores|PoolAdvances' ./internal/fleet ./internal/sweep
+	$(GO) test -race -count=20 -timeout 30m -run 'WorkerCountInvariance|WorkerInvariance|Panic|IdleCores|PoolAdvances' ./internal/fleet ./internal/sweep
 	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 4 -horizon-ms 500 -quiet -json all-w4.json
 	$(GO) run -race ./cmd/rdsweep -scenarios all -seeds 8 -workers 1 -horizon-ms 500 -quiet -json all-w1.json
 	cmp all-w4.json all-w1.json

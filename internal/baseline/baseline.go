@@ -20,7 +20,10 @@
 //   - Lottery, Stride, and CFS (propshare.go) extend the family with
 //     the classic proportional-share schedulers the literature would
 //     reach for today: randomized tickets, deterministic strides, and
-//     weighted virtual runtime.
+//     weighted virtual runtime. CFS is FairShare's usage-metered
+//     charge — virtual runtime is its pass — with a latency-split
+//     slice: a target latency divided among the runnable tasks by
+//     weight.
 //
 //   - Notifier (notify.go) and Rialto (rialto.go) model the two
 //     designs §3.5 argues against by name: failure notification to
@@ -36,14 +39,14 @@
 // it yielded, blocked or exited. A scheduler is a picker on that loop
 // and supplies only what makes it that scheduler: which task runs next
 // (pick), how long a slice it is offered (slice), what a slice costs it
-// (charge), what happens to it afterwards (dispatched), and whether a
-// period that just closed counts as served (closePeriod). FairShare, Lottery,
-// Stride, CFS, Reserves and Notifier are pickers. Rialto is not: its
-// constraints are not periodic tasks — they arrive, are refused or
-// accepted, and run ahead of every reservation — so making the loop
-// choose between two classes of work would have it branch on its
-// caller. Rialto keeps that two-class selection and takes everything
-// else (roll, idle, spend, Stats) from the loop.
+// (charge), and whether a period that just closed counts as served
+// (closePeriod). FairShare, Lottery, Stride, CFS, Reserves and
+// Notifier are pickers. Rialto is not: its constraints are not
+// periodic tasks — they arrive, are refused or accepted, and run ahead
+// of every reservation — so making the loop choose between two classes
+// of work would have it branch on its caller. Rialto keeps that
+// two-class selection and takes everything else (roll, idle, spend,
+// Stats) from the loop.
 package baseline
 
 import (

@@ -74,7 +74,6 @@ type btask struct {
 	usedPd      ticks.Ticks
 	sc          strideCore  // pass/vruntime state (proportional family)
 	remain      ticks.Ticks // Reserves, Rialto: budget left this period
-	queued      bool        // CFS: task is in the ready queue
 	stats       Stats
 }
 
@@ -113,10 +112,7 @@ type loop struct {
 	// monopolize the CPU (the stride/CFS sleeper bug). It stays zero
 	// under a picker that never charges a pass.
 	vmin ticks.Ticks
-	// onWake, when set, is told about every task that is runnable
-	// after a period rollover (CFS uses it to feed its ready queue).
-	onWake func(*btask)
-	tel    loopTelemetry
+	tel  loopTelemetry
 }
 
 // picker is what a concrete scheduler adds on top of the loop.
@@ -129,9 +125,6 @@ type picker interface {
 	// charge bills cur for used ticks of CPU: virtual time for the
 	// proportional family, reservation budget for Reserves.
 	charge(cur *btask, used ticks.Ticks)
-	// dispatched is called after cur's slice has been folded in (CFS
-	// re-queues still-runnable tasks here).
-	dispatched(cur *btask)
 	// closePeriod scores the period of b that just ended, through
 	// loop.score, before the next one begins.
 	closePeriod(b *btask)
@@ -140,7 +133,6 @@ type picker interface {
 func (c *loop) pick() *btask               { return minPass(c.tasks) }
 func (c *loop) slice(*btask) ticks.Ticks   { return c.quantum }
 func (c *loop) charge(*btask, ticks.Ticks) {}
-func (c *loop) dispatched(*btask)          {}
 func (c *loop) closePeriod(b *btask)       { c.score(b, b.completedPd) }
 
 // add begins b's first period now and enters it in the task table.
@@ -151,9 +143,6 @@ func (c *loop) add(b *btask) {
 	b.beginPeriod(c.k.Now())
 	c.nextRoll = min(c.nextRoll, b.deadline)
 	c.tasks = append(c.tasks, b)
-	if c.onWake != nil {
-		c.onWake(b)
-	}
 }
 
 // score books one finished period as completed or missed.
@@ -168,9 +157,10 @@ func (c *loop) score(b *btask, served bool) {
 }
 
 // roll advances period boundaries up to now, letting the picker score
-// each finished period. Tasks runnable after rolling get their pass
-// clamped to the global virtual time (wake reset). A pass before
-// nextRoll has no boundary to cross and does not walk the tasks.
+// each finished period. A parked task that is runnable again after
+// rolling has its pass clamped to the global virtual time (wake
+// reset). A pass before nextRoll has no boundary to cross and does not
+// walk the tasks.
 func (c *loop) roll(now ticks.Ticks, p picker) {
 	if now < c.nextRoll {
 		return
@@ -185,15 +175,11 @@ func (c *loop) roll(now ticks.Ticks, p picker) {
 			rolled = true
 		}
 		c.nextRoll = min(c.nextRoll, b.deadline)
-		// Only a parked→runnable transition is a wake: its pass is
-		// clamped and (for CFS) it re-enters the ready queue. A task
-		// that stayed runnable across the boundary is already queued,
-		// and mutating its key inside the heap would corrupt it.
+		// Only a parked→runnable transition is a wake and has its pass
+		// clamped. A task that stayed runnable across the boundary
+		// keeps its pass: it is still competing, not returning.
 		if rolled && wasParked {
 			b.sc.wake(c.vmin)
-			if c.onWake != nil {
-				c.onWake(b)
-			}
 		}
 	}
 }
@@ -268,12 +254,11 @@ func (c *loop) runUntil(limit ticks.Ticks, p picker) {
 		c.spend(cur, used)
 		p.charge(cur, used)
 		applyOp(cur, res)
-		p.dispatched(cur)
 	}
 }
 
-// minPass returns the runnable task with the lowest pass, breaking
-// ties by name for determinism.
+// minPass returns the runnable task with the lowest pass, breaking ties
+// by name for determinism — the pick of FairShare, Stride and CFS.
 func minPass(tasks []*btask) *btask {
 	var best *btask
 	for _, b := range tasks {

@@ -1,7 +1,9 @@
 package baseline
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,9 +26,6 @@ func walkRoll(c *loop, now ticks.Ticks, p picker) {
 		}
 		if rolled && wasParked {
 			b.sc.wake(c.vmin)
-			if c.onWake != nil {
-				c.onWake(b)
-			}
 		}
 	}
 }
@@ -73,7 +72,6 @@ func walkRunUntil(c *loop, limit ticks.Ticks, p picker) {
 		c.spend(cur, used)
 		p.charge(cur, used)
 		applyOp(cur, res)
-		p.dispatched(cur)
 	}
 }
 
@@ -128,13 +126,18 @@ var comparatorKinds = []string{"fairshare", "lottery", "stride", "cfs", "reserve
 // own loop, or with walk on the full-walk reference, and returns what
 // it made observable: every body call (the task picked, its slice
 // bounds and what it did), each task's Stats, the clock split and the
-// loop's telemetry.
-func rollRun(kind string, seed uint64, walk bool) string {
+// loop's telemetry. A non-nil check sees the task table and the name
+// of the body about to run at every body call.
+func rollRun(kind string, seed uint64, walk bool, check func(c *loop, picked string)) string {
 	rng := sim.NewRNG(seed)
 	k := kernel()
 	var log strings.Builder
+	var c *loop
 	wrap := func(name string, body task.Body) task.Body {
 		return task.BodyFunc(func(ctx task.RunContext) task.RunResult {
+			if check != nil {
+				check(c, name)
+			}
 			res := body.Run(ctx)
 			fmt.Fprintf(&log, "%s %d+%d new=%v ps=%d used=%d -> %d %v\n",
 				name, ctx.Now, ctx.Span, ctx.NewPeriod, ctx.PeriodStart, ctx.UsedThisPeriod, res.Used, res.Op)
@@ -160,7 +163,6 @@ func rollRun(kind string, seed uint64, walk bool) string {
 	}
 
 	var (
-		c   *loop
 		p   picker
 		add func(name string, period ticks.Ticks)
 		run func(ticks.Ticks)
@@ -262,7 +264,7 @@ func TestLoopRollSkipMatchesFullWalk(t *testing.T) {
 	for _, kind := range comparatorKinds {
 		ran := 0
 		for seed := uint64(1); seed <= 25; seed++ {
-			got, want := rollRun(kind, seed, false), rollRun(kind, seed, true)
+			got, want := rollRun(kind, seed, false, nil), rollRun(kind, seed, true, nil)
 			if got != want {
 				g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
 				for i := range g {
@@ -279,6 +281,63 @@ func TestLoopRollSkipMatchesFullWalk(t *testing.T) {
 		}
 		if ran < 20 {
 			t.Errorf("%s: a body ran in only %d of 25 schedules", kind, ran)
+		}
+	}
+}
+
+// definedPick returns the name of the task that kind's picker must run
+// ("" for none) and how many tasks contended for it, written out from
+// the scheduler's definition rather than through minPass or earliest:
+// the lowest (pass, name) among tasks that are not parked for
+// FairShare, Stride and CFS, the earliest (deadline, name) among tasks
+// that are not parked for Reserves, and among tasks with demand left
+// for Notifier.
+func definedPick(kind string, tasks []*btask) (string, int) {
+	var contenders []*btask
+	for _, b := range tasks {
+		if kind == "notifier" && b.usedPd < b.levels[b.level] ||
+			kind != "notifier" && !b.parked {
+			contenders = append(contenders, b)
+		}
+	}
+	if len(contenders) == 0 {
+		return "", 0
+	}
+	key := func(b *btask) ticks.Ticks { return b.sc.pass }
+	if kind == "reserves" || kind == "notifier" {
+		key = func(b *btask) ticks.Ticks { return b.deadline }
+	}
+	slices.SortFunc(contenders, func(a, b *btask) int {
+		return cmp.Or(cmp.Compare(key(a), key(b)), strings.Compare(a.name, b.name))
+	})
+	return contenders[0].name, len(contenders)
+}
+
+// TestPickMatchesDefinition holds every deterministic picker to its
+// definition on rollRun's churn tapes — mid-run admissions, blocks,
+// yields, overtime requests and slice-cutting events: at each body
+// call, the task whose body runs is definedPick's. (Lottery draws, so
+// it has no such rule; Rialto is not a picker.)
+func TestPickMatchesDefinition(t *testing.T) {
+	for _, kind := range []string{"fairshare", "stride", "cfs", "reserves", "notifier"} {
+		contested := 0
+		for seed := uint64(1); seed <= 40; seed++ {
+			var bad string
+			rollRun(kind, seed, false, func(c *loop, picked string) {
+				want, n := definedPick(kind, c.tasks)
+				if n > 1 {
+					contested++
+				}
+				if bad == "" && want != picked {
+					bad = fmt.Sprintf("at %d ran %s; the definition picks %q among %d", c.k.Now(), picked, want, n)
+				}
+			})
+			if bad != "" {
+				t.Fatalf("%s seed %d: %s", kind, seed, bad)
+			}
+		}
+		if contested < 1000 {
+			t.Errorf("%s: only %d picks had two or more contenders", kind, contested)
 		}
 	}
 }

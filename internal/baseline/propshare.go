@@ -143,13 +143,13 @@ func (s *Stride) charge(b *btask, _ ticks.Ticks) {
 
 // --- CFS-style weighted virtual runtime ---
 
-// CFS approximates Linux's Completely Fair Scheduler: weighted
-// virtual runtime with a min-vruntime ready queue, a dynamic
-// timeslice (target latency split by weight share), and the
-// min-vruntime clamp for waking tasks.
+// CFS approximates Linux's Completely Fair Scheduler: the least
+// weighted virtual runtime runs next, with the min-vruntime clamp for
+// waking tasks. Virtual runtime is FairShare's usage-metered pass and
+// the pick is the loop's lowest pass; what CFS adds is the dynamic
+// timeslice, a target latency split by weight share.
 type CFS struct {
-	loop
-	ready vrQueue
+	FairShare
 }
 
 // cfsLatencyQuanta is the target scheduling latency in quanta: every
@@ -160,20 +160,11 @@ const cfsLatencyQuanta = 6
 
 // NewCFS builds a CFS-style scheduler with the given base quantum.
 func NewCFS(k *sim.Kernel, quantum ticks.Ticks) *CFS {
-	c := &CFS{loop: quantumLoop(k, quantum)}
-	c.onWake = func(b *btask) { c.ready.push(b) }
-	return c
-}
-
-// Add registers a periodic task with a CFS weight.
-func (c *CFS) Add(name string, period ticks.Ticks, weight int64, body task.Body) {
-	c.add(&btask{name: name, period: period, weight: weight, body: body})
+	return &CFS{FairShare{quantumLoop(k, quantum)}}
 }
 
 // RunUntil drives the schedule to limit.
 func (c *CFS) RunUntil(limit ticks.Ticks) { c.runUntil(limit, c) }
-
-func (c *CFS) pick() *btask { return c.ready.pop() }
 
 func (c *CFS) slice(cur *btask) ticks.Ticks {
 	var total int64
@@ -193,76 +184,4 @@ func (c *CFS) slice(cur *btask) ticks.Ticks {
 		return c.quantum // a quantum under four ticks has no quarter
 	}
 	return span
-}
-
-func (c *CFS) charge(b *btask, used ticks.Ticks) {
-	// vruntime advances by used CPU over weight.
-	b.sc.charge(int64(used)*strideScale, b.weight)
-}
-
-func (c *CFS) dispatched(cur *btask) {
-	if !cur.parked {
-		c.ready.push(cur)
-	}
-}
-
-// vrQueue is a binary min-heap of runnable tasks keyed by (vruntime,
-// name) — the CFS ready queue. Tasks track membership via
-// btask.queued so period rollovers can re-insert woken tasks exactly
-// once.
-type vrQueue []*btask
-
-func vrLess(a, b *btask) bool {
-	if a.sc.pass != b.sc.pass {
-		return a.sc.pass < b.sc.pass
-	}
-	return a.name < b.name
-}
-
-func (q *vrQueue) push(b *btask) {
-	if b.queued || b.parked {
-		return
-	}
-	b.queued = true
-	*q = append(*q, b)
-	i := len(*q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !vrLess((*q)[i], (*q)[parent]) {
-			break
-		}
-		(*q)[i], (*q)[parent] = (*q)[parent], (*q)[i]
-		i = parent
-	}
-}
-
-func (q *vrQueue) pop() *btask {
-	h := *q
-	if len(h) == 0 {
-		return nil
-	}
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = nil
-	*q = h[:last]
-	h = *q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && vrLess(h[l], h[small]) {
-			small = l
-		}
-		if r < len(h) && vrLess(h[r], h[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	top.queued = false
-	return top
 }
