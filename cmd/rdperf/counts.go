@@ -2,7 +2,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -66,13 +65,9 @@ func cmdCounts(out, against string, rest []string) error {
 	if out != "" {
 		return recordCounts(out, fresh)
 	}
-	raw, err := os.ReadFile(against)
-	if err != nil {
-		return err
-	}
 	var cf countsFile
-	if err := json.Unmarshal(raw, &cf); err != nil {
-		return fmt.Errorf("%s: %v", against, err)
+	if err := readJSON(against, &cf); err != nil {
+		return err
 	}
 	var errs []string
 	if diffs := compareCounts(os.Stdout, cf.Workloads, fresh.Workloads); diffs > 0 {
@@ -91,22 +86,11 @@ func cmdCounts(out, against string, rest []string) error {
 // recordCounts writes the fresh workloads into the file at path,
 // keeping the workloads of it the run did not cover.
 func recordCounts(path string, fresh countsFile) error {
-	var cf countsFile
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &cf); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	cf.Workloads = merge(cf.Workloads, fresh.Workloads)
-	cf.Allocs = merge(cf.Allocs, fresh.Allocs)
-	cf.Schema = "rdperf-counts/v1"
-	blob, err := json.MarshalIndent(&cf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return rewrite(path, func(cf *countsFile) {
+		cf.Workloads = merge(cf.Workloads, fresh.Workloads)
+		cf.Allocs = merge(cf.Allocs, fresh.Allocs)
+		cf.Schema = "rdperf-counts/v1"
+	})
 }
 
 // merge sets into's entries for every key of from.

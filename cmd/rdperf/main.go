@@ -136,22 +136,38 @@ func cmdParse(path string, rest []string) error {
 	if err != nil {
 		return err
 	}
-	bf := benchFile{Sections: map[string]section{}}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &bf); err != nil {
-			return fmt.Errorf("%s: %v", path, err)
+	return rewrite(path, func(bf *benchFile) {
+		if bf.Sections[baseline] == nil {
+			bf.Sections = map[string]section{baseline: {}}
 		}
-	} else if !os.IsNotExist(err) {
+		for name, m := range sec {
+			bf.Sections[baseline][name] = m
+		}
+		bf.Schema = "rdperf/v1"
+	})
+}
+
+// readJSON decodes the JSON file at path into v.
+func readJSON(path string, v any) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
 		return err
 	}
-	if bf.Sections[baseline] == nil {
-		bf.Sections = map[string]section{baseline: {}}
+	if err := json.Unmarshal(raw, v); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
 	}
-	for name, m := range sec {
-		bf.Sections[baseline][name] = m
+	return nil
+}
+
+// rewrite re-records the BENCH file at path: update merges fresh results
+// into what it holds (nothing, if it is new) and stamps the schema.
+func rewrite[F any](path string, update func(*F)) error {
+	var f F
+	if err := readJSON(path, &f); err != nil && !os.IsNotExist(err) {
+		return err
 	}
-	bf.Schema = "rdperf/v1"
-	blob, err := json.MarshalIndent(&bf, "", "  ")
+	update(&f)
+	blob, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -163,13 +179,9 @@ func cmdCompare(against string, rest []string) error {
 	if err != nil {
 		return err
 	}
-	raw, err := os.ReadFile(against)
-	if err != nil {
-		return err
-	}
 	var bf benchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		return fmt.Errorf("%s: %v", against, err)
+	if err := readJSON(against, &bf); err != nil {
+		return err
 	}
 	base := bf.Sections[baseline]
 	if base == nil {

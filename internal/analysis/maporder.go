@@ -31,7 +31,7 @@ import (
 //     slice (sort.Slice/Strings/Ints/Sort or slices.Sort*).
 //
 // Anything else needs either the sorted-snapshot idiom (see
-// Scheduler.tasksByID) or an explicit waiver:
+// Scheduler.byID) or an explicit waiver:
 //
 //	//rdlint:ordered-ok <reason>
 var MapOrder = &Analyzer{
@@ -63,7 +63,7 @@ func runMapOrder(pass *Pass) {
 				return true
 			}
 			pass.Reportf(rs.For,
-				"range over map %s in deterministic package %s is order-sensitive; iterate a sorted snapshot or a collection kept in order (e.g. tasksByID / GrantSet.IDs, both already ID-ordered) or waive with //rdlint:ordered-ok <reason>",
+				"range over map %s in deterministic package %s is order-sensitive; iterate a sorted snapshot or a collection kept in order (e.g. Scheduler.byID / GrantSet.IDs, both already ID-ordered) or waive with //rdlint:ordered-ok <reason>",
 				pass.ExprString(rs.X), pass.Pkg.Path())
 			return true
 		})

@@ -20,7 +20,7 @@ func emitAll(m map[id]int) {
 	}
 }
 
-// The grants.go tasksByID shape: collect then a MANUAL insertion sort.
+// The collect-then-sort shape with a MANUAL insertion sort.
 // The analyzer cannot see that the second loop restores order, so this
 // is flagged — the live tree waives the one real site with a reason.
 func sortedManual(m map[id]int) []int {

@@ -89,8 +89,8 @@ func (m *Manager) capacityForGrants() ticks.Frac {
 		return avail
 	}
 	eff := avail.Sub(m.pressure)
-	if eff.Cmp(m.minSum) < 0 {
-		eff = m.minSum
+	if eff.Cmp(m.min.cpu) < 0 {
+		eff = m.min.cpu
 	}
 	return eff
 }

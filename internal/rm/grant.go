@@ -1,8 +1,8 @@
 // Package rm implements the Resource Manager of the ETI Resource
 // Distributor (§4.1): admission control and grant control.
 //
-// Admission control runs in constant time against a running sum of
-// every task's minimum resource-list rate (§6.2). Grant control picks
+// Admission control runs in constant time against a running demand of
+// every task's minimum resource-list entry (§6.2). Grant control picks
 // one resource-list entry per non-quiescent task: everyone's maximum
 // if that fits (the O(1) underload fast path of §6.3), otherwise the
 // Policy Box is consulted and the policy is correlated with the

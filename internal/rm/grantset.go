@@ -39,14 +39,12 @@ func (m *Manager) recomputeGrants() {
 		return
 	}
 
-	// O(1) underload fast path (§6.3): if every thread can have its
-	// maximum entry — in every resource dimension — we are done. All
-	// three feasibility sums are maintained incrementally. Degradation
-	// pressure narrows the capacity (capacityForGrants), pushing the
-	// computation onto the policy path exactly like a real overload.
-	if m.maxSum.LessOrEqual(m.capacityForGrants()) &&
-		m.streamer.Fits(m.maxStreamerSum) &&
-		m.ffuMaxCount <= 1 {
+	// O(1) underload fast path (§6.3): if the running maximum demand
+	// passes the fit test, every thread can have its maximum entry and
+	// we are done. Degradation pressure narrows the CPU it is tested
+	// against (capacityForGrants), pushing the computation onto the
+	// policy path exactly like a real overload.
+	if m.test(m.max, m.capacityForGrants()) == accepted {
 		m.lastOp.FastPath = true
 		m.tel.fastPath.Inc()
 		g := m.nextSet(len(active))

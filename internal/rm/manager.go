@@ -96,7 +96,34 @@ type admitted struct {
 	nextFree *admitted
 }
 
-func (a *admitted) minFrac() ticks.Frac { return a.fracs[len(a.fracs)-1] }
+// minNeed and maxNeed are the demands of a's minimum and maximum entries.
+func (a *admitted) minNeed() demand { return need(a.list.Min(), a.fracs[len(a.fracs)-1]) }
+func (a *admitted) maxNeed() demand { return need(a.list.Max(), a.fracs[0]) }
+
+// demand is a claim on the machine in each dimension the Manager
+// models (§4.1, Table 1): a CPU fraction, Data Streamer bandwidth and
+// the number of claims on the exclusive FFU.
+type demand struct {
+	cpu  ticks.Frac
+	mbps int64
+	ffu  int
+}
+
+// need is the demand of entry e, whose CPU fraction is cpu.
+func need(e task.Entry, cpu ticks.Frac) demand {
+	d := demand{cpu: cpu, mbps: e.StreamerMBps}
+	if e.NeedsFFU {
+		d.ffu = 1
+	}
+	return d
+}
+
+func (d demand) plus(e demand) demand {
+	return demand{d.cpu.Add(e.cpu), d.mbps + e.mbps, d.ffu + e.ffu}
+}
+func (d demand) minus(e demand) demand {
+	return demand{d.cpu.Sub(e.cpu), d.mbps - e.mbps, d.ffu - e.ffu}
+}
 
 // setList installs a copy of list as a's admitted list, in a's own list
 // and fracs backings where they are long enough.
@@ -138,26 +165,11 @@ type Manager struct {
 	// Manager call holds a record.
 	free *admitted
 
-	// minSum is the running sum of minimum rates over ALL admitted
-	// tasks (runnable, blocked, and quiescent) that makes admission
-	// control O(1) (§6.2).
-	minSum ticks.Frac
-
-	// maxSum is the running sum of maximum rates over non-quiescent
-	// tasks, giving the O(1) underload fast path of §6.3.
-	maxSum ticks.Frac
-
-	// minStreamerSum parallels minSum for Streamer bandwidth (all
-	// admitted tasks); maxStreamerSum and ffuMaxCount parallel maxSum
-	// (non-quiescent), extending the fast-path feasibility check to
-	// every dimension.
-	minStreamerSum int64
-	maxStreamerSum int64
-	ffuMaxCount    int
-
-	// ffuResidents counts admitted tasks (any state) whose minimum
-	// level requires the FFU; exclusivity caps this at one.
-	ffuResidents int
+	// min is the running demand of the minimum entries of every admitted
+	// task, quiescent ones included (§6.2's O(1) admission); max is that
+	// of the maximum entries of the non-quiescent ones (§6.3's O(1)
+	// underload fast path). Both are held to the fit test (test).
+	min, max demand
 
 	// grants is the committed set. spare is the backing of the set
 	// committed before it, which the next recompute builds into: a
@@ -276,8 +288,8 @@ func NewIn(m *Manager, cfg Config) *Manager {
 		streamer: cfg.Streamer,
 		nextID:   1,
 		free:     free,
-		minSum:   ticks.FracZero,
-		maxSum:   ticks.FracZero,
+		min:      demand{cpu: ticks.FracZero},
+		max:      demand{cpu: ticks.FracZero},
 		pressure: ticks.FracZero,
 		// grants is the empty set until the first commit installs one.
 		grants:  GrantSet{m.grants.g[:0]},
@@ -307,27 +319,24 @@ func (m *Manager) SetHooks(h Hooks) {
 func (m *Manager) Available() ticks.Frac { return m.avail }
 
 // MinSum reports the current admission running sum.
-func (m *Manager) MinSum() ticks.Frac { return m.minSum }
+func (m *Manager) MinSum() ticks.Frac { return m.min.cpu }
 
 // RequestAdmittance runs admission control for t and, if the task is
 // admitted, recomputes the grant set (§4.1). The returned ID
-// identifies the task in all later calls. The admission test is O(1):
-// the new task's minimum rate is added to the running sum and
-// compared with the schedulable CPU.
+// identifies the task in all later calls. Admission is O(1): the new
+// task's minimum entry is added to the running minimum demand, which
+// must pass the fit test (admit).
 func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 	m.lastOp = OpStats{Op: "admit"}
 	if err := t.Validate(); err != nil {
 		return task.NoID, err
 	}
-	id, v := m.admit(t)
-	// A denial leaves the sums as they were, so its error is built from
-	// them again.
+	id, v, d := m.admit(t)
 	switch v {
 	case deniedCPU:
-		return task.NoID, &CPUDenialError{MinSum: m.minSum.Add(t.List.MinFrac()), Schedulable: m.avail}
+		return task.NoID, &CPUDenialError{MinSum: d.cpu, Schedulable: m.avail}
 	case deniedStreamer:
-		return task.NoID, &StreamerDenialError{
-			MinMBps: m.minStreamerSum + t.List.Min().StreamerMBps, CapacityMBps: m.streamer.StreamerMBps}
+		return task.NoID, &StreamerDenialError{MinMBps: d.mbps, CapacityMBps: m.streamer.StreamerMBps}
 	case deniedFFU:
 		return task.NoID, ErrFFUDenied
 	}
@@ -342,12 +351,12 @@ func (m *Manager) RequestAdmittance(t *task.Task) (task.ID, error) {
 // node validates it once, not once per node.
 func (m *Manager) Offer(t *task.Task) (task.ID, bool) {
 	m.lastOp = OpStats{Op: "admit"}
-	id, v := m.admit(t)
+	id, v, _ := m.admit(t)
 	return id, v == accepted
 }
 
-// verdict is the outcome of admission control: which test, if any,
-// turned the task away.
+// verdict is the outcome of the fit test: the first dimension, if
+// any, in which a demand does not fit.
 type verdict uint8
 
 const (
@@ -357,26 +366,40 @@ const (
 	deniedFFU
 )
 
-// admit runs the three admission tests for the valid task t and, if it
-// passes them, admits it and recomputes the grant set.
-func (m *Manager) admit(t *task.Task) (task.ID, verdict) {
-	// The three tests read the caller's list; it is copied only once
-	// the task is in.
+// verdictSpan is the detail of the admission span of each verdict.
+var verdictSpan = [...]string{
+	accepted:       "accepted",
+	deniedCPU:      "rejected: cpu",
+	deniedStreamer: "rejected: streamer",
+	deniedFFU:      "rejected: ffu",
+}
+
+// test is the fit test: whether demand d fits a schedulable CPU
+// fraction of cpu, the Data Streamer capacity and the exclusive FFU,
+// tested in that order.
+func (m *Manager) test(d demand, cpu ticks.Frac) verdict {
+	switch {
+	case !d.cpu.LessOrEqual(cpu):
+		return deniedCPU
+	case !m.streamer.Fits(d.mbps):
+		return deniedStreamer
+	case d.ffu > 1:
+		return deniedFFU
+	}
+	return accepted
+}
+
+// admit runs the fit test on the valid task t's minimum entry added to
+// the running minimum demand and, if it fits, admits t and recomputes
+// the grant set. It returns the demand it tested, for a denial's error.
+func (m *Manager) admit(t *task.Task) (task.ID, verdict, demand) {
+	// The test reads the caller's list; setList copies it once t is in.
 	list := t.List
-	newSum := m.minSum.Add(list.MinFrac())
+	newMin := m.min.plus(need(list.Min(), list.MinFrac()))
 	m.lastOp.AdmissionChecks = 1
-	if !newSum.LessOrEqual(m.avail) {
-		m.telAdmission(t.Name, task.NoID, false, "rejected: cpu")
-		return task.NoID, deniedCPU
-	}
-	newStreamer := m.minStreamerSum + list.Min().StreamerMBps
-	if !m.streamer.Fits(newStreamer) {
-		m.telAdmission(t.Name, task.NoID, false, "rejected: streamer")
-		return task.NoID, deniedStreamer
-	}
-	if list.MinNeedsFFU() && m.ffuResidents > 0 {
-		m.telAdmission(t.Name, task.NoID, false, "rejected: ffu")
-		return task.NoID, deniedFFU
+	if v := m.test(newMin, m.avail); v != accepted {
+		m.telAdmission(t.Name, task.NoID, false, verdictSpan[v])
+		return task.NoID, v, newMin
 	}
 	id := m.nextID
 	m.nextID++
@@ -387,17 +410,13 @@ func (m *Manager) admit(t *task.Task) (task.ID, verdict) {
 		a.state = task.Quiescent
 	}
 	m.tasks = append(m.tasks, a)
-	m.minSum = newSum
-	m.minStreamerSum = newStreamer
-	if list.MinNeedsFFU() {
-		m.ffuResidents++
-	}
+	m.min = newMin
 	if a.state != task.Quiescent {
-		m.addMaxSums(a)
+		m.max = m.max.plus(a.maxNeed())
 	}
 	m.recomputeGrants()
-	m.telAdmission(t.Name, id, true, "accepted")
-	return id, accepted
+	m.telAdmission(t.Name, id, true, verdictSpan[accepted])
+	return id, accepted, newMin
 }
 
 // record returns the storage for a new admission record: a removed
@@ -411,24 +430,6 @@ func (m *Manager) record() *admitted {
 	return a
 }
 
-// addMaxSums and subMaxSums maintain the non-quiescent fast-path
-// feasibility sums across every resource dimension.
-func (m *Manager) addMaxSums(a *admitted) {
-	m.maxSum = m.maxSum.Add(a.fracs[0])
-	m.maxStreamerSum += a.list.Max().StreamerMBps
-	if a.list.Max().NeedsFFU {
-		m.ffuMaxCount++
-	}
-}
-
-func (m *Manager) subMaxSums(a *admitted) {
-	m.maxSum = m.maxSum.Sub(a.fracs[0])
-	m.maxStreamerSum -= a.list.Max().StreamerMBps
-	if a.list.Max().NeedsFFU {
-		m.ffuMaxCount--
-	}
-}
-
 // Remove takes id out of the system (the task exited or was
 // terminated by the user) and recomputes grants for the remainder.
 func (m *Manager) Remove(id task.ID) error {
@@ -438,13 +439,9 @@ func (m *Manager) Remove(id task.ID) error {
 	}
 	a := m.tasks[i]
 	m.lastOp = OpStats{Op: "remove"}
-	m.minSum = m.minSum.Sub(a.minFrac())
-	m.minStreamerSum -= a.list.Min().StreamerMBps
-	if a.list.MinNeedsFFU() {
-		m.ffuResidents--
-	}
+	m.min = m.min.minus(a.minNeed())
 	if a.state != task.Quiescent {
-		m.subMaxSums(a)
+		m.max = m.max.minus(a.maxNeed())
 	}
 	m.tasks = slices.Delete(m.tasks, i, i+1)
 	// The record keeps its backings for the next admission and lets go
@@ -469,7 +466,7 @@ func (m *Manager) SetQuiescent(id task.ID) error {
 	}
 	m.lastOp = OpStats{Op: "quiesce"}
 	a.state = task.Quiescent
-	m.subMaxSums(a)
+	m.max = m.max.minus(a.maxNeed())
 	m.hooks.GrantRemoved(id)
 	m.recomputeGrants()
 	return nil
@@ -488,15 +485,15 @@ func (m *Manager) Wake(id task.ID) error {
 	}
 	m.lastOp = OpStats{Op: "wake"}
 	a.state = task.Runnable
-	m.addMaxSums(a)
+	m.max = m.max.plus(a.maxNeed())
 	m.recomputeGrants()
 	return nil
 }
 
 // ChangeResourceList replaces id's resource list (§4.1: a new grant
 // set is computed "when it changes its resource list"). The change is
-// admitted only if the new minimum keeps the admission sum within the
-// schedulable CPU.
+// admitted only if the running minimum demand, with the new minimum
+// entry in place of the old, passes the fit test.
 func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 	a, err := m.find(id)
 	if err != nil {
@@ -506,35 +503,22 @@ func (m *Manager) ChangeResourceList(id task.ID, list task.ResourceList) error {
 		return err
 	}
 	m.lastOp = OpStats{Op: "change-list"}
-	newSum := m.minSum.Sub(a.minFrac()).Add(list.MinFrac())
+	newMin := m.min.minus(a.minNeed()).plus(need(list.Min(), list.MinFrac()))
 	m.lastOp.AdmissionChecks = 1
-	if !newSum.LessOrEqual(m.avail) {
+	switch m.test(newMin, m.avail) {
+	case deniedCPU:
 		return fmt.Errorf("%w: new list's minimum does not fit", ErrAdmissionDenied)
-	}
-	newStreamer := m.minStreamerSum - a.list.Min().StreamerMBps + list.Min().StreamerMBps
-	if !m.streamer.Fits(newStreamer) {
+	case deniedStreamer:
 		return fmt.Errorf("%w: new list's minimum does not fit", ErrStreamerDenied)
+	case deniedFFU:
+		return ErrFFUDenied
 	}
-	residents := m.ffuResidents
-	if a.list.MinNeedsFFU() {
-		residents--
-	}
-	if list.MinNeedsFFU() {
-		if residents > 0 {
-			return ErrFFUDenied
-		}
-		residents++
-	}
-	if a.state != task.Quiescent {
-		m.subMaxSums(a)
-	}
+	old := a.maxNeed()
 	a.setList(list)
 	if a.state != task.Quiescent {
-		m.addMaxSums(a)
+		m.max = m.max.minus(old).plus(a.maxNeed())
 	}
-	m.minSum = newSum
-	m.minStreamerSum = newStreamer
-	m.ffuResidents = residents
+	m.min = newMin
 	m.recomputeGrants()
 	return nil
 }

@@ -114,20 +114,25 @@ func (h *harness) refIDs() []task.ID {
 	return ids
 }
 
-// refSums re-derives the admission sums over every admitted task,
-// optionally leaving one out (a list change re-tests without the list
-// it replaces).
-func (h *harness) refSums(except task.ID) (minSum ticks.Frac, minMBps int64, ffuResidents int) {
-	minSum = ticks.FracZero
-	for _, id := range h.refIDs() {
-		if id == except {
-			continue
+// refSums re-derives the running demands from the reference lists,
+// optionally leaving one task out (a list change re-tests without the
+// list it replaces): min sums the minimum entries of every admitted
+// task, max the maximum entries of the non-quiescent ones.
+func (h *harness) refSums(except task.ID) (min, max demand) {
+	min, max = demand{cpu: ticks.FracZero}, demand{cpu: ticks.FracZero}
+	add := func(d *demand, e task.Entry) {
+		d.cpu = d.cpu.Add(e.Frac())
+		d.mbps += e.StreamerMBps
+		if e.NeedsFFU {
+			d.ffu++
 		}
-		l := h.ref[id].list
-		minSum = minSum.Add(l.MinFrac())
-		minMBps += l.Min().StreamerMBps
-		if l.MinNeedsFFU() {
-			ffuResidents++
+	}
+	for _, id := range h.refIDs() {
+		if r := h.ref[id]; id != except {
+			add(&min, r.list.Min())
+			if !r.quiescent {
+				add(&max, r.list.Max())
+			}
 		}
 	}
 	return
@@ -137,13 +142,13 @@ func (h *harness) refSums(except task.ID) (minSum ticks.Frac, minMBps int64, ffu
 // admitted set less except: the sentinel the Manager must deny with,
 // or nil.
 func (h *harness) wantVerdict(list task.ResourceList, except task.ID) error {
-	minSum, mbps, residents := h.refSums(except)
+	min, _ := h.refSums(except)
 	switch {
-	case !minSum.Add(list.MinFrac()).LessOrEqual(h.avail):
+	case !min.cpu.Add(list.MinFrac()).LessOrEqual(h.avail):
 		return ErrAdmissionDenied
-	case h.streamer > 0 && mbps+list.Min().StreamerMBps > h.streamer:
+	case h.streamer > 0 && min.mbps+list.Min().StreamerMBps > h.streamer:
 		return ErrStreamerDenied
-	case list.MinNeedsFFU() && residents > 0:
+	case list.MinNeedsFFU() && min.ffu > 0:
 		return ErrFFUDenied
 	}
 	return nil
@@ -283,9 +288,17 @@ func (h *harness) activeMembers() []policy.MemberID {
 // operation.
 func (h *harness) check(t testing.TB, what string) {
 	ids := h.refIDs()
-	minSum, _, _ := h.refSums(task.NoID)
-	if h.m.MinSum().Cmp(minSum) != 0 {
-		t.Fatalf("%s: MinSum = %v, reference %v", what, h.m.MinSum(), minSum)
+	min, max := h.refSums(task.NoID)
+	if h.m.MinSum().Cmp(min.cpu) != 0 {
+		t.Fatalf("%s: MinSum = %v, reference %v", what, h.m.MinSum(), min.cpu)
+	}
+	for _, s := range []struct {
+		name      string
+		got, want demand
+	}{{"min", h.m.min, min}, {"max", h.m.max, max}} {
+		if s.got.cpu.Cmp(s.want.cpu) != 0 || s.got.mbps != s.want.mbps || s.got.ffu != s.want.ffu {
+			t.Fatalf("%s: %s demand = %+v, reference %+v", what, s.name, s.got, s.want)
+		}
 	}
 	if h.m.NTasks() != len(ids) || !slices.Equal(h.m.TaskIDs(), ids) {
 		t.Fatalf("%s: TaskIDs = %v (NTasks %d), reference %v", what, h.m.TaskIDs(), h.m.NTasks(), ids)
@@ -332,8 +345,8 @@ func (h *harness) check(t testing.TB, what string) {
 		}
 	}
 	capacity := h.avail.Sub(h.pressure)
-	if capacity.Cmp(minSum) < 0 {
-		capacity = minSum
+	if capacity.Cmp(min.cpu) < 0 {
+		capacity = min.cpu
 	}
 	if total := gs.TotalFrac(); !total.LessOrEqual(capacity) {
 		t.Fatalf("%s: grants total %v over capacity %v", what, total, capacity)
@@ -390,6 +403,11 @@ func FuzzManagerModel(f *testing.F) {
 	f.Add(seededTape(77, 60))
 	// Fill with FFU users and streamers, press, quiesce, wake.
 	f.Add([]byte{7, 0, 8, 0, 0, 8, 1, 0, 9, 2, 0, 6, 3, 0, 7, 4, 12, 30, 0, 8, 0, 0, 10, 0, 0, 14, 5, 3, 15, 0, 0})
+	// With a 100 MB/s Streamer: an FFU resident, an FFU-maximum task and
+	// a third whose change to an FFU-minimum list is denied; two streamers
+	// and a change to a list whose minimum overdraws the Streamer; then
+	// the FFU-maximum task quiesces and wakes.
+	f.Add([]byte{2, 0, 9, 0, 0, 8, 1, 0, 3, 2, 7, 2, 9, 0, 6, 3, 0, 7, 4, 7, 4, 6, 8, 1, 0, 10, 1, 0})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) > 1+3*400 {
 			tape = tape[:1+3*400]

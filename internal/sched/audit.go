@@ -40,7 +40,7 @@ func (s *Scheduler) Audit() AuditReport {
 	var r AuditReport
 	s.auditEpoch++
 	epoch := s.auditEpoch
-	for _, t := range s.tasksByID() {
+	for _, t := range s.byID {
 		t.seenOn(epoch, seenTable)
 	}
 
@@ -65,7 +65,7 @@ func (s *Scheduler) Audit() AuditReport {
 	for _, sp := range s.sporadics {
 		sp.auditEpoch = epoch
 	}
-	for _, t := range s.tasksByID() {
+	for _, t := range s.byID {
 		var seen uint8
 		if t.auditEpoch == epoch {
 			seen = t.auditSeen

@@ -61,7 +61,7 @@ func auditNaive(s *Scheduler) AuditReport {
 	for _, sp := range s.sporadics {
 		live[sp] = true
 	}
-	for _, t := range s.tasksByID() {
+	for _, t := range s.byID {
 		if t.dropped {
 			add("task table holds dropped task %d (%s)", t.id, t.name)
 		}
@@ -264,7 +264,7 @@ func corruptibleSystem(t *testing.T) (*Scheduler, []*tcb) {
 	if f := auditMatchesNaive(t, s, "before corruption"); len(f) != 0 {
 		t.Fatalf("setup: clean scheduler reports %q", f)
 	}
-	return s, s.tasksByID()
+	return s, s.byID
 }
 
 // auditCorruption damages the bookkeeping in one way the audit exists

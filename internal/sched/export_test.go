@@ -28,7 +28,7 @@ var AuditCorruptions = func() []AuditCorruption {
 	out := make([]AuditCorruption, len(auditCorruptions))
 	for i, c := range auditCorruptions {
 		out[i] = AuditCorruption{Name: c.name, Live: c.live, Apply: func(s *Scheduler) bool {
-			return c.corrupt(s, s.tasksByID())
+			return c.corrupt(s, s.byID)
 		}}
 	}
 	return out

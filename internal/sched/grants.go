@@ -201,7 +201,7 @@ func (s *Scheduler) rollPeriods(now ticks.Ticks) {
 		return
 	}
 	s.nextRoll = maxTicks
-	for _, t := range s.tasksByID() {
+	for _, t := range s.byID {
 		for t.deadline <= now {
 			if t.blocked {
 				// Guarantees are void while blocked; slide the
@@ -260,13 +260,6 @@ func (t *tcb) takeInsertedIdle() ticks.Ticks {
 	t.insertIdle = 0
 	return d
 }
-
-// tasksByID returns tcbs in ascending task ID order. The slice is the
-// live byID index (maintained by startTask/dropTask), not a snapshot:
-// callers iterate it on every scheduler loop pass, and rebuilding plus
-// sorting a copy per call was the simulator's single largest
-// allocation source. Callers must not hold it across task add/drop.
-func (s *Scheduler) tasksByID() []*tcb { return s.byID }
 
 // InsertIdleCycles postpones the start of id's next period by n ticks
 // (§5.4). Postponement cannot jeopardise other tasks' guarantees;

@@ -46,12 +46,10 @@ func (s *Scheduler) HandleEvent(op, id int32, arg ticks.Ticks) {
 			s.wake(t)
 		}
 	case opWakeSporadic:
-		for _, sp := range s.sporadics {
-			if sp.id == SporadicID(id) {
-				sp.wake = sim.EventRef{}
-				sp.blocked = false
-				return
-			}
+		if i := s.sporadicIndex(SporadicID(id)); i >= 0 {
+			sp := s.sporadics[i]
+			sp.wake = sim.EventRef{}
+			sp.blocked = false
 		}
 	case opInterrupt:
 		src := s.interrupts[id]

@@ -3,6 +3,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -84,28 +85,30 @@ func (s *Scheduler) AddSporadic(name string, body task.Body) SporadicID {
 	return sp.id
 }
 
+// sporadicIndex is sporadic task id's position in the round-robin
+// queue, or -1.
+func (s *Scheduler) sporadicIndex(id SporadicID) int {
+	return slices.IndexFunc(s.sporadics, func(sp *sporadicTask) bool { return sp.id == id })
+}
+
 // RemoveSporadic drops a sporadic task from the queue.
 func (s *Scheduler) RemoveSporadic(id SporadicID) {
-	for i, sp := range s.sporadics {
-		if sp.id == id {
-			s.structGen++
-			s.k.Cancel(sp.wake)
-			s.sporadics = append(s.sporadics[:i], s.sporadics[i+1:]...)
-			s.clearSSAssignment(sp)
-			return
-		}
+	if i := s.sporadicIndex(id); i >= 0 {
+		sp := s.sporadics[i]
+		s.structGen++
+		s.k.Cancel(sp.wake)
+		s.sporadics = append(s.sporadics[:i], s.sporadics[i+1:]...)
+		s.clearSSAssignment(sp)
 	}
 }
 
 // SporadicWake unblocks a sporadic task that blocked indefinitely.
 func (s *Scheduler) SporadicWake(id SporadicID) {
-	for _, sp := range s.sporadics {
-		if sp.id == id {
-			sp.blocked = false
-			s.k.Cancel(sp.wake)
-			sp.wake = sim.EventRef{}
-			return
-		}
+	if i := s.sporadicIndex(id); i >= 0 {
+		sp := s.sporadics[i]
+		sp.blocked = false
+		s.k.Cancel(sp.wake)
+		sp.wake = sim.EventRef{}
 	}
 }
 
@@ -129,15 +132,14 @@ func (s *Scheduler) AssignGrant(id task.ID, sp SporadicID, amount ticks.Ticks) e
 	if amount <= 0 {
 		return fmt.Errorf("sched: AssignGrant: non-positive amount %v", amount)
 	}
-	for _, x := range s.sporadics {
-		if x.id == sp {
-			s.structGen++
-			t.ssCurrent = x
-			t.ssAssignLeft = amount
-			return nil
-		}
+	i := s.sporadicIndex(sp)
+	if i < 0 {
+		return fmt.Errorf("sched: AssignGrant: unknown sporadic task %d", sp)
 	}
-	return fmt.Errorf("sched: AssignGrant: unknown sporadic task %d", sp)
+	s.structGen++
+	t.ssCurrent = s.sporadics[i]
+	t.ssAssignLeft = amount
+	return nil
 }
 
 // runAssignment is the one step that runs a sporadic body: cur's
@@ -231,10 +233,8 @@ func (s *Scheduler) runAssigned(cur *tcb, now, span ticks.Ticks, flags task.Cont
 
 // SporadicStatsOf reports accounting for a sporadic task.
 func (s *Scheduler) SporadicStatsOf(id SporadicID) (SporadicStats, bool) {
-	for _, sp := range s.sporadics {
-		if sp.id == id {
-			return sp.stats, true
-		}
+	if i := s.sporadicIndex(id); i >= 0 {
+		return s.sporadics[i].stats, true
 	}
 	return SporadicStats{}, false
 }
@@ -246,7 +246,7 @@ func (s *Scheduler) SporadicStatsOf(id SporadicID) (SporadicStats, bool) {
 // its next dispatch runs its own body again, receiving the period
 // callback that was deferred while the assignment was active.
 func (s *Scheduler) clearSSAssignment(sp *sporadicTask) {
-	for _, t := range s.tasksByID() {
+	for _, t := range s.byID {
 		if t.ssCurrent == sp {
 			t.ssCurrent = nil
 			t.ssAssignLeft = 0
