@@ -194,37 +194,29 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 
 	// Pass 3: if substantial resources remain, look for threads that
 	// can use them. Walk in descending share (most-important first),
-	// promoting one entry at a time while the set still fits in
-	// every dimension.
+	// promoting one entry at a time while the set still passes the fit
+	// test.
 	leftover := avail.Sub(sum)
 	if leftover.Num > 0 {
 		order := m.identityOrder(n)
 		sortByShareDesc(order, cands)
-		streamerSum := totalStreamer(cands)
-		ffuHolder := ffuHolderIndex(cands)
+		d := chosenDemand(cands, sum)
 		promoted := false
 		for _, i := range order {
 			c := &cands[i]
 			for c.chosen > 0 {
-				next := c.chosen - 1
-				ne := c.a.list[next]
-				delta := c.a.fracs[next].Sub(c.a.fracs[c.chosen])
+				next, from := c.chosen-1, c.a.list[c.chosen]
+				// The step's demand: the next entry's less the chosen one's.
+				delta := need(c.a.list[next], c.a.fracs[next].Sub(c.a.fracs[c.chosen]))
+				delta.mbps -= from.StreamerMBps
+				if from.NeedsFFU {
+					delta.ffu--
+				}
 				m.lastOp.EntriesExamined++
-				if !sum.Add(delta).LessOrEqual(avail) {
+				if m.test(d.plus(delta), avail) != accepted {
 					break
 				}
-				dStreamer := ne.StreamerMBps - c.a.list[c.chosen].StreamerMBps
-				if !m.streamer.Fits(streamerSum + dStreamer) {
-					break
-				}
-				if ne.NeedsFFU && ffuHolder != -1 && ffuHolder != i {
-					break // the FFU is already held by another thread
-				}
-				sum = sum.Add(delta)
-				streamerSum += dStreamer
-				if ne.NeedsFFU {
-					ffuHolder = i
-				}
+				d = d.plus(delta)
 				c.chosen = next
 				promoted = true
 			}
@@ -243,23 +235,18 @@ func (m *Manager) correlate(active []*admitted, pol policy.Policy) GrantSet {
 	return GrantSet{g}
 }
 
-func totalStreamer(cands []cand) int64 {
-	var sum int64
+// chosenDemand is the demand of the candidates' chosen entries, whose
+// CPU fractions sum to sum.
+func chosenDemand(cands []cand, sum ticks.Frac) demand {
+	d := demand{cpu: sum}
 	for i := range cands {
-		sum += cands[i].a.list[cands[i].chosen].StreamerMBps
-	}
-	return sum
-}
-
-// ffuHolderIndex reports which candidate currently holds an
-// FFU-requiring entry, or -1.
-func ffuHolderIndex(cands []cand) int {
-	for i := range cands {
-		if cands[i].a.list[cands[i].chosen].NeedsFFU {
-			return i
+		e := cands[i].a.list[cands[i].chosen]
+		d.mbps += e.StreamerMBps
+		if e.NeedsFFU {
+			d.ffu++
 		}
 	}
-	return -1
+	return d
 }
 
 // enforceFFU demotes all but one FFU claimant to their highest
@@ -330,7 +317,7 @@ func (m *Manager) enforceFFU(cands []cand, pol policy.Policy, sum ticks.Frac) ti
 // until the chosen set's Data Streamer demand fits capacity.
 // Admission over minimum entries guarantees convergence.
 func (m *Manager) enforceStreamer(cands []cand, sum ticks.Frac) ticks.Frac {
-	streamerSum := totalStreamer(cands)
+	streamerSum := chosenDemand(cands, sum).mbps
 	if m.streamer.Fits(streamerSum) {
 		return sum
 	}

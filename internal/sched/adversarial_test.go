@@ -102,7 +102,7 @@ func TestNonsenseOpTreatedSafely(t *testing.T) {
 	if st.Misses != 0 || st.UsedTicks != 60*ms {
 		t.Errorf("victim of nonsense op: %+v", st)
 	}
-	s.checkQueueInvariants(t)
+	auditClean(t, s)
 }
 
 func TestOverclaimingBodyIsClamped(t *testing.T) {

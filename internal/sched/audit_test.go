@@ -12,51 +12,15 @@ import (
 )
 
 // auditNaive is the structural audit as first written: a map of live
-// sporadic tasks and a linear membership scan per task per queue. It
-// shares no bookkeeping with Audit (no stamps, no marks), which makes
-// it the oracle Audit's findings are compared against, element for
-// element.
+// sporadic tasks and a linear scan of the task table for the CPU owner.
+// It shares no bookkeeping with Audit (no stamps, no lookup), which
+// makes it the oracle Audit's findings are compared against, element
+// for element.
 func auditNaive(s *Scheduler) AuditReport {
 	var r AuditReport
 	add := func(format string, args ...any) {
 		r.Findings = append(r.Findings, fmt.Sprintf(format, args...))
 	}
-	contains := func(q []*tcb, t *tcb) bool {
-		for _, x := range q {
-			if x == t {
-				return true
-			}
-		}
-		return false
-	}
-
-	checkQueue := func(label string, q []*tcb, want queueID) {
-		for _, t := range q {
-			if t.dropped {
-				add("%s holds dropped task %d (%s)", label, t.id, t.name)
-			}
-			if !contains(s.byID, t) {
-				add("%s holds task %d (%s) not in the task table", label, t.id, t.name)
-			}
-			if t.queue != want {
-				add("%s holds task %d (%s) whose queue tag is %d", label, t.id, t.name, t.queue)
-			}
-		}
-	}
-	checkQueue("TimeRemaining", s.timeRemaining, qTimeRemaining)
-	checkQueue("TimeExpired", s.timeExpired, qTimeExpired)
-	for _, t := range s.overtimeQ {
-		if t.dropped {
-			add("OvertimeRequested holds dropped task %d (%s)", t.id, t.name)
-		}
-		if !contains(s.byID, t) {
-			add("OvertimeRequested holds task %d (%s) not in the task table", t.id, t.name)
-		}
-		if !t.overtime {
-			add("OvertimeRequested holds task %d (%s) with overtime flag clear", t.id, t.name)
-		}
-	}
-
 	live := make(map[*sporadicTask]bool, len(s.sporadics))
 	for _, sp := range s.sporadics {
 		live[sp] = true
@@ -64,19 +28,6 @@ func auditNaive(s *Scheduler) AuditReport {
 	for _, t := range s.byID {
 		if t.dropped {
 			add("task table holds dropped task %d (%s)", t.id, t.name)
-		}
-		switch t.queue {
-		case qTimeRemaining:
-			if !contains(s.timeRemaining, t) {
-				add("task %d (%s) tagged TimeRemaining but absent from the queue", t.id, t.name)
-			}
-		case qTimeExpired:
-			if !contains(s.timeExpired, t) {
-				add("task %d (%s) tagged TimeExpired but absent from the queue", t.id, t.name)
-			}
-		}
-		if t.overtime != contains(s.overtimeQ, t) {
-			add("task %d (%s) overtime flag %v disagrees with queue membership", t.id, t.name, t.overtime)
 		}
 		if t.remaining < 0 || t.remaining > t.grant.Entry.CPU {
 			add("task %d (%s) budget not conserved: remaining %v of granted %v",
@@ -95,7 +46,7 @@ func auditNaive(s *Scheduler) AuditReport {
 	if s.running != nil {
 		if s.running.dropped {
 			add("running task %d (%s) was dropped", s.running.id, s.running.name)
-		} else if !contains(s.byID, s.running) {
+		} else if !slices.Contains(s.byID, s.running) {
 			add("running task %d (%s) not in the task table", s.running.id, s.running.name)
 		}
 	}
@@ -239,8 +190,8 @@ func TestAuditMatchesNaiveOnLiveRuns(t *testing.T) {
 }
 
 // corruptibleSystem runs three tasks and a sporadic job far enough
-// that every queue is populated, audits clean, and hands the scheduler
-// over for deliberate damage.
+// that every queue holds a task and a task owns the CPU, audits clean,
+// and hands the scheduler over for deliberate damage.
 func corruptibleSystem(t *testing.T) (*Scheduler, []*tcb) {
 	t.Helper()
 	_, m, s := newSystem(0, sim.ZeroSwitchCosts())
@@ -250,10 +201,16 @@ func corruptibleSystem(t *testing.T) (*Scheduler, []*tcb) {
 		return task.RunResult{Used: ctx.Span, Op: task.OpOvertime}
 	})})
 	s.AddSporadic("job", task.Busy())
-	// Step a millisecond at a time to the first instant with a task
-	// waiting on each of the three queues.
+	// Step a millisecond at a time to the first instant with a task on
+	// the CPU and one tagged for each of the three queues.
 	populated := func() bool {
-		return len(s.timeRemaining) > 0 && len(s.timeExpired) > 0 && len(s.overtimeQ) > 0
+		var remaining, expired, overtime bool
+		for _, x := range s.byID {
+			remaining = remaining || x.queue == qTimeRemaining
+			expired = expired || x.queue == qTimeExpired
+			overtime = overtime || x.overtime
+		}
+		return remaining && expired && overtime && s.running != nil
 	}
 	for at := 1 * ms; !populated(); at += ms {
 		if at > 200*ms {
@@ -272,13 +229,10 @@ func corruptibleSystem(t *testing.T) (*Scheduler, []*tcb) {
 type auditCorruption struct {
 	name string
 	// live: a running scheduler survives the damage — it neither panics
-	// nor spins on it — so it may be planted mid-run (FuzzAuditGate).
-	// Two kinds of damage spin the run loop at one instant: a queue entry
-	// whose tag names another queue (once at the front with its grant
-	// spent, every pass re-files it and picks it again), and a dropped
-	// task still queued in the table (resolve leaves a dropped task where
-	// it is, so one whose body uses nothing is picked again, at the same
-	// instant).
+	// nor spins on it — so it may be planted mid-run (FuzzAuditGate). A
+	// dropped task still in the table spins the run loop at one instant:
+	// resolve leaves a dropped task where it is, so one whose body uses
+	// nothing is picked again, at the same instant.
 	live bool
 	// corrupt damages s, whose task table is ts, and reports false —
 	// having changed nothing — when s lacks what the damage needs.
@@ -290,68 +244,12 @@ type auditCorruption struct {
 func ghost() *sporadicTask { return &sporadicTask{id: 99, name: "ghost", body: task.Busy()} }
 
 var auditCorruptions = []auditCorruption{
-	{"dropped task left on a queue", true, func(s *Scheduler, ts []*tcb) bool {
-		// Off the overtime queue, the dropped task is never picked again.
-		i := slices.IndexFunc(s.timeExpired, func(x *tcb) bool { return !x.overtime })
+	{"dropped task still in the table", false, func(s *Scheduler, ts []*tcb) bool {
+		i := slices.IndexFunc(ts, func(x *tcb) bool { return x.overtime })
 		if i < 0 {
 			return false
 		}
-		v := s.timeExpired[i]
-		v.dropped = true
-		s.byID = slices.DeleteFunc(slices.Clone(s.byID), func(x *tcb) bool { return x == v })
-		return true
-	}},
-	{"dropped task still in the table and on the overtime queue", false, func(s *Scheduler, ts []*tcb) bool {
-		if len(s.overtimeQ) == 0 {
-			return false
-		}
-		s.overtimeQ[0].dropped = true
-		return true
-	}},
-	{"wrong queue tag", false, func(s *Scheduler, ts []*tcb) bool {
-		if len(s.timeRemaining) == 0 {
-			return false
-		}
-		s.timeRemaining[0].queue = qTimeExpired
-		return true
-	}},
-	{"queue tag cleared", true, func(s *Scheduler, ts []*tcb) bool {
-		if len(s.timeExpired) == 0 {
-			return false
-		}
-		s.timeExpired[0].queue = qNone
-		return true
-	}},
-	{"tagged but taken off the queue", true, func(s *Scheduler, ts []*tcb) bool {
-		if len(s.timeExpired) == 0 {
-			return false
-		}
-		// The previous audit pass marked this tcb as seen on
-		// TimeExpired; a stale mark must not hide its absence now.
-		s.timeExpired = s.timeExpired[1:]
-		return true
-	}},
-	{"on both paper queues", false, func(s *Scheduler, ts []*tcb) bool {
-		if len(s.timeExpired) == 0 {
-			return false
-		}
-		s.timeRemaining = append(s.timeRemaining, s.timeExpired[0])
-		return true
-	}},
-	{"overtime flag flipped on", true, func(s *Scheduler, ts []*tcb) bool {
-		for _, x := range ts {
-			if !x.overtime {
-				x.overtime = true
-				return true
-			}
-		}
-		return false
-	}},
-	{"overtime flag flipped off", false, func(s *Scheduler, ts []*tcb) bool {
-		if len(s.overtimeQ) == 0 {
-			return false
-		}
-		s.overtimeQ[0].overtime = false
+		ts[i].dropped = true
 		return true
 	}},
 	{"dangling ssCurrent", true, func(s *Scheduler, ts []*tcb) bool {
@@ -404,21 +302,21 @@ var auditCorruptions = []auditCorruption{
 		return true
 	}},
 	{"table entry replaced by a twin", true, func(s *Scheduler, ts []*tcb) bool {
-		if len(ts) == 0 {
+		// The running task's: the CPU owner is then not the table's tcb
+		// of its ID. A twin of a task off the CPU disagrees with nothing.
+		i := slices.Index(ts, s.running)
+		if i < 0 {
 			return false
 		}
-		twin := *ts[0]
+		twin := *ts[i]
 		s.byID = slices.Clone(s.byID)
-		s.byID[0] = &twin
+		s.byID[i] = &twin
 		return true
 	}},
 	{"everything at once", false, func(s *Scheduler, ts []*tcb) bool {
-		if len(ts) < 3 || len(s.timeRemaining) == 0 || len(s.timeExpired) == 0 || len(s.overtimeQ) == 0 {
+		if len(ts) < 3 {
 			return false
 		}
-		s.timeRemaining[0].queue = qTimeExpired
-		s.overtimeQ[0].overtime = false
-		s.timeExpired = append(s.timeExpired[1:], &tcb{id: 55, name: "stray", queue: qTimeRemaining, dropped: true})
 		ts[0].remaining = -7
 		ts[1].ssCurrent = ghost()
 		ts[2].ssAssignLeft = 1

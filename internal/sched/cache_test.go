@@ -121,7 +121,7 @@ func TestGraceDrainsGrantExactly(t *testing.T) {
 	if st.UsedTicks < st.GrantedTicks-longCPU {
 		t.Errorf("long used %v of %v", st.UsedTicks, st.GrantedTicks)
 	}
-	s.checkQueueInvariants(t)
+	auditClean(t, s)
 }
 
 func TestCacheRefillDisabledByDefault(t *testing.T) {

@@ -29,9 +29,9 @@ func (s *Scheduler) RunUntil(limit ticks.Ticks) {
 			return
 		}
 		s.rollPeriods(now)
-		s.tel.qRemaining.Set(int64(len(s.timeRemaining)))
-		s.tel.qExpired.Set(int64(len(s.timeExpired)))
-		s.tel.qOvertime.Set(int64(len(s.overtimeQ)))
+		s.tel.qRemaining.Set(int64(s.nRemaining))
+		s.tel.qExpired.Set(int64(s.nExpired))
+		s.tel.qOvertime.Set(int64(s.nOvertime))
 		cur, kind := s.choose()
 		if cur == nil {
 			s.idleUntilNextInterest(limit)
@@ -77,20 +77,31 @@ func (s *Scheduler) RunUntil(limit ticks.Ticks) {
 // TimeRemaining; else, if there are new grants, collect them (new
 // grants begin only in unallocated time); else the first
 // OvertimeRequested thread; else the Idle thread (represented as nil).
+// A queue's first thread is the earliest deadline among the tasks
+// tagged for it, the lower ID on a tie: the task table is in ID order,
+// so the strict < keeps the first of equal deadlines.
 func (s *Scheduler) choose() (*tcb, DispatchKind) {
-	if len(s.timeRemaining) > 0 {
-		return s.timeRemaining[0], DispatchGranted
-	}
-	if s.rmg.HasPending() {
+	if s.nRemaining == 0 && s.rmg.HasPending() {
 		s.collectGrants()
-		if len(s.timeRemaining) > 0 {
-			return s.timeRemaining[0], DispatchGranted
+	}
+	kind := DispatchGranted
+	if s.nRemaining == 0 {
+		if s.nOvertime == 0 {
+			return nil, DispatchIdle
+		}
+		kind = DispatchOvertime
+	}
+	var first *tcb
+	for _, t := range s.byID {
+		in := t.queue == qTimeRemaining
+		if kind == DispatchOvertime {
+			in = t.overtime
+		}
+		if in && (first == nil || t.deadline < first.deadline) {
+			first = t
 		}
 	}
-	if len(s.overtimeQ) > 0 {
-		return s.overtimeQ[0], DispatchOvertime
-	}
-	return nil, DispatchIdle
+	return first, kind
 }
 
 // idleUntilNextInterest advances the clock to the next scheduling

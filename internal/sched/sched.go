@@ -2,16 +2,17 @@
 // Distributor (§4.2): an Earliest Deadline First scheduler that
 // enforces the grants computed by the Resource Manager.
 //
-// The Scheduler makes no policy decisions. It maintains the paper's
-// two deadline-ordered queues — TimeRemaining (tasks with unused
-// granted CPU this period) and TimeExpired (all others) — plus the
+// The Scheduler makes no policy decisions. It keeps the paper's two
+// deadline-ordered queues — TimeRemaining (tasks with unused granted
+// CPU this period) and TimeExpired (all others) — plus the
 // OvertimeRequested queue for tasks that ran out of grant with work
-// left. On each context switch it takes the first thread off
-// TimeRemaining; failing that it collects pending grants from the
-// Resource Manager (new grants begin only in otherwise-unallocated
-// time, so admission can never disturb an admitted task); failing
-// that it runs the first OvertimeRequested thread, of which the Idle
-// thread is always one.
+// left, as one tag per task: a queue is the set of tasks tagged for it,
+// in (deadline, ID) order. On each context switch it takes the first
+// thread off TimeRemaining, found by a scan of the task table; failing
+// that it collects pending grants from the Resource Manager (new grants
+// begin only in otherwise-unallocated time, so admission can never
+// disturb an admitted task); failing that it runs the first
+// OvertimeRequested thread, of which the Idle thread is always one.
 //
 // The timer interrupt for the next switch is set at the earlier of
 // the end of the running thread's grant and the start of a new period
@@ -115,7 +116,8 @@ func (NopObserver) OnSwitch(sim.SwitchKind, ticks.Ticks)                        
 func (NopObserver) OnGrantApplied(task.ID, rm.Grant)                                        {}
 func (NopObserver) OnBlock(task.ID, ticks.Ticks)                                            {}
 
-// queueID says which paper queue a tcb currently lives on.
+// queueID says which paper queue a tcb is on: the tag is the queue
+// membership, and nothing else records it.
 type queueID uint8
 
 const (
@@ -186,11 +188,6 @@ type tcb struct {
 	// the parent of this period's dispatch spans. Zero when spans are
 	// disabled.
 	periodSpan telemetry.SpanID
-
-	// Audit marks (audit.go): the queues the latest Audit pass found
-	// this tcb on, valid only while auditEpoch equals that pass's stamp.
-	auditEpoch uint64
-	auditSeen  uint8
 
 	// nextSpare links the tcbs of dropped tasks (Scheduler.spare).
 	nextSpare *tcb
@@ -266,9 +263,11 @@ type Scheduler struct {
 
 	interrupts []interruptSource // §5.2 sources, indexed by opInterrupt id
 
-	timeRemaining []*tcb // deadline-ordered
-	timeExpired   []*tcb // deadline-ordered
-	overtimeQ     []*tcb // deadline-ordered; conceptually ends with Idle
+	// nRemaining, nExpired and nOvertime count the tasks tagged for
+	// TimeRemaining, TimeExpired and OvertimeRequested, the depths the
+	// sched.queue.* gauges read. Only enqueue, dequeue and setOvertime
+	// move them.
+	nRemaining, nExpired, nOvertime int
 
 	running *tcb // thread currently on the CPU; nil at boot
 
@@ -299,8 +298,8 @@ func New(cfg Config) *Scheduler { return NewIn(nil, cfg) }
 
 // NewIn is New in s's storage (a new Scheduler when s is nil). s keeps
 // only its tcbs, every one on the spare list and emptied, so no task of
-// the previous run stays reachable through them, and the backings of
-// its task table and queues, which hold only those tcbs, emptied. The
+// the previous run stays reachable through them, and the backing of its
+// task table, which holds only those tcbs, emptied. The
 // Scheduler s was is gone: whoever held it must not use it again.
 func NewIn(s *Scheduler, cfg Config) *Scheduler {
 	if cfg.Kernel == nil || cfg.RM == nil {
@@ -333,68 +332,40 @@ func NewIn(s *Scheduler, cfg Config) *Scheduler {
 		*t = tcb{nextSpare: t.nextSpare}
 	}
 	*s = Scheduler{
-		k:             cfg.Kernel,
-		rmg:           cfg.RM,
-		obs:           obs,
-		override:      override,
-		grace:         grace,
-		ssSlice:       slice,
-		spare:         spare,
-		byID:          s.byID[:0],
-		timeRemaining: s.timeRemaining[:0],
-		timeExpired:   s.timeExpired[:0],
-		overtimeQ:     s.overtimeQ[:0],
+		k:        cfg.Kernel,
+		rmg:      cfg.RM,
+		obs:      obs,
+		override: override,
+		grace:    grace,
+		ssSlice:  slice,
+		spare:    spare,
+		byID:     s.byID[:0],
 	}
 	s.wireTelemetry(cfg.Telemetry)
 	return s
 }
 
-// --- deadline-ordered queue helpers ---
+// --- paper queues ---
 
-// insertByDeadline places t by strict (deadline, id) order, shifting
-// later entries up from the tail: the queues hold a handful of tasks
-// and a new deadline usually belongs at or near the back.
-func insertByDeadline(q []*tcb, t *tcb) []*tcb {
-	q = append(q, nil)
-	i := len(q) - 1
-	for i > 0 && (q[i-1].deadline > t.deadline || q[i-1].deadline == t.deadline && q[i-1].id > t.id) {
-		q[i] = q[i-1]
-		i--
-	}
-	q[i] = t
-	return q
-}
-
-func removeFrom(q []*tcb, t *tcb) []*tcb {
-	for i, x := range q {
-		if x == t {
-			copy(q[i:], q[i+1:])
-			return q[:len(q)-1]
-		}
-	}
-	return q
-}
-
-// enqueue places t on the given paper queue, removing it from its
-// previous one.
+// enqueue moves t onto the given paper queue.
 func (s *Scheduler) enqueue(t *tcb, q queueID) {
 	s.dequeue(t)
 	t.queue = q
 	switch q {
 	case qTimeRemaining:
-		s.timeRemaining = insertByDeadline(s.timeRemaining, t)
+		s.nRemaining++
 	case qTimeExpired:
-		s.timeExpired = insertByDeadline(s.timeExpired, t)
+		s.nExpired++
 	}
 }
 
-// dequeue removes t from whatever paper queue it is on.
+// dequeue takes t off whatever paper queue it is on.
 func (s *Scheduler) dequeue(t *tcb) {
 	switch t.queue {
 	case qTimeRemaining:
-		s.timeRemaining = removeFrom(s.timeRemaining, t)
+		s.nRemaining--
 	case qTimeExpired:
-		s.timeExpired = removeFrom(s.timeExpired, t)
+		s.nExpired--
 	}
 	t.queue = qNone
 }
@@ -405,9 +376,9 @@ func (s *Scheduler) setOvertime(t *tcb, want bool) {
 	}
 	t.overtime = want
 	if want {
-		s.overtimeQ = insertByDeadline(s.overtimeQ, t)
+		s.nOvertime++
 	} else {
-		s.overtimeQ = removeFrom(s.overtimeQ, t)
+		s.nOvertime--
 	}
 }
 
