@@ -57,7 +57,7 @@ var layers = []layer{
 		"cold: per-node `core.New`, rings, registries (instruments from chunks); warm: only the benchmark's `NodeInit` building resident names and lists"},
 	{"fleet epoch", []string{"BenchmarkFleetEpoch/nodes=16", "BenchmarkFleetEpoch/nodes=120", "BenchmarkFleetEpoch/nodes=120/skewed",
 		"BenchmarkFleetEpoch/nodes=16/workers=2", "BenchmarkFleetEpoch/nodes=120/workers=2", "BenchmarkFleetEpoch/nodes=120/skewed/workers=2"},
-		"", "`sched.RunUntil` per node, then the barrier; two workers share the nodes by stealing"},
+		"", "`sched.RunUntil` per node, then the barrier; two workers share the nodes by stealing. At `workers=2` a few B/op can show under CPU contention (0 idle): a helper that spins out parks on `<-r.wake`, and after a GC has emptied the sudog caches the runtime allocates a 96-byte `sudog` for it"},
 	{"flight-recorder record", []string{"BenchmarkFlightRecord"}, "0, `TestFlightRecordAllocFree`",
 		"one `Span` copied into its ring slot, one event into its"},
 	{"registry snapshot / merge", []string{"BenchmarkRegistrySnapshot", "BenchmarkSnapshotMerge"}, "0 (merge), `TestSnapshotAndMergeAllocFree`",

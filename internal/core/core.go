@@ -202,24 +202,12 @@ func (d *Distributor) InsertIdleCycles(id task.ID, n ticks.Ticks) error {
 func (d *Distributor) Unblock(id task.ID) error { return d.sched.Unblock(id) }
 
 // AddSporadicServer admits a Sporadic Server (§5.1) with the given
-// resource list and attaches the server machinery. alwaysOvertime
-// reproduces the paper's Figure 5 configuration where the server
-// always indicates work at the end of its period.
+// resource list: a task whose body, sched.ServerBody, has the Scheduler
+// run queued sporadic tasks on its grant. alwaysOvertime reproduces the
+// paper's Figure 5 configuration where the server always indicates work
+// at the end of its period.
 func (d *Distributor) AddSporadicServer(name string, list task.ResourceList, alwaysOvertime bool) (task.ID, error) {
-	body := task.BodyFunc(func(task.RunContext) task.RunResult {
-		// Never reached: the Scheduler intercepts the server's
-		// dispatches and runs sporadic tasks instead.
-		panic("core: sporadic server body dispatched directly")
-	})
-	id, err := d.rm.RequestAdmittance(&task.Task{Name: name, List: list, Body: body})
-	if err != nil {
-		return task.NoID, err
-	}
-	if err := d.sched.AttachSporadicServer(id, alwaysOvertime); err != nil {
-		_ = d.rm.Remove(id)
-		return task.NoID, err
-	}
-	return id, nil
+	return d.rm.RequestAdmittance(&task.Task{Name: name, List: list, Body: sched.ServerBody(alwaysOvertime)})
 }
 
 // AddSporadic queues a sporadic task on the Sporadic Server.

@@ -360,6 +360,44 @@ func TestDistributorSporadicFacade(t *testing.T) {
 	}
 }
 
+// TestSporadicServerSurvivesQuiescence: a server that goes quiescent
+// (§5.3) and wakes is picked up again as the Sporadic Server, its body
+// never dispatched, and goes back to running its sporadic task.
+func TestSporadicServerSurvivesQuiescence(t *testing.T) {
+	d := New(Config{SwitchCosts: zeroCosts()})
+	ss, err := d.AddSporadicServer("ss", task.SingleLevel(10*ms, 2*ms, "SS"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := d.AddSporadic("job", task.Busy())
+	used := func() ticks.Ticks {
+		st, ok := d.Scheduler().SporadicStatsOf(job)
+		if !ok {
+			t.Fatal("the sporadic task left the queue")
+		}
+		return st.UsedTicks
+	}
+	d.Run(25 * ms)
+	if err := d.SetQuiescent(ss); err != nil {
+		t.Fatal(err)
+	}
+	d.Run(10 * ms)
+	before := used()
+	if before == 0 {
+		t.Fatal("the sporadic task never ran before the server went quiescent")
+	}
+	if err := d.Wake(ss); err != nil {
+		t.Fatal(err)
+	}
+	d.Run(50 * ms)
+	if after := used(); after <= before {
+		t.Errorf("the sporadic task used %v before the server's quiescence and %v after its wake; want growth", before, after)
+	}
+	if f := d.Scheduler().Audit().Findings; len(f) != 0 {
+		t.Errorf("the audit finds %q", f)
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	// Two distributors with identical configuration and scenario
 	// produce identical kernel statistics — the reproducibility

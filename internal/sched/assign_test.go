@@ -123,11 +123,8 @@ func TestAssignGrantValidation(t *testing.T) {
 	})
 	ss := mustAdmit(t, m, &task.Task{
 		Name: "ss", List: task.SingleLevel(10*ms, 1*ms, "SS"),
-		Body: task.BodyFunc(func(task.RunContext) task.RunResult { panic("unused") }),
+		Body: ServerBody(false),
 	})
-	if err := s.AttachSporadicServer(ss, false); err != nil {
-		t.Fatal(err)
-	}
 	sp := s.AddSporadic("x", task.Busy())
 	s.RunUntil(1)
 	if err := s.AssignGrant(999, sp, ms); err == nil {
@@ -245,18 +242,13 @@ func TestSporadicOutcomesMatchUnderServerAndAssignGrant(t *testing.T) {
 				m.SetHooks(s)
 				// The host does no work of its own, so its accounting is
 				// the assignment's.
-				host := mustAdmit(t, m, &task.Task{
-					Name: "host",
-					List: task.SingleLevel(10*ms, 5*ms, "Host"),
-					Body: task.BodyFunc(func(task.RunContext) task.RunResult {
-						return task.RunResult{Op: task.OpYield, Completed: true}
-					}),
-				})
+				body := task.Body(task.BodyFunc(func(task.RunContext) task.RunResult {
+					return task.RunResult{Op: task.OpYield, Completed: true}
+				}))
 				if server {
-					if err := s.AttachSporadicServer(host, false); err != nil {
-						t.Fatal(err)
-					}
+					body = ServerBody(false)
 				}
+				host := mustAdmit(t, m, &task.Task{Name: "host", List: task.SingleLevel(10*ms, 5*ms, "Host"), Body: body})
 				s.RunUntil(1) // the host's first period starts and is yielded empty
 				var used ticks.Ticks
 				over := false

@@ -1,6 +1,8 @@
 //rd:hotpath
 package sched
 
+import "slices"
+
 // The invariant checker audits the scheduler once per round of period
 // starts and after every structural change, so the walk below is on
 // the recurring path: one pass over the task table, no allocation while
@@ -12,18 +14,12 @@ package sched
 // remaining ≤ granted CPU), grant assignments point at live sporadic
 // tasks and carry no budget without one, and the CPU owner, if any, is
 // a live task of the table. Queue membership is one tag per task, so
-// there are no queues to hold against the table. Audit changes nothing
-// the scheduler acts on (it stamps audit-only marks on the sporadic
-// tasks): internal/invariant calls it from the checker, and
+// there are no queues to hold against the table. Audit changes
+// nothing: internal/invariant calls it from the checker, and
 // fault-injection tests call it after each scenario. Findings are
 // reported in a deterministic order.
 func (s *Scheduler) Audit() AuditReport {
 	var r AuditReport
-	s.auditEpoch++
-	epoch := s.auditEpoch
-	for _, sp := range s.sporadics {
-		sp.auditEpoch = epoch
-	}
 	for _, t := range s.byID {
 		if t.dropped {
 			r.addf("task table holds dropped task %d (%s)", t.id, t.name)
@@ -32,7 +28,7 @@ func (s *Scheduler) Audit() AuditReport {
 			r.addf("task %d (%s) budget not conserved: remaining %v of granted %v",
 				t.id, t.name, t.remaining, t.grant.Entry.CPU)
 		}
-		if t.ssCurrent != nil && t.ssCurrent.auditEpoch != epoch {
+		if t.ssCurrent != nil && !slices.Contains(s.sporadics, t.ssCurrent) {
 			r.addf("task %d (%s) holds a grant assignment to removed sporadic task %d (%s)",
 				t.id, t.name, t.ssCurrent.id, t.ssCurrent.name)
 		}

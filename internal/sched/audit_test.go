@@ -175,10 +175,7 @@ func TestAuditMatchesNaiveOnLiveRuns(t *testing.T) {
 
 	t.Run("remove-sporadic-under-server", func(t *testing.T) {
 		_, m, s, _ := newAuditedSystem(t, sim.ZeroSwitchCosts())
-		server := mustAdmit(t, m, &task.Task{Name: "ss", List: task.SingleLevel(10*ms, 2*ms, "SS"), Body: task.Busy()})
-		if err := s.AttachSporadicServer(server, true); err != nil {
-			t.Fatal(err)
-		}
+		mustAdmit(t, m, &task.Task{Name: "ss", List: task.SingleLevel(10*ms, 2*ms, "SS"), Body: ServerBody(true)})
 		mustAdmit(t, m, &task.Task{Name: "p", List: task.SingleLevel(20*ms, 6*ms, "P"), Body: task.PeriodicWork(6 * ms)})
 		sp := s.AddSporadic("job", task.Busy())
 		s.AddSporadic("job2", task.Busy())

@@ -183,13 +183,7 @@ func (g gatedSystem) populate(rng *sim.RNG, horizon ticks.Ticks) {
 	}
 	var sps []sched.SporadicID
 	if rng.Intn(2) == 0 {
-		// Not core.AddSporadicServer, whose body panics: damage that drops
-		// the server from the task table has the next grant pickup start
-		// it afresh, as a plain task.
-		id, err := d.RequestAdmittance(&task.Task{Name: "ss", List: task.SingleLevel(10*ms, 2*ms, "SS"), Body: task.Busy()})
-		if err == nil {
-			_ = d.Scheduler().AttachSporadicServer(id, rng.Intn(2) == 0)
-		}
+		_, _ = d.AddSporadicServer("ss", task.SingleLevel(10*ms, 2*ms, "SS"), rng.Intn(2) == 0)
 	}
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		body := task.Busy()

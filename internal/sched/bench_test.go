@@ -103,10 +103,14 @@ func sporadicSystem(tb testing.TB, assigned bool) (*sim.Kernel, *Scheduler, *nam
 	m.EnableTelemetry(tel, k)
 	s := New(Config{Kernel: k, RM: m, Observer: obs, Telemetry: tel})
 	m.SetHooks(s)
+	body := ServerBody(false)
+	if assigned {
+		body = task.PeriodicWork(3 * ms)
+	}
 	id, err := m.RequestAdmittance(&task.Task{
 		Name: "host",
 		List: task.SingleLevel(10*ms, 3*ms, "Host"),
-		Body: task.PeriodicWork(3 * ms),
+		Body: body,
 	})
 	if err != nil {
 		tb.Fatalf("admit: %v", err)
@@ -114,12 +118,9 @@ func sporadicSystem(tb testing.TB, assigned bool) (*sim.Kernel, *Scheduler, *nam
 	sp := s.AddSporadic("bg", task.BusySilent())
 	if assigned {
 		s.RunUntil(1) // the donor must hold its grant before it can assign it
-		err = s.AssignGrant(id, sp, ticks.PerSecond*3600)
-	} else {
-		err = s.AttachSporadicServer(id, false)
-	}
-	if err != nil {
-		tb.Fatal(err)
+		if err := s.AssignGrant(id, sp, ticks.PerSecond*3600); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	s.RunUntil(100 * ms)
 	return k, s, obs

@@ -14,8 +14,8 @@ import (
 )
 
 // The churn oracle drives one Manager and Scheduler through a tape of
-// admissions, body exits, terminations, quiescence changes, resource
-// list changes and runs. The Scheduler hands a dropped task's tcb to
+// admissions (Sporadic Servers among them), body exits, terminations,
+// quiescence changes, resource list changes and runs. The Scheduler hands a dropped task's tcb to
 // the next task it starts, so besides the structural audit after every
 // step the oracle holds each task's accounting to what the Observer
 // reported of that task alone: a field carried over from a tcb's
@@ -98,10 +98,17 @@ type churnSystem struct {
 	o      *churnObserver
 	rng    *sim.RNG
 	bodies map[task.ID]*churnBody
-	lastID task.ID
+	// servers holds the Sporadic Servers admitted, true while one is
+	// quiescent after the Scheduler had started it.
+	servers map[task.ID]bool
+	// lastServer is the latest server admitted, which quiescence steps
+	// aim at one time in two.
+	lastServer task.ID
+	lastID     task.ID
 	// recycled counts runs during which the Scheduler started a task in
-	// a dropped task's tcb.
-	recycled int
+	// a dropped task's tcb; serverWakes counts servers woken from
+	// quiescence.
+	recycled, serverWakes int
 }
 
 func newChurnSystem(seed uint64) *churnSystem { return new(churnSystem).rebuild(seed) }
@@ -119,7 +126,10 @@ func (c *churnSystem) rebuild(seed uint64) *churnSystem {
 	o := &churnObserver{m: m, ledger: map[task.ID]*churnLedger{}}
 	s := sched.NewIn(c.s, sched.Config{Kernel: k, RM: m, Observer: o})
 	m.SetHooks(s)
-	*c = churnSystem{k: k, m: m, s: s, o: o, rng: rng, bodies: map[task.ID]*churnBody{}, recycled: c.recycled}
+	*c = churnSystem{
+		k: k, m: m, s: s, o: o, rng: rng, bodies: map[task.ID]*churnBody{}, servers: map[task.ID]bool{},
+		recycled: c.recycled, serverWakes: c.serverWakes,
+	}
 	return c
 }
 
@@ -159,6 +169,14 @@ func (c *churnSystem) step(op byte) string {
 	switch op % 9 {
 	case 0, 1:
 		list := c.list()
+		if c.rng.Intn(6) == 0 {
+			nid, err := c.m.RequestAdmittance(&task.Task{Name: "ss", List: list, Body: sched.ServerBody(c.rng.Intn(2) == 0)})
+			if err == nil {
+				c.servers[nid], c.lastServer, c.lastID = false, nid, nid
+				c.s.AddSporadic("job", task.Busy())
+			}
+			return fmt.Sprintf("admit server %v: %d, %v", list, nid, err)
+		}
 		b := c.body(list.Min().CPU)
 		nid, err := c.m.RequestAdmittance(&task.Task{
 			Name: fmt.Sprintf("c%d", c.rng.Intn(5)), List: list, Body: b, StartQuiescent: c.rng.Intn(6) == 0,
@@ -175,13 +193,30 @@ func (c *churnSystem) step(op byte) string {
 	case 3:
 		return fmt.Sprintf("terminate %d: %v", id, c.m.Remove(id))
 	case 4:
+		if c.lastServer != task.NoID && c.rng.Intn(2) == 0 {
+			id = c.lastServer
+		}
 		if st, err := c.m.State(id); err == nil && st != task.Quiescent {
 			// The Scheduler drops the task now; a Wake starts it afresh.
 			delete(c.o.ledger, id)
+			if _, held := c.s.Stats(id); held {
+				if _, server := c.servers[id]; server {
+					c.servers[id] = true
+				}
+			}
 		}
 		return fmt.Sprintf("quiesce %d: %v", id, c.m.SetQuiescent(id))
 	case 5:
-		return fmt.Sprintf("wake %d: %v", id, c.m.Wake(id))
+		if c.lastServer != task.NoID && c.rng.Intn(2) == 0 {
+			id = c.lastServer
+		}
+		st, _ := c.m.State(id)
+		err := c.m.Wake(id)
+		if err == nil && st == task.Quiescent && c.servers[id] {
+			c.servers[id] = false
+			c.serverWakes++
+		}
+		return fmt.Sprintf("wake %d: %v", id, err)
 	case 6:
 		return fmt.Sprintf("change %d: %v", id, c.m.ChangeResourceList(id, c.list()))
 	default:
@@ -233,8 +268,9 @@ func (c *churnSystem) agree(t *testing.T, twin *churnSystem, what, twinWhat stri
 }
 
 // churnResult is what a tape reached: runs that started a task in a
-// recycled tcb, and recycle steps that rebuilt a system holding tasks.
-type churnResult struct{ recycledTCBs, rebuiltBusy int }
+// recycled tcb, recycle steps that rebuilt a system holding tasks, and
+// Sporadic Servers woken from quiescence.
+type churnResult struct{ recycledTCBs, rebuiltBusy, serverWakes int }
 
 // churn plays tape on a system seeded by seed, checking after every
 // step. From the first recycle step on, a fresh twin plays the rest of
@@ -271,19 +307,24 @@ func churn(t *testing.T, seed uint64, tape []byte) churnResult {
 		twin.s.RunUntil(twin.k.Now() + 100*ms)
 		c.agree(t, twin, "the final run", "the final run")
 	}
-	res.recycledTCBs = c.recycled
+	res.recycledTCBs, res.serverWakes = c.recycled, c.serverWakes
 	return res
 }
 
 // churnTapes is the seed corpus: every nine steps hold each operation
 // once, two admissions, a run and a recycle among them, in an order
-// that shifts from tape to tape.
+// that shifts from tape to tape — except that two rounds in three run
+// where their recycle would be, so that between rebuilds a task can be
+// admitted, run, quiesced, woken and run again.
 func churnTapes() [][]byte {
 	var tapes [][]byte
 	for i := 0; i < 8; i++ {
 		tape := make([]byte, 96)
 		for j := range tape {
-			tape[j] = byte(j*5 + i*3)
+			tape[j] = byte(j*7 + i*3)
+			if tape[j]%9 == 8 && j/9%3 != 2 {
+				tape[j]-- // a run
+			}
 		}
 		tapes = append(tapes, tape)
 	}
@@ -302,18 +343,23 @@ func FuzzSchedulerChurn(f *testing.F) {
 
 // TestSchedulerChurnRecycles: the corpus reaches both recycled paths —
 // tasks start in tcbs that dropped tasks left, and recycle steps
-// rebuild systems that still hold tasks.
+// rebuild systems that still hold tasks — and wakes Sporadic Servers
+// from quiescence, which must start as servers again.
 func TestSchedulerChurnRecycles(t *testing.T) {
 	var sum churnResult
 	for i, tape := range churnTapes() {
 		r := churn(t, uint64(i+1), tape)
 		sum.recycledTCBs += r.recycledTCBs
 		sum.rebuiltBusy += r.rebuiltBusy
+		sum.serverWakes += r.serverWakes
 	}
 	if sum.recycledTCBs == 0 {
 		t.Fatal("no run of the corpus started a task in a recycled tcb")
 	}
 	if sum.rebuiltBusy == 0 {
 		t.Fatal("no recycle step of the corpus rebuilt a system that held tasks")
+	}
+	if sum.serverWakes == 0 {
+		t.Fatal("no tape of the corpus woke a Sporadic Server from quiescence")
 	}
 }

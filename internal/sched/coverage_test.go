@@ -58,13 +58,10 @@ func TestIdleTicksAccessor(t *testing.T) {
 
 func TestSporadicBlockAndWake(t *testing.T) {
 	_, m, s := newSystem(0, sim.ZeroSwitchCosts())
-	ss := mustAdmit(t, m, &task.Task{
+	mustAdmit(t, m, &task.Task{
 		Name: "ss", List: task.SingleLevel(10*ms, 2*ms, "SS"),
-		Body: task.BodyFunc(func(task.RunContext) task.RunResult { panic("unused") }),
+		Body: ServerBody(false),
 	})
-	if err := s.AttachSporadicServer(ss, false); err != nil {
-		t.Fatal(err)
-	}
 	var ran ticks.Ticks
 	blockedOnce := false
 	sp := s.AddSporadic("waiter", task.BodyFunc(func(ctx task.RunContext) task.RunResult {
@@ -104,13 +101,10 @@ func TestSporadicBlockAndWake(t *testing.T) {
 func TestSporadicTimedBlock(t *testing.T) {
 	// A sporadic task blocking with a wake time resumes on its own.
 	_, m, s := newSystem(0, sim.ZeroSwitchCosts())
-	ss := mustAdmit(t, m, &task.Task{
+	mustAdmit(t, m, &task.Task{
 		Name: "ss", List: task.SingleLevel(10*ms, 2*ms, "SS"),
-		Body: task.BodyFunc(func(task.RunContext) task.RunResult { panic("unused") }),
+		Body: ServerBody(false),
 	})
-	if err := s.AttachSporadicServer(ss, false); err != nil {
-		t.Fatal(err)
-	}
 	runs := 0
 	s.AddSporadic("napper", task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 		runs++
@@ -125,13 +119,10 @@ func TestSporadicTimedBlock(t *testing.T) {
 
 func TestSporadicExitLeavesQueue(t *testing.T) {
 	_, m, s := newSystem(0, sim.ZeroSwitchCosts())
-	ss := mustAdmit(t, m, &task.Task{
+	mustAdmit(t, m, &task.Task{
 		Name: "ss", List: task.SingleLevel(10*ms, 2*ms, "SS"),
-		Body: task.BodyFunc(func(task.RunContext) task.RunResult { panic("unused") }),
+		Body: ServerBody(false),
 	})
-	if err := s.AttachSporadicServer(ss, false); err != nil {
-		t.Fatal(err)
-	}
 	ran := 0
 	sp := s.AddSporadic("oneshot", task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 		ran++
@@ -143,13 +134,6 @@ func TestSporadicExitLeavesQueue(t *testing.T) {
 	}
 	if _, ok := s.SporadicStatsOf(sp); ok {
 		t.Error("exited sporadic still tracked")
-	}
-}
-
-func TestAttachSporadicServerUnknown(t *testing.T) {
-	_, _, s := newSystem(0, sim.ZeroSwitchCosts())
-	if err := s.AttachSporadicServer(42, false); err == nil {
-		t.Error("attaching to an unadmitted task accepted")
 	}
 }
 

@@ -116,13 +116,11 @@ func (s *Scheduler) startTask(id task.ID, g rm.Grant, now ticks.Ticks) {
 		grant:      g,
 		newPeriod:  true,
 	}
-	if f, ok := desc.Body.(task.Filter); ok {
-		t.filter = f
-	}
-	if always, ok := s.pendingSS[id]; ok {
-		t.isSS = true
-		t.ssAlwaysOvertime = always
-		delete(s.pendingSS, id)
+	switch b := desc.Body.(type) {
+	case task.Filter:
+		t.filter = b
+	case serverBody:
+		t.isSS, t.ssAlwaysOvertime = true, bool(b)
 	}
 	i, _ := s.index(id)
 	s.byID = slices.Insert(s.byID, i, t)

@@ -46,11 +46,7 @@ func (s *Scheduler) HandleEvent(op, id int32, arg ticks.Ticks) {
 			s.wake(t)
 		}
 	case opWakeSporadic:
-		if i := s.sporadicIndex(SporadicID(id)); i >= 0 {
-			sp := s.sporadics[i]
-			sp.wake = sim.EventRef{}
-			sp.blocked = false
-		}
+		s.SporadicWake(SporadicID(id))
 	case opInterrupt:
 		src := s.interrupts[id]
 		s.k.RunInterrupt(src.service)

@@ -109,16 +109,7 @@ func (s *Scheduler) choose() (*tcb, DispatchKind) {
 // accounting the time to the Idle thread.
 func (s *Scheduler) idleUntilNextInterest(limit ticks.Ticks) {
 	now := s.k.Now()
-	next := limit
-	for _, t := range s.byID {
-		if t.blocked {
-			continue
-		}
-		if b := t.deadline + t.insertIdle; b < next {
-			next = b
-		}
-	}
-	next, _ = s.k.SliceEnd(next)
+	next, _ := s.k.SliceEnd(min(limit, s.nextPeriodStart()))
 	if next <= now {
 		// Unreachable: Settle stops at limit, and boundaries and events
 		// lie strictly ahead once rolled and fired.
@@ -128,7 +119,7 @@ func (s *Scheduler) idleUntilNextInterest(limit ticks.Ticks) {
 	s.k.Idle(d)
 	s.idleTicks += d
 	s.obs.OnDispatch(task.NoID, "idle", now, next, DispatchIdle, 0)
-	s.tel.dispatchIdle.Inc()
+	s.tel.dispatches[DispatchIdle].Inc()
 	// The CPU went idle: entry to the idle loop is free (no state to
 	// save beyond what the outgoing thread's exit already implied),
 	// and the next real dispatch from idle is charged as a voluntary
@@ -161,17 +152,15 @@ func (s *Scheduler) preemptTime(cur *tcb) ticks.Ticks {
 	return best
 }
 
-// preemptTimeAny is the preemption rule for overtime execution: any
-// thread's new period — including the running thread's own — reclaims
-// the CPU, because granted time always outranks overtime.
-func (s *Scheduler) preemptTimeAny(cur *tcb) ticks.Ticks {
+// nextPeriodStart is the earliest new period of any unblocked thread,
+// the running thread's own included. It is the preemption rule for
+// overtime execution — granted time always outranks overtime — and
+// where an idle stretch ends.
+func (s *Scheduler) nextPeriodStart() ticks.Ticks {
 	best := maxTicks
 	for _, t := range s.byID {
-		if t.blocked {
-			continue
-		}
-		if start := t.deadline + t.insertIdle; start < best {
-			best = start
+		if !t.blocked {
+			best = min(best, t.deadline+t.insertIdle)
 		}
 	}
 	return best
@@ -214,7 +203,7 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 			switchAt, reason = cur.deadline, reasonPreempt
 		}
 	case DispatchOvertime:
-		switchAt, reason = s.preemptTimeAny(cur), reasonPreempt
+		switchAt, reason = s.nextPeriodStart(), reasonPreempt
 	default:
 		panic("sched: dispatchSlice with kind " + kind.String())
 	}
@@ -274,7 +263,7 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 
 	s.charge(cur, kind, now, res.Used)
 	if res.Used == span {
-		s.telSliceEnd(reason)
+		s.tel.ends[reason].Inc()
 	}
 
 	timerForced := res.Used == span && (reason == reasonGrantEnd || reason == reasonPreempt)
@@ -374,14 +363,7 @@ func (s *Scheduler) charge(cur *tcb, kind DispatchKind, at, used ticks.Ticks) {
 		return
 	}
 	s.obs.OnDispatch(cur.id, cur.name, at, at+used, kind, cur.grant.Level)
-	switch kind {
-	case DispatchGranted:
-		s.tel.dispatchGranted.Inc()
-	case DispatchOvertime:
-		s.tel.dispatchOvertime.Inc()
-	case DispatchGrace:
-		s.tel.dispatchGrace.Inc()
-	}
+	s.tel.dispatches[kind].Inc()
 	s.tel.sliceTicks.Observe(int64(used))
 	// Complete is a no-op on a nil log, but building its arguments is
 	// not; a run without a span log skips it.

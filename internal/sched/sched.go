@@ -279,9 +279,7 @@ type Scheduler struct {
 
 	sporadics      []*sporadicTask
 	nextSporadicID SporadicID
-	auditEpoch     uint64           // stamp of the latest Audit pass
-	structGen      uint64           // see StructureGeneration
-	pendingSS      map[task.ID]bool // server marks awaiting first pickup
+	structGen      uint64 // see StructureGeneration
 
 	// idleStats accounts the implicit Idle thread.
 	idleTicks ticks.Ticks

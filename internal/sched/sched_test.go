@@ -329,11 +329,8 @@ func TestSporadicServerRunsSporadics(t *testing.T) {
 	ss := mustAdmit(t, m, &task.Task{
 		Name: "ss",
 		List: task.SingleLevel(10*ms, 2*ms, "SporadicServer"),
-		Body: task.BodyFunc(func(task.RunContext) task.RunResult { panic("SS body must not run") }),
+		Body: ServerBody(false),
 	})
-	if err := s.AttachSporadicServer(ss, false); err != nil {
-		t.Fatal(err)
-	}
 	var aRan, bRan ticks.Ticks
 	a := s.AddSporadic("a", task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 		aRan += ctx.Span
@@ -369,14 +366,11 @@ func TestSporadicDoesNotDisturbPeriodic(t *testing.T) {
 		List: task.SingleLevel(10*ms, 7*ms, "Work"),
 		Body: task.PeriodicWork(7 * ms),
 	})
-	ss := mustAdmit(t, m, &task.Task{
+	mustAdmit(t, m, &task.Task{
 		Name: "ss",
 		List: task.SingleLevel(100*ms, 1*ms, "SporadicServer"),
-		Body: task.BodyFunc(func(task.RunContext) task.RunResult { panic("unused") }),
+		Body: ServerBody(false),
 	})
-	if err := s.AttachSporadicServer(ss, false); err != nil {
-		t.Fatal(err)
-	}
 	s.AddSporadic("hog", task.Busy())
 	s.RunUntil(ticks.PerSecond)
 	wst, _ := s.Stats(worker)

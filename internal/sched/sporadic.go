@@ -36,10 +36,6 @@ type sporadicTask struct {
 	// AssignGrant assignment — built once, in AddSporadic, so that a
 	// dispatch allocates nothing.
 	serverName, assignedName string
-	// auditEpoch is the latest Audit pass that found this task on the
-	// server's queue: a grant assignment to a task without the current
-	// stamp points at a removed task.
-	auditEpoch uint64
 }
 
 // SporadicStats is per-sporadic-task accounting.
@@ -48,32 +44,26 @@ type SporadicStats struct {
 	Dispatches int64
 }
 
-// AttachSporadicServer marks the admitted task id as the Sporadic
-// Server. alwaysOvertime makes the server indicate it has work at the
-// end of every period, as in the paper's Figure 5 run ("it is the
-// only thread that indicates it has work to do at the end of each
-// period") — it then soaks up otherwise-unallocated time.
-//
-// The call may precede the Scheduler's first grant pickup; the mark
-// is applied when the task starts.
-func (s *Scheduler) AttachSporadicServer(id task.ID, alwaysOvertime bool) error {
-	if t := s.find(id); t != nil {
-		t.isSS = true
-		t.ssAlwaysOvertime = alwaysOvertime
-		return nil
-	}
-	if _, err := s.rmg.TaskByID(id); err != nil {
-		return fmt.Errorf("sched: AttachSporadicServer: unknown task %d", id)
-	}
-	if s.pendingSS == nil {
-		s.pendingSS = make(map[task.ID]bool)
-	}
-	s.pendingSS[id] = alwaysOvertime
-	return nil
+// ServerBody makes an admitted task the Sporadic Server, recognised each
+// time the task starts: at its first grant pickup, after a Wake, after a
+// re-admission. alwaysOvertime makes the server indicate work at the end
+// of every period, as in the paper's Figure 5 run ("it is the only
+// thread that indicates it has work to do at the end of each period"),
+// so that it soaks up otherwise-unallocated time.
+func ServerBody(alwaysOvertime bool) task.Body { return serverBody(alwaysOvertime) }
+
+// serverBody is ServerBody's mark, its value alwaysOvertime. Being
+// bool-kinded, it converts to task.Body without allocating.
+type serverBody bool
+
+// Run is a tripwire: runBody and maybeGrace test isSS first, so no
+// dispatch reaches a server's body.
+func (serverBody) Run(task.RunContext) task.RunResult {
+	panic("sched: sporadic server body dispatched directly")
 }
 
 // AddSporadic appends a sporadic task to the server's round-robin
-// queue. It may be called before or after AttachSporadicServer.
+// queue. It may be called before or after the server is admitted.
 func (s *Scheduler) AddSporadic(name string, body task.Body) SporadicID {
 	s.nextSporadicID++
 	sp := &sporadicTask{
@@ -166,7 +156,7 @@ func (s *Scheduler) runAssignment(cur *tcb, at, span ticks.Ticks) (used ticks.Ti
 			name, detail = sp.serverName, "sporadic"
 		}
 		s.obs.OnDispatch(cur.id, name, at, at+res.Used, DispatchSporadic, cur.grant.Level)
-		s.tel.dispatchSporadic.Inc()
+		s.tel.dispatches[DispatchSporadic].Inc()
 		if s.tel.spans != nil {
 			s.tel.spans.Complete(at, at+res.Used, "dispatch", sp.name, int64(cur.id), cur.periodSpan, detail)
 		}

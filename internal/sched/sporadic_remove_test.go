@@ -72,16 +72,11 @@ func TestRemoveSporadicMidAssignmentResumesPeriodicTask(t *testing.T) {
 // is assigned — so the fixed clearSSAssignment keeps both behaviours.
 func TestRemoveSporadicClearsServerSlice(t *testing.T) {
 	_, m, s := newSystem(0, sim.ZeroSwitchCosts())
-	server := mustAdmit(t, m, &task.Task{
+	mustAdmit(t, m, &task.Task{
 		Name: "ss",
 		List: task.SingleLevel(10*ms, 2*ms, "SS"),
-		Body: task.BodyFunc(func(task.RunContext) task.RunResult {
-			panic("server body dispatched directly")
-		}),
+		Body: ServerBody(false),
 	})
-	if err := s.AttachSporadicServer(server, false); err != nil {
-		t.Fatal(err)
-	}
 	var ran ticks.Ticks
 	sp := s.AddSporadic("job", task.BodyFunc(func(ctx task.RunContext) task.RunResult {
 		ran += ctx.Span

@@ -10,18 +10,11 @@ import (
 // handle methods are no-ops on nil, so the hot path (loop.go,
 // sporadic.go) instruments unconditionally.
 type schedTelemetry struct {
-	dispatchGranted  *telemetry.Counter
-	dispatchOvertime *telemetry.Counter
-	dispatchGrace    *telemetry.Counter
-	dispatchSporadic *telemetry.Counter
-	dispatchIdle     *telemetry.Counter
+	dispatches [DispatchIdle + 1]*telemetry.Counter
 
-	// Slice-end classification: why each fully-consumed dispatch slice
+	// ends classifies each fully-consumed dispatch slice by why it
 	// ended (grant exhausted, EDF preemption, kernel event, horizon).
-	endGrant   *telemetry.Counter
-	endPreempt *telemetry.Counter
-	endEvent   *telemetry.Counter
-	endLimit   *telemetry.Counter
+	ends [reasonLimit + 1]*telemetry.Counter
 
 	rollovers       *telemetry.Counter
 	misses          *telemetry.Counter
@@ -50,40 +43,29 @@ const sliceBuckets = 32
 func (s *Scheduler) wireTelemetry(t *telemetry.Set) {
 	r := t.Reg()
 	s.tel = schedTelemetry{
-		dispatchGranted:  r.Counter("sched.dispatch.granted"),
-		dispatchOvertime: r.Counter("sched.dispatch.overtime"),
-		dispatchGrace:    r.Counter("sched.dispatch.grace"),
-		dispatchSporadic: r.Counter("sched.dispatch.sporadic"),
-		dispatchIdle:     r.Counter("sched.dispatch.idle"),
-		endGrant:         r.Counter("sched.slice_end.grant"),
-		endPreempt:       r.Counter("sched.slice_end.preempt"),
-		endEvent:         r.Counter("sched.slice_end.event"),
-		endLimit:         r.Counter("sched.slice_end.limit"),
-		rollovers:        r.Counter("sched.period.rollovers"),
-		misses:           r.Counter("sched.deadline.misses"),
-		exceptions:       r.Counter("sched.grace.exceptions"),
-		sporadicSlices:   r.Counter("sched.sporadic.slices"),
-		grantsCollected:  r.Counter("sched.grants.collected"),
-		qRemaining:       r.Gauge("sched.queue.time_remaining"),
-		qExpired:         r.Gauge("sched.queue.time_expired"),
-		qOvertime:        r.Gauge("sched.queue.overtime"),
+		dispatches: [DispatchIdle + 1]*telemetry.Counter{
+			DispatchGranted:  r.Counter("sched.dispatch.granted"),
+			DispatchOvertime: r.Counter("sched.dispatch.overtime"),
+			DispatchGrace:    r.Counter("sched.dispatch.grace"),
+			DispatchSporadic: r.Counter("sched.dispatch.sporadic"),
+			DispatchIdle:     r.Counter("sched.dispatch.idle"),
+		},
+		ends: [reasonLimit + 1]*telemetry.Counter{
+			reasonGrantEnd: r.Counter("sched.slice_end.grant"),
+			reasonPreempt:  r.Counter("sched.slice_end.preempt"),
+			reasonEvent:    r.Counter("sched.slice_end.event"),
+			reasonLimit:    r.Counter("sched.slice_end.limit"),
+		},
+		rollovers:       r.Counter("sched.period.rollovers"),
+		misses:          r.Counter("sched.deadline.misses"),
+		exceptions:      r.Counter("sched.grace.exceptions"),
+		sporadicSlices:  r.Counter("sched.sporadic.slices"),
+		grantsCollected: r.Counter("sched.grants.collected"),
+		qRemaining:      r.Gauge("sched.queue.time_remaining"),
+		qExpired:        r.Gauge("sched.queue.time_expired"),
+		qOvertime:       r.Gauge("sched.queue.overtime"),
 		sliceTicks: r.Histogram("sched.dispatch.slice",
 			int64(ticks.PerMillisecond), sliceBuckets),
 		spans: t.SpanLog(),
-	}
-}
-
-// telSliceEnd classifies a slice whose body consumed the entire
-// offered span — the timer decided where it ended.
-func (s *Scheduler) telSliceEnd(reason switchReason) {
-	switch reason {
-	case reasonGrantEnd:
-		s.tel.endGrant.Inc()
-	case reasonPreempt:
-		s.tel.endPreempt.Inc()
-	case reasonEvent:
-		s.tel.endEvent.Inc()
-	case reasonLimit:
-		s.tel.endLimit.Inc()
 	}
 }
