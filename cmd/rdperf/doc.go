@@ -32,7 +32,7 @@ var layers = []layer{
 	{"switch-cost sample", []string{"BenchmarkSwitchSample"}, "",
 		"one RNG draw + a bucket index and a short step walk in the cost table"},
 	{"scheduler period", []string{"BenchmarkPeriodRollover"}, "0, `TestPeriodRolloverSteadyStateIsAllocFree`",
-		"`rollPeriods`/`beginPeriod`, the three queue-depth `Gauge.Set`s per loop pass (set-on-change measured slower), `choose`'s TimeRemaining scan of the task table"},
+		"`rollPeriods`/`beginPeriod`, the three queue-depth `Gauge.Set`s per loop pass (set-on-change measured slower), `decide`'s two task-table scans (the pick and the slice bound), made again only after a `redecide`"},
 	{"Sporadic Server dispatch", []string{"BenchmarkSporadicDispatch"}, "0, `TestSporadicDispatchAllocs`",
 		"the shared `charge`/`runClamped` slice step plus the Observer call"},
 	{"comparator slice", []string{"BenchmarkComparatorSlice"}, "0, `TestComparatorSliceAllocFree` (every picker)",

@@ -2,9 +2,13 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/task"
 	"repro/internal/telemetry"
+	"repro/internal/ticks"
 )
 
 // TestTelemetryOffOnTraceByteIdentical is the telemetry layer's first
@@ -80,5 +84,29 @@ func TestSameSeedManifestAndPerfettoByteIdentical(t *testing.T) {
 	manOther, _ := studioManifest(t, 1999)
 	if bytes.Equal(man1, manOther) {
 		t.Error("different seeds produced byte-identical manifests; telemetry is not observing the run")
+	}
+}
+
+// TestQueueGaugeCountsPickedUpTasks holds the sched.queue.* gauges to
+// the queue depths a decision is made on. Five equal tasks admitted to
+// an idle Distributor are picked up together, before the first
+// dispatch, so TimeRemaining holds all five before any of them runs —
+// also when the switch to the first one dispatches in the pass that
+// picked them up.
+func TestQueueGaugeCountsPickedUpTasks(t *testing.T) {
+	tel := telemetry.NewSet()
+	d := core.New(core.Config{Seed: 1, Telemetry: tel})
+	for i := range 5 {
+		name := fmt.Sprintf("t%d", i)
+		if _, err := d.RequestAdmittance(&task.Task{
+			Name: name, List: task.SingleLevel(10*ticks.PerMillisecond, ticks.PerMillisecond, name),
+			Body: task.PeriodicWork(ticks.PerMillisecond),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Run(2 * ticks.PerMillisecond) // before the first period boundary
+	if got := tel.Reg().Gauge("sched.queue.time_remaining").Max(); got != 5 {
+		t.Errorf("sched.queue.time_remaining max = %d, want 5", got)
 	}
 }

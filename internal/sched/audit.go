@@ -13,9 +13,10 @@ import "slices"
 // holds no dropped task, per-period budgets are conserved (0 ≤
 // remaining ≤ granted CPU), grant assignments point at live sporadic
 // tasks and carry no budget without one, and the CPU owner, if any, is
-// a live task of the table. Queue membership is one tag per task, so
-// there are no queues to hold against the table. Audit changes
-// nothing: internal/invariant calls it from the checker, and
+// a live task of the table, and a valid cached decision is the one a
+// fresh scan makes (a write that skipped redecide leaves it stale).
+// Queue membership is one tag per task, so there are no queues to hold
+// against the table. Audit changes nothing: internal/invariant calls it from the checker, and
 // fault-injection tests call it after each scenario. Findings are
 // reported in a deterministic order.
 func (s *Scheduler) Audit() AuditReport {
@@ -44,6 +45,13 @@ func (s *Scheduler) Audit() AuditReport {
 			r.addf("running task %d (%s) was dropped", s.running.id, s.running.name)
 		} else if s.find(s.running.id) != s.running {
 			r.addf("running task %d (%s) not in the task table", s.running.id, s.running.name)
+		}
+	}
+
+	if s.decValid {
+		if d := s.decide(); d.id() != s.dec.id() || d.kind != s.dec.kind || d.bound != s.dec.bound {
+			r.addf("cached decision (task %d, %v, bound %v) is stale: a fresh scan decides (task %d, %v, bound %v)",
+				s.dec.id(), s.dec.kind, s.dec.bound, d.id(), d.kind, d.bound)
 		}
 	}
 	return r

@@ -50,7 +50,58 @@ func auditNaive(s *Scheduler) AuditReport {
 			add("running task %d (%s) not in the task table", s.running.id, s.running.name)
 		}
 	}
+
+	if s.decValid {
+		cached := task.NoID
+		if s.dec.t != nil {
+			cached = s.dec.t.id
+		}
+		id, kind, bound := naiveDecision(s)
+		if id != cached || kind != s.dec.kind || bound != s.dec.bound {
+			add("cached decision (task %d, %v, bound %v) is stale: a fresh scan decides (task %d, %v, bound %v)",
+				cached, s.dec.kind, s.dec.bound, id, kind, bound)
+		}
+	}
 	return r
+}
+
+// naiveDecision re-derives the §4.2 decision from the tags alone: the
+// first task on TimeRemaining by (deadline, ID), else the first on
+// OvertimeRequested, else the Idle thread; and the slice bound as the
+// least of the period starts that may end the slice — for a granted
+// dispatch, those of the other unblocked tasks whose next period ends
+// before the picked task's deadline, otherwise every unblocked task's.
+func naiveDecision(s *Scheduler) (task.ID, DispatchKind, ticks.Ticks) {
+	kind := DispatchGranted
+	cur, _ := firstOn(s, func(x *tcb) bool { return x.queue == qTimeRemaining })
+	if cur == nil {
+		kind = DispatchOvertime
+		cur, _ = firstOn(s, func(x *tcb) bool { return x.overtime })
+	}
+	id := task.NoID
+	if cur == nil {
+		kind = DispatchIdle
+	} else {
+		id = cur.id
+	}
+	starts := []ticks.Ticks{maxTicks}
+	for _, x := range s.byID {
+		if x.blocked {
+			continue
+		}
+		start := x.deadline + x.insertIdle
+		if kind == DispatchGranted {
+			next := x.grant
+			if x.hasNext {
+				next = x.nextGrant
+			}
+			if x == cur || start+next.Entry.Period >= cur.deadline {
+				continue
+			}
+		}
+		starts = append(starts, start)
+	}
+	return id, kind, slices.Min(starts)
 }
 
 // auditMatchesNaive fails the test unless Audit and the oracle report
@@ -310,6 +361,21 @@ var auditCorruptions = []auditCorruption{
 		s.byID[i] = &twin
 		return true
 	}},
+	{"queue tag written behind the cached decision", true, func(s *Scheduler, ts []*tcb) bool {
+		// The decided task trades tags with a task on TimeExpired, the
+		// tallies unchanged, and nothing calls redecide: the decision
+		// still names a task a fresh scan no longer picks.
+		if s.nRemaining == 0 {
+			return false
+		}
+		d := s.choose()
+		i := slices.IndexFunc(ts, func(x *tcb) bool { return x.queue == qTimeExpired })
+		if d.t == nil || i < 0 {
+			return false
+		}
+		d.t.queue, ts[i].queue = qTimeExpired, qTimeRemaining
+		return true
+	}},
 	{"everything at once", false, func(s *Scheduler, ts []*tcb) bool {
 		if len(ts) < 3 {
 			return false
@@ -352,5 +418,25 @@ func TestAuditCleanAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("clean Audit allocates %v objects per call, want 0", n)
+	}
+}
+
+// TestInsertIdleCyclesRedecides covers a write the live runs leave to
+// the audit: an overtime decision's slice bound is the next period
+// start, which InsertIdleCycles postpones, so the cached decision must
+// be made again.
+func TestInsertIdleCyclesRedecides(t *testing.T) {
+	_, m, s := newSystem(0, sim.ZeroSwitchCosts())
+	id := mustAdmit(t, m, &task.Task{Name: "busy", List: task.SingleLevel(10*ms, 2*ms, "B"), Body: task.Busy()})
+	s.RunUntil(5 * ms)
+	if d := s.choose(); d.kind != DispatchOvertime || d.bound != 10*ms {
+		t.Fatalf("setup: decided (%v, bound %v), want an overtime slice bound at 10ms", d.kind, d.bound)
+	}
+	if err := s.InsertIdleCycles(id, ms); err != nil {
+		t.Fatal(err)
+	}
+	auditClean(t, s)
+	if d := s.choose(); d.bound != 11*ms {
+		t.Errorf("after InsertIdleCycles the slice bound is %v, want 11ms", d.bound)
 	}
 }

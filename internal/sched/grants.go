@@ -25,6 +25,7 @@ func (s *Scheduler) GrantDecreased(id task.ID, g rm.Grant) {
 	if t == nil {
 		return // not yet picked up; the eventual pickup has the new grant
 	}
+	s.redecide()
 	t.nextGrant, t.hasNext = g, true
 }
 
@@ -79,6 +80,7 @@ func (s *Scheduler) find(id task.ID) *tcb {
 func (s *Scheduler) collectGrants() {
 	gs := s.rmg.CollectGrants()
 	now := s.k.Now()
+	s.redecide()
 	s.tel.grantsCollected.Inc()
 	// The set is in ascending ID order, which is the order startTask's
 	// trace events must appear in.
@@ -249,6 +251,7 @@ func (s *Scheduler) advanceWindow(t *tcb) {
 		// consistent with what beginPeriod will install.
 		period = t.nextGrant.Entry.Period
 	}
+	s.redecide()
 	t.periodStart = start
 	t.deadline = start + period
 }
@@ -270,6 +273,7 @@ func (s *Scheduler) InsertIdleCycles(id task.ID, n ticks.Ticks) error {
 	if t == nil {
 		return fmt.Errorf("sched: InsertIdleCycles: unknown task %d", id)
 	}
+	s.redecide()
 	t.insertIdle += n
 	return nil
 }
@@ -290,6 +294,7 @@ func (s *Scheduler) Unblock(id task.ID) error {
 
 func (s *Scheduler) wake(t *tcb) {
 	s.structGen++
+	s.redecide()
 	t.blocked = false
 	t.wokenMidPeriod = true
 	t.wokeAt = s.k.Now()

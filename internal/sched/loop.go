@@ -29,12 +29,11 @@ func (s *Scheduler) RunUntil(limit ticks.Ticks) {
 			return
 		}
 		s.rollPeriods(now)
-		s.tel.qRemaining.Set(int64(s.nRemaining))
-		s.tel.qExpired.Set(int64(s.nExpired))
-		s.tel.qOvertime.Set(int64(s.nOvertime))
-		cur, kind := s.choose()
+		s.setQueueGauges()
+		d := s.choose()
+		cur := d.t
 		if cur == nil {
-			s.idleUntilNextInterest(limit)
+			s.idleUntilNextInterest(d.bound, limit)
 			continue
 		}
 		if s.running != cur {
@@ -66,28 +65,99 @@ func (s *Scheduler) RunUntil(limit ticks.Ticks) {
 				// the CPU unowned — the dead tcb must not be dispatched.
 				s.switchCredit = true
 				s.running = nil
+				continue
 			}
-			continue
+			if !s.switchSettled(limit) {
+				continue
+			}
+			// The next pass would settle and roll nothing and choose cur
+			// again, so this pass dispatches it. That pass's gauge Set is
+			// kept: choose's grant pickup may have raised the tallies
+			// since this pass's.
+			s.setQueueGauges()
 		}
-		s.dispatchSlice(cur, kind, limit)
+		s.dispatchSlice(d, limit)
 	}
 }
 
-// choose implements the §4.2 selection rule: first thread off
-// TimeRemaining; else, if there are new grants, collect them (new
-// grants begin only in unallocated time); else the first
-// OvertimeRequested thread; else the Idle thread (represented as nil).
-// A queue's first thread is the earliest deadline among the tasks
-// tagged for it, the lower ID on a tie: the task table is in ID order,
-// so the strict < keeps the first of equal deadlines.
-func (s *Scheduler) choose() (*tcb, DispatchKind) {
+// setQueueGauges publishes the three queue depths the pass decides on.
+func (s *Scheduler) setQueueGauges() {
+	s.tel.qRemaining.Set(int64(s.nRemaining))
+	s.tel.qExpired.Set(int64(s.nExpired))
+	s.tel.qOvertime.Set(int64(s.nOvertime))
+}
+
+// switchSettled reports whether the loop pass after a paid switch would
+// do nothing but dispatch the decision again: the switch left the clock
+// before limit and before the next period boundary, the kernel did not
+// stall, no event inside the switch wrote what the decision read, and
+// there are no grants for choose to collect.
+func (s *Scheduler) switchSettled(limit ticks.Ticks) bool {
+	now := s.k.Now()
+	if now >= limit || now >= s.nextRoll || !s.decValid {
+		return false
+	}
+	if _, stalled := s.k.Stalled(); stalled {
+		return false
+	}
+	return s.nRemaining > 0 || !s.rmg.HasPending()
+}
+
+// decision is the outcome of the §4.2 rule: the task to run (nil for
+// the Idle thread), how, and where its slice ends before any kernel
+// event or the horizon cuts it — preemptTime(t) for a granted dispatch,
+// nextPeriodStart otherwise.
+type decision struct {
+	t     *tcb
+	kind  DispatchKind
+	bound ticks.Ticks
+}
+
+// id is the decided task's ID, task.NoID for the Idle thread.
+func (d decision) id() task.ID {
+	if d.t == nil {
+		return task.NoID
+	}
+	return d.t.id
+}
+
+// redecide marks the cached decision stale. Every write to what decide
+// reads calls it: a queue tag, the overtime flag or a tally (dequeue,
+// which enqueue calls, and setOvertime), a deadline (advanceWindow),
+// the blocked flag (wake), inserted idle time (InsertIdleCycles), the
+// next grant (GrantDecreased, collectGrants). beginPeriod, startTask,
+// dropTask and leave write a deadline, a grant, the task table or the
+// blocked flag alongside a queue move, whose dequeue covers them. Audit
+// holds a valid decision to a fresh one, so a write that misses it
+// shows as a finding.
+func (s *Scheduler) redecide() { s.decValid = false }
+
+// choose is the §4.2 decision for this pass: first collect pending
+// grants if TimeRemaining is empty (new grants begin only in
+// unallocated time), then reuse the cached decision or decide afresh.
+// The pending flag is the Resource Manager's, so it is read on every
+// call rather than cached.
+func (s *Scheduler) choose() decision {
 	if s.nRemaining == 0 && s.rmg.HasPending() {
 		s.collectGrants()
 	}
+	if !s.decValid {
+		s.dec, s.decValid = s.decide(), true
+	}
+	return s.dec
+}
+
+// decide implements the §4.2 selection rule: the first thread off
+// TimeRemaining; else the first OvertimeRequested thread; else the
+// Idle thread. A queue's first thread is the earliest deadline among
+// the tasks tagged for it, the lower ID on a tie: the task table is in
+// ID order, so the strict < keeps the first of equal deadlines. decide
+// changes nothing, so Audit may call it.
+func (s *Scheduler) decide() decision {
 	kind := DispatchGranted
 	if s.nRemaining == 0 {
 		if s.nOvertime == 0 {
-			return nil, DispatchIdle
+			return decision{kind: DispatchIdle, bound: s.nextPeriodStart()}
 		}
 		kind = DispatchOvertime
 	}
@@ -101,15 +171,18 @@ func (s *Scheduler) choose() (*tcb, DispatchKind) {
 			first = t
 		}
 	}
-	return first, kind
+	if first == nil || kind == DispatchOvertime {
+		return decision{first, kind, s.nextPeriodStart()}
+	}
+	return decision{first, kind, s.preemptTime(first)}
 }
 
 // idleUntilNextInterest advances the clock to the next scheduling
-// event (a period boundary, a kernel event, or the horizon),
+// event (next, the next period start; a kernel event; or the horizon),
 // accounting the time to the Idle thread.
-func (s *Scheduler) idleUntilNextInterest(limit ticks.Ticks) {
+func (s *Scheduler) idleUntilNextInterest(next, limit ticks.Ticks) {
 	now := s.k.Now()
-	next, _ := s.k.SliceEnd(min(limit, s.nextPeriodStart()))
+	next, _ = s.k.SliceEnd(min(limit, next))
 	if next <= now {
 		// Unreachable: Settle stops at limit, and boundaries and events
 		// lie strictly ahead once rolled and fired.
@@ -166,10 +239,12 @@ func (s *Scheduler) nextPeriodStart() ticks.Ticks {
 	return best
 }
 
-// dispatchSlice runs cur for one contiguous slice of CPU, ending at
-// the earlier of its grant end, an EDF preemption point, a kernel
-// event, or the horizon, then resolves what the task did.
-func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks) {
+// dispatchSlice runs the decided task for one contiguous slice of CPU,
+// ending at the earlier of its grant end, the decision's bound (an EDF
+// preemption point), a kernel event, or the horizon, then resolves
+// what the task did.
+func (s *Scheduler) dispatchSlice(d decision, limit ticks.Ticks) {
+	cur, kind := d.t, d.kind
 	now := s.k.Now()
 
 	var switchAt ticks.Ticks
@@ -183,7 +258,7 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 			return
 		}
 		grantEnd := now + cur.remaining
-		preemptAt := s.preemptTime(cur)
+		preemptAt := d.bound
 		switchAt, reason = grantEnd, reasonGrantEnd
 		if preemptAt < grantEnd {
 			// Small-overlap override (§4.2): when the grant would
@@ -203,7 +278,7 @@ func (s *Scheduler) dispatchSlice(cur *tcb, kind DispatchKind, limit ticks.Ticks
 			switchAt, reason = cur.deadline, reasonPreempt
 		}
 	case DispatchOvertime:
-		switchAt, reason = s.nextPeriodStart(), reasonPreempt
+		switchAt, reason = d.bound, reasonPreempt
 	default:
 		panic("sched: dispatchSlice with kind " + kind.String())
 	}

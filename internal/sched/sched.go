@@ -13,6 +13,9 @@
 // begin only in otherwise-unallocated time, so admission can never
 // disturb an admitted task); failing that it runs the first
 // OvertimeRequested thread, of which the Idle thread is always one.
+// The decision is cached and made again only after a write to what it
+// read (decide), so a slice cut by an event the task keeps resumes
+// without a scan, and a paid context switch dispatches in its own pass.
 //
 // The timer interrupt for the next switch is set at the earlier of
 // the end of the running thread's grant and the start of a new period
@@ -271,6 +274,13 @@ type Scheduler struct {
 
 	running *tcb // thread currently on the CPU; nil at boot
 
+	// dec is the cached outcome of the §4.2 rule, valid while decValid:
+	// the Scheduler re-decides only when something decide reads has been
+	// written since (redecide), so a pass that resumes the task it just
+	// ran neither scans the task table nor recomputes the slice bound.
+	dec      decision
+	decValid bool
+
 	// switchCredit marks that a context switch was charged to a target
 	// that was removed during the switch itself (events fire inside the
 	// charged span). The CPU is already in the switched state, so the
@@ -345,7 +355,8 @@ func NewIn(s *Scheduler, cfg Config) *Scheduler {
 
 // --- paper queues ---
 
-// enqueue moves t onto the given paper queue.
+// enqueue moves t onto the given paper queue. Its dequeue marks the
+// decision stale.
 func (s *Scheduler) enqueue(t *tcb, q queueID) {
 	s.dequeue(t)
 	t.queue = q
@@ -359,6 +370,7 @@ func (s *Scheduler) enqueue(t *tcb, q queueID) {
 
 // dequeue takes t off whatever paper queue it is on.
 func (s *Scheduler) dequeue(t *tcb) {
+	s.redecide()
 	switch t.queue {
 	case qTimeRemaining:
 		s.nRemaining--
@@ -372,6 +384,7 @@ func (s *Scheduler) setOvertime(t *tcb, want bool) {
 	if t.overtime == want {
 		return
 	}
+	s.redecide()
 	t.overtime = want
 	if want {
 		s.nOvertime++
